@@ -31,35 +31,30 @@ TWO_PI = 2.0 * np.pi
 # contour integrals
 
 
-def _complex_contour_integral(flow, contour: Contour, refine_check=False):
+def _complex_contour_integral(flow, contour: Contour):
     if flow.body is not None and not contour.clears_body(flow.body):
         raise FluidDomainError("contour intersects the body")
     z, dz = contour.quadrature()
-    val = np.sum(flow.velocity(z) * dz)
-    if not refine_check:
-        return val, None
-    z2, dz2 = contour.refined().quadrature()
-    val2 = np.sum(flow.velocity(z2) * dz2)
-    return val2, abs(val2 - val)
+    return np.sum(flow.velocity(z) * dz)
 
 
 def circulation(flow, contour: Contour) -> float:
     """Counterclockwise circulation oint v . dx = Re oint w dz."""
-    val, _ = _complex_contour_integral(flow, contour)
+    val = _complex_contour_integral(flow, contour)
     return float(np.real(val))
 
 
 def mass_flux(flow, contour: Contour) -> float:
     """Net outward volume flux oint v . n ds = Im oint w dz; zero for any
     closed fluid contour around the body (conservation of mass)."""
-    val, _ = _complex_contour_integral(flow, contour)
+    val = _complex_contour_integral(flow, contour)
     return float(np.imag(val))
 
 
 def potential_increment(flow, contour: Contour) -> complex:
     """Increment of W along one counterclockwise loop (oint w dz);
     detects the multivaluedness Gamma of the potential."""
-    val, _ = _complex_contour_integral(flow, contour)
+    val = _complex_contour_integral(flow, contour)
     return complex(val)
 
 
@@ -218,8 +213,6 @@ def sign_attainment(flow, corner: Corner, radius: float, samples: int = 64,
     first = verdicts[0]
     if all(v == first for v in verdicts):
         return first
-    if all(v in ("both", "positive_only") for v in verdicts) and "both" in verdicts:
-        return "indeterminate"
     return "indeterminate"
 
 
@@ -300,14 +293,6 @@ class CensusResult:
     min_singular_count: int
     regularizes_all_somewhere: bool
     coincident_pairs: tuple
-
-    def singular_ids_at(self, gamma: float, tol_scale: float) -> list[int]:
-        out = []
-        for entry in self.corners:
-            a1 = entry.a1_at_zero + entry.slope * gamma
-            if abs(a1) > tol_scale:
-                out.append(entry.corner_id)
-        return out
 
 
 def corner_census(body: Body, w_inf: complex, gamma_grid=None,

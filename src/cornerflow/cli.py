@@ -22,14 +22,14 @@ import numpy as np
 from . import analysis, compressible, forces, incompressible
 from .errors import ConfigError, CornerFlowError
 from .gas import BernoulliState, GasModel
-from .geometry import Circle, CircleContour, FlatPlate, Polygon, body_from_config
-from .incompressible import (CircleFlow, FarField, PlateFlow, kutta_solve,
-                             panel_solve)
+from .geometry import CircleContour, FlatPlate, body_from_config
+from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
 
 SCHEMA_VERSION = 1
 
 ANALYSES = ("circulation", "farfield", "forces", "corner_fits", "census",
             "sign_census", "field_export", "compressible", "refinement_study")
+COMPRESSIBLE_ANALYSES = ("compressible", "refinement_study")
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +39,15 @@ ANALYSES = ("circulation", "farfield", "forces", "corner_fits", "census",
 def _require(cond, message, path):
     if not cond:
         raise ConfigError(message, path)
+
+
+def _is_int(x):
+    # bool is a subclass of int, but JSON true/false is no number or id
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, float)
 
 
 def validate_scenario(cfg: dict) -> dict:
@@ -54,33 +63,37 @@ def validate_scenario(cfg: dict) -> dict:
     _require(kind in ("circle", "flat_plate", "polygon"),
              "kind must be circle|flat_plate|polygon", "$.body.kind")
     if kind == "circle":
-        _require(isinstance(body.get("radius"), (int, float)) and body["radius"] > 0,
+        _require(_is_number(body.get("radius")) and body["radius"] > 0,
                  "radius must be positive", "$.body.radius")
     elif kind == "flat_plate":
-        _require(isinstance(body.get("chord"), (int, float)) and body["chord"] > 0,
+        _require(_is_number(body.get("chord")) and body["chord"] > 0,
                  "chord must be positive", "$.body.chord")
         _require(("alpha" in body) != ("alpha_deg" in body),
                  "exactly one of alpha (radians) or alpha_deg", "$.body")
+        key = "alpha" if "alpha" in body else "alpha_deg"
+        _require(_is_number(body[key]), "angle must be a number",
+                 f"$.body.{key}")
     else:
         verts = body.get("vertices")
         _require(isinstance(verts, list) and len(verts) >= 3,
                  "vertices must list >= 3 [x, y] pairs", "$.body.vertices")
         for i, xy in enumerate(verts):
-            _require(isinstance(xy, list) and len(xy) == 2,
+            _require(isinstance(xy, list) and len(xy) == 2
+                     and all(_is_number(c) for c in xy),
                      "vertex must be an [x, y] pair", f"$.body.vertices[{i}]")
 
     gas = cfg.get("gas", {"incompressible": True})
     _require(isinstance(gas, dict), "gas must be an object", "$.gas")
-    if not gas.get("incompressible", False):
-        _require(isinstance(gas.get("gamma", 1.4), (int, float)) and gas.get("gamma", 1.4) > 1,
+    compressible_gas = not gas.get("incompressible", False)
+    if compressible_gas:
+        _require(_is_number(gas.get("gamma", 1.4)) and gas.get("gamma", 1.4) > 1,
                  "gamma must exceed 1", "$.gas.gamma")
-        _require(isinstance(gas.get("mach_inf"), (int, float))
-                 and 0 <= gas["mach_inf"] < 1,
+        _require(_is_number(gas.get("mach_inf")) and 0 <= gas["mach_inf"] < 1,
                  "mach_inf must lie in [0, 1)", "$.gas.mach_inf")
 
     flow = cfg.get("flow")
     _require(isinstance(flow, dict), "flow must be an object", "$.flow")
-    _require(isinstance(flow.get("w_inf"), (int, float)) and flow["w_inf"] > 0,
+    _require(_is_number(flow.get("w_inf")) and flow["w_inf"] > 0,
              "w_inf must be a positive magnitude", "$.flow.w_inf")
     modes = [k for k in ("gamma", "kutta_corner", "gamma_sweep") if k in flow]
     _require(len(modes) == 1,
@@ -90,6 +103,15 @@ def validate_scenario(cfg: dict) -> dict:
     _require(isinstance(analyses, list), "analyses must be a list", "$.analyses")
     for i, name in enumerate(analyses):
         _require(name in ANALYSES, f"unknown analysis {name!r}", f"$.analyses[{i}]")
+        _require(compressible_gas or name not in COMPRESSIBLE_ANALYSES,
+                 f"analysis {name!r} needs gas.incompressible: false",
+                 f"$.analyses[{i}]")
+
+    solver = cfg.get("solver", {})
+    _require(isinstance(solver, dict), "solver must be an object", "$.solver")
+    if "n_panels" in solver:
+        _require(_is_int(solver["n_panels"]) and solver["n_panels"] > 0,
+                 "n_panels must be a positive integer", "$.solver.n_panels")
 
     try:
         b = body_from_config(body)
@@ -97,7 +119,7 @@ def validate_scenario(cfg: dict) -> dict:
         raise ConfigError(str(exc), "$.body") from exc
     if "kutta_corner" in flow:
         n_corners = len(b.corners)
-        _require(isinstance(flow["kutta_corner"], int)
+        _require(_is_int(flow["kutta_corner"])
                  and 0 <= flow["kutta_corner"] < n_corners,
                  f"corner id must be in [0, {n_corners})", "$.flow.kutta_corner")
     return cfg
@@ -130,17 +152,19 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     w_inf = float(flow_cfg["w_inf"])
     solver = cfg.get("solver", {})
     n_panels = int(solver.get("n_panels", 256))
+    exact = exact_flow(body, FarField(w_inf, 0.0))
     representation = solver.get("representation")
     if representation is None:
-        representation = "exact" if isinstance(body, (Circle, FlatPlate)) else "panel"
+        representation = "panel" if exact is None else "exact"
+    if representation != "exact":
+        exact = None
 
     if "gamma" in flow_cfg:
         gamma = float(flow_cfg["gamma"])
     elif "kutta_corner" in flow_cfg:
         corner_id = int(flow_cfg["kutta_corner"])
-        if isinstance(body, FlatPlate) and representation == "exact":
-            gamma = PlateFlow(body.chord, body.alpha,
-                              FarField(w_inf, 0.0)).kutta_circulation(corner_id)
+        if exact is not None:  # a plate: circles have no corner to name
+            gamma = exact.kutta_circulation(corner_id)
             summary["kutta"] = {"corner_id": corner_id, "gamma_star": gamma,
                                 "method": "conformal_map"}
         else:
@@ -155,10 +179,8 @@ def _resolve_flow(cfg: dict, body, summary: dict):
         gamma = 0.0  # sweep scenarios analyse the census, not one flow
 
     far = FarField(w_inf=w_inf, circulation=gamma)
-    if representation == "exact" and isinstance(body, Circle):
-        flow = CircleFlow(body.radius, far)
-    elif representation == "exact" and isinstance(body, FlatPlate):
-        flow = PlateFlow(body.chord, body.alpha, far)
+    if exact is not None:
+        flow = exact_flow(body, far)
     else:
         sol = panel_solve(body, far, n_panels=n_panels)
         summary["panel"] = {
@@ -173,22 +195,16 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     return flow, far
 
 
-def _exact_regression(body, flow, far):
+def _exact_regression(flow, exact):
     """Panel-vs-exact velocity deviation at standard probe rings."""
-    if isinstance(body, Circle):
-        exact = CircleFlow(body.radius, far)
-    elif isinstance(body, FlatPlate):
-        exact = PlateFlow(body.chord, body.alpha, far)
-    else:
-        return None
-    R = body.circumradius
+    R = exact.body.circumradius
     th = 2 * np.pi * (np.arange(100) + 0.31) / 100
     worst = 0.0
     for mult in (1.5, 3.0, 10.0):
         z = mult * R * np.exp(1j * th)
         dev = np.max(np.abs(np.asarray(flow.velocity(z))
                             - np.asarray(exact.velocity(z))))
-        worst = max(worst, float(dev / abs(far.w_inf)))
+        worst = max(worst, float(dev / abs(exact.far.w_inf)))
     return worst
 
 
@@ -422,8 +438,9 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         body = body_from_config(cfg["body"])
         flow, far = _resolve_flow(cfg, body, summary)
         analyses = cfg.get("analyses", [])
-        if summary["flow"]["representation"] == "panel" and not isinstance(body, Polygon):
-            summary["exact_regression_max_rel_dev"] = _exact_regression(body, flow, far)
+        exact = exact_flow(body, far)
+        if summary["flow"]["representation"] == "panel" and exact is not None:
+            summary["exact_regression_max_rel_dev"] = _exact_regression(flow, exact)
         if "circulation" in analyses:
             _run_circulation(flow, body, summary)
         if "farfield" in analyses:

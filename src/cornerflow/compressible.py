@@ -35,8 +35,8 @@ from scipy.sparse.linalg import splu
 from .errors import (InvalidGeometryError, IterationLimitError,
                      SonicExcursionError, UnsupportedBodyError)
 from .gas import BernoulliState, GasModel
-from .geometry import Body, Circle, FlatPlate
-from .incompressible import CircleFlow, FarField, JoukowskyPlateMap, PlateFlow
+from .geometry import Body
+from .incompressible import FarField, conformal_map, exact_flow
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,6 +64,9 @@ class ConformalGrid:
     z: np.ndarray = field(repr=False)          # (n_r, n_theta)
     H: np.ndarray = field(repr=False)          # |dz/dzeta| per node
     flagged: np.ndarray = field(repr=False)    # True at singular map nodes
+    map: object = field(repr=False)            # sigma -> z: to_z, dz_dsigma
+    # the last discretization built on this grid (see _discretization)
+    _disc: object = field(default=None, init=False, repr=False)
 
     @property
     def d_xi(self) -> float:
@@ -73,28 +76,13 @@ class ConformalGrid:
     def d_theta(self) -> float:
         return float(self.theta[1] - self.theta[0])
 
-    def zeta(self, xi, theta):
-        return np.asarray(xi) + 1j * np.asarray(theta)
-
     def map_z(self, zeta):
-        sigma = np.exp(np.asarray(zeta, dtype=complex))
-        return self._map_to_z(sigma)
+        return self.map.to_z(np.exp(np.asarray(zeta, dtype=complex)))
 
     def map_dz_dzeta(self, zeta):
         """dz/dzeta = dz/dsigma * sigma (exact)."""
         sigma = np.exp(np.asarray(zeta, dtype=complex))
-        return self._dz_dsigma(sigma) * sigma
-
-    def _map_to_z(self, sigma):
-        if isinstance(self.body, Circle):
-            return self.body.radius * sigma
-        return JoukowskyPlateMap(self.body.chord, self.body.alpha).to_z(sigma)
-
-    def _dz_dsigma(self, sigma):
-        if isinstance(self.body, Circle):
-            return np.full_like(np.asarray(sigma, dtype=complex),
-                                self.body.radius)
-        return JoukowskyPlateMap(self.body.chord, self.body.alpha).dz_dsigma(sigma)
+        return self.map.dz_dsigma(sigma) * sigma
 
 
 def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGrid:
@@ -103,7 +91,8 @@ def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGri
     Requires r_far >= 20 body circumradii and n_r, n_theta >= 16;
     n_theta must be even so plate edges land on single flagged nodes.
     """
-    if not isinstance(body, (Circle, FlatPlate)):
+    cmap = conformal_map(body)
+    if cmap is None:
         raise UnsupportedBodyError(
             "conformal grid supports circle and flat plate only; general "
             "polygons are handled by the incompressible census")
@@ -114,26 +103,15 @@ def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGri
     if r_far < 20.0 * body.circumradius:
         raise InvalidGeometryError("outer boundary must sit beyond 20 circumradii")
 
-    if isinstance(body, Circle):
-        sigma_far = r_far / body.radius
-    else:
-        a = body.chord / 4.0
-        sigma_far = (r_far + np.sqrt(r_far**2 - 4.0 * a**2)) / (2.0 * a)
-    xi = np.linspace(0.0, np.log(sigma_far), n_r)
+    xi = np.linspace(0.0, np.log(cmap.sigma_radius(r_far)), n_r)
     theta = TWO_PI * np.arange(n_theta) / n_theta
-    zeta = xi[:, None] + 1j * theta[None, :]
-    sigma = np.exp(zeta)
-    if isinstance(body, Circle):
-        z = body.radius * sigma
-        H = np.full(z.shape, body.radius) * np.abs(sigma)
-    else:
-        jmap = JoukowskyPlateMap(body.chord, body.alpha)
-        z = jmap.to_z(sigma)
-        H = np.abs(jmap.dz_dsigma(sigma) * sigma)
+    sigma = np.exp(xi[:, None] + 1j * theta[None, :])
+    z = cmap.to_z(sigma)
+    H = np.abs(cmap.dz_dsigma(sigma) * sigma)
     flagged = H <= 1e-12 * body.circumradius
     return ConformalGrid(body=body, r_far=float(r_far), n_r=n_r,
                          n_theta=n_theta, xi=xi, theta=theta, z=z, H=H,
-                         flagged=flagged)
+                         flagged=flagged, map=cmap)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +145,6 @@ class CompressibleSolution:
     capped: bool
     capped_faces: int
 
-    @property
-    def max_mach_index(self):
-        m = np.where(np.isnan(self.mach), -1.0, self.mach)
-        return np.unravel_index(int(np.argmax(m)), m.shape)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -182,20 +155,26 @@ class SolverOptions:
     cap_fraction: float = 0.995
 
 
-def _reference_incompressible(grid: ConformalGrid, far: FarField):
-    body = grid.body
-    if isinstance(body, Circle):
-        return CircleFlow(body.radius, far)
-    return PlateFlow(body.chord, body.alpha, far)
+def _node_gradient(psi_t, dxi, dth):
+    """(d/dxi, d/dtheta) of a nodal field: periodic central differences
+    in theta; in xi central differences inside and second-order one-sided
+    differences on the body and outer rows."""
+    gx = np.empty_like(psi_t)
+    gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * dxi)
+    gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * dxi)
+    gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * dxi)
+    gt = (np.roll(psi_t, -1, axis=1) - np.roll(psi_t, 1, axis=1)) / (2 * dth)
+    return gx, gt
 
 
 class _Discretization:
-    """Geometry-dependent pieces shared by all Picard steps."""
+    """Pieces of one (grid, free stream) pair shared by every solve on it:
+    exact base fluxes and gradients, map factors, Dirichlet data."""
 
     def __init__(self, grid: ConformalGrid, far: FarField, rho_inf: float):
-        self.grid = grid
         self.far = far
         self.rho_inf = rho_inf
+        self.flagged = grid.flagged
         nr, nt = grid.n_r, grid.n_theta
         dxi, dth = grid.d_xi, grid.d_theta
         xi, th = grid.xi, grid.theta
@@ -205,11 +184,10 @@ class _Discretization:
         xe = np.concatenate([[xi[0]], 0.5 * (xi[:-1] + xi[1:]), [xi[-1]]])
         te = th + 0.5 * dth  # theta_{j+1/2}; wraps periodically
         zc = grid.map_z(xe[:, None] + 1j * te[None, :])
-        self.phi_corner = np.real(rho_inf * far.w_inf * zc)  # (nr+1, nt)
+        pc = np.real(rho_inf * far.w_inf * zc)  # (nr+1, nt)
 
         # exact base face fluxes
         # xi-face (i+1/2, j): phi(i+1/2, j-1/2) - phi(i+1/2, j+1/2)
-        pc = self.phi_corner
         self.base_flux_xi = np.roll(pc[1:-1, :], 1, axis=1) - pc[1:-1, :]  # (nr-1, nt)
         # theta-face (i, j+1/2): phi(i+1/2, j+1/2) - phi(i-1/2, j+1/2)
         self.base_flux_th = pc[1:, :] - pc[:-1, :]                          # (nr, nt)
@@ -217,42 +195,69 @@ class _Discretization:
         # analytic base gradients at face midpoints (for m evaluation)
         zeta_xf = (0.5 * (xi[:-1] + xi[1:]))[:, None] + 1j * th[None, :]
         zeta_tf = xi[:, None] + 1j * te[None, :]
-        fp_xf = rho_inf * far.w_inf * grid.map_dz_dzeta(zeta_xf)
-        fp_tf = rho_inf * far.w_inf * grid.map_dz_dzeta(zeta_tf)
+        dz_xf = grid.map_dz_dzeta(zeta_xf)
+        dz_tf = grid.map_dz_dzeta(zeta_tf)
+        fp_xf = rho_inf * far.w_inf * dz_xf
+        fp_tf = rho_inf * far.w_inf * dz_tf
         self.base_dxi_xf = np.imag(fp_xf)   # psi_xi at xi-faces
         self.base_dth_xf = np.real(fp_xf)   # psi_theta at xi-faces
         self.base_dxi_tf = np.imag(fp_tf)
         self.base_dth_tf = np.real(fp_tf)
-        self.H_xf = np.abs(grid.map_dz_dzeta(zeta_xf))
-        self.H_tf = np.abs(grid.map_dz_dzeta(zeta_tf))
+        self.H_xf = np.abs(dz_xf)
+        self.H_tf = np.abs(dz_tf)
         self.z_xf = grid.map_z(zeta_xf)
         self.z_tf = grid.map_z(zeta_tf)
         self.dxi, self.dth = dxi, dth
         self.nr, self.nt = nr, nt
 
-        # nodal base gradient (exact) for post-processing
-        zeta_nodes = xi[:, None] + 1j * th[None, :]
-        fp = rho_inf * far.w_inf * grid.map_dz_dzeta(zeta_nodes)
+        # nodal map factor and exact base gradient for post-processing
+        self.dz = grid.map_dz_dzeta(xi[:, None] + 1j * th[None, :])
+        fp = rho_inf * far.w_inf * self.dz
         self.base_dxi = np.imag(fp)
         self.base_dth = np.real(fp)
+
+        # Dirichlet data of psi~: total psi = 0 on the body ring and
+        # rho_inf * Im W of the exact incompressible flow on the outer ring
+        ref = exact_flow(grid.body, far)
+        self.psi_body = -rho_inf * np.imag(far.w_inf * grid.z[0, :])
+        self.psi_outer = (rho_inf * np.asarray(ref.stream(grid.z[-1, :]))
+                          - rho_inf * np.imag(far.w_inf * grid.z[-1, :]))
+
+    def with_boundary(self, interior):
+        """Nodal psi~: the Dirichlet rows around the given interior rows."""
+        psi_t = np.empty((self.nr, self.nt))
+        psi_t[0, :] = self.psi_body
+        psi_t[1:-1, :] = interior
+        psi_t[-1, :] = self.psi_outer
+        return psi_t
 
     def face_m(self, psi_t):
         """Half-squared physical gradient at xi- and theta-faces."""
         dxi, dth = self.dxi, self.dth
+        xdiff, tdiff = _node_gradient(psi_t, dxi, dth)
         # xi-faces (nr-1, nt)
         gx = self.base_dxi_xf + (psi_t[1:, :] - psi_t[:-1, :]) / dxi
-        tdiff = (np.roll(psi_t, -1, axis=1) - np.roll(psi_t, 1, axis=1)) / (2 * dth)
         gt = self.base_dth_xf + 0.5 * (tdiff[1:, :] + tdiff[:-1, :])
         m_xf = 0.5 * (gx**2 + gt**2) / self.H_xf**2
         # theta-faces (nr, nt): face between (i,j) and (i,j+1)
         gt2 = self.base_dth_tf + (np.roll(psi_t, -1, axis=1) - psi_t) / dth
-        xdiff = np.empty_like(psi_t)
-        xdiff[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * dxi)
-        xdiff[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * dxi)
-        xdiff[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * dxi)
         gx2 = self.base_dxi_tf + 0.5 * (xdiff + np.roll(xdiff, -1, axis=1))
         m_tf = 0.5 * (gx2**2 + gt2**2) / self.H_tf**2
         return m_xf, m_tf
+
+    def nodal_gradient(self, psi_t):
+        """(psi_xi, psi_theta) of the total stream function at the nodes."""
+        gx, gt = _node_gradient(psi_t, self.dxi, self.dth)
+        return gx + self.base_dxi, gt + self.base_dth
+
+    def nodal_velocity(self, gx, gt, rho):
+        """v = -i (psi_x + i psi_y) / rho, from rho v = -grad^perp psi;
+        NaN at flagged nodes."""
+        valid = ~self.flagged
+        grad_z = np.full(gx.shape, np.nan, dtype=complex)
+        grad_z[valid] = (gx[valid] + 1j * gt[valid]) / np.conj(self.dz[valid])
+        with np.errstate(invalid="ignore"):
+            return -1j * grad_z / rho
 
     def cell_residual(self, psi_t, h_xf, h_tf):
         """Net face flux around every interior cell (rows 1..nr-2)."""
@@ -266,7 +271,7 @@ class _Discretization:
         scale = max(np.max(np.abs(flux_xi)), np.max(np.abs(flux_th)), 1e-300)
         return bal, scale
 
-    def solve_linear(self, h_xf, h_tf, psi_body, psi_outer):
+    def solve_linear(self, h_xf, h_tf):
         """Direct solve of the frozen-coefficient five-point system."""
         nr, nt = self.nr, self.nt
         dxi, dth = self.dxi, self.dth
@@ -293,8 +298,8 @@ class _Discretization:
                 - h_xf[:-1, :] * self.base_flux_xi[:-1, :]
                 + h_tf[1:-1, :] * self.base_flux_th[1:-1, :]
                 - np.roll(h_tf[1:-1, :] * self.base_flux_th[1:-1, :], 1, axis=1))
-        rhs[0, :] -= cd[0, :] * psi_body
-        rhs[-1, :] -= cu[-1, :] * psi_outer
+        rhs[0, :] -= cd[0, :] * self.psi_body
+        rhs[-1, :] -= cu[-1, :] * self.psi_outer
 
         A = sparse.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -304,6 +309,20 @@ class _Discretization:
         lin_res = float(np.max(np.abs(A @ x - rhs.ravel()))
                         / max(np.max(np.abs(rhs)), 1e-300))
         return x.reshape(ni, nt), lin_res
+
+
+def _discretization(grid: ConformalGrid, far: FarField,
+                    rho_inf: float) -> _Discretization:
+    """The discretization of (grid, far, rho_inf), built once per grid.
+
+    The grid keeps the last one it built, so the solves of one refinement
+    level share it and it is freed together with the grid.
+    """
+    disc = grid._disc
+    if disc is None or disc.far != far or disc.rho_inf != rho_inf:
+        disc = _Discretization(grid, far, rho_inf)
+        object.__setattr__(grid, "_disc", disc)
+    return disc
 
 
 def _face_h(state: BernoulliState, m, opts: SolverOptions, where: str,
@@ -334,21 +353,12 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
     the residual stalls.
     """
     opts = opts or SolverOptions()
-    disc = _Discretization(grid, far, rho_inf)
-    nr, nt = grid.n_r, grid.n_theta
+    disc = _discretization(grid, far, rho_inf)
 
-    ref = _reference_incompressible(grid, far)
-    psi_base_body = rho_inf * np.imag(far.w_inf * grid.z[0, :])
-    psi_base_outer = rho_inf * np.imag(far.w_inf * grid.z[-1, :])
-    psi_body = -psi_base_body  # total psi = 0 on the body
-    psi_outer = rho_inf * np.asarray(ref.stream(grid.z[-1, :])) - psi_base_outer
-
-    psi_t = np.zeros((nr, nt))
-    psi_t[0, :] = psi_body
-    psi_t[-1, :] = psi_outer
     # interior initial guess: blend the boundary data radially
     w = (grid.xi[1:-1, None] - grid.xi[0]) / (grid.xi[-1] - grid.xi[0])
-    psi_t[1:-1, :] = (1 - w) * psi_body[None, :] + w * psi_outer[None, :]
+    psi_t = disc.with_boundary((1 - w) * disc.psi_body[None, :]
+                               + w * disc.psi_outer[None, :])
 
     residuals, linear_residuals = [], []
     capped_total = 0
@@ -367,7 +377,7 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             converged = True
             break
 
-        interior, lin_res = disc.solve_linear(h_xf, h_tf, psi_body, psi_outer)
+        interior, lin_res = disc.solve_linear(h_xf, h_tf)
         linear_residuals.append(lin_res)
         psi_t[1:-1, :] = ((1.0 - opts.omega) * psi_t[1:-1, :]
                           + opts.omega * interior)
@@ -378,24 +388,13 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             f"after {opts.max_iters} iterations", residuals=residuals)
 
     # capped diagnostic runs return their last (non-physical) iterate
-    return _postprocess(grid, disc, gas, state, far, psi_t, residuals,
+    return _postprocess(grid, disc, gas, state, psi_t, residuals,
                         linear_residuals, it, capped_total, opts, converged)
 
 
-def _postprocess(grid, disc, gas, state, far, psi_t, residuals,
-                 linear_residuals, iterations, capped_faces, opts,
-                 converged=True):
-    nr, nt = grid.n_r, grid.n_theta
-    dxi, dth = grid.d_xi, grid.d_theta
-
-    gx = np.empty_like(psi_t)
-    gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * dxi)
-    gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * dxi)
-    gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * dxi)
-    gt = (np.roll(psi_t, -1, axis=1) - np.roll(psi_t, 1, axis=1)) / (2 * dth)
-    gx = gx + disc.base_dxi
-    gt = gt + disc.base_dth
-
+def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
+                 iterations, capped_faces, opts, converged):
+    gx, gt = disc.nodal_gradient(psi_t)
     valid = ~grid.flagged
     m = np.full(psi_t.shape, np.nan)
     m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / grid.H[valid]**2
@@ -415,21 +414,14 @@ def _postprocess(grid, disc, gas, state, far, psi_t, residuals,
     mach = np.full(psi_t.shape, np.nan)
     mach[valid] = gas.mach(speed[valid], rho[valid])
 
-    # rho v = -grad^perp psi; as a complex vector v = -i * (psi_x + i psi_y)/rho
-    dzeta_dz = np.full(psi_t.shape, np.nan, dtype=complex)
-    zeta_nodes = grid.xi[:, None] + 1j * grid.theta[None, :]
-    dz = grid.map_dz_dzeta(zeta_nodes)
-    dzeta_dz[valid] = 1.0 / dz[valid]
-    with np.errstate(invalid="ignore"):
-        grad_z = (gx + 1j * gt) * np.conj(dzeta_dz)
-        velocity = -1j * grad_z / rho
-
+    far = disc.far
     psi_total = disc.rho_inf * np.imag(far.w_inf * grid.z) + psi_t
     k = np.unravel_index(int(np.nanargmax(np.where(valid, mach, -1.0))),
                          mach.shape)
     return CompressibleSolution(
         grid=grid, far=far, state=state, psi=psi_total, psi_pert=psi_t,
-        rho=rho, mach=mach, speed=speed, velocity=velocity,
+        rho=rho, mach=mach, speed=speed,
+        velocity=disc.nodal_velocity(gx, gt, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
         converged=converged, iterations=iterations, max_mach=float(mach[k]),
         max_mach_location=complex(grid.z[k]), capped=opts.capped,
@@ -444,42 +436,20 @@ def incompressible_reference_solution(grid: ConformalGrid, far: FarField,
     low-Mach comparisons and as the first frozen iterate of the blow-up
     metric.
     """
-    disc = _Discretization(grid, far, rho_inf)
-    ref = _reference_incompressible(grid, far)
-    psi_body = -rho_inf * np.imag(far.w_inf * grid.z[0, :])
-    psi_outer = (rho_inf * np.asarray(ref.stream(grid.z[-1, :]))
-                 - rho_inf * np.imag(far.w_inf * grid.z[-1, :]))
+    disc = _discretization(grid, far, rho_inf)
     h_xf = np.ones((grid.n_r - 1, grid.n_theta)) / rho_inf
     h_tf = np.ones((grid.n_r, grid.n_theta)) / rho_inf
-    interior, _ = disc.solve_linear(h_xf, h_tf, psi_body, psi_outer)
-    psi_t = np.zeros((grid.n_r, grid.n_theta))
-    psi_t[0, :] = psi_body
-    psi_t[-1, :] = psi_outer
-    psi_t[1:-1, :] = interior
-    return psi_t
+    interior, _ = disc.solve_linear(h_xf, h_tf)
+    return disc.with_boundary(interior)
 
 
 def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField, psi_t,
                              rho_inf: float = 1.0, rho=None) -> np.ndarray:
     """Velocity field of a perturbation solve (default: incompressible,
     rho = rho_inf everywhere)."""
-    disc = _Discretization(grid, far, rho_inf)
-    dxi, dth = grid.d_xi, grid.d_theta
-    gx = np.empty_like(psi_t)
-    gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * dxi)
-    gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * dxi)
-    gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * dxi)
-    gt = (np.roll(psi_t, -1, axis=1) - np.roll(psi_t, 1, axis=1)) / (2 * dth)
-    gx = gx + disc.base_dxi
-    gt = gt + disc.base_dth
-    valid = ~grid.flagged
-    zeta_nodes = grid.xi[:, None] + 1j * grid.theta[None, :]
-    dz = grid.map_dz_dzeta(zeta_nodes)
-    grad_z = np.full(psi_t.shape, np.nan, dtype=complex)
-    grad_z[valid] = (gx[valid] + 1j * gt[valid]) / np.conj(dz[valid])
-    if rho is None:
-        rho = rho_inf
-    return -1j * grad_z / rho
+    disc = _discretization(grid, far, rho_inf)
+    gx, gt = disc.nodal_gradient(psi_t)
+    return disc.nodal_velocity(gx, gt, rho_inf if rho is None else rho)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +478,13 @@ class RefinementStudy:
     mach_cauchy_factors: tuple
 
 
-def _corner_face_mask(disc: _Discretization, grid: ConformalGrid,
-                      radius: float):
-    body = grid.body
-    if isinstance(body, FlatPlate):
-        edges = np.array([body.trailing_edge, body.leading_edge])
-        near_xf = np.min(np.abs(disc.z_xf[..., None] - edges), axis=-1) <= radius
-        near_tf = np.min(np.abs(disc.z_tf[..., None] - edges), axis=-1) <= radius
-        return near_xf, near_tf
-    ones_xf = np.ones(disc.z_xf.shape, dtype=bool)
-    ones_tf = np.ones(disc.z_tf.shape, dtype=bool)
-    return ones_xf, ones_tf
+def _near_corners(body: Body, z, radius: float):
+    """Points of z within radius of a body corner; all of them for a
+    body without corners (circle)."""
+    tips = np.array([c.vertex for c in body.corners])
+    if tips.size == 0:
+        return np.ones(z.shape, dtype=bool)
+    return np.min(np.abs(z[..., None] - tips), axis=-1) <= radius
 
 
 def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
@@ -546,20 +512,20 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     levels = []
     for (n_r, n_theta) in grids:
         grid = build_grid(body, r_far, n_r, n_theta)
-        disc = _Discretization(grid, far, 1.0)
-        mask_xf, mask_tf = _corner_face_mask(disc, grid, corner_radius)
-
+        disc = _discretization(grid, far, 1.0)
         psi_t = incompressible_reference_solution(grid, far)
         m_xf, m_tf = disc.face_m(psi_t)
-        margin = max(float(np.max(m_xf[mask_xf]) / state.flux_max_m),
-                     float(np.max(m_tf[mask_tf]) / state.flux_max_m))
+        near_xf = _near_corners(body, disc.z_xf, corner_radius)
+        near_tf = _near_corners(body, disc.z_tf, corner_radius)
+        margin = max(float(np.max(m_xf[near_xf]) / state.flux_max_m),
+                     float(np.max(m_tf[near_tf]) / state.flux_max_m))
 
         outcome, max_mach, corner_mach, exc_ratio, iters = "converged", None, None, None, None
         try:
             sol = solve_subsonic(grid, gas, state, far, opts)
             max_mach = sol.max_mach
             iters = sol.iterations
-            near = _corner_node_mask(grid, corner_radius)
+            near = _near_corners(body, grid.z, corner_radius)
             vals = sol.mach[near & ~grid.flagged]
             corner_mach = float(np.nanmax(vals)) if vals.size else sol.max_mach
         except SonicExcursionError as exc:
@@ -584,10 +550,3 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
         abort_at_finest=levels[-1].outcome == "sonic_excursion",
         mach_cauchy_factors=cauchy)
 
-
-def _corner_node_mask(grid: ConformalGrid, radius: float):
-    body = grid.body
-    if isinstance(body, FlatPlate):
-        edges = np.array([body.trailing_edge, body.leading_edge])
-        return np.min(np.abs(grid.z[..., None] - edges), axis=-1) <= radius
-    return np.ones(grid.z.shape, dtype=bool)

@@ -77,8 +77,6 @@ class CircleFlow:
     def body(self) -> Circle:
         return Circle(self.radius)
 
-    branch_cut = "negative real axis from the center"
-
     def _check(self, z, strict=True):
         z = np.asarray(z, dtype=complex)
         if strict and np.any(np.abs(z) < self.radius * (1 - 1e-12)):
@@ -104,6 +102,24 @@ class CircleFlow:
         wi = self.far.w_inf
         return (np.imag(wi * z + np.conj(wi) * self.radius**2 / z)
                 - self.far.circulation / TWO_PI * np.log(np.abs(z) / self.radius))
+
+
+@dataclass(frozen=True)
+class CircleScalingMap:
+    """z(sigma) = radius * sigma: the exterior of the unit circle scaled
+    onto the exterior of a circle of that radius."""
+
+    radius: float
+
+    def to_z(self, sigma):
+        return self.radius * np.asarray(sigma, dtype=complex)
+
+    def dz_dsigma(self, sigma):
+        return np.full_like(np.asarray(sigma, dtype=complex), self.radius)
+
+    def sigma_radius(self, r):
+        """|sigma| of the circle whose image reaches distance r."""
+        return r / self.radius
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,11 @@ class JoukowskyPlateMap:
         sigma = np.asarray(sigma, dtype=complex)
         return self.direction * self.scale * (1.0 - 1.0 / sigma**2)
 
+    def sigma_radius(self, r):
+        """|sigma| of the circle whose image (an ellipse) reaches distance r."""
+        a = self.scale
+        return (r + np.sqrt(r**2 - 4.0 * a**2)) / (2.0 * a)
+
     def to_sigma(self, z):
         """Exterior preimage, |sigma| >= 1.
 
@@ -160,8 +181,6 @@ class PlateFlow:
     chord: float
     alpha: float
     far: FarField
-
-    branch_cut = "upstream extension of the plate line (preimage negative reals)"
 
     @property
     def body(self) -> FlatPlate:
@@ -212,6 +231,26 @@ class PlateFlow:
         u = self.circle_plane_w_inf
         # u - conj(u)/sig^2 + G/(2 pi i sig) = 0 at sig = +-1
         return float(np.real(-TWO_PI * 1j * sig_e * (u - np.conj(u) / sig_e**2)))
+
+
+def exact_flow(body: Body, far: FarField):
+    """Closed-form flow around the body, or None where there is none
+    (polygons)."""
+    if isinstance(body, Circle):
+        return CircleFlow(body.radius, far)
+    if isinstance(body, FlatPlate):
+        return PlateFlow(body.chord, body.alpha, far)
+    return None
+
+
+def conformal_map(body: Body):
+    """Map of the exterior of the unit circle onto the body's exterior,
+    or None where there is none in closed form (polygons)."""
+    if isinstance(body, Circle):
+        return CircleScalingMap(body.radius)
+    if isinstance(body, FlatPlate):
+        return JoukowskyPlateMap(body.chord, body.alpha)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +357,6 @@ class PanelFlow:
     gamma: np.ndarray
     closed: bool
 
-    branch_cut = "panel-frame principal branches (cuts trail each panel line)"
-
     def _panels(self):
         if self.closed:
             return self.nodes, np.roll(self.nodes, -1)
@@ -403,13 +440,6 @@ class PanelSolution:
             ib = (j + 1) % n if self.flow.closed else j + 1
             total += lens[j] * 0.5 * (g[ia] + g[ib])
         return float(total)
-
-    def max_collocation_residual(self) -> float:
-        """No-penetration residual at the collocation points, in the
-        scheme's own sense: mean normal velocity between neighbouring
-        midpoints for closed bodies, pointwise normal velocity for the
-        open plate."""
-        return self.residual_norm
 
 
 def panel_solve(body: Body, far: FarField, n_panels: int = 256,

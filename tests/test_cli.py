@@ -27,6 +27,10 @@ def minimal_cfg(**kw):
     return cfg
 
 
+PLATE = {"kind": "flat_plate", "chord": 4.0, "alpha_deg": 30.0}
+TRIANGLE = {"kind": "polygon", "vertices": [[1, 0], [-0.5, 0.87], [-0.5, -0.87]]}
+
+
 class TestValidation:
     def test_minimal_valid(self):
         validate_scenario(minimal_cfg())
@@ -105,6 +109,36 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_cfg(analyses=["nope"])))
         assert run(bad, tmp_path) == 2
+
+    @pytest.mark.parametrize("body, overrides, path", [
+        (None, ["flow.w_inf=true"], "$.flow.w_inf"),
+        (None, ["body.radius=true"], "$.body.radius"),
+        (PLATE, ["body.chord=true"], "$.body.chord"),
+        (PLATE, ['body.alpha_deg="abc"'], "$.body.alpha_deg"),
+        (PLATE, ['flow={"w_inf": 1.0, "kutta_corner": false}'],
+         "$.flow.kutta_corner"),
+        (None, ["gas.incompressible=false", "gas.mach_inf=false"],
+         "$.gas.mach_inf"),
+        (None, ['solver.n_panels="abc"'], "$.solver.n_panels"),
+        (None, ["solver.n_panels=12.5"], "$.solver.n_panels"),
+        (TRIANGLE, ['body.vertices=[["a", 0], [1, 0], [0, 1]]'],
+         "$.body.vertices[0]"),
+    ])
+    def test_non_numeric_value_exits_2_naming_path(self, tmp_path, capsys,
+                                                   body, overrides, path):
+        cfg = minimal_cfg(body=body) if body else minimal_cfg()
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out", overrides) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("analysis", ["compressible", "refinement_study"])
+    def test_compressible_analysis_needs_compressible_gas(self, tmp_path,
+                                                          capsys, analysis):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg(analyses=["circulation", analysis])))
+        assert run(p, tmp_path / "out") == 2
+        assert "$.analyses[1]" in capsys.readouterr().err
 
     def test_solver_error_exits_1_with_structured_error(self, tmp_path):
         cfg = minimal_cfg(

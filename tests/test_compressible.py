@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cornerflow import compressible
 from cornerflow.compressible import (SolverOptions, build_grid,
                                      incompressible_reference_solution,
                                      nodal_velocity_from_pert,
@@ -158,3 +159,29 @@ class TestRefinementStudy:
         assert all(lv.outcome == "converged" for lv in study.levels)
         d = study.mach_cauchy_factors
         assert d[1] <= d[0] / 2.0
+
+
+class TestSharedPieces:
+    def test_node_gradient_exact_on_quadratic_in_xi(self):
+        xi = np.linspace(0.0, 3.0, 17)
+        dxi = xi[1] - xi[0]
+        psi = np.repeat((0.7 - 1.3 * xi + 0.45 * xi**2)[:, None], 8, axis=1)
+        gx, gt = compressible._node_gradient(psi, dxi, np.pi / 4)
+        exact = np.repeat((-1.3 + 0.9 * xi)[:, None], 8, axis=1)
+        # one-sided rows (body, outer) and central interior rows alike
+        for rows in (slice(0, 1), slice(-1, None), slice(1, -1)):
+            assert np.max(np.abs(gx[rows] - exact[rows])) < 1e-13
+        assert np.all(gt == 0.0)
+
+    def test_refinement_study_builds_one_discretization_per_level(
+            self, monkeypatch):
+        built = []
+
+        class Counting(compressible._Discretization):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(compressible, "_Discretization", Counting)
+        refinement_study(Circle(1.0), GAS, 0.3, 0.0, [(16, 32), (32, 64)])
+        assert len(built) == 2
