@@ -17,14 +17,19 @@ so circulation and flux share one quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import FitQualityError, FluidDomainError
+from .errors import DegenerateKuttaError, FitQualityError, FluidDomainError
 from .geometry import Body, Contour, Corner, probe_ring
 
 TWO_PI = 2.0 * np.pi
+# |a1| above TOL_A1 * |w_inf| * R**(1 - pi/beta) counts as singular
+TOL_A1 = 1e-3
+N_MODES = 4
+SAMPLES_PER_RADIUS = 33
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +37,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def _complex_contour_integral(flow, contour: Contour):
-    if flow.body is not None and not contour.clears_body(flow.body):
+    if not contour.clears_body(flow.body):
         raise FluidDomainError("contour intersects the body")
     z, dz = contour.quadrature()
     return np.sum(flow.velocity(z) * dz)
@@ -92,81 +97,83 @@ def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
 
 def _flow_scale(flow, body_scale: float, beta: float) -> float:
     """Natural magnitude of a1 for this flow/body: |w_inf| * R**(1-pi/beta)."""
-    w = abs(getattr(flow.far, "w_inf", 1.0)) or 1.0
+    w = abs(flow.far.w_inf) or 1.0
     return w * body_scale ** (1.0 - np.pi / beta)
 
 
-def fit_corner(flow, corner: Corner, radii=None, samples_per_radius: int = 33,
-               n_modes: int = 4, tol_a1: float = 1e-3,
-               sign_tol: float | None = None, exponent_radii=None) -> CornerReport:
+def _fit_a1(flow, corner: Corner, radii):
+    """Least-squares fit of psi on probe rings to the first N_MODES terms
+    of the corner expansion.
+
+    Returns (coef, a1_sigma, cond, rms): the mode coefficients (coef[0]
+    is a1), the covariance-based standard error of a1, the condition
+    number of the design matrix and the rms residual.
+    """
+    if len(radii) < 3 or radii.max() / radii.min() < 9.99:
+        raise FitQualityError("need >= 3 radii spanning a decade")
+    beta = corner.exterior_angle_beta
+    pts = probe_ring(corner, radii, SAMPLES_PER_RADIUS)
+    r, theta = corner.local_polar(pts)
+    psi = np.asarray(flow.stream(pts), dtype=float)
+
+    k = np.arange(1, N_MODES + 1)
+    r_ref = radii.max()
+    # columns scaled by r_ref**(k pi/beta) for conditioning
+    design = ((r[..., None] / r_ref) ** (k * np.pi / beta)
+              * np.sin(k * np.pi * theta[..., None] / beta))
+    X = design.reshape(-1, N_MODES)
+    y = psi.ravel()
+    cond = float(np.linalg.cond(X))
+    if cond > 1e8:
+        raise FitQualityError(f"corner fit ill-conditioned (cond={cond:.3g})")
+    coef_scaled, rss, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < N_MODES:
+        raise FitQualityError("rank-deficient corner fit")
+    dof = max(X.shape[0] - N_MODES, 1)
+    rss_val = float(rss[0]) if np.size(rss) else float(np.sum((X @ coef_scaled - y) ** 2))
+    sigma2 = rss_val / dof
+    cov = sigma2 * np.linalg.inv(X.T @ X)
+    coef = coef_scaled / r_ref ** (k * np.pi / beta)
+    a1_sigma = float(np.sqrt(cov[0, 0])) / r_ref ** (np.pi / beta)
+    return coef, a1_sigma, cond, float(np.sqrt(sigma2))
+
+
+def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     """Least-squares fit of psi to the corner expansion.
 
     Reports the leading coefficient a1 with its covariance-based
     uncertainty, plus an independent exponent estimate from the log-log
     slope of the per-ring maximum speed on a deeper ring ladder (local
     slopes extrapolated to r = 0 against the known next-mode gap
-    r**(pi/beta)).  ``singular`` means |a1| exceeds tol_a1 times the
+    r**(pi/beta)).  ``singular`` means |a1| exceeds TOL_A1 times the
     scale-invariant magnitude |w_inf|*R**(1-pi/beta).
     """
-    body_scale = flow.body.circumradius if flow.body is not None else 1.0
+    body_scale = flow.body.circumradius
     if radii is None:
         radii = default_fit_radii(corner, body_scale)
     radii = np.asarray(radii, dtype=float)
-    if len(radii) < 3 or radii.max() / radii.min() < 9.99:
-        raise FitQualityError("need >= 3 radii spanning a decade")
+    coef, a1_sigma, cond, rms = _fit_a1(flow, corner, radii)
     beta = corner.exterior_angle_beta
-    pts = probe_ring(corner, radii, samples_per_radius)
-    r, theta = corner.local_polar(pts)
-    psi = np.asarray(flow.stream(pts), dtype=float)
-
-    k = np.arange(1, n_modes + 1)
-    r_ref = radii.max()
-    # columns scaled by r_ref**(k pi/beta) for conditioning
-    design = ((r[..., None] / r_ref) ** (k * np.pi / beta)
-              * np.sin(k * np.pi * theta[..., None] / beta))
-    X = design.reshape(-1, n_modes)
-    y = psi.ravel()
-    cond = float(np.linalg.cond(X))
-    if cond > 1e8:
-        raise FitQualityError(f"corner fit ill-conditioned (cond={cond:.3g})")
-    coef_scaled, rss, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < n_modes:
-        raise FitQualityError("rank-deficient corner fit")
-    dof = max(X.shape[0] - n_modes, 1)
-    rss_val = float(rss[0]) if np.size(rss) else float(np.sum((X @ coef_scaled - y) ** 2))
-    sigma2 = rss_val / dof
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    coef = coef_scaled / r_ref ** (k * np.pi / beta)
-    a1_sigma = float(np.sqrt(cov[0, 0])) / r_ref ** (np.pi / beta)
-
-    slope = _exponent_slope(flow, corner, exponent_radii, samples_per_radius,
-                            body_scale)
-
-    scale = _flow_scale(flow, body_scale, beta)
-    singular = bool(abs(coef[0]) > tol_a1 * scale)
-    verdict = sign_attainment(flow, corner, radii.min(), max(64, samples_per_radius),
-                              tol=sign_tol)
+    slope = _exponent_slope(flow, corner, body_scale)
+    singular = bool(abs(coef[0]) > TOL_A1 * _flow_scale(flow, body_scale, beta))
+    verdict = sign_attainment(flow, corner, radii.min())
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta),
         a1_estimate=float(coef[0]), a1_uncertainty=a1_sigma,
         higher_modes=tuple(float(c) for c in coef[1:]),
         fitted_exponent=float(slope), singular=singular,
-        sign_attainment=verdict, fit_condition=cond,
-        fit_residual=float(np.sqrt(sigma2)),
+        sign_attainment=verdict, fit_condition=cond, fit_residual=rms,
     )
 
 
-def _exponent_slope(flow, corner: Corner, radii, samples: int,
-                    body_scale: float) -> float:
+def _exponent_slope(flow, corner: Corner, body_scale: float) -> float:
     """Velocity exponent from per-ring max speeds, with the local log-log
     slope extrapolated to the corner against the next-mode gap
     r**(pi/beta) (the mode ladder is spaced by pi/beta in the exponent)."""
     beta = corner.exterior_angle_beta
-    if radii is None:
-        r_hi = min(0.02 * body_scale, 0.4 * corner.clearance)
-        radii = np.geomspace(0.1 * r_hi, r_hi, 6)
-    radii = np.asarray(radii, dtype=float)
-    pts = probe_ring(corner, radii, samples)
+    r_hi = min(0.02 * body_scale, 0.4 * corner.clearance)
+    radii = np.geomspace(0.1 * r_hi, r_hi, 6)
+    pts = probe_ring(corner, radii, SAMPLES_PER_RADIUS)
     speeds = np.maximum(np.max(np.abs(np.asarray(flow.velocity(pts))), axis=1),
                         1e-300)
     local = np.diff(np.log(speeds)) / np.diff(np.log(radii))
@@ -176,29 +183,25 @@ def _exponent_slope(flow, corner: Corner, radii, samples: int,
     return float(coef[0])
 
 
-def sign_attainment(flow, corner: Corner, radius: float, samples: int = 64,
-                    n_radii: int = 3, shrink: float = 2.0,
-                    tol: float | None = None) -> str:
+def sign_attainment(flow, corner: Corner, radius: float,
+                    n_radii: int = 3) -> str:
     """Do psi's signs both appear arbitrarily close to the corner?
 
-    Samples the wedge at ``n_radii`` shrinking radii; "both" requires a
-    clear positive and negative value at every radius.  The k = 1 mode
-    alone is one-signed over the wedge, so a corner dominated by it
-    reports positive_only/negative_only; a regular corner with nonzero
-    local field reports both.
+    Samples the wedge at ``n_radii`` radii, halving from ``radius``;
+    "both" requires a clear positive and negative value at every radius.
+    The k = 1 mode alone is one-signed over the wedge, so a corner
+    dominated by it reports positive_only/negative_only; a regular corner
+    with nonzero local field reports both.
     """
-    body_scale = flow.body.circumradius if flow.body is not None else 1.0
-    w_scale = abs(getattr(flow.far, "w_inf", 1.0)) or 1.0
-    radii = radius / shrink ** np.arange(n_radii)
+    body_scale = flow.body.circumradius
+    w_scale = abs(flow.far.w_inf) or 1.0
+    radii = radius / 2.0 ** np.arange(n_radii)
     verdicts = []
     for r in radii:
-        if tol is None:
-            # noise floor shrinks with the leading admissible mode
-            level = 1e-9 * w_scale * body_scale * (r / body_scale) ** (
-                np.pi / corner.exterior_angle_beta)
-        else:
-            level = tol
-        pts = probe_ring(corner, [r], samples)
+        # noise floor shrinks with the leading admissible mode
+        level = 1e-9 * w_scale * body_scale * (r / body_scale) ** (
+            np.pi / corner.exterior_angle_beta)
+        pts = probe_ring(corner, [r], 64)
         psi = np.asarray(flow.stream(pts), dtype=float).ravel()
         has_pos = bool(np.max(psi) > level)
         has_neg = bool(np.min(psi) < -level)
@@ -240,23 +243,23 @@ class LaurentFit:
         return float(np.real(self.c1))
 
 
-def farfield_fit(flow, r_list=None, samples: int = 64,
-                 residual_tol: float = 1e-3) -> LaurentFit:
-    """Least squares of w against {1, 1/z, 1/z^2} on far circles."""
-    body_scale = flow.body.circumradius if flow.body is not None else 1.0
+def farfield_fit(flow, r_list=None) -> LaurentFit:
+    """Least squares of w against {1, 1/z, 1/z^2} on 64 points of each
+    far circle."""
+    body_scale = flow.body.circumradius
     if r_list is None:
         r_list = body_scale * np.array([10.0, 20.0, 40.0])
     r_list = np.asarray(r_list, dtype=float)
     if np.any(r_list < 4.0 * body_scale):
         raise FluidDomainError("far-field radii must exceed 4 circumradii")
-    th = TWO_PI * np.arange(samples) / samples
+    th = TWO_PI * np.arange(64) / 64
     z = (r_list[:, None] * np.exp(1j * th)[None, :]).ravel()
     w = np.asarray(flow.velocity(z)).ravel()
     X = np.stack([np.ones_like(z), 1.0 / z, 1.0 / z**2], axis=1)
     coef, *_ = np.linalg.lstsq(X, w, rcond=None)
     resid = float(np.max(np.abs(X @ coef - w)))
-    w_scale = abs(getattr(flow.far, "w_inf", 1.0)) or 1.0
-    if resid > residual_tol * w_scale:
+    w_scale = abs(flow.far.w_inf) or 1.0
+    if resid > 1e-3 * w_scale:
         raise FitQualityError(
             f"far-field fit residual {resid:.3g} too large; radii too small?")
     return LaurentFit(c0=complex(coef[0]), c1=complex(coef[1]),
@@ -295,9 +298,33 @@ class CensusResult:
     coincident_pairs: tuple
 
 
+def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
+    """a1 of one corner as the affine function a1(0) + slope * Gamma.
+
+    ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
+    Gamma = 1; by superposition their a1 fits fix the line exactly.  The
+    root regularizes the corner; its uncertainty comes from both fits.
+    Raises DegenerateKuttaError when a1 does not respond to circulation,
+    |slope| < 1e-12 * |w_inf| * R**(1-pi/beta).
+    """
+    body_scale = flow0.body.circumradius
+    radii = default_fit_radii(corner, body_scale)
+    coef0, sig0, *_ = _fit_a1(flow0, corner, radii)
+    coef1, sig1, *_ = _fit_a1(flow1, corner, radii)
+    a0, a1 = float(coef0[0]), float(coef1[0])
+    slope = a1 - a0
+    if abs(slope) < 1e-12 * _flow_scale(flow0, body_scale,
+                                        corner.exterior_angle_beta):
+        raise DegenerateKuttaError(
+            f"a1 at corner {corner.corner_id} does not respond to circulation")
+    return CornerCensusEntry(
+        corner_id=corner.corner_id, root=-a0 / slope, slope=slope,
+        a1_at_zero=a0,
+        root_uncertainty=float(np.hypot(sig0 * a1, sig1 * a0) / slope**2))
+
+
 def corner_census(body: Body, w_inf: complex, gamma_grid=None,
-                  n_panels: int = 256, tol_a1: float = 1e-3,
-                  coincidence_tol: float | None = None) -> CensusResult:
+                  n_panels: int = 256) -> CensusResult:
     """Affine a1(Gamma) census over all protruding corners of a polygon.
 
     Two panel solves (Gamma = 0, 1) fix every corner's affine form
@@ -311,32 +338,13 @@ def corner_census(body: Body, w_inf: complex, gamma_grid=None,
         raise FluidDomainError("census needs at least two protruding corners")
     flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
     flow1 = panel_solve(body, FarField(w_inf, 1.0), n_panels).flow
-
-    entries = []
-    for c in corners:
-        rep0 = fit_corner(flow0, c, tol_a1=tol_a1)
-        rep1 = fit_corner(flow1, c, tol_a1=tol_a1)
-        slope = rep1.a1_estimate - rep0.a1_estimate
-        if slope == 0.0:
-            root, unc = np.inf, np.inf
-        else:
-            root = -rep0.a1_estimate / slope
-            unc = float(np.hypot(rep0.a1_uncertainty * rep1.a1_estimate,
-                                 rep1.a1_uncertainty * rep0.a1_estimate)
-                        / slope**2)
-        entries.append(CornerCensusEntry(
-            corner_id=c.corner_id, root=float(root), slope=float(slope),
-            a1_at_zero=float(rep0.a1_estimate), root_uncertainty=unc))
+    entries = [affine_corner(flow0, flow1, c) for c in corners]
 
     roots = np.array([e.root for e in entries])
     scale = abs(w_inf) * body.circumradius
-    if coincidence_tol is None:
-        coincidence_tol = 1e-3 * scale
-    coincident = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if abs(roots[i] - roots[j]) < coincidence_tol:
-                coincident.append((entries[i].corner_id, entries[j].corner_id))
+    coincidence_tol = 1e-3 * scale
+    coincident = [(a.corner_id, b.corner_id) for a, b in combinations(entries, 2)
+                  if abs(a.root - b.root) < coincidence_tol]
 
     if gamma_grid is None:
         lo, hi = roots.min(), roots.max()
@@ -344,26 +352,16 @@ def corner_census(body: Body, w_inf: complex, gamma_grid=None,
         gamma_grid = np.linspace(lo - margin, hi + margin, 33)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
 
-    beta_scales = {
-        e.corner_id: tol_a1 * _flow_scale(
-            flow0, body.circumradius,
-            next(c.exterior_angle_beta for c in corners if c.corner_id == e.corner_id))
-        for e in entries
-    }
-    sweep = []
-    for gam in gamma_grid:
-        ids = []
-        for e in entries:
-            a1 = e.a1_at_zero + e.slope * gam
-            if abs(a1) > beta_scales[e.corner_id]:
-                ids.append(e.corner_id)
-        sweep.append(tuple(ids))
+    singular_above = [
+        TOL_A1 * _flow_scale(flow0, body.circumradius, c.exterior_angle_beta)
+        for c in corners]
+    sweep = [tuple(e.corner_id for e, tol in zip(entries, singular_above)
+                   if abs(e.a1_at_zero + e.slope * gam) > tol)
+             for gam in gamma_grid]
     min_count = min(len(ids) for ids in sweep)
     # exact affine verdict: is there any Gamma where every |a1| is small?
     # distinct roots => impossible; coincident roots are reported, not claimed
-    regular_everywhere = bool(
-        len(entries) >= 2
-        and np.all(np.abs(roots - roots[0]) < coincidence_tol))
+    regular_everywhere = bool(np.all(np.abs(roots - roots[0]) < coincidence_tol))
     return CensusResult(
         corners=tuple(entries), sweep_gammas=tuple(float(g) for g in gamma_grid),
         sweep_singular_ids=tuple(sweep), min_singular_count=int(min_count),
@@ -383,21 +381,19 @@ class SignComponentCensus:
     grid_shape: tuple
 
 
-def sign_component_census(flow, window, resolution: int = 400,
-                          tol: float | None = None) -> SignComponentCensus:
+def sign_component_census(flow, window, resolution: int = 400) -> SignComponentCensus:
     """Count bounded connected components of {psi > 0} and {psi < 0}.
 
     Flood fill over a rectilinear window around the body; components not
     touching the window edge count as bounded.  Cells with |psi| below
     the noise floor stay unsigned so the psi = 0 streamline cannot leak
-    spurious components.  Both counts are zero for a valid flow (the sign
-    sets are unbounded and connected, by the maximum principle).
+    spurious components (noise floor 1e-6 * |w_inf| * R).  Both counts are
+    zero for a valid flow (the sign sets are unbounded and connected, by
+    the maximum principle).
     """
     (x0, x1), (y0, y1) = window
     body = flow.body
-    if tol is None:
-        w_scale = abs(getattr(flow.far, "w_inf", 1.0)) or 1.0
-        tol = 1e-6 * w_scale * body.circumradius
+    tol = 1e-6 * (abs(flow.far.w_inf) or 1.0) * body.circumradius
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]

@@ -47,7 +47,36 @@ def _is_int(x):
 
 
 def _is_number(x):
-    return _is_int(x) or isinstance(x, float)
+    # finite floats only: JSON also parses to NaN, inf (1e400) and 10**400
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _is_list_of(x, test, length=None):
+    return (isinstance(x, list) and len(x) > 0 and length in (None, len(x))
+            and all(test(v) for v in x))
+
+
+POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
+WINDOW = (lambda w: _is_list_of(w, lambda r: _is_list_of(r, _is_number, 2), 2),
+          "[[x0, x1], [y0, y1]] of numbers")
+# optional keys the runner reads: dotted path -> (test, what the value must be)
+OPTIONAL_KEYS = {
+    "flow.gamma": (_is_number, "a finite number"),
+    "flow.gamma_sweep": (lambda v: v is None or _is_list_of(v, _is_number),
+                         "null or a nonempty list of finite numbers"),
+    "solver.n_panels": POSITIVE_INT,
+    "solver.representation": (lambda v: v in ("panel", "exact"), "panel|exact"),
+    "solver.grid.n_r": (_is_int, "an integer"),
+    "solver.grid.n_theta": (_is_int, "an integer"),
+    "solver.grid.r_far": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "solver.study.grids": (
+        lambda v: _is_list_of(v, lambda pair: _is_list_of(pair, _is_int, 2)),
+        "a nonempty list of [n_r, n_theta] integer pairs"),
+    "output.field_resolution": POSITIVE_INT,
+    "output.sign_resolution": POSITIVE_INT,
+    "output.field_window": WINDOW,
+    "output.sign_window": WINDOW,
+}
 
 
 def validate_scenario(cfg: dict) -> dict:
@@ -107,11 +136,20 @@ def validate_scenario(cfg: dict) -> dict:
                  f"analysis {name!r} needs gas.incompressible: false",
                  f"$.analyses[{i}]")
 
-    solver = cfg.get("solver", {})
-    _require(isinstance(solver, dict), "solver must be an object", "$.solver")
-    if "n_panels" in solver:
-        _require(_is_int(solver["n_panels"]) and solver["n_panels"] > 0,
-                 "n_panels must be a positive integer", "$.solver.n_panels")
+    # a present optional key must pass its test; objects on its path must
+    # be JSON objects
+    for dotted, (test, rule) in OPTIONAL_KEYS.items():
+        *parents, key = dotted.split(".")
+        node, path = cfg, "$"
+        for name in parents:
+            node, path = node.get(name, {}), f"{path}.{name}"
+            _require(isinstance(node, dict), f"{name} must be an object", path)
+        if key in node:
+            _require(test(node[key]), f"{key} must be {rule}", f"{path}.{key}")
+    _require(cfg.get("solver", {}).get("representation") != "exact"
+             or kind in ("circle", "flat_plate"),
+             "exact representation needs a circle or flat_plate body",
+             "$.solver.representation")
 
     try:
         b = body_from_config(body)
@@ -153,10 +191,9 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     solver = cfg.get("solver", {})
     n_panels = int(solver.get("n_panels", 256))
     exact = exact_flow(body, FarField(w_inf, 0.0))
-    representation = solver.get("representation")
-    if representation is None:
-        representation = "panel" if exact is None else "exact"
-    if representation != "exact":
+    representation = solver.get("representation",
+                                "panel" if exact is None else "exact")
+    if representation == "panel":
         exact = None
 
     if "gamma" in flow_cfg:
@@ -187,7 +224,7 @@ def _resolve_flow(cfg: dict, body, summary: dict):
             "n_nodes": int(len(sol.nodes)),
             "condition_number": sol.condition_number,
             "residual_norm": sol.residual_norm,
-            "circulation_of_strengths": sol.circulation_of_strengths(),
+            "circulation_of_strengths": sol.circulation_of_strengths,
         }
         flow = sol.flow
     summary["flow"] = {"w_inf": w_inf, "gamma": gamma,
@@ -265,9 +302,7 @@ def _run_corner_fits(flow, body, summary):
 def _run_census(cfg, body, summary):
     flow_cfg = cfg["flow"]
     sweep = flow_cfg.get("gamma_sweep")
-    grid = None
-    if isinstance(sweep, list):
-        grid = np.asarray(sweep, dtype=float)
+    grid = None if sweep is None else np.asarray(sweep, dtype=float)
     n_panels = int(cfg.get("solver", {}).get("n_panels", 256))
     census = analysis.corner_census(body, float(flow_cfg["w_inf"]),
                                     gamma_grid=grid, n_panels=n_panels)
@@ -290,10 +325,9 @@ def _run_census(cfg, body, summary):
 def _run_sign_census(cfg, flow, body, summary):
     out_cfg = cfg.get("output", {})
     R = body.circumradius
-    window = out_cfg.get("sign_window")
-    if window is None:
-        window = [[-4.0 * R + body.centroid.real, 4.0 * R + body.centroid.real],
-                  [-4.0 * R + body.centroid.imag, 4.0 * R + body.centroid.imag]]
+    window = out_cfg.get("sign_window", [
+        [-4.0 * R + body.centroid.real, 4.0 * R + body.centroid.real],
+        [-4.0 * R + body.centroid.imag, 4.0 * R + body.centroid.imag]])
     res = int(out_cfg.get("sign_resolution", 400))
     census = analysis.sign_component_census(
         flow, (tuple(window[0]), tuple(window[1])), resolution=res)

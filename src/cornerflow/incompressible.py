@@ -22,17 +22,18 @@ collocates the normal velocity at midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import analysis
-from .errors import (DegenerateKuttaError, FluidDomainError,
-                     InvalidGeometryError, SolverError)
+from .errors import FluidDomainError, InvalidGeometryError, SolverError
 from .geometry import Body, Circle, FlatPlate, Polygon
 
 TWO_PI = 2.0 * np.pi
+# largest tangency or circulation residual, relative to |w_inf|
+TOL_SLIP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -418,8 +419,8 @@ class PanelSolution:
     flow: PanelFlow
     residual_norm: float
     condition_number: float
-    tangency_rows: int
-    collocation_points: np.ndarray = field(repr=False)
+    # circulation row applied to the solved strengths, sum L_j (g_j + g_{j+1}) / 2
+    circulation_of_strengths: float
 
     @property
     def nodes(self) -> np.ndarray:
@@ -429,22 +430,9 @@ class PanelSolution:
     def gamma(self) -> np.ndarray:
         return self.flow.gamma
 
-    def circulation_of_strengths(self) -> float:
-        za, zb = self.flow._panels()
-        lens = np.abs(zb - za)
-        g = self.flow.gamma
-        n = len(g)
-        total = 0.0
-        for j in range(len(za)):
-            ia = j % n
-            ib = (j + 1) % n if self.flow.closed else j + 1
-            total += lens[j] * 0.5 * (g[ia] + g[ib])
-        return float(total)
-
 
 def panel_solve(body: Body, far: FarField, n_panels: int = 256,
-                cluster: float = 1.0, lstsq_fallback: bool = True,
-                tol_slip: float = 1e-8) -> PanelSolution:
+                cluster: float = 1.0) -> PanelSolution:
     """Solve for linear-strength vortex panels around a body.
 
     One tangency condition (v . n = 0) per panel midpoint plus the
@@ -452,8 +440,9 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
     Closed bodies have one nodal unknown per panel, so one tangency
     equation is dropped in favour of the circulation row; the dropped
     condition is implied by the others and is checked to hold within
-    tol_slip * |w_inf| after the solve.  Open plates keep every row
-    (one more node than panels).
+    TOL_SLIP * |w_inf| after the solve.  Open plates keep every row
+    (one more node than panels).  A system too ill-conditioned for a
+    direct solve falls back to least squares.
     """
     if isinstance(body, Polygon) and n_panels < 8 * len(body.vertices):
         raise InvalidGeometryError("need at least 8 panels per side")
@@ -477,12 +466,11 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
         A[:, (j + 1) % n_nodes] += np.real(cb * normal)
     b = -np.real(far.w_inf * normal)
 
+    # panel j adds half its length to its nodes j and j + 1
+    j = np.arange(n_pan)
     circ_row = np.zeros(n_nodes)
-    for j in range(n_pan):
-        ia = j % n_nodes
-        ib = (j + 1) % n_nodes if closed else j + 1
-        circ_row[ia] += 0.5 * lens[j]
-        circ_row[ib] += 0.5 * lens[j]
+    np.add.at(circ_row, j, 0.5 * lens)
+    np.add.at(circ_row, (j + 1) % n_nodes, 0.5 * lens)
 
     M = np.empty((n_nodes, n_nodes))
     rhs = np.empty(n_nodes)
@@ -495,22 +483,19 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
 
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > 1e13:
-        if not lstsq_fallback:
-            raise SolverError("singular influence matrix", condition_number=cond)
         g, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     else:
         g = np.linalg.solve(M, rhs)
+    circ = float(circ_row @ g)
     # all tangency rows, including the dropped one, and the circulation row
-    residual = float(max(np.max(np.abs(A @ g - b)),
-                         abs(circ_row @ g - far.circulation)))
-    if residual > tol_slip * max(abs(far.w_inf), 1e-300):
+    residual = float(max(np.max(np.abs(A @ g - b)), abs(circ - far.circulation)))
+    if residual > TOL_SLIP * max(abs(far.w_inf), 1e-300):
         raise SolverError(
             f"tangency residual {residual} exceeds tol_slip", condition_number=cond)
 
     flow = PanelFlow(body=body, far=far, nodes=nodes, gamma=g, closed=closed)
     return PanelSolution(flow=flow, residual_norm=residual,
-                         condition_number=cond, tangency_rows=n_pan,
-                         collocation_points=mids)
+                         condition_number=cond, circulation_of_strengths=circ)
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +513,14 @@ class KuttaResult:
 
 
 def kutta_solve(body: Body, w_inf: complex, corner_id: int,
-                n_panels: int = 512, radii=None, samples: int = 33,
-                flow_factory=None, refine: bool = False) -> KuttaResult:
+                n_panels: int = 512, refine: bool = False) -> KuttaResult:
     """Circulation making the designated corner regular (a1 = 0).
 
     The singular coefficient depends affinely on Gamma (superposition),
     so two solves at Gamma = 0 and Gamma = 1 determine the root exactly;
-    the corner fit supplies a1 and its uncertainty.
+    ``analysis.affine_corner`` fits the line and its root uncertainty.
+    ``refine`` doubles the panel count (at most four times) until the
+    root changes by less than 1e-3 of its size.
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):
@@ -544,38 +530,17 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
 
     def run(n):
-        if flow_factory is not None:
-            factory = flow_factory
-        else:
-            def factory(gam):
-                return panel_solve(body, FarField(w_inf, gam), n).flow
-        rep0 = analysis.fit_corner(factory(0.0), corner, radii=radii,
-                                   samples_per_radius=samples)
-        rep1 = analysis.fit_corner(factory(1.0), corner, radii=radii,
-                                   samples_per_radius=samples)
-        a0, a1 = rep0.a1_estimate, rep1.a1_estimate
-        slope = a1 - a0
-        scale = abs(w_inf) * _length_scale(body) ** (1.0 - np.pi / corner.exterior_angle_beta)
-        if abs(slope) < 1e-12 * max(scale, 1e-300):
-            raise DegenerateKuttaError(
-                f"a1 at corner {corner_id} does not respond to circulation")
-        gamma_star = -a0 / slope
-        sig0, sig1 = rep0.a1_uncertainty, rep1.a1_uncertainty
-        unc = float(np.hypot(sig0 * a1, sig1 * a0) / slope**2)
-        return KuttaResult(float(gamma_star), corner_id, float(a0),
-                           float(slope), unc, n)
+        flow0 = panel_solve(body, FarField(w_inf, 0.0), n).flow
+        flow1 = panel_solve(body, FarField(w_inf, 1.0), n).flow
+        e = analysis.affine_corner(flow0, flow1, corner)
+        return KuttaResult(e.root, corner_id, e.a1_at_zero, e.slope,
+                           e.root_uncertainty, n)
 
     result = run(n_panels)
-    doublings = 0
-    while refine and doublings < 4:
+    for _ in range(4 if refine else 0):
         finer = run(result.n_panels * 2)
-        doublings += 1
-        ref_scale = abs(finer.gamma_star) + 1e-3 * abs(w_inf) * _length_scale(body)
+        ref_scale = abs(finer.gamma_star) + 1e-3 * abs(w_inf) * body.circumradius
         if abs(finer.gamma_star - result.gamma_star) < 1e-3 * ref_scale:
             return finer
         result = finer
     return result
-
-
-def _length_scale(body: Body) -> float:
-    return body.circumradius

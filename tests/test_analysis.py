@@ -1,14 +1,16 @@
 """Corner fits, contour integrals, far-field fits, censuses."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cornerflow.analysis import (circulation, corner_census, farfield_fit,
-                                 fit_corner, mass_flux, sign_attainment,
-                                 sign_component_census)
-from cornerflow.errors import FitQualityError, FluidDomainError
+from cornerflow.analysis import (affine_corner, circulation, corner_census,
+                                 farfield_fit, fit_corner, mass_flux,
+                                 sign_attainment, sign_component_census)
+from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
+                               FluidDomainError)
 from cornerflow.geometry import (CircleContour, Corner, FlatPlate, Polygon,
                                  PolylineContour)
 from cornerflow.incompressible import (CircleFlow, FarField, PlateFlow,
@@ -39,7 +41,8 @@ class SyntheticWedgeFlow:
     beta: float
     coeffs: tuple
     far: FarField = FarField(1.0, 0.0)
-    body = None
+    # only the length scale R = 1 of the fits' noise floors is read
+    body = SimpleNamespace(circumradius=1.0)
 
     def _power(self, z, p):
         z = np.asarray(z, dtype=complex)
@@ -240,10 +243,19 @@ class TestCornerCensus:
             assert off_root > scale
 
     def test_roots_match_kutta_solve(self):
+        # both run affine_corner on the same two flows: equal to the bit
         census = corner_census(TRIANGLE, 1.0, n_panels=192)
         for e in census.corners:
             res = kutta_solve(TRIANGLE, 1.0, e.corner_id, n_panels=192)
-            assert res.gamma_star == pytest.approx(e.root, abs=1e-6)
+            assert (res.gamma_star, res.a1_slope, res.a1_at_zero,
+                    res.uncertainty) == (e.root, e.slope, e.a1_at_zero,
+                                         e.root_uncertainty)
+
+    def test_affine_corner_rejects_unresponsive_a1(self):
+        # the same flow twice has slope 0: no root, never an infinite one
+        flow = panel_solve(TRIANGLE, FarField(1.0, 0.0), 96).flow
+        with pytest.raises(DegenerateKuttaError):
+            affine_corner(flow, flow, TRIANGLE.corners[0])
 
     def test_plate_census_min_one_singular(self):
         # two distinct edge roots: regularizing one edge leaves the other

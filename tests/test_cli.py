@@ -123,6 +123,19 @@ class TestRun:
         (None, ["solver.n_panels=12.5"], "$.solver.n_panels"),
         (TRIANGLE, ['body.vertices=[["a", 0], [1, 0], [0, 1]]'],
          "$.body.vertices[0]"),
+        (None, ['flow.gamma="abc"'], "$.flow.gamma"),
+        (None, ["gas.incompressible=false", "gas.mach_inf=0.3",
+                'analyses=["compressible"]', 'solver.grid.n_r="x"'],
+         "$.solver.grid.n_r"),
+        (None, ['analyses=["field_export"]', 'output.field_resolution="x"'],
+         "$.output.field_resolution"),
+        (None, ['flow={"w_inf": 1.0, "gamma_sweep": [1.0, "a"]}'],
+         "$.flow.gamma_sweep"),
+        (None, ["solver.grid.r_far=-1.0"], "$.solver.grid.r_far"),
+        (None, ["solver.study.grids=[[64]]"], "$.solver.study.grids"),
+        (None, ["body.radius=1e400"], "$.body.radius"),
+        (None, ["body.radius=1" + "0" * 400], "$.body.radius"),
+        (None, ["output.sign_window=[[-4, 4]]"], "$.output.sign_window"),
     ])
     def test_non_numeric_value_exits_2_naming_path(self, tmp_path, capsys,
                                                    body, overrides, path):
@@ -131,6 +144,19 @@ class TestRun:
         p.write_text(json.dumps(cfg))
         assert run(p, tmp_path / "out", overrides) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, representation", [
+        (TRIANGLE, "exact"),   # no closed form: it would run panels
+        (None, "panels"),
+    ])
+    def test_representation_exits_2(self, tmp_path, capsys, body,
+                                    representation):
+        cfg = minimal_cfg(body=body) if body else minimal_cfg()
+        cfg["solver"] = {"representation": representation, "n_panels": 96}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 2
+        assert "$.solver.representation" in capsys.readouterr().err
 
     @pytest.mark.parametrize("analysis", ["compressible", "refinement_study"])
     def test_compressible_analysis_needs_compressible_gas(self, tmp_path,

@@ -121,12 +121,12 @@ class TestPanelSolve:
     def test_tangency_residual_within_tolerance(self):
         for body in (Circle(1.0), TRIANGLE, FlatPlate(4.0, np.pi / 6)):
             sol = panel_solve(body, FarField(1.0, 1.0), 128)
-            assert sol.residual_norm <= 1e-8  # tol_slip * |w_inf|
+            assert sol.residual_norm <= 1e-8  # TOL_SLIP * |w_inf|
 
     def test_circulation_constraint_exact(self):
         for gam in (0.0, 2.5, -4.0):
             sol = panel_solve(TRIANGLE, FarField(1.0, gam), 128)
-            assert sol.circulation_of_strengths() == pytest.approx(gam, abs=1e-11)
+            assert sol.circulation_of_strengths == pytest.approx(gam, abs=1e-11)
 
     def test_minimum_panels_per_side(self):
         with pytest.raises(InvalidGeometryError):
