@@ -75,12 +75,9 @@ class CornerReport:
     beta: float
     a1_estimate: float
     a1_uncertainty: float
-    higher_modes: tuple
     fitted_exponent: float
     singular: bool
     sign_attainment: str
-    fit_condition: float
-    fit_residual: float
 
     @property
     def singular_exponent(self) -> float:
@@ -105,9 +102,8 @@ def _fit_a1(flow, corner: Corner, radii):
     """Least-squares fit of psi on probe rings to the first N_MODES terms
     of the corner expansion.
 
-    Returns (coef, a1_sigma, cond, rms): the mode coefficients (coef[0]
-    is a1), the covariance-based standard error of a1, the condition
-    number of the design matrix and the rms residual.
+    Returns (a1, a1_sigma): the leading coefficient and its
+    covariance-based standard error.
     """
     if len(radii) < 3 or radii.max() / radii.min() < 9.99:
         raise FitQualityError("need >= 3 radii spanning a decade")
@@ -135,7 +131,7 @@ def _fit_a1(flow, corner: Corner, radii):
     cov = sigma2 * np.linalg.inv(X.T @ X)
     coef = coef_scaled / r_ref ** (k * np.pi / beta)
     a1_sigma = float(np.sqrt(cov[0, 0])) / r_ref ** (np.pi / beta)
-    return coef, a1_sigma, cond, float(np.sqrt(sigma2))
+    return float(coef[0]), a1_sigma
 
 
 def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
@@ -152,18 +148,15 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     if radii is None:
         radii = default_fit_radii(corner, body_scale)
     radii = np.asarray(radii, dtype=float)
-    coef, a1_sigma, cond, rms = _fit_a1(flow, corner, radii)
+    a1, a1_sigma = _fit_a1(flow, corner, radii)
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, body_scale)
-    singular = bool(abs(coef[0]) > TOL_A1 * _flow_scale(flow, body_scale, beta))
+    singular = bool(abs(a1) > TOL_A1 * _flow_scale(flow, body_scale, beta))
     verdict = sign_attainment(flow, corner, radii.min())
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta),
-        a1_estimate=float(coef[0]), a1_uncertainty=a1_sigma,
-        higher_modes=tuple(float(c) for c in coef[1:]),
-        fitted_exponent=float(slope), singular=singular,
-        sign_attainment=verdict, fit_condition=cond, fit_residual=rms,
-    )
+        a1_estimate=a1, a1_uncertainty=a1_sigma, fitted_exponent=float(slope),
+        singular=singular, sign_attainment=verdict)
 
 
 def _exponent_slope(flow, corner: Corner, body_scale: float) -> float:
@@ -229,7 +222,6 @@ class LaurentFit:
 
     c0: complex
     c1: complex
-    c2: complex
     residual: float
 
     @property
@@ -262,8 +254,7 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
     if resid > 1e-3 * w_scale:
         raise FitQualityError(
             f"far-field fit residual {resid:.3g} too large; radii too small?")
-    return LaurentFit(c0=complex(coef[0]), c1=complex(coef[1]),
-                      c2=complex(coef[2]), residual=resid)
+    return LaurentFit(c0=complex(coef[0]), c1=complex(coef[1]), residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +300,8 @@ def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
     """
     body_scale = flow0.body.circumradius
     radii = default_fit_radii(corner, body_scale)
-    coef0, sig0, *_ = _fit_a1(flow0, corner, radii)
-    coef1, sig1, *_ = _fit_a1(flow1, corner, radii)
-    a0, a1 = float(coef0[0]), float(coef1[0])
+    a0, sig0 = _fit_a1(flow0, corner, radii)
+    a1, sig1 = _fit_a1(flow1, corner, radii)
     slope = a1 - a0
     if abs(slope) < 1e-12 * _flow_scale(flow0, body_scale,
                                         corner.exterior_angle_beta):

@@ -5,14 +5,17 @@ A scenario names a body, a gas (or the incompressible flag), a flow
 and the analyses to run.  Outputs are deterministic for a fixed config:
 no randomness, no timestamps, sorted keys.
 
-Exit codes: 0 success, 1 solver error (structured in the summary),
-2 config violation (message names the offending JSON path).
+Exit codes: 0 success, 1 solver error or non-finite result (structured
+in the summary), 2 config violation (message names the offending JSON
+path).  summary.json is strict JSON: a non-finite number is written as
+null and its JSON path is named in an error entry.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -173,11 +176,14 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = out
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        *parents, last = key.split(".")
+        node, path = out, "$"
+        message = f"not an object, cannot override {key}"
+        for p in parents:
+            _require(isinstance(node, dict), message, path)
+            node, path = node.setdefault(p, {}), f"{path}.{p}"
+        _require(isinstance(node, dict), message, path)
+        node[last] = value
     return out
 
 
@@ -273,14 +279,14 @@ def _run_farfield(flow, summary):
     }
 
 
-def _run_forces(flow, body, far, summary, rho_inf=1.0):
+def _run_forces(flow, body, far, summary):
     contour = CircleContour(body.centroid, 3.0 * body.circumradius, 1024)
-    result = forces.blasius_force(flow, contour, rho_inf)
+    result = forces.blasius_force(flow, contour)
     summary["forces"] = {
         "drag": result.drag, "lift": result.lift,
         "quadrature_error": result.quadrature_error,
         "kutta_joukowsky_lift": forces.kutta_joukowsky_lift(
-            rho_inf, far.w_inf, far.circulation),
+            1.0, far.w_inf, far.circulation),
         "sign_convention": forces.ForceResult.sign_convention,
     }
 
@@ -344,19 +350,12 @@ def export_field(flow_or_solution, window, resolution, path):
     """Write a field CSV: rectilinear (x, y, psi, speed, mask) for
     incompressible flows; the annular node table
     (r, theta, x, y, psi, rho, mach) for compressible solutions."""
-    path = Path(path)
     if isinstance(flow_or_solution, compressible.CompressibleSolution):
         sol = flow_or_solution
         g = sol.grid
-        r = np.exp(g.xi)
-        with path.open("w") as fh:
-            fh.write("r,theta,x,y,psi,rho,mach\n")
-            for i in range(g.n_r):
-                for j in range(g.n_theta):
-                    fh.write(f"{r[i]:.17g},{g.theta[j]:.17g},"
-                             f"{g.z[i, j].real:.17g},{g.z[i, j].imag:.17g},"
-                             f"{sol.psi[i, j]:.17g},{sol.rho[i, j]:.17g},"
-                             f"{sol.mach[i, j]:.17g}\n")
+        r, theta = np.meshgrid(np.exp(g.xi), g.theta, indexing="ij")
+        _write_csv(path, "r,theta,x,y,psi,rho,mach",
+                   r, theta, g.z.real, g.z.imag, sol.psi, sol.rho, sol.mach)
         return
 
     flow = flow_or_solution
@@ -374,12 +373,16 @@ def export_field(flow_or_solution, window, resolution, path):
     free = ~masked
     psi[free] = flow.stream(Z[free])
     speed[free] = np.abs(np.asarray(flow.velocity(Z[free])))
-    with path.open("w") as fh:
-        fh.write("x,y,psi,speed,mask\n")
-        for iy in range(resolution):
-            for ix in range(resolution):
-                fh.write(f"{xs[ix]:.17g},{ys[iy]:.17g},{psi[iy, ix]:.17g},"
-                         f"{speed[iy, ix]:.17g},{int(masked[iy, ix])}\n")
+    x, y = np.meshgrid(xs, ys)
+    _write_csv(path, "x,y,psi,speed,mask", x, y, psi, speed, masked)
+
+
+def _write_csv(path, header, *columns):
+    """One row per element of the equally shaped columns, in C order,
+    every value as %.17g (a mask column prints as 0/1)."""
+    table = np.column_stack([np.ravel(c).astype(float) for c in columns])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header,
+               comments="")
 
 
 def _run_compressible(cfg, body, far, summary, out_dir):
@@ -411,15 +414,14 @@ def _run_compressible(cfg, body, far, summary, out_dir):
     return sol
 
 
-def _run_refinement_study(cfg, body, summary):
+def _run_refinement_study(cfg, body, far, summary):
     gas_cfg = cfg.get("gas", {})
     study_cfg = cfg.get("solver", {}).get("study", {})
     grids = [tuple(g) for g in study_cfg.get(
         "grids", [[64, 128], [128, 256], [256, 512]])]
     gas = GasModel(float(gas_cfg.get("gamma", 1.4)))
     study = compressible.refinement_study(
-        body, gas, float(gas_cfg["mach_inf"]),
-        float(cfg["flow"].get("gamma", 0.0)), grids)
+        body, gas, float(gas_cfg["mach_inf"]), far.circulation, grids)
     summary["refinement_study"] = {
         "levels": [{
             "grid": list(lv.grid_shape), "outcome": lv.outcome,
@@ -448,15 +450,35 @@ def resolve_scenario_path(name: str) -> Path:
     raise ConfigError(f"scenario file not found: {name}", "$")
 
 
+def _null_non_finite(node, path, found):
+    """A copy of a JSON tree with every non-finite float replaced by None;
+    the JSON path of each is appended to ``found``."""
+    if isinstance(node, float) and not math.isfinite(node):
+        found.append(path)
+        return None
+    if isinstance(node, dict):
+        return {k: _null_non_finite(v, f"{path}.{k}", found)
+                for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_null_non_finite(v, f"{path}[{i}]", found)
+                for i, v in enumerate(node)]
+    return node
+
+
 def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
     """Run one scenario; returns the process exit code."""
     try:
         path = resolve_scenario_path(str(scenario_path))
         try:
-            cfg = json.loads(path.read_text())
+            cfg = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON at line {exc.lineno}, col {exc.colno}: "
                               f"{exc.msg}", "$") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"scenario {path} is not UTF-8 text", "$") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario {path}: {exc.strerror}",
+                              "$") from exc
         cfg = apply_overrides(cfg, list(overrides))
         validate_scenario(cfg)
     except ConfigError as exc:
@@ -499,7 +521,7 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         if "compressible" in analyses:
             _run_compressible(cfg, body, far, summary, out)
         if "refinement_study" in analyses:
-            _run_refinement_study(cfg, body, summary)
+            _run_refinement_study(cfg, body, far, summary)
     except CornerFlowError as exc:
         entry = {"type": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "location") and exc.location is not None:
@@ -507,8 +529,16 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         summary["errors"].append(entry)
         code = 1
 
+    non_finite = []
+    summary = _null_non_finite(summary, "$", non_finite)
+    if non_finite:
+        summary["errors"].append({
+            "type": "NonFiniteResult",
+            "message": "non-finite numbers written as null at "
+                       + ", ".join(sorted(non_finite))})
+        code = 1
     (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if verbosity > 0:
         print(f"wrote {out / 'summary.json'}", file=sys.stderr)
     if verbosity > 1:

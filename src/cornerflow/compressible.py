@@ -9,9 +9,9 @@ metric factor H = |dz/dzeta| enters the coefficient, through
 |grad_z psi|^2 = (psi_xi^2 + psi_theta^2) / H^2.
 
 The discrete unknown is the perturbation psi~ = psi - psi_base from the
-uniform-flow base psi_base = rho_inf * Im(w_inf z), whose face-integrated
+uniform-flow base psi_base = Im(w_inf z), whose face-integrated
 fluxes are evaluated exactly from the conjugate potential Re F,
-F(zeta) = rho_inf w_inf z(e^zeta).  Those exact base fluxes telescope
+F(zeta) = w_inf z(e^zeta).  Those exact base fluxes telescope
 around every cell, so a flow that is exactly uniform (horizontal plate)
 is reproduced to roundoff on any grid.
 
@@ -21,7 +21,7 @@ coefficient evaluation is guarded: any face whose half-squared mass flux
 m reaches the sonic bound of the Bernoulli state aborts the solve (the
 equation leaves its elliptic region there).  No density clamping is
 applied unless the explicitly non-physical "capped" diagnostic mode is
-requested.
+requested.  The free-stream density is 1 (see ``gas``).
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .geometry import Body
 from .incompressible import FarField, conformal_map, exact_flow
 
 TWO_PI = 2.0 * np.pi
+OMEGA = 0.7           # Picard under-relaxation
+CAP_FRACTION = 0.995  # capped mode clamps m at this fraction of flux_max_m
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,6 @@ class CompressibleSolution:
 
     grid: ConformalGrid
     far: FarField
-    state: BernoulliState
     psi: np.ndarray
     psi_pert: np.ndarray
     rho: np.ndarray
@@ -150,9 +151,7 @@ class CompressibleSolution:
 class SolverOptions:
     tol: float = 1e-10
     max_iters: int = 200
-    omega: float = 0.7
     capped: bool = False
-    cap_fraction: float = 0.995
 
 
 def _node_gradient(psi_t, dxi, dth):
@@ -171,9 +170,8 @@ class _Discretization:
     """Pieces of one (grid, free stream) pair shared by every solve on it:
     exact base fluxes and gradients, map factors, Dirichlet data."""
 
-    def __init__(self, grid: ConformalGrid, far: FarField, rho_inf: float):
+    def __init__(self, grid: ConformalGrid, far: FarField):
         self.far = far
-        self.rho_inf = rho_inf
         self.flagged = grid.flagged
         nr, nt = grid.n_r, grid.n_theta
         dxi, dth = grid.d_xi, grid.d_theta
@@ -184,7 +182,7 @@ class _Discretization:
         xe = np.concatenate([[xi[0]], 0.5 * (xi[:-1] + xi[1:]), [xi[-1]]])
         te = th + 0.5 * dth  # theta_{j+1/2}; wraps periodically
         zc = grid.map_z(xe[:, None] + 1j * te[None, :])
-        pc = np.real(rho_inf * far.w_inf * zc)  # (nr+1, nt)
+        pc = np.real(far.w_inf * zc)  # (nr+1, nt)
 
         # exact base face fluxes
         # xi-face (i+1/2, j): phi(i+1/2, j-1/2) - phi(i+1/2, j+1/2)
@@ -197,8 +195,8 @@ class _Discretization:
         zeta_tf = xi[:, None] + 1j * te[None, :]
         dz_xf = grid.map_dz_dzeta(zeta_xf)
         dz_tf = grid.map_dz_dzeta(zeta_tf)
-        fp_xf = rho_inf * far.w_inf * dz_xf
-        fp_tf = rho_inf * far.w_inf * dz_tf
+        fp_xf = far.w_inf * dz_xf
+        fp_tf = far.w_inf * dz_tf
         self.base_dxi_xf = np.imag(fp_xf)   # psi_xi at xi-faces
         self.base_dth_xf = np.real(fp_xf)   # psi_theta at xi-faces
         self.base_dxi_tf = np.imag(fp_tf)
@@ -212,16 +210,16 @@ class _Discretization:
 
         # nodal map factor and exact base gradient for post-processing
         self.dz = grid.map_dz_dzeta(xi[:, None] + 1j * th[None, :])
-        fp = rho_inf * far.w_inf * self.dz
+        fp = far.w_inf * self.dz
         self.base_dxi = np.imag(fp)
         self.base_dth = np.real(fp)
 
         # Dirichlet data of psi~: total psi = 0 on the body ring and
-        # rho_inf * Im W of the exact incompressible flow on the outer ring
+        # Im W of the exact incompressible flow on the outer ring
         ref = exact_flow(grid.body, far)
-        self.psi_body = -rho_inf * np.imag(far.w_inf * grid.z[0, :])
-        self.psi_outer = (rho_inf * np.asarray(ref.stream(grid.z[-1, :]))
-                          - rho_inf * np.imag(far.w_inf * grid.z[-1, :]))
+        self.psi_body = -np.imag(far.w_inf * grid.z[0, :])
+        self.psi_outer = (np.asarray(ref.stream(grid.z[-1, :]))
+                          - np.imag(far.w_inf * grid.z[-1, :]))
 
     def with_boundary(self, interior):
         """Nodal psi~: the Dirichlet rows around the given interior rows."""
@@ -311,16 +309,15 @@ class _Discretization:
         return x.reshape(ni, nt), lin_res
 
 
-def _discretization(grid: ConformalGrid, far: FarField,
-                    rho_inf: float) -> _Discretization:
-    """The discretization of (grid, far, rho_inf), built once per grid.
+def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
+    """The discretization of (grid, far), built once per grid.
 
     The grid keeps the last one it built, so the solves of one refinement
     level share it and it is freed together with the grid.
     """
     disc = grid._disc
-    if disc is None or disc.far != far or disc.rho_inf != rho_inf:
-        disc = _Discretization(grid, far, rho_inf)
+    if disc is None or disc.far != far:
+        disc = _Discretization(grid, far)
         object.__setattr__(grid, "_disc", disc)
     return disc
 
@@ -329,8 +326,8 @@ def _face_h(state: BernoulliState, m, opts: SolverOptions, where: str,
             disc: _Discretization):
     m_max = state.flux_max_m
     if opts.capped:
-        capped = m >= opts.cap_fraction * m_max
-        m = np.minimum(m, opts.cap_fraction * m_max)
+        capped = m >= CAP_FRACTION * m_max
+        m = np.minimum(m, CAP_FRACTION * m_max)
         return state.density_from_flux(m).h, int(np.count_nonzero(capped))
     if np.any(m >= m_max):
         k = np.unravel_index(int(np.argmax(m)), m.shape)
@@ -342,18 +339,18 @@ def _face_h(state: BernoulliState, m, opts: SolverOptions, where: str,
 
 
 def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
-                   far: FarField, opts: SolverOptions | None = None,
-                   rho_inf: float = 1.0) -> CompressibleSolution:
+                   far: FarField,
+                   opts: SolverOptions | None = None) -> CompressibleSolution:
     """Picard solve of the compressible stream-function equation.
 
-    Dirichlet data: psi = 0 on the body ring, psi = rho_inf * Im(W(z)) on
+    Dirichlet data: psi = 0 on the body ring, psi = Im(W(z)) on
     the outer ring with W the exact incompressible potential for this
     body and (w_inf, Gamma).  Raises SonicExcursionError the moment any
     face leaves the subsonic (elliptic) region, IterationLimitError if
     the residual stalls.
     """
     opts = opts or SolverOptions()
-    disc = _discretization(grid, far, rho_inf)
+    disc = _discretization(grid, far)
 
     # interior initial guess: blend the boundary data radially
     w = (grid.xi[1:-1, None] - grid.xi[0]) / (grid.xi[-1] - grid.xi[0])
@@ -379,8 +376,7 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
 
         interior, lin_res = disc.solve_linear(h_xf, h_tf)
         linear_residuals.append(lin_res)
-        psi_t[1:-1, :] = ((1.0 - opts.omega) * psi_t[1:-1, :]
-                          + opts.omega * interior)
+        psi_t[1:-1, :] = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
 
     if not converged and not opts.capped:
         raise IterationLimitError(
@@ -406,7 +402,7 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
             m_max=float(state.flux_max_m))
     m_eval = np.where(valid, np.nan_to_num(m), 0.0)
     if opts.capped:
-        m_eval = np.minimum(m_eval, opts.cap_fraction * state.flux_max_m)
+        m_eval = np.minimum(m_eval, CAP_FRACTION * state.flux_max_m)
     rho = np.full(psi_t.shape, np.nan)
     rho[valid] = state.density_from_flux(m_eval[valid]).rho
     speed = np.full(psi_t.shape, np.nan)
@@ -415,11 +411,11 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
     mach[valid] = gas.mach(speed[valid], rho[valid])
 
     far = disc.far
-    psi_total = disc.rho_inf * np.imag(far.w_inf * grid.z) + psi_t
+    psi_total = np.imag(far.w_inf * grid.z) + psi_t
     k = np.unravel_index(int(np.nanargmax(np.where(valid, mach, -1.0))),
                          mach.shape)
     return CompressibleSolution(
-        grid=grid, far=far, state=state, psi=psi_total, psi_pert=psi_t,
+        grid=grid, far=far, psi=psi_total, psi_pert=psi_t,
         rho=rho, mach=mach, speed=speed,
         velocity=disc.nodal_velocity(gx, gt, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
@@ -428,28 +424,27 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
         capped_faces=capped_faces)
 
 
-def incompressible_reference_solution(grid: ConformalGrid, far: FarField,
-                                      rho_inf: float = 1.0) -> np.ndarray:
+def incompressible_reference_solution(grid: ConformalGrid,
+                                      far: FarField) -> np.ndarray:
     """Discrete incompressible solve on the same grid (h frozen constant).
 
     Returns the perturbation field psi~; used as the bias-free oracle for
     low-Mach comparisons and as the first frozen iterate of the blow-up
     metric.
     """
-    disc = _discretization(grid, far, rho_inf)
-    h_xf = np.ones((grid.n_r - 1, grid.n_theta)) / rho_inf
-    h_tf = np.ones((grid.n_r, grid.n_theta)) / rho_inf
+    disc = _discretization(grid, far)
+    h_xf = np.ones((grid.n_r - 1, grid.n_theta))
+    h_tf = np.ones((grid.n_r, grid.n_theta))
     interior, _ = disc.solve_linear(h_xf, h_tf)
     return disc.with_boundary(interior)
 
 
-def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField, psi_t,
-                             rho_inf: float = 1.0, rho=None) -> np.ndarray:
-    """Velocity field of a perturbation solve (default: incompressible,
-    rho = rho_inf everywhere)."""
-    disc = _discretization(grid, far, rho_inf)
+def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField,
+                             psi_t) -> np.ndarray:
+    """Velocity field of an incompressible perturbation solve (rho = 1)."""
+    disc = _discretization(grid, far)
     gx, gt = disc.nodal_gradient(psi_t)
-    return disc.nodal_velocity(gx, gt, rho_inf if rho is None else rho)
+    return disc.nodal_velocity(gx, gt, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +454,15 @@ def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField, psi_t,
 @dataclass(frozen=True)
 class RefinementLevel:
     grid_shape: tuple
-    converged: bool
     outcome: str            # "converged" | "sonic_excursion" | "iteration_limit"
     max_mach: float | None
     corner_max_mach: float | None
     sonic_margin_ratio: float
     excursion_m_ratio: float | None
-    iterations: int | None
 
 
 @dataclass(frozen=True)
 class RefinementStudy:
-    body_kind: str
-    mach_inf: float
     levels: tuple
     margin_strictly_increasing: bool
     abort_at_finest: bool
@@ -488,9 +479,7 @@ def _near_corners(body: Body, z, radius: float):
 
 
 def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
-                     grids, r_far: float | None = None,
-                     corner_radius: float | None = None,
-                     opts: SolverOptions | None = None) -> RefinementStudy:
+                     grids) -> RefinementStudy:
     """Grid-refinement signature of (non-)existence.
 
     Per level the study records (a) the sonic-margin ratio
@@ -500,19 +489,16 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     and (b) the guarded Picard outcome (converged max Mach, or the abort).
     Solver errors are recorded per level, never fatal to the study.
     """
-    if r_far is None:
-        r_far = 25.0 * body.circumradius
-    if corner_radius is None:
-        corner_radius = 0.15 * body.circumradius
+    r_far = 25.0 * body.circumradius
+    corner_radius = 0.15 * body.circumradius
     state = BernoulliState.from_free_stream(gas, mach_inf)
     q_inf = state.free_stream_speed(mach_inf)
     far = FarField(w_inf=q_inf, circulation=gamma)
-    opts = opts or SolverOptions()
 
     levels = []
     for (n_r, n_theta) in grids:
         grid = build_grid(body, r_far, n_r, n_theta)
-        disc = _discretization(grid, far, 1.0)
+        disc = _discretization(grid, far)
         psi_t = incompressible_reference_solution(grid, far)
         m_xf, m_tf = disc.face_m(psi_t)
         near_xf = _near_corners(body, disc.z_xf, corner_radius)
@@ -520,33 +506,29 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
         margin = max(float(np.max(m_xf[near_xf]) / state.flux_max_m),
                      float(np.max(m_tf[near_tf]) / state.flux_max_m))
 
-        outcome, max_mach, corner_mach, exc_ratio, iters = "converged", None, None, None, None
+        outcome, max_mach, corner_mach, exc_ratio = "converged", None, None, None
         try:
-            sol = solve_subsonic(grid, gas, state, far, opts)
+            sol = solve_subsonic(grid, gas, state, far)
             max_mach = sol.max_mach
-            iters = sol.iterations
             near = _near_corners(body, grid.z, corner_radius)
             vals = sol.mach[near & ~grid.flagged]
             corner_mach = float(np.nanmax(vals)) if vals.size else sol.max_mach
         except SonicExcursionError as exc:
             outcome = "sonic_excursion"
             exc_ratio = float(exc.m_value / exc.m_max)
-        except IterationLimitError as exc:
+        except IterationLimitError:
             outcome = "iteration_limit"
-            iters = len(exc.residuals)
         levels.append(RefinementLevel(
-            grid_shape=(n_r, n_theta), converged=outcome == "converged",
-            outcome=outcome, max_mach=max_mach, corner_max_mach=corner_mach,
-            sonic_margin_ratio=margin, excursion_m_ratio=exc_ratio,
-            iterations=iters))
+            grid_shape=(n_r, n_theta), outcome=outcome, max_mach=max_mach,
+            corner_max_mach=corner_mach, sonic_margin_ratio=margin,
+            excursion_m_ratio=exc_ratio))
 
     margins = [lv.sonic_margin_ratio for lv in levels]
     increasing = all(b > a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))
     machs = [lv.max_mach for lv in levels if lv.max_mach is not None]
     cauchy = tuple(abs(b - a) for a, b in zip(machs, machs[1:]))
     return RefinementStudy(
-        body_kind=body.kind, mach_inf=mach_inf, levels=tuple(levels),
-        margin_strictly_increasing=bool(increasing),
+        levels=tuple(levels), margin_strictly_increasing=bool(increasing),
         abort_at_finest=levels[-1].outcome == "sonic_excursion",
         mach_cauchy_factors=cauchy)
 

@@ -28,17 +28,14 @@ class ForceResult:
 
     drag: float
     lift: float
-    force_x: float
-    force_y: float
     quadrature_error: float
-    contour: Contour
 
     sign_convention = ("lift positive along the +90deg rotation of the "
                        "free-stream direction (upward for rightward flow)")
 
 
-def blasius_force(flow, contour: Contour, rho_inf: float = 1.0) -> ForceResult:
-    """Evaluate the Blasius integral by contour quadrature.
+def blasius_force(flow, contour: Contour) -> ForceResult:
+    """Evaluate the Blasius integral by contour quadrature at rho = 1.
 
     The quadrature error is estimated by Richardson comparison against
     the refined contour.
@@ -49,7 +46,7 @@ def blasius_force(flow, contour: Contour, rho_inf: float = 1.0) -> ForceResult:
     def integral(c):
         z, dz = c.quadrature()
         w = np.asarray(flow.velocity(z))
-        return 0.5j * rho_inf * np.sum(w**2 * dz)
+        return 0.5j * np.sum(w**2 * dz)
 
     coarse = integral(contour)
     fine = integral(contour.refined())
@@ -58,8 +55,8 @@ def blasius_force(flow, contour: Contour, rho_inf: float = 1.0) -> ForceResult:
     e = flow.far.flow_direction  # unit vector, as complex
     drag = fx * e.real + fy * e.imag
     lift = -fx * e.imag + fy * e.real
-    return ForceResult(drag=float(drag), lift=float(lift), force_x=fx,
-                       force_y=fy, quadrature_error=float(err), contour=contour)
+    return ForceResult(drag=float(drag), lift=float(lift),
+                       quadrature_error=float(err))
 
 
 def kutta_joukowsky_lift(rho_inf: float, w_inf: complex, gamma: float) -> float:

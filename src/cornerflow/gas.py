@@ -13,6 +13,10 @@ irrotational flow and provides the two inversions used by the solvers:
   m = |grad psi|**2 / 2 = (rho*q)**2 / 2, on the subsonic branch
   [0, flux_max_m).  The branch boundary is the sonic point q = c.
 
+The free-stream density is 1: at a given free-stream Mach number, the
+flow with free-stream density r is the unit-density flow with rho scaled
+by r, q by r**((gamma-1)/2) and psi by r**((gamma+1)/2).
+
 All operations accept scalars or numpy arrays and are pure.
 """
 
@@ -114,16 +118,15 @@ class BernoulliState:
                            float(0.5 * g * rho_sonic ** (g + 1.0)))
 
     @classmethod
-    def from_free_stream(cls, gas: GasModel, mach_inf: float,
-                         rho_inf: float = 1.0) -> "BernoulliState":
-        """Fix B from a prescribed free-stream Mach number at rho_inf."""
+    def from_free_stream(cls, gas: GasModel, mach_inf: float) -> "BernoulliState":
+        """Fix B from a prescribed free-stream Mach number at unit density."""
         if not (0.0 <= mach_inf < 1.0):
             raise GasDomainError("free-stream Mach must lie in [0, 1)")
-        q_inf = mach_inf * gas.sound_speed(rho_inf)
-        return cls(gas, 0.5 * q_inf**2 + gas.enthalpy_pi(rho_inf))
+        q_inf = mach_inf * gas.sound_speed(1.0)
+        return cls(gas, 0.5 * q_inf**2 + gas.enthalpy_pi(1.0))
 
-    def free_stream_speed(self, mach_inf: float, rho_inf: float = 1.0) -> float:
-        return float(mach_inf * self.gas.sound_speed(rho_inf))
+    def free_stream_speed(self, mach_inf: float) -> float:
+        return float(mach_inf * self.gas.sound_speed(1.0))
 
     def density_from_speed(self, q):
         """rho = pi^{-1}(B - q^2/2); strictly decreasing, 0 at limit speed."""
@@ -175,8 +178,3 @@ class BernoulliState:
             r = float(rho[0])
             return FluxInversion(r, 1.0 / r)
         return FluxInversion(rho, 1.0 / rho)
-
-    def speed_from_flux(self, m):
-        """|v| = sqrt(2m)/rho on the subsonic branch."""
-        rho = self.density_from_flux(m).rho
-        return np.sqrt(2.0 * np.asarray(m, dtype=float)) / rho

@@ -314,12 +314,11 @@ class Polygon:
 Body = Circle | FlatPlate | Polygon
 
 
-def probe_ring(corner: Corner, radii, samples_per_radius: int,
-               theta_margin: float | None = None) -> np.ndarray:
+def probe_ring(corner: Corner, radii, samples_per_radius: int) -> np.ndarray:
     """Sample points on fluid-wedge arcs around a corner.
 
     Points sit at polar coordinates (r, theta) about the vertex, theta
-    spanning the open wedge with a wall margin (default 0.05 * beta).
+    spanning the open wedge with a wall margin of 0.05 * beta.
     Returns an array of shape (len(radii), samples_per_radius).
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -332,10 +331,7 @@ def probe_ring(corner: Corner, radii, samples_per_radius: int,
     if samples_per_radius < 1:
         raise GeometryClipError("need at least one sample per radius")
     beta = corner.exterior_angle_beta
-    if theta_margin is None:
-        theta_margin = 0.05 * beta
-    if not (0 < theta_margin < beta / 2):
-        raise GeometryClipError("theta margin must lie in (0, beta/2)")
+    theta_margin = 0.05 * beta
     if samples_per_radius == 1:
         theta = np.array([beta / 2.0])
     else:
@@ -360,8 +356,9 @@ class CircleContour:
         dz = 1j * self.radius * np.exp(1j * th) * (TWO_PI / self.n_samples)
         return z, dz
 
-    def refined(self, factor: int = 2) -> "CircleContour":
-        return CircleContour(self.center, self.radius, self.n_samples * factor)
+    def refined(self) -> "CircleContour":
+        """The same circle with twice the samples."""
+        return CircleContour(self.center, self.radius, 2 * self.n_samples)
 
     def clears_body(self, body: Body) -> bool:
         if isinstance(body, Circle):
@@ -398,9 +395,10 @@ class PolylineContour:
         dz = (wt[None, :] * (w - v)[:, None]).ravel()
         return z, dz
 
-    def refined(self, factor: int = 2) -> "PolylineContour":
+    def refined(self) -> "PolylineContour":
+        """The same polyline with twice the Gauss panels per segment."""
         return PolylineContour(self.points, self.gauss_order,
-                               self.subdivisions * factor)
+                               2 * self.subdivisions)
 
     def clears_body(self, body: Body) -> bool:
         v = np.array(self.points, dtype=complex)

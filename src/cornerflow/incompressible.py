@@ -52,10 +52,6 @@ class FarField:
             raise InvalidGeometryError("w_inf must be finite")
 
     @property
-    def speed(self) -> float:
-        return abs(self.w_inf)
-
-    @property
     def flow_direction(self) -> complex:
         """Unit vector of the free-stream velocity (as a complex number)."""
         if self.w_inf == 0:
@@ -78,9 +74,9 @@ class CircleFlow:
     def body(self) -> Circle:
         return Circle(self.radius)
 
-    def _check(self, z, strict=True):
+    def _check(self, z):
         z = np.asarray(z, dtype=complex)
-        if strict and np.any(np.abs(z) < self.radius * (1 - 1e-12)):
+        if np.any(np.abs(z) < self.radius * (1 - 1e-12)):
             raise FluidDomainError("point strictly inside the circle")
         return z
 
@@ -505,7 +501,6 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
 @dataclass(frozen=True)
 class KuttaResult:
     gamma_star: float
-    corner_id: int
     a1_at_zero: float
     a1_slope: float
     uncertainty: float
@@ -533,8 +528,7 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
         flow0 = panel_solve(body, FarField(w_inf, 0.0), n).flow
         flow1 = panel_solve(body, FarField(w_inf, 1.0), n).flow
         e = analysis.affine_corner(flow0, flow1, corner)
-        return KuttaResult(e.root, corner_id, e.a1_at_zero, e.slope,
-                           e.root_uncertainty, n)
+        return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty, n)
 
     result = run(n_panels)
     for _ in range(4 if refine else 0):

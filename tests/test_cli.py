@@ -1,10 +1,12 @@
 """Scenario runner: schema, determinism, exports, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cornerflow import compressible
 from cornerflow.cli import (apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
@@ -105,6 +107,17 @@ class TestRun:
         assert run(bad, tmp_path) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, kind):
+        scenario = tmp_path / "s.json"
+        if kind == "directory":
+            scenario.mkdir()
+        else:
+            scenario.write_bytes(json.dumps(minimal_cfg(name="caf\u00e9"),
+                                            ensure_ascii=False).encode(kind))
+        assert run(scenario, tmp_path / "out") == 2
+        assert "config error: $:" in capsys.readouterr().err
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_cfg(analyses=["nope"])))
@@ -136,6 +149,9 @@ class TestRun:
         (None, ["body.radius=1e400"], "$.body.radius"),
         (None, ["body.radius=1" + "0" * 400], "$.body.radius"),
         (None, ["output.sign_window=[[-4, 4]]"], "$.output.sign_window"),
+        # an override path running through a number or a string
+        (None, ["flow.w_inf.x=1"], "$.flow.w_inf"),
+        (None, ["name.x=1"], "$.name"),
     ])
     def test_non_numeric_value_exits_2_naming_path(self, tmp_path, capsys,
                                                    body, overrides, path):
@@ -178,6 +194,46 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["errors"][0]["type"] == "SonicExcursionError"
         assert "location" in summary["errors"][0]
+
+    def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("circle.json", out, ["flow.w_inf=1e300",
+                                        "output.sign_resolution=50"]) == 1
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        text = (out / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["forces"]["drag"] is None
+        (entry,) = summary["errors"]
+        assert entry["type"] == "NonFiniteResult"
+        assert "$.forces.drag" in entry["message"]
+
+    def test_refinement_study_uses_resolved_gamma(self, tmp_path,
+                                                  monkeypatch):
+        # a Kutta plate: the study must see Gamma*, not a missing flow.gamma
+        seen = []
+        real = compressible.refinement_study
+
+        def spy(body, gas, mach_inf, gamma, grids):
+            seen.append(gamma)
+            return real(body, gas, mach_inf, gamma, grids)
+
+        monkeypatch.setattr(compressible, "refinement_study", spy)
+        cfg = minimal_cfg(
+            body={"kind": "flat_plate", "chord": 4.0, "alpha_deg": 10.0},
+            gas={"incompressible": False, "gamma": 1.4, "mach_inf": 0.3},
+            analyses=["refinement_study"])
+        cfg["flow"] = {"w_inf": 1.0, "kutta_corner": 0}
+        cfg["solver"] = {"study": {"grids": [[32, 64]]}}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        gamma_star = summary["flow"]["gamma"]
+        assert gamma_star == pytest.approx(-np.pi * 4.0 * np.sin(np.deg2rad(10.0)))
+        assert seen == [gamma_star]
 
     def test_deterministic_summary(self, tmp_path):
         cfg = minimal_cfg(analyses=["circulation", "farfield", "forces"])
@@ -250,3 +306,69 @@ class TestExportField:
         machs = [float(ln.split(",")[6]) for ln in lines[1:]
                  if ln.split(",")[6] != "nan"]
         assert max(machs) == pytest.approx(sol.max_mach, rel=1e-12)
+
+
+def reference_export_field(flow_or_solution, window, resolution, path):
+    """The row-by-row writer that export_field replaced, kept as the
+    byte-for-byte reference of its output."""
+    path = Path(path)
+    if isinstance(flow_or_solution, compressible.CompressibleSolution):
+        sol = flow_or_solution
+        g = sol.grid
+        r = np.exp(g.xi)
+        with path.open("w") as fh:
+            fh.write("r,theta,x,y,psi,rho,mach\n")
+            for i in range(g.n_r):
+                for j in range(g.n_theta):
+                    fh.write(f"{r[i]:.17g},{g.theta[j]:.17g},"
+                             f"{g.z[i, j].real:.17g},{g.z[i, j].imag:.17g},"
+                             f"{sol.psi[i, j]:.17g},{sol.rho[i, j]:.17g},"
+                             f"{sol.mach[i, j]:.17g}\n")
+        return
+
+    flow = flow_or_solution
+    (x0, x1), (y0, y1) = window
+    xs = np.linspace(x0, x1, resolution)
+    ys = np.linspace(y0, y1, resolution)
+    Z = xs[None, :] + 1j * ys[:, None]
+    body = flow.body
+    if isinstance(body, FlatPlate):
+        masked = body.on_slit(Z, tol=2.0 * (x1 - x0) / resolution / body.chord)
+    else:
+        masked = body.contains(Z)
+    psi = np.full(Z.shape, np.nan)
+    speed = np.full(Z.shape, np.nan)
+    free = ~masked
+    psi[free] = flow.stream(Z[free])
+    speed[free] = np.abs(np.asarray(flow.velocity(Z[free])))
+    with path.open("w") as fh:
+        fh.write("x,y,psi,speed,mask\n")
+        for iy in range(resolution):
+            for ix in range(resolution):
+                fh.write(f"{xs[ix]:.17g},{ys[iy]:.17g},{psi[iy, ix]:.17g},"
+                         f"{speed[iy, ix]:.17g},{int(masked[iy, ix])}\n")
+
+
+def _plate_solution():
+    gas = GasModel(1.4)
+    state = BernoulliState.from_free_stream(gas, 0.3)
+    far = FarField(state.free_stream_speed(0.3), 0.0)
+    return solve_subsonic(build_grid(FlatPlate(4.0, 0.0), 50.0, 64, 128),
+                          gas, state, far)
+
+
+@pytest.mark.parametrize("make, window, resolution", [
+    (lambda: CircleFlow(1.0, FarField(1.0, 2.0)), ((-3, 3), (-3, 3)), 200),
+    # the tilted slit masks whole runs of cells: NaN psi and speed
+    (lambda: PlateFlow(4.0, np.deg2rad(20.0), FarField(1.0, -1.5)),
+     ((-3, 3), (-3, 3)), 200),
+    (_plate_solution, None, None),
+])
+def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
+                                               resolution):
+    field = make()
+    export_field(field, window, resolution, tmp_path / "new.csv")
+    reference_export_field(field, window, resolution, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert b"nan" in new
+    assert new == (tmp_path / "old.csv").read_bytes()

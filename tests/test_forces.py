@@ -21,7 +21,7 @@ class TestBlasius:
     def test_circle_with_circulation_residue(self):
         # residue of w^2: 2 w_inf Gamma/(2 pi i)  =>  F_x - i F_y = i rho w Gamma
         flow = CircleFlow(1.0, FarField(1.0, TWO_PI))
-        f = blasius_force(flow, CircleContour(0j, 2.0, 1024), rho_inf=1.0)
+        f = blasius_force(flow, CircleContour(0j, 2.0, 1024))
         assert abs(f.lift) == pytest.approx(TWO_PI, rel=1e-10)
         assert f.lift == pytest.approx(-TWO_PI, rel=1e-10)  # positive Gamma pushes down
         assert abs(f.drag) < 1e-9

@@ -145,7 +145,7 @@ class TestBernoulliState:
 
     def test_from_free_stream_normalization(self):
         gas = GasModel(1.4)
-        st = BernoulliState.from_free_stream(gas, 0.3, rho_inf=1.0)
+        st = BernoulliState.from_free_stream(gas, 0.3)
         q = st.free_stream_speed(0.3)
         assert st.bernoulli_B == pytest.approx(0.5 * q**2 + gas.enthalpy_pi(1.0),
                                                rel=1e-15)
