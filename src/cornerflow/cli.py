@@ -88,6 +88,10 @@ def validate_scenario(cfg: dict) -> dict:
              f"schema_version must be {SCHEMA_VERSION}", "$.schema_version")
     _require(isinstance(cfg.get("name"), str) and cfg["name"],
              "name must be a nonempty string", "$.name")
+    # the default output directory is out_<name> in the working directory
+    _require(not any(sep in cfg["name"] for sep in "/\\")
+             and cfg["name"] not in (".", ".."),
+             "name must not contain / or \\ or be . or ..", "$.name")
 
     body = cfg.get("body")
     _require(isinstance(body, dict), "body must be an object", "$.body")
@@ -481,12 +485,16 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
                               "$") from exc
         cfg = apply_overrides(cfg, list(overrides))
         validate_scenario(cfg)
+        out = Path(out_dir) if out_dir else Path.cwd() / f"out_{cfg['name']}"
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: "
+                              f"{exc.strerror}", "$") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir) if out_dir else Path.cwd() / f"out_{cfg['name']}"
-    out.mkdir(parents=True, exist_ok=True)
     summary = {"schema_version": SCHEMA_VERSION, "name": cfg["name"],
                "body": cfg["body"], "errors": []}
     code = 0

@@ -161,6 +161,30 @@ class TestRun:
         assert run(p, tmp_path / "out", overrides) == 2
         assert path in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg()))
+        target = tmp_path / "afile"
+        target.write_text("x")
+        assert run(p, target) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(target) in err
+        assert target.read_text() == "x"
+
+    @pytest.mark.parametrize("name", ["../x/y", "a/b", "a\\b", ".", ".."])
+    def test_unsafe_name_exits_2(self, tmp_path, capsys, monkeypatch, name):
+        # without --out the runner writes to out_<name> in the working
+        # directory; no directory may be created
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg()))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(p, None, [f"name={json.dumps(name)}"]) == 2
+        assert "$.name" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [p, work]
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("body, representation", [
         (TRIANGLE, "exact"),   # no closed form: it would run panels
         (None, "panels"),

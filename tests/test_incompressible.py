@@ -1,14 +1,20 @@
 """Exact-flow formulas, panel solves, and the Kutta condition."""
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
 
 from cornerflow.analysis import circulation, potential_increment
+from cornerflow.cli import run
 from cornerflow.errors import FluidDomainError, InvalidGeometryError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
-from cornerflow.incompressible import (CircleFlow, FarField, PlateFlow,
-                                       kutta_solve, panel_solve)
+from cornerflow.incompressible import (KAPPA, CircleFlow, FarField, PlateFlow,
+                                       kutta_solve, panel_solve,
+                                       vortex_panel_psi_coeffs,
+                                       vortex_panel_w_coeffs)
 
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
@@ -222,3 +228,132 @@ class TestKutta:
         oracle = -np.pi * 4.0 * np.sin(alpha)
         assert res.n_panels > 64
         assert res.gamma_star == pytest.approx(oracle, rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# far-field evaluation: multipole expansion against the direct panel sum
+
+
+def panels(flow):
+    """(za, zb, node index of za, node index of zb) of every panel."""
+    n = len(flow.nodes)
+    ia = np.arange(n if flow.closed else n - 1)
+    return flow.nodes[ia], flow.nodes[(ia + 1) % n], ia, (ia + 1) % n
+
+
+def direct_sheet(flow, z, coeff_fn):
+    """Vortex-sheet part of psi or w as the sum over all panels."""
+    za, zb, ia, ib = panels(flow)
+    acc = 0.0
+    for j in range(len(za)):
+        ca, cb = coeff_fn(z, za[j], zb[j])
+        acc = acc + ca * flow.gamma[ia[j]] + cb * flow.gamma[ib[j]]
+    return acc
+
+
+def reference_sheet(flow, z, digits=40):
+    """(psi, w) of the vortex sheet at one point from the closed-form panel
+    integrals at ``digits`` digits.
+
+    On the panel zeta = a + e t, 0 <= t <= L, with strength
+    g(t) = g_a + (g_b - g_a) t / L and zl = (z - a) / e:
+    psi = -(1/2 pi) Re int g log(zl - t) dt and
+    w = (1/2 pi i e) int g / (zl - t) dt.
+    """
+    with mpmath.workdps(digits):
+        za, zb, ia, ib = panels(flow)
+        psi, w = mpmath.mpf(0), mpmath.mpc(0)
+        for a, b, ja, jb in zip(za, zb, ia, ib):
+            a, b = mpmath.mpc(a), mpmath.mpc(b)
+            L = abs(b - a)
+            e = (b - a) / L
+            zl = (mpmath.mpc(z) - a) / e
+            ga = mpmath.mpf(flow.gamma[ja])
+            dg = (mpmath.mpf(flow.gamma[jb]) - ga) / L
+            # int log(zl - t) dt and int t log(zl - t) dt over [0, L],
+            # with u = zl - t running from zl - L to zl
+            u0, u1 = zl - L, zl
+
+            def log_int(u):
+                return u * mpmath.log(u) - u
+
+            def u_log_int(u):
+                return u**2 / 2 * mpmath.log(u) - u**2 / 4
+
+            i0 = log_int(u1) - log_int(u0)
+            i1 = zl * i0 - (u_log_int(u1) - u_log_int(u0))
+            psi -= mpmath.re(ga * i0 + dg * i1) / (2 * mpmath.pi)
+            k0 = mpmath.log(u1) - mpmath.log(u0)
+            k1 = zl * k0 - L
+            w += (ga * k0 + dg * k1) / (2j * mpmath.pi * e)
+        return float(psi), complex(w)
+
+
+def far_points(flow, radii=(1.7, 3.0, 10.0, 40.0), angles=(0.3, 2.0, 4.1)):
+    """Points at the given multiples of rho from the centroid, all beyond
+    KAPPA * rho (rho: the largest node distance from the centroid)."""
+    c = flow.body.centroid
+    rho = np.max(np.abs(flow.nodes - c))
+    assert min(radii) > KAPPA
+    return c + rho * np.array([r * np.exp(1j * a) for r in radii for a in angles])
+
+
+@pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(4.0, np.pi / 6),
+                                  TRIANGLE], ids=["circle", "plate", "triangle"])
+def test_far_field_matches_40_digit_reference(body):
+    # psi is defined up to its body level, so it is compared as
+    # differences from the first point
+    flow = panel_solve(body, FarField(1.0, 1.3), 64).flow
+    z = far_points(flow)
+    ref = [reference_sheet(flow, zk) for zk in z]
+    ref_psi = np.imag(flow.far.w_inf * z) + np.array([r[0] for r in ref])
+    ref_w = flow.far.w_inf + np.array([r[1] for r in ref])
+
+    def errors(psi, w):
+        dpsi = (psi - psi[0]) - (ref_psi - ref_psi[0])
+        return np.max(np.abs(dpsi)), np.max(np.abs(w - ref_w))
+
+    far_psi, far_w = errors(flow.stream(z), flow.velocity(z))
+    direct_psi, direct_w = errors(
+        np.imag(flow.far.w_inf * z) + direct_sheet(flow, z, vortex_panel_psi_coeffs),
+        flow.far.w_inf + direct_sheet(flow, z, vortex_panel_w_coeffs))
+    print(f"{body.kind}: multipole psi {far_psi:.1e} w {far_w:.1e}; "
+          f"direct sum psi {direct_psi:.1e} w {direct_w:.1e}")
+    scale = abs(flow.far.w_inf) * body.circumradius
+    assert far_psi <= 1e-13 * scale
+    assert far_w <= 1e-13 * abs(flow.far.w_inf)
+
+
+@pytest.mark.parametrize("body", [Circle(1.0), TRIANGLE], ids=["circle", "triangle"])
+def test_far_field_matches_direct_sum(body):
+    # out to the corners of the default +-4R sign-census window; farther
+    # out the direct sum's own cancellation error passes 1e-10 (see the
+    # 40-digit reference above)
+    flow = panel_solve(body, FarField(1.0, -2.0), 256).flow
+    z = far_points(flow, radii=np.geomspace(1.7, 4.0 * np.sqrt(2.0), 7),
+                   angles=np.linspace(0.0, 2 * np.pi, 17)[:-1] + 0.1)
+    # psi differences from a point evaluated by the direct sum itself
+    z0 = flow.body.centroid + 1.2 * np.max(np.abs(flow.nodes - flow.body.centroid))
+    direct_psi = np.imag(flow.far.w_inf * (z - z0)) + (
+        direct_sheet(flow, z, vortex_panel_psi_coeffs)
+        - direct_sheet(flow, np.array([z0]), vortex_panel_psi_coeffs))
+    direct_w = flow.far.w_inf + direct_sheet(flow, z, vortex_panel_w_coeffs)
+    scale = abs(flow.far.w_inf) * body.circumradius
+    assert np.max(np.abs(flow.stream(z) - flow.stream(z0) - direct_psi)) <= 1e-10 * scale
+    assert np.max(np.abs(flow.velocity(z) - direct_w)) <= 1e-10 * scale
+
+
+def test_plate30_contour_invariants(tmp_path):
+    # every contour of the bundled Kutta plate lies in the far field
+    assert run("plate30.json", tmp_path,
+               ['analyses=["circulation", "farfield", "forces"]']) == 0
+    s = json.loads((tmp_path / "summary.json").read_text())
+    gamma = s["flow"]["gamma"]
+    scale = s["flow"]["w_inf"] * 0.5 * s["body"]["chord"]
+    for entry in s["circulation"]:
+        assert entry["circulation"] == pytest.approx(gamma, rel=1e-12)
+        assert abs(entry["mass_flux"]) <= 1e-12 * scale
+    assert abs(s["farfield"]["re_c1"]) <= 1e-12 * scale
+    assert abs(s["forces"]["drag"]) <= 1e-12 * scale
+    assert s["forces"]["lift"] == pytest.approx(
+        s["forces"]["kutta_joukowsky_lift"], rel=1e-12)
