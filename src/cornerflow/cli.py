@@ -89,9 +89,9 @@ def validate_scenario(cfg: dict) -> dict:
     _require(isinstance(cfg.get("name"), str) and cfg["name"],
              "name must be a nonempty string", "$.name")
     # the default output directory is out_<name> in the working directory
-    _require(not any(sep in cfg["name"] for sep in "/\\")
+    _require(not any(ch in cfg["name"] for ch in "/\\\0")
              and cfg["name"] not in (".", ".."),
-             "name must not contain / or \\ or be . or ..", "$.name")
+             "name must not contain /, \\ or NUL or be . or ..", "$.name")
 
     body = cfg.get("body")
     _require(isinstance(body, dict), "body must be an object", "$.body")

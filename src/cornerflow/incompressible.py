@@ -44,11 +44,11 @@ from .geometry import Body, Circle, FlatPlate, Polygon
 TWO_PI = 2.0 * np.pi
 # largest tangency or circulation residual, relative to |w_inf|
 TOL_SLIP = 1e-8
-# panel flows use the multipole expansion at |z - c| >= KAPPA * rho, with
-# rho the largest node distance from the centroid c; its truncation tail
-# stays below FAR_TOL * |w_inf| * R in psi and FAR_TOL * |w_inf| in w.
-# KAPPA > 1.5 keeps the CLI's exact-regression ring at 1.5 R (rho = R on
-# plates and polygons) wholly on the direct path, not split by rounding
+# panel flows use the multipole expansion at |z - c| >= KAPPA * R, with c
+# the centroid and R the circumradius; its truncation tail stays below
+# FAR_TOL * |w_inf| * R in psi and FAR_TOL * |w_inf| in w.  KAPPA > 1.5
+# keeps the CLI's exact-regression ring at 1.5 R wholly on the direct
+# path, not split by rounding
 KAPPA = 1.6
 FAR_TOL = 1e-13
 
@@ -328,15 +328,6 @@ def vortex_panel_W_coeffs(z, za, zb):
     return ca, cb
 
 
-def _horner(coeffs, u):
-    """sum_k coeffs[k] * u**k."""
-    acc = np.zeros_like(u)
-    for c in coeffs[::-1]:
-        acc *= u
-        acc += c
-    return acc
-
-
 def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
     """n+1 nodes on [0, 1], cosine-clustered toward both ends."""
     u = np.arange(n + 1) / n
@@ -401,8 +392,8 @@ class PanelFlow:
 
     def _sheet(self, z, coeff_fn, out_dtype, expansion):
         """Vortex-sheet part of a field: ``expansion`` at points at least
-        KAPPA * rho from the centroid, the direct panel sum elsewhere."""
-        far = np.abs(z - self.body.centroid) >= KAPPA * self._rho
+        KAPPA * R from the centroid, the direct panel sum elsewhere."""
+        far = np.abs(z - self.body.centroid) >= KAPPA * self.body.circumradius
         if not far.any():
             return self._accumulate(z, coeff_fn, out_dtype)
         out = np.empty(z.shape, dtype=out_dtype)
@@ -413,17 +404,13 @@ class PanelFlow:
         return out
 
     @cached_property
-    def _rho(self) -> float:
-        return float(np.max(np.abs(self.nodes - self.body.centroid)))
-
-    @cached_property
     def _moments(self) -> np.ndarray:
-        """m_k = M_k / rho**k for k = 0..p.
+        """m_k = M_k / R**k for k = 0..p (R: the body circumradius).
 
-        p is the least order whose tails meet FAR_TOL at |z - c| >= KAPPA*rho:
-        with t = 1/KAPPA and S >= integral of |gamma| ds, |M_k| <= S rho**k,
+        p is the least order whose tails meet FAR_TOL at |z - c| >= KAPPA*R:
+        with t = 1/KAPPA and S >= integral of |gamma| ds, |M_k| <= S R**k,
         so the psi tail is at most S t**(p+1) / (2 pi (p+1) (1-t)) and the
-        w tail S t**(p+1) / (2 pi KAPPA rho (1-t)).  Gauss-Legendre with
+        w tail S t**(p+1) / (2 pi KAPPA R (1-t)).  Gauss-Legendre with
         ceil((p+2)/2) nodes per panel integrates the degree-(p+1)
         integrand gamma(s) (zeta(s) - c)**k exactly.
         """
@@ -431,18 +418,18 @@ class PanelFlow:
         ia, ib = self._node_pair(np.arange(len(za)))
         ga, gb = self.gamma[ia], self.gamma[ib]
         lens = np.abs(zb - za)
-        rho, R = self._rho, self.body.circumradius
+        R = self.body.circumradius
         S = float(np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb))))
         tol = FAR_TOL * (abs(self.far.w_inf) or 1.0) * R
         t = 1.0 / KAPPA
         p = 0
         # an overflowed S (from a huge w_inf) bounds nothing: order 0
         while np.isfinite(S) and (S * t**(p + 1) / (TWO_PI * (1.0 - t))
-                                  * max(1.0 / (p + 1), R / (KAPPA * rho)) > tol):
+                                  * max(1.0 / (p + 1), 1.0 / KAPPA) > tol):
             p += 1
         x, wq = np.polynomial.legendre.leggauss((p + 3) // 2)
         s = 0.5 * (x + 1.0)
-        v = (za[:, None] + s * (zb - za)[:, None] - self.body.centroid) / rho
+        v = (za[:, None] + s * (zb - za)[:, None] - self.body.centroid) / R
         # quadrature weight times strength at each node, as complex
         q = ((0.5 * lens[:, None] * wq)
              * (ga[:, None] * (1.0 - s) + gb[:, None] * s)).astype(complex)
@@ -453,15 +440,16 @@ class PanelFlow:
         return m
 
     def _far_velocity(self, z):
-        u = self._rho / (z - self.body.centroid)
-        return _horner(self._moments, u) * u / (TWO_PI * 1j * self._rho)
+        R = self.body.circumradius
+        u = R / (z - self.body.centroid)
+        return np.polyval(self._moments[::-1], u) * u / (TWO_PI * 1j * R)
 
     def _far_stream(self, z):
         m = self._moments
         d = z - self.body.centroid
-        u = self._rho / d
+        u = self.body.circumradius / d
         # sum_{k>=1} m_k u**k / k
-        series = _horner(m[1:] / np.arange(1, len(m)), u) * u
+        series = np.polyval(m[:0:-1] / np.arange(len(m) - 1, 0, -1), u) * u
         return (series.real - m[0].real * np.log(np.abs(d))) / TWO_PI
 
     def _check(self, z):

@@ -171,7 +171,7 @@ class TestRun:
         assert "config error" in err and str(target) in err
         assert target.read_text() == "x"
 
-    @pytest.mark.parametrize("name", ["../x/y", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("name", ["../x/y", "a/b", "a\\b", "a\0b", ".", ".."])
     def test_unsafe_name_exits_2(self, tmp_path, capsys, monkeypatch, name):
         # without --out the runner writes to out_<name> in the working
         # directory; no directory may be created

@@ -2,7 +2,6 @@
 
 import json
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -260,6 +259,7 @@ def reference_sheet(flow, z, digits=40):
     psi = -(1/2 pi) Re int g log(zl - t) dt and
     w = (1/2 pi i e) int g / (zl - t) dt.
     """
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         za, zb, ia, ib = panels(flow)
         psi, w = mpmath.mpf(0), mpmath.mpc(0)
@@ -290,12 +290,11 @@ def reference_sheet(flow, z, digits=40):
 
 
 def far_points(flow, radii=(1.7, 3.0, 10.0, 40.0), angles=(0.3, 2.0, 4.1)):
-    """Points at the given multiples of rho from the centroid, all beyond
-    KAPPA * rho (rho: the largest node distance from the centroid)."""
-    c = flow.body.centroid
-    rho = np.max(np.abs(flow.nodes - c))
+    """Points at the given multiples of the circumradius from the centroid,
+    all beyond KAPPA circumradii."""
     assert min(radii) > KAPPA
-    return c + rho * np.array([r * np.exp(1j * a) for r in radii for a in angles])
+    return flow.body.centroid + flow.body.circumradius * np.array(
+        [r * np.exp(1j * a) for r in radii for a in angles])
 
 
 @pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(4.0, np.pi / 6),
@@ -333,7 +332,7 @@ def test_far_field_matches_direct_sum(body):
     z = far_points(flow, radii=np.geomspace(1.7, 4.0 * np.sqrt(2.0), 7),
                    angles=np.linspace(0.0, 2 * np.pi, 17)[:-1] + 0.1)
     # psi differences from a point evaluated by the direct sum itself
-    z0 = flow.body.centroid + 1.2 * np.max(np.abs(flow.nodes - flow.body.centroid))
+    z0 = flow.body.centroid + 1.2 * flow.body.circumradius
     direct_psi = np.imag(flow.far.w_inf * (z - z0)) + (
         direct_sheet(flow, z, vortex_panel_psi_coeffs)
         - direct_sheet(flow, np.array([z0]), vortex_panel_psi_coeffs))
