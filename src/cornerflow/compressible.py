@@ -16,12 +16,14 @@ around every cell, so a flow that is exactly uniform (horizontal plate)
 is reproduced to roundoff on any grid.
 
 Nonlinearity is handled by Picard iteration: freeze h at the current
-gradient, solve the linear five-point system, under-relax, repeat.  The
-coefficient evaluation is guarded: any face whose half-squared mass flux
-m reaches the sonic bound of the Bernoulli state aborts the solve (the
-equation leaves its elliptic region there).  No density clamping is
-applied unless the explicitly non-physical "capped" diagnostic mode is
-requested.  The free-stream density is 1 (see ``gas``).
+gradient, solve the linear five-point system by conjugate gradients
+preconditioned with the exact FFT/DST inverse of the constant-h operator,
+under-relax, repeat.  The coefficient evaluation is guarded: any face
+whose half-squared mass flux m reaches the sonic bound of the Bernoulli
+state aborts the solve (the equation leaves its elliptic region there).
+No density clamping is applied unless the explicitly non-physical
+"capped" diagnostic mode is requested.  The free-stream density is 1
+(see ``gas``).
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy import fft
 
 from .errors import (InvalidGeometryError, IterationLimitError,
-                     SonicExcursionError, UnsupportedBodyError)
+                     SolverError, SonicExcursionError, UnsupportedBodyError)
 from .gas import BernoulliState, GasModel
 from .geometry import Body
 from .incompressible import FarField, conformal_map, exact_flow
@@ -41,6 +42,8 @@ from .incompressible import FarField, conformal_map, exact_flow
 TWO_PI = 2.0 * np.pi
 OMEGA = 0.7           # Picard under-relaxation
 CAP_FRACTION = 0.995  # capped mode clamps m at this fraction of flux_max_m
+LINEAR_TOL = 1e-13    # CG stops at max|A x - b| <= LINEAR_TOL max|b|
+CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,8 @@ def _node_gradient(psi_t, dxi, dth):
 
 class _Discretization:
     """Pieces of one (grid, free stream) pair shared by every solve on it:
-    exact base fluxes and gradients, map factors, Dirichlet data."""
+    exact base fluxes and gradients, map factors, Dirichlet data and the
+    eigenvalues of the separable preconditioner."""
 
     def __init__(self, grid: ConformalGrid, far: FarField):
         self.far = far
@@ -207,6 +211,12 @@ class _Discretization:
         self.z_tf = grid.map_z(zeta_tf)
         self.dxi, self.dth = dxi, dth
         self.nr, self.nt = nr, nt
+        # eigenvalues of the h = 1 operator: DST-I modes m in xi (nr - 2
+        # Dirichlet interior rows), Fourier modes k in theta
+        m = np.arange(1, nr - 1)[:, None]
+        k = np.arange(nt // 2 + 1)[None, :]
+        self.eig = (dth / dxi * (2 * np.cos(np.pi * m / (nr - 1)) - 2)
+                    + dxi / dth * (2 * np.cos(TWO_PI * k / nt) - 2))
 
         # nodal map factor and exact base gradient for post-processing
         self.dz = grid.map_dz_dzeta(xi[:, None] + 1j * th[None, :])
@@ -257,56 +267,72 @@ class _Discretization:
         with np.errstate(invalid="ignore"):
             return -1j * grad_z / rho
 
-    def cell_residual(self, psi_t, h_xf, h_tf):
-        """Net face flux around every interior cell (rows 1..nr-2)."""
+    def _balance(self, psi_t, h_xf, h_tf, base_xi, base_th):
+        """Face fluxes h (base + difference) and their net sum around every
+        interior cell (rows 1..nr-2): the one five-point stencil."""
         dxi, dth = self.dxi, self.dth
-        flux_xi = h_xf * (self.base_flux_xi
+        flux_xi = h_xf * (base_xi
                           + (psi_t[1:, :] - psi_t[:-1, :]) * dth / dxi)
-        flux_th = h_tf * (self.base_flux_th
+        flux_th = h_tf * (base_th
                           + (np.roll(psi_t, -1, axis=1) - psi_t) * dxi / dth)
         bal = (flux_xi[1:, :] - flux_xi[:-1, :]
                + flux_th[1:-1, :] - np.roll(flux_th[1:-1, :], 1, axis=1))
+        return bal, flux_xi, flux_th
+
+    def cell_residual(self, psi_t, h_xf, h_tf):
+        """Net face flux around every interior cell (rows 1..nr-2)."""
+        bal, flux_xi, flux_th = self._balance(
+            psi_t, h_xf, h_tf, self.base_flux_xi, self.base_flux_th)
         scale = max(np.max(np.abs(flux_xi)), np.max(np.abs(flux_th)), 1e-300)
         return bal, scale
 
+    def _fast_solve(self, r):
+        """Exact inverse of the h = 1 operator: real FFT in the periodic
+        theta direction, type-I DST in the Dirichlet xi direction."""
+        r_hat = fft.dst(fft.rfft(r, axis=1), type=1, axis=0)
+        return fft.irfft(fft.idst(r_hat / self.eig, type=1, axis=0),
+                         n=self.nt, axis=1)
+
     def solve_linear(self, h_xf, h_tf):
-        """Direct solve of the frozen-coefficient five-point system."""
-        nr, nt = self.nr, self.nt
-        dxi, dth = self.dxi, self.dth
-        ni = nr - 2
-        idx = np.arange(ni * nt).reshape(ni, nt)
+        """Solve the frozen-coefficient five-point system for the interior.
 
-        cu = h_xf[1:, :] * dth / dxi          # couples to row i+1
-        cd = h_xf[:-1, :] * dth / dxi         # couples to row i-1
-        ct = h_tf[1:-1, :] * dxi / dth        # couples to j+1
-        cb = np.roll(h_tf[1:-1, :], 1, axis=1) * dxi / dth  # couples to j-1
-        diag = -(cu + cd + ct + cb)
+        Preconditioned conjugate gradients on the symmetric (negative
+        definite) operator, preconditioned by the exact separable inverse
+        of the constant-h operator at the mean face h.  CG starts from the
+        preconditioned right-hand side, which is already the solution when
+        h is constant.  Because h = 1/rho lies between the stagnation and
+        sonic densities, the preconditioned condition number is bounded by
+        rho_0/rho* independently of the grid.  Returns the interior rows,
+        the relative residual max|A x - b| / max|b| of the true residual
+        and the number of CG iterations; raises SolverError if CG misses
+        LINEAR_TOL within CG_MAX_ITERS iterations.
+        """
+        h_mean = float(np.mean(np.concatenate([h_xf.ravel(),
+                                               h_tf[1:-1, :].ravel()])))
 
-        rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
-        rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel())
-        vals.append(cu[:-1, :].ravel())
-        rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel())
-        vals.append(cd[1:, :].ravel())
-        rows.append(idx.ravel()); cols.append(np.roll(idx, -1, axis=1).ravel())
-        vals.append(ct.ravel())
-        rows.append(idx.ravel()); cols.append(np.roll(idx, 1, axis=1).ravel())
-        vals.append(cb.ravel())
+        def apply(p):  # A p: homogeneous boundary rows, no base flux
+            return self._balance(np.pad(p, ((1, 1), (0, 0))), h_xf, h_tf,
+                                 0.0, 0.0)[0]
 
-        rhs = -(h_xf[1:, :] * self.base_flux_xi[1:, :]
-                - h_xf[:-1, :] * self.base_flux_xi[:-1, :]
-                + h_tf[1:-1, :] * self.base_flux_th[1:-1, :]
-                - np.roll(h_tf[1:-1, :] * self.base_flux_th[1:-1, :], 1, axis=1))
-        rhs[0, :] -= cd[0, :] * self.psi_body
-        rhs[-1, :] -= cu[-1, :] * self.psi_outer
-
-        A = sparse.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ni * nt, ni * nt))
-        lu = splu(A)
-        x = lu.solve(rhs.ravel())
-        lin_res = float(np.max(np.abs(A @ x - rhs.ravel()))
-                        / max(np.max(np.abs(rhs)), 1e-300))
-        return x.reshape(ni, nt), lin_res
+        # A x - b is the cell balance of the field with boundary data
+        b = -self._balance(self.with_boundary(0.0), h_xf, h_tf,
+                           self.base_flux_xi, self.base_flux_th)[0]
+        b_max = max(float(np.max(np.abs(b))), 1e-300)
+        x = self._fast_solve(b) / h_mean
+        for it in range(CG_MAX_ITERS + 1):
+            r = b - apply(x)
+            lin_res = float(np.max(np.abs(r))) / b_max
+            if lin_res <= LINEAR_TOL:
+                return x, lin_res, it
+            z = self._fast_solve(r) / h_mean
+            # einsum, not a BLAS dot: threaded BLAS spins idle cores
+            rz_new = float(np.einsum("ij,ij->", r, z))
+            p = z if it == 0 else z + (rz_new / rz) * p
+            rz = rz_new
+            x = x + (rz / float(np.einsum("ij,ij->", p, apply(p)))) * p
+        raise SolverError(
+            f"preconditioned CG missed residual {LINEAR_TOL:g} after "
+            f"{CG_MAX_ITERS} iterations (at {lin_res:.3e})")
 
 
 def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
@@ -374,7 +400,7 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             converged = True
             break
 
-        interior, lin_res = disc.solve_linear(h_xf, h_tf)
+        interior, lin_res, _ = disc.solve_linear(h_xf, h_tf)
         linear_residuals.append(lin_res)
         psi_t[1:-1, :] = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
 
@@ -435,7 +461,7 @@ def incompressible_reference_solution(grid: ConformalGrid,
     disc = _discretization(grid, far)
     h_xf = np.ones((grid.n_r - 1, grid.n_theta))
     h_tf = np.ones((grid.n_r, grid.n_theta))
-    interior, _ = disc.solve_linear(h_xf, h_tf)
+    interior, _, _ = disc.solve_linear(h_xf, h_tf)
     return disc.with_boundary(interior)
 
 

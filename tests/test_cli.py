@@ -219,6 +219,21 @@ class TestRun:
         assert summary["errors"][0]["type"] == "SonicExcursionError"
         assert "location" in summary["errors"][0]
 
+    def test_linear_solve_failure_exits_1(self, tmp_path, monkeypatch):
+        # with no CG iterations allowed, the first Picard solve (whose h
+        # is not constant) misses the tolerance and raises SolverError
+        monkeypatch.setattr(compressible, "CG_MAX_ITERS", 0)
+        cfg = minimal_cfg(
+            gas={"incompressible": False, "gamma": 1.4, "mach_inf": 0.3},
+            analyses=["compressible"],
+        )
+        cfg["solver"] = {"grid": {"n_r": 32, "n_theta": 64}}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["errors"][0]["type"] == "SolverError"
+
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
         out = tmp_path / "out"
         assert run("circle.json", out, ["flow.w_inf=1e300",

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from cornerflow import compressible
 from cornerflow.compressible import (SolverOptions, build_grid,
                                      incompressible_reference_solution,
                                      nodal_velocity_from_pert,
                                      refinement_study, solve_subsonic)
-from cornerflow.errors import (InvalidGeometryError, SonicExcursionError,
-                               UnsupportedBodyError)
+from cornerflow.errors import (InvalidGeometryError, SolverError,
+                               SonicExcursionError, UnsupportedBodyError)
 from cornerflow.gas import BernoulliState, GasModel
 from cornerflow.geometry import Circle, FlatPlate, Polygon
 from cornerflow.incompressible import FarField
@@ -20,6 +22,32 @@ GAS = GasModel(1.4)
 def free_stream(mach):
     state = BernoulliState.from_free_stream(GAS, mach)
     return state, FarField(state.free_stream_speed(mach), 0.0)
+
+
+def five_point_superlu(disc, h_xf, h_tf):
+    """Oracle: the five-point system assembled as a CSC matrix, SuperLU."""
+    nr, nt, dxi, dth = disc.nr, disc.nt, disc.dxi, disc.dth
+    ni = nr - 2
+    idx = np.arange(ni * nt).reshape(ni, nt)
+    cu = h_xf[1:, :] * dth / dxi                        # row i+1
+    cd = h_xf[:-1, :] * dth / dxi                       # row i-1
+    ct = h_tf[1:-1, :] * dxi / dth                      # column j+1
+    cb = np.roll(h_tf[1:-1, :], 1, axis=1) * dxi / dth  # column j-1
+    rows = [idx, idx[:-1], idx[1:], idx, idx]
+    cols = [idx, idx[1:], idx[:-1], np.roll(idx, -1, axis=1),
+            np.roll(idx, 1, axis=1)]
+    vals = [-(cu + cd + ct + cb), cu[:-1], cd[1:], ct, cb]
+    A = sparse.csc_matrix(
+        (np.concatenate([v.ravel() for v in vals]),
+         (np.concatenate([r.ravel() for r in rows]),
+          np.concatenate([c.ravel() for c in cols]))),
+        shape=(ni * nt, ni * nt))
+    flux_xi = h_xf * disc.base_flux_xi
+    flux_th = h_tf[1:-1, :] * disc.base_flux_th[1:-1, :]
+    rhs = -(flux_xi[1:] - flux_xi[:-1] + flux_th - np.roll(flux_th, 1, axis=1))
+    rhs[0, :] -= cd[0, :] * disc.psi_body
+    rhs[-1, :] -= cu[-1, :] * disc.psi_outer
+    return splu(A).solve(rhs.ravel()).reshape(ni, nt)
 
 
 class TestBuildGrid:
@@ -159,6 +187,56 @@ class TestRefinementStudy:
         assert all(lv.outcome == "converged" for lv in study.levels)
         d = study.mach_cauchy_factors
         assert d[1] <= d[0] / 2.0
+
+
+class TestLinearSolve:
+    # rho_0 / rho* for gamma = 1.4: the widest spread of h = 1/rho that
+    # a subsonic state can produce
+    SUBSONIC_SPREAD = 1.2 ** 2.5
+
+    @staticmethod
+    def discretization(n_r, n_theta):
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), 50.0, n_r, n_theta)
+        return compressible._discretization(grid, FarField(0.8, 1.3))
+
+    @staticmethod
+    def random_h(disc, spread, seed=3):
+        rng = np.random.default_rng(seed)
+        return (spread ** rng.uniform(size=(disc.nr - 1, disc.nt)),
+                spread ** rng.uniform(size=(disc.nr, disc.nt)))
+
+    @staticmethod
+    def rel_diff(x, ref):
+        return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+    def test_constant_h_is_exact_without_iterations(self):
+        disc = self.discretization(32, 64)
+        h_xf, h_tf = np.ones((31, 64)), np.ones((32, 64))
+        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf)
+        assert iterations == 0
+        assert lin_res <= compressible.LINEAR_TOL
+        assert self.rel_diff(x, five_point_superlu(disc, h_xf, h_tf)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(32, 64), (256, 512)])
+    def test_subsonic_h_spread_matches_superlu(self, shape):
+        disc = self.discretization(*shape)
+        h_xf, h_tf = self.random_h(disc, self.SUBSONIC_SPREAD)
+        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf)
+        assert 0 < iterations <= 25  # bounded by the spread, not the grid
+        assert lin_res <= compressible.LINEAR_TOL
+        assert self.rel_diff(x, five_point_superlu(disc, h_xf, h_tf)) <= 1e-11
+
+    def test_reference_solve_takes_no_iterations_on_a_fine_grid(self):
+        disc = self.discretization(256, 512)
+        _, lin_res, iterations = disc.solve_linear(np.ones((255, 512)),
+                                                   np.ones((256, 512)))
+        assert iterations == 0 and lin_res <= compressible.LINEAR_TOL
+
+    def test_iteration_cap_raises(self):
+        # no subsonic state spreads h by 1e8; CG must give up, not loop
+        disc = self.discretization(32, 64)
+        with pytest.raises(SolverError):
+            disc.solve_linear(*self.random_h(disc, 1e8))
 
 
 class TestSharedPieces:
