@@ -7,8 +7,7 @@ subsonic compressible stream-function solver with refinement studies.
 
 from .analysis import (CensusResult, CornerReport, LaurentFit, circulation,
                        corner_census, farfield_fit, fit_corner, mass_flux,
-                       potential_increment, sign_attainment,
-                       sign_component_census)
+                       sign_attainment, sign_component_census)
 from .compressible import (CompressibleSolution, ConformalGrid,
                            RefinementStudy, SolverOptions, build_grid,
                            refinement_study, solve_subsonic)
@@ -31,6 +30,6 @@ __all__ = [
     "RefinementStudy", "SolverOptions", "blasius_force", "build_grid",
     "circulation", "classify_corners", "corner_census", "farfield_fit",
     "fit_corner", "kutta_joukowsky_lift", "kutta_solve", "mass_flux",
-    "panel_solve", "potential_increment", "probe_ring", "refinement_study",
-    "sign_attainment", "sign_component_census", "solve_subsonic",
+    "panel_solve", "probe_ring", "refinement_study", "sign_attainment",
+    "sign_component_census", "solve_subsonic",
 ]

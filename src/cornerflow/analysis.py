@@ -56,13 +56,6 @@ def mass_flux(flow, contour: Contour) -> float:
     return float(np.imag(val))
 
 
-def potential_increment(flow, contour: Contour) -> complex:
-    """Increment of W along one counterclockwise loop (oint w dz);
-    detects the multivaluedness Gamma of the potential."""
-    val = _complex_contour_integral(flow, contour)
-    return complex(val)
-
-
 # ---------------------------------------------------------------------------
 # corner fits
 
@@ -387,11 +380,12 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
-    near_body = np.abs(Z - body.centroid) <= 1.2 * body.circumradius + 0.05 * (x1 - x0)
+    pad = 1.5 * (x1 - x0) / resolution
+    # the body lies within its circumradius of the centroid
+    near_body = np.abs(Z - body.centroid) <= body.circumradius + pad
     mask_body = np.zeros(Z.shape, dtype=bool)
     if np.any(near_body):
-        mask_body[near_body] = _near_body_mask(body, Z[near_body],
-                                               pad=1.5 * (x1 - x0) / resolution)
+        mask_body[near_body] = _near_body_mask(body, Z[near_body], pad)
     psi = np.full(Z.shape, np.nan)
     fluid = ~mask_body
     psi[fluid] = flow.stream(Z[fluid])
@@ -415,11 +409,6 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
 
 
 def _near_body_mask(body: Body, z, pad: float):
-    from .geometry import FlatPlate
-    if isinstance(body, FlatPlate):
-        zl = (np.asarray(z, dtype=complex)) / body.direction
-        return (np.abs(zl.imag) <= pad) & (np.abs(zl.real) <= 0.5 * body.chord + pad)
-    inside = body.contains(z)
     bnd = body.boundary(256)
     dmin = np.min(np.abs(np.asarray(z, dtype=complex)[..., None] - bnd[None, :]), axis=-1)
-    return inside | (dmin <= pad)
+    return body.occupies(z, pad) | (dmin <= pad)

@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, compressible, forces, incompressible
 from .errors import ConfigError, CornerFlowError
 from .gas import BernoulliState, GasModel
-from .geometry import CircleContour, FlatPlate, body_from_config
+from .geometry import CircleContour, body_from_config
 from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
 
 SCHEMA_VERSION = 1
@@ -367,11 +367,7 @@ def export_field(flow_or_solution, window, resolution, path):
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
-    body = flow.body
-    if isinstance(body, FlatPlate):
-        masked = body.on_slit(Z, tol=2.0 * (x1 - x0) / resolution / body.chord)
-    else:
-        masked = body.contains(Z)
+    masked = flow.body.occupies(Z, 2.0 * (x1 - x0) / resolution)
     psi = np.full(Z.shape, np.nan)
     speed = np.full(Z.shape, np.nan)
     free = ~masked

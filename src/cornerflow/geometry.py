@@ -186,6 +186,9 @@ class Circle:
     def contains(self, z) -> np.ndarray:
         return np.abs(np.asarray(z, dtype=complex)) < self.radius
 
+    def occupies(self, z, slit_tol) -> np.ndarray:
+        return self.contains(z)  # slit_tol widens only a plate's slit
+
     def boundary(self, n: int) -> np.ndarray:
         th = TWO_PI * np.arange(n) / n
         return self.radius * np.exp(1j * th)
@@ -251,6 +254,11 @@ class FlatPlate:
         zl = np.asarray(z, dtype=complex) / self.direction
         return (np.abs(zl.imag) <= tol * self.chord) & (np.abs(zl.real) <= 0.5 * self.chord)
 
+    def occupies(self, z, slit_tol) -> np.ndarray:
+        """Points no flow reaches: within slit_tol of the slit here, the
+        interior of a solid body (Circle, Polygon)."""
+        return self.on_slit(z, slit_tol / self.chord)
+
     def boundary(self, n: int) -> np.ndarray:
         t = np.linspace(-0.5, 0.5, n)
         return t * self.chord * self.direction
@@ -301,6 +309,9 @@ class Polygon:
             xi = v.real + (y - v.imag) * (w.real - v.real) / (w.imag - v.imag)
         inside = np.sum(cond & (x < xi), axis=-1) % 2 == 1
         return inside
+
+    def occupies(self, z, slit_tol) -> np.ndarray:
+        return self.contains(z)  # slit_tol widens only a plate's slit
 
     def boundary(self, per_side: int) -> np.ndarray:
         v = self.vertex_array

@@ -103,14 +103,6 @@ class CircleFlow:
         return (wi - np.conj(wi) * self.radius**2 / z**2
                 + self.far.circulation / (TWO_PI * 1j * z))
 
-    def potential(self, z):
-        """W with the log branch cut on the negative real axis."""
-        z = self._check(z)
-        wi = self.far.w_inf
-        log_term = np.log(z) - np.log(self.radius)
-        return (wi * z + np.conj(wi) * self.radius**2 / z
-                + self.far.circulation / (TWO_PI * 1j) * log_term)
-
     def stream(self, z):
         z = self._check(z)
         wi = self.far.w_inf
@@ -224,12 +216,6 @@ class PlateFlow:
         sig = self._sigma(z)
         return self.circle_plane_velocity(sig) / self.map.dz_dsigma(sig)
 
-    def potential(self, z):
-        sig = self._sigma(z)
-        u = self.circle_plane_w_inf
-        return (u * sig + np.conj(u) / sig
-                + self.far.circulation / (TWO_PI * 1j) * np.log(sig))
-
     def stream(self, z):
         sig = self._sigma(z)
         u = self.circle_plane_w_inf
@@ -273,7 +259,8 @@ def conformal_map(body: Body):
 
 def _local(z, za, zb):
     d = zb - za
-    length = abs(d)
+    # correctly rounded, and the same for one panel as for a broadcast row
+    length = np.hypot(d.real, d.imag)
     e = d / length
     return (np.asarray(z, dtype=complex) - za) / e, e, length
 
@@ -288,44 +275,42 @@ def vortex_panel_w_coeffs(z, za, zb):
     on = (np.abs(zl.imag) <= 1e-12 * L) & (zl.real > 1e-12 * L) \
         & (zl.real < L * (1 - 1e-12))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(on, np.abs(zl / (zl - L)) + 0j, zl / (zl - L))
-        i0 = np.log(ratio)
-    i1 = zl * i0 - L
-    ca = (i0 - i1 / L) / (TWO_PI * 1j)
-    cb = (i1 / L) / (TWO_PI * 1j)
+        ratio = zl / (zl - L)
+        i0 = np.log(np.where(on, np.abs(ratio) + 0j, ratio))
+    i1_L = (zl * i0 - L) / L
+    ca = (i0 - i1_L) / (TWO_PI * 1j)
+    cb = i1_L / (TWO_PI * 1j)
     return ca / e, cb / e
 
 
 def vortex_panel_psi_coeffs(z, za, zb):
     """Stream-function influence of the same panel; continuous across it."""
     zl, _, L = _local(z, za, zb)
+    zm = zl - L
     at0 = np.abs(zl) <= 1e-300
-    atL = np.abs(zl - L) <= 1e-300
+    atL = np.abs(zm) <= 1e-300
     with np.errstate(divide="ignore", invalid="ignore"):
         lz = np.where(at0, 0.0, np.log(np.where(at0, 1.0, zl)))
-        lzl = np.where(atL, 0.0, np.log(np.where(atL, 1.0, zl - L)))
-    j0 = zl * lz - (zl - L) * lzl - L
-    j1 = (L**2 / 2.0 * lzl - L**2 / 4.0 - zl * L / 2.0
-          + zl**2 / 2.0 * (lz - lzl))
-    ca = -np.real(j0 - j1 / L) / TWO_PI
-    cb = -np.real(j1 / L) / TWO_PI
+        lzl = np.where(atL, 0.0, np.log(np.where(atL, 1.0, zm)))
+    j0 = zl * lz - zm * lzl - L
+    j1_L = (L**2 / 2.0 * lzl - L**2 / 4.0 - zl * L / 2.0
+            + zl**2 / 2.0 * (lz - lzl)) / L
+    ca = -np.real(j0 - j1_L) / TWO_PI
+    cb = -np.real(j1_L) / TWO_PI
     return ca, cb
 
 
-def vortex_panel_W_coeffs(z, za, zb):
-    """Complex-potential influence, defined up to a per-panel real
-    constant; principal branches in the panel frame (cuts run backward
-    along each panel line)."""
-    zl, _, L = _local(z, za, zb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.log(zl)
-        lzl = np.log(zl - L)
-    j0 = zl * lz - (zl - L) * lzl - L
-    j1 = (L**2 / 2.0 * lzl - L**2 / 4.0 - zl * L / 2.0
-          + zl**2 / 2.0 * (lz - lzl))
-    ca = (j0 - j1 / L) / (TWO_PI * 1j)
-    cb = (j1 / L) / (TWO_PI * 1j)
-    return ca, cb
+# point-panel pairs per broadcast chunk: about a megabyte of temporaries
+CHUNK_PAIRS = 4096
+
+
+def _panel_chunks(z, za, zb, coeff_fn):
+    """(rows, ca, cb) for consecutive chunks of the 1-d points z, each
+    chunk's coefficients broadcast over all panels za -> zb."""
+    step = max(1, CHUNK_PAIRS // len(za))
+    for start in range(0, len(z), step):
+        rows = slice(start, start + step)
+        yield (rows, *coeff_fn(z[rows, None], za, zb))
 
 
 def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
@@ -381,26 +366,25 @@ class PanelFlow:
         return j % n, (j + 1) % n if self.closed else j + 1
 
     def _accumulate(self, z, coeff_fn, out_dtype):
+        """Direct panel sum at the points z."""
         z = np.asarray(z, dtype=complex)
         za, zb = self._panels()
-        acc = np.zeros(z.shape, dtype=out_dtype)
-        for j in range(len(za)):
-            ia, ib = self._node_pair(j)
-            ca, cb = coeff_fn(z, za[j], zb[j])
-            acc = acc + ca * self.gamma[ia] + cb * self.gamma[ib]
-        return acc
+        ia, ib = self._node_pair(np.arange(len(za)))
+        ga, gb = self.gamma[ia], self.gamma[ib]
+        flat = z.ravel()
+        acc = np.empty(flat.shape, dtype=out_dtype)
+        for rows, ca, cb in _panel_chunks(flat, za, zb, coeff_fn):
+            acc[rows] = ca @ ga + cb @ gb
+        return acc.reshape(z.shape)
 
     def _sheet(self, z, coeff_fn, out_dtype, expansion):
         """Vortex-sheet part of a field: ``expansion`` at points at least
         KAPPA * R from the centroid, the direct panel sum elsewhere."""
         far = np.abs(z - self.body.centroid) >= KAPPA * self.body.circumradius
-        if not far.any():
-            return self._accumulate(z, coeff_fn, out_dtype)
         out = np.empty(z.shape, dtype=out_dtype)
-        out[far] = expansion(z[far])
-        near = ~far
-        if near.any():
-            out[near] = self._accumulate(z[near], coeff_fn, out_dtype)
+        if far.any():
+            out[far] = expansion(z[far])
+        out[~far] = self._accumulate(z[~far], coeff_fn, out_dtype)
         return out
 
     @cached_property
@@ -454,11 +438,8 @@ class PanelFlow:
 
     def _check(self, z):
         z = np.asarray(z, dtype=complex)
-        if isinstance(self.body, FlatPlate):
-            if np.any(self.body.on_slit(z)):
-                raise FluidDomainError("point on the plate slit")
-        elif np.any(self.body.contains(z)):
-            raise FluidDomainError("point inside the body")
+        if np.any(self.body.occupies(z, 1e-12 * self.body.circumradius)):
+            raise FluidDomainError("point inside the body or on the plate slit")
         return z
 
     def velocity(self, z):
@@ -473,20 +454,13 @@ class PanelFlow:
                               self._far_stream)
                 - self._psi_body)
 
-    def potential(self, z):
-        z = self._check(z)
-        return (self.far.w_inf * z
-                + self._accumulate(z, vortex_panel_W_coeffs, complex)
-                - self._psi_body * 1j)
-
     @cached_property
     def _psi_body(self) -> float:
         # stream-function level on the body (slip normalization psi = 0)
         za, zb = self._panels()
         mid = 0.5 * (za[0] + zb[0])
-        val = np.imag(self.far.w_inf * mid) + float(
-            self._accumulate(np.array([mid]), vortex_panel_psi_coeffs, float)[0])
-        return val
+        return np.imag(self.far.w_inf * mid) + float(
+            self._accumulate(mid, vortex_panel_psi_coeffs, float))
 
 
 @dataclass(frozen=True)
@@ -508,19 +482,25 @@ class PanelSolution:
         return self.flow.gamma
 
 
-def panel_solve(body: Body, far: FarField, n_panels: int = 256,
-                cluster: float = 1.0) -> PanelSolution:
-    """Solve for linear-strength vortex panels around a body.
+@dataclass(frozen=True)
+class _System:
+    """The geometric part of a panel system, read-only; the free stream
+    and Gamma enter only the right-hand side."""
 
-    One tangency condition (v . n = 0) per panel midpoint plus the
-    explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma.
-    Closed bodies have one nodal unknown per panel, so one tangency
-    equation is dropped in favour of the circulation row; the dropped
-    condition is implied by the others and is checked to hold within
-    TOL_SLIP * |w_inf| after the solve.  Open plates keep every row
-    (one more node than panels).  A system too ill-conditioned for a
-    direct solve falls back to least squares.
-    """
+    nodes: np.ndarray
+    closed: bool
+    normal: np.ndarray
+    A: np.ndarray         # every midpoint tangency row
+    circ_row: np.ndarray
+    M: np.ndarray         # the square system: tangency rows, then circ_row
+    cond: float
+
+
+# the last assembled system, keyed by (body, n_panels, cluster)
+_SYSTEMS: dict = {}
+
+
+def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     if isinstance(body, Polygon) and n_panels < 8 * len(body.vertices):
         raise InvalidGeometryError("need at least 8 panels per side")
     nodes, closed = body_panel_nodes(body, n_panels, cluster)
@@ -535,42 +515,67 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
     normal = 1j * (zb - za) / lens
     n_nodes = len(nodes)
     n_pan = len(za)
+    # panel j runs from node j to node ib[j]
+    ib = (np.arange(n_pan) + 1) % n_nodes
 
     A = np.zeros((n_pan, n_nodes))
-    for j in range(n_pan):
-        ca, cb = vortex_panel_w_coeffs(mids, za[j], zb[j])
-        A[:, j] += np.real(ca * normal)
-        A[:, (j + 1) % n_nodes] += np.real(cb * normal)
-    b = -np.real(far.w_inf * normal)
-
-    # panel j adds half its length to its nodes j and j + 1
-    j = np.arange(n_pan)
+    for rows, ca, cb in _panel_chunks(mids, za, zb, vortex_panel_w_coeffs):
+        A[rows, :n_pan] = np.real(ca * normal[rows, None])
+        A[rows, ib] += np.real(cb * normal[rows, None])
+    # panel j adds half its length to each of its nodes
     circ_row = np.zeros(n_nodes)
-    np.add.at(circ_row, j, 0.5 * lens)
-    np.add.at(circ_row, (j + 1) % n_nodes, 0.5 * lens)
+    circ_row[:n_pan] = 0.5 * lens
+    circ_row[ib] += 0.5 * lens
 
     M = np.empty((n_nodes, n_nodes))
-    rhs = np.empty(n_nodes)
-    if closed:
-        M[:-1], rhs[:-1] = A[:-1], b[:-1]
-    else:
-        M[:-1], rhs[:-1] = A, b
+    M[:-1] = A[:-1] if closed else A
     M[-1] = circ_row
-    rhs[-1] = far.circulation
-
     cond = float(np.linalg.cond(M))
+    for arr in (nodes, normal, A, circ_row, M):
+        arr.flags.writeable = False
+    return _System(nodes, closed, normal, A, circ_row, M, cond)
+
+
+def panel_solve(body: Body, far: FarField, n_panels: int = 256,
+                cluster: float = 1.0) -> PanelSolution:
+    """Solve for linear-strength vortex panels around a body.
+
+    One tangency condition (v . n = 0) per panel midpoint plus the
+    explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma.
+    Closed bodies have one nodal unknown per panel, so one tangency
+    equation is dropped in favour of the circulation row; the dropped
+    condition is implied by the others and is checked to hold within
+    TOL_SLIP * |w_inf| after the solve.  Open plates keep every row
+    (one more node than panels).  A system too ill-conditioned for a
+    direct solve falls back to least squares.
+
+    The matrix and its condition number depend only on the geometry, so
+    the last assembled (body, n_panels, cluster) system is kept and
+    reused by the next solve of the same body at any free stream and
+    Gamma; each solve builds its own right-hand side and residual check.
+    """
+    key = (body, n_panels, cluster)
+    system = _SYSTEMS.get(key)
+    if system is None:
+        _SYSTEMS.clear()  # a stale system never outlives a new assembly
+        system = _SYSTEMS[key] = _assemble(body, n_panels, cluster)
+    b = -np.real(far.w_inf * system.normal)
+    rhs = np.append(b[:-1] if system.closed else b, far.circulation)
+    cond = system.cond
     if not np.isfinite(cond) or cond > 1e13:
-        g, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        g, *_ = np.linalg.lstsq(system.M, rhs, rcond=None)
     else:
-        g = np.linalg.solve(M, rhs)
-    circ = float(circ_row @ g)
+        g = np.linalg.solve(system.M, rhs)
+    circ = float(system.circ_row @ g)
     # all tangency rows, including the dropped one, and the circulation row
-    residual = float(max(np.max(np.abs(A @ g - b)), abs(circ - far.circulation)))
+    residual = float(max(np.max(np.abs(system.A @ g - b)),
+                         abs(circ - far.circulation)))
     if residual > TOL_SLIP * max(abs(far.w_inf), 1e-300):
         raise SolverError(
             f"tangency residual {residual} exceeds tol_slip", condition_number=cond)
 
-    flow = PanelFlow(body=body, far=far, nodes=nodes, gamma=g, closed=closed)
+    flow = PanelFlow(body=body, far=far, nodes=system.nodes, gamma=g,
+                     closed=system.closed)
     return PanelSolution(flow=flow, residual_norm=residual,
                          condition_number=cond, circulation_of_strengths=circ)
 

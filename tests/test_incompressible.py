@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from cornerflow.analysis import circulation, potential_increment
+from cornerflow.analysis import circulation, mass_flux
 from cornerflow.cli import run
-from cornerflow.errors import FluidDomainError, InvalidGeometryError
+from cornerflow import incompressible
+from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
 from cornerflow.incompressible import (KAPPA, CircleFlow, FarField, PlateFlow,
@@ -18,6 +19,8 @@ from cornerflow.incompressible import (KAPPA, CircleFlow, FarField, PlateFlow,
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
 SQUARE = Polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
+# asymmetric: its dropped tangency row misses TOL_SLIP
+SCALENE = Polygon([(0.0, 0.0), (2.0, 0.0), (0.5, 1.2)])
 
 
 class TestCircleFlow:
@@ -45,15 +48,16 @@ class TestCircleFlow:
             flow.velocity(0.2 + 0.1j)
 
     def test_potential_loop_increment_matches_circulation(self):
+        # the increment of W over one loop is circulation + i * mass flux
         flow = CircleFlow(1.0, FarField(1.0, TWO_PI))
-        inc = potential_increment(flow, CircleContour(0j, 2.0, 2048))
-        assert inc.real == pytest.approx(TWO_PI, abs=1e-10)
-        assert inc.imag == pytest.approx(0.0, abs=1e-10)
+        contour = CircleContour(0j, 2.0, 2048)
+        assert circulation(flow, contour) == pytest.approx(TWO_PI, abs=1e-10)
+        assert mass_flux(flow, contour) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_circulation_single_valued(self):
         flow = CircleFlow(1.0, FarField(1.0, 0.0))
-        inc = potential_increment(flow, CircleContour(0j, 3.0, 2048))
-        assert abs(inc) < 1e-11
+        contour = CircleContour(0j, 3.0, 2048)
+        assert abs(circulation(flow, contour) + 1j * mass_flux(flow, contour)) < 1e-11
 
 
 class TestPlateFlow:
@@ -182,15 +186,17 @@ class TestPanelSolve:
         assert inner.min() >= rim.min() - 1e-9
 
     def test_panel_potential_consistency(self):
-        # Im W = psi, and W' = w (checked by central differences)
+        # psi = Im W and w = W', so w = psi_y + i psi_x (central
+        # differences); the first two points take the direct panel sum,
+        # the others the multipole expansion
         far = FarField(1.0, 1.5)
         sol = panel_solve(Circle(1.0), far, 128)
-        z = np.array([2 + 1j, 3j, 1.8 + 0.2j, -1.5 + 2j])
-        W = sol.flow.potential(z)
-        assert np.max(np.abs(W.imag - sol.flow.stream(z))) < 1e-12
+        z = np.array([1.3 + 0.4j, -0.2 + 1.25j, 2 + 1j, 3j, 1.8 + 0.2j, -1.5 + 2j])
         h = 1e-6
-        dW = (sol.flow.potential(z + h) - sol.flow.potential(z - h)) / (2 * h)
-        assert np.max(np.abs(dW - sol.flow.velocity(z))) < 1e-7
+        psi = sol.flow.stream
+        dpsi = (psi(z + 1j * h) - psi(z - 1j * h)
+                + 1j * (psi(z + h) - psi(z - h))) / (2 * h)
+        assert np.max(np.abs(dpsi - sol.flow.velocity(z))) < 1e-7
 
     def test_panel_stream_matches_exact_circle(self):
         far = FarField(1.0, TWO_PI)
@@ -340,6 +346,119 @@ def test_far_field_matches_direct_sum(body):
     scale = abs(flow.far.w_inf) * body.circumradius
     assert np.max(np.abs(flow.stream(z) - flow.stream(z0) - direct_psi)) <= 1e-10 * scale
     assert np.max(np.abs(flow.velocity(z) - direct_w)) <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# near field: the broadcast panel sum against the per-panel loop
+
+
+def loop_tangency_matrix(flow):
+    """Midpoint tangency rows of the flow's panels, built panel by panel."""
+    za, zb, ia, ib = panels(flow)
+    mids, normal = 0.5 * (za + zb), 1j * (zb - za) / np.abs(zb - za)
+    A = np.zeros((len(za), len(flow.nodes)))
+    for j in range(len(za)):
+        ca, cb = vortex_panel_w_coeffs(mids, za[j], zb[j])
+        A[:, ia[j]] += np.real(ca * normal)
+        A[:, ib[j]] += np.real(cb * normal)
+    return A
+
+
+@pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), TRIANGLE, Circle(1.0)],
+                         ids=["plate", "triangle", "circle"])
+def test_near_field_matches_panel_loop(body):
+    # the plate's large edge strengths amplify the change of summation
+    # order most (about 3e-10); the triangle agrees to about 3e-12 and the
+    # circle to about 3e-15
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    R, c = body.circumradius, body.centroid
+    ring = c + R * np.outer(np.linspace(0.3, 1.55, 6),
+                            np.exp(1j * TWO_PI * (np.arange(12) + 0.3) / 12)).ravel()
+    z = np.concatenate([ring[~body.occupies(ring, 1e-9 * R)]]
+                       + [probe_ring(k, [1e-3 * R], 5).ravel() for k in body.corners])
+    assert np.all(np.abs(z - c) < KAPPA * R)
+    psi_fn, w_fn = vortex_panel_psi_coeffs, vortex_panel_w_coeffs
+    w_inf, scale = flow.far.w_inf, abs(flow.far.w_inf) * R
+
+    # stream subtracts the body level, psi at the first panel's midpoint
+    mid0 = np.array([0.5 * (flow.nodes[0] + flow.nodes[1])])
+    level = np.imag(w_inf * mid0) + direct_sheet(flow, mid0, psi_fn)
+    ref_psi = np.imag(w_inf * z) + direct_sheet(flow, z, psi_fn) - level
+    assert np.max(np.abs(flow.stream(z) - ref_psi)) <= 1e-9 * scale
+    ref_w = w_inf + direct_sheet(flow, z, w_fn)
+    assert np.max(np.abs(flow.velocity(z) - ref_w)) <= 1e-9 * abs(w_inf)
+
+    # on a panel (principal value) and exactly at a node, where w is
+    # log-singular and only psi is defined
+    on = np.array([0.5 * (flow.nodes[3] + flow.nodes[4]), flow.nodes[7]])
+    assert np.max(np.abs(flow._accumulate(on, psi_fn, float)
+                         - direct_sheet(flow, on, psi_fn))) <= 1e-9 * scale
+    assert np.abs(flow._accumulate(on[:1], w_fn, complex)
+                  - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-9 * abs(w_inf)
+
+    A = incompressible._SYSTEMS[(body, 512, 1.0)].A
+    A_loop = loop_tangency_matrix(flow)
+    assert np.max(np.abs(A - A_loop)) <= 1e-12 * np.max(np.abs(A_loop))
+
+
+# ---------------------------------------------------------------------------
+# the memo of the last assembled panel system
+
+
+def cold_gamma(body, far, n_panels):
+    incompressible._SYSTEMS.clear()
+    return panel_solve(body, far, n_panels).gamma
+
+
+class TestSystemMemo:
+    def test_reuse_is_bitwise_a_cold_solve(self):
+        runs = [(SQUARE, FarField(1.0, 0.0)), (SQUARE, FarField(0.7 - 0.2j, 2.5)),
+                (TRIANGLE, FarField(1.3, -1.0)), (TRIANGLE, FarField(1.0, 0.4)),
+                (SQUARE, FarField(2.0, 4.0))]
+        warm = []
+        for body, far in runs:
+            warm.append(panel_solve(body, far, 96).gamma)
+            assert len(incompressible._SYSTEMS) == 1
+        for (body, far), g in zip(runs, warm):
+            assert np.array_equal(g, cold_gamma(body, far, 96))
+
+    @pytest.mark.parametrize("body", [SQUARE, FlatPlate(4.0, np.pi / 6), Circle(1.0)],
+                             ids=["square", "plate", "circle"])
+    def test_superposition_to_round_off(self, body):
+        g0, g1 = (panel_solve(body, FarField(1.0, gam), 256).gamma
+                  for gam in (0.0, 1.0))
+        for gam in (0.35, -2.5, 7.0):
+            g = panel_solve(body, FarField(1.0, gam), 256).gamma
+            assert np.max(np.abs(g - (g0 + gam * (g1 - g0)))) <= 1e-13 * np.max(np.abs(g))
+
+    def test_cached_arrays_refuse_writes(self):
+        sol = panel_solve(TRIANGLE, FarField(1.0, 0.5), 96)
+        system = incompressible._SYSTEMS[(TRIANGLE, 96, 1.0)]
+        assert sol.nodes is system.nodes
+        for arr in (system.nodes, system.normal, system.A, system.circ_row, system.M):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_failures_leave_the_next_solve_correct(self, monkeypatch):
+        far = FarField(1.0, 1.0)
+        expected = cold_gamma(SQUARE, far, 96)
+        # the tangency check fails after a good assembly
+        with pytest.raises(SolverError, match="tol_slip"):
+            panel_solve(SCALENE, FarField(1.0, 0.0), 96)
+        assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
+        # the assembly itself fails
+        with pytest.raises(InvalidGeometryError):
+            panel_solve(TRIANGLE, far, 12)
+        assert not incompressible._SYSTEMS
+        assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
+        monkeypatch.setattr(incompressible, "body_panel_nodes",
+                            lambda body, n, cluster: (np.array([0j, 0j, 1.0, 1j]), True))
+        with pytest.raises(SolverError, match="degenerate"):
+            panel_solve(Circle(2.0), far, 4)
+        monkeypatch.undo()
+        assert not incompressible._SYSTEMS
+        assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
+        assert len(incompressible._SYSTEMS) == 1
 
 
 def test_plate30_contour_invariants(tmp_path):
