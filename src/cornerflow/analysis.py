@@ -30,6 +30,8 @@ TWO_PI = 2.0 * np.pi
 TOL_A1 = 1e-3
 N_MODES = 4
 SAMPLES_PER_RADIUS = 33
+# cell-sample pairs per chunk of the sign census's body mask
+MASK_PAIRS = 262144
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +411,14 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
 
 
 def _near_body_mask(body: Body, z, pad: float):
+    """Cells of the 1-d z inside the body or within pad of a boundary
+    sample, the distances taken for about MASK_PAIRS cell-sample pairs
+    at a time."""
+    z = np.asarray(z, dtype=complex)
     bnd = body.boundary(256)
-    dmin = np.min(np.abs(np.asarray(z, dtype=complex)[..., None] - bnd[None, :]), axis=-1)
+    dmin = np.empty(z.shape)
+    step = max(1, MASK_PAIRS // len(bnd))
+    for start in range(0, len(z), step):
+        rows = slice(start, start + step)
+        dmin[rows] = np.min(np.abs(z[rows, None] - bnd), axis=-1)
     return body.occupies(z, pad) | (dmin <= pad)

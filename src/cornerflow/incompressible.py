@@ -27,13 +27,23 @@ M_k = integral of gamma(s) (zeta(s) - c)**k ds,
     psi = Im(w_inf z) - (1 / 2 pi) Re[M_0 log(z - c)
                                      - sum_{k>=1} M_k / (k (z - c)**k)],
 
-truncated where its a-priori tail bound drops below FAR_TOL.
+truncated where its a-priori tail bound drops below FAR_TOL.  Closer in,
+a two-level treecode: the panels are split into contiguous clusters of
+CLUSTER panels, each with its own exact expansion of the same form about
+its centre c_C (radius rho_C, its largest node distance from c_C).  A
+point takes cluster C's expansion where |z - c_C| >= KAPPA rho_C and the
+closed-form panel integrals of C's panels elsewhere; each cluster tail is
+held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL.  The
+closed forms there use a cancellation-free log for panels short against
+their distance.  Assembly keeps the plain closed forms at the midpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +61,10 @@ TOL_SLIP = 1e-8
 # path, not split by rounding
 KAPPA = 1.6
 FAR_TOL = 1e-13
+# panels per cluster of the near-zone treecode: closer to the body each
+# contiguous run of CLUSTER panels is expanded about its own centre c_C
+# at |z - c_C| >= KAPPA * rho_C, rho_C its largest node distance from c_C
+CLUSTER = 16
 
 
 @dataclass(frozen=True)
@@ -272,15 +286,42 @@ def vortex_panel_w_coeffs(z, za, zb):
     Points on the panel get the principal-value (two-sided average)
     velocity."""
     zl, e, L = _local(z, za, zb)
+    return _w_from_log(zl, e, L, _log_ratio(zl, L))
+
+
+def _log_ratio(zl, L):
+    """log(zl / (zl - L)), on the panel its real part (principal value)."""
     on = (np.abs(zl.imag) <= 1e-12 * L) & (zl.real > 1e-12 * L) \
         & (zl.real < L * (1 - 1e-12))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = zl / (zl - L)
-        i0 = np.log(np.where(on, np.abs(ratio) + 0j, ratio))
+        return np.log(np.where(on, np.abs(ratio) + 0j, ratio))
+
+
+def _w_from_log(zl, e, L, i0):
     i1_L = (zl * i0 - L) / L
     ca = (i0 - i1_L) / (TWO_PI * 1j)
     cb = i1_L / (TWO_PI * 1j)
     return ca / e, cb / e
+
+
+def _near_w_coeffs(z, za, zb):
+    """vortex_panel_w_coeffs without its cancellation at |zl - L| >= 2L.
+
+    There zl / (zl - L) = 1 + y with |y| = L / |zl - L| <= 1/2 rounds to
+    within an ulp of 1, so its log would lose the digits of y; instead
+    log|1 + y| = log1p(y_r (2 + y_r) + y_i**2) / 2 and arg(1 + y) come
+    from y itself.  i1_L = zl i0 / L - 1 then keeps an absolute error of
+    a few ulps, where the log of the ratio gave |zl| / L ulps.
+    """
+    zl, e, L = _local(z, za, zb)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = L / (zl - L)
+        i0 = np.where(np.abs(y) <= 0.5,
+                      0.5 * np.log1p(y.real * (2.0 + y.real) + y.imag**2)
+                      + 1j * np.arctan2(y.imag, 1.0 + y.real),
+                      _log_ratio(zl, L))
+    return _w_from_log(zl, e, L, i0)
 
 
 def vortex_panel_psi_coeffs(z, za, zb):
@@ -300,17 +341,113 @@ def vortex_panel_psi_coeffs(z, za, zb):
     return ca, cb
 
 
-# point-panel pairs per broadcast chunk: about a megabyte of temporaries
+# point-panel pairs per chunk of the assembly: about a megabyte of temporaries
 CHUNK_PAIRS = 4096
+# point-cluster pairs per treecode chunk
+TREE_PAIRS = 16384
 
 
-def _panel_chunks(z, za, zb, coeff_fn):
-    """(rows, ca, cb) for consecutive chunks of the 1-d points z, each
-    chunk's coefficients broadcast over all panels za -> zb."""
-    step = max(1, CHUNK_PAIRS // len(za))
-    for start in range(0, len(z), step):
-        rows = slice(start, start + step)
-        yield (rows, *coeff_fn(z[rows, None], za, zb))
+def _order(S, ratio, tol):
+    """Least expansion order p whose tail bound
+    S t**(p+1) / (2 pi (1 - t)) * max(1 / (p+1), ratio), t = 1/KAPPA,
+    is at most tol.  S bounds the integral of |gamma| ds over the
+    expanded panels, all within rho of the centre; 1 / (p+1) gives the
+    psi tail at |z - c| >= KAPPA rho, and ratio = R / (KAPPA rho) the w
+    tail relative to the length scale R of tol."""
+    t = 1.0 / KAPPA
+    p = 0
+    # an overflowed S (from a huge w_inf) bounds nothing: order 0
+    if not math.isfinite(S):
+        return p
+    while S * t**(p + 1) / (TWO_PI * (1.0 - t)) * max(1.0 / (p + 1), ratio) > tol:
+        p += 1
+    return p
+
+
+def _multipole_moments(za, zb, ga, gb, centre, rho, R, tol):
+    """m_k = M_k / rho**k, k = 0..p, of the linear-strength panels
+    za -> zb (nodal strengths ga, gb) along the last axis, about centre,
+    to the order p whose tail bound (_order) meets tol.
+
+    The leading axes, if any, index separate panel groups, with their own
+    centre, rho and order; a group's moments beyond its order are zero.
+    Gauss-Legendre with ceil((p+2)/2) nodes per panel integrates the
+    degree-(p+1) integrand gamma(s) (zeta(s) - c)**k exactly.
+    """
+    lens = np.abs(zb - za)
+    S = np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb)), axis=-1)
+    ratio = (R / np.asarray(rho)) / KAPPA
+    orders = np.reshape([_order(float(a), float(b), tol)
+                         for a, b in zip(S.flat, ratio.flat)], S.shape)
+    p = int(orders.max())
+    centre, rho = (np.asarray(a)[..., None, None] for a in (centre, rho))
+    x, wq = np.polynomial.legendre.leggauss((p + 3) // 2)
+    s = 0.5 * (x + 1.0)
+    group = za.shape[:-1] + (-1,)
+    v = ((za[..., None] + s * (zb - za)[..., None] - centre) / rho).reshape(group)
+    # quadrature weight times strength at each node, as complex
+    q = ((0.5 * lens[..., None] * wq)
+         * (ga[..., None] * (1.0 - s) + gb[..., None] * s)).astype(complex)
+    q = q.reshape(group)
+    m = np.empty(za.shape[:-1] + (p + 1,), dtype=complex)
+    for k in range(p + 1):
+        m[..., k] = q.sum(axis=-1)
+        q *= v
+    m[np.arange(p + 1) > orders[..., None]] = 0.0
+    return m
+
+
+def _horner(coeffs, u):
+    """sum_k coeffs[k] u**(n-1-k) by Horner's rule, in place (the same
+    operations as np.polyval); each coeffs[k] broadcasts against u."""
+    y = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(coeffs)[1:]), dtype=complex)
+    for c in coeffs:
+        y *= u
+        y += c
+    return y
+
+
+def _multipole_w(z, centre, rho, m):
+    """w of the expansion with moments m (last axis) about centre."""
+    u = rho / (z - centre)
+    return _horner(m.T[::-1], u) * u / (TWO_PI * 1j * rho)
+
+
+def _multipole_psi(z, centre, rho, m):
+    """psi of the expansion with moments m (last axis) about centre."""
+    d = z - centre
+    u = rho / d
+    # sum_{k>=1} m_k u**k / k
+    series = _horner((m[..., :0:-1] / np.arange(m.shape[-1] - 1, 0, -1)).T, u) * u
+    return (series.real - m[..., 0].real * np.log(np.abs(d))) / TWO_PI
+
+
+class _Field(NamedTuple):
+    """One field of a vortex sheet: its panel closed form, its dtype and
+    its multipole evaluator."""
+
+    coeffs: Callable
+    dtype: type
+    multipole: Callable
+
+
+_PSI = _Field(vortex_panel_psi_coeffs, float, _multipole_psi)
+_W = _Field(_near_w_coeffs, complex, _multipole_w)
+
+
+class _Clusters(NamedTuple):
+    """Contiguous runs of CLUSTER panels as (K, CLUSTER) arrays, the last
+    run padded by zero-strength copies of its last panel, with the centre
+    c, radius rho (largest node distance from c) and moments (K, p + 1)
+    of each run."""
+
+    za: np.ndarray
+    zb: np.ndarray
+    ga: np.ndarray
+    gb: np.ndarray
+    centre: np.ndarray
+    rho: np.ndarray
+    m: np.ndarray
 
 
 def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
@@ -357,84 +494,77 @@ class PanelFlow:
     closed: bool
 
     def _panels(self):
-        if self.closed:
-            return self.nodes, np.roll(self.nodes, -1)
-        return self.nodes[:-1], self.nodes[1:]
-
-    def _node_pair(self, j):
+        """(za, zb, ga, gb): every panel's end nodes and nodal strengths."""
         n = len(self.gamma)
-        return j % n, (j + 1) % n if self.closed else j + 1
+        ia = np.arange(n if self.closed else n - 1)
+        ib = (ia + 1) % n
+        return self.nodes[ia], self.nodes[ib], self.gamma[ia], self.gamma[ib]
 
-    def _accumulate(self, z, coeff_fn, out_dtype):
-        """Direct panel sum at the points z."""
+    def _accumulate(self, z, field):
+        """Vortex-sheet part of a field at the points z: each cluster's
+        expansion where |z - c_C| >= KAPPA rho_C, the closed forms of its
+        panels elsewhere."""
         z = np.asarray(z, dtype=complex)
-        za, zb = self._panels()
-        ia, ib = self._node_pair(np.arange(len(za)))
-        ga, gb = self.gamma[ia], self.gamma[ib]
+        tree = self._clusters
         flat = z.ravel()
-        acc = np.empty(flat.shape, dtype=out_dtype)
-        for rows, ca, cb in _panel_chunks(flat, za, zb, coeff_fn):
-            acc[rows] = ca @ ga + cb @ gb
+        acc = np.empty(flat.shape, dtype=field.dtype)
+        # the expansion of a cluster too close to a point is evaluated at
+        # a stand-in point on its convergence circle and dropped
+        stand_in = tree.centre + KAPPA * tree.rho
+        step = max(1, TREE_PAIRS // len(tree.centre))
+        for start in range(0, len(flat), step):
+            zc = flat[start:start + step, None]
+            far = np.abs(zc - tree.centre) >= KAPPA * tree.rho
+            part = np.where(far, field.multipole(np.where(far, zc, stand_in),
+                                                 tree.centre, tree.rho, tree.m),
+                            0.0).sum(axis=1)
+            point, cluster = np.nonzero(~far)
+            ca, cb = field.coeffs(zc[point], tree.za[cluster], tree.zb[cluster])
+            np.add.at(part, point, np.sum(ca * tree.ga[cluster]
+                                          + cb * tree.gb[cluster], axis=1))
+            acc[start:start + step] = part
         return acc.reshape(z.shape)
 
-    def _sheet(self, z, coeff_fn, out_dtype, expansion):
-        """Vortex-sheet part of a field: ``expansion`` at points at least
-        KAPPA * R from the centroid, the direct panel sum elsewhere."""
-        far = np.abs(z - self.body.centroid) >= KAPPA * self.body.circumradius
-        out = np.empty(z.shape, dtype=out_dtype)
+    def _sheet(self, z, field):
+        """Vortex-sheet part of a field: the body's own expansion at points
+        at least KAPPA * R from the centroid, _accumulate elsewhere."""
+        c, R = self.body.centroid, self.body.circumradius
+        far = np.abs(z - c) >= KAPPA * R
+        out = np.empty(z.shape, dtype=field.dtype)
         if far.any():
-            out[far] = expansion(z[far])
-        out[~far] = self._accumulate(z[~far], coeff_fn, out_dtype)
+            out[far] = field.multipole(z[far], c, R, self._moments)
+        if not far.all():
+            out[~far] = self._accumulate(z[~far], field)
         return out
 
     @cached_property
     def _moments(self) -> np.ndarray:
-        """m_k = M_k / R**k for k = 0..p (R: the body circumradius).
-
-        p is the least order whose tails meet FAR_TOL at |z - c| >= KAPPA*R:
-        with t = 1/KAPPA and S >= integral of |gamma| ds, |M_k| <= S R**k,
-        so the psi tail is at most S t**(p+1) / (2 pi (p+1) (1-t)) and the
-        w tail S t**(p+1) / (2 pi KAPPA R (1-t)).  Gauss-Legendre with
-        ceil((p+2)/2) nodes per panel integrates the degree-(p+1)
-        integrand gamma(s) (zeta(s) - c)**k exactly.
-        """
-        za, zb = self._panels()
-        ia, ib = self._node_pair(np.arange(len(za)))
-        ga, gb = self.gamma[ia], self.gamma[ib]
-        lens = np.abs(zb - za)
+        """m_k = M_k / R**k of the whole sheet about the centroid (R: the
+        body circumradius), to the order that meets FAR_TOL."""
         R = self.body.circumradius
-        S = float(np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb))))
-        tol = FAR_TOL * (abs(self.far.w_inf) or 1.0) * R
-        t = 1.0 / KAPPA
-        p = 0
-        # an overflowed S (from a huge w_inf) bounds nothing: order 0
-        while np.isfinite(S) and (S * t**(p + 1) / (TWO_PI * (1.0 - t))
-                                  * max(1.0 / (p + 1), 1.0 / KAPPA) > tol):
-            p += 1
-        x, wq = np.polynomial.legendre.leggauss((p + 3) // 2)
-        s = 0.5 * (x + 1.0)
-        v = (za[:, None] + s * (zb - za)[:, None] - self.body.centroid) / R
-        # quadrature weight times strength at each node, as complex
-        q = ((0.5 * lens[:, None] * wq)
-             * (ga[:, None] * (1.0 - s) + gb[:, None] * s)).astype(complex)
-        m = np.empty(p + 1, dtype=complex)
-        for k in range(p + 1):
-            m[k] = q.sum()
-            q *= v
-        return m
+        return _multipole_moments(*self._panels(), self.body.centroid, R, R,
+                                  FAR_TOL * (abs(self.far.w_inf) or 1.0) * R)
 
-    def _far_velocity(self, z):
+    @cached_property
+    def _clusters(self) -> _Clusters:
+        """The panel clusters, with moments to the orders at which the K
+        cluster tails together meet FAR_TOL."""
+        za, zb, ga, gb = self._panels()
+        n = len(za)
+        K = -(-n // CLUSTER)
+        # only the last run can be short: it repeats the last panel
+        slot = np.arange(K * CLUSTER).reshape(K, CLUSTER)
+        idx, pad = np.minimum(slot, n - 1), slot >= n
+        za, zb = za[idx], zb[idx]
+        ga, gb = np.where(pad, 0.0, ga[idx]), np.where(pad, 0.0, gb[idx])
+        ends = np.concatenate([za, zb], axis=1)
+        centre = 0.5 * (ends.real.min(axis=1) + ends.real.max(axis=1)) \
+            + 0.5j * (ends.imag.min(axis=1) + ends.imag.max(axis=1))
+        rho = np.abs(ends - centre[:, None]).max(axis=1)
         R = self.body.circumradius
-        u = R / (z - self.body.centroid)
-        return np.polyval(self._moments[::-1], u) * u / (TWO_PI * 1j * R)
-
-    def _far_stream(self, z):
-        m = self._moments
-        d = z - self.body.centroid
-        u = self.body.circumradius / d
-        # sum_{k>=1} m_k u**k / k
-        series = np.polyval(m[:0:-1] / np.arange(len(m) - 1, 0, -1), u) * u
-        return (series.real - m[0].real * np.log(np.abs(d))) / TWO_PI
+        m = _multipole_moments(za, zb, ga, gb, centre, rho, R,
+                               FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
+        return _Clusters(za, zb, ga, gb, centre, rho, m)
 
     def _check(self, z):
         z = np.asarray(z, dtype=complex)
@@ -444,23 +574,18 @@ class PanelFlow:
 
     def velocity(self, z):
         z = self._check(z)
-        return self.far.w_inf + self._sheet(z, vortex_panel_w_coeffs, complex,
-                                            self._far_velocity)
+        return self.far.w_inf + self._sheet(z, _W)
 
     def stream(self, z):
         z = self._check(z)
-        return (np.imag(self.far.w_inf * z)
-                + self._sheet(z, vortex_panel_psi_coeffs, float,
-                              self._far_stream)
-                - self._psi_body)
+        return np.imag(self.far.w_inf * z) + self._sheet(z, _PSI) - self._psi_body
 
     @cached_property
     def _psi_body(self) -> float:
         # stream-function level on the body (slip normalization psi = 0)
-        za, zb = self._panels()
+        za, zb, _, _ = self._panels()
         mid = 0.5 * (za[0] + zb[0])
-        return np.imag(self.far.w_inf * mid) + float(
-            self._accumulate(mid, vortex_panel_psi_coeffs, float))
+        return np.imag(self.far.w_inf * mid) + float(self._accumulate(mid, _PSI))
 
 
 @dataclass(frozen=True)
@@ -519,7 +644,10 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     ib = (np.arange(n_pan) + 1) % n_nodes
 
     A = np.zeros((n_pan, n_nodes))
-    for rows, ca, cb in _panel_chunks(mids, za, zb, vortex_panel_w_coeffs):
+    step = max(1, CHUNK_PAIRS // n_pan)
+    for start in range(0, n_pan, step):
+        rows = slice(start, start + step)
+        ca, cb = vortex_panel_w_coeffs(mids[rows, None], za, zb)
         A[rows, :n_pan] = np.real(ca * normal[rows, None])
         A[rows, ib] += np.real(cb * normal[rows, None])
     # panel j adds half its length to each of its nodes

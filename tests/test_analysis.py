@@ -6,13 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cornerflow import analysis
 from cornerflow.analysis import (affine_corner, circulation, corner_census,
                                  farfield_fit, fit_corner, mass_flux,
                                  sign_attainment, sign_component_census)
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
-from cornerflow.geometry import (CircleContour, Corner, FlatPlate, Polygon,
-                                 PolylineContour)
+from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate,
+                                 Polygon, PolylineContour)
 from cornerflow.incompressible import (CircleFlow, FarField, PlateFlow,
                                        kutta_solve, panel_solve)
 
@@ -287,3 +288,22 @@ class TestSignComponentCensus:
         assert census.bounded_negative == 0
         # regularized corner sees both signs close by
         assert sign_attainment(flow, TRIANGLE.corners[0], 0.05) == "both"
+
+    @pytest.mark.parametrize("body", [
+        FlatPlate(4.0, np.pi / 6), Circle(1.0), TRIANGLE,
+        Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])],
+        ids=["plate", "circle", "triangle", "L-shape"])
+    def test_chunked_body_mask_equals_one_shot(self, body, monkeypatch):
+        # 41 x 41 cells over +-1.3 R with a pad of 1.5 cells, masked 100
+        # cells at a time
+        c, R = body.centroid, body.circumradius
+        x = np.linspace(-1.3, 1.3, 41) * R
+        z = (c + x[None, :] + 1j * x[:, None]).ravel()
+        pad = 1.5 * (x[1] - x[0])
+        bnd = body.boundary(256)
+        one_shot = body.occupies(z, pad) | (
+            np.min(np.abs(z[:, None] - bnd[None, :]), axis=-1) <= pad)
+        monkeypatch.setattr(analysis, "MASK_PAIRS", 100 * len(bnd))
+        chunked = analysis._near_body_mask(body, z, pad)
+        assert np.array_equal(chunked, one_shot)
+        assert 0 < np.count_nonzero(chunked) < len(z)

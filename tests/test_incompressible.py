@@ -257,8 +257,8 @@ def direct_sheet(flow, z, coeff_fn):
 
 
 def reference_sheet(flow, z, digits=40):
-    """(psi, w) of the vortex sheet at one point from the closed-form panel
-    integrals at ``digits`` digits.
+    """(psi, w) of the vortex sheet at the points z from the closed-form
+    panel integrals at ``digits`` digits.
 
     On the panel zeta = a + e t, 0 <= t <= L, with strength
     g(t) = g_a + (g_b - g_a) t / L and zl = (z - a) / e:
@@ -267,32 +267,30 @@ def reference_sheet(flow, z, digits=40):
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
-        za, zb, ia, ib = panels(flow)
-        psi, w = mpmath.mpf(0), mpmath.mpc(0)
-        for a, b, ja, jb in zip(za, zb, ia, ib):
+        sheet = []
+        for a, b, ja, jb in zip(*panels(flow)):
             a, b = mpmath.mpc(a), mpmath.mpc(b)
             L = abs(b - a)
-            e = (b - a) / L
-            zl = (mpmath.mpc(z) - a) / e
             ga = mpmath.mpf(flow.gamma[ja])
-            dg = (mpmath.mpf(flow.gamma[jb]) - ga) / L
-            # int log(zl - t) dt and int t log(zl - t) dt over [0, L],
-            # with u = zl - t running from zl - L to zl
-            u0, u1 = zl - L, zl
-
-            def log_int(u):
-                return u * mpmath.log(u) - u
-
-            def u_log_int(u):
-                return u**2 / 2 * mpmath.log(u) - u**2 / 4
-
-            i0 = log_int(u1) - log_int(u0)
-            i1 = zl * i0 - (u_log_int(u1) - u_log_int(u0))
-            psi -= mpmath.re(ga * i0 + dg * i1) / (2 * mpmath.pi)
-            k0 = mpmath.log(u1) - mpmath.log(u0)
-            k1 = zl * k0 - L
-            w += (ga * k0 + dg * k1) / (2j * mpmath.pi * e)
-        return float(psi), complex(w)
+            sheet.append((a, L, L / (b - a), ga, (mpmath.mpf(flow.gamma[jb]) - ga) / L))
+        psi, w = [], []
+        for zk in np.atleast_1d(z):
+            zk = mpmath.mpc(zk)
+            p, q = mpmath.mpf(0), mpmath.mpc(0)
+            for a, L, inv_e, ga, dg in sheet:
+                # int log(zl - t) dt and int t log(zl - t) dt over [0, L],
+                # with u = zl - t running from u0 = zl - L to u1 = zl
+                u1 = (zk - a) * inv_e
+                u0 = u1 - L
+                l1, l0 = mpmath.log(u1), mpmath.log(u0)
+                i0 = u1 * l1 - u0 * l0 - L
+                i1 = u1 * i0 - (u1**2 * l1 - u0**2 * l0) / 2 + (u1**2 - u0**2) / 4
+                p -= mpmath.re(ga * i0 + dg * i1)
+                k0 = l1 - l0
+                q += (ga * k0 + dg * (u1 * k0 - L)) * inv_e
+            psi.append(float(p / (2 * mpmath.pi)))
+            w.append(complex(q / (2j * mpmath.pi)))
+        return np.array(psi), np.array(w)
 
 
 def far_points(flow, radii=(1.7, 3.0, 10.0, 40.0), angles=(0.3, 2.0, 4.1)):
@@ -303,30 +301,57 @@ def far_points(flow, radii=(1.7, 3.0, 10.0, 40.0), angles=(0.3, 2.0, 4.1)):
         [r * np.exp(1j * a) for r in radii for a in angles])
 
 
+def near_points(flow, radii=(0.0125, 0.3, 0.7, 1.1, 1.55), angles=8,
+                corner_radii=(1e-3, 0.00625, 0.0125, 0.025)):
+    """Fluid points within KAPPA circumradii of the centroid: rings at
+    ``radii`` and fans around every corner at ``corner_radii``, all in
+    circumradii.  The default fans lie at 1e-3 R and, on the bundled
+    plate30 body (R = 2), at 0.0125-0.05 from its Kutta edge."""
+    body = flow.body
+    R, c = body.circumradius, body.centroid
+    ring = c + R * np.outer(radii, np.exp(1j * TWO_PI * (np.arange(angles) + 0.3)
+                                          / angles)).ravel()
+    z = np.concatenate([ring[~body.occupies(ring, 1e-9 * R)]]
+                       + [probe_ring(k, R * np.array(corner_radii), 5).ravel()
+                          for k in body.corners])
+    assert np.all(np.abs(z - c) < KAPPA * R)
+    return z
+
+
 @pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(4.0, np.pi / 6),
                                   TRIANGLE], ids=["circle", "plate", "triangle"])
 def test_far_field_matches_40_digit_reference(body):
-    # psi is defined up to its body level, so it is compared as
-    # differences from the first point
+    # far out by the body's multipole expansion, near the body by the
+    # cluster expansions and closed forms; psi is defined up to its body
+    # level, so it is compared as differences from the first point
     flow = panel_solve(body, FarField(1.0, 1.3), 64).flow
-    z = far_points(flow)
-    ref = [reference_sheet(flow, zk) for zk in z]
-    ref_psi = np.imag(flow.far.w_inf * z) + np.array([r[0] for r in ref])
-    ref_w = flow.far.w_inf + np.array([r[1] for r in ref])
+    for z, zone in ((far_points(flow), "far"), (near_points(flow), "near")):
+        ref_psi, ref_w = reference_sheet(flow, z)
+        ref_psi += np.imag(flow.far.w_inf * z)
+        ref_w += flow.far.w_inf
 
-    def errors(psi, w):
-        dpsi = (psi - psi[0]) - (ref_psi - ref_psi[0])
-        return np.max(np.abs(dpsi)), np.max(np.abs(w - ref_w))
+        def errors(psi, w):
+            dpsi = (psi - psi[0]) - (ref_psi - ref_psi[0])
+            return np.max(np.abs(dpsi)), np.max(np.abs(w - ref_w))
 
-    far_psi, far_w = errors(flow.stream(z), flow.velocity(z))
-    direct_psi, direct_w = errors(
-        np.imag(flow.far.w_inf * z) + direct_sheet(flow, z, vortex_panel_psi_coeffs),
-        flow.far.w_inf + direct_sheet(flow, z, vortex_panel_w_coeffs))
-    print(f"{body.kind}: multipole psi {far_psi:.1e} w {far_w:.1e}; "
-          f"direct sum psi {direct_psi:.1e} w {direct_w:.1e}")
-    scale = abs(flow.far.w_inf) * body.circumradius
-    assert far_psi <= 1e-13 * scale
-    assert far_w <= 1e-13 * abs(flow.far.w_inf)
+        flow_psi, flow_w = errors(flow.stream(z), flow.velocity(z))
+        direct_psi, direct_w = errors(
+            np.imag(flow.far.w_inf * z) + direct_sheet(flow, z, vortex_panel_psi_coeffs),
+            flow.far.w_inf + direct_sheet(flow, z, vortex_panel_w_coeffs))
+        print(f"{body.kind} {zone}: flow psi {flow_psi:.1e} w {flow_w:.1e}; "
+              f"direct sum psi {direct_psi:.1e} w {direct_w:.1e}")
+        scale = abs(flow.far.w_inf) * body.circumradius
+        assert flow_psi <= 1e-13 * scale
+        assert flow_w <= 1e-13 * abs(flow.far.w_inf)
+
+
+def test_body_level_matches_40_digit_reference():
+    # psi at the first panel's midpoint, which every stream value subtracts
+    body = FlatPlate(4.0, np.pi / 6)
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    mid = 0.5 * (flow.nodes[0] + flow.nodes[1])
+    ref = np.imag(flow.far.w_inf * mid) + reference_sheet(flow, mid)[0][0]
+    assert abs(flow._psi_body - ref) <= 1e-13 * abs(flow.far.w_inf) * body.circumradius
 
 
 @pytest.mark.parametrize("body", [Circle(1.0), TRIANGLE], ids=["circle", "triangle"])
@@ -349,7 +374,7 @@ def test_far_field_matches_direct_sum(body):
 
 
 # ---------------------------------------------------------------------------
-# near field: the broadcast panel sum against the per-panel loop
+# near field: the cluster treecode against the 40-digit reference
 
 
 def loop_tangency_matrix(flow):
@@ -367,33 +392,28 @@ def loop_tangency_matrix(flow):
 @pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), TRIANGLE, Circle(1.0)],
                          ids=["plate", "triangle", "circle"])
 def test_near_field_matches_panel_loop(body):
-    # the plate's large edge strengths amplify the change of summation
-    # order most (about 3e-10); the triangle agrees to about 3e-12 and the
-    # circle to about 3e-15
+    # stream and velocity against the 40-digit reference, body level
+    # included; the per-panel loop itself errs by up to 8e-9 on the plate
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-    R, c = body.circumradius, body.centroid
-    ring = c + R * np.outer(np.linspace(0.3, 1.55, 6),
-                            np.exp(1j * TWO_PI * (np.arange(12) + 0.3) / 12)).ravel()
-    z = np.concatenate([ring[~body.occupies(ring, 1e-9 * R)]]
-                       + [probe_ring(k, [1e-3 * R], 5).ravel() for k in body.corners])
-    assert np.all(np.abs(z - c) < KAPPA * R)
+    R = body.circumradius
+    z = near_points(flow, radii=np.linspace(0.3, 1.55, 6), angles=6,
+                    corner_radii=[1e-3])
     psi_fn, w_fn = vortex_panel_psi_coeffs, vortex_panel_w_coeffs
     w_inf, scale = flow.far.w_inf, abs(flow.far.w_inf) * R
 
     # stream subtracts the body level, psi at the first panel's midpoint
-    mid0 = np.array([0.5 * (flow.nodes[0] + flow.nodes[1])])
-    level = np.imag(w_inf * mid0) + direct_sheet(flow, mid0, psi_fn)
-    ref_psi = np.imag(w_inf * z) + direct_sheet(flow, z, psi_fn) - level
-    assert np.max(np.abs(flow.stream(z) - ref_psi)) <= 1e-9 * scale
-    ref_w = w_inf + direct_sheet(flow, z, w_fn)
-    assert np.max(np.abs(flow.velocity(z) - ref_w)) <= 1e-9 * abs(w_inf)
+    mid0 = 0.5 * (flow.nodes[0] + flow.nodes[1])
+    ref_psi, ref_w = reference_sheet(flow, np.append(z, mid0))
+    ref_psi += np.imag(w_inf * np.append(z, mid0))
+    assert np.max(np.abs(flow.stream(z) - (ref_psi[:-1] - ref_psi[-1]))) <= 1e-13 * scale
+    assert np.max(np.abs(flow.velocity(z) - (w_inf + ref_w[:-1]))) <= 1e-13 * abs(w_inf)
 
     # on a panel (principal value) and exactly at a node, where w is
     # log-singular and only psi is defined
     on = np.array([0.5 * (flow.nodes[3] + flow.nodes[4]), flow.nodes[7]])
-    assert np.max(np.abs(flow._accumulate(on, psi_fn, float)
+    assert np.max(np.abs(flow._accumulate(on, incompressible._PSI)
                          - direct_sheet(flow, on, psi_fn))) <= 1e-9 * scale
-    assert np.abs(flow._accumulate(on[:1], w_fn, complex)
+    assert np.abs(flow._accumulate(on[:1], incompressible._W)
                   - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-9 * abs(w_inf)
 
     A = incompressible._SYSTEMS[(body, 512, 1.0)].A
