@@ -288,45 +288,48 @@ def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
     """a1 of one corner as the affine function a1(0) + slope * Gamma.
 
     ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
-    Gamma = 1; by superposition their a1 fits fix the line exactly.  The
-    root regularizes the corner; its uncertainty comes from both fits.
-    Raises DegenerateKuttaError when a1 does not respond to circulation,
-    |slope| < 1e-12 * |w_inf| * R**(1-pi/beta).
+    Gamma = Gamma_1 = flow1.far.circulation; by superposition their a1
+    fits fix the line exactly.  The root regularizes the corner; its
+    uncertainty comes from both fits.  Raises DegenerateKuttaError when
+    a1 does not respond to circulation,
+    |a1(Gamma_1) - a1(0)| < 1e-12 * |w_inf| * R**(1-pi/beta).
     """
     body_scale = flow0.body.circumradius
     radii = default_fit_radii(corner, body_scale)
     a0, sig0 = _fit_a1(flow0, corner, radii)
     a1, sig1 = _fit_a1(flow1, corner, radii)
-    slope = a1 - a0
-    if abs(slope) < 1e-12 * _flow_scale(flow0, body_scale,
-                                        corner.exterior_angle_beta):
+    rise = a1 - a0
+    if abs(rise) < 1e-12 * _flow_scale(flow0, body_scale,
+                                       corner.exterior_angle_beta):
         raise DegenerateKuttaError(
             f"a1 at corner {corner.corner_id} does not respond to circulation")
+    gamma1 = flow1.far.circulation
     return CornerCensusEntry(
-        corner_id=corner.corner_id, root=-a0 / slope, slope=slope,
-        a1_at_zero=a0,
-        root_uncertainty=float(np.hypot(sig0 * a1, sig1 * a0) / slope**2))
+        corner_id=corner.corner_id, root=-a0 * gamma1 / rise,
+        slope=rise / gamma1, a1_at_zero=a0,
+        root_uncertainty=float(gamma1 * np.hypot(sig0 * a1, sig1 * a0) / rise**2))
 
 
 def corner_census(body: Body, w_inf: complex, gamma_grid=None,
                   n_panels: int = 256) -> CensusResult:
     """Affine a1(Gamma) census over all protruding corners of a polygon.
 
-    Two panel solves (Gamma = 0, 1) fix every corner's affine form
-    exactly; the census then reads off roots and sweeps a 33-point grid
-    spanning all roots with margin as a redundancy check.
+    Two panel solves (Gamma = 0 and Gamma = |w_inf| R, the flow's own
+    scale) fix every corner's affine form exactly; the census then reads
+    off roots and sweeps a 33-point grid spanning all roots with margin
+    as a redundancy check.
     """
     from .incompressible import FarField, panel_solve  # deferred: avoids cycle
 
     corners = [c for c in body.corners if c.protruding]
     if len(corners) < 2:
         raise FluidDomainError("census needs at least two protruding corners")
+    scale = abs(w_inf) * body.circumradius
     flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
-    flow1 = panel_solve(body, FarField(w_inf, 1.0), n_panels).flow
+    flow1 = panel_solve(body, FarField(w_inf, scale or 1.0), n_panels).flow
     entries = [affine_corner(flow0, flow1, c) for c in corners]
 
     roots = np.array([e.root for e in entries])
-    scale = abs(w_inf) * body.circumradius
     coincidence_tol = 1e-3 * scale
     coincident = [(a.corner_id, b.corner_id) for a, b in combinations(entries, 2)
                   if abs(a.root - b.root) < coincidence_tol]

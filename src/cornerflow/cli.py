@@ -381,8 +381,9 @@ def _write_csv(path, header, *columns):
     """One row per element of the equally shaped columns, in C order,
     every value as %.17g (a mask column prints as 0/1)."""
     table = np.column_stack([np.ravel(c).astype(float) for c in columns])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header,
-               comments="")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    Path(path).write_text(header + "\n"
+                          + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _run_compressible(cfg, body, far, summary, out_dir):

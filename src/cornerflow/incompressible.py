@@ -15,9 +15,8 @@ and around a flat plate via the Joukowsky map of the unit circle.
 Panel representation: linear-strength vortex sheets on the boundary with
 one strength unknown per node (corner nodes shared between adjacent
 sides) and the total circulation imposed as an explicit constraint row.
-Closed bodies collocate the stream function at panel midpoints (the
-no-penetration condition in exact per-panel flux form); the open plate
-collocates the normal velocity at midpoints.
+Every body, closed or open, collocates the normal velocity v . n = 0 at
+the panel midpoints.
 
 Away from the body a panel flow is evaluated by the exact multipole
 expansion of its vortex sheet about the centroid c: with the moments
@@ -34,15 +33,15 @@ its centre c_C (radius rho_C, its largest node distance from c_C).  A
 point takes cluster C's expansion where |z - c_C| >= KAPPA rho_C and the
 closed-form panel integrals of C's panels elsewhere; each cluster tail is
 held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL.  The
-closed forms there use a cancellation-free log for panels short against
-their distance.  Assembly keeps the plain closed forms at the midpoints.
+velocity closed form, used there and in the tangency assembly alike,
+takes a cancellation-free log for panels short against their distance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -284,44 +283,34 @@ def vortex_panel_w_coeffs(z, za, zb):
     linear-strength vortex panel from za to zb: w = ca*g_a + cb*g_b.
 
     Points on the panel get the principal-value (two-sided average)
-    velocity."""
+    velocity.
+
+    In the panel frame (zl the point, L the length) the integral is
+    i0 = log(zl / (zl - L)) = log(1 + y) with y = L / (zl - L).  At
+    |y| <= 1/2 the ratio 1 + y rounds to within an ulp of 1 and its log
+    would lose the digits of y, so log|1 + y| = log1p(y_r (2 + y_r) +
+    y_i**2) / 2 and arg(1 + y) come from y itself; i1_L = zl i0 / L - 1
+    then keeps an absolute error of a few ulps, where the log of the
+    ratio gave |zl| / L ulps.  Only the few pairs within 2L of the
+    panel's far end (and those at it) take the log of the ratio.
+    """
     zl, e, L = _local(z, za, zb)
-    return _w_from_log(zl, e, L, _log_ratio(zl, L))
-
-
-def _log_ratio(zl, L):
-    """log(zl / (zl - L)), on the panel its real part (principal value)."""
-    on = (np.abs(zl.imag) <= 1e-12 * L) & (zl.real > 1e-12 * L) \
-        & (zl.real < L * (1 - 1e-12))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = zl / (zl - L)
-        return np.log(np.where(on, np.abs(ratio) + 0j, ratio))
-
-
-def _w_from_log(zl, e, L, i0):
+    zl = np.asarray(zl)
+    L = np.broadcast_to(L, zl.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = L / (zl - L)
+        i0 = np.asarray(0.5 * np.log1p(y.real * (2.0 + y.real) + y.imag**2)
+                        + 1j * np.arctan2(y.imag, 1.0 + y.real))
+        near = ~(np.abs(y) <= 0.5)
+        zn, Ln = zl[near], L[near]
+        on = (np.abs(zn.imag) <= 1e-12 * Ln) & (zn.real > 1e-12 * Ln) \
+            & (zn.real < Ln * (1 - 1e-12))
+        ratio = zn / (zn - Ln)
+        i0[near] = np.log(np.where(on, np.abs(ratio) + 0j, ratio))
     i1_L = (zl * i0 - L) / L
     ca = (i0 - i1_L) / (TWO_PI * 1j)
     cb = i1_L / (TWO_PI * 1j)
     return ca / e, cb / e
-
-
-def _near_w_coeffs(z, za, zb):
-    """vortex_panel_w_coeffs without its cancellation at |zl - L| >= 2L.
-
-    There zl / (zl - L) = 1 + y with |y| = L / |zl - L| <= 1/2 rounds to
-    within an ulp of 1, so its log would lose the digits of y; instead
-    log|1 + y| = log1p(y_r (2 + y_r) + y_i**2) / 2 and arg(1 + y) come
-    from y itself.  i1_L = zl i0 / L - 1 then keeps an absolute error of
-    a few ulps, where the log of the ratio gave |zl| / L ulps.
-    """
-    zl, e, L = _local(z, za, zb)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = L / (zl - L)
-        i0 = np.where(np.abs(y) <= 0.5,
-                      0.5 * np.log1p(y.real * (2.0 + y.real) + y.imag**2)
-                      + 1j * np.arctan2(y.imag, 1.0 + y.real),
-                      _log_ratio(zl, L))
-    return _w_from_log(zl, e, L, i0)
 
 
 def vortex_panel_psi_coeffs(z, za, zb):
@@ -432,7 +421,7 @@ class _Field(NamedTuple):
 
 
 _PSI = _Field(vortex_panel_psi_coeffs, float, _multipole_psi)
-_W = _Field(_near_w_coeffs, complex, _multipole_w)
+_W = _Field(vortex_panel_w_coeffs, complex, _multipole_w)
 
 
 class _Clusters(NamedTuple):
@@ -621,11 +610,12 @@ class _System:
     cond: float
 
 
-# the last assembled system, keyed by (body, n_panels, cluster)
-_SYSTEMS: dict = {}
-
-
+# the last assembled system is kept, keyed by (body, n_panels, cluster)
+@lru_cache(maxsize=1)
 def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
+    # a miss: free the stale system before building the next, so that two
+    # never coexist (peak memory)
+    _assemble.cache_clear()
     if isinstance(body, Polygon) and n_panels < 8 * len(body.vertices):
         raise InvalidGeometryError("need at least 8 panels per side")
     nodes, closed = body_panel_nodes(body, n_panels, cluster)
@@ -682,11 +672,7 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
     reused by the next solve of the same body at any free stream and
     Gamma; each solve builds its own right-hand side and residual check.
     """
-    key = (body, n_panels, cluster)
-    system = _SYSTEMS.get(key)
-    if system is None:
-        _SYSTEMS.clear()  # a stale system never outlives a new assembly
-        system = _SYSTEMS[key] = _assemble(body, n_panels, cluster)
+    system = _assemble(body, n_panels, cluster)
     b = -np.real(far.w_inf * system.normal)
     rhs = np.append(b[:-1] if system.closed else b, far.circulation)
     cond = system.cond
@@ -726,7 +712,8 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     """Circulation making the designated corner regular (a1 = 0).
 
     The singular coefficient depends affinely on Gamma (superposition),
-    so two solves at Gamma = 0 and Gamma = 1 determine the root exactly;
+    so two solves at Gamma = 0 and Gamma = |w_inf| R (the flow's own
+    scale, so the root scales exactly with w_inf) determine the root;
     ``analysis.affine_corner`` fits the line and its root uncertainty.
     ``refine`` doubles the panel count (at most four times) until the
     root changes by less than 1e-3 of its size.
@@ -738,9 +725,11 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     if not corner.protruding:
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
 
+    gamma1 = abs(w_inf) * body.circumradius or 1.0
+
     def run(n):
         flow0 = panel_solve(body, FarField(w_inf, 0.0), n).flow
-        flow1 = panel_solve(body, FarField(w_inf, 1.0), n).flow
+        flow1 = panel_solve(body, FarField(w_inf, gamma1), n).flow
         e = analysis.affine_corner(flow0, flow1, corner)
         return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty, n)
 

@@ -19,6 +19,7 @@ from cornerflow.incompressible import (KAPPA, CircleFlow, FarField, PlateFlow,
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
 SQUARE = Polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
+HEXAGON = Polygon([(np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)) for k in range(6)])
 # asymmetric: its dropped tangency row misses TOL_SLIP
 SCALENE = Polygon([(0.0, 0.0), (2.0, 0.0), (0.5, 1.2)])
 
@@ -128,9 +129,13 @@ class TestPanelSolve:
         assert np.max(np.abs(gt - ((1 - t) * g0 + t * g1))) < 1e-10
 
     def test_tangency_residual_within_tolerance(self):
-        for body in (Circle(1.0), TRIANGLE, FlatPlate(4.0, np.pi / 6)):
-            sol = panel_solve(body, FarField(1.0, 1.0), 128)
-            assert sol.residual_norm <= 1e-8  # TOL_SLIP * |w_inf|
+        # TOL_SLIP * |w_inf| = 1e-8; regular polygons stay well inside it
+        # at fine resolution too
+        for body, n, tol in ((Circle(1.0), 128, 1e-8), (TRIANGLE, 128, 1e-8),
+                             (FlatPlate(4.0, np.pi / 6), 128, 1e-8),
+                             (TRIANGLE, 1024, 1e-9), (HEXAGON, 1024, 1e-9)):
+            sol = panel_solve(body, FarField(1.0, 1.0), n)
+            assert sol.residual_norm <= tol
 
     def test_circulation_constraint_exact(self):
         for gam in (0.0, 2.5, -4.0):
@@ -373,6 +378,32 @@ def test_far_field_matches_direct_sum(body):
     assert np.max(np.abs(flow.velocity(z) - direct_w)) <= 1e-10 * scale
 
 
+def test_panel_kernel_matches_40_digit_integral():
+    # one panel seen from |zl - L| = 2L to 1e4 L, around and along it,
+    # where the log of zl / (zl - L) alone would lose |zl| / L ulps
+    mpmath = pytest.importorskip("mpmath")
+    za, zb = 0.3 - 0.2j, 1.1 + 0.4j
+    L, e = abs(zb - za), (zb - za) / abs(zb - za)
+    zl = L + np.outer(L * np.geomspace(2.0, 1e4, 9),
+                      np.exp(1j * np.array([0.0, 0.4, 1.3, 2.2, 3.0, np.pi]))).ravel()
+    ca, cb = vortex_panel_w_coeffs(za + e * zl, za, zb)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpc(za), mpmath.mpc(zb)
+        Lm = abs(b - a)
+        em = (b - a) / Lm
+        ref = []
+        for zk in za + e * zl:
+            u1 = (mpmath.mpc(zk) - a) / em
+            # int dt / (u1 - t) and int t dt / (u1 - t) / L over [0, L]
+            k0 = mpmath.log(u1 / (u1 - Lm))
+            k1 = (u1 * k0 - Lm) / Lm
+            ref.append([complex((k0 - k1) / (2j * mpmath.pi * em)),
+                        complex(k1 / (2j * mpmath.pi * em))])
+    # errors per unit nodal strength, i.e. relative to the velocity jump
+    # across the sheet
+    assert np.max(np.abs(np.stack([ca, cb], axis=1) - np.array(ref))) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # near field: the cluster treecode against the 40-digit reference
 
@@ -416,7 +447,7 @@ def test_near_field_matches_panel_loop(body):
     assert np.abs(flow._accumulate(on[:1], incompressible._W)
                   - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-9 * abs(w_inf)
 
-    A = incompressible._SYSTEMS[(body, 512, 1.0)].A
+    A = incompressible._assemble(body, 512, 1.0).A
     A_loop = loop_tangency_matrix(flow)
     assert np.max(np.abs(A - A_loop)) <= 1e-12 * np.max(np.abs(A_loop))
 
@@ -426,7 +457,7 @@ def test_near_field_matches_panel_loop(body):
 
 
 def cold_gamma(body, far, n_panels):
-    incompressible._SYSTEMS.clear()
+    incompressible._assemble.cache_clear()
     return panel_solve(body, far, n_panels).gamma
 
 
@@ -438,7 +469,7 @@ class TestSystemMemo:
         warm = []
         for body, far in runs:
             warm.append(panel_solve(body, far, 96).gamma)
-            assert len(incompressible._SYSTEMS) == 1
+            assert incompressible._assemble.cache_info().currsize == 1
         for (body, far), g in zip(runs, warm):
             assert np.array_equal(g, cold_gamma(body, far, 96))
 
@@ -453,7 +484,7 @@ class TestSystemMemo:
 
     def test_cached_arrays_refuse_writes(self):
         sol = panel_solve(TRIANGLE, FarField(1.0, 0.5), 96)
-        system = incompressible._SYSTEMS[(TRIANGLE, 96, 1.0)]
+        system = incompressible._assemble(TRIANGLE, 96, 1.0)
         assert sol.nodes is system.nodes
         for arr in (system.nodes, system.normal, system.A, system.circ_row, system.M):
             with pytest.raises(ValueError):
@@ -469,16 +500,16 @@ class TestSystemMemo:
         # the assembly itself fails
         with pytest.raises(InvalidGeometryError):
             panel_solve(TRIANGLE, far, 12)
-        assert not incompressible._SYSTEMS
+        assert incompressible._assemble.cache_info().currsize == 0
         assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
         monkeypatch.setattr(incompressible, "body_panel_nodes",
                             lambda body, n, cluster: (np.array([0j, 0j, 1.0, 1j]), True))
         with pytest.raises(SolverError, match="degenerate"):
             panel_solve(Circle(2.0), far, 4)
         monkeypatch.undo()
-        assert not incompressible._SYSTEMS
+        assert incompressible._assemble.cache_info().currsize == 0
         assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
-        assert len(incompressible._SYSTEMS) == 1
+        assert incompressible._assemble.cache_info().currsize == 1
 
 
 def test_plate30_contour_invariants(tmp_path):
@@ -495,3 +526,16 @@ def test_plate30_contour_invariants(tmp_path):
     assert abs(s["forces"]["drag"]) <= 1e-12 * scale
     assert s["forces"]["lift"] == pytest.approx(
         s["forces"]["kutta_joukowsky_lift"], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["plate30", "triangle_census"])
+def test_kutta_scenarios_scale_with_w_inf(tmp_path, name):
+    # the Gamma = 0 and Gamma = |w_inf| R solves scale with w_inf, so the
+    # slip check holds and the root scales exactly at any |w_inf|
+    roots = []
+    for w_inf in (1.0, 1e-8):
+        out = tmp_path / str(w_inf)
+        assert run(f"{name}.json", out, [f"flow.w_inf={w_inf}",
+                                         "output.sign_resolution=100"]) == 0
+        roots.append(json.loads((out / "summary.json").read_text())["kutta"]["gamma_star"])
+    assert roots[1] == pytest.approx(1e-8 * roots[0], rel=1e-9)
