@@ -17,13 +17,14 @@ is reproduced to roundoff on any grid.
 
 Nonlinearity is handled by Picard iteration: freeze h at the current
 gradient, solve the linear five-point system by conjugate gradients
-preconditioned with the exact FFT/DST inverse of the constant-h operator,
-under-relax, repeat.  The coefficient evaluation is guarded: any face
-whose half-squared mass flux m reaches the sonic bound of the Bernoulli
-state aborts the solve (the equation leaves its elliptic region there).
-No density clamping is applied unless the explicitly non-physical
-"capped" diagnostic mode is requested.  The free-stream density is 1
-(see ``gas``).
+warm-started from the current iterate and preconditioned with the exact
+inverse of the constant-h operator (real FFT in theta, a Thomas sweep in
+xi per Fourier mode), under-relax, repeat.  The coefficient evaluation
+is guarded: any face whose half-squared mass flux m reaches the sonic
+bound of the Bernoulli state aborts the solve (the equation leaves its
+elliptic region there).  No density clamping is applied unless the
+explicitly non-physical "capped" diagnostic mode is requested.  The
+free-stream density is 1 (see ``gas``).
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _node_gradient(psi_t, dxi, dth):
 class _Discretization:
     """Pieces of one (grid, free stream) pair shared by every solve on it:
     exact base fluxes and gradients, map factors, Dirichlet data and the
-    eigenvalues of the separable preconditioner."""
+    elimination factors of the separable preconditioner."""
 
     def __init__(self, grid: ConformalGrid, far: FarField):
         self.far = far
@@ -211,12 +212,19 @@ class _Discretization:
         self.z_tf = grid.map_z(zeta_tf)
         self.dxi, self.dth = dxi, dth
         self.nr, self.nt = nr, nt
-        # eigenvalues of the h = 1 operator: DST-I modes m in xi (nr - 2
-        # Dirichlet interior rows), Fourier modes k in theta
-        m = np.arange(1, nr - 1)[:, None]
-        k = np.arange(nt // 2 + 1)[None, :]
-        self.eig = (dth / dxi * (2 * np.cos(np.pi * m / (nr - 1)) - 2)
-                    + dxi / dth * (2 * np.cos(TWO_PI * k / nt) - 2))
+        # the h = 1 operator on Fourier mode k in theta is tridiagonal over
+        # the nr - 2 Dirichlet interior rows: a x[i-1] + d_k x[i] + a x[i+1].
+        # Thomas elimination factors, one column per (re, im) of each mode:
+        # inverse pivots and c_i = a / pivot_i.
+        a = dth / dxi
+        k = np.arange(nt // 2 + 1)
+        d = dxi / dth * (2 * np.cos(TWO_PI * k / nt) - 2) - 2 * a
+        inv_piv = np.empty((nr - 2, k.size))
+        inv_piv[0] = 1.0 / d
+        for i in range(1, nr - 2):
+            inv_piv[i] = 1.0 / (d - a * a * inv_piv[i - 1])
+        self.inv_pivot = np.repeat(inv_piv, 2, axis=1)
+        self.elim = a * self.inv_pivot
 
         # nodal map factor and exact base gradient for post-processing
         self.dz = grid.map_dz_dzeta(xi[:, None] + 1j * th[None, :])
@@ -288,21 +296,28 @@ class _Discretization:
 
     def _fast_solve(self, r):
         """Exact inverse of the h = 1 operator: real FFT in the periodic
-        theta direction, type-I DST in the Dirichlet xi direction."""
-        r_hat = fft.dst(fft.rfft(r, axis=1), type=1, axis=0)
-        return fft.irfft(fft.idst(r_hat / self.eig, type=1, axis=0),
-                         n=self.nt, axis=1)
+        theta direction, then per Fourier mode a Thomas sweep down and up
+        the Dirichlet xi rows, on the (re, im) float view of the modes."""
+        y = fft.rfft(r, axis=1).view(np.float64)
+        y *= self.inv_pivot
+        c = self.elim
+        for i in range(1, self.nr - 2):
+            y[i] -= c[i] * y[i - 1]
+        for i in range(self.nr - 4, -1, -1):
+            y[i] -= c[i] * y[i + 1]
+        return fft.irfft(y.view(np.complex128), n=self.nt, axis=1)
 
-    def solve_linear(self, h_xf, h_tf):
+    def solve_linear(self, h_xf, h_tf, x0):
         """Solve the frozen-coefficient five-point system for the interior.
 
         Preconditioned conjugate gradients on the symmetric (negative
         definite) operator, preconditioned by the exact separable inverse
-        of the constant-h operator at the mean face h.  CG starts from the
-        preconditioned right-hand side, which is already the solution when
-        h is constant.  Because h = 1/rho lies between the stagnation and
-        sonic densities, the preconditioned condition number is bounded by
-        rho_0/rho* independently of the grid.  Returns the interior rows,
+        of the constant-h operator at the mean face h.  CG starts from
+        x0 + P^-1 (b - A x0) / mean h, which is already the solution when
+        h is constant; x0 is a guess for the interior rows (zeros for
+        none).  Because h = 1/rho lies between 1/rho_0 and 1/rho*, the
+        preconditioned condition number is bounded by rho_0/rho*
+        independently of the grid.  Returns the interior rows,
         the relative residual max|A x - b| / max|b| of the true residual
         and the number of CG iterations; raises SolverError if CG misses
         LINEAR_TOL within CG_MAX_ITERS iterations.
@@ -318,7 +333,7 @@ class _Discretization:
         b = -self._balance(self.with_boundary(0.0), h_xf, h_tf,
                            self.base_flux_xi, self.base_flux_th)[0]
         b_max = max(float(np.max(np.abs(b))), 1e-300)
-        x = self._fast_solve(b) / h_mean
+        x = x0 + self._fast_solve(b - apply(x0)) / h_mean
         for it in range(CG_MAX_ITERS + 1):
             r = b - apply(x)
             lin_res = float(np.max(np.abs(r))) / b_max
@@ -400,7 +415,7 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             converged = True
             break
 
-        interior, lin_res, _ = disc.solve_linear(h_xf, h_tf)
+        interior, lin_res, _ = disc.solve_linear(h_xf, h_tf, psi_t[1:-1, :])
         linear_residuals.append(lin_res)
         psi_t[1:-1, :] = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
 
@@ -461,7 +476,8 @@ def incompressible_reference_solution(grid: ConformalGrid,
     disc = _discretization(grid, far)
     h_xf = np.ones((grid.n_r - 1, grid.n_theta))
     h_tf = np.ones((grid.n_r, grid.n_theta))
-    interior, _, _ = disc.solve_linear(h_xf, h_tf)
+    interior, _, _ = disc.solve_linear(h_xf, h_tf,
+                                       np.zeros((grid.n_r - 2, grid.n_theta)))
     return disc.with_boundary(interior)
 
 

@@ -161,10 +161,13 @@ class BernoulliState:
         hi = np.full_like(m_arr, self.stagnation_density)
         rho = hi.copy()
         for _ in range(200):
-            f = m_arr / rho**2 + g / (g - 1.0) * rho ** (g - 1.0) - B
+            # one fractional power per step: c2 = c^2, q = m/rho^2
+            c2 = g * rho ** (g - 1.0)
+            q = m_arr / (rho * rho)
+            f = q + c2 / (g - 1.0) - B
             lo = np.where(f < 0, rho, lo)
             hi = np.where(f > 0, rho, hi)
-            fp = -2.0 * m_arr / rho**3 + g * rho ** (g - 2.0)
+            fp = (c2 - 2.0 * q) / rho
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = f / fp
             cand = rho - step

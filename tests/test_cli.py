@@ -1,6 +1,9 @@
 """Scenario runner: schema, determinism, exports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -411,3 +414,16 @@ def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
     new = (tmp_path / "new.csv").read_bytes()
     assert b"nan" in new
     assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    """Importing ``scipy.linalg`` alone adds about 5 MB of resident memory
+    to every run, and the solvers need none of it, so the CLI must not
+    pull it in."""
+    src = str(Path(compressible.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, cornerflow.cli; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

@@ -209,34 +209,60 @@ class TestLinearSolve:
     def rel_diff(x, ref):
         return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
-    def test_constant_h_is_exact_without_iterations(self):
-        disc = self.discretization(32, 64)
-        h_xf, h_tf = np.ones((31, 64)), np.ones((32, 64))
-        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf)
+    @staticmethod
+    def cold(disc):
+        return np.zeros((disc.nr - 2, disc.nt))
+
+    # (128, 256): 126 Dirichlet rows, so a type-I DST there would need an
+    # FFT of prime length 2 * 127; (129, 256): an odd row count
+    @pytest.mark.parametrize("shape", [(32, 64), (128, 256), (129, 256)])
+    def test_constant_h_is_exact_without_iterations(self, shape):
+        disc = self.discretization(*shape)
+        h_xf, h_tf = np.ones((shape[0] - 1, shape[1])), np.ones(shape)
+        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf,
+                                                   self.cold(disc))
         assert iterations == 0
         assert lin_res <= compressible.LINEAR_TOL
         assert self.rel_diff(x, five_point_superlu(disc, h_xf, h_tf)) <= 1e-12
 
-    @pytest.mark.parametrize("shape", [(32, 64), (256, 512)])
+    @pytest.mark.parametrize("shape", [(32, 64), (256, 512), (128, 256),
+                                       (129, 256)])
     def test_subsonic_h_spread_matches_superlu(self, shape):
         disc = self.discretization(*shape)
         h_xf, h_tf = self.random_h(disc, self.SUBSONIC_SPREAD)
-        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf)
+        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf,
+                                                   self.cold(disc))
         assert 0 < iterations <= 25  # bounded by the spread, not the grid
         assert lin_res <= compressible.LINEAR_TOL
         assert self.rel_diff(x, five_point_superlu(disc, h_xf, h_tf)) <= 1e-11
 
+    def test_warm_start(self):
+        disc = self.discretization(64, 128)
+        h_xf, h_tf = self.random_h(disc, self.SUBSONIC_SPREAD)
+        exact = five_point_superlu(disc, h_xf, h_tf)
+        _, lin_res, iterations = disc.solve_linear(h_xf, h_tf, exact)
+        assert iterations == 0 and lin_res <= compressible.LINEAR_TOL
+
+        x_cold, _, it_cold = disc.solve_linear(h_xf, h_tf, self.cold(disc))
+        noise = np.random.default_rng(5).standard_normal(exact.shape)
+        guess = exact + 1e-3 * np.max(np.abs(exact)) * noise
+        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf, guess)
+        assert lin_res <= compressible.LINEAR_TOL
+        assert iterations <= it_cold
+        assert self.rel_diff(x, x_cold) <= 1e-11
+
     def test_reference_solve_takes_no_iterations_on_a_fine_grid(self):
         disc = self.discretization(256, 512)
         _, lin_res, iterations = disc.solve_linear(np.ones((255, 512)),
-                                                   np.ones((256, 512)))
+                                                   np.ones((256, 512)),
+                                                   self.cold(disc))
         assert iterations == 0 and lin_res <= compressible.LINEAR_TOL
 
     def test_iteration_cap_raises(self):
         # no subsonic state spreads h by 1e8; CG must give up, not loop
         disc = self.discretization(32, 64)
         with pytest.raises(SolverError):
-            disc.solve_linear(*self.random_h(disc, 1e8))
+            disc.solve_linear(*self.random_h(disc, 1e8), self.cold(disc))
 
 
 class TestSharedPieces:
