@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateKuttaError, FitQualityError, FluidDomainError
 from .geometry import Body, Contour, Corner, probe_ring
@@ -372,12 +371,14 @@ class SignComponentCensus:
 def sign_component_census(flow, window, resolution: int = 400) -> SignComponentCensus:
     """Count bounded connected components of {psi > 0} and {psi < 0}.
 
-    Flood fill over a rectilinear window around the body; components not
-    touching the window edge count as bounded.  Cells with |psi| below
-    the noise floor stay unsigned so the psi = 0 streamline cannot leak
-    spurious components (noise floor 1e-6 * |w_inf| * R).  Both counts are
-    zero for a valid flow (the sign sets are unbounded and connected, by
-    the maximum principle).
+    Components are 4-connected sets of cells on a rectilinear window
+    around the body, found by joining the runs of signed cells in each
+    row with the overlapping runs of the next (``_bounded_components``);
+    components not touching the window edge count as bounded.  Cells
+    with |psi| below the noise floor stay unsigned so the psi = 0
+    streamline cannot leak spurious components (noise floor
+    1e-6 * |w_inf| * R).  Both counts are zero for a valid flow (the sign
+    sets are unbounded and connected, by the maximum principle).
     """
     (x0, x1), (y0, y1) = window
     body = flow.body
@@ -395,14 +396,8 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     fluid = ~mask_body
     psi[fluid] = flow.stream(Z[fluid])
 
-    counts = {}
-    for sign in (+1, -1):
-        cells = fluid & (sign * psi > tol)
-        labels, n = ndimage.label(cells)
-        edge = np.unique(np.concatenate([
-            labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-        bounded = [k for k in range(1, n + 1) if k not in edge]
-        counts[sign] = len(bounded)
+    counts = {sign: _bounded_components(fluid & (sign * psi > tol))
+              for sign in (+1, -1)}
 
     # resolution check: corner lobes need a few cells between sign changes
     cell = (x1 - x0) / resolution
@@ -411,6 +406,50 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
                                bounded_negative=counts[-1],
                                inconclusive=bool(inconclusive),
                                grid_shape=Z.shape)
+
+
+def _bounded_components(cells) -> int:
+    """Number of 4-connected components of the 2-d bool array ``cells``
+    that touch no edge of the array.
+
+    Run-based labelling (Rosenfeld & Pfaltz 1966; He, Chao & Suzuki
+    2008): each row's runs of True cells lie between the changes of the
+    row padded with False at both ends, rises and falls in turn; a run
+    is joined to every run of the next row that shares a column with it,
+    by a path-halving union-find over these pairs.
+    """
+    ny, nx = cells.shape
+    width = nx + 2
+    padded = np.zeros((ny, width), dtype=bool)
+    padded[:, 1:-1] = cells
+    row, col = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    row, start, stop = row[::2], col[::2], col[1::2]
+    # row-major keys are sorted, so the runs of row r + 1 that overlap
+    # run [start, stop) of row r are one index range [lo, hi)
+    lo = np.searchsorted(row * width + stop, (row + 1) * width + start,
+                         side="right")
+    hi = np.searchsorted(row * width + start, (row + 1) * width + stop)
+    count = hi - lo
+    upper = np.repeat(np.arange(len(row)), count)
+    lower = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
+                                               count)
+
+    parent = list(range(len(row)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    n_sets = len(row)
+    for a, b in zip(upper.tolist(), lower.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            n_sets -= 1
+    on_edge = (row == 0) | (row == ny - 1) | (start == 0) | (stop == nx)
+    return n_sets - len({find(k) for k in np.flatnonzero(on_edge).tolist()})
 
 
 def _near_body_mask(body: Body, z, pad: float):

@@ -533,6 +533,9 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
             entry["location"] = [exc.location.real, exc.location.imag]
         summary["errors"].append(entry)
         code = 1
+    except np.linalg.LinAlgError as exc:
+        summary["errors"].append({"type": "LinAlgError", "message": str(exc)})
+        code = 1
 
     non_finite = []
     summary = _null_non_finite(summary, "$", non_finite)

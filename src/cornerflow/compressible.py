@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import (InvalidGeometryError, IterationLimitError,
                      SolverError, SonicExcursionError, UnsupportedBodyError)
@@ -298,14 +297,14 @@ class _Discretization:
         """Exact inverse of the h = 1 operator: real FFT in the periodic
         theta direction, then per Fourier mode a Thomas sweep down and up
         the Dirichlet xi rows, on the (re, im) float view of the modes."""
-        y = fft.rfft(r, axis=1).view(np.float64)
+        y = np.fft.rfft(r, axis=1).view(np.float64)
         y *= self.inv_pivot
         c = self.elim
         for i in range(1, self.nr - 2):
             y[i] -= c[i] * y[i - 1]
         for i in range(self.nr - 4, -1, -1):
             y[i] -= c[i] * y[i + 1]
-        return fft.irfft(y.view(np.complex128), n=self.nt, axis=1)
+        return np.fft.irfft(y.view(np.complex128), n=self.nt, axis=1)
 
     def solve_linear(self, h_xf, h_tf, x0):
         """Solve the frozen-coefficient five-point system for the interior.

@@ -289,6 +289,68 @@ class TestSignComponentCensus:
         # regularized corner sees both signs close by
         assert sign_attainment(flow, TRIANGLE.corners[0], 0.05) == "both"
 
+    def test_bounded_components_match_ndimage_label(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+
+        def reference(cells):
+            labels, n = ndimage.label(cells)
+            edge = np.unique(np.concatenate([
+                labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
+            return n - np.count_nonzero(edge)
+
+        rng = np.random.default_rng(7)
+        masks = [rng.random(rng.integers(1, 60, 2)) < rng.random()
+                 for _ in range(300)]
+        masks += [rng.random(shape) < 0.5 for shape in [(1, 40), (40, 1)]]
+        masks += [np.zeros((30, 20), bool), np.ones((30, 20), bool)]
+        masks += [rng.random((200, 200)) < p for p in (0.3, 0.5, 0.6)]
+        for cells in masks:
+            assert analysis._bounded_components(cells) == reference(cells)
+
+    @pytest.mark.parametrize("rows, expected", [
+        # diagonal neighbours are not 4-connected
+        (["......",
+          ".#.#..",
+          "..#...",
+          "......"], 3),
+        # a ring around a hole holding an island
+        ([".........",
+          ".#######.",
+          ".#.....#.",
+          ".#.....#.",
+          ".#..#..#.",
+          ".#.....#.",
+          ".#.....#.",
+          ".#######.",
+          "........."], 2),
+        # the same ring touching the edge leaves the island bounded
+        (["#######..",
+          "#.....#..",
+          "#.....#..",
+          "#..#..#..",
+          "#.....#..",
+          "#.....#..",
+          "#######..",
+          ".........",
+          "........."], 1),
+        # a U touching the edge
+        ([".#...#.",
+          ".#...#.",
+          ".#...#.",
+          ".#####.",
+          "......."], 0),
+        # an upside-down U: one run joins two runs below it
+        ([".......",
+          ".#####.",
+          ".#...#.",
+          ".#...#.",
+          "......."], 1),
+    ], ids=["diagonal", "ring-island", "ring-on-edge", "U-on-edge",
+            "arch"])
+    def test_bounded_components_hand_built(self, rows, expected):
+        cells = np.array([[c == "#" for c in row] for row in rows])
+        assert analysis._bounded_components(cells) == expected
+
     @pytest.mark.parametrize("body", [
         FlatPlate(4.0, np.pi / 6), Circle(1.0), TRIANGLE,
         Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])],
