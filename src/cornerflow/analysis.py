@@ -113,19 +113,22 @@ def _fit_a1(flow, corner: Corner, radii):
               * np.sin(k * np.pi * theta[..., None] / beta))
     X = design.reshape(-1, N_MODES)
     y = psi.ravel()
-    cond = float(np.linalg.cond(X))
+    # one SVD X = U diag(s) Vt gives the condition number, the rank, the
+    # coefficients Vt.T (U.T y / s) and (X.T X)^-1 = Vt.T diag(s**-2) Vt
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        cond = float(s[0] / s[-1])
     if cond > 1e8:
         raise FitQualityError(f"corner fit ill-conditioned (cond={cond:.3g})")
-    coef_scaled, rss, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < N_MODES:
+    if np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]) < N_MODES:
         raise FitQualityError("rank-deficient corner fit")
+    coef_scaled = Vt.T @ ((U.T @ y) / s)
     dof = max(X.shape[0] - N_MODES, 1)
-    rss_val = float(rss[0]) if np.size(rss) else float(np.sum((X @ coef_scaled - y) ** 2))
-    sigma2 = rss_val / dof
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    coef = coef_scaled / r_ref ** (k * np.pi / beta)
-    a1_sigma = float(np.sqrt(cov[0, 0])) / r_ref ** (np.pi / beta)
-    return float(coef[0]), a1_sigma
+    sigma2 = float(np.sum((X @ coef_scaled - y) ** 2)) / dof
+    var_a1 = sigma2 * float(np.sum(Vt[:, 0] ** 2 / s**2))
+    a1 = coef_scaled[0] / r_ref ** (np.pi / beta)
+    a1_sigma = np.sqrt(var_a1) / r_ref ** (np.pi / beta)
+    return float(a1), float(a1_sigma)
 
 
 def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:

@@ -336,27 +336,38 @@ CHUNK_PAIRS = 4096
 TREE_PAIRS = 16384
 
 
-def _order(S, ratio, tol):
-    """Least expansion order p whose tail bound
+def _orders(S, ratio, tol):
+    """Least expansion order p, elementwise, whose tail bound
     S t**(p+1) / (2 pi (1 - t)) * max(1 / (p+1), ratio), t = 1/KAPPA,
     is at most tol.  S bounds the integral of |gamma| ds over the
     expanded panels, all within rho of the centre; 1 / (p+1) gives the
     psi tail at |z - c| >= KAPPA rho, and ratio = R / (KAPPA rho) the w
-    tail relative to the length scale R of tol."""
+    tail relative to the length scale R of tol.
+
+    The bound falls as p grows, so p is the number of orders whose bound
+    exceeds tol, counted on a table of orders that reaches past the one
+    where S t**(p+1) / (2 pi (1 - t)) * max(1, ratio), which bounds the
+    bound, meets tol."""
     t = 1.0 / KAPPA
-    p = 0
+    scale = TWO_PI * (1.0 - t)
     # an overflowed S (from a huge w_inf) bounds nothing: order 0
-    if not math.isfinite(S):
-        return p
-    while S * t**(p + 1) / (TWO_PI * (1.0 - t)) * max(1.0 / (p + 1), ratio) > tol:
-        p += 1
-    return p
+    S, ratio = np.where(np.isfinite(S), S, 0.0), np.asarray(ratio)
+    with np.errstate(divide="ignore"):
+        top = (math.log(tol * scale) - np.log(S)
+               - np.log(np.maximum(1.0, ratio))) / math.log(t)
+    n = int(np.max(np.clip(top, 0.0, None), initial=0.0)) + 2
+    p = np.arange(n)
+    # t**(p+1) by Python's pow, whatever numpy's power kernel rounds
+    tp = np.array([t**(k + 1) for k in range(n)])
+    bound = (S[..., None] * tp / scale
+             * np.maximum(1.0 / (p + 1), ratio[..., None]))
+    return np.count_nonzero(bound > tol, axis=-1)
 
 
 def _multipole_moments(za, zb, ga, gb, centre, rho, R, tol):
     """m_k = M_k / rho**k, k = 0..p, of the linear-strength panels
     za -> zb (nodal strengths ga, gb) along the last axis, about centre,
-    to the order p whose tail bound (_order) meets tol.
+    to the order p whose tail bound (_orders) meets tol.
 
     The leading axes, if any, index separate panel groups, with their own
     centre, rho and order; a group's moments beyond its order are zero.
@@ -366,8 +377,7 @@ def _multipole_moments(za, zb, ga, gb, centre, rho, R, tol):
     lens = np.abs(zb - za)
     S = np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb)), axis=-1)
     ratio = (R / np.asarray(rho)) / KAPPA
-    orders = np.reshape([_order(float(a), float(b), tol)
-                         for a, b in zip(S.flat, ratio.flat)], S.shape)
+    orders = _orders(S, ratio, tol)
     p = int(orders.max())
     centre, rho = (np.asarray(a)[..., None, None] for a in (centre, rho))
     x, wq = np.polynomial.legendre.leggauss((p + 3) // 2)
@@ -598,27 +608,29 @@ class PanelSolution:
 
 @dataclass(frozen=True)
 class _System:
-    """The geometric part of a panel system, read-only; the free stream
-    and Gamma enter only the right-hand side."""
+    """A panel system solved once for its three right-hand sides, read-only.
+
+    The right-hand side is linear in Re w_inf, Im w_inf and Gamma, so the
+    strengths and residuals at any free stream and Gamma superpose the
+    columns solved at unit Re w_inf, unit Im w_inf and unit Gamma."""
 
     nodes: np.ndarray
     closed: bool
-    normal: np.ndarray
-    A: np.ndarray         # every midpoint tangency row
-    circ_row: np.ndarray
-    M: np.ndarray         # the square system: tangency rows, then circ_row
-    cond: float
+    basis: np.ndarray        # (n_nodes, 3) strengths of the three columns
+    residual: np.ndarray     # (n_pan + 1, 3) their residuals over every row
+    circulation: np.ndarray  # (3,) the circulation row applied to basis
+    cond: float              # 1-norm condition number of the square system
 
 
-# the last assembled system is kept, keyed by (body, n_panels, cluster)
-@lru_cache(maxsize=1)
-def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
-    # a miss: free the stale system before building the next, so that two
-    # never coexist (peak memory)
-    _assemble.cache_clear()
-    if isinstance(body, Polygon) and n_panels < 8 * len(body.vertices):
-        raise InvalidGeometryError("need at least 8 panels per side")
-    nodes, closed = body_panel_nodes(body, n_panels, cluster)
+def _system_rows(nodes, closed):
+    """Rows of the panel system on the layout nodes, with their right-hand
+    sides at unit Re w_inf, Im w_inf and Gamma as columns.
+
+    One midpoint tangency row per panel and the circulation row
+    sum(L_j * (g_j + g_{j+1}) / 2) = Gamma.  The circulation row is row
+    n_nodes - 1, so the leading n_nodes rows are the square system; a
+    closed body's last tangency row follows it.
+    """
     if closed:
         za, zb = nodes, np.roll(nodes, -1)
     else:
@@ -633,25 +645,53 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     # panel j runs from node j to node ib[j]
     ib = (np.arange(n_pan) + 1) % n_nodes
 
-    A = np.zeros((n_pan, n_nodes))
+    rows = np.zeros((n_pan + 1, n_nodes))
+    tangency = rows[:-1]
     step = max(1, CHUNK_PAIRS // n_pan)
     for start in range(0, n_pan, step):
-        rows = slice(start, start + step)
-        ca, cb = vortex_panel_w_coeffs(mids[rows, None], za, zb)
-        A[rows, :n_pan] = np.real(ca * normal[rows, None])
-        A[rows, ib] += np.real(cb * normal[rows, None])
+        chunk = slice(start, start + step)
+        ca, cb = vortex_panel_w_coeffs(mids[chunk, None], za, zb)
+        tangency[chunk, :n_pan] = np.real(ca * normal[chunk, None])
+        tangency[chunk, ib] += np.real(cb * normal[chunk, None])
     # panel j adds half its length to each of its nodes
-    circ_row = np.zeros(n_nodes)
-    circ_row[:n_pan] = 0.5 * lens
-    circ_row[ib] += 0.5 * lens
+    rows[-1, :n_pan] = 0.5 * lens
+    rows[-1, ib] += 0.5 * lens
+    # v . n = Re(w n) = 0 with w = w_inf + sheet: -Re(w_inf n) on the right
+    rhs = np.zeros((n_pan + 1, 3))
+    rhs[:-1, 0], rhs[:-1, 1], rhs[-1, 2] = -normal.real, normal.imag, 1.0
+    if closed:
+        # the circulation row takes the last tangency row's place in M
+        rows[[-2, -1]] = rows[[-1, -2]]
+        rhs[[-2, -1]] = rhs[[-1, -2]]
+    return rows, rhs
 
-    M = np.empty((n_nodes, n_nodes))
-    M[:-1] = A[:-1] if closed else A
-    M[-1] = circ_row
-    cond = float(np.linalg.cond(M))
-    for arr in (nodes, normal, A, circ_row, M):
+
+# the last assembled system is kept, keyed by (body, n_panels, cluster)
+@lru_cache(maxsize=1)
+def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
+    # a miss: free the stale system before building the next, so that two
+    # never coexist (peak memory)
+    _assemble.cache_clear()
+    if isinstance(body, Polygon) and n_panels < 8 * len(body.vertices):
+        raise InvalidGeometryError("need at least 8 panels per side")
+    nodes, closed = body_panel_nodes(body, n_panels, cluster)
+    rows, rhs = _system_rows(nodes, closed)
+    n_nodes = len(nodes)
+    M = rows[:n_nodes]
+    try:
+        M_inv = np.linalg.inv(M)
+        cond = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not np.isfinite(cond) or cond > 1e13:
+        basis, *_ = np.linalg.lstsq(M, rhs[:n_nodes], rcond=None)
+    else:
+        basis = M_inv @ rhs[:n_nodes]
+    residual = rows @ basis - rhs
+    circulation = rows[n_nodes - 1] @ basis
+    for arr in (nodes, basis, residual, circulation):
         arr.flags.writeable = False
-    return _System(nodes, closed, normal, A, circ_row, M, cond)
+    return _System(nodes, closed, basis, residual, circulation, cond)
 
 
 def panel_solve(body: Body, far: FarField, n_panels: int = 256,
@@ -660,30 +700,26 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
 
     One tangency condition (v . n = 0) per panel midpoint plus the
     explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma.
-    Closed bodies have one nodal unknown per panel, so one tangency
-    equation is dropped in favour of the circulation row; the dropped
-    condition is implied by the others and is checked to hold within
-    TOL_SLIP * |w_inf| after the solve.  Open plates keep every row
-    (one more node than panels).  A system too ill-conditioned for a
-    direct solve falls back to least squares.
+    Closed bodies have one nodal unknown per panel, so the last tangency
+    equation is left out of the square system in favour of the
+    circulation row; it is implied by the others and is checked to hold
+    within TOL_SLIP * |w_inf| after the solve, with every other row.
+    Open plates keep every row (one more node than panels).
 
-    The matrix and its condition number depend only on the geometry, so
-    the last assembled (body, n_panels, cluster) system is kept and
-    reused by the next solve of the same body at any free stream and
-    Gamma; each solve builds its own right-hand side and residual check.
+    The square system depends only on the geometry and is inverted once,
+    which gives its 1-norm condition number ||M||_1 ||M^-1||_1 and the
+    strengths at unit Re w_inf, Im w_inf and Gamma; a system too
+    ill-conditioned (above 1e13) or singular for the inverse takes these
+    three columns from least squares instead.  The last assembled (body,
+    n_panels, cluster) system is kept, so every solve of the same body
+    superposes the three columns and their residuals.
     """
     system = _assemble(body, n_panels, cluster)
-    b = -np.real(far.w_inf * system.normal)
-    rhs = np.append(b[:-1] if system.closed else b, far.circulation)
+    c = np.array([np.real(far.w_inf), np.imag(far.w_inf), far.circulation])
+    g = system.basis @ c
+    circ = float(system.circulation @ c)
+    residual = float(np.max(np.abs(system.residual @ c)))
     cond = system.cond
-    if not np.isfinite(cond) or cond > 1e13:
-        g, *_ = np.linalg.lstsq(system.M, rhs, rcond=None)
-    else:
-        g = np.linalg.solve(system.M, rhs)
-    circ = float(system.circ_row @ g)
-    # all tangency rows, including the dropped one, and the circulation row
-    residual = float(max(np.max(np.abs(system.A @ g - b)),
-                         abs(circ - far.circulation)))
     if residual > TOL_SLIP * max(abs(far.w_inf), 1e-300):
         raise SolverError(
             f"tangency residual {residual} exceeds tol_slip", condition_number=cond)

@@ -13,7 +13,7 @@ from cornerflow.analysis import (affine_corner, circulation, corner_census,
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
 from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate,
-                                 Polygon, PolylineContour)
+                                 Polygon, PolylineContour, probe_ring)
 from cornerflow.incompressible import (CircleFlow, FarField, PlateFlow,
                                        kutta_solve, panel_solve)
 
@@ -110,6 +110,34 @@ class TestFitCorner:
         assert not trailing.singular
         assert leading.singular
         assert leading.fitted_exponent == pytest.approx(-0.5, abs=0.05)
+
+
+def lstsq_a1(flow, corner, radii):
+    """a1 and its standard error by lstsq and inv(X.T X), the reference."""
+    beta = corner.exterior_angle_beta
+    pts = probe_ring(corner, radii, analysis.SAMPLES_PER_RADIUS)
+    r, theta = corner.local_polar(pts)
+    k = np.arange(1, analysis.N_MODES + 1)
+    r_ref = radii.max()
+    X = ((r[..., None] / r_ref) ** (k * np.pi / beta)
+         * np.sin(k * np.pi * theta[..., None] / beta)).reshape(-1, len(k))
+    coef, rss, _, _ = np.linalg.lstsq(X, np.ravel(flow.stream(pts)), rcond=None)
+    cov = rss[0] / (X.shape[0] - len(k)) * np.linalg.inv(X.T @ X)
+    return (coef[0] / r_ref ** (np.pi / beta),
+            np.sqrt(cov[0, 0]) / r_ref ** (np.pi / beta))
+
+
+@pytest.mark.parametrize("body, gamma, n", [
+    (FlatPlate(4.0, np.pi / 6), -TWO_PI, 512), (TRIANGLE, 0.0, 256),
+    (TRIANGLE, 7.95, 256)], ids=["plate30", "triangle", "triangle_root"])
+def test_fit_a1_matches_lstsq(body, gamma, n):
+    flow = panel_solve(body, FarField(1.0, gamma), n).flow
+    for corner in body.corners:
+        radii = analysis.default_fit_radii(corner, body.circumradius)
+        a1, a1_sigma = analysis._fit_a1(flow, corner, radii)
+        ref, ref_sigma = lstsq_a1(flow, corner, radii)
+        assert abs(a1 - ref) <= 1e-10 * (abs(ref) + ref_sigma)
+        assert a1_sigma == pytest.approx(ref_sigma, rel=1e-10)
 
 
 class TestSignAttainment:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerflow import compressible
+from cornerflow import compressible, incompressible
 from cornerflow.cli import (apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
@@ -241,7 +241,10 @@ class TestRun:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        # no cached system may skip the inverse and its fallback
+        incompressible._assemble.cache_clear()
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(np.linalg, "lstsq", singular)
         p = tmp_path / "s.json"
         p.write_text(json.dumps(minimal_cfg(body=TRIANGLE)))
         assert run(p, tmp_path / "out") == 1

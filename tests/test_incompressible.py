@@ -1,6 +1,7 @@
 """Exact-flow formulas, panel solves, and the Kutta condition."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -447,9 +448,40 @@ def test_near_field_matches_panel_loop(body):
     assert np.abs(flow._accumulate(on[:1], incompressible._W)
                   - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-9 * abs(w_inf)
 
-    A = incompressible._assemble(body, 512, 1.0).A
+    rows, _ = incompressible._system_rows(flow.nodes, flow.closed)
+    A = np.delete(rows, len(flow.nodes) - 1, axis=0)  # drop the circulation row
     A_loop = loop_tangency_matrix(flow)
     assert np.max(np.abs(A - A_loop)) <= 1e-12 * np.max(np.abs(A_loop))
+
+
+def scalar_order(S, ratio, tol):
+    """The expansion order rule of _orders for one cluster, by search."""
+    t = 1.0 / KAPPA
+    p = 0
+    if not math.isfinite(S):
+        return p
+    while S * t**(p + 1) / (TWO_PI * (1.0 - t)) * max(1.0 / (p + 1), ratio) > tol:
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(4.0, np.pi / 6), TRIANGLE],
+                         ids=["circle", "plate", "triangle"])
+def test_orders_match_scalar_rule(body):
+    tree = panel_solve(body, FarField(1.0, 1.3), 512).flow._clusters
+    R = body.circumradius
+    S = np.sum(0.5 * np.abs(tree.zb - tree.za) * (np.abs(tree.ga) + np.abs(tree.gb)),
+               axis=1)
+    ratio = R / tree.rho / KAPPA
+    # an overflowed S and a zero one
+    S, ratio = np.append(S, [np.inf, 0.0]), np.append(ratio, ratio[:2])
+    for tol in (incompressible.FAR_TOL * R / len(tree.centre), 1e-6, 1e-17):
+        want = [scalar_order(a, b, tol) for a, b in zip(S, ratio)]
+        assert np.array_equal(incompressible._orders(S, ratio, tol), want)
+        # one group (the whole body about its centroid) as 0-d arrays
+        whole = np.sum(S[:-2])
+        assert incompressible._orders(whole, 1.0 / KAPPA, tol) == \
+            scalar_order(whole, 1.0 / KAPPA, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +518,7 @@ class TestSystemMemo:
         sol = panel_solve(TRIANGLE, FarField(1.0, 0.5), 96)
         system = incompressible._assemble(TRIANGLE, 96, 1.0)
         assert sol.nodes is system.nodes
-        for arr in (system.nodes, system.normal, system.A, system.circ_row, system.M):
+        for arr in (system.nodes, system.basis, system.residual, system.circulation):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -510,6 +542,49 @@ class TestSystemMemo:
         assert incompressible._assemble.cache_info().currsize == 0
         assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
         assert incompressible._assemble.cache_info().currsize == 1
+
+
+def direct_solve(body, far, n_panels):
+    """Strengths, residual and 1-norm condition number from an LU solve of
+    the square system at this free stream and Gamma."""
+    nodes, closed = incompressible.body_panel_nodes(body, n_panels)
+    rows, rhs = incompressible._system_rows(nodes, closed)
+    b = rhs @ np.array([far.w_inf.real, far.w_inf.imag, far.circulation])
+    M = rows[:len(nodes)]
+    g = np.linalg.solve(M, b[:len(nodes)])
+    return g, np.max(np.abs(rows @ g - b)), np.linalg.cond(M, 1)
+
+
+FAST_BODIES = {"circle": Circle(1.0), "plate": FlatPlate(4.0, np.pi / 6),
+               "triangle": TRIANGLE, "square": SQUARE}
+
+
+class TestSuperposedSolve:
+    @pytest.mark.parametrize("far", [FarField(0.8 - 0.6j, 0.0), FarField(1e-8, 0.0),
+                                     FarField(1.0, 2.5), FarField(0.6 + 0.3j, -1.2),
+                                     FarField(1e-8j, 3e-8)],
+                             ids=["complex", "tiny", "gamma", "complex_gamma", "tiny_gamma"])
+    @pytest.mark.parametrize("name", FAST_BODIES)
+    def test_matches_direct_solve(self, name, far):
+        body = FAST_BODIES[name]
+        sol = panel_solve(body, far, 256)
+        g, residual, cond = direct_solve(body, far, 256)
+        assert np.max(np.abs(sol.gamma - g)) <= 1e-12 * np.max(np.abs(g))
+        assert abs(sol.residual_norm - residual) <= 1e-12 * abs(far.w_inf)
+        assert sol.condition_number == pytest.approx(cond, rel=1e-12)
+
+    def test_least_squares_fallback(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        far = FarField(0.9 + 0.2j, 0.7)
+        g, _, _ = direct_solve(TRIANGLE, far, 96)
+        incompressible._assemble.cache_clear()
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        sol = panel_solve(TRIANGLE, far, 96)
+        incompressible._assemble.cache_clear()
+        assert sol.condition_number == np.inf
+        assert np.max(np.abs(sol.gamma - g)) <= 1e-10 * np.max(np.abs(g))
 
 
 def test_plate30_contour_invariants(tmp_path):
