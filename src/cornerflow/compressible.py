@@ -16,7 +16,8 @@ around every cell, so a flow that is exactly uniform (horizontal plate)
 is reproduced to roundoff on any grid.
 
 Nonlinearity is handled by Picard iteration: freeze h at the current
-gradient, solve the linear five-point system by conjugate gradients
+gradient (the face densities by Newton iterations started at the previous
+step's), solve the linear five-point system by conjugate gradients
 warm-started from the current iterate and preconditioned with the exact
 inverse of the constant-h operator (real FFT in theta, a Thomas sweep in
 xi per Fourier mode), under-relax, repeat.  The coefficient evaluation
@@ -25,6 +26,11 @@ bound of the Bernoulli state aborts the solve (the equation leaves its
 elliptic region there).  No density clamping is applied unless the
 explicitly non-physical "capped" diagnostic mode is requested.  The
 free-stream density is 1 (see ``gas``).
+
+Per (grid, free stream) only what the Picard steps read is stored: base
+face fluxes, base gradients and H at the faces, Dirichlet rows and Thomas
+factors, about ten full-grid arrays.  Face z (abort location, corner
+masks) and nodal dz/dzeta (post-processing) are recomputed from the map.
 """
 
 from __future__ import annotations
@@ -80,14 +86,6 @@ class ConformalGrid:
     @property
     def d_theta(self) -> float:
         return float(self.theta[1] - self.theta[0])
-
-    def map_z(self, zeta):
-        return self.map.to_z(np.exp(np.asarray(zeta, dtype=complex)))
-
-    def map_dz_dzeta(self, zeta):
-        """dz/dzeta = dz/dsigma * sigma (exact)."""
-        sigma = np.exp(np.asarray(zeta, dtype=complex))
-        return self.map.dz_dsigma(sigma) * sigma
 
 
 def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGrid:
@@ -165,52 +163,57 @@ def _node_gradient(psi_t, dxi, dth):
     gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * dxi)
     gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * dxi)
     gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * dxi)
-    gt = (np.roll(psi_t, -1, axis=1) - np.roll(psi_t, 1, axis=1)) / (2 * dth)
+    gt = np.empty_like(psi_t)
+    gt[:, 1:-1] = psi_t[:, 2:] - psi_t[:, :-2]
+    gt[:, 0] = psi_t[:, 1] - psi_t[:, -1]
+    gt[:, -1] = psi_t[:, 0] - psi_t[:, -2]
+    gt /= 2 * dth
     return gx, gt
 
 
+def _theta_pairs(op, a):
+    """op(a[:, j+1], a[:, j]) for every column j, periodic in theta."""
+    out = np.empty_like(a)
+    op(a[:, 1:], a[:, :-1], out=out[:, :-1])
+    op(a[:, :1], a[:, -1:], out=out[:, -1:])
+    return out
+
+
 class _Discretization:
-    """Pieces of one (grid, free stream) pair shared by every solve on it:
-    exact base fluxes and gradients, map factors, Dirichlet data and the
-    elimination factors of the separable preconditioner."""
+    """What the Picard steps on one (grid, free stream) pair read (see the
+    module docstring).  No reference to the grid: grid._disc points here,
+    and that cycle would keep every refinement level alive."""
 
     def __init__(self, grid: ConformalGrid, far: FarField):
         self.far = far
         self.flagged = grid.flagged
-        nr, nt = grid.n_r, grid.n_theta
-        dxi, dth = grid.d_xi, grid.d_theta
-        xi, th = grid.xi, grid.theta
-
-        # face-corner potentials of the uniform base, Re F at
-        # (xi_{i+1/2}, theta_{j+1/2}) for i = -1..nr-1 shifted to 0..nr-1
-        xe = np.concatenate([[xi[0]], 0.5 * (xi[:-1] + xi[1:]), [xi[-1]]])
+        self.map = grid.map
+        self.xi, self.theta = xi, th = grid.xi, grid.theta
+        self.nr, self.nt = nr, nt = grid.n_r, grid.n_theta
+        self.dxi, self.dth = dxi, dth = grid.d_xi, grid.d_theta
+        xi_f = 0.5 * (xi[:-1] + xi[1:])  # xi_{i+1/2}
         te = th + 0.5 * dth  # theta_{j+1/2}; wraps periodically
-        zc = grid.map_z(xe[:, None] + 1j * te[None, :])
-        pc = np.real(far.w_inf * zc)  # (nr+1, nt)
+        # (xi, theta) of the xi-face and theta-face midpoints
+        self.faces = {"xi": (xi_f, th), "theta": (xi, te)}
 
-        # exact base face fluxes
+        # each face quantity in turn, its complex temporaries freed before
+        # the next: face-corner potentials of the uniform base, Re F at
+        # (xi_{i+1/2}, theta_{j+1/2}) for i = -1..nr-1 shifted to 0..nr-1
+        xe = np.concatenate([[xi[0]], xi_f, [xi[-1]]])
+        pc = np.real(far.w_inf * self.map_z(xe, te))  # (nr+1, nt)
         # xi-face (i+1/2, j): phi(i+1/2, j-1/2) - phi(i+1/2, j+1/2)
         self.base_flux_xi = np.roll(pc[1:-1, :], 1, axis=1) - pc[1:-1, :]  # (nr-1, nt)
         # theta-face (i, j+1/2): phi(i+1/2, j+1/2) - phi(i-1/2, j+1/2)
         self.base_flux_th = pc[1:, :] - pc[:-1, :]                          # (nr, nt)
-
+        del pc
         # analytic base gradients at face midpoints (for m evaluation)
-        zeta_xf = (0.5 * (xi[:-1] + xi[1:]))[:, None] + 1j * th[None, :]
-        zeta_tf = xi[:, None] + 1j * te[None, :]
-        dz_xf = grid.map_dz_dzeta(zeta_xf)
-        dz_tf = grid.map_dz_dzeta(zeta_tf)
-        fp_xf = far.w_inf * dz_xf
-        fp_tf = far.w_inf * dz_tf
-        self.base_dxi_xf = np.imag(fp_xf)   # psi_xi at xi-faces
-        self.base_dth_xf = np.real(fp_xf)   # psi_theta at xi-faces
-        self.base_dxi_tf = np.imag(fp_tf)
-        self.base_dth_tf = np.real(fp_tf)
-        self.H_xf = np.abs(dz_xf)
-        self.H_tf = np.abs(dz_tf)
-        self.z_xf = grid.map_z(zeta_xf)
-        self.z_tf = grid.map_z(zeta_tf)
-        self.dxi, self.dth = dxi, dth
-        self.nr, self.nt = nr, nt
+        dz, self.base_dxi_xf, self.base_dth_xf = self.base_gradient(
+            *self.faces["xi"])
+        self.H_xf = np.abs(dz)
+        del dz
+        dz, self.base_dxi_tf, self.base_dth_tf = self.base_gradient(
+            *self.faces["theta"])
+        self.H_tf = np.abs(dz)
         # the h = 1 operator on Fourier mode k in theta is tridiagonal over
         # the nr - 2 Dirichlet interior rows: a x[i-1] + d_k x[i] + a x[i+1].
         # Thomas elimination factors, one column per (re, im) of each mode:
@@ -225,18 +228,23 @@ class _Discretization:
         self.inv_pivot = np.repeat(inv_piv, 2, axis=1)
         self.elim = a * self.inv_pivot
 
-        # nodal map factor and exact base gradient for post-processing
-        self.dz = grid.map_dz_dzeta(xi[:, None] + 1j * th[None, :])
-        fp = far.w_inf * self.dz
-        self.base_dxi = np.imag(fp)
-        self.base_dth = np.real(fp)
-
         # Dirichlet data of psi~: total psi = 0 on the body ring and
         # Im W of the exact incompressible flow on the outer ring
         ref = exact_flow(grid.body, far)
         self.psi_body = -np.imag(far.w_inf * grid.z[0, :])
         self.psi_outer = (np.asarray(ref.stream(grid.z[-1, :]))
                           - np.imag(far.w_inf * grid.z[-1, :]))
+
+    def map_z(self, xi, theta):
+        """z at the chart points xi (rows) x theta (columns)."""
+        return self.map.to_z(np.exp(xi[:, None] + 1j * theta[None, :]))
+
+    def base_gradient(self, xi, theta):
+        """dz/dzeta and the exact base (psi_xi, psi_theta) at xi x theta."""
+        sigma = np.exp(xi[:, None] + 1j * theta[None, :])
+        dz = self.map.dz_dsigma(sigma) * sigma
+        fp = self.far.w_inf * dz
+        return dz, np.imag(fp), np.real(fp)
 
     def with_boundary(self, interior):
         """Nodal psi~: the Dirichlet rows around the given interior rows."""
@@ -254,23 +262,25 @@ class _Discretization:
         gx = self.base_dxi_xf + (psi_t[1:, :] - psi_t[:-1, :]) / dxi
         gt = self.base_dth_xf + 0.5 * (tdiff[1:, :] + tdiff[:-1, :])
         m_xf = 0.5 * (gx**2 + gt**2) / self.H_xf**2
-        # theta-faces (nr, nt): face between (i,j) and (i,j+1)
-        gt2 = self.base_dth_tf + (np.roll(psi_t, -1, axis=1) - psi_t) / dth
-        gx2 = self.base_dxi_tf + 0.5 * (xdiff + np.roll(xdiff, -1, axis=1))
-        m_tf = 0.5 * (gx2**2 + gt2**2) / self.H_tf**2
+        # theta-faces (nr, nt): face between (i,j) and (i,j+1); rebinding
+        # gx and gt frees the xi-face arrays
+        gt = self.base_dth_tf + _theta_pairs(np.subtract, psi_t) / dth
+        gx = self.base_dxi_tf + 0.5 * _theta_pairs(np.add, xdiff)
+        m_tf = 0.5 * (gx**2 + gt**2) / self.H_tf**2
         return m_xf, m_tf
 
     def nodal_gradient(self, psi_t):
-        """(psi_xi, psi_theta) of the total stream function at the nodes."""
+        """Nodal (psi_xi, psi_theta) of the total stream function, dz/dzeta."""
+        dz, base_dxi, base_dth = self.base_gradient(self.xi, self.theta)
         gx, gt = _node_gradient(psi_t, self.dxi, self.dth)
-        return gx + self.base_dxi, gt + self.base_dth
+        return gx + base_dxi, gt + base_dth, dz
 
-    def nodal_velocity(self, gx, gt, rho):
+    def nodal_velocity(self, gx, gt, dz, rho):
         """v = -i (psi_x + i psi_y) / rho, from rho v = -grad^perp psi;
         NaN at flagged nodes."""
         valid = ~self.flagged
         grad_z = np.full(gx.shape, np.nan, dtype=complex)
-        grad_z[valid] = (gx[valid] + 1j * gt[valid]) / np.conj(self.dz[valid])
+        grad_z[valid] = (gx[valid] + 1j * gt[valid]) / np.conj(dz[valid])
         with np.errstate(invalid="ignore"):
             return -1j * grad_z / rho
 
@@ -281,9 +291,10 @@ class _Discretization:
         flux_xi = h_xf * (base_xi
                           + (psi_t[1:, :] - psi_t[:-1, :]) * dth / dxi)
         flux_th = h_tf * (base_th
-                          + (np.roll(psi_t, -1, axis=1) - psi_t) * dxi / dth)
-        bal = (flux_xi[1:, :] - flux_xi[:-1, :]
-               + flux_th[1:-1, :] - np.roll(flux_th[1:-1, :], 1, axis=1))
+                          + _theta_pairs(np.subtract, psi_t) * dxi / dth)
+        bal = flux_xi[1:, :] - flux_xi[:-1, :] + flux_th[1:-1, :]
+        bal[:, 1:] -= flux_th[1:-1, :-1]
+        bal[:, :1] -= flux_th[1:-1, -1:]
         return bal, flux_xi, flux_th
 
     def cell_residual(self, psi_t, h_xf, h_tf):
@@ -313,7 +324,7 @@ class _Discretization:
         definite) operator, preconditioned by the exact separable inverse
         of the constant-h operator at the mean face h.  CG starts from
         x0 + P^-1 (b - A x0) / mean h, which is already the solution when
-        h is constant; x0 is a guess for the interior rows (zeros for
+        h is constant; x0 is a guess for the interior rows (0.0 for
         none).  Because h = 1/rho lies between 1/rho_0 and 1/rho*, the
         preconditioned condition number is bounded by rho_0/rho*
         independently of the grid.  Returns the interior rows,
@@ -323,10 +334,11 @@ class _Discretization:
         """
         h_mean = float(np.mean(np.concatenate([h_xf.ravel(),
                                                h_tf[1:-1, :].ravel()])))
+        padded = np.zeros((self.nr, self.nt))
 
         def apply(p):  # A p: homogeneous boundary rows, no base flux
-            return self._balance(np.pad(p, ((1, 1), (0, 0))), h_xf, h_tf,
-                                 0.0, 0.0)[0]
+            padded[1:-1, :] = p
+            return self._balance(padded, h_xf, h_tf, 0.0, 0.0)[0]
 
         # A x - b is the cell balance of the field with boundary data
         b = -self._balance(self.with_boundary(0.0), h_xf, h_tf,
@@ -362,20 +374,22 @@ def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
     return disc
 
 
-def _face_h(state: BernoulliState, m, opts: SolverOptions, where: str,
-            disc: _Discretization):
+def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
+              disc: _Discretization):
+    """(rho, h) at one kind of face from the start rho, and #capped faces."""
     m_max = state.flux_max_m
+    capped = 0
     if opts.capped:
-        capped = m >= CAP_FRACTION * m_max
+        capped = int(np.count_nonzero(m >= CAP_FRACTION * m_max))
         m = np.minimum(m, CAP_FRACTION * m_max)
-        return state.density_from_flux(m).h, int(np.count_nonzero(capped))
-    if np.any(m >= m_max):
+    elif np.any(m >= m_max):
         k = np.unravel_index(int(np.argmax(m)), m.shape)
-        z = disc.z_xf[k] if where == "xi" else disc.z_tf[k]
+        xi, theta = disc.faces[where]  # z of that face only
+        z = disc.map_z(xi[k[0]:k[0] + 1], theta)[0, k[1]]
         raise SonicExcursionError(
             f"sonic flux bound reached at {where}-face {k}, z={z:.6g}",
             location=complex(z), m_value=float(m[k]), m_max=float(m_max))
-    return state.density_from_flux(m).h, 0
+    return state.density_from_flux(m, rho), capped
 
 
 def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
@@ -401,10 +415,11 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
     capped_total = 0
     converged = False
     it = 0
+    rho_xf = rho_tf = None
     for it in range(1, opts.max_iters + 1):
         m_xf, m_tf = disc.face_m(psi_t)
-        h_xf, nc1 = _face_h(state, m_xf, opts, "xi", disc)
-        h_tf, nc2 = _face_h(state, m_tf, opts, "theta", disc)
+        (rho_xf, h_xf), nc1 = _face_rho(state, m_xf, rho_xf, opts, "xi", disc)
+        (rho_tf, h_tf), nc2 = _face_rho(state, m_tf, rho_tf, opts, "theta", disc)
         capped_total = max(capped_total, nc1 + nc2)
 
         bal, scale = disc.cell_residual(psi_t, h_xf, h_tf)
@@ -430,7 +445,7 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
 
 def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
                  iterations, capped_faces, opts, converged):
-    gx, gt = disc.nodal_gradient(psi_t)
+    gx, gt, dz = disc.nodal_gradient(psi_t)
     valid = ~grid.flagged
     m = np.full(psi_t.shape, np.nan)
     m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / grid.H[valid]**2
@@ -457,7 +472,7 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
     return CompressibleSolution(
         grid=grid, far=far, psi=psi_total, psi_pert=psi_t,
         rho=rho, mach=mach, speed=speed,
-        velocity=disc.nodal_velocity(gx, gt, rho),
+        velocity=disc.nodal_velocity(gx, gt, dz, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
         converged=converged, iterations=iterations, max_mach=float(mach[k]),
         max_mach_location=complex(grid.z[k]), capped=opts.capped,
@@ -473,10 +488,8 @@ def incompressible_reference_solution(grid: ConformalGrid,
     metric.
     """
     disc = _discretization(grid, far)
-    h_xf = np.ones((grid.n_r - 1, grid.n_theta))
-    h_tf = np.ones((grid.n_r, grid.n_theta))
-    interior, _, _ = disc.solve_linear(h_xf, h_tf,
-                                       np.zeros((grid.n_r - 2, grid.n_theta)))
+    interior, _, _ = disc.solve_linear(np.ones((grid.n_r - 1, grid.n_theta)),
+                                       np.ones((grid.n_r, grid.n_theta)), 0.0)
     return disc.with_boundary(interior)
 
 
@@ -484,8 +497,7 @@ def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField,
                              psi_t) -> np.ndarray:
     """Velocity field of an incompressible perturbation solve (rho = 1)."""
     disc = _discretization(grid, far)
-    gx, gt = disc.nodal_gradient(psi_t)
-    return disc.nodal_velocity(gx, gt, 1.0)
+    return disc.nodal_velocity(*disc.nodal_gradient(psi_t), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +525,11 @@ class RefinementStudy:
 def _near_corners(body: Body, z, radius: float):
     """Points of z within radius of a body corner; all of them for a
     body without corners (circle)."""
-    tips = np.array([c.vertex for c in body.corners])
-    if tips.size == 0:
+    if not body.corners:
         return np.ones(z.shape, dtype=bool)
-    return np.min(np.abs(z[..., None] - tips), axis=-1) <= radius
+    # corner by corner: no complex temporary with a corner axis
+    return np.logical_or.reduce([np.abs(z - c.vertex) <= radius
+                                 for c in body.corners])
 
 
 def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
@@ -540,12 +553,12 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     for (n_r, n_theta) in grids:
         grid = build_grid(body, r_far, n_r, n_theta)
         disc = _discretization(grid, far)
-        psi_t = incompressible_reference_solution(grid, far)
-        m_xf, m_tf = disc.face_m(psi_t)
-        near_xf = _near_corners(body, disc.z_xf, corner_radius)
-        near_tf = _near_corners(body, disc.z_tf, corner_radius)
-        margin = max(float(np.max(m_xf[near_xf]) / state.flux_max_m),
-                     float(np.max(m_tf[near_tf]) / state.flux_max_m))
+        m_faces = disc.face_m(incompressible_reference_solution(grid, far))
+        margin = max(
+            float(np.max(m[_near_corners(body, disc.map_z(*disc.faces[where]),
+                                         corner_radius)]) / state.flux_max_m)
+            for m, where in zip(m_faces, ("xi", "theta")))
+        del disc, m_faces  # the Picard solve reads neither
 
         outcome, max_mach, corner_mach, exc_ratio = "converged", None, None, None
         try:
@@ -554,6 +567,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
             near = _near_corners(body, grid.z, corner_radius)
             vals = sol.mach[near & ~grid.flagged]
             corner_mach = float(np.nanmax(vals)) if vals.size else sol.max_mach
+            del sol
         except SonicExcursionError as exc:
             outcome = "sonic_excursion"
             exc_ratio = float(exc.m_value / exc.m_max)
@@ -563,6 +577,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
             grid_shape=(n_r, n_theta), outcome=outcome, max_mach=max_mach,
             corner_max_mach=corner_mach, sonic_margin_ratio=margin,
             excursion_m_ratio=exc_ratio))
+        del grid  # every array of this level is freed before the next grid
 
     margins = [lv.sonic_margin_ratio for lv in levels]
     increasing = all(b > a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))

@@ -139,11 +139,12 @@ class BernoulliState:
         out = self.gas.enthalpy_pi_inverse(self.bernoulli_B - 0.5 * q**2)
         return out if np.ndim(out) else float(out)
 
-    def density_from_flux(self, m) -> FluxInversion:
+    def density_from_flux(self, m, rho_start=None) -> FluxInversion:
         """Solve B = m/rho^2 + pi(rho) for the subsonic root rho(m).
 
         Safeguarded Newton iteration on the bracket
-        [sonic_density, stagnation_density]; relative tolerance 1e-14.
+        [sonic_density, stagnation_density] from rho_start (default: the
+        stagnation density); relative tolerance 1e-14.
         Raises SonicFluxError for m >= flux_max_m (ellipticity guard).
         """
         m_arr = np.asarray(m, dtype=float)
@@ -159,7 +160,7 @@ class BernoulliState:
         B = self.bernoulli_B
         lo = np.full_like(m_arr, self.sonic_density)
         hi = np.full_like(m_arr, self.stagnation_density)
-        rho = hi.copy()
+        rho = np.clip(hi if rho_start is None else rho_start, lo, hi)
         for _ in range(200):
             # one fractional power per step: c2 = c^2, q = m/rho^2
             c2 = g * rho ** (g - 1.0)

@@ -364,6 +364,15 @@ def _orders(S, ratio, tol):
     return np.count_nonzero(bound > tol, axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """n Gauss-Legendre nodes on [0, 1] and weights, shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
 def _multipole_moments(za, zb, ga, gb, centre, rho, R, tol):
     """m_k = M_k / rho**k, k = 0..p, of the linear-strength panels
     za -> zb (nodal strengths ga, gb) along the last axis, about centre,
@@ -380,8 +389,7 @@ def _multipole_moments(za, zb, ga, gb, centre, rho, R, tol):
     orders = _orders(S, ratio, tol)
     p = int(orders.max())
     centre, rho = (np.asarray(a)[..., None, None] for a in (centre, rho))
-    x, wq = np.polynomial.legendre.leggauss((p + 3) // 2)
-    s = 0.5 * (x + 1.0)
+    s, wq = _gauss_legendre((p + 3) // 2)
     group = za.shape[:-1] + (-1,)
     v = ((za[..., None] + s * (zb - za)[..., None] - centre) / rho).reshape(group)
     # quadrature weight times strength at each node, as complex

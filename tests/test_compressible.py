@@ -1,5 +1,10 @@
 """Conformal-grid compressible solver tests."""
 
+import gc
+import re
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -289,3 +294,57 @@ class TestSharedPieces:
         monkeypatch.setattr(compressible, "_Discretization", Counting)
         refinement_study(Circle(1.0), GAS, 0.3, 0.0, [(16, 32), (32, 64)])
         assert len(built) == 2
+
+
+class TestLeanDiscretization:
+    @pytest.mark.parametrize("mach, where", [(0.5, "xi"), (0.3, "theta")])
+    def test_excursion_location_is_the_face_midpoint(self, mach, where):
+        # the discretization keeps no face z: the location is recomputed
+        # for the aborting face and must equal, bitwise, the map of that
+        # face's midpoint taken over the whole face array
+        state, far = free_stream(mach)
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), 50.0, 16, 32)
+        with pytest.raises(SonicExcursionError) as err:
+            solve_subsonic(grid, GAS, state, far)
+        message = re.sub(r"np\.\w+\((\d+)\)", r"\1", str(err.value))
+        kind, i, j = re.search(r"(\w+)-face \((\d+), (\d+)\)",
+                               message).groups()
+        assert kind == where
+        xi, th = grid.xi, grid.theta
+        if where == "xi":
+            zeta = (0.5 * (xi[:-1] + xi[1:]))[:, None] + 1j * th[None, :]
+        else:
+            zeta = xi[:, None] + 1j * (th + 0.5 * grid.d_theta)[None, :]
+        faces = grid.map.to_z(np.exp(zeta))
+        assert err.value.location == faces[int(i), int(j)]
+
+    def test_grid_and_discretization_free_without_cycle_collector(self):
+        state, far = free_stream(0.3)
+        grid = build_grid(Circle(1.0), 50.0, 32, 64)
+        assert solve_subsonic(grid, GAS, state, far).converged
+        refs = weakref.ref(grid), weakref.ref(grid._disc)
+        gc.disable()
+        try:
+            del grid
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_refinement_study_traced_peak(self):
+        # a tilted plate aborts at every level, so the peak is set by the
+        # discretization, the reference solve and the margin; keeping face
+        # and nodal z and nodal dz, and every level alive until the next
+        # was built, peaked at 43 full-grid arrays
+        plate, grids = FlatPlate(4.0, np.pi / 6), [(32, 64), (64, 128),
+                                                   (128, 256)]
+        refinement_study(plate, GAS, 0.5, 0.0, [(16, 32)])  # warm caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            refinement_study(plate, GAS, 0.5, 0.0, grids)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        full_grid_array = 128 * 256 * np.dtype(float).itemsize
+        assert peak < 27 * full_grid_array  # 22.1 measured
