@@ -15,21 +15,21 @@ from .forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from .gas import BernoulliState, FluxInversion, GasModel
 from .geometry import (Body, Circle, CircleContour, Corner, FlatPlate,
                        Polygon, PolylineContour, classify_corners, probe_ring)
-from .incompressible import (CircleFlow, FarField, JoukowskyPlateMap,
-                             KuttaResult, PanelFlow, PanelSolution, PlateFlow,
+from .incompressible import (FarField, JoukowskyPlateMap, KuttaResult,
+                             MappedFlow, PanelFlow, PanelSolution, exact_flow,
                              kutta_solve, panel_solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliState", "Body", "CensusResult", "Circle", "CircleContour",
-    "CircleFlow", "CompressibleSolution", "ConformalGrid", "Corner",
-    "CornerReport", "FarField", "FlatPlate", "FluxInversion", "ForceResult",
-    "GasModel", "JoukowskyPlateMap", "KuttaResult", "LaurentFit", "PanelFlow",
-    "PanelSolution", "PlateFlow", "Polygon", "PolylineContour",
+    "CompressibleSolution", "ConformalGrid", "Corner", "CornerReport",
+    "FarField", "FlatPlate", "FluxInversion", "ForceResult", "GasModel",
+    "JoukowskyPlateMap", "KuttaResult", "LaurentFit", "MappedFlow",
+    "PanelFlow", "PanelSolution", "Polygon", "PolylineContour",
     "RefinementStudy", "SolverOptions", "blasius_force", "build_grid",
-    "circulation", "classify_corners", "corner_census", "farfield_fit",
-    "fit_corner", "kutta_joukowsky_lift", "kutta_solve", "mass_flux",
-    "panel_solve", "probe_ring", "refinement_study", "sign_attainment",
-    "sign_component_census", "solve_subsonic",
+    "circulation", "classify_corners", "corner_census", "exact_flow",
+    "farfield_fit", "fit_corner", "kutta_joukowsky_lift", "kutta_solve",
+    "mass_flux", "panel_solve", "probe_ring", "refinement_study",
+    "sign_attainment", "sign_component_census", "solve_subsonic",
 ]

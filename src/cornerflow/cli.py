@@ -153,15 +153,14 @@ def validate_scenario(cfg: dict) -> dict:
             _require(isinstance(node, dict), f"{name} must be an object", path)
         if key in node:
             _require(test(node[key]), f"{key} must be {rule}", f"{path}.{key}")
-    _require(cfg.get("solver", {}).get("representation") != "exact"
-             or kind in ("circle", "flat_plate"),
-             "exact representation needs a circle or flat_plate body",
-             "$.solver.representation")
-
     try:
         b = body_from_config(body)
     except CornerFlowError as exc:
         raise ConfigError(str(exc), "$.body") from exc
+    _require(cfg.get("solver", {}).get("representation") != "exact"
+             or incompressible.conformal_map(b) is not None,
+             f"exact representation needs a closed-form map; a {kind} has none",
+             "$.solver.representation")
     if "kutta_corner" in flow:
         n_corners = len(b.corners)
         _require(_is_int(flow["kutta_corner"])

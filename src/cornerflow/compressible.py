@@ -43,7 +43,7 @@ from .errors import (InvalidGeometryError, IterationLimitError,
                      SolverError, SonicExcursionError, UnsupportedBodyError)
 from .gas import BernoulliState, GasModel
 from .geometry import Body
-from .incompressible import FarField, conformal_map, exact_flow
+from .incompressible import FarField, MappedFlow, conformal_map
 
 TWO_PI = 2.0 * np.pi
 OMEGA = 0.7           # Picard under-relaxation
@@ -75,7 +75,7 @@ class ConformalGrid:
     z: np.ndarray = field(repr=False)          # (n_r, n_theta)
     H: np.ndarray = field(repr=False)          # |dz/dzeta| per node
     flagged: np.ndarray = field(repr=False)    # True at singular map nodes
-    map: object = field(repr=False)            # sigma -> z: to_z, dz_dsigma
+    map: object = field(repr=False)            # conformal_map(body)
     # the last discretization built on this grid (see _discretization)
     _disc: object = field(default=None, init=False, repr=False)
 
@@ -97,8 +97,8 @@ def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGri
     cmap = conformal_map(body)
     if cmap is None:
         raise UnsupportedBodyError(
-            "conformal grid supports circle and flat plate only; general "
-            "polygons are handled by the incompressible census")
+            f"a {body.kind} has no closed-form conformal map for the grid; "
+            "the incompressible census handles it")
     if n_r < 16 or n_theta < 16:
         raise InvalidGeometryError("grid needs n_r, n_theta >= 16")
     if n_theta % 2:
@@ -230,9 +230,8 @@ class _Discretization:
 
         # Dirichlet data of psi~: total psi = 0 on the body ring and
         # Im W of the exact incompressible flow on the outer ring
-        ref = exact_flow(grid.body, far)
         self.psi_body = -np.imag(far.w_inf * grid.z[0, :])
-        self.psi_outer = (np.asarray(ref.stream(grid.z[-1, :]))
+        self.psi_outer = (MappedFlow(grid.map, far).stream(grid.z[-1, :])
                           - np.imag(far.w_inf * grid.z[-1, :]))
 
     def map_z(self, xi, theta):
@@ -383,7 +382,7 @@ def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
         capped = int(np.count_nonzero(m >= CAP_FRACTION * m_max))
         m = np.minimum(m, CAP_FRACTION * m_max)
     elif np.any(m >= m_max):
-        k = np.unravel_index(int(np.argmax(m)), m.shape)
+        k = divmod(int(np.argmax(m)), m.shape[1])
         xi, theta = disc.faces[where]  # z of that face only
         z = disc.map_z(xi[k[0]:k[0] + 1], theta)[0, k[1]]
         raise SonicExcursionError(
@@ -443,6 +442,13 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
                         linear_residuals, it, capped_total, opts, converged)
 
 
+def _first_near_max(values):
+    """(max, (i, j)) of 2-D values, (i, j) the first in C order within 1e-12
+    of the max, relative: mirror nodes of a symmetric flow tie to roundoff."""
+    top = float(np.nanmax(values))
+    return top, divmod(int(np.argmax(values >= top - 1e-12 * top)), values.shape[1])
+
+
 def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
                  iterations, capped_faces, opts, converged):
     gx, gt, dz = disc.nodal_gradient(psi_t)
@@ -450,7 +456,7 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
     m = np.full(psi_t.shape, np.nan)
     m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / grid.H[valid]**2
     if not opts.capped and np.any(m[valid] >= state.flux_max_m):
-        k = np.unravel_index(int(np.nanargmax(m)), m.shape)
+        k = divmod(int(np.nanargmax(m)), m.shape[1])
         raise SonicExcursionError(
             f"sonic flux bound reached at node {k}, z={grid.z[k]:.6g}",
             location=complex(grid.z[k]), m_value=float(m[k]),
@@ -467,14 +473,13 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
 
     far = disc.far
     psi_total = np.imag(far.w_inf * grid.z) + psi_t
-    k = np.unravel_index(int(np.nanargmax(np.where(valid, mach, -1.0))),
-                         mach.shape)
+    max_mach, k = _first_near_max(np.where(valid, mach, -1.0))
     return CompressibleSolution(
         grid=grid, far=far, psi=psi_total, psi_pert=psi_t,
         rho=rho, mach=mach, speed=speed,
         velocity=disc.nodal_velocity(gx, gt, dz, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
-        converged=converged, iterations=iterations, max_mach=float(mach[k]),
+        converged=converged, iterations=iterations, max_mach=max_mach,
         max_mach_location=complex(grid.z[k]), capped=opts.capped,
         capped_faces=capped_faces)
 

@@ -6,11 +6,9 @@ psi is normalized to zero on the body (slip).  Circulation is the
 counterclockwise line integral of velocity, Gamma = Re of the closed
 contour integral of w dz.
 
-Exact solutions: flow around a circle of radius R,
-
-    w(z) = w_inf - conj(w_inf) R^2 / z^2 + Gamma / (2 pi i z),
-
-and around a flat plate via the Joukowsky map of the unit circle.
+Exact solutions (MappedFlow): the flow around the unit circle pushed
+through a closed-form conformal map z = f(sigma) of its exterior onto the
+body's, a scaling for a circle and the Joukowsky map for a flat plate.
 
 Panel representation: linear-strength vortex sheets on the boundary with
 one strength unknown per node (corner nodes shared between adjacent
@@ -94,47 +92,30 @@ class FarField:
 
 
 @dataclass(frozen=True)
-class CircleFlow:
-    """Explicit flow around a circle: arbitrary circulation is admissible."""
-
-    radius: float
-    far: FarField
-
-    @property
-    def body(self) -> Circle:
-        return Circle(self.radius)
-
-    def _check(self, z):
-        z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) < self.radius * (1 - 1e-12)):
-            raise FluidDomainError("point strictly inside the circle")
-        return z
-
-    def velocity(self, z):
-        z = self._check(z)
-        wi = self.far.w_inf
-        return (wi - np.conj(wi) * self.radius**2 / z**2
-                + self.far.circulation / (TWO_PI * 1j * z))
-
-    def stream(self, z):
-        z = self._check(z)
-        wi = self.far.w_inf
-        return (np.imag(wi * z + np.conj(wi) * self.radius**2 / z)
-                - self.far.circulation / TWO_PI * np.log(np.abs(z) / self.radius))
-
-
-@dataclass(frozen=True)
 class CircleScalingMap:
     """z(sigma) = radius * sigma: the exterior of the unit circle scaled
     onto the exterior of a circle of that radius."""
 
     radius: float
 
+    @property
+    def body(self) -> Circle:
+        return Circle(self.radius)
+
+    prevertices = ()
+
+    @property
+    def dz_dsigma_inf(self) -> complex:
+        return complex(self.radius)
+
     def to_z(self, sigma):
         return self.radius * np.asarray(sigma, dtype=complex)
 
     def dz_dsigma(self, sigma):
         return np.full_like(np.asarray(sigma, dtype=complex), self.radius)
+
+    def to_sigma(self, z):
+        return np.asarray(z, dtype=complex) / self.radius
 
     def sigma_radius(self, r):
         """|sigma| of the circle whose image reaches distance r."""
@@ -146,31 +127,34 @@ class JoukowskyPlateMap:
     """z(sigma) = exp(-i alpha) * (chord/4) * (sigma + 1/sigma).
 
     Maps the exterior of the unit circle onto the exterior of the plate
-    slit; sigma = +1 is the trailing edge, sigma = -1 the leading edge.
+    slit; sigma = +1 is the trailing edge (corner 0), sigma = -1 the
+    leading edge (corner 1).
     """
 
     chord: float
     alpha: float
 
-    @property
-    def scale(self) -> float:
-        return self.chord / 4.0
+    prevertices = (1.0 + 0j, -1.0 + 0j)
 
     @property
-    def direction(self) -> complex:
-        return complex(np.exp(-1j * self.alpha))
+    def body(self) -> FlatPlate:
+        return FlatPlate(self.chord, self.alpha)
+
+    @property
+    def dz_dsigma_inf(self) -> complex:
+        return complex(np.exp(-1j * self.alpha)) * (self.chord / 4.0)
 
     def to_z(self, sigma):
         sigma = np.asarray(sigma, dtype=complex)
-        return self.direction * self.scale * (sigma + 1.0 / sigma)
+        return self.dz_dsigma_inf * (sigma + 1.0 / sigma)
 
     def dz_dsigma(self, sigma):
         sigma = np.asarray(sigma, dtype=complex)
-        return self.direction * self.scale * (1.0 - 1.0 / sigma**2)
+        return self.dz_dsigma_inf * (1.0 - 1.0 / sigma**2)
 
     def sigma_radius(self, r):
         """|sigma| of the circle whose image (an ellipse) reaches distance r."""
-        a = self.scale
+        a = self.chord / 4.0
         return (r + np.sqrt(r**2 - 4.0 * a**2)) / (2.0 * a)
 
     def to_sigma(self, z):
@@ -180,7 +164,7 @@ class JoukowskyPlateMap:
         the slit, then picks the root outside the unit circle (the two
         roots are reciprocal).
         """
-        zeta = np.asarray(z, dtype=complex) / (self.direction * self.scale)
+        zeta = np.asarray(z, dtype=complex) / self.dz_dsigma_inf
         s = np.sqrt(zeta - 2.0) * np.sqrt(zeta + 2.0)
         sig = 0.5 * (zeta + s)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,81 +173,71 @@ class JoukowskyPlateMap:
 
 
 @dataclass(frozen=True)
-class PlateFlow:
-    """Exact flow around a flat plate through the Joukowsky map.
+class MappedFlow:
+    """Exact flow around a body through its conformal map z = f(sigma).
 
-    Velocities diverge like r**(-1/2) at both edges unless the
-    circulation cancels the corresponding circle-plane stagnation
-    condition (the Kutta root).
+    In the sigma plane the flow is U(sigma) = u sigma + conj(u) / sigma
+    + (Gamma / 2 pi i) log sigma with u = w_inf f'(inf); then
+    w(z) = U'(sigma) / f'(sigma) and psi = Im U(sigma).  Any circulation
+    is admissible; velocities diverge at a corner unless Gamma is its
+    Kutta root (``kutta_circulation``).
     """
 
-    chord: float
-    alpha: float
+    map: object  # body, to_z, to_sigma, dz_dsigma, f'(inf), prevertices
     far: FarField
 
     @property
-    def body(self) -> FlatPlate:
-        return FlatPlate(self.chord, self.alpha)
-
-    @property
-    def map(self) -> JoukowskyPlateMap:
-        return JoukowskyPlateMap(self.chord, self.alpha)
-
-    @property
-    def circle_plane_w_inf(self) -> complex:
-        """Free stream seen in the sigma plane, u_inf = w_inf * dz/dsigma(inf)."""
-        return self.far.w_inf * self.map.direction * self.map.scale
+    def body(self) -> Body:
+        return self.map.body
 
     def _sigma(self, z):
-        return self.map.to_sigma(z)
-
-    def circle_plane_velocity(self, sigma):
-        u = self.circle_plane_w_inf
-        return (u - np.conj(u) / np.asarray(sigma, dtype=complex)**2
-                + self.far.circulation / (TWO_PI * 1j * sigma))
+        sig = self.map.to_sigma(z)
+        if np.any(np.abs(sig) < 1 - 1e-12):
+            raise FluidDomainError("point strictly inside the body")
+        return sig
 
     def velocity(self, z):
         z = np.asarray(z, dtype=complex)
-        if np.any(self.body.on_slit(z, tol=1e-13)):
-            raise FluidDomainError("velocity evaluated on the plate slit")
+        # on a slit, to 1e-13 of a plate's chord; solid boundaries pass
+        body = self.body
+        if np.any(body.occupies(z, 2e-13 * body.circumradius) & ~body.contains(z)):
+            raise FluidDomainError("velocity evaluated on the body slit")
         sig = self._sigma(z)
-        return self.circle_plane_velocity(sig) / self.map.dz_dsigma(sig)
+        u = self.far.w_inf * self.map.dz_dsigma_inf
+        return ((u - np.conj(u) / sig**2 + self.far.circulation / (TWO_PI * 1j * sig))
+                / self.map.dz_dsigma(sig))
 
     def stream(self, z):
         sig = self._sigma(z)
-        u = self.circle_plane_w_inf
+        u = self.far.w_inf * self.map.dz_dsigma_inf
         return (np.imag(u * sig + np.conj(u) / sig)
                 - self.far.circulation / TWO_PI * np.log(np.abs(sig)))
 
-    def kutta_circulation(self, corner_id: int = 0) -> float:
-        """Circulation cancelling the edge singularity: Gamma such that the
-        sigma-plane velocity vanishes at the edge preimage (+1 trailing,
-        -1 leading).  For real w_inf the trailing-edge value is
-        -pi * chord * w_inf * sin(alpha)."""
-        sig_e = 1.0 if corner_id == 0 else -1.0
-        u = self.circle_plane_w_inf
-        # u - conj(u)/sig^2 + G/(2 pi i sig) = 0 at sig = +-1
-        return float(np.real(-TWO_PI * 1j * sig_e * (u - np.conj(u) / sig_e**2)))
-
-
-def exact_flow(body: Body, far: FarField):
-    """Closed-form flow around the body, or None where there is none
-    (polygons)."""
-    if isinstance(body, Circle):
-        return CircleFlow(body.radius, far)
-    if isinstance(body, FlatPlate):
-        return PlateFlow(body.chord, body.alpha, far)
-    return None
+    def kutta_circulation(self, corner_id: int) -> float:
+        """Circulation making a corner regular, U' = 0 at its prevertex:
+        Gamma = 4 pi Im(u sigma_k).  A plate's trailing-edge root in a real
+        w_inf is -pi * chord * w_inf * sin(alpha)."""
+        prevertices = self.map.prevertices
+        if not 0 <= corner_id < len(prevertices):
+            raise InvalidGeometryError(f"no corner {corner_id}")
+        u = self.far.w_inf * self.map.dz_dsigma_inf
+        return float(2 * TWO_PI * np.imag(u * prevertices[corner_id]))
 
 
 def conformal_map(body: Body):
-    """Map of the exterior of the unit circle onto the body's exterior,
-    or None where there is none in closed form (polygons)."""
+    """Map of the exterior of the unit circle onto the body's exterior, or
+    None where there is none in closed form: the one list of closed forms."""
     if isinstance(body, Circle):
         return CircleScalingMap(body.radius)
     if isinstance(body, FlatPlate):
         return JoukowskyPlateMap(body.chord, body.alpha)
     return None
+
+
+def exact_flow(body: Body, far: FarField) -> MappedFlow | None:
+    """Closed-form flow around the body, or None where it has no map."""
+    cmap = conformal_map(body)
+    return None if cmap is None else MappedFlow(cmap, far)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
 from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate,
                                  Polygon, PolylineContour, probe_ring)
-from cornerflow.incompressible import (CircleFlow, FarField, PlateFlow,
-                                       kutta_solve, panel_solve)
+from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
+                                       panel_solve)
 
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
@@ -95,7 +95,7 @@ class TestFitCorner:
                        radii=[0.05, 0.07, 0.1])
 
     def test_plate_alpha_zero_both_corners_regular(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         for corner in flow.body.corners:
             rep = fit_corner(flow, corner)
             assert abs(rep.a1_estimate) < 1e-10
@@ -103,8 +103,8 @@ class TestFitCorner:
 
     def test_kutta_plate_trailing_regular_leading_singular(self):
         alpha = np.pi / 6
-        gstar = PlateFlow(4.0, alpha, FarField(1.0, 0.0)).kutta_circulation(0)
-        flow = PlateFlow(4.0, alpha, FarField(1.0, gstar))
+        gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+        flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, gstar))
         trailing = fit_corner(flow, flow.body.corners[0])
         leading = fit_corner(flow, flow.body.corners[1])
         assert not trailing.singular
@@ -156,24 +156,24 @@ class TestSignAttainment:
 
     def test_kutta_regularized_trailing_edge_both(self):
         alpha = np.pi / 6
-        gstar = PlateFlow(4.0, alpha, FarField(1.0, 0.0)).kutta_circulation(0)
-        flow = PlateFlow(4.0, alpha, FarField(1.0, gstar))
+        gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+        flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, gstar))
         assert sign_attainment(flow, flow.body.corners[0], 0.05) == "both"
 
     def test_uniform_flow_past_horizontal_plate_both(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         for corner in flow.body.corners:
             assert sign_attainment(flow, corner, 0.1) == "both"
 
 
 class TestContourIntegrals:
     def test_circle_circulation_residue(self):
-        flow = CircleFlow(1.0, FarField(1.0, TWO_PI))
+        flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))
         got = circulation(flow, CircleContour(0j, 2.0, 1024))
         assert got == pytest.approx(TWO_PI, abs=1e-10)
 
     def test_zero_circulation(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         assert abs(circulation(flow, CircleContour(0j, 3.0, 1024))) < 1e-12
 
     def test_panel_contour_independence(self):
@@ -183,16 +183,16 @@ class TestContourIntegrals:
         assert abs(g2 - g20) < 1e-6
 
     def test_polyline_contour_agrees(self):
-        flow = CircleFlow(1.0, FarField(1.0, 1.7))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 1.7))
         poly = PolylineContour([(2, -2), (2, 2), (-2, 2), (-2, -2)])
         assert circulation(flow, poly) == pytest.approx(1.7, abs=1e-9)
 
     def test_mass_flux_zero(self):
-        flow = CircleFlow(1.0, FarField(1.0, TWO_PI))
+        flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))
         assert abs(mass_flux(flow, CircleContour(0j, 3.0, 1024))) < 1e-10
 
     def test_uniform_flow_zero_flux(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))  # exactly uniform
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))  # exactly uniform
         assert abs(mass_flux(flow, CircleContour(0j, 8.0, 1024))) < 1e-10
 
     def test_panel_triangle_flux_small(self):
@@ -202,14 +202,14 @@ class TestContourIntegrals:
         assert abs(flux) < 1e-6 * 1.0 * (TWO_PI * 5.0)
 
     def test_contour_through_body_rejected(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         with pytest.raises(FluidDomainError):
             circulation(flow, CircleContour(0j, 0.5, 256))
 
 
 class TestFarFieldFit:
     def test_circle_with_circulation(self):
-        flow = CircleFlow(1.0, FarField(1.0, TWO_PI))
+        flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))
         fit = farfield_fit(flow)
         assert fit.c0 == pytest.approx(1.0 + 0j, abs=1e-10)
         assert fit.c1 == pytest.approx(-1j, abs=1e-10)
@@ -217,7 +217,7 @@ class TestFarFieldFit:
         assert abs(fit.re_c1) < 1e-10
 
     def test_uniform_flow(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         fit = farfield_fit(flow)
         assert fit.c0 == pytest.approx(1.0 + 0j, abs=1e-12)
         assert abs(fit.c1) < 1e-12
@@ -229,7 +229,7 @@ class TestFarFieldFit:
         assert abs(fit.re_c1) < 1e-6
 
     def test_radii_too_small_rejected(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         with pytest.raises(FluidDomainError):
             farfield_fit(flow, r_list=[2.0, 3.0])
 
@@ -297,13 +297,13 @@ class TestCornerCensus:
 
 class TestSignComponentCensus:
     def test_uniform_flow(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         census = sign_component_census(flow, ((-8, 8), (-8, 8)), resolution=200)
         assert census.bounded_positive == 0
         assert census.bounded_negative == 0
 
     def test_circle_no_bounded_components(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         census = sign_component_census(flow, ((-4, 4), (-4, 4)), resolution=200)
         assert census.bounded_positive == 0
         assert census.bounded_negative == 0

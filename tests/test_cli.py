@@ -15,8 +15,8 @@ from cornerflow.cli import (apply_overrides, export_field, main,
 from cornerflow.compressible import build_grid, solve_subsonic
 from cornerflow.errors import ConfigError
 from cornerflow.gas import BernoulliState, GasModel
-from cornerflow.geometry import FlatPlate
-from cornerflow.incompressible import CircleFlow, FarField, PlateFlow
+from cornerflow.geometry import Circle, FlatPlate
+from cornerflow.incompressible import FarField, exact_flow
 
 
 def minimal_cfg(**kw):
@@ -327,7 +327,7 @@ class TestRun:
 
 class TestExportField:
     def test_circle_mask(self, tmp_path):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         path = tmp_path / "f.csv"
         export_field(flow, ((-3, 3), (-3, 3)), 200, path)
         lines = path.read_text().splitlines()
@@ -342,7 +342,7 @@ class TestExportField:
                 assert float(r[0]) ** 2 + float(r[1]) ** 2 < 1.1
 
     def test_uniform_flow_psi_column(self, tmp_path):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         path = tmp_path / "u.csv"
         export_field(flow, ((-3, 3), (-3, 3)), 50, path)
         for ln in path.read_text().splitlines()[1:]:
@@ -415,9 +415,9 @@ def _plate_solution():
 
 
 @pytest.mark.parametrize("make, window, resolution", [
-    (lambda: CircleFlow(1.0, FarField(1.0, 2.0)), ((-3, 3), (-3, 3)), 200),
+    (lambda: exact_flow(Circle(1.0), FarField(1.0, 2.0)), ((-3, 3), (-3, 3)), 200),
     # the tilted slit masks whole runs of cells: NaN psi and speed
-    (lambda: PlateFlow(4.0, np.deg2rad(20.0), FarField(1.0, -1.5)),
+    (lambda: exact_flow(FlatPlate(4.0, np.deg2rad(20.0)), FarField(1.0, -1.5)),
      ((-3, 3), (-3, 3)), 200),
     (_plate_solution, None, None),
 ])

@@ -12,7 +12,7 @@ from cornerflow import incompressible
 from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
-from cornerflow.incompressible import (KAPPA, CircleFlow, FarField, PlateFlow,
+from cornerflow.incompressible import (KAPPA, FarField, MappedFlow, exact_flow,
                                        kutta_solve, panel_solve,
                                        vortex_panel_psi_coeffs,
                                        vortex_panel_w_coeffs)
@@ -27,49 +27,49 @@ SCALENE = Polygon([(0.0, 0.0), (2.0, 0.0), (0.5, 1.2)])
 
 class TestCircleFlow:
     def test_stagnation_point(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         assert flow.velocity(1.0 + 0j) == pytest.approx(0.0, abs=1e-15)
 
     def test_top_of_circle(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         assert flow.velocity(1j) == pytest.approx(2.0 + 0j, abs=1e-15)
 
     def test_far_field_limit(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         assert abs(flow.velocity(1e6 + 0j) - 1.0) < 1e-11
 
     def test_slip_on_boundary(self):
-        flow = CircleFlow(1.5, FarField(1.0, 3.0))
+        flow = exact_flow(Circle(1.5), FarField(1.0, 3.0))
         th = TWO_PI * (np.arange(32) + 0.37) / 32
         psi = flow.stream(1.5 * np.exp(1j * th))
         assert np.max(np.abs(psi)) < 1e-10
 
     def test_rejects_interior_point(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         with pytest.raises(FluidDomainError):
             flow.velocity(0.2 + 0.1j)
 
     def test_potential_loop_increment_matches_circulation(self):
         # the increment of W over one loop is circulation + i * mass flux
-        flow = CircleFlow(1.0, FarField(1.0, TWO_PI))
+        flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))
         contour = CircleContour(0j, 2.0, 2048)
         assert circulation(flow, contour) == pytest.approx(TWO_PI, abs=1e-10)
         assert mass_flux(flow, contour) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_circulation_single_valued(self):
-        flow = CircleFlow(1.0, FarField(1.0, 0.0))
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         contour = CircleContour(0j, 3.0, 2048)
         assert abs(circulation(flow, contour) + 1j * mass_flux(flow, contour)) < 1e-11
 
 
 class TestPlateFlow:
     def test_horizontal_plate_is_uniform(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         z = np.array([3j, -2 + 1j, 5 - 4j, 0.5 + 0.01j])
         assert np.max(np.abs(flow.velocity(z) - 1.0)) < 1e-12
 
     def test_slip_on_plate(self):
-        flow = PlateFlow(4.0, np.pi / 6, FarField(1.0, 1.3))
+        flow = exact_flow(FlatPlate(4.0, np.pi / 6), FarField(1.0, 1.3))
         t = np.linspace(-0.49, 0.49, 17)
         z = t * 4.0 * np.exp(-1j * np.pi / 6) + 1e-9j * np.exp(-1j * np.pi / 6)
         assert np.max(np.abs(flow.stream(z))) < 1e-7
@@ -77,14 +77,14 @@ class TestPlateFlow:
     def test_kutta_circulation_formula(self):
         # trailing-edge root for real w_inf: -pi * chord * w * sin(alpha)
         for alpha in (np.deg2rad(10), np.deg2rad(30)):
-            flow = PlateFlow(4.0, alpha, FarField(1.0, 0.0))
+            flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0))
             assert flow.kutta_circulation(0) == pytest.approx(
                 -np.pi * 4.0 * np.sin(alpha), rel=1e-12)
 
     def test_kutta_root_gives_bounded_trailing_edge(self):
         alpha = np.pi / 6
-        gstar = PlateFlow(4.0, alpha, FarField(1.0, 0.0)).kutta_circulation(0)
-        flow = PlateFlow(4.0, alpha, FarField(1.0, gstar))
+        gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+        flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, gstar))
         te = flow.body.trailing_edge
         d = np.exp(1j * (np.pi / 2 - alpha))
         speeds = [abs(flow.velocity(te + eps * d)) for eps in (1e-3, 1e-5, 1e-7)]
@@ -94,7 +94,7 @@ class TestPlateFlow:
     def test_unregularized_edges_diverge_with_half_power(self):
         # log-log slope oracle for the exponent pi/beta - 1 = -1/2
         alpha = np.pi / 6
-        flow = PlateFlow(4.0, alpha, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0))
         body = flow.body
         for corner in body.corners:
             radii = np.geomspace(1e-6, 1e-4, 5)
@@ -104,16 +104,129 @@ class TestPlateFlow:
             assert slope == pytest.approx(-0.5, abs=0.01)
 
     def test_rejects_on_slit_velocity(self):
-        flow = PlateFlow(4.0, 0.0, FarField(1.0, 0.0))
+        flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         with pytest.raises(FluidDomainError):
             flow.velocity(0.5 + 0j)
+
+    def test_leading_edge_root(self):
+        # U' = 0 at sigma = -1: +pi * chord * w * sin(alpha)
+        alpha, w = np.deg2rad(25), 1.7
+        flow = exact_flow(FlatPlate(3.0, alpha), FarField(w, 0.0))
+        assert flow.kutta_circulation(1) == pytest.approx(
+            np.pi * 3.0 * w * np.sin(alpha), rel=1e-12)
+
+    def test_roots_invariant_under_rotating_plate_and_stream(self):
+        # turning the plate and the velocity vector by phi together:
+        # alpha -> alpha - phi and w_inf -> w_inf exp(-i phi)
+        chord, alpha, w = 2.5, np.deg2rad(20), 1.3
+        base = exact_flow(FlatPlate(chord, alpha), FarField(w, 0.0))
+        for phi in (0.4, -1.1, 2.9):
+            turned = exact_flow(FlatPlate(chord, alpha - phi),
+                                FarField(w * np.exp(-1j * phi), 0.0))
+            for k in (0, 1):
+                assert abs(turned.kutta_circulation(k) - base.kutta_circulation(k)) \
+                    <= 1e-12 * w * chord
+
+    @pytest.mark.parametrize("body, corner_id", [
+        (FlatPlate(4.0, 0.3), 2), (FlatPlate(4.0, 0.3), 5),
+        (FlatPlate(4.0, 0.3), -1), (Circle(1.0), 0)],
+        ids=["plate-2", "plate-5", "plate-minus-1", "circle-0"])
+    def test_kutta_circulation_needs_a_prevertex(self, body, corner_id):
+        with pytest.raises(InvalidGeometryError):
+            exact_flow(body, FarField(1.0, 0.0)).kutta_circulation(corner_id)
+
+
+# ---------------------------------------------------------------------------
+# MappedFlow against the z-plane closed forms, and its domain rules
+
+
+def circle_reference(R, far, z):
+    """(w, psi) of the flow around a circle of radius R, in z."""
+    wi, gam = far.w_inf, far.circulation
+    w = wi - np.conj(wi) * R**2 / z**2 + gam / (TWO_PI * 1j * z)
+    psi = (np.imag(wi * z + np.conj(wi) * R**2 / z)
+           - gam / TWO_PI * np.log(np.abs(z) / R))
+    return w, psi
+
+
+def plate_reference(chord, alpha, far, z):
+    """(w, psi) of the flow around the plate slit, in z.  In the plate
+    frame Z = z / d, d = exp(-i alpha), the slit is |X| <= a = chord / 2;
+    with w_inf d = p - i q and s = sqrt(Z - a) sqrt(Z + a) (~ Z at
+    infinity): w = (p - i q Z / s + Gamma / (2 pi i s)) / d and
+    psi = Im(p Z - i q s) - Gamma / (2 pi) log|(Z + s) / a|."""
+    d, a, gam = np.exp(-1j * alpha), 0.5 * chord, far.circulation
+    Z = z / d
+    s = np.sqrt(Z - a) * np.sqrt(Z + a)
+    p, q = (far.w_inf * d).real, -(far.w_inf * d).imag
+    w = (p - 1j * q * Z / s + gam / (TWO_PI * 1j * s)) / d
+    psi = np.imag(p * Z - 1j * q * s) - gam / TWO_PI * np.log(np.abs((Z + s) / a))
+    return w, psi
+
+
+@pytest.mark.parametrize("body, reference", [
+    (Circle(1.5), lambda far, z: circle_reference(1.5, far, z)),
+    (FlatPlate(4.0, np.pi / 6), lambda far, z: plate_reference(4.0, np.pi / 6, far, z)),
+    (FlatPlate(2.0, -1.0), lambda far, z: plate_reference(2.0, -1.0, far, z)),
+], ids=["circle", "plate", "plate_negative_alpha"])
+def test_mapped_flow_matches_z_plane_formulas(body, reference):
+    rng = np.random.default_rng(7)
+    R = body.circumradius
+    # off the body: images of |sigma| in [1.05, 6] under the body's map
+    sigma = rng.uniform(1.05, 6.0, 400) * np.exp(1j * rng.uniform(0, TWO_PI, 400))
+    for far in (FarField(1.3 * np.exp(0.4j), 2.1), FarField(-0.7, -5.0)):
+        flow = exact_flow(body, far)
+        assert isinstance(flow, MappedFlow)
+        z = flow.map.to_z(sigma)
+        w_ref, psi_ref = reference(far, z)
+        assert np.max(np.abs(flow.velocity(z) - w_ref)) <= 1e-13 * abs(far.w_inf)
+        assert np.max(np.abs(flow.stream(z) - psi_ref)) <= 1e-13 * abs(far.w_inf) * R
+
+
+def test_circle_accepts_boundary_points_that_round_inside():
+    flow = exact_flow(Circle(1.5), FarField(1.0, 2.0))
+    z = 1.5 * np.exp(1j * TWO_PI * np.arange(4096) / 4096)
+    assert np.count_nonzero(np.abs(z) < 1.5) > 0
+    assert np.all(np.isfinite(flow.velocity(z)))
+    assert np.max(np.abs(flow.stream(z))) < 1e-12
+
+
+@pytest.mark.parametrize("z", [0.2 + 0.1j, 1.5 * (1 - 1e-9) * np.exp(0.3j),
+                               np.array([3.0, 1.0j])])
+def test_circle_rejects_interior_points(z):
+    flow = exact_flow(Circle(1.5), FarField(1.0, 2.0))
+    with pytest.raises(FluidDomainError):
+        flow.velocity(z)
+    with pytest.raises(FluidDomainError):
+        flow.stream(z)
+
+
+def test_plate_stream_accepts_slit_and_velocity_rejects_it():
+    alpha = np.pi / 6
+    flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 1.3))
+    slit = np.linspace(-2.0, 2.0, 33) * np.exp(-1j * alpha)
+    psi = flow.stream(slit)
+    # psi = 0 on the slit; at the edges sigma = +-1 is a double root
+    assert np.max(np.abs(psi[1:-1])) < 1e-12 and np.max(np.abs(psi)) < 1e-7
+    for z in slit:
+        with pytest.raises(FluidDomainError):
+            flow.velocity(z)
+
+
+def test_public_names_resolve():
+    import cornerflow
+    missing = [name for name in cornerflow.__all__ if not hasattr(cornerflow, name)]
+    assert missing == []
+    namespace = {}
+    exec("from cornerflow import *", namespace)
+    assert set(cornerflow.__all__) <= set(namespace)
 
 
 class TestPanelSolve:
     def test_circle_polygon_matches_exact(self):
         far = FarField(1.0, 0.0)
         sol = panel_solve(Circle(1.0), far, 64)
-        exact = CircleFlow(1.0, far)
+        exact = exact_flow(Circle(1.0), far)
         z = 2j
         assert abs(sol.flow.velocity(z) - exact.velocity(z)) < 2e-3
 
@@ -207,7 +320,7 @@ class TestPanelSolve:
     def test_panel_stream_matches_exact_circle(self):
         far = FarField(1.0, TWO_PI)
         sol = panel_solve(Circle(1.0), far, 256)
-        exact = CircleFlow(1.0, far)
+        exact = exact_flow(Circle(1.0), far)
         z = np.array([2j, 3.0, -1.5 + 1.2j])
         assert np.max(np.abs(sol.flow.stream(z) - exact.stream(z))) < 5e-4
 
