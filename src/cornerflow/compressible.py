@@ -20,7 +20,11 @@ gradient (the face densities by Newton iterations started at the previous
 step's), solve the linear five-point system by conjugate gradients
 warm-started from the current iterate and preconditioned with the exact
 inverse of the constant-h operator (real FFT in theta, a Thomas sweep in
-xi per Fourier mode), under-relax, repeat.  The coefficient evaluation
+xi per Fourier mode), under-relax, repeat.  CG starts from the step's own
+cell balance and stops at a tolerance that follows the outer residual,
+max(LINEAR_TOL, min(tol, FORCING * residual)) (Eisenstat & Walker 1996):
+no step solves its frozen system further than the next residual needs.
+The coefficient evaluation
 is guarded: any face whose half-squared mass flux m reaches the sonic
 bound of the Bernoulli state aborts the solve (the equation leaves its
 elliptic region there).  No density clamping is applied unless the
@@ -31,6 +35,9 @@ Per (grid, free stream) only what the Picard steps read is stored: base
 face fluxes, base gradients and H at the faces, Dirichlet rows and Thomas
 factors, about ten full-grid arrays.  Face z (abort location, corner
 masks) and nodal dz/dzeta (post-processing) are recomputed from the map.
+On every such grid sigma = e^xi e^(i theta) is separable: one outer
+product of n_r real and n_theta complex exponentials, not a complex
+exponential per node.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ TWO_PI = 2.0 * np.pi
 OMEGA = 0.7           # Picard under-relaxation
 CAP_FRACTION = 0.995  # capped mode clamps m at this fraction of flux_max_m
 LINEAR_TOL = 1e-13    # CG stops at max|A x - b| <= LINEAR_TOL max|b|
+FORCING = 0.01        # a Picard step's CG tolerance: FORCING * its residual
 CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
 
 
@@ -108,13 +116,19 @@ def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGri
 
     xi = np.linspace(0.0, np.log(cmap.sigma_radius(r_far)), n_r)
     theta = TWO_PI * np.arange(n_theta) / n_theta
-    sigma = np.exp(xi[:, None] + 1j * theta[None, :])
+    sigma = _sigma(xi, theta)
     z = cmap.to_z(sigma)
     H = np.abs(cmap.dz_dsigma(sigma) * sigma)
     flagged = H <= 1e-12 * body.circumradius
     return ConformalGrid(body=body, r_far=float(r_far), n_r=n_r,
                          n_theta=n_theta, xi=xi, theta=theta, z=z, H=H,
                          flagged=flagged, map=cmap)
+
+
+def _sigma(xi, theta):
+    """sigma = e^xi e^(i theta) at xi (rows) x theta (columns): the outer
+    product of n_r real and n_theta complex exponentials."""
+    return np.exp(xi)[:, None] * np.exp(1j * theta)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +141,9 @@ class CompressibleSolution:
 
     Fields are nodal; flagged map nodes hold NaN.  ``residuals`` is the
     nonlinear cell-balance history (relative to the largest face flux)
-    per Picard step.
+    per Picard step; ``linear_residuals`` and ``linear_iterations`` give
+    the relative residual and the CG iteration count of each step's
+    linear solve.
     """
 
     grid: ConformalGrid
@@ -140,6 +156,7 @@ class CompressibleSolution:
     velocity: np.ndarray
     residuals: tuple
     linear_residuals: tuple
+    linear_iterations: tuple
     converged: bool
     iterations: int
     max_mach: float
@@ -236,11 +253,11 @@ class _Discretization:
 
     def map_z(self, xi, theta):
         """z at the chart points xi (rows) x theta (columns)."""
-        return self.map.to_z(np.exp(xi[:, None] + 1j * theta[None, :]))
+        return self.map.to_z(_sigma(xi, theta))
 
     def base_gradient(self, xi, theta):
         """dz/dzeta and the exact base (psi_xi, psi_theta) at xi x theta."""
-        sigma = np.exp(xi[:, None] + 1j * theta[None, :])
+        sigma = _sigma(xi, theta)
         dz = self.map.dz_dsigma(sigma) * sigma
         fp = self.far.w_inf * dz
         return dz, np.imag(fp), np.real(fp)
@@ -316,24 +333,29 @@ class _Discretization:
             y[i] -= c[i] * y[i + 1]
         return np.fft.irfft(y.view(np.complex128), n=self.nt, axis=1)
 
-    def solve_linear(self, h_xf, h_tf, x0):
+    def solve_linear(self, h_xf, h_tf, x0, r0=None, tol=LINEAR_TOL):
         """Solve the frozen-coefficient five-point system for the interior.
 
         Preconditioned conjugate gradients on the symmetric (negative
         definite) operator, preconditioned by the exact separable inverse
-        of the constant-h operator at the mean face h.  CG starts from
-        x0 + P^-1 (b - A x0) / mean h, which is already the solution when
-        h is constant; x0 is a guess for the interior rows (0.0 for
-        none).  Because h = 1/rho lies between 1/rho_0 and 1/rho*, the
-        preconditioned condition number is bounded by rho_0/rho*
-        independently of the grid.  Returns the interior rows,
-        the relative residual max|A x - b| / max|b| of the true residual
-        and the number of CG iterations; raises SolverError if CG misses
-        LINEAR_TOL within CG_MAX_ITERS iterations.
+        of the constant-h operator at the mean face h.  h_xf and h_tf are
+        face arrays, or scalars for a constant h.  CG starts from
+        x0 + P^-1 r0 / mean h with r0 = b - A x0 (computed here unless
+        given), which is already the solution when h is constant; x0 is a
+        guess for the interior rows (0.0 for none).  Because h = 1/rho
+        lies between 1/rho_0 and 1/rho*, the preconditioned condition
+        number is bounded by rho_0/rho* independently of the grid.
+        Returns the interior rows, the relative residual
+        max|A x - b| / max|b| of the true residual and the number of CG
+        iterations; raises SolverError if CG misses tol within
+        CG_MAX_ITERS iterations.
         """
-        h_mean = float(np.mean(np.concatenate([h_xf.ravel(),
-                                               h_tf[1:-1, :].ravel()])))
-        padded = np.zeros((self.nr, self.nt))
+        nr, nt = self.nr, self.nt
+        h_in = (np.broadcast_to(h_xf, (nr - 1, nt)),
+                np.broadcast_to(h_tf, (nr, nt))[1:-1])
+        h_mean = float(sum(np.sum(h) for h in h_in)
+                       / sum(h.size for h in h_in))
+        padded = np.zeros((nr, nt))
 
         def apply(p):  # A p: homogeneous boundary rows, no base flux
             padded[1:-1, :] = p
@@ -343,11 +365,13 @@ class _Discretization:
         b = -self._balance(self.with_boundary(0.0), h_xf, h_tf,
                            self.base_flux_xi, self.base_flux_th)[0]
         b_max = max(float(np.max(np.abs(b))), 1e-300)
-        x = x0 + self._fast_solve(b - apply(x0)) / h_mean
+        if r0 is None:
+            r0 = b - apply(x0)
+        x = x0 + self._fast_solve(r0) / h_mean
         for it in range(CG_MAX_ITERS + 1):
             r = b - apply(x)
             lin_res = float(np.max(np.abs(r))) / b_max
-            if lin_res <= LINEAR_TOL:
+            if lin_res <= tol:
                 return x, lin_res, it
             z = self._fast_solve(r) / h_mean
             # einsum, not a BLAS dot: threaded BLAS spins idle cores
@@ -356,7 +380,7 @@ class _Discretization:
             rz = rz_new
             x = x + (rz / float(np.einsum("ij,ij->", p, apply(p)))) * p
         raise SolverError(
-            f"preconditioned CG missed residual {LINEAR_TOL:g} after "
+            f"preconditioned CG missed residual {tol:g} after "
             f"{CG_MAX_ITERS} iterations (at {lin_res:.3e})")
 
 
@@ -410,7 +434,7 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
     psi_t = disc.with_boundary((1 - w) * disc.psi_body[None, :]
                                + w * disc.psi_outer[None, :])
 
-    residuals, linear_residuals = [], []
+    residuals, linear_residuals, linear_iterations = [], [], []
     capped_total = 0
     converged = False
     it = 0
@@ -428,8 +452,13 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             converged = True
             break
 
-        interior, lin_res, _ = disc.solve_linear(h_xf, h_tf, psi_t[1:-1, :])
+        # the cell balance is A x - b at x = psi_t; the inner tolerance
+        # follows the outer residual, never above opts.tol
+        interior, lin_res, lin_its = disc.solve_linear(
+            h_xf, h_tf, psi_t[1:-1, :], -bal,
+            max(LINEAR_TOL, min(opts.tol, FORCING * res)))
         linear_residuals.append(lin_res)
+        linear_iterations.append(lin_its)
         psi_t[1:-1, :] = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
 
     if not converged and not opts.capped:
@@ -439,7 +468,8 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
 
     # capped diagnostic runs return their last (non-physical) iterate
     return _postprocess(grid, disc, gas, state, psi_t, residuals,
-                        linear_residuals, it, capped_total, opts, converged)
+                        linear_residuals, linear_iterations, it, capped_total,
+                        opts, converged)
 
 
 def _first_near_max(values):
@@ -450,7 +480,7 @@ def _first_near_max(values):
 
 
 def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
-                 iterations, capped_faces, opts, converged):
+                 linear_iterations, iterations, capped_faces, opts, converged):
     gx, gt, dz = disc.nodal_gradient(psi_t)
     valid = ~grid.flagged
     m = np.full(psi_t.shape, np.nan)
@@ -479,7 +509,8 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
         rho=rho, mach=mach, speed=speed,
         velocity=disc.nodal_velocity(gx, gt, dz, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
-        converged=converged, iterations=iterations, max_mach=max_mach,
+        linear_iterations=tuple(linear_iterations), converged=converged,
+        iterations=iterations, max_mach=max_mach,
         max_mach_location=complex(grid.z[k]), capped=opts.capped,
         capped_faces=capped_faces)
 
@@ -493,8 +524,7 @@ def incompressible_reference_solution(grid: ConformalGrid,
     metric.
     """
     disc = _discretization(grid, far)
-    interior, _, _ = disc.solve_linear(np.ones((grid.n_r - 1, grid.n_theta)),
-                                       np.ones((grid.n_r, grid.n_theta)), 0.0)
+    interior, _, _ = disc.solve_linear(1.0, 1.0, 0.0)
     return disc.with_boundary(interior)
 
 

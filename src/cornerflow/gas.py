@@ -142,10 +142,12 @@ class BernoulliState:
     def density_from_flux(self, m, rho_start=None) -> FluxInversion:
         """Solve B = m/rho^2 + pi(rho) for the subsonic root rho(m).
 
-        Safeguarded Newton iteration on the bracket
-        [sonic_density, stagnation_density] from rho_start (default: the
-        stagnation density); relative tolerance 1e-14.
-        Raises SonicFluxError for m >= flux_max_m (ellipticity guard).
+        Plain Newton steps from rho_start (default: the stagnation
+        density), clipped into [sonic_density, stagnation_density]; a face
+        whose step leaves that bracket or is not finite is solved by the
+        safeguarded iteration (``_bracketed_root``) instead.  Relative
+        tolerance 1e-14.  Raises SonicFluxError for m >= flux_max_m
+        (ellipticity guard).
         """
         m_arr = np.asarray(m, dtype=float)
         scalar = m_arr.ndim == 0
@@ -156,21 +158,44 @@ class BernoulliState:
             k = int(np.argmax(m_arr))
             raise SonicFluxError(
                 f"flux m={m_arr.flat[k]} at/above sonic bound {self.flux_max_m}")
-        g = self.gas.gamma
-        B = self.bernoulli_B
-        lo = np.full_like(m_arr, self.sonic_density)
-        hi = np.full_like(m_arr, self.stagnation_density)
-        rho = np.clip(hi if rho_start is None else rho_start, lo, hi)
+        lo, hi = self.sonic_density, self.stagnation_density
+        rho = np.empty_like(m_arr)
+        np.clip(hi if rho_start is None else rho_start, lo, hi, out=rho)
         for _ in range(200):
-            # one fractional power per step: c2 = c^2, q = m/rho^2
-            c2 = g * rho ** (g - 1.0)
-            q = m_arr / (rho * rho)
-            f = q + c2 / (g - 1.0) - B
+            cand = rho - self._newton_step(m_arr, rho)[1]
+            out = ~((cand >= lo) & (cand <= hi))  # NaN is out too
+            if out.any():
+                cand[out] = self._bracketed_root(m_arr[out], rho[out])
+            done = np.abs(cand - rho) <= 1e-14 * cand
+            rho = cand
+            if done.all():
+                break
+        if scalar:
+            r = float(rho[0])
+            return FluxInversion(r, 1.0 / r)
+        return FluxInversion(rho, 1.0 / rho)
+
+    def _newton_step(self, m, rho):
+        """f(rho) = m/rho^2 + pi(rho) - B and the Newton step f/f'(rho),
+        with one fractional power: c2 = c^2, q = m/rho^2."""
+        g = self.gas.gamma
+        c2 = g * rho ** (g - 1.0)
+        q = m / (rho * rho)
+        f = q + c2 / (g - 1.0) - self.bernoulli_B
+        fp = (c2 - 2.0 * q) / rho
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return f, f / fp
+
+    def _bracketed_root(self, m, rho):
+        """Safeguarded Newton iteration from rho: f's sign at every iterate
+        shrinks the bracket [sonic_density, stagnation_density], and a step
+        that leaves the bracket or is not finite bisects it instead."""
+        lo = np.full_like(m, self.sonic_density)
+        hi = np.full_like(m, self.stagnation_density)
+        for _ in range(200):
+            f, step = self._newton_step(m, rho)
             lo = np.where(f < 0, rho, lo)
             hi = np.where(f > 0, rho, hi)
-            fp = (c2 - 2.0 * q) / rho
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = f / fp
             cand = rho - step
             bad = ~np.isfinite(cand) | (cand <= lo) | (cand > hi)
             cand = np.where(bad, 0.5 * (lo + hi), cand)
@@ -178,7 +203,4 @@ class BernoulliState:
             rho = cand
             if np.all(done):
                 break
-        if scalar:
-            r = float(rho[0])
-            return FluxInversion(r, 1.0 / r)
-        return FluxInversion(rho, 1.0 / rho)
+        return rho

@@ -229,6 +229,9 @@ class TestLinearSolve:
         assert iterations == 0
         assert lin_res <= compressible.LINEAR_TOL
         assert self.rel_diff(x, five_point_superlu(disc, h_xf, h_tf)) <= 1e-12
+        # scalar h is the same constant operator, with no face arrays
+        x_scalar, _, iterations = disc.solve_linear(1.0, 1.0, self.cold(disc))
+        assert iterations == 0 and np.array_equal(x_scalar, x)
 
     @pytest.mark.parametrize("shape", [(32, 64), (256, 512), (128, 256),
                                        (129, 256)])
@@ -255,6 +258,20 @@ class TestLinearSolve:
         assert lin_res <= compressible.LINEAR_TOL
         assert iterations <= it_cold
         assert self.rel_diff(x, x_cold) <= 1e-11
+
+    def test_cell_balance_is_the_start_residual(self):
+        # a Picard step hands CG its cell balance, negated, as b - A x0
+        disc = self.discretization(64, 128)
+        h_xf, h_tf = self.random_h(disc, self.SUBSONIC_SPREAD)
+        exact = five_point_superlu(disc, h_xf, h_tf)
+        noise = np.random.default_rng(7).standard_normal(exact.shape)
+        guess = exact + 1e-3 * np.max(np.abs(exact)) * noise
+        bal, _ = disc.cell_residual(disc.with_boundary(guess), h_xf, h_tf)
+        x, lin_res, iterations = disc.solve_linear(h_xf, h_tf, guess, -bal)
+        x_own, _, it_own = disc.solve_linear(h_xf, h_tf, guess)
+        assert lin_res <= compressible.LINEAR_TOL and iterations == it_own
+        assert self.rel_diff(x, x_own) <= 1e-12
+        assert self.rel_diff(x, exact) <= 1e-11
 
     def test_reference_solve_takes_no_iterations_on_a_fine_grid(self):
         disc = self.discretization(256, 512)
@@ -360,3 +377,49 @@ class TestLeanDiscretization:
             tracemalloc.stop()
         full_grid_array = 128 * 256 * np.dtype(float).itemsize
         assert peak < 27 * full_grid_array  # 22.1 measured
+
+
+class TestCheaperPicardSteps:
+    def test_sigma_is_the_complex_exponential(self):
+        # sigma = e^xi e^(i theta) as an outer product, within two ulps
+        grid = build_grid(Circle(1.0), 50.0, 256, 512)
+        sigma = compressible._sigma(grid.xi, grid.theta)
+        direct = np.exp(grid.xi[:, None] + 1j * grid.theta[None, :])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(sigma - direct) <= 2 * eps * np.abs(direct))
+
+    def test_inner_tolerance_follows_the_outer_residual(self):
+        # at a fixed LINEAR_TOL this solve took the same 14 Picard steps
+        # with 67 CG iterations; the forcing rule needs 36
+        state, far = free_stream(0.3)
+        grid = build_grid(Circle(1.0), 50.0, 128, 256)
+        sol = solve_subsonic(grid, GAS, state, far)
+        assert sol.converged and sol.iterations == 14
+        assert len(sol.linear_iterations) == len(sol.linear_residuals) == 13
+        assert sum(sol.linear_iterations) <= 45
+        assert all(r <= SolverOptions().tol for r in sol.linear_residuals)
+
+    def test_reference_solve_allocates_no_face_h(self, monkeypatch):
+        # h = 1 reaches the linear solve as two scalars: nothing the size
+        # of the grid is allocated before CG starts (np.ones face arrays
+        # took two full-grid arrays)
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), 50.0, 256, 512)
+        far = FarField(0.8, 0.0)
+        incompressible_reference_solution(grid, far)  # discretization built
+        at_entry = []
+        solve = compressible._Discretization.solve_linear
+
+        def traced(self, h_xf, h_tf, *args):
+            at_entry.append(tracemalloc.get_traced_memory()[0] - before)
+            return solve(self, h_xf, h_tf, *args)
+
+        monkeypatch.setattr(compressible._Discretization, "solve_linear",
+                            traced)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            incompressible_reference_solution(grid, far)
+        finally:
+            tracemalloc.stop()
+        full_grid_array = 256 * 512 * np.dtype(float).itemsize
+        assert len(at_entry) == 1 and at_entry[0] < 0.1 * full_grid_array

@@ -179,3 +179,48 @@ class TestBernoulliProperties:
         st = BernoulliState(GasModel(1.4), 2.0)
         q = np.linspace(0.0, 0.999 * st.limit_speed, 500)
         assert np.all(np.diff(st.density_from_speed(q)) < 0)
+
+
+def bisect_roots(st, m, iters=200):
+    """Bisection-only subsonic roots of B = m/rho^2 + pi(rho), elementwise
+    on [sonic_density, stagnation_density]."""
+    g = st.gas.gamma
+    lo = np.full_like(m, st.sonic_density)
+    hi = np.full_like(m, st.stagnation_density)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        above = m / mid**2 + g / (g - 1.0) * mid ** (g - 1.0) > st.bernoulli_B
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_flux_inversion_safeguard_matches_bisection(monkeypatch):
+    # plain Newton steps everywhere, the bracketed fallback only where a
+    # step leaves [rho*, rho_0]: from every start the root must agree with
+    # bisection, and some start must need the fallback.  Toward the sonic
+    # end f' -> 0, and one rounding of f (eps B) moves the root by
+    # eps B / f'(rho), 1.4e-14 relative at 0.999 m_max for gamma = 1.4:
+    # there the bound adds four of those to the 1e-14 stopping rule
+    eps = np.finfo(float).eps
+    fallback_faces = []
+    bracketed = BernoulliState._bracketed_root
+
+    def counting(self, m, rho):
+        fallback_faces.append(m.size)
+        return bracketed(self, m, rho)
+
+    monkeypatch.setattr(BernoulliState, "_bracketed_root", counting)
+    for gamma in (1.4, 5.0 / 3.0, 2.0):
+        st = BernoulliState(GasModel(gamma), 2.3)
+        m = np.linspace(0.0, 0.999 * st.flux_max_m, 1001)
+        ref = bisect_roots(st, m)
+        warm = bisect_roots(st, 0.99 * m)  # the previous step's roots
+        slope = (gamma * ref ** (gamma - 1.0) - 2.0 * m / ref**2) / ref
+        rounding = eps * st.bernoulli_B / (slope * ref)
+        for start in (st.sonic_density, st.stagnation_density, warm):
+            rho = st.density_from_flux(m, np.broadcast_to(start, m.shape)).rho
+            rel = np.abs(rho - ref) / ref
+            assert np.all(rel[m <= 0.99 * st.flux_max_m] <= 1e-14)
+            assert np.all(rel <= 1e-14 + 4.0 * rounding)
+    assert sum(fallback_faces) > 0
