@@ -10,6 +10,10 @@ corners unless a_1 = 0.  The k = 1 mode is one-signed across the wedge;
 every higher mode changes sign, which is why a regular corner with a
 nonzero local field must see both signs of psi.
 
+The modes are orthogonal in theta on any ring inside the clearance, so
+a1 is a projection of psi on one ring, not a fit (``_ring_a1``); its
+change between two rings a decade apart is the reported uncertainty.
+
 Contour integrals use the identity  oint w dz = Gamma + i * (mass flux),
 so circulation and flux share one quadrature.
 """
@@ -22,12 +26,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateKuttaError, FitQualityError, FluidDomainError
-from .geometry import Body, Contour, Corner, probe_ring
+from .geometry import Body, Contour, Corner, _ring_points, probe_ring
 
 TWO_PI = 2.0 * np.pi
 # |a1| above TOL_A1 * |w_inf| * R**(1 - pi/beta) counts as singular
 TOL_A1 = 1e-3
-N_MODES = 4
+# Gauss-Legendre nodes in theta of one a1 projection ring
+RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
 # cell-sample pairs per chunk of the sign census's body mask
 MASK_PAIRS = 262144
@@ -80,10 +85,10 @@ class CornerReport:
 
 
 def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
-    """Geometric ladder of probe radii spanning a decade, kept inside the
-    corner clearance."""
+    """The two projection rings (r_hi / 10, r_hi), a decade apart inside
+    the corner clearance."""
     r_hi = min(0.25 * body_scale, 0.5 * corner.clearance)
-    return np.geomspace(0.025 * r_hi / 0.25, r_hi, 6)
+    return np.array([0.1 * r_hi, r_hi])
 
 
 def _flow_scale(flow, body_scale: float, beta: float) -> float:
@@ -92,52 +97,39 @@ def _flow_scale(flow, body_scale: float, beta: float) -> float:
     return w * body_scale ** (1.0 - np.pi / beta)
 
 
-def _fit_a1(flow, corner: Corner, radii):
-    """Least-squares fit of psi on probe rings to the first N_MODES terms
-    of the corner expansion.
+def _ring_a1(flow, corner: Corner, radii) -> np.ndarray:
+    """a1 projected on the innermost and the outermost ring of ``radii``.
 
-    Returns (a1, a1_sigma): the leading coefficient and its
-    covariance-based standard error.
+    The corner modes are orthogonal on one ring, so
+        a1(r) = (2/beta) r**(-pi/beta)
+                * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
+    here by RING_NODES-point Gauss-Legendre in theta.  Exact wherever the
+    walls are straight out to r; on a panel flow the change of a1(r)
+    between the rings measures the discretization error.  Returns
+    [a1(r_lo), a1(r_hi)].
     """
-    if len(radii) < 3 or radii.max() / radii.min() < 9.99:
-        raise FitQualityError("need >= 3 radii spanning a decade")
-    beta = corner.exterior_angle_beta
-    pts = probe_ring(corner, radii, SAMPLES_PER_RADIUS)
-    r, theta = corner.local_polar(pts)
-    psi = np.asarray(flow.stream(pts), dtype=float)
+    from .incompressible import _gauss_legendre  # deferred: avoids cycle
 
-    k = np.arange(1, N_MODES + 1)
-    r_ref = radii.max()
-    # columns scaled by r_ref**(k pi/beta) for conditioning
-    design = ((r[..., None] / r_ref) ** (k * np.pi / beta)
-              * np.sin(k * np.pi * theta[..., None] / beta))
-    X = design.reshape(-1, N_MODES)
-    y = psi.ravel()
-    # one SVD X = U diag(s) Vt gives the condition number, the rank, the
-    # coefficients Vt.T (U.T y / s) and (X.T X)^-1 = Vt.T diag(s**-2) Vt
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    with np.errstate(divide="ignore"):
-        cond = float(s[0] / s[-1])
-    if cond > 1e8:
-        raise FitQualityError(f"corner fit ill-conditioned (cond={cond:.3g})")
-    if np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]) < N_MODES:
-        raise FitQualityError("rank-deficient corner fit")
-    coef_scaled = Vt.T @ ((U.T @ y) / s)
-    dof = max(X.shape[0] - N_MODES, 1)
-    sigma2 = float(np.sum((X @ coef_scaled - y) ** 2)) / dof
-    var_a1 = sigma2 * float(np.sum(Vt[:, 0] ** 2 / s**2))
-    a1 = coef_scaled[0] / r_ref ** (np.pi / beta)
-    a1_sigma = np.sqrt(var_a1) / r_ref ** (np.pi / beta)
-    return float(a1), float(a1_sigma)
+    radii = np.asarray(radii, dtype=float)
+    rings = np.array([radii.min(), radii.max()])
+    if rings[1] / rings[0] < 9.99:
+        raise FitQualityError("need radii spanning a decade")
+    beta = corner.exterior_angle_beta
+    s, w = _gauss_legendre(RING_NODES)
+    psi = np.asarray(flow.stream(_ring_points(corner, rings, beta * s)),
+                     dtype=float)
+    # (2/beta) times the rule's Jacobian beta/2 is 1
+    return psi @ (w * np.sin(np.pi * s)) / rings ** (np.pi / beta)
 
 
 def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
-    """Least-squares fit of psi to the corner expansion.
+    """Singular behaviour of psi at one corner.
 
-    Reports the leading coefficient a1 with its covariance-based
-    uncertainty, plus an independent exponent estimate from the log-log
-    slope of the per-ring maximum speed on a deeper ring ladder (local
-    slopes extrapolated to r = 0 against the known next-mode gap
+    Reports the leading coefficient a1 projected on the outermost ring
+    of ``radii`` (``_ring_a1``), with the change from the innermost ring
+    as its uncertainty, plus an independent exponent estimate from the
+    log-log slope of the per-ring maximum speed on a deeper ring ladder
+    (local slopes extrapolated to r = 0 against the known next-mode gap
     r**(pi/beta)).  ``singular`` means |a1| exceeds TOL_A1 times the
     scale-invariant magnitude |w_inf|*R**(1-pi/beta).
     """
@@ -145,15 +137,16 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     if radii is None:
         radii = default_fit_radii(corner, body_scale)
     radii = np.asarray(radii, dtype=float)
-    a1, a1_sigma = _fit_a1(flow, corner, radii)
+    a1_lo, a1 = _ring_a1(flow, corner, radii)
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, body_scale)
     singular = bool(abs(a1) > TOL_A1 * _flow_scale(flow, body_scale, beta))
     verdict = sign_attainment(flow, corner, radii.min())
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta),
-        a1_estimate=a1, a1_uncertainty=a1_sigma, fitted_exponent=float(slope),
-        singular=singular, sign_attainment=verdict)
+        a1_estimate=float(a1), a1_uncertainty=float(abs(a1 - a1_lo)),
+        fitted_exponent=float(slope), singular=singular,
+        sign_attainment=verdict)
 
 
 def _exponent_slope(flow, corner: Corner, body_scale: float) -> float:
@@ -291,25 +284,27 @@ def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
 
     ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
     Gamma = Gamma_1 = flow1.far.circulation; by superposition their a1
-    fits fix the line exactly.  The root regularizes the corner; its
-    uncertainty comes from both fits.  Raises DegenerateKuttaError when
-    a1 does not respond to circulation,
+    projections fix the line exactly.  Both are taken on the two rings of
+    ``default_fit_radii``: the root, slope and a1(0) come from the outer
+    ring, and the root uncertainty is the change of the root between the
+    rings, which does not depend on Gamma_1.  Raises DegenerateKuttaError
+    when a1 does not respond to circulation on either ring,
     |a1(Gamma_1) - a1(0)| < 1e-12 * |w_inf| * R**(1-pi/beta).
     """
     body_scale = flow0.body.circumradius
     radii = default_fit_radii(corner, body_scale)
-    a0, sig0 = _fit_a1(flow0, corner, radii)
-    a1, sig1 = _fit_a1(flow1, corner, radii)
-    rise = a1 - a0
-    if abs(rise) < 1e-12 * _flow_scale(flow0, body_scale,
-                                       corner.exterior_angle_beta):
+    a0 = _ring_a1(flow0, corner, radii)
+    rise = _ring_a1(flow1, corner, radii) - a0
+    if np.min(np.abs(rise)) < 1e-12 * _flow_scale(flow0, body_scale,
+                                                  corner.exterior_angle_beta):
         raise DegenerateKuttaError(
             f"a1 at corner {corner.corner_id} does not respond to circulation")
     gamma1 = flow1.far.circulation
+    roots = -a0 * gamma1 / rise
     return CornerCensusEntry(
-        corner_id=corner.corner_id, root=-a0 * gamma1 / rise,
-        slope=rise / gamma1, a1_at_zero=a0,
-        root_uncertainty=float(gamma1 * np.hypot(sig0 * a1, sig1 * a0) / rise**2))
+        corner_id=corner.corner_id, root=float(roots[1]),
+        slope=float(rise[1] / gamma1), a1_at_zero=float(a0[1]),
+        root_uncertainty=float(abs(roots[1] - roots[0])))
 
 
 def corner_census(body: Body, w_inf: complex, gamma_grid=None,

@@ -332,13 +332,6 @@ def probe_ring(corner: Corner, radii, samples_per_radius: int) -> np.ndarray:
     spanning the open wedge with a wall margin of 0.05 * beta.
     Returns an array of shape (len(radii), samples_per_radius).
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0):
-        raise GeometryClipError("probe radii must be positive")
-    if np.any(radii >= corner.clearance):
-        raise GeometryClipError(
-            f"radius {radii.max()} reaches beyond the local wedge "
-            f"(clearance {corner.clearance})")
     if samples_per_radius < 1:
         raise GeometryClipError("need at least one sample per radius")
     beta = corner.exterior_angle_beta
@@ -347,6 +340,19 @@ def probe_ring(corner: Corner, radii, samples_per_radius: int) -> np.ndarray:
         theta = np.array([beta / 2.0])
     else:
         theta = np.linspace(theta_margin, beta - theta_margin, samples_per_radius)
+    return _ring_points(corner, radii, theta)
+
+
+def _ring_points(corner: Corner, radii, theta) -> np.ndarray:
+    """Points at polar coordinates (radii x theta) about the corner, theta
+    from its first wall; every radius must lie in (0, clearance)."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if np.any(radii <= 0):
+        raise GeometryClipError("probe radii must be positive")
+    if np.any(radii >= corner.clearance):
+        raise GeometryClipError(
+            f"radius {radii.max()} reaches beyond the local wedge "
+            f"(clearance {corner.clearance})")
     phase = np.exp(1j * (corner.wall_angle + theta))
     return corner.vertex + radii[:, None] * phase[None, :]
 

@@ -162,10 +162,14 @@ class JoukowskyPlateMap:
 
         Uses sqrt(zeta-2)*sqrt(zeta+2), whose branch cut lies exactly on
         the slit, then picks the root outside the unit circle (the two
-        roots are reciprocal).
+        roots are reciprocal).  zeta -+ 2 is formed as (z -+ 2d)/d with
+        d = f'(inf): 2d is the edge point itself, so the offset from an
+        edge keeps every digit.
         """
-        zeta = np.asarray(z, dtype=complex) / self.dz_dsigma_inf
-        s = np.sqrt(zeta - 2.0) * np.sqrt(zeta + 2.0)
+        z = np.asarray(z, dtype=complex)
+        d = self.dz_dsigma_inf
+        zeta = z / d
+        s = np.sqrt((z - 2.0 * d) / d) * np.sqrt((z + 2.0 * d) / d)
         sig = 0.5 * (zeta + s)
         with np.errstate(divide="ignore", invalid="ignore"):
             other = np.where(sig != 0, 1.0 / sig, np.inf)
@@ -726,15 +730,13 @@ class KuttaResult:
 
 
 def kutta_solve(body: Body, w_inf: complex, corner_id: int,
-                n_panels: int = 512, refine: bool = False) -> KuttaResult:
+                n_panels: int = 512) -> KuttaResult:
     """Circulation making the designated corner regular (a1 = 0).
 
     The singular coefficient depends affinely on Gamma (superposition),
     so two solves at Gamma = 0 and Gamma = |w_inf| R (the flow's own
     scale, so the root scales exactly with w_inf) determine the root;
-    ``analysis.affine_corner`` fits the line and its root uncertainty.
-    ``refine`` doubles the panel count (at most four times) until the
-    root changes by less than 1e-3 of its size.
+    ``analysis.affine_corner`` projects a1 and gives the root uncertainty.
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):
@@ -744,18 +746,8 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
 
     gamma1 = abs(w_inf) * body.circumradius or 1.0
-
-    def run(n):
-        flow0 = panel_solve(body, FarField(w_inf, 0.0), n).flow
-        flow1 = panel_solve(body, FarField(w_inf, gamma1), n).flow
-        e = analysis.affine_corner(flow0, flow1, corner)
-        return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty, n)
-
-    result = run(n_panels)
-    for _ in range(4 if refine else 0):
-        finer = run(result.n_panels * 2)
-        ref_scale = abs(finer.gamma_star) + 1e-3 * abs(w_inf) * body.circumradius
-        if abs(finer.gamma_star - result.gamma_star) < 1e-3 * ref_scale:
-            return finer
-        result = finer
-    return result
+    flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
+    flow1 = panel_solve(body, FarField(w_inf, gamma1), n_panels).flow
+    e = analysis.affine_corner(flow0, flow1, corner)
+    return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty,
+                       n_panels)

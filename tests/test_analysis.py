@@ -13,7 +13,7 @@ from cornerflow.analysis import (affine_corner, circulation, corner_census,
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
 from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate,
-                                 Polygon, PolylineContour, probe_ring)
+                                 Polygon, PolylineContour)
 from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
                                        panel_solve)
 
@@ -112,32 +112,33 @@ class TestFitCorner:
         assert leading.fitted_exponent == pytest.approx(-0.5, abs=0.05)
 
 
-def lstsq_a1(flow, corner, radii):
-    """a1 and its standard error by lstsq and inv(X.T X), the reference."""
-    beta = corner.exterior_angle_beta
-    pts = probe_ring(corner, radii, analysis.SAMPLES_PER_RADIUS)
-    r, theta = corner.local_polar(pts)
-    k = np.arange(1, analysis.N_MODES + 1)
-    r_ref = radii.max()
-    X = ((r[..., None] / r_ref) ** (k * np.pi / beta)
-         * np.sin(k * np.pi * theta[..., None] / beta)).reshape(-1, len(k))
-    coef, rss, _, _ = np.linalg.lstsq(X, np.ravel(flow.stream(pts)), rcond=None)
-    cov = rss[0] / (X.shape[0] - len(k)) * np.linalg.inv(X.T @ X)
-    return (coef[0] / r_ref ** (np.pi / beta),
-            np.sqrt(cov[0, 0]) / r_ref ** (np.pi / beta))
+@pytest.mark.parametrize("alpha_deg", [10.0, 30.0])
+def test_exact_plate_root_matches_kutta_oracle(alpha_deg):
+    # straight walls out to the clearance: the ring projection is exact
+    plate = FlatPlate(4.0, np.deg2rad(alpha_deg))
+    e = affine_corner(exact_flow(plate, FarField(1.0, 0.0)),
+                      exact_flow(plate, FarField(1.0, 2.0)), plate.corners[0])
+    oracle = -np.pi * 4.0 * np.sin(np.deg2rad(alpha_deg))
+    assert abs(e.root - oracle) <= 1e-12 * abs(oracle)
 
 
-@pytest.mark.parametrize("body, gamma, n", [
-    (FlatPlate(4.0, np.pi / 6), -TWO_PI, 512), (TRIANGLE, 0.0, 256),
-    (TRIANGLE, 7.95, 256)], ids=["plate30", "triangle", "triangle_root"])
-def test_fit_a1_matches_lstsq(body, gamma, n):
-    flow = panel_solve(body, FarField(1.0, gamma), n).flow
-    for corner in body.corners:
-        radii = analysis.default_fit_radii(corner, body.circumradius)
-        a1, a1_sigma = analysis._fit_a1(flow, corner, radii)
-        ref, ref_sigma = lstsq_a1(flow, corner, radii)
-        assert abs(a1 - ref) <= 1e-10 * (abs(ref) + ref_sigma)
-        assert a1_sigma == pytest.approx(ref_sigma, rel=1e-10)
+def test_triangle_root_uncertainty_covers_error():
+    # exact roots of the side-sqrt(3) triangle from its exterior map
+    exact = {0: 0.0, 1: 7.9498744, 2: -7.9498744}
+    census = corner_census(TRIANGLE, 1.0, n_panels=256)
+    for e in census.corners:
+        err = abs(e.root - exact[e.corner_id])
+        assert err <= e.root_uncertainty <= 10.0 * err
+
+
+def test_root_does_not_depend_on_second_circulation():
+    plate = FlatPlate(4.0, np.pi / 6)
+    flow0 = panel_solve(plate, FarField(1.0, 0.0), 512).flow
+    e1, e2 = (affine_corner(flow0,
+                            panel_solve(plate, FarField(1.0, g1), 512).flow,
+                            plate.corners[0]) for g1 in (1.0, 2.0))
+    assert e2.root == pytest.approx(e1.root, rel=1e-9)
+    assert e2.root_uncertainty == pytest.approx(e1.root_uncertainty, rel=1e-9)
 
 
 class TestSignAttainment:

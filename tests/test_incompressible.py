@@ -206,8 +206,8 @@ def test_plate_stream_accepts_slit_and_velocity_rejects_it():
     flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 1.3))
     slit = np.linspace(-2.0, 2.0, 33) * np.exp(-1j * alpha)
     psi = flow.stream(slit)
-    # psi = 0 on the slit; at the edges sigma = +-1 is a double root
-    assert np.max(np.abs(psi[1:-1])) < 1e-12 and np.max(np.abs(psi)) < 1e-7
+    # psi = 0 on the slit, edges (where sigma = +-1 is a double root) included
+    assert np.max(np.abs(psi)) < 1e-13
     for z in slit:
         with pytest.raises(FluidDomainError):
             flow.velocity(z)
@@ -344,14 +344,6 @@ class TestKutta:
     def test_invalid_corner_id(self):
         with pytest.raises(InvalidGeometryError):
             kutta_solve(FlatPlate(4.0, 0.3), 1.0, 5)
-
-    def test_auto_refinement_converges(self):
-        alpha = np.pi / 9
-        res = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=64,
-                          refine=True)
-        oracle = -np.pi * 4.0 * np.sin(alpha)
-        assert res.n_panels > 64
-        assert res.gamma_star == pytest.approx(oracle, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
