@@ -60,8 +60,9 @@ def _is_list_of(x, test, length=None):
 
 
 POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
-WINDOW = (lambda w: _is_list_of(w, lambda r: _is_list_of(r, _is_number, 2), 2),
-          "[[x0, x1], [y0, y1]] of numbers")
+WINDOW = (lambda w: _is_list_of(w, lambda r: _is_list_of(r, _is_number, 2)
+                                 and r[0] < r[1], 2),
+          "[[x0, x1], [y0, y1]] of finite numbers with x0 < x1 and y0 < y1")
 # optional keys the runner reads: dotted path -> (test, what the value must be)
 OPTIONAL_KEYS = {
     "flow.gamma": (_is_number, "a finite number"),

@@ -24,20 +24,23 @@ M_k = integral of gamma(s) (zeta(s) - c)**k ds,
     psi = Im(w_inf z) - (1 / 2 pi) Re[M_0 log(z - c)
                                      - sum_{k>=1} M_k / (k (z - c)**k)],
 
-truncated where its a-priori tail bound drops below FAR_TOL.  Closer in,
-a two-level treecode: the panels are split into contiguous clusters of
+truncated where its a-priori tail bound at the point's own separation
+t = R / |z - c| <= 1 / KAPPA drops below FAR_TOL.  Closer in, a
+two-level treecode: the panels are split into contiguous clusters of
 CLUSTER panels, each with its own exact expansion of the same form about
 its centre c_C (radius rho_C, its largest node distance from c_C).  A
 point takes cluster C's expansion where |z - c_C| >= KAPPA rho_C and the
 closed-form panel integrals of C's panels elsewhere; each cluster tail is
-held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL.  The
-velocity closed form, used there and in the tangency assembly alike,
-takes a cancellation-free log for panels short against their distance.
+held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL, at
+the separation of a chunk's nearest point that uses it.  At 512 panels
+that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18 at 4 KAPPA
+and 10-12 at 8 KAPPA.  The velocity closed form, used there and in the
+tangency assembly alike, takes a cancellation-free log for panels short
+against their distance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -310,36 +313,60 @@ def vortex_panel_psi_coeffs(z, za, zb):
 
 # point-panel pairs per chunk of the assembly: about a megabyte of temporaries
 CHUNK_PAIRS = 4096
-# point-cluster pairs per treecode chunk
+# point-cluster pairs per treecode chunk, and points per chunk of the body
+# expansion
 TREE_PAIRS = 16384
+# each expansion tabulates its order at the separations t = rho / |z - c|
+# = j / (SEPARATIONS * KAPPA), j = 0..SEPARATIONS, and a point takes the
+# order tabulated at the next separation up from its own
+SEPARATIONS = 64
 
 
-def _orders(S, ratio, tol):
+@lru_cache(maxsize=8)
+def _powers(ts, n):
+    """t**k, k = 0..n-1, for each t of the tuple ts (rows), by Python's
+    pow, whatever numpy's power kernel rounds; shared read-only.  Every
+    expansion asks for the same separations (_expansion)."""
+    out = np.array([[t**k for k in range(n)] for t in ts])
+    out.flags.writeable = False
+    return out
+
+
+def _orders(S, ratio, tol, t=1.0 / KAPPA):
     """Least expansion order p, elementwise, whose tail bound
-    S t**(p+1) / (2 pi (1 - t)) * max(1 / (p+1), ratio), t = 1/KAPPA,
-    is at most tol.  S bounds the integral of |gamma| ds over the
-    expanded panels, all within rho of the centre; 1 / (p+1) gives the
-    psi tail at |z - c| >= KAPPA rho, and ratio = R / (KAPPA rho) the w
+    S t**(p+1) / (2 pi (1 - t)) * max(1 / (p+1), ratio) is at most tol
+    at the separation t = rho / |z - c| <= 1 / KAPPA.  S bounds the
+    integral of |gamma| ds over the expanded panels, all within rho of the
+    centre c; 1 / (p+1) gives the psi tail, and ratio = t R / rho the w
     tail relative to the length scale R of tol.
 
-    The bound falls as p grows, so p is the number of orders whose bound
-    exceeds tol, counted on a table of orders that reaches past the one
-    where S t**(p+1) / (2 pi (1 - t)) * max(1, ratio), which bounds the
-    bound, meets tol."""
-    t = 1.0 / KAPPA
-    scale = TWO_PI * (1.0 - t)
+    The bound falls as p grows.  Bounded by
+    S t**(p+1) / (2 pi (1 - t)) * max(1, ratio), it meets tol from an
+    order known in closed form, one order to spare; p steps down from
+    there while the order below meets tol as well."""
     # an overflowed S (from a huge w_inf) bounds nothing: order 0
-    S, ratio = np.where(np.isfinite(S), S, 0.0), np.asarray(ratio)
-    with np.errstate(divide="ignore"):
-        top = (math.log(tol * scale) - np.log(S)
-               - np.log(np.maximum(1.0, ratio))) / math.log(t)
-    n = int(np.max(np.clip(top, 0.0, None), initial=0.0)) + 2
-    p = np.arange(n)
-    # t**(p+1) by Python's pow, whatever numpy's power kernel rounds
-    tp = np.array([t**(k + 1) for k in range(n)])
-    bound = (S[..., None] * tp / scale
-             * np.maximum(1.0 / (p + 1), ratio[..., None]))
-    return np.count_nonzero(bound > tol, axis=-1)
+    S, t = np.where(np.isfinite(S), S, 0.0), np.asarray(t, dtype=float)
+    scale = TWO_PI * (1.0 - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = (np.log(tol * scale) - np.log(S)
+               - np.log(np.maximum(1.0, ratio))) / np.log(t)
+    p = np.fmax(top, 0.0).astype(int) + 1
+    # powers of each t, to a multiple of 64 orders, so that calls share them
+    tp = _powers(tuple(t.ravel().tolist()), 64 * (int(p.max(initial=0)) // 64 + 1))
+    at = np.arange(t.size).reshape(t.shape)
+    while True:
+        q = np.maximum(p - 1, 0)
+        bound = S * tp[at, q + 1] / scale * np.maximum(1.0 / (q + 1), ratio)
+        down = (p > 0) & (bound <= tol)
+        if not down.any():
+            return p
+        p -= down
+
+
+def _order_index(t):
+    """Column of an order table holding the next tabulated separation at
+    or above t."""
+    return np.minimum(np.ceil(t * (SEPARATIONS * KAPPA)), SEPARATIONS).astype(np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -351,88 +378,96 @@ def _gauss_legendre(n):
     return s, w
 
 
-def _multipole_moments(za, zb, ga, gb, centre, rho, R, tol):
-    """m_k = M_k / rho**k, k = 0..p, of the linear-strength panels
-    za -> zb (nodal strengths ga, gb) along the last axis, about centre,
-    to the order p whose tail bound (_orders) meets tol.
+class _Expansion(NamedTuple):
+    """G groups of linear-strength panels (rows of za, zb, ga, gb) and
+    their exact multipole expansions about their centres c (radii rho),
+    as the coefficient rows that _multipole sums: with the moments
+    m_k = M_k / rho**k and u = rho / (z - c), row k of w_rows (m_k)
+    multiplies u**(k+1) in w, and row k of psi_rows (m_{k+1} / (k+1))
+    multiplies u**(k+1) in psi.  orders[g, j] is group g's order
+    (_orders) at the separation j / (SEPARATIONS * KAPPA)."""
 
-    The leading axes, if any, index separate panel groups, with their own
-    centre, rho and order; a group's moments beyond its order are zero.
+    za: np.ndarray        # (G, panels)
+    zb: np.ndarray
+    ga: np.ndarray
+    gb: np.ndarray
+    centre: np.ndarray    # (G,)
+    rho: np.ndarray       # (G,)
+    m0: np.ndarray        # (G,) Re m_0, the circulation of each group
+    w_rows: np.ndarray    # (p + 1, G)
+    psi_rows: np.ndarray  # (p, G)
+    orders: np.ndarray    # (G, SEPARATIONS + 1)
+
+    def rows(self, field):
+        return self.w_rows if field is _W else self.psi_rows
+
+
+def _expansion(za, zb, ga, gb, centre, rho, R, tol):
+    """Expansions of groups of linear-strength panels za -> zb (nodal
+    strengths ga, gb; one group per row, the panels along the last axis)
+    about their centres, each to the order whose tail bound (_orders)
+    meets tol at each tabulated separation, and its moments to its order
+    at |z - c| = KAPPA rho.
+
     Gauss-Legendre with ceil((p+2)/2) nodes per panel integrates the
     degree-(p+1) integrand gamma(s) (zeta(s) - c)**k exactly.
     """
     lens = np.abs(zb - za)
     S = np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb)), axis=-1)
-    ratio = (R / np.asarray(rho)) / KAPPA
-    orders = _orders(S, ratio, tol)
+    ratio = (R / rho) / KAPPA
+    steps = np.arange(SEPARATIONS + 1) / SEPARATIONS
+    orders = _orders(S[:, None], ratio[:, None] * steps, tol, steps / KAPPA)
     p = int(orders.max())
-    centre, rho = (np.asarray(a)[..., None, None] for a in (centre, rho))
     s, wq = _gauss_legendre((p + 3) // 2)
-    group = za.shape[:-1] + (-1,)
-    v = ((za[..., None] + s * (zb - za)[..., None] - centre) / rho).reshape(group)
+    v = ((za[..., None] + s * (zb - za)[..., None] - centre[:, None, None])
+         / rho[:, None, None]).reshape(len(rho), -1)
     # quadrature weight times strength at each node, as complex
     q = ((0.5 * lens[..., None] * wq)
          * (ga[..., None] * (1.0 - s) + gb[..., None] * s)).astype(complex)
-    q = q.reshape(group)
-    m = np.empty(za.shape[:-1] + (p + 1,), dtype=complex)
+    q = q.reshape(len(rho), -1)
+    m = np.empty((p + 1, len(rho)), dtype=complex)
     for k in range(p + 1):
-        m[..., k] = q.sum(axis=-1)
+        m[k] = q.sum(axis=-1)
         q *= v
-    m[np.arange(p + 1) > orders[..., None]] = 0.0
-    return m
+    m[np.arange(p + 1)[:, None] > orders[:, -1]] = 0.0
+    psi_rows = m[1:] / np.arange(1, p + 1)[:, None]
+    return _Expansion(za, zb, ga, gb, centre, rho, m[0].real, m, psi_rows,
+                      orders.astype(np.int16))
 
 
-def _horner(coeffs, u):
-    """sum_k coeffs[k] u**(n-1-k) by Horner's rule, in place (the same
-    operations as np.polyval); each coeffs[k] broadcasts against u."""
-    y = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(coeffs)[1:]), dtype=complex)
-    for c in coeffs:
-        y *= u
-        y += c
-    return y
+def _multipole(field, rows, m0, rho, d, orders):
+    """A field of expansions at the offsets d = z - c from their centres:
+    with u = rho / d and the field's rows (_Expansion.rows), Horner's rule
+    gives s = sum_k rows[k] u**(k+1); then w = s / (2 pi i rho) and
+    psi = (Re s - m0 log|d|) / (2 pi).
 
-
-def _multipole_w(z, centre, rho, m):
-    """w of the expansion with moments m (last axis) about centre."""
-    u = rho / (z - centre)
-    return _horner(m.T[::-1], u) * u / (TWO_PI * 1j * rho)
-
-
-def _multipole_psi(z, centre, rho, m):
-    """psi of the expansion with moments m (last axis) about centre."""
-    d = z - centre
+    The leading axis of d runs over evaluations at the given expansion
+    orders, descending, so that the rows of each power run over a leading
+    slice; w takes rows 0..order and psi rows 0..order-1 (m_1..m_order).
+    rows[k], m0 and rho broadcast against d."""
     u = rho / d
-    # sum_{k>=1} m_k u**k / k
-    series = _horner((m[..., :0:-1] / np.arange(m.shape[-1] - 1, 0, -1)).T, u) * u
-    return (series.real - m[..., 0].real * np.log(np.abs(d))) / TWO_PI
+    y = np.zeros(d.shape, dtype=complex)
+    n = orders + (field is _W)
+    # live[k]: the evaluations that take row k
+    live = np.searchsorted(-n, -np.arange(n[0])).tolist()
+    for k in range(len(live) - 1, -1, -1):
+        y[:live[k]] *= u[:live[k]]
+        y[:live[k]] += rows[k, :live[k]]
+    y *= u
+    if field is _W:
+        return y / (TWO_PI * 1j * rho)
+    return (y.real - m0 * np.log(np.abs(d))) / TWO_PI
 
 
 class _Field(NamedTuple):
-    """One field of a vortex sheet: its panel closed form, its dtype and
-    its multipole evaluator."""
+    """One field of a vortex sheet: its panel closed form and its dtype."""
 
     coeffs: Callable
     dtype: type
-    multipole: Callable
 
 
-_PSI = _Field(vortex_panel_psi_coeffs, float, _multipole_psi)
-_W = _Field(vortex_panel_w_coeffs, complex, _multipole_w)
-
-
-class _Clusters(NamedTuple):
-    """Contiguous runs of CLUSTER panels as (K, CLUSTER) arrays, the last
-    run padded by zero-strength copies of its last panel, with the centre
-    c, radius rho (largest node distance from c) and moments (K, p + 1)
-    of each run."""
-
-    za: np.ndarray
-    zb: np.ndarray
-    ga: np.ndarray
-    gb: np.ndarray
-    centre: np.ndarray
-    rho: np.ndarray
-    m: np.ndarray
+_PSI = _Field(vortex_panel_psi_coeffs, float)
+_W = _Field(vortex_panel_w_coeffs, complex)
 
 
 def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
@@ -488,23 +523,32 @@ class PanelFlow:
     def _accumulate(self, z, field):
         """Vortex-sheet part of a field at the points z: each cluster's
         expansion where |z - c_C| >= KAPPA rho_C, the closed forms of its
-        panels elsewhere."""
+        panels elsewhere.  A chunk of points takes each cluster's
+        expansion to the order of its nearest point that uses it."""
         z = np.asarray(z, dtype=complex)
         tree = self._clusters
+        K = len(tree.rho)
+        rows = tree.rows(field)
         flat = z.ravel()
         acc = np.empty(flat.shape, dtype=field.dtype)
-        # the expansion of a cluster too close to a point is evaluated at
-        # a stand-in point on its convergence circle and dropped
-        stand_in = tree.centre + KAPPA * tree.rho
-        step = max(1, TREE_PAIRS // len(tree.centre))
+        step = max(1, TREE_PAIRS // K)
         for start in range(0, len(flat), step):
-            zc = flat[start:start + step, None]
-            far = np.abs(zc - tree.centre) >= KAPPA * tree.rho
-            part = np.where(far, field.multipole(np.where(far, zc, stand_in),
-                                                 tree.centre, tree.rho, tree.m),
-                            0.0).sum(axis=1)
-            point, cluster = np.nonzero(~far)
-            ca, cb = field.coeffs(zc[point], tree.za[cluster], tree.zb[cluster])
+            zc = flat[start:start + step]
+            d = zc - tree.centre[:, None]
+            dist = np.abs(d)
+            far = dist >= KAPPA * tree.rho[:, None]
+            nearest = np.min(dist, axis=1, where=far, initial=np.inf)
+            order = tree.orders[np.arange(K), _order_index(tree.rho / nearest)]
+            # clusters by descending order; the expansion of a cluster too
+            # close to a point is evaluated on its convergence circle and
+            # dropped
+            by = np.argsort(-order, kind="stable")
+            d = np.where(far, d, KAPPA * tree.rho[:, None])[by]
+            terms = _multipole(field, rows[:, by, None], tree.m0[by, None],
+                               tree.rho[by, None], d, order[by])
+            part = np.where(far[by], terms, 0.0).sum(axis=0)
+            point, cluster = np.nonzero(~far.T)
+            ca, cb = field.coeffs(zc[point, None], tree.za[cluster], tree.zb[cluster])
             np.add.at(part, point, np.sum(ca * tree.ga[cluster]
                                           + cb * tree.gb[cluster], axis=1))
             acc[start:start + step] = part
@@ -512,28 +556,43 @@ class PanelFlow:
 
     def _sheet(self, z, field):
         """Vortex-sheet part of a field: the body's own expansion at points
-        at least KAPPA * R from the centroid, _accumulate elsewhere."""
-        c, R = self.body.centroid, self.body.circumradius
-        far = np.abs(z - c) >= KAPPA * R
+        at least KAPPA * R from the centroid, each to the order of its own
+        separation, and _accumulate elsewhere."""
+        d = z - self.body.centroid
+        far = np.abs(d) >= KAPPA * self.body.circumradius
         out = np.empty(z.shape, dtype=field.dtype)
         if far.any():
-            out[far] = field.multipole(z[far], c, R, self._moments)
+            exp = self._expansion
+            d = d[far]
+            sheet = np.empty(d.shape, dtype=field.dtype)
+            for start in range(0, len(d), TREE_PAIRS):
+                chunk = slice(start, start + TREE_PAIRS)
+                order = exp.orders[0, _order_index(exp.rho / np.abs(d[chunk]))]
+                # points by descending order
+                by = np.argsort(-order, kind="stable")
+                sheet[chunk][by] = _multipole(field, exp.rows(field), exp.m0, exp.rho,
+                                              d[chunk][by], order[by])
+            out[far] = sheet
         if not far.all():
             out[~far] = self._accumulate(z[~far], field)
         return out
 
     @cached_property
-    def _moments(self) -> np.ndarray:
-        """m_k = M_k / R**k of the whole sheet about the centroid (R: the
-        body circumradius), to the order that meets FAR_TOL."""
+    def _expansion(self) -> _Expansion:
+        """The whole sheet expanded about the centroid, rho = R the body
+        circumradius, with orders that meet FAR_TOL."""
         R = self.body.circumradius
-        return _multipole_moments(*self._panels(), self.body.centroid, R, R,
-                                  FAR_TOL * (abs(self.far.w_inf) or 1.0) * R)
+        return _expansion(*(a[None] for a in self._panels()),
+                          np.array([self.body.centroid]), np.array([R]), R,
+                          FAR_TOL * (abs(self.far.w_inf) or 1.0) * R)
 
     @cached_property
-    def _clusters(self) -> _Clusters:
-        """The panel clusters, with moments to the orders at which the K
-        cluster tails together meet FAR_TOL."""
+    def _clusters(self) -> _Expansion:
+        """Contiguous runs of CLUSTER panels as (K, CLUSTER) arrays, the
+        last run padded by zero-strength copies of its last panel, each
+        expanded about its centre c_C, radius rho_C (its largest node
+        distance from c_C), to the orders at which the K cluster tails
+        together meet FAR_TOL."""
         za, zb, ga, gb = self._panels()
         n = len(za)
         K = -(-n // CLUSTER)
@@ -547,9 +606,8 @@ class PanelFlow:
             + 0.5j * (ends.imag.min(axis=1) + ends.imag.max(axis=1))
         rho = np.abs(ends - centre[:, None]).max(axis=1)
         R = self.body.circumradius
-        m = _multipole_moments(za, zb, ga, gb, centre, rho, R,
-                               FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
-        return _Clusters(za, zb, ga, gb, centre, rho, m)
+        return _expansion(za, zb, ga, gb, centre, rho, R,
+                          FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
 
     def _check(self, z):
         z = np.asarray(z, dtype=complex)
@@ -563,7 +621,7 @@ class PanelFlow:
 
     def stream(self, z):
         z = self._check(z)
-        return np.imag(self.far.w_inf * z) + self._sheet(z, _PSI) - self._psi_body
+        return self._sheet(z, _PSI) + np.imag(self.far.w_inf * z) - self._psi_body
 
     @cached_property
     def _psi_body(self) -> float:

@@ -164,6 +164,19 @@ class TestRun:
         assert run(p, tmp_path / "out", overrides) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, key, window", [
+        ("circle.json", "sign_window", [[1, -1], [-1, 1]]),     # reversed x
+        ("plate30.json", "sign_window", [[4, -4], [4, -4]]),    # both reversed
+        ("circle.json", "sign_window", [[0, 0], [0, 0]]),       # no area
+        ("circle.json", "field_window", [[-3, 3], [3, -3]]),    # reversed y
+    ])
+    def test_reversed_or_empty_window_exits_2(self, tmp_path, capsys,
+                                              scenario, key, window):
+        override = f"output.{key}={json.dumps(window)}"
+        assert run(scenario, tmp_path / "out", [override]) == 2
+        assert f"$.output.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(minimal_cfg()))

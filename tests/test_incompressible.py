@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -559,9 +560,9 @@ def test_near_field_matches_panel_loop(body):
     assert np.max(np.abs(A - A_loop)) <= 1e-12 * np.max(np.abs(A_loop))
 
 
-def scalar_order(S, ratio, tol):
-    """The expansion order rule of _orders for one cluster, by search."""
-    t = 1.0 / KAPPA
+def scalar_order(S, ratio, tol, t=1.0 / KAPPA):
+    """The expansion order rule of _orders for one group at the
+    separation t, by search."""
     p = 0
     if not math.isfinite(S):
         return p
@@ -570,23 +571,105 @@ def scalar_order(S, ratio, tol):
     return p
 
 
-@pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(4.0, np.pi / 6), TRIANGLE],
-                         ids=["circle", "plate", "triangle"])
-def test_orders_match_scalar_rule(body):
-    tree = panel_solve(body, FarField(1.0, 1.3), 512).flow._clusters
-    R = body.circumradius
+def sheet_bounds(flow):
+    """(S, R / rho, tol) of the body expansion and of the cluster
+    expansions of a flow: S bounds the integral of |gamma| ds of each."""
+    tree, R = flow._clusters, flow.body.circumradius
     S = np.sum(0.5 * np.abs(tree.zb - tree.za) * (np.abs(tree.ga) + np.abs(tree.gb)),
                axis=1)
-    ratio = R / tree.rho / KAPPA
+    tol = incompressible.FAR_TOL * abs(flow.far.w_inf) * R
+    return ((np.array([S.sum()]), np.ones(1), tol),
+            (S, R / tree.rho, tol / len(S)))
+
+
+BODIES_512 = pytest.mark.parametrize(
+    "body", [Circle(1.0), FlatPlate(4.0, np.pi / 6), TRIANGLE],
+    ids=["circle", "plate", "triangle"])
+
+
+@BODIES_512
+def test_orders_match_scalar_rule(body):
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    _, (S, R_rho, cluster_tol) = sheet_bounds(flow)
     # an overflowed S and a zero one
-    S, ratio = np.append(S, [np.inf, 0.0]), np.append(ratio, ratio[:2])
-    for tol in (incompressible.FAR_TOL * R / len(tree.centre), 1e-6, 1e-17):
-        want = [scalar_order(a, b, tol) for a, b in zip(S, ratio)]
-        assert np.array_equal(incompressible._orders(S, ratio, tol), want)
-        # one group (the whole body about its centroid) as 0-d arrays
-        whole = np.sum(S[:-2])
-        assert incompressible._orders(whole, 1.0 / KAPPA, tol) == \
-            scalar_order(whole, 1.0 / KAPPA, tol)
+    S, R_rho = np.append(S, [np.inf, 0.0]), np.append(R_rho, R_rho[:2])
+    for t in (1.0 / KAPPA, 0.5, 0.25, 1.0 / 16):
+        # the w tail at separation t carries t R / rho
+        ratio = t * R_rho
+        for tol in (cluster_tol, 1e-6, 1e-17):
+            want = [scalar_order(a, b, tol, t) for a, b in zip(S, ratio)]
+            assert np.array_equal(incompressible._orders(S, ratio, tol, t), want)
+            if t == 1.0 / KAPPA:
+                assert np.array_equal(incompressible._orders(S, ratio, tol), want)
+            # one group (the whole body about its centroid) as 0-d arrays
+            whole = np.sum(S[:-2])
+            assert incompressible._orders(whole, t, tol, t) == \
+                scalar_order(whole, t, tol, t)
+
+
+@BODIES_512
+def test_order_lookup_never_undercuts_the_rule(body):
+    # a point at separation t reads its group's order at the next
+    # tabulated separation up, never below the order the rule gives at t
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    steps = np.arange(incompressible.SEPARATIONS + 1) / incompressible.SEPARATIONS
+    t = np.concatenate([1.0 / np.random.default_rng(5).uniform(KAPPA, 400.0, 100),
+                        steps / KAPPA, [1.0 / KAPPA, 0.0]])
+    for exp, (S, R_rho, tol) in zip((flow._expansion, flow._clusters),
+                                    sheet_bounds(flow)):
+        read = exp.orders[:, incompressible._order_index(t)]
+        for g in range(len(S)):
+            want = [scalar_order(S[g], tk * R_rho[g], tol, tk) for tk in t]
+            assert np.all(read[g] >= want)
+            # at a tabulated separation the table holds the rule's own order
+            assert np.array_equal(read[g, 100:-2], want[100:-2])
+
+
+@BODIES_512
+def test_truncation_matches_full_order(body, monkeypatch):
+    # every point and cluster at its own separation's order against the
+    # order at the closest allowed separation, KAPPA radii
+    R, c = body.circumradius, body.centroid
+    rng = np.random.default_rng(7)
+    z = c + R * (rng.uniform(-4, 4, 20000) + 1j * rng.uniform(-4, 4, 20000))
+    tree = panel_solve(body, FarField(1.0, 1.3), 512).flow._clusters
+    # one ulp either side of KAPPA R from the centroid and of KAPPA rho_C
+    # from each cluster centre
+    ring = np.exp(1j * np.pi * (np.arange(8) + 0.3) / 4)
+    switch = [centre[:, None] + np.nextafter(KAPPA * rho, side)[:, None] * ring
+              for centre, rho in ((np.array([c]), np.array([R])), (tree.centre, tree.rho))
+              for side in (0.0, np.inf)]
+    z = np.concatenate([z, *(a.ravel() for a in switch),
+                        c + R * np.array([10.0, 100.0j])])
+    z = z[~body.occupies(z, 1e-9 * R)]
+
+    def fields():
+        flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+        return flow.stream(z), flow.velocity(z)
+
+    psi, w = fields()
+    monkeypatch.setattr(incompressible, "_order_index",
+                        lambda t: np.full(np.shape(t), incompressible.SEPARATIONS))
+    full_psi, full_w = fields()
+    assert np.max(np.abs(psi - full_psi)) <= 2e-13 * R
+    assert np.max(np.abs(w - full_w)) <= 2e-13
+
+
+def test_stream_memory_on_a_field_grid():
+    # the sign census's default grid, 400**2 points at +-4R around the
+    # 512-panel plate: the body expansion runs in chunks, not over every
+    # far point at once
+    body = FlatPlate(4.0, np.pi / 6)
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    x = 4.0 * body.circumradius * np.linspace(-1.0, 1.0, 400)
+    z = body.centroid + x[None, :] + 1j * x[:, None]
+    tracemalloc.start()
+    try:
+        flow.stream(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 # ---------------------------------------------------------------------------
