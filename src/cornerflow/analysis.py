@@ -34,15 +34,16 @@ TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
-# cell-sample pairs per chunk of the sign census's body mask
-MASK_PAIRS = 262144
+# cell-sample pairs (about 60 bytes each) per chunk of the census's body mask
+MASK_PAIRS = 131072
 
 
 # ---------------------------------------------------------------------------
 # contour integrals
 
 
-def _complex_contour_integral(flow, contour: Contour):
+def contour_integral(flow, contour: Contour) -> complex:
+    """oint w dz = circulation + i * mass flux, by the contour's quadrature."""
     if not contour.clears_body(flow.body):
         raise FluidDomainError("contour intersects the body")
     z, dz = contour.quadrature()
@@ -51,15 +52,13 @@ def _complex_contour_integral(flow, contour: Contour):
 
 def circulation(flow, contour: Contour) -> float:
     """Counterclockwise circulation oint v . dx = Re oint w dz."""
-    val = _complex_contour_integral(flow, contour)
-    return float(np.real(val))
+    return float(np.real(contour_integral(flow, contour)))
 
 
 def mass_flux(flow, contour: Contour) -> float:
     """Net outward volume flux oint v . n ds = Im oint w dz; zero for any
     closed fluid contour around the body (conservation of mass)."""
-    val = _complex_contour_integral(flow, contour)
-    return float(np.imag(val))
+    return float(np.imag(contour_integral(flow, contour)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +383,8 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
-    pad = 1.5 * (x1 - x0) / resolution
-    # the body lies within its circumradius of the centroid
-    near_body = np.abs(Z - body.centroid) <= body.circumradius + pad
-    mask_body = np.zeros(Z.shape, dtype=bool)
-    if np.any(near_body):
-        mask_body[near_body] = _near_body_mask(body, Z[near_body], pad)
     psi = np.full(Z.shape, np.nan)
-    fluid = ~mask_body
+    fluid = ~_near_body_mask(body, Z, 1.5 * (x1 - x0) / resolution)
     psi[fluid] = flow.stream(Z[fluid])
 
     counts = {sign: _bounded_components(fluid & (sign * psi > tol))
@@ -450,15 +443,36 @@ def _bounded_components(cells) -> int:
     return n_sets - len({find(k) for k in np.flatnonzero(on_edge).tolist()})
 
 
-def _near_body_mask(body: Body, z, pad: float):
-    """Cells of the 1-d z inside the body or within pad of a boundary
-    sample, the distances taken for about MASK_PAIRS cell-sample pairs
-    at a time."""
-    z = np.asarray(z, dtype=complex)
-    bnd = body.boundary(256)
-    dmin = np.empty(z.shape)
-    step = max(1, MASK_PAIRS // len(bnd))
-    for start in range(0, len(z), step):
-        rows = slice(start, start + step)
-        dmin[rows] = np.min(np.abs(z[rows, None] - bnd), axis=-1)
-    return body.occupies(z, pad) | (dmin <= pad)
+def _near_body_mask(body: Body, Z, pad: float):
+    """Cells of the grid Z = xs + i ys (a row per y) within circumradius
+    + pad of the centroid that lie inside the body or within pad of one
+    of its boundary samples b.  Such a cell lies in b's box, the rows and
+    columns within pad of b (by searchsorted, one cell wider each side
+    against rounding); only box cells are tested, for about MASK_PAIRS
+    cell-sample pairs at a time."""
+    near = np.abs(Z - body.centroid) <= body.circumradius + pad
+    b = body.boundary(256)
+
+    def box(axis, coord):
+        lo = np.maximum(np.searchsorted(axis, coord - pad) - 1, 0)
+        hi = np.minimum(np.searchsorted(axis, coord + pad, side="right") + 1,
+                        len(axis))
+        return lo, hi - lo
+
+    row0, height = box(Z[:, 0].imag, b.imag)
+    col0, width = box(Z[0].real, b.real)
+    ends = np.cumsum(height * width)
+    start = ends - height * width
+    hit = np.zeros(Z.shape, dtype=bool)
+    k = 0
+    while k < len(b):
+        stop = max(k + 1, np.searchsorted(ends, start[k] + MASK_PAIRS,
+                                          side="right"))
+        s = np.repeat(np.arange(k, stop), ends[k:stop] - start[k:stop])
+        t = np.arange(start[k], ends[stop - 1]) - start[s]
+        row, col = row0[s] + t // width[s], col0[s] + t % width[s]
+        close = np.abs(Z[row, col] - b[s]) <= pad
+        hit[row[close], col[close]] = True
+        k = stop
+    hit[near] |= body.occupies(Z[near], pad)
+    return near & hit

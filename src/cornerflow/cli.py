@@ -61,8 +61,9 @@ def _is_list_of(x, test, length=None):
 
 POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
 WINDOW = (lambda w: _is_list_of(w, lambda r: _is_list_of(r, _is_number, 2)
-                                 and r[0] < r[1], 2),
-          "[[x0, x1], [y0, y1]] of finite numbers with x0 < x1 and y0 < y1")
+                                 and 0 < r[1] - r[0] <= sys.float_info.max, 2),
+          "[[x0, x1], [y0, y1]] of finite numbers with finite"
+          " x1 - x0 > 0 and y1 - y0 > 0")
 # optional keys the runner reads: dotted path -> (test, what the value must be)
 OPTIONAL_KEYS = {
     "flow.gamma": (_is_number, "a finite number"),
@@ -263,12 +264,10 @@ def _run_circulation(flow, body, summary):
     R = body.circumradius
     entries = []
     for mult in (2.0, 5.0, 20.0):
-        contour = CircleContour(body.centroid, mult * R, 2048)
-        entries.append({
-            "radius": mult * R,
-            "circulation": analysis.circulation(flow, contour),
-            "mass_flux": analysis.mass_flux(flow, contour),
-        })
+        val = analysis.contour_integral(
+            flow, CircleContour(body.centroid, mult * R, 2048))
+        entries.append({"radius": mult * R, "circulation": float(val.real),
+                        "mass_flux": float(val.imag)})
     summary["circulation"] = entries
 
 
@@ -379,11 +378,21 @@ def export_field(flow_or_solution, window, resolution, path):
 
 def _write_csv(path, header, *columns):
     """One row per element of the equally shaped columns, in C order,
-    every value as %.17g (a mask column prints as 0/1)."""
-    table = np.column_stack([np.ravel(c).astype(float) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    Path(path).write_text(header + "\n"
-                          + (row * len(table)) % tuple(table.ravel().tolist()))
+    every value as %.17g (a mask column prints as 0/1).  A column with at
+    most half as many distinct bit patterns as rows (a grid axis, a mask)
+    has each distinct value formatted once, and enters the row as %s."""
+    cols = [np.ravel(c).astype(float) for c in columns]
+    values, fields = [None] * (len(cols) * len(cols[0])), []
+    for i, col in enumerate(cols):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        repeats = 2 * len(bits) <= len(col)
+        if repeats:
+            col = np.array(["%.17g" % v for v in bits.view(float).tolist()],
+                           dtype=object)[inverse]
+        values[i::len(cols)] = col.tolist()
+        fields.append("%s" if repeats else "%.17g")
+    row = ",".join(fields) + "\n"
+    Path(path).write_text(header + "\n" + (row * len(cols[0])) % tuple(values))
 
 
 def _run_compressible(cfg, body, far, summary, out_dir):

@@ -19,6 +19,7 @@ are degenerate corners with beta = 2*pi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -286,7 +287,7 @@ class Polygon:
     def vertex_array(self) -> np.ndarray:
         return np.array(self.vertices, dtype=complex)
 
-    @property
+    @cached_property
     def centroid(self) -> complex:
         v = self.vertex_array
         w = np.roll(v, -1)
@@ -294,7 +295,7 @@ class Polygon:
         area = 0.5 * np.sum(cross)
         return complex(np.sum((v + w) * cross) / (6.0 * area))
 
-    @property
+    @cached_property
     def circumradius(self) -> float:
         return float(np.max(np.abs(self.vertex_array - self.centroid)))
 

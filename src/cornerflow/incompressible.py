@@ -610,8 +610,13 @@ class PanelFlow:
                           FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
 
     def _check(self, z):
+        """z as a complex array; FluidDomainError where the body occupies
+        a point (tol = 1e-12 R).  Only points within R (1 + 1e-9) + tol of
+        the centroid are tested: no body kind occupies a point farther out."""
         z = np.asarray(z, dtype=complex)
-        if np.any(self.body.occupies(z, 1e-12 * self.body.circumradius)):
+        R = self.body.circumradius
+        near = np.abs(z - self.body.centroid) <= R * (1 + 1e-9) + 1e-12 * R
+        if np.any(self.body.occupies(z[near], 1e-12 * R)):
             raise FluidDomainError("point inside the body or on the plate slit")
         return z
 

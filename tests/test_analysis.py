@@ -1,5 +1,6 @@
 """Corner fits, contour integrals, far-field fits, censuses."""
 
+import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -20,6 +21,12 @@ from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
 SQUARE = Polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
+L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+# sign-census windows about the centroid, in circumradii: square, 20:1,
+# 1:20, off-centre, and one whose edge cuts the body
+MASK_WINDOWS = [((-4, 4), (-4, 4)), ((-8, 8), (-0.4, 0.4)),
+                ((-0.4, 0.4), (-8, 8)), ((-0.5, 6), (-1.5, 5)),
+                ((0.1, 4), (-2, 2))]
 
 
 def wedge_corner(beta, wall_angle=0.0):
@@ -380,21 +387,47 @@ class TestSignComponentCensus:
         cells = np.array([[c == "#" for c in row] for row in rows])
         assert analysis._bounded_components(cells) == expected
 
-    @pytest.mark.parametrize("body", [
-        FlatPlate(4.0, np.pi / 6), Circle(1.0), TRIANGLE,
-        Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])],
-        ids=["plate", "circle", "triangle", "L-shape"])
+    @pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), Circle(1.0),
+                                      TRIANGLE, L_SHAPE],
+                             ids=["plate", "circle", "triangle", "L-shape"])
     def test_chunked_body_mask_equals_one_shot(self, body, monkeypatch):
-        # 41 x 41 cells over +-1.3 R with a pad of 1.5 cells, masked 100
-        # cells at a time
+        # the box mask, 1000 cell-sample pairs at a time, against the
+        # all-pairs formula on the cells within R + pad of the centroid
         c, R = body.centroid, body.circumradius
-        x = np.linspace(-1.3, 1.3, 41) * R
-        z = (c + x[None, :] + 1j * x[:, None]).ravel()
-        pad = 1.5 * (x[1] - x[0])
         bnd = body.boundary(256)
-        one_shot = body.occupies(z, pad) | (
-            np.min(np.abs(z[:, None] - bnd[None, :]), axis=-1) <= pad)
-        monkeypatch.setattr(analysis, "MASK_PAIRS", 100 * len(bnd))
-        chunked = analysis._near_body_mask(body, z, pad)
-        assert np.array_equal(chunked, one_shot)
-        assert 0 < np.count_nonzero(chunked) < len(z)
+        monkeypatch.setattr(analysis, "MASK_PAIRS", 1000)
+        for (x0, x1), (y0, y1) in MASK_WINDOWS:
+            for resolution in (2, 3, 41, 400):
+                xs = c.real + R * np.linspace(x0, x1, resolution)
+                ys = c.imag + R * np.linspace(y0, y1, resolution)
+                Z = xs[None, :] + 1j * ys[:, None]
+                pad = 1.5 * (xs[-1] - xs[0]) / resolution
+                near = np.abs(Z - c) <= R + pad
+                z = Z[near]
+                dmin = np.concatenate([
+                    np.min(np.abs(part[:, None] - bnd), axis=-1)
+                    for part in np.array_split(z, 1 + len(z) // 500)])
+                one_shot = np.zeros(Z.shape, dtype=bool)
+                one_shot[near] = body.occupies(z, pad) | (dmin <= pad)
+                mask = analysis._near_body_mask(body, Z, pad)
+                assert np.array_equal(mask, one_shot)
+                if resolution == 400:
+                    assert 0 < np.count_nonzero(mask) < mask.size
+
+    def test_body_mask_memory_on_a_wide_window(self):
+        # 20:1 at 2000**2 cells: the grid-sized test of which cells lie
+        # near the body (Z - c and its modulus, 1.5 grids) sets the peak;
+        # the box pairs live one MASK_PAIRS chunk at a time, where one
+        # all-pairs table of the near cells would take about 10 GB
+        c, R = L_SHAPE.centroid, L_SHAPE.circumradius
+        xs = c.real + R * np.linspace(-10.0, 10.0, 2000)
+        ys = c.imag + R * np.linspace(-0.5, 0.5, 2000)
+        Z = xs[None, :] + 1j * ys[:, None]
+        tracemalloc.start()
+        try:
+            mask = analysis._near_body_mask(L_SHAPE, Z, 1.5 * (xs[-1] - xs[0]) / 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(mask) > 0
+        assert peak <= 1.5 * Z.nbytes + 16e6

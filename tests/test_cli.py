@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from cornerflow import compressible, incompressible
-from cornerflow.cli import (apply_overrides, export_field, main,
+from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
 from cornerflow.errors import ConfigError
 from cornerflow.gas import BernoulliState, GasModel
-from cornerflow.geometry import Circle, FlatPlate
-from cornerflow.incompressible import FarField, exact_flow
+from cornerflow.geometry import Circle, FlatPlate, Polygon
+from cornerflow.incompressible import FarField, exact_flow, panel_solve
 
 
 def minimal_cfg(**kw):
@@ -169,6 +169,9 @@ class TestRun:
         ("plate30.json", "sign_window", [[4, -4], [4, -4]]),    # both reversed
         ("circle.json", "sign_window", [[0, 0], [0, 0]]),       # no area
         ("circle.json", "field_window", [[-3, 3], [3, -3]]),    # reversed y
+        # x1 - x0 overflows to inf
+        ("plate30.json", "field_window", [[-1e308, 1e308], [-1, 1]]),
+        ("plate30.json", "sign_window", [[-1, 1], [-1e308, 1e308]]),
     ])
     def test_reversed_or_empty_window_exits_2(self, tmp_path, capsys,
                                               scenario, key, window):
@@ -427,12 +430,18 @@ def _plate_solution():
                           gas, state, far)
 
 
+def _triangle_panel_flow():
+    body = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
+    return panel_solve(body, FarField(1.0, 0.5), n_panels=256).flow
+
+
 @pytest.mark.parametrize("make, window, resolution", [
     (lambda: exact_flow(Circle(1.0), FarField(1.0, 2.0)), ((-3, 3), (-3, 3)), 200),
     # the tilted slit masks whole runs of cells: NaN psi and speed
     (lambda: exact_flow(FlatPlate(4.0, np.deg2rad(20.0)), FarField(1.0, -1.5)),
      ((-3, 3), (-3, 3)), 200),
     (_plate_solution, None, None),
+    (_triangle_panel_flow, ((-1.5, 1.5), (-1.2, 1.8)), 120),
 ])
 def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
                                                resolution):
@@ -442,6 +451,26 @@ def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
     new = (tmp_path / "new.csv").read_bytes()
     assert b"nan" in new
     assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_matches_plain_writer(tmp_path):
+    # a 200-value grid axis and columns of repeated specials go through
+    # the distinct-value path, the rest through %.17g
+    rows = 200 * 7
+    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324])
+    rng = np.random.default_rng(5)
+    columns = [np.repeat(np.linspace(-3.0, 3.0, 200), 7),
+               np.tile(specials, 200),
+               rng.standard_normal(rows) > 0,
+               np.where(rng.random(rows) < 0.1, specials[rng.integers(0, 7, rows)],
+                        rng.standard_normal(rows)),
+               np.concatenate([np.arange(rows // 2), np.arange(rows // 2)]) * 0.1]
+    _write_csv(tmp_path / "new.csv", "a,b,c,d,e", *columns)
+    plain = "a,b,c,d,e\n" + "".join(
+        ",".join(f"{float(v):.17g}" for v in row) + "\n"
+        for row in zip(*columns))
+    assert (tmp_path / "new.csv").read_text() == plain
+    assert "-0," in plain and ",0," in plain and "nan" in plain
 
 
 def test_cli_import_loads_no_scipy():

@@ -214,6 +214,36 @@ def test_plate_stream_accepts_slit_and_velocity_rejects_it():
             flow.velocity(z)
 
 
+@pytest.mark.parametrize("body", [
+    Circle(1.5), FlatPlate(4.0, np.pi / 6), TRIANGLE,
+    Polygon([(3, -2), (5, -2), (5, -1), (4, -1), (4, 0), (3, 0)])],
+    ids=["circle", "plate", "triangle", "L-shape"])
+def test_fluid_domain_guard_matches_the_unfiltered_check(body):
+    # PanelFlow._check tests occupies only within R (1 + 1e-9) + tol of
+    # the centroid; its verdict must be that of occupies over every point
+    flow = incompressible.PanelFlow(body, FarField(1.0, 0.0), np.zeros(2),
+                                    np.zeros(2), True)
+    c, R = body.centroid, body.circumradius
+    tol = 1e-12 * R
+    ends = np.array([corner.vertex for corner in body.corners], dtype=complex)
+    # polygon vertices and slit ends, each also moved by tol
+    ends = np.concatenate(
+        [ends, (ends[:, None] + tol * np.exp(1j * TWO_PI * np.arange(8) / 8)
+                ).ravel()])
+    u = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 10000))
+    sets = [ends, body.boundary(256), c + R * (u[0] + 1j * u[1])]
+    sets += [np.array([z]) for z in np.concatenate([ends, body.boundary(16)])]
+    for z in sets:
+        occupied = body.occupies(z, tol)
+        assert np.all(np.abs(z[occupied] - c) <= R * (1 + 1e-9) + tol)
+        if np.any(occupied):
+            with pytest.raises(FluidDomainError):
+                flow._check(z)
+        else:
+            assert flow._check(z) is not None
+    assert np.any(body.occupies(sets[1], tol))
+
+
 def test_public_names_resolve():
     import cornerflow
     missing = [name for name in cornerflow.__all__ if not hasattr(cornerflow, name)]
