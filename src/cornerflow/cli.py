@@ -29,6 +29,7 @@ from .geometry import CircleContour, body_from_config
 from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
 
 SCHEMA_VERSION = 1
+CSV_BLOCK = 4096  # leading values _write_csv tests for repeats (see there)
 
 ANALYSES = ("circulation", "farfield", "forces", "corner_fits", "census",
             "sign_census", "field_export", "compressible", "refinement_study")
@@ -380,12 +381,20 @@ def _write_csv(path, header, *columns):
     """One row per element of the equally shaped columns, in C order,
     every value as %.17g (a mask column prints as 0/1).  A column with at
     most half as many distinct bit patterns as rows (a grid axis, a mask)
-    has each distinct value formatted once, and enters the row as %s."""
+    has each distinct value formatted once, and enters the row as %s.
+    Only a column whose first CSV_BLOCK values repeat that much is sorted
+    to count them: the bytes are the same either way."""
     cols = [np.ravel(c).astype(float) for c in columns]
     values, fields = [None] * (len(cols) * len(cols[0])), []
     for i, col in enumerate(cols):
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        repeats = 2 * len(bits) <= len(col)
+        # a sort, not np.unique: numpy 2.4's hash-based unique keeps about
+        # 1 MB allocated after it returns
+        block = np.sort(col[:CSV_BLOCK].view(np.int64))
+        distinct = 1 + np.count_nonzero(block[1:] != block[:-1])
+        repeats = 2 * distinct <= len(block)
+        if repeats:
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            repeats = 2 * len(bits) <= len(col)
         if repeats:
             col = np.array(["%.17g" % v for v in bits.view(float).tolist()],
                            dtype=object)[inverse]

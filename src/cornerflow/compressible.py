@@ -24,6 +24,10 @@ xi per Fourier mode), under-relax, repeat.  CG starts from the step's own
 cell balance and stops at a tolerance that follows the outer residual,
 max(LINEAR_TOL, min(tol, FORCING * residual)) (Eisenstat & Walker 1996):
 no step solves its frozen system further than the next residual needs.
+Each CG iteration applies the operator once (the residual recurrence
+r <- r - alpha A p); the true residual is formed once, at exit.  The face
+differences of psi~ are formed once per step, for the face m and the
+cell balance.
 The coefficient evaluation
 is guarded: any face whose half-squared mass flux m reaches the sonic
 bound of the Bernoulli state aborts the solve (the equation leaves its
@@ -31,8 +35,15 @@ elliptic region there).  No density clamping is applied unless the
 explicitly non-physical "capped" diagnostic mode is requested.  The
 free-stream density is 1 (see ``gas``).
 
+Each relaxed step is combined with up to ANDERSON_DEPTH earlier ones by
+damped Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; the
+damping is OMEGA).  The mixed iterate is taken only while its face m stays
+below the sonic bound on every face; otherwise the step takes the relaxed
+iterate and the history restarts, so an abort only ever comes from a
+plain step.  Capped mode is plain Picard.
+
 Per (grid, free stream) only what the Picard steps read is stored: base
-face fluxes, base gradients and H at the faces, Dirichlet rows and Thomas
+face fluxes, base gradients and H^2 at the faces, Dirichlet rows and Thomas
 factors, about ten full-grid arrays.  Face z (abort location, corner
 masks) and nodal dz/dzeta (post-processing) are recomputed from the map.
 On every such grid sigma = e^xi e^(i theta) is separable: one outer
@@ -58,6 +69,7 @@ CAP_FRACTION = 0.995  # capped mode clamps m at this fraction of flux_max_m
 LINEAR_TOL = 1e-13    # CG stops at max|A x - b| <= LINEAR_TOL max|b|
 FORCING = 0.01        # a Picard step's CG tolerance: FORCING * its residual
 CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
+ANDERSON_DEPTH = 3    # earlier Picard steps mixed into each step
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +208,21 @@ def _theta_pairs(op, a):
     return out
 
 
+def _half_square(gx, gt, h2):
+    """0.5 (gx^2 + gt^2) / h2, formed in gx (gt is overwritten)."""
+    np.square(gx, out=gx)
+    gx += np.square(gt, out=gt)
+    gx *= 0.5
+    gx /= h2
+    return gx
+
+
+def _differences(psi_t):
+    """Face differences of a nodal field: psi[i+1, j] - psi[i, j] at the
+    xi-faces and psi[i, j+1] - psi[i, j] (periodic) at the theta-faces."""
+    return psi_t[1:, :] - psi_t[:-1, :], _theta_pairs(np.subtract, psi_t)
+
+
 class _Discretization:
     """What the Picard steps on one (grid, free stream) pair read (see the
     module docstring).  No reference to the grid: grid._disc points here,
@@ -226,11 +253,11 @@ class _Discretization:
         # analytic base gradients at face midpoints (for m evaluation)
         dz, self.base_dxi_xf, self.base_dth_xf = self.base_gradient(
             *self.faces["xi"])
-        self.H_xf = np.abs(dz)
+        self.H2_xf = np.abs(dz)**2  # H^2, which face_m divides by
         del dz
         dz, self.base_dxi_tf, self.base_dth_tf = self.base_gradient(
             *self.faces["theta"])
-        self.H_tf = np.abs(dz)
+        self.H2_tf = np.abs(dz)**2
         # the h = 1 operator on Fourier mode k in theta is tridiagonal over
         # the nr - 2 Dirichlet interior rows: a x[i-1] + d_k x[i] + a x[i+1].
         # Thomas elimination factors, one column per (re, im) of each mode:
@@ -243,7 +270,7 @@ class _Discretization:
         for i in range(1, nr - 2):
             inv_piv[i] = 1.0 / (d - a * a * inv_piv[i - 1])
         self.inv_pivot = np.repeat(inv_piv, 2, axis=1)
-        self.elim = a * self.inv_pivot
+        self.elim = list(a * self.inv_pivot)  # its rows, as the sweeps take them
 
         # Dirichlet data of psi~: total psi = 0 on the body ring and
         # Im W of the exact incompressible flow on the outer ring
@@ -271,19 +298,27 @@ class _Discretization:
         return psi_t
 
     def face_m(self, psi_t):
-        """Half-squared physical gradient at xi- and theta-faces."""
+        """Half-squared physical gradient at xi- and theta-faces, and the
+        face differences of psi~ (see _differences), which the cell balance
+        of the same field takes."""
         dxi, dth = self.dxi, self.dth
+        diffs = _differences(psi_t)
         xdiff, tdiff = _node_gradient(psi_t, dxi, dth)
         # xi-faces (nr-1, nt)
-        gx = self.base_dxi_xf + (psi_t[1:, :] - psi_t[:-1, :]) / dxi
-        gt = self.base_dth_xf + 0.5 * (tdiff[1:, :] + tdiff[:-1, :])
-        m_xf = 0.5 * (gx**2 + gt**2) / self.H_xf**2
-        # theta-faces (nr, nt): face between (i,j) and (i,j+1); rebinding
-        # gx and gt frees the xi-face arrays
-        gt = self.base_dth_tf + _theta_pairs(np.subtract, psi_t) / dth
-        gx = self.base_dxi_tf + 0.5 * _theta_pairs(np.add, xdiff)
-        m_tf = 0.5 * (gx**2 + gt**2) / self.H_tf**2
-        return m_xf, m_tf
+        gt = tdiff[1:, :] + tdiff[:-1, :]
+        del tdiff
+        gt *= 0.5
+        gt += self.base_dth_xf
+        m_xf = _half_square(diffs[0] / dxi + self.base_dxi_xf, gt,
+                            self.H2_xf)
+        # theta-faces (nr, nt): face between (i,j) and (i,j+1)
+        gx = _theta_pairs(np.add, xdiff)
+        del xdiff
+        gx *= 0.5
+        gx += self.base_dxi_tf
+        m_tf = _half_square(gx, diffs[1] / dth + self.base_dth_tf,
+                            self.H2_tf)
+        return m_xf, m_tf, diffs
 
     def nodal_gradient(self, psi_t):
         """Nodal (psi_xi, psi_theta) of the total stream function, dz/dzeta."""
@@ -300,23 +335,30 @@ class _Discretization:
         with np.errstate(invalid="ignore"):
             return -1j * grad_z / rho
 
-    def _balance(self, psi_t, h_xf, h_tf, base_xi, base_th):
+    def _balance(self, diffs, h_xf, h_tf, base_xi, base_th):
         """Face fluxes h (base + difference) and their net sum around every
-        interior cell (rows 1..nr-2): the one five-point stencil."""
+        interior cell (rows 1..nr-2): the one five-point stencil.  The
+        fluxes are formed in the two difference arrays."""
         dxi, dth = self.dxi, self.dth
-        flux_xi = h_xf * (base_xi
-                          + (psi_t[1:, :] - psi_t[:-1, :]) * dth / dxi)
-        flux_th = h_tf * (base_th
-                          + _theta_pairs(np.subtract, psi_t) * dxi / dth)
+        flux_xi, flux_th = diffs
+        for flux, num, den, base, h in ((flux_xi, dth, dxi, base_xi, h_xf),
+                                        (flux_th, dxi, dth, base_th, h_tf)):
+            flux *= num
+            flux /= den
+            flux += base
+            flux *= h
         bal = flux_xi[1:, :] - flux_xi[:-1, :] + flux_th[1:-1, :]
         bal[:, 1:] -= flux_th[1:-1, :-1]
         bal[:, :1] -= flux_th[1:-1, -1:]
         return bal, flux_xi, flux_th
 
-    def cell_residual(self, psi_t, h_xf, h_tf):
-        """Net face flux around every interior cell (rows 1..nr-2)."""
+    def cell_residual(self, psi_t, h_xf, h_tf, diffs=None):
+        """Net face flux around every interior cell (rows 1..nr-2).  diffs
+        are psi_t's face differences when face_m has formed them; the
+        fluxes overwrite them."""
         bal, flux_xi, flux_th = self._balance(
-            psi_t, h_xf, h_tf, self.base_flux_xi, self.base_flux_th)
+            _differences(psi_t) if diffs is None else diffs, h_xf, h_tf,
+            self.base_flux_xi, self.base_flux_th)
         scale = max(np.max(np.abs(flux_xi)), np.max(np.abs(flux_th)), 1e-300)
         return bal, scale
 
@@ -326,11 +368,14 @@ class _Discretization:
         the Dirichlet xi rows, on the (re, im) float view of the modes."""
         y = np.fft.rfft(r, axis=1).view(np.float64)
         y *= self.inv_pivot
-        c = self.elim
-        for i in range(1, self.nr - 2):
-            y[i] -= c[i] * y[i - 1]
-        for i in range(self.nr - 4, -1, -1):
-            y[i] -= c[i] * y[i + 1]
+        # y_i -= c_i y_(i-1) down the rows, then y_i -= c_i y_(i+1) up them,
+        # through row views and one reused row of c_i y
+        c, rows, cy = self.elim, list(y), np.empty(y.shape[1])
+        mul, sub = np.multiply, np.subtract
+        for ci, prev, row in zip(c[1:], rows, rows[1:]):
+            sub(row, mul(ci, prev, cy), row)
+        for ci, nxt, row in zip(c[-2::-1], rows[:0:-1], rows[-2::-1]):
+            sub(row, mul(ci, nxt, cy), row)
         return np.fft.irfft(y.view(np.complex128), n=self.nt, axis=1)
 
     def solve_linear(self, h_xf, h_tf, x0, r0=None, tol=LINEAR_TOL):
@@ -345,7 +390,10 @@ class _Discretization:
         guess for the interior rows (0.0 for none).  Because h = 1/rho
         lies between 1/rho_0 and 1/rho*, the preconditioned condition
         number is bounded by rho_0/rho* independently of the grid.
-        Returns the interior rows, the relative residual
+        Each iteration applies the operator once and updates the residual
+        by the recurrence r <- r - alpha A p; the true residual b - A x is
+        formed when the recurrence meets tol, and CG restarts from it if
+        it misses.  Returns the interior rows, the relative residual
         max|A x - b| / max|b| of the true residual and the number of CG
         iterations; raises SolverError if CG misses tol within
         CG_MAX_ITERS iterations.
@@ -359,29 +407,92 @@ class _Discretization:
 
         def apply(p):  # A p: homogeneous boundary rows, no base flux
             padded[1:-1, :] = p
-            return self._balance(padded, h_xf, h_tf, 0.0, 0.0)[0]
+            return self._balance(_differences(padded), h_xf, h_tf, 0.0, 0.0)[0]
 
         # A x - b is the cell balance of the field with boundary data
-        b = -self._balance(self.with_boundary(0.0), h_xf, h_tf,
+        b = -self._balance(_differences(self.with_boundary(0.0)), h_xf, h_tf,
                            self.base_flux_xi, self.base_flux_th)[0]
         b_max = max(float(np.max(np.abs(b))), 1e-300)
         if r0 is None:
             r0 = b - apply(x0)
         x = x0 + self._fast_solve(r0) / h_mean
-        for it in range(CG_MAX_ITERS + 1):
-            r = b - apply(x)
+        r, true_r, it = b - apply(x), True, 0
+        while True:
             lin_res = float(np.max(np.abs(r))) / b_max
-            if lin_res <= tol:
+            if lin_res <= tol and true_r:
                 return x, lin_res, it
+            if lin_res <= tol:  # the recurrence says done: check once
+                r, true_r = b - apply(x), True
+                continue
+            if it == CG_MAX_ITERS:
+                raise SolverError(
+                    f"preconditioned CG missed residual {tol:g} after "
+                    f"{CG_MAX_ITERS} iterations (at {lin_res:.3e})")
             z = self._fast_solve(r) / h_mean
             # einsum, not a BLAS dot: threaded BLAS spins idle cores
             rz_new = float(np.einsum("ij,ij->", r, z))
-            p = z if it == 0 else z + (rz_new / rz) * p
-            rz = rz_new
-            x = x + (rz / float(np.einsum("ij,ij->", p, apply(p)))) * p
-        raise SolverError(
-            f"preconditioned CG missed residual {tol:g} after "
-            f"{CG_MAX_ITERS} iterations (at {lin_res:.3e})")
+            if true_r:  # a true residual (re)starts the directions
+                p = z
+            else:
+                p *= rz_new / rz
+                p += z
+            rz, ap = rz_new, apply(p)
+            alpha = rz / float(np.einsum("ij,ij->", p, ap))
+            x += alpha * p
+            ap *= alpha
+            r -= ap
+            true_r, it = False, it + 1
+
+
+class _Anderson:
+    """Damped Anderson mixing (Walker & Ni 2011) of relaxed Picard steps.
+
+    Step k of the fixed-point map G (one frozen-coefficient solve) gives
+    f_k = G(x_k) - x_k and the relaxed step y_k = x_k + OMEGA f_k.  The
+    mixed iterate is sum a_i y_i over step k and up to ``depth`` steps
+    before it, with the weights (summing to 1) that minimize
+    |sum a_i f_i|: a = g^-1 1 / (1' g^-1 1) for the Gram matrix g of the
+    f_i, kept from step to step so that each step forms only its own row.
+    Depth 0 is plain relaxed Picard.
+    """
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.ys, self.fs, self.gram = [], [], np.empty((0, 0))
+
+    def restart(self):
+        """Drop every step of the history but the newest."""
+        self.ys, self.fs = self.ys[-1:], self.fs[-1:]
+        self.gram = self.gram[-1:, -1:]
+
+    def mix(self, y, f):
+        """The mixed iterate of the relaxed step y and its f; None at depth
+        0, without an earlier step or when the f_i are linearly dependent.
+        (y, f) joins the history, which keeps ``depth`` steps between
+        calls."""
+        if self.depth == 0:
+            return None
+        row = [float(np.einsum("ij,ij->", f, g)) for g in self.fs + [f]]
+        gram = np.empty((len(row), len(row)))
+        gram[:-1, :-1], gram[-1], gram[:, -1] = self.gram, row, row
+        self.ys.append(y)
+        self.fs.append(f)
+        self.gram, mixed = gram, None
+        d = np.sqrt(np.diag(gram))
+        if len(row) > 1 and np.all(d > 0.0):
+            try:  # equilibrated: the f_i shrink by orders over a solve
+                w = np.linalg.solve(gram / np.outer(d, d), 1.0 / d) / d
+            except np.linalg.LinAlgError:
+                w = None
+            if w is not None:  # non-finite weights fail the sonic guard
+                a = w / np.sum(w)
+                mixed = a[0] * self.ys[0]
+                for ai, yi in zip(a[1:], self.ys[1:]):
+                    mixed += ai * yi
+        if len(self.ys) > self.depth:
+            del self.ys[0], self.fs[0]
+            self.gram = gram[1:, 1:]
+        return mixed
 
 
 def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
@@ -439,13 +550,14 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
     converged = False
     it = 0
     rho_xf = rho_tf = None
+    mixer = _Anderson(0 if opts.capped else ANDERSON_DEPTH)
+    m_xf, m_tf, diffs = disc.face_m(psi_t)
     for it in range(1, opts.max_iters + 1):
-        m_xf, m_tf = disc.face_m(psi_t)
         (rho_xf, h_xf), nc1 = _face_rho(state, m_xf, rho_xf, opts, "xi", disc)
         (rho_tf, h_tf), nc2 = _face_rho(state, m_tf, rho_tf, opts, "theta", disc)
         capped_total = max(capped_total, nc1 + nc2)
 
-        bal, scale = disc.cell_residual(psi_t, h_xf, h_tf)
+        bal, scale = disc.cell_residual(psi_t, h_xf, h_tf, diffs)
         res = float(np.max(np.abs(bal)) / scale)
         residuals.append(res)
         if res < opts.tol:
@@ -459,7 +571,23 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             max(LINEAR_TOL, min(opts.tol, FORCING * res)))
         linear_residuals.append(lin_res)
         linear_iterations.append(lin_its)
-        psi_t[1:-1, :] = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
+        relaxed = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
+        mixed = mixer.mix(relaxed, interior - psi_t[1:-1, :])
+        del interior
+        if mixed is not None:
+            # the mixed iterate only while every face stays subsonic, so
+            # that an abort only ever comes from a plain step; its face m
+            # is the next step's
+            trial = disc.with_boundary(mixed)
+            m_xf, m_tf, diffs = disc.face_m(trial)
+            m_max = state.flux_max_m
+            if np.all(m_xf < m_max) and np.all(m_tf < m_max):
+                psi_t = trial
+                continue
+            mixer.restart()
+        psi_t[1:-1, :] = relaxed
+        m_xf, m_tf, diffs = disc.face_m(psi_t)
+    del mixer  # its history, before post-processing
 
     if not converged and not opts.capped:
         raise IterationLimitError(
@@ -588,7 +716,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     for (n_r, n_theta) in grids:
         grid = build_grid(body, r_far, n_r, n_theta)
         disc = _discretization(grid, far)
-        m_faces = disc.face_m(incompressible_reference_solution(grid, far))
+        m_faces = disc.face_m(incompressible_reference_solution(grid, far))[:2]
         margin = max(
             float(np.max(m[_near_corners(body, disc.map_z(*disc.faces[where]),
                                          corner_radius)]) / state.flux_max_m)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerflow import compressible, incompressible
+from cornerflow import cli, compressible, incompressible
 from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
@@ -456,6 +456,19 @@ def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
 def test_write_csv_matches_plain_writer(tmp_path):
     # a 200-value grid axis and columns of repeated specials go through
     # the distinct-value path, the rest through %.17g
+    check_write_csv_against_plain_writer(tmp_path)
+
+
+@pytest.mark.parametrize("block", [64, 1])
+def test_write_csv_short_block_matches_plain_writer(tmp_path, monkeypatch,
+                                                    block):
+    # a leading block that does not repeat sends a column to %.17g (64:
+    # the last column, whose halves repeat each other; 1: every column)
+    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    check_write_csv_against_plain_writer(tmp_path)
+
+
+def check_write_csv_against_plain_writer(tmp_path):
     rows = 200 * 7
     specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324])
     rng = np.random.default_rng(5)
