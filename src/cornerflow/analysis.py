@@ -315,15 +315,13 @@ def corner_census(body: Body, w_inf: complex, gamma_grid=None,
     off roots and sweeps a 33-point grid spanning all roots with margin
     as a redundancy check.
     """
-    from .incompressible import FarField, panel_solve  # deferred: avoids cycle
+    from .incompressible import _affine_corners  # deferred: avoids cycle
 
     corners = [c for c in body.corners if c.protruding]
     if len(corners) < 2:
         raise FluidDomainError("census needs at least two protruding corners")
     scale = abs(w_inf) * body.circumradius
-    flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
-    flow1 = panel_solve(body, FarField(w_inf, scale or 1.0), n_panels).flow
-    entries = [affine_corner(flow0, flow1, c) for c in corners]
+    flow0, entries = _affine_corners(body, w_inf, corners, n_panels)
 
     roots = np.array([e.root for e in entries])
     coincidence_tol = 1e-3 * scale

@@ -1,9 +1,9 @@
 """Scenario runner: JSON config in, JSON summary and CSV fields out.
 
-A scenario names a body, a gas (or the incompressible flag), a flow
-(exactly one of a prescribed circulation, a Kutta corner, or a sweep),
-and the analyses to run.  Outputs are deterministic for a fixed config:
-no randomness, no timestamps, sorted keys.
+A scenario names a body, a gas, a flow (exactly one of a prescribed
+circulation, a Kutta corner, or a sweep), and the analyses to run; ``KEYS``
+states each key's rule and default once.  Outputs are deterministic for a
+fixed config: no randomness, no timestamps, sorted keys.
 
 Exit codes: 0 success, 1 solver error or non-finite result (structured
 in the summary), 2 config violation (message names the offending JSON
@@ -17,8 +17,10 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,120 +57,146 @@ def _is_number(x):
     return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
-def _is_list_of(x, test, length=None):
-    return (isinstance(x, list) and len(x) > 0 and length in (None, len(x))
-            and all(test(v) for v in x))
+def _is_pair(x, test):
+    return isinstance(x, list) and len(x) == 2 and all(test(v) for v in x)
 
 
+def _is_grid_size(n, even=False):  # build_grid's: >= 16, n_theta even
+    return _is_int(n) and n >= 16 and not (even and n % 2)
+
+
+class _Key(NamedTuple):
+    test: Callable          # test(value) -> bool
+    rule: str               # what the value must be, for messages and README
+    default: object         # a JSON value, None (absent), REQUIRED or default(body)
+    when: tuple = ()        # (dotted key, value): the key applies only there
+    each: Callable = None   # a list value's test of each element
+    least: Callable = None  # least(body): the smallest value a solver takes
+
+
+def _window(half):  # default: +-half circumradii about the body's centroid
+    def default(body):
+        c, h = body.centroid, half * body.circumradius
+        return [[c.real - h, c.real + h], [c.imag - h, c.imag + h]]
+    return _Key(lambda v: isinstance(v, list) and len(v) == 2,
+                "[[x0, x1], [y0, y1]] of finite numbers with finite"
+                " x1 - x0 > 0 and y1 - y0 > 0", default, each=lambda r:
+                _is_pair(r, _is_number) and 0 < r[1] - r[0] <= sys.float_info.max)
+
+
+REQUIRED = object()
+POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
-WINDOW = (lambda w: _is_list_of(w, lambda r: _is_list_of(r, _is_number, 2)
-                                 and 0 < r[1] - r[0] <= sys.float_info.max, 2),
-          "[[x0, x1], [y0, y1]] of finite numbers with finite"
-          " x1 - x0 > 0 and y1 - y0 > 0")
-# optional keys the runner reads: dotted path -> (test, what the value must be)
-OPTIONAL_KEYS = {
-    "flow.gamma": (_is_number, "a finite number"),
-    "flow.gamma_sweep": (lambda v: v is None or _is_list_of(v, _is_number),
-                         "null or a nonempty list of finite numbers"),
-    "solver.n_panels": POSITIVE_INT,
-    "solver.representation": (lambda v: v in ("panel", "exact"), "panel|exact"),
-    "solver.grid.n_r": (_is_int, "an integer"),
-    "solver.grid.n_theta": (_is_int, "an integer"),
-    "solver.grid.r_far": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "solver.study.grids": (
-        lambda v: _is_list_of(v, lambda pair: _is_list_of(pair, _is_int, 2)),
-        "a nonempty list of [n_r, n_theta] integer pairs"),
-    "output.field_resolution": POSITIVE_INT,
-    "output.sign_resolution": POSITIVE_INT,
-    "output.field_window": WINDOW,
-    "output.sign_window": WINDOW,
+CIRCLE, PLATE, POLYGON = (("body.kind", k) for k in ("circle", "flat_plate", "polygon"))
+# every key the runner reads: dotted path -> its test, rule and default.  A
+# key's `when` key comes before it, and the body keys before any least value.
+KEYS = {
+    "schema_version": _Key(lambda v: _is_int(v) and v == SCHEMA_VERSION,
+                           str(SCHEMA_VERSION), REQUIRED),
+    # the default output directory is out_<name> in the working directory
+    "name": _Key(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                 and not any(ch in v for ch in "/\\\0"),
+                 "a nonempty string without /, \\ or NUL, not . or ..", REQUIRED),
+    "body.kind": _Key(lambda v: v in ("circle", "flat_plate", "polygon"),
+                      "circle, flat_plate or polygon", REQUIRED),
+    "body.radius": _Key(*POSITIVE, REQUIRED, CIRCLE),
+    "body.chord": _Key(*POSITIVE, REQUIRED, PLATE),
+    "body.alpha": _Key(_is_number, "a finite number (radians)", None, PLATE),
+    "body.alpha_deg": _Key(_is_number, "a finite number (degrees)", None, PLATE),
+    "body.vertices": _Key(lambda v: isinstance(v, list) and len(v) >= 3,
+                          ">= 3 [x, y] pairs of finite numbers", REQUIRED, POLYGON,
+                          each=lambda xy: _is_pair(xy, _is_number)),
+    "gas.incompressible": _Key(lambda v: isinstance(v, bool), "true or false", True),
+    "gas.gamma": _Key(lambda v: _is_number(v) and v > 1, "a number > 1", 1.4,
+                      ("gas.incompressible", False)),
+    "gas.mach_inf": _Key(lambda v: _is_number(v) and 0 <= v < 1,
+                         "a number in [0, 1)", REQUIRED, ("gas.incompressible", False)),
+    "flow.w_inf": _Key(*POSITIVE, REQUIRED),
+    "flow.gamma": _Key(_is_number, "a finite number", None),
+    "flow.kutta_corner": _Key(_is_int, "the id of a protruding corner", None),
+    "flow.gamma_sweep": _Key(lambda v: v is None or isinstance(v, list) and v
+                             and all(_is_number(g) for g in v),
+                             "null or a nonempty list of finite numbers", None),
+    "analyses": _Key(lambda v: isinstance(v, list), "a list of names from "
+                     + ", ".join(ANALYSES), (), each=lambda v: v in ANALYSES),
+    "solver.n_panels": _Key(
+        _is_int, "a positive integer, >= 2 on a circle, >= 8 per side of a polygon",
+        256, least=lambda b: (8 * len(b.vertices) if b.kind == "polygon"
+                              else 2 if b.kind == "circle" else 1)),
+    "solver.representation": _Key(
+        lambda v: v in ("panel", "exact"), "panel or exact",
+        lambda b: "panel" if incompressible.conformal_map(b) is None else "exact"),
+    "solver.grid.n_r": _Key(_is_grid_size, "an integer >= 16", 64),
+    "solver.grid.n_theta": _Key(lambda v: _is_grid_size(v, even=True),
+                                "an even integer >= 16", 128),
+    "solver.grid.r_far": _Key(_is_number, "a number >= 20 body circumradii",
+                              lambda b: 25.0 * b.circumradius,
+                              least=lambda b: 20.0 * b.circumradius),
+    "solver.study.grids": _Key(
+        lambda v: isinstance(v, list) and v,
+        "a nonempty list of [n_r, n_theta] pairs, each as solver.grid's",
+        ((64, 128), (128, 256), (256, 512)), each=lambda g: _is_pair(g, _is_int)
+        and _is_grid_size(g[0]) and _is_grid_size(g[1], even=True)),
+    "output.field_resolution": _Key(*POSITIVE_INT, 200),
+    "output.sign_resolution": _Key(*POSITIVE_INT, 400),
+    "output.field_window": _window(3.0),
+    "output.sign_window": _window(4.0),
 }
+
+
+def _get(cfg, dotted, body=None):
+    """The value of a KEYS entry in a validated scenario, or its default."""
+    *parents, name = dotted.split(".")
+    for parent in parents:
+        cfg = cfg.get(parent, {})  # the object that holds the key
+    default = KEYS[dotted].default
+    return cfg[name] if name in cfg else (
+        default(body) if callable(default) else default)
+
+
+def _body(cfg):
+    try:
+        return body_from_config(cfg["body"])
+    except CornerFlowError as exc:
+        raise ConfigError(str(exc), "$.body") from exc
 
 
 def validate_scenario(cfg: dict) -> dict:
     _require(isinstance(cfg, dict), "scenario must be a JSON object", "$")
-    _require(cfg.get("schema_version") == SCHEMA_VERSION,
-             f"schema_version must be {SCHEMA_VERSION}", "$.schema_version")
-    _require(isinstance(cfg.get("name"), str) and cfg["name"],
-             "name must be a nonempty string", "$.name")
-    # the default output directory is out_<name> in the working directory
-    _require(not any(ch in cfg["name"] for ch in "/\\\0")
-             and cfg["name"] not in (".", ".."),
-             "name must not contain /, \\ or NUL or be . or ..", "$.name")
-
-    body = cfg.get("body")
-    _require(isinstance(body, dict), "body must be an object", "$.body")
-    kind = body.get("kind")
-    _require(kind in ("circle", "flat_plate", "polygon"),
-             "kind must be circle|flat_plate|polygon", "$.body.kind")
-    if kind == "circle":
-        _require(_is_number(body.get("radius")) and body["radius"] > 0,
-                 "radius must be positive", "$.body.radius")
-    elif kind == "flat_plate":
-        _require(_is_number(body.get("chord")) and body["chord"] > 0,
-                 "chord must be positive", "$.body.chord")
-        _require(("alpha" in body) != ("alpha_deg" in body),
-                 "exactly one of alpha (radians) or alpha_deg", "$.body")
-        key = "alpha" if "alpha" in body else "alpha_deg"
-        _require(_is_number(body[key]), "angle must be a number",
-                 f"$.body.{key}")
-    else:
-        verts = body.get("vertices")
-        _require(isinstance(verts, list) and len(verts) >= 3,
-                 "vertices must list >= 3 [x, y] pairs", "$.body.vertices")
-        for i, xy in enumerate(verts):
-            _require(isinstance(xy, list) and len(xy) == 2
-                     and all(_is_number(c) for c in xy),
-                     "vertex must be an [x, y] pair", f"$.body.vertices[{i}]")
-
-    gas = cfg.get("gas", {"incompressible": True})
-    _require(isinstance(gas, dict), "gas must be an object", "$.gas")
-    compressible_gas = not gas.get("incompressible", False)
-    if compressible_gas:
-        _require(_is_number(gas.get("gamma", 1.4)) and gas.get("gamma", 1.4) > 1,
-                 "gamma must exceed 1", "$.gas.gamma")
-        _require(_is_number(gas.get("mach_inf")) and 0 <= gas["mach_inf"] < 1,
-                 "mach_inf must lie in [0, 1)", "$.gas.mach_inf")
-
-    flow = cfg.get("flow")
-    _require(isinstance(flow, dict), "flow must be an object", "$.flow")
-    _require(_is_number(flow.get("w_inf")) and flow["w_inf"] > 0,
-             "w_inf must be a positive magnitude", "$.flow.w_inf")
-    modes = [k for k in ("gamma", "kutta_corner", "gamma_sweep") if k in flow]
-    _require(len(modes) == 1,
+    built = cache(lambda: _body(cfg))  # once the body keys have passed
+    for dotted, key in KEYS.items():
+        if key.when and _get(cfg, key.when[0]) != key.when[1]:
+            continue
+        *parents, name = dotted.split(".")
+        node, path = cfg, "$." + dotted
+        for i, parent in enumerate(parents):  # a missing object reads as {}
+            node = node.get(parent, {})
+            _require(isinstance(node, dict), f"{parent} must be an object",
+                     "$." + ".".join(parents[:i + 1]))
+        if name not in node:
+            _require(key.default is not REQUIRED, f"{name} is required", path)
+            continue
+        value, message = node[name], f"{name} must be {key.rule}"
+        _require(key.test(value) and (key.least is None
+                                      or value >= key.least(built())), message, path)
+        for i, item in enumerate(value if key.each else ()):  # a list: test passed
+            _require(key.each(item), message, f"{path}[{i}]")
+    body = built()  # the rules across keys
+    _require(len({"gamma", "kutta_corner", "gamma_sweep"} & set(cfg["flow"])) == 1,
              "exactly one of gamma, kutta_corner, gamma_sweep", "$.flow")
-
-    analyses = cfg.get("analyses", [])
-    _require(isinstance(analyses, list), "analyses must be a list", "$.analyses")
-    for i, name in enumerate(analyses):
-        _require(name in ANALYSES, f"unknown analysis {name!r}", f"$.analyses[{i}]")
-        _require(compressible_gas or name not in COMPRESSIBLE_ANALYSES,
+    for i, name in enumerate(_get(cfg, "analyses")):
+        _require(not _get(cfg, "gas.incompressible")
+                 or name not in COMPRESSIBLE_ANALYSES,
                  f"analysis {name!r} needs gas.incompressible: false",
                  f"$.analyses[{i}]")
-
-    # a present optional key must pass its test; objects on its path must
-    # be JSON objects
-    for dotted, (test, rule) in OPTIONAL_KEYS.items():
-        *parents, key = dotted.split(".")
-        node, path = cfg, "$"
-        for name in parents:
-            node, path = node.get(name, {}), f"{path}.{name}"
-            _require(isinstance(node, dict), f"{name} must be an object", path)
-        if key in node:
-            _require(test(node[key]), f"{key} must be {rule}", f"{path}.{key}")
-    try:
-        b = body_from_config(body)
-    except CornerFlowError as exc:
-        raise ConfigError(str(exc), "$.body") from exc
-    _require(cfg.get("solver", {}).get("representation") != "exact"
-             or incompressible.conformal_map(b) is not None,
-             f"exact representation needs a closed-form map; a {kind} has none",
+    _require(_get(cfg, "solver.representation", body) != "exact"
+             or incompressible.conformal_map(body) is not None,
+             f"exact representation needs a closed-form map; a {body.kind} has none",
              "$.solver.representation")
-    if "kutta_corner" in flow:
-        n_corners = len(b.corners)
-        _require(_is_int(flow["kutta_corner"])
-                 and 0 <= flow["kutta_corner"] < n_corners,
-                 f"corner id must be in [0, {n_corners})", "$.flow.kutta_corner")
+    protruding = [c.corner_id for c in body.corners if c.protruding]
+    _require(_get(cfg, "flow.kutta_corner") in [None] + protruding,
+             f"kutta_corner must name a protruding corner, one of {protruding}",
+             "$.flow.kutta_corner")
     return cfg
 
 
@@ -198,26 +226,24 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def _resolve_flow(cfg: dict, body, summary: dict):
-    flow_cfg = cfg["flow"]
-    w_inf = float(flow_cfg["w_inf"])
-    solver = cfg.get("solver", {})
-    n_panels = int(solver.get("n_panels", 256))
-    exact = exact_flow(body, FarField(w_inf, 0.0))
-    representation = solver.get("representation",
-                                "panel" if exact is None else "exact")
-    if representation == "panel":
-        exact = None
+    w_inf = float(_get(cfg, "flow.w_inf"))
+    n_panels = int(_get(cfg, "solver.n_panels"))
+    representation = _get(cfg, "solver.representation", body)
+    exact = (exact_flow(body, FarField(w_inf, 0.0))
+             if representation == "exact" else None)
 
-    if "gamma" in flow_cfg:
-        gamma = float(flow_cfg["gamma"])
-    elif "kutta_corner" in flow_cfg:
-        corner_id = int(flow_cfg["kutta_corner"])
+    gamma, corner_id = _get(cfg, "flow.gamma"), _get(cfg, "flow.kutta_corner")
+    if gamma is not None:
+        gamma = float(gamma)
+    elif corner_id is not None:
+        corner_id = int(corner_id)
         if exact is not None:  # a plate: circles have no corner to name
             gamma = exact.kutta_circulation(corner_id)
             summary["kutta"] = {"corner_id": corner_id, "gamma_star": gamma,
                                 "method": "conformal_map"}
         else:
-            res = kutta_solve(body, w_inf, corner_id, n_panels=max(n_panels, 256))
+            res = kutta_solve(body, w_inf, corner_id,  # the default at least
+                              max(n_panels, KEYS["solver.n_panels"].default))
             gamma = res.gamma_star
             summary["kutta"] = {
                 "corner_id": corner_id, "gamma_star": res.gamma_star,
@@ -261,7 +287,7 @@ def _exact_regression(flow, exact):
 # analyses
 
 
-def _run_circulation(flow, body, summary):
+def _run_circulation(cfg, flow, body, far, summary, out):
     R = body.circumradius
     entries = []
     for mult in (2.0, 5.0, 20.0):
@@ -272,7 +298,7 @@ def _run_circulation(flow, body, summary):
     summary["circulation"] = entries
 
 
-def _run_farfield(flow, summary):
+def _run_farfield(cfg, flow, body, far, summary, out):
     fit = analysis.farfield_fit(flow)
     summary["farfield"] = {
         "c0": [float(np.real(fit.c0)), float(np.imag(fit.c0))],
@@ -283,7 +309,7 @@ def _run_farfield(flow, summary):
     }
 
 
-def _run_forces(flow, body, far, summary):
+def _run_forces(cfg, flow, body, far, summary, out):
     contour = CircleContour(body.centroid, 3.0 * body.circumradius, 1024)
     result = forces.blasius_force(flow, contour)
     summary["forces"] = {
@@ -295,7 +321,7 @@ def _run_forces(flow, body, far, summary):
     }
 
 
-def _run_corner_fits(flow, body, summary):
+def _run_corner_fits(cfg, flow, body, far, summary, out):
     reports = []
     for corner in body.corners:
         rep = analysis.fit_corner(flow, corner)
@@ -309,13 +335,10 @@ def _run_corner_fits(flow, body, summary):
     summary["corner_reports"] = reports
 
 
-def _run_census(cfg, body, summary):
-    flow_cfg = cfg["flow"]
-    sweep = flow_cfg.get("gamma_sweep")
-    grid = None if sweep is None else np.asarray(sweep, dtype=float)
-    n_panels = int(cfg.get("solver", {}).get("n_panels", 256))
-    census = analysis.corner_census(body, float(flow_cfg["w_inf"]),
-                                    gamma_grid=grid, n_panels=n_panels)
+def _run_census(cfg, flow, body, far, summary, out):
+    census = analysis.corner_census(body, float(_get(cfg, "flow.w_inf")),
+                                    gamma_grid=_get(cfg, "flow.gamma_sweep"),
+                                    n_panels=int(_get(cfg, "solver.n_panels")))
     summary["census"] = {
         "corners": [{
             "corner_id": e.corner_id, "root": e.root, "slope": e.slope,
@@ -332,15 +355,10 @@ def _run_census(cfg, body, summary):
     }
 
 
-def _run_sign_census(cfg, flow, body, summary):
-    out_cfg = cfg.get("output", {})
-    R = body.circumradius
-    window = out_cfg.get("sign_window", [
-        [-4.0 * R + body.centroid.real, 4.0 * R + body.centroid.real],
-        [-4.0 * R + body.centroid.imag, 4.0 * R + body.centroid.imag]])
-    res = int(out_cfg.get("sign_resolution", 400))
+def _run_sign_census(cfg, flow, body, far, summary, out):
+    res = int(_get(cfg, "output.sign_resolution"))
     census = analysis.sign_component_census(
-        flow, (tuple(window[0]), tuple(window[1])), resolution=res)
+        flow, _get(cfg, "output.sign_window", body), resolution=res)
     summary["sign_census"] = {
         "bounded_positive": census.bounded_positive,
         "bounded_negative": census.bounded_negative,
@@ -348,6 +366,13 @@ def _run_sign_census(cfg, flow, body, summary):
         "resolution": res,
         "note": "finite-resolution signature, not a proof",
     }
+
+
+def _run_field_export(cfg, flow, body, far, summary, out):
+    resolution = int(_get(cfg, "output.field_resolution"))
+    export_field(flow, _get(cfg, "output.field_window", body), resolution,
+                 out / "field.csv")
+    summary["field_export"] = {"rows": resolution * resolution, "file": "field.csv"}
 
 
 def export_field(flow_or_solution, window, resolution, path):
@@ -404,16 +429,14 @@ def _write_csv(path, header, *columns):
     Path(path).write_text(header + "\n" + (row * len(cols[0])) % tuple(values))
 
 
-def _run_compressible(cfg, body, far, summary, out_dir):
-    gas_cfg = cfg.get("gas", {})
-    gamma = float(gas_cfg.get("gamma", 1.4))
-    mach_inf = float(gas_cfg["mach_inf"])
+def _run_compressible(cfg, flow, body, far, summary, out):
+    gamma = float(_get(cfg, "gas.gamma"))
+    mach_inf = float(_get(cfg, "gas.mach_inf"))
     gas = GasModel(gamma)
     state = BernoulliState.from_free_stream(gas, mach_inf)
-    grid_cfg = cfg.get("solver", {}).get("grid", {})
-    n_r = int(grid_cfg.get("n_r", 64))
-    n_theta = int(grid_cfg.get("n_theta", 128))
-    r_far = float(grid_cfg.get("r_far", 25.0 * body.circumradius))
+    n_r = int(_get(cfg, "solver.grid.n_r"))
+    n_theta = int(_get(cfg, "solver.grid.n_theta"))
+    r_far = float(_get(cfg, "solver.grid.r_far", body))
     grid = compressible.build_grid(body, r_far, n_r, n_theta)
     q_inf = state.free_stream_speed(mach_inf)
     cfar = FarField(w_inf=q_inf * far.flow_direction.conjugate(),
@@ -428,19 +451,14 @@ def _run_compressible(cfg, body, far, summary, out_dir):
         "residual_history": list(sol.residuals),
         "grid": [n_r, n_theta], "mach_inf": mach_inf, "gamma": gamma,
     }
-    if out_dir is not None:
-        export_field(sol, None, None, Path(out_dir) / "compressible_field.csv")
-    return sol
+    export_field(sol, None, None, out / "compressible_field.csv")
 
 
-def _run_refinement_study(cfg, body, far, summary):
-    gas_cfg = cfg.get("gas", {})
-    study_cfg = cfg.get("solver", {}).get("study", {})
-    grids = [tuple(g) for g in study_cfg.get(
-        "grids", [[64, 128], [128, 256], [256, 512]])]
-    gas = GasModel(float(gas_cfg.get("gamma", 1.4)))
+def _run_refinement_study(cfg, flow, body, far, summary, out):
+    grids = [tuple(g) for g in _get(cfg, "solver.study.grids")]
+    gas = GasModel(float(_get(cfg, "gas.gamma")))
     study = compressible.refinement_study(
-        body, gas, float(gas_cfg["mach_inf"]), far.circulation, grids)
+        body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, grids)
     summary["refinement_study"] = {
         "levels": [{
             "grid": list(lv.grid_shape), "outcome": lv.outcome,
@@ -516,35 +534,13 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
     try:
         body = body_from_config(cfg["body"])
         flow, far = _resolve_flow(cfg, body, summary)
-        analyses = cfg.get("analyses", [])
+        analyses = _get(cfg, "analyses")
         exact = exact_flow(body, far)
         if summary["flow"]["representation"] == "panel" and exact is not None:
             summary["exact_regression_max_rel_dev"] = _exact_regression(flow, exact)
-        if "circulation" in analyses:
-            _run_circulation(flow, body, summary)
-        if "farfield" in analyses:
-            _run_farfield(flow, summary)
-        if "forces" in analyses:
-            _run_forces(flow, body, far, summary)
-        if "corner_fits" in analyses:
-            _run_corner_fits(flow, body, summary)
-        if "census" in analyses:
-            _run_census(cfg, body, summary)
-        if "sign_census" in analyses:
-            _run_sign_census(cfg, flow, body, summary)
-        if "field_export" in analyses:
-            out_cfg = cfg.get("output", {})
-            R = body.circumradius
-            window = out_cfg.get("field_window",
-                                 [[-3.0 * R, 3.0 * R], [-3.0 * R, 3.0 * R]])
-            resn = int(out_cfg.get("field_resolution", 200))
-            export_field(flow, (tuple(window[0]), tuple(window[1])), resn,
-                         out / "field.csv")
-            summary["field_export"] = {"rows": resn * resn, "file": "field.csv"}
-        if "compressible" in analyses:
-            _run_compressible(cfg, body, far, summary, out)
-        if "refinement_study" in analyses:
-            _run_refinement_study(cfg, body, far, summary)
+        for name in ANALYSES:  # in this order, each by its _run_<name>
+            if name in analyses:
+                globals()[f"_run_{name}"](cfg, flow, body, far, summary, out)
     except CornerFlowError as exc:
         entry = {"type": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "location") and exc.location is not None:

@@ -443,9 +443,9 @@ def body_from_config(cfg: dict) -> Body:
     if kind == "circle":
         return Circle(radius=float(cfg["radius"]))
     if kind == "flat_plate":
-        alpha = cfg.get("alpha")
-        if alpha is None:
-            alpha = np.deg2rad(float(cfg["alpha_deg"]))
+        if ("alpha" in cfg) == ("alpha_deg" in cfg):
+            raise InvalidGeometryError("exactly one of alpha (radians) or alpha_deg")
+        alpha = cfg["alpha"] if "alpha" in cfg else np.deg2rad(float(cfg["alpha_deg"]))
         return FlatPlate(chord=float(cfg["chord"]), alpha=float(alpha))
     if kind == "polygon":
         return Polygon(vertices=tuple(

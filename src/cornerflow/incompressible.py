@@ -685,7 +685,7 @@ def _system_rows(nodes, closed):
     else:
         za, zb = nodes[:-1], nodes[1:]
     lens = np.abs(zb - za)
-    if np.any(lens < 1e-14 * np.max(lens)):
+    if np.any(lens <= 1e-14 * np.max(lens)):  # one node: every length 0
         raise SolverError("degenerate panel layout (duplicate nodes)")
     mids = 0.5 * (za + zb)
     normal = 1j * (zb - za) / lens
@@ -797,9 +797,7 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     """Circulation making the designated corner regular (a1 = 0).
 
     The singular coefficient depends affinely on Gamma (superposition),
-    so two solves at Gamma = 0 and Gamma = |w_inf| R (the flow's own
-    scale, so the root scales exactly with w_inf) determine the root;
-    ``analysis.affine_corner`` projects a1 and gives the root uncertainty.
+    so two panel solves determine the root (``_affine_corners``).
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):
@@ -808,9 +806,15 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     if not corner.protruding:
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
 
+    _, (e,) = _affine_corners(body, w_inf, [corner], n_panels)
+    return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty,
+                       n_panels)
+
+
+def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
+    """The Gamma = 0 panel flow, and each corner's ``analysis.affine_corner``
+    from it and the flow at Gamma = |w_inf| R (roots scale exactly with w_inf)."""
     gamma1 = abs(w_inf) * body.circumradius or 1.0
     flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
     flow1 = panel_solve(body, FarField(w_inf, gamma1), n_panels).flow
-    e = analysis.affine_corner(flow0, flow1, corner)
-    return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty,
-                       n_panels)
+    return flow0, [analysis.affine_corner(flow0, flow1, c) for c in corners]

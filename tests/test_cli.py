@@ -88,6 +88,137 @@ class TestValidation:
             validate_scenario(cfg)
 
 
+L_SHAPE = {"kind": "polygon",
+           "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
+COMPRESSIBLE = ['gas={"incompressible": false, "mach_inf": 0.3}']
+# (key, a value it rejects, the body and overrides under which the key
+# applies); where a solver bounds a key, the value breaks that bound
+KEY_CASES = [
+    ("schema_version", True, None, []),
+    ("name", "a/b", None, []),
+    ("body.kind", "square", None, []),
+    ("body.radius", 0.0, None, []),
+    ("body.chord", -1.0, PLATE, []),
+    ("body.alpha", "0.5", PLATE, []),
+    ("body.alpha_deg", None, PLATE, []),
+    ("body.vertices", [[0, 0], [1, 0]], TRIANGLE, []),
+    ("gas.incompressible", "no", None, []),
+    ("gas.gamma", 1.0, None, COMPRESSIBLE),
+    ("gas.mach_inf", 1.0, None, COMPRESSIBLE),
+    ("flow.w_inf", 0.0, None, []),
+    ("flow.gamma", None, None, []),
+    ("flow.kutta_corner", 1.5, PLATE, ['flow={"w_inf": 1.0, "kutta_corner": 0}']),
+    ("flow.gamma_sweep", [], None, ['flow={"w_inf": 1.0, "gamma_sweep": null}']),
+    ("analyses", ["plot"], None, []),
+    ("solver.n_panels", 23, TRIANGLE, []),
+    ("solver.representation", "panels", None, []),
+    ("solver.grid.n_r", 15, None, []),
+    ("solver.grid.n_theta", 31, None, []),
+    ("solver.grid.r_far", 19.5, None, []),
+    ("solver.study.grids", [[64, 128], [16, 30], [15, 32]], None, []),
+    ("output.field_resolution", 0, None, []),
+    ("output.sign_resolution", 2.5, None, []),
+    ("output.field_window", [[-3, 3], [3, -3]], None, []),
+    ("output.sign_window", [[-4, 4]], None, []),
+]
+
+
+class TestKeys:
+    def test_cases_cover_every_key(self):
+        assert [case[0] for case in KEY_CASES] == list(cli.KEYS)
+
+    @pytest.mark.parametrize("key, bad, body, overrides", KEY_CASES,
+                             ids=[case[0] for case in KEY_CASES])
+    def test_bad_or_missing_value_exits_2_naming_it(self, tmp_path, capsys,
+                                                    key, bad, body, overrides):
+        cfg = apply_overrides(minimal_cfg(body=body) if body else minimal_cfg(),
+                              overrides)
+        validate_scenario(cfg)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out", [f"{key}={json.dumps(bad)}"]) == 2
+        assert f"config error: $.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        if cli.KEYS[key].default is cli.REQUIRED:
+            *parents, name = key.split(".")
+            node = cfg
+            for parent in parents:
+                node = node[parent]
+            del node[name]
+            with pytest.raises(ConfigError, match=rf"^\$\.{key}: "):
+                validate_scenario(cfg)
+
+    def test_readme_table_lists_every_key_rule_and_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Scenario schema")[1].split("\n## ")[0]
+        rows = [[cell.strip() for cell in line.strip("|").split(" | ")]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert [row[0] for row in rows] == [f"`{k}`" for k in cli.KEYS]
+        for (_, when, rule, default), key in zip(rows, cli.KEYS.values()):
+            assert when == (f"`{key.when[0]}` is `{json.dumps(key.when[1])}`"
+                            if key.when else "")
+            assert rule == key.rule
+            if callable(key.default):
+                assert default.startswith("from the body: ")
+            elif key.default is cli.REQUIRED:
+                assert default == "required"
+            elif key.default is None:
+                assert default == "—"
+            else:
+                assert default == f"`{json.dumps(key.default)}`"
+
+    @pytest.mark.parametrize("body, overrides, path", [
+        # gas.incompressible is a boolean, true unless it says false
+        (None, ['gas.incompressible="no"'], "$.gas.incompressible"),
+        (None, ['gas={"mach_inf": 0.3}', 'analyses=["compressible"]'],
+         "$.analyses[0]"),
+        # values the grid builder, the panel solver or kutta_solve reject
+        (None, COMPRESSIBLE + ['analyses=["compressible"]',
+                               "solver.grid.n_r=15"], "$.solver.grid.n_r"),
+        (None, COMPRESSIBLE + ['analyses=["compressible"]',
+                               "solver.grid.n_theta=14"], "$.solver.grid.n_theta"),
+        (None, COMPRESSIBLE + ['analyses=["compressible"]',
+                               "solver.grid.n_theta=65"], "$.solver.grid.n_theta"),
+        (None, COMPRESSIBLE + ['analyses=["compressible"]',
+                               "solver.grid.r_far=19.5"], "$.solver.grid.r_far"),
+        (None, COMPRESSIBLE + ['analyses=["refinement_study"]',
+                               "solver.study.grids=[[16, 32], [32, 63]]"],
+         "$.solver.study.grids[1]"),
+        (TRIANGLE, ["solver.n_panels=23"], "$.solver.n_panels"),
+        # a one-panel circle has no panel length: its field was NaN and
+        # the sign census raised IndexError, writing no summary
+        (None, ['solver={"representation": "panel", "n_panels": 1}',
+                'analyses=["sign_census"]'], "$.solver.n_panels"),
+        # vertex 3 of the L is reflex
+        (L_SHAPE, ['flow={"w_inf": 1.0, "kutta_corner": 3}'],
+         "$.flow.kutta_corner"),
+    ])
+    def test_values_a_solver_rejects_exit_2_before_any_solve(
+            self, tmp_path, capsys, body, overrides, path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg(body=body) if body else minimal_cfg()))
+        assert run(p, tmp_path / "out", overrides) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_default_field_window_is_centred_on_the_body(self, tmp_path):
+        # R = |(3, 3) - centroid (4, 3.5)|; the map must cover the body
+        triangle = {"kind": "polygon", "vertices": [[3, 3], [5, 3], [4, 4.5]]}
+        cfg = minimal_cfg(body=triangle, analyses=["field_export"],
+                          solver={"n_panels": 96},
+                          output={"field_resolution": 40})
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 0
+        field = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",",
+                           skiprows=1)
+        half = 3.0 * np.hypot(1.0, 0.5)
+        assert field[:, 0].min() == pytest.approx(4.0 - half, abs=1e-12)
+        assert field[:, 1].max() == pytest.approx(3.5 + half, abs=1e-12)
+        cell = (2.0 * half / 39) ** 2
+        assert field[:, 4].sum() == pytest.approx(1.5 / cell, rel=0.2)
+
+
 class TestOverrides:
     def test_nested_override(self):
         cfg = apply_overrides(minimal_cfg(), ["flow.gamma=2.5", "name=\"x\""])

@@ -261,6 +261,11 @@ class TestPanelSolve:
         z = 2j
         assert abs(sol.flow.velocity(z) - exact.velocity(z)) < 2e-3
 
+    def test_one_panel_circle_is_degenerate(self):
+        # its one panel runs from the one node to itself: every length is 0
+        with pytest.raises(SolverError, match="degenerate"):
+            panel_solve(Circle(1.0), FarField(1.0, 0.0), 1)
+
     def test_square_zero_circulation(self):
         sol = panel_solve(SQUARE, FarField(1.0, 0.0), 128)
         got = circulation(sol.flow, CircleContour(0j, 2.0, 2048))
