@@ -14,7 +14,7 @@ from .compressible import (CompressibleSolution, ConformalGrid,
 from .forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from .gas import BernoulliState, FluxInversion, GasModel
 from .geometry import (Body, Circle, CircleContour, Corner, FlatPlate,
-                       Polygon, PolylineContour, classify_corners, probe_ring)
+                       Polygon, classify_corners, probe_ring)
 from .incompressible import (FarField, JoukowskyPlateMap, KuttaResult,
                              MappedFlow, PanelFlow, PanelSolution, exact_flow,
                              kutta_solve, panel_solve)
@@ -26,10 +26,10 @@ __all__ = [
     "CompressibleSolution", "ConformalGrid", "Corner", "CornerReport",
     "FarField", "FlatPlate", "FluxInversion", "ForceResult", "GasModel",
     "JoukowskyPlateMap", "KuttaResult", "LaurentFit", "MappedFlow",
-    "PanelFlow", "PanelSolution", "Polygon", "PolylineContour",
-    "RefinementStudy", "SolverOptions", "blasius_force", "build_grid",
-    "circulation", "classify_corners", "corner_census", "exact_flow",
-    "farfield_fit", "fit_corner", "kutta_joukowsky_lift", "kutta_solve",
-    "mass_flux", "panel_solve", "probe_ring", "refinement_study",
-    "sign_attainment", "sign_component_census", "solve_subsonic",
+    "PanelFlow", "PanelSolution", "Polygon", "RefinementStudy",
+    "SolverOptions", "blasius_force", "build_grid", "circulation",
+    "classify_corners", "corner_census", "exact_flow", "farfield_fit",
+    "fit_corner", "kutta_joukowsky_lift", "kutta_solve", "mass_flux",
+    "panel_solve", "probe_ring", "refinement_study", "sign_attainment",
+    "sign_component_census", "solve_subsonic",
 ]

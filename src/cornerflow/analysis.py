@@ -26,7 +26,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateKuttaError, FitQualityError, FluidDomainError
-from .geometry import Body, Contour, Corner, _ring_points, probe_ring
+from .geometry import (Body, CircleContour, Corner, _gauss_legendre, _ring_points,
+                       probe_ring)
 
 TWO_PI = 2.0 * np.pi
 # |a1| above TOL_A1 * |w_inf| * R**(1 - pi/beta) counts as singular
@@ -42,7 +43,7 @@ MASK_PAIRS = 131072
 # contour integrals
 
 
-def contour_integral(flow, contour: Contour) -> complex:
+def contour_integral(flow, contour: CircleContour) -> complex:
     """oint w dz = circulation + i * mass flux, by the contour's quadrature."""
     if not contour.clears_body(flow.body):
         raise FluidDomainError("contour intersects the body")
@@ -50,12 +51,12 @@ def contour_integral(flow, contour: Contour) -> complex:
     return np.sum(flow.velocity(z) * dz)
 
 
-def circulation(flow, contour: Contour) -> float:
+def circulation(flow, contour: CircleContour) -> float:
     """Counterclockwise circulation oint v . dx = Re oint w dz."""
     return float(np.real(contour_integral(flow, contour)))
 
 
-def mass_flux(flow, contour: Contour) -> float:
+def mass_flux(flow, contour: CircleContour) -> float:
     """Net outward volume flux oint v . n ds = Im oint w dz; zero for any
     closed fluid contour around the body (conservation of mass)."""
     return float(np.imag(contour_integral(flow, contour)))
@@ -107,8 +108,6 @@ def _ring_a1(flow, corner: Corner, radii) -> np.ndarray:
     between the rings measures the discretization error.  Returns
     [a1(r_lo), a1(r_hi)].
     """
-    from .incompressible import _gauss_legendre  # deferred: avoids cycle
-
     radii = np.asarray(radii, dtype=float)
     rings = np.array([radii.min(), radii.max()])
     if rings[1] / rings[0] < 9.99:

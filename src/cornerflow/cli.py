@@ -121,8 +121,7 @@ KEYS = {
                      + ", ".join(ANALYSES), (), each=lambda v: v in ANALYSES),
     "solver.n_panels": _Key(
         _is_int, "a positive integer, >= 2 on a circle, >= 8 per side of a polygon",
-        256, least=lambda b: (8 * len(b.vertices) if b.kind == "polygon"
-                              else 2 if b.kind == "circle" else 1)),
+        256, least=lambda b: b.min_panels),
     "solver.representation": _Key(
         lambda v: v in ("panel", "exact"), "panel or exact",
         lambda b: "panel" if incompressible.conformal_map(b) is None else "exact"),
@@ -549,6 +548,9 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         code = 1
     except np.linalg.LinAlgError as exc:
         summary["errors"].append({"type": "LinAlgError", "message": str(exc)})
+        code = 1
+    except MemoryError as exc:  # numpy raises its subclass _ArrayMemoryError
+        summary["errors"].append({"type": "MemoryError", "message": str(exc)})
         code = 1
 
     non_finite = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FluidDomainError
-from .geometry import Contour
+from .geometry import CircleContour
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class ForceResult:
                        "free-stream direction (upward for rightward flow)")
 
 
-def blasius_force(flow, contour: Contour) -> ForceResult:
+def blasius_force(flow, contour: CircleContour) -> ForceResult:
     """Evaluate the Blasius integral by contour quadrature at rho = 1.
 
     The quadrature error is estimated by Richardson comparison against

@@ -1,4 +1,5 @@
-"""Bodies (polygon, circle, flat plate), corner classification, contours.
+"""Bodies (polygon, circle, flat plate), their panel layouts, corner
+classification, circle contours.
 
 Conventions
 -----------
@@ -14,12 +15,16 @@ A flat plate at incidence ``alpha`` occupies the segment between
 with a horizontal free stream this is the classical angle-of-attack
 convention (positive alpha = stream hits the underside).  Its two edges
 are degenerate corners with beta = 2*pi.
+
+Each body lays out its own vortex panels: ``panel_nodes(n, cluster)``
+returns the nodes and whether they close on themselves, and
+``min_panels`` is the least n that layout accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,10 +102,11 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(v.real * w.imag - v.imag * w.real))
 
 
-def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    t = np.clip(((p - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
-    return abs(p - (a + t * d))
+def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
+    """n+1 nodes on [0, 1], cosine-clustered toward both ends."""
+    u = np.arange(n + 1) / n
+    c = 0.5 * (1.0 - np.cos(np.pi * u))
+    return (1.0 - blend) * u + blend * c
 
 
 def _segments_intersect(a0, a1, b0, b1) -> bool:
@@ -167,6 +173,7 @@ class Circle:
     radius: float
 
     kind = "circle"
+    min_panels = 2
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -194,6 +201,10 @@ class Circle:
         th = TWO_PI * np.arange(n) / n
         return self.radius * np.exp(1j * th)
 
+    def panel_nodes(self, n: int, cluster: float = 1.0):
+        """The regular inscribed n-gon, closed; cluster has no effect."""
+        return self.boundary(n), True
+
 
 @dataclass(frozen=True)
 class FlatPlate:
@@ -207,6 +218,7 @@ class FlatPlate:
     alpha: float
 
     kind = "flat_plate"
+    min_panels = 1
 
     def __post_init__(self):
         if self.chord <= 0:
@@ -264,6 +276,12 @@ class FlatPlate:
         t = np.linspace(-0.5, 0.5, n)
         return t * self.chord * self.direction
 
+    def panel_nodes(self, n: int, cluster: float = 1.0):
+        """One open run of n chordwise panels from the leading edge,
+        cosine-clustered toward both edges."""
+        t = _cosine_nodes(n, cluster)
+        return self.leading_edge + t * (self.trailing_edge - self.leading_edge), False
+
 
 @dataclass(frozen=True)
 class Polygon:
@@ -273,6 +291,7 @@ class Polygon:
     corners_cache: tuple = field(default=None, repr=False, compare=False)
 
     kind = "polygon"
+    PANELS_PER_SIDE = 8  # the least panels on any side
 
     def __post_init__(self):
         v = _as_complex_vertices(self.vertices)
@@ -315,12 +334,26 @@ class Polygon:
         return self.contains(z)  # slit_tol widens only a plate's slit
 
     def boundary(self, per_side: int) -> np.ndarray:
+        return self._side_nodes(np.full(len(self.vertices), per_side), 0.0)
+
+    @property
+    def min_panels(self) -> int:
+        return self.PANELS_PER_SIDE * len(self.vertices)
+
+    def panel_nodes(self, n: int, cluster: float = 1.0):
+        """Closed nodes of cosine-clustered panels on each side, n shared
+        in proportion to side length, at least PANELS_PER_SIDE a side."""
         v = self.vertex_array
-        pts = []
-        for a, b in zip(v, np.roll(v, -1)):
-            t = np.arange(per_side) / per_side
-            pts.append(a + t * (b - a))
-        return np.concatenate(pts)
+        lens = np.abs(np.roll(v, -1) - v)
+        counts = np.round(lens / lens.sum() * n).astype(int)
+        return self._side_nodes(np.maximum(self.PANELS_PER_SIDE, counts), cluster), True
+
+    def _side_nodes(self, counts, blend):
+        """counts[i] panels on side i, spaced by _cosine_nodes(., blend); the
+        next side's first node closes each side."""
+        v = self.vertex_array
+        return np.concatenate([a + _cosine_nodes(int(m), blend)[:-1] * (b - a)
+                               for a, b, m in zip(v, np.roll(v, -1), counts)])
 
 
 Body = Circle | FlatPlate | Polygon
@@ -358,6 +391,15 @@ def _ring_points(corner: Corner, radii, theta) -> np.ndarray:
     return corner.vertex + radii[:, None] * phase[None, :]
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """n Gauss-Legendre nodes on [0, 1] and weights, shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
 @dataclass(frozen=True)
 class CircleContour:
     """Positively oriented parametric circle used for line integrals."""
@@ -383,58 +425,6 @@ class CircleContour:
             return abs(self.center) + body.radius < self.radius
         far = np.max(np.abs(body.boundary(512) - self.center))
         return far < self.radius
-
-
-@dataclass(frozen=True)
-class PolylineContour:
-    """Closed polyline contour; composite Gauss-Legendre quadrature
-    (each segment split into ``subdivisions`` Gauss panels)."""
-
-    points: tuple
-    gauss_order: int = 8
-    subdivisions: int = 8
-
-    def __post_init__(self):
-        pts = _as_complex_vertices(self.points)
-        if len(pts) < 3:
-            raise InvalidGeometryError("contour needs at least 3 points")
-        if _signed_area(pts) <= 0:
-            raise InvalidGeometryError("contour must be counterclockwise")
-        object.__setattr__(self, "points", tuple(complex(p) for p in pts))
-
-    def quadrature(self):
-        nodes, weights = np.polynomial.legendre.leggauss(self.gauss_order)
-        v = np.array(self.points, dtype=complex)
-        w = np.roll(v, -1)
-        k = np.arange(self.subdivisions) / self.subdivisions
-        t = (k[:, None] + 0.5 * (nodes + 1.0)[None, :] / self.subdivisions).ravel()
-        wt = np.tile(0.5 * weights / self.subdivisions, self.subdivisions)
-        z = (v[:, None] + t[None, :] * (w - v)[:, None]).ravel()
-        dz = (wt[None, :] * (w - v)[:, None]).ravel()
-        return z, dz
-
-    def refined(self) -> "PolylineContour":
-        """The same polyline with twice the Gauss panels per segment."""
-        return PolylineContour(self.points, self.gauss_order,
-                               2 * self.subdivisions)
-
-    def clears_body(self, body: Body) -> bool:
-        v = np.array(self.points, dtype=complex)
-        w = np.roll(v, -1)
-        if isinstance(body, Circle):
-            return all(_point_segment_distance(0j, a, b) > body.radius
-                       for a, b in zip(v, w))
-        if np.any(body.contains(v)):
-            return False
-        bnd = body.boundary(256)
-        for a, b in zip(v, w):
-            for c, d in zip(bnd, np.roll(bnd, -1)):
-                if _segments_intersect(a, b, c, d):
-                    return False
-        return True
-
-
-Contour = CircleContour | PolylineContour
 
 
 def body_from_config(cfg: dict) -> Body:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import analysis
 from .errors import FluidDomainError, InvalidGeometryError, SolverError
-from .geometry import Body, Circle, FlatPlate, Polygon
+from .geometry import Body, Circle, FlatPlate, _gauss_legendre
 
 TWO_PI = 2.0 * np.pi
 # largest tangency or circulation residual, relative to |w_inf|
@@ -369,15 +369,6 @@ def _order_index(t):
     return np.minimum(np.ceil(t * (SEPARATIONS * KAPPA)), SEPARATIONS).astype(np.intp)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    """n Gauss-Legendre nodes on [0, 1] and weights, shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (x + 1.0)
-    s.flags.writeable = w.flags.writeable = False
-    return s, w
-
-
 class _Expansion(NamedTuple):
     """G groups of linear-strength panels (rows of za, zb, ga, gb) and
     their exact multipole expansions about their centres c (radii rho),
@@ -468,39 +459,6 @@ class _Field(NamedTuple):
 
 _PSI = _Field(vortex_panel_psi_coeffs, float)
 _W = _Field(vortex_panel_w_coeffs, complex)
-
-
-def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
-    """n+1 nodes on [0, 1], cosine-clustered toward both ends."""
-    u = np.arange(n + 1) / n
-    c = 0.5 * (1.0 - np.cos(np.pi * u))
-    return (1.0 - blend) * u + blend * c
-
-
-def body_panel_nodes(body: Body, n_panels: int, cluster: float = 1.0):
-    """Panel node layout: (nodes, closed flag).
-
-    Circles get a regular inscribed n-gon; polygons get cosine-clustered
-    panels on each side (count proportional to side length, minimum 8);
-    plates get a single cosine-clustered run of chordwise panels.
-    """
-    if isinstance(body, Circle):
-        th = TWO_PI * np.arange(n_panels) / n_panels
-        return body.radius * np.exp(1j * th), True
-    if isinstance(body, FlatPlate):
-        t = _cosine_nodes(n_panels, cluster)
-        return body.leading_edge + t * (body.trailing_edge - body.leading_edge), False
-    if isinstance(body, Polygon):
-        v = body.vertex_array
-        lens = np.abs(np.roll(v, -1) - v)
-        share = lens / lens.sum()
-        counts = np.maximum(8, np.round(share * n_panels).astype(int))
-        nodes = []
-        for a, b, m in zip(v, np.roll(v, -1), counts):
-            t = _cosine_nodes(int(m), cluster)[:-1]  # vertex of next side closes
-            nodes.append(a + t * (b - a))
-        return np.concatenate(nodes), True
-    raise InvalidGeometryError(f"cannot panel body of kind {body.kind}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -721,21 +679,19 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     # a miss: free the stale system before building the next, so that two
     # never coexist (peak memory)
     _assemble.cache_clear()
-    if isinstance(body, Polygon) and n_panels < 8 * len(body.vertices):
-        raise InvalidGeometryError("need at least 8 panels per side")
-    nodes, closed = body_panel_nodes(body, n_panels, cluster)
+    if n_panels < body.min_panels:
+        raise InvalidGeometryError(f"{n_panels} panels: a {body.kind} needs "
+                                   f"at least {body.min_panels}")
+    nodes, closed = body.panel_nodes(n_panels, cluster)
     rows, rhs = _system_rows(nodes, closed)
     n_nodes = len(nodes)
     M = rows[:n_nodes]
-    try:
-        M_inv = np.linalg.inv(M)
-        cond = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e13:
-        basis, *_ = np.linalg.lstsq(M, rhs[:n_nodes], rcond=None)
-    else:
-        basis = M_inv @ rhs[:n_nodes]
+    M_inv = np.linalg.inv(M)
+    cond = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
+    if not cond <= 1e13:
+        raise SolverError(f"panel system condition number {cond:.3g} exceeds 1e13",
+                          condition_number=cond)
+    basis = M_inv @ rhs[:n_nodes]
     residual = rows @ basis - rhs
     circulation = rows[n_nodes - 1] @ basis
     for arr in (nodes, basis, residual, circulation):
@@ -757,11 +713,12 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
 
     The square system depends only on the geometry and is inverted once,
     which gives its 1-norm condition number ||M||_1 ||M^-1||_1 and the
-    strengths at unit Re w_inf, Im w_inf and Gamma; a system too
-    ill-conditioned (above 1e13) or singular for the inverse takes these
-    three columns from least squares instead.  The last assembled (body,
-    n_panels, cluster) system is kept, so every solve of the same body
-    superposes the three columns and their residuals.
+    strengths at unit Re w_inf, Im w_inf and Gamma.  A body given fewer
+    than its ``min_panels`` raises InvalidGeometryError; a system above
+    1e13 raises SolverError, and a singular one numpy's LinAlgError.
+    The last assembled (body, n_panels, cluster) system is kept, so every
+    solve of the same body superposes the three columns and their
+    residuals.
     """
     system = _assemble(body, n_panels, cluster)
     c = np.array([np.real(far.w_inf), np.imag(far.w_inf), far.circulation])

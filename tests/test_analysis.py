@@ -13,8 +13,7 @@ from cornerflow.analysis import (affine_corner, circulation, corner_census,
                                  sign_attainment, sign_component_census)
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
-from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate,
-                                 Polygon, PolylineContour)
+from cornerflow.geometry import Circle, CircleContour, Corner, FlatPlate, Polygon
 from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
                                        panel_solve)
 
@@ -189,11 +188,6 @@ class TestContourIntegrals:
         g2 = circulation(sol.flow, CircleContour(0j, 2.0, 2048))
         g20 = circulation(sol.flow, CircleContour(0j, 20.0, 2048))
         assert abs(g2 - g20) < 1e-6
-
-    def test_polyline_contour_agrees(self):
-        flow = exact_flow(Circle(1.0), FarField(1.0, 1.7))
-        poly = PolylineContour([(2, -2), (2, 2), (-2, 2), (-2, -2)])
-        assert circulation(flow, poly) == pytest.approx(1.7, abs=1e-9)
 
     def test_mass_flux_zero(self):
         flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))

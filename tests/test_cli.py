@@ -388,16 +388,37 @@ class TestRun:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        # no cached system may skip the inverse and its fallback
+        # no cached system may skip the inverse
         incompressible._assemble.cache_clear()
         monkeypatch.setattr(np.linalg, "inv", singular)
-        monkeypatch.setattr(np.linalg, "lstsq", singular)
         p = tmp_path / "s.json"
         p.write_text(json.dumps(minimal_cfg(body=TRIANGLE)))
         assert run(p, tmp_path / "out") == 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["errors"] == [{"type": "LinAlgError",
                                       "message": "Singular matrix"}]
+
+    def test_memory_error_exits_1_with_structured_error(self, tmp_path,
+                                                        monkeypatch):
+        # as numpy's own: a subclass, so the entry must not name its class
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def exhausted(*args):
+            raise _ArrayMemoryError("Unable to allocate 14.6 TiB")
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        # raised, never requested: a real huge allocation may meet the OOM killer
+        monkeypatch.setattr(cli, "export_field", exhausted)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg(analyses=["field_export"])))
+        assert run(p, tmp_path / "out") == 1
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["errors"] == [{"type": "MemoryError",
+                                      "message": "Unable to allocate 14.6 TiB"}]
 
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
         out = tmp_path / "out"

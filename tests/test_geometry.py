@@ -5,7 +5,7 @@ import pytest
 
 from cornerflow.errors import GeometryClipError, InvalidGeometryError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
-                                 PolylineContour, classify_corners, probe_ring)
+                                 classify_corners, probe_ring)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 TRIANGLE = [(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)]
@@ -152,16 +152,6 @@ class TestContours:
         z, dz = c.quadrature()
         val = np.sum(dz / (z - (0.3 + 0.1j)))
         assert val == pytest.approx(2j * np.pi, abs=1e-12)
-
-    def test_polyline_quadrature_residue(self):
-        c = PolylineContour([(2, -2), (2, 2), (-2, 2), (-2, -2)])
-        z, dz = c.quadrature()
-        val = np.sum(dz / z)
-        assert val == pytest.approx(2j * np.pi, abs=1e-8)
-
-    def test_polyline_requires_ccw(self):
-        with pytest.raises(InvalidGeometryError):
-            PolylineContour([(2, -2), (-2, -2), (-2, 2), (2, 2)])
 
     def test_clears_body(self):
         assert CircleContour(0j, 2.0).clears_body(Circle(1.0))

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from cornerflow.analysis import circulation, mass_flux
-from cornerflow.cli import run
+from cornerflow.cli import KEYS, run
 from cornerflow import incompressible
 from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
-from cornerflow.incompressible import (KAPPA, FarField, MappedFlow, exact_flow,
-                                       kutta_solve, panel_solve,
+from cornerflow.incompressible import (KAPPA, TOL_SLIP, FarField, MappedFlow,
+                                       exact_flow, kutta_solve, panel_solve,
                                        vortex_panel_psi_coeffs,
                                        vortex_panel_w_coeffs)
 
@@ -262,8 +262,8 @@ class TestPanelSolve:
         assert abs(sol.flow.velocity(z) - exact.velocity(z)) < 2e-3
 
     def test_one_panel_circle_is_degenerate(self):
-        # its one panel runs from the one node to itself: every length is 0
-        with pytest.raises(SolverError, match="degenerate"):
+        # its one panel would run from the one node to itself
+        with pytest.raises(InvalidGeometryError, match="1 panels"):
             panel_solve(Circle(1.0), FarField(1.0, 0.0), 1)
 
     def test_square_zero_circulation(self):
@@ -757,8 +757,8 @@ class TestSystemMemo:
             panel_solve(TRIANGLE, far, 12)
         assert incompressible._assemble.cache_info().currsize == 0
         assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
-        monkeypatch.setattr(incompressible, "body_panel_nodes",
-                            lambda body, n, cluster: (np.array([0j, 0j, 1.0, 1j]), True))
+        monkeypatch.setattr(Circle, "panel_nodes",
+                            lambda self, n, cluster: (np.array([0j, 0j, 1.0, 1j]), True))
         with pytest.raises(SolverError, match="degenerate"):
             panel_solve(Circle(2.0), far, 4)
         monkeypatch.undo()
@@ -770,7 +770,7 @@ class TestSystemMemo:
 def direct_solve(body, far, n_panels):
     """Strengths, residual and 1-norm condition number from an LU solve of
     the square system at this free stream and Gamma."""
-    nodes, closed = incompressible.body_panel_nodes(body, n_panels)
+    nodes, closed = body.panel_nodes(n_panels)
     rows, rhs = incompressible._system_rows(nodes, closed)
     b = rhs @ np.array([far.w_inf.real, far.w_inf.imag, far.circulation])
     M = rows[:len(nodes)]
@@ -796,18 +796,26 @@ class TestSuperposedSolve:
         assert abs(sol.residual_norm - residual) <= 1e-12 * abs(far.w_inf)
         assert sol.condition_number == pytest.approx(cond, rel=1e-12)
 
-    def test_least_squares_fallback(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+    @pytest.mark.parametrize("scale", [1e14, np.nan])
+    def test_ill_conditioned_system_raises(self, monkeypatch, scale):
+        inv = np.linalg.inv
+        incompressible._assemble.cache_clear()
+        monkeypatch.setattr(np.linalg, "inv", lambda M: scale * inv(M))
+        with pytest.raises(SolverError, match="condition number") as err:
+            panel_solve(TRIANGLE, FarField(1.0, 0.5), 96)
+        assert not err.value.condition_number <= 1e13
+        assert incompressible._assemble.cache_info().currsize == 0
 
-        far = FarField(0.9 + 0.2j, 0.7)
-        g, _, _ = direct_solve(TRIANGLE, far, 96)
-        incompressible._assemble.cache_clear()
-        monkeypatch.setattr(np.linalg, "inv", singular)
-        sol = panel_solve(TRIANGLE, far, 96)
-        incompressible._assemble.cache_clear()
-        assert sol.condition_number == np.inf
-        assert np.max(np.abs(sol.gamma - g)) <= 1e-10 * np.max(np.abs(g))
+
+@pytest.mark.parametrize("name", FAST_BODIES)
+def test_least_panel_count(name):
+    # one count per body kind, read by the solver and the config check alike
+    body, far = FAST_BODIES[name], FarField(1.0, 0.5)
+    least = body.min_panels
+    assert KEYS["solver.n_panels"].least(body) == least
+    with pytest.raises(InvalidGeometryError, match=f"{least - 1} panels"):
+        panel_solve(body, far, least - 1)
+    assert panel_solve(body, far, least).residual_norm <= TOL_SLIP
 
 
 def test_plate30_contour_invariants(tmp_path):
