@@ -35,8 +35,6 @@ TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
-# cell-sample pairs (about 60 bytes each) per chunk of the census's body mask
-MASK_PAIRS = 131072
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,8 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     around the body, found by joining the runs of signed cells in each
     row with the overlapping runs of the next (``_bounded_components``);
     components not touching the window edge count as bounded.  Cells
-    with |psi| below the noise floor stay unsigned so the psi = 0
+    that ``body.near`` places within 1.5 cells of the body are not fluid;
+    cells with |psi| below the noise floor stay unsigned so the psi = 0
     streamline cannot leak spurious components (noise floor
     1e-6 * |w_inf| * R).  Both counts are zero for a valid flow (the sign
     sets are unbounded and connected, by the maximum principle).
@@ -381,7 +380,7 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
     psi = np.full(Z.shape, np.nan)
-    fluid = ~_near_body_mask(body, Z, 1.5 * (x1 - x0) / resolution)
+    fluid = ~body.near(Z, 1.5 * (x1 - x0) / resolution)
     psi[fluid] = flow.stream(Z[fluid])
 
     counts = {sign: _bounded_components(fluid & (sign * psi > tol))
@@ -439,37 +438,3 @@ def _bounded_components(cells) -> int:
     on_edge = (row == 0) | (row == ny - 1) | (start == 0) | (stop == nx)
     return n_sets - len({find(k) for k in np.flatnonzero(on_edge).tolist()})
 
-
-def _near_body_mask(body: Body, Z, pad: float):
-    """Cells of the grid Z = xs + i ys (a row per y) within circumradius
-    + pad of the centroid that lie inside the body or within pad of one
-    of its boundary samples b.  Such a cell lies in b's box, the rows and
-    columns within pad of b (by searchsorted, one cell wider each side
-    against rounding); only box cells are tested, for about MASK_PAIRS
-    cell-sample pairs at a time."""
-    near = np.abs(Z - body.centroid) <= body.circumradius + pad
-    b = body.boundary(256)
-
-    def box(axis, coord):
-        lo = np.maximum(np.searchsorted(axis, coord - pad) - 1, 0)
-        hi = np.minimum(np.searchsorted(axis, coord + pad, side="right") + 1,
-                        len(axis))
-        return lo, hi - lo
-
-    row0, height = box(Z[:, 0].imag, b.imag)
-    col0, width = box(Z[0].real, b.real)
-    ends = np.cumsum(height * width)
-    start = ends - height * width
-    hit = np.zeros(Z.shape, dtype=bool)
-    k = 0
-    while k < len(b):
-        stop = max(k + 1, np.searchsorted(ends, start[k] + MASK_PAIRS,
-                                          side="right"))
-        s = np.repeat(np.arange(k, stop), ends[k:stop] - start[k:stop])
-        t = np.arange(start[k], ends[stop - 1]) - start[s]
-        row, col = row0[s] + t // width[s], col0[s] + t % width[s]
-        close = np.abs(Z[row, col] - b[s]) <= pad
-        hit[row[close], col[close]] = True
-        k = stop
-    hit[near] |= body.occupies(Z[near], pad)
-    return near & hit

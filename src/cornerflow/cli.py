@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, compressible, forces, incompressible
+from .compressible import MIN_GRID_NODES, MIN_R_FAR, R_FAR
 from .errors import ConfigError, CornerFlowError
 from .gas import BernoulliState, GasModel
 from .geometry import CircleContour, body_from_config
@@ -61,8 +62,8 @@ def _is_pair(x, test):
     return isinstance(x, list) and len(x) == 2 and all(test(v) for v in x)
 
 
-def _is_grid_size(n, even=False):  # build_grid's: >= 16, n_theta even
-    return _is_int(n) and n >= 16 and not (even and n % 2)
+def _is_grid_size(n, even=False):  # build_grid's least size; n_theta even
+    return _is_int(n) and n >= MIN_GRID_NODES and not (even and n % 2)
 
 
 class _Key(NamedTuple):
@@ -125,12 +126,12 @@ KEYS = {
     "solver.representation": _Key(
         lambda v: v in ("panel", "exact"), "panel or exact",
         lambda b: "panel" if incompressible.conformal_map(b) is None else "exact"),
-    "solver.grid.n_r": _Key(_is_grid_size, "an integer >= 16", 64),
+    "solver.grid.n_r": _Key(_is_grid_size, f"an integer >= {MIN_GRID_NODES}", 64),
     "solver.grid.n_theta": _Key(lambda v: _is_grid_size(v, even=True),
-                                "an even integer >= 16", 128),
-    "solver.grid.r_far": _Key(_is_number, "a number >= 20 body circumradii",
-                              lambda b: 25.0 * b.circumradius,
-                              least=lambda b: 20.0 * b.circumradius),
+                                f"an even integer >= {MIN_GRID_NODES}", 128),
+    "solver.grid.r_far": _Key(_is_number, f"a number >= {MIN_R_FAR:g} body circumradii",
+                              lambda b: R_FAR * b.circumradius,
+                              least=lambda b: MIN_R_FAR * b.circumradius),
     "solver.study.grids": _Key(
         lambda v: isinstance(v, list) and v,
         "a nonempty list of [n_r, n_theta] pairs, each as solver.grid's",

@@ -70,6 +70,9 @@ LINEAR_TOL = 1e-13    # CG stops at max|A x - b| <= LINEAR_TOL max|b|
 FORCING = 0.01        # a Picard step's CG tolerance: FORCING * its residual
 CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
 ANDERSON_DEPTH = 3    # earlier Picard steps mixed into each step
+MIN_GRID_NODES = 16   # least n_r and n_theta of a grid
+MIN_R_FAR = 20.0      # least outer radius of a grid, in body circumradii
+R_FAR = 25.0          # refinement_study's outer radius, in body circumradii
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +114,20 @@ class ConformalGrid:
 def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGrid:
     """Construct the annular grid; r_far is the physical outer distance.
 
-    Requires r_far >= 20 body circumradii and n_r, n_theta >= 16;
-    n_theta must be even so plate edges land on single flagged nodes.
+    Requires r_far >= MIN_R_FAR circumradii, n_r, n_theta >= MIN_GRID_NODES
+    and an even n_theta, so that plate edges land on single flagged nodes.
     """
     cmap = conformal_map(body)
     if cmap is None:
         raise UnsupportedBodyError(
             f"a {body.kind} has no closed-form conformal map for the grid; "
             "the incompressible census handles it")
-    if n_r < 16 or n_theta < 16:
-        raise InvalidGeometryError("grid needs n_r, n_theta >= 16")
+    if n_r < MIN_GRID_NODES or n_theta < MIN_GRID_NODES:
+        raise InvalidGeometryError(f"grid needs n_r, n_theta >= {MIN_GRID_NODES}")
     if n_theta % 2:
         raise InvalidGeometryError("n_theta must be even")
-    if r_far < 20.0 * body.circumradius:
-        raise InvalidGeometryError("outer boundary must sit beyond 20 circumradii")
+    if r_far < MIN_R_FAR * body.circumradius:
+        raise InvalidGeometryError(f"r_far must be >= {MIN_R_FAR:g} circumradii")
 
     xi = np.linspace(0.0, np.log(cmap.sigma_radius(r_far)), n_r)
     theta = TWO_PI * np.arange(n_theta) / n_theta
@@ -706,7 +709,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     and (b) the guarded Picard outcome (converged max Mach, or the abort).
     Solver errors are recorded per level, never fatal to the study.
     """
-    r_far = 25.0 * body.circumradius
+    r_far = R_FAR * body.circumradius
     corner_radius = 0.15 * body.circumradius
     state = BernoulliState.from_free_stream(gas, mach_inf)
     q_inf = state.free_stream_speed(mach_inf)

@@ -1,5 +1,5 @@
-"""Bodies (polygon, circle, flat plate), their panel layouts, corner
-classification, circle contours.
+"""Bodies (polygon, circle, flat plate), their panel layouts and nearness,
+corner classification, circle contours.
 
 Conventions
 -----------
@@ -18,7 +18,9 @@ are degenerate corners with beta = 2*pi.
 
 Each body lays out its own vortex panels: ``panel_nodes(n, cluster)``
 returns the nodes and whether they close on themselves, and
-``min_panels`` is the least n that layout accepts.
+``min_panels`` is the least n that layout accepts.  Each body says exactly
+how near points are: ``near(z, pad)`` holds inside it or within pad of its
+boundary, and ``farthest(p)`` is the largest distance from p to it.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
     return (1.0 - blend) * u + blend * c
 
 
+def _segment_distance(z, a, b):
+    """Distance from the points z to the segment [a, b]."""
+    d = b - a
+    t = np.clip(((z - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+    return np.abs(z - a - t * d)
+
+
 def _segments_intersect(a0, a1, b0, b1) -> bool:
     """Proper intersection test for two open segments."""
 
@@ -197,13 +206,15 @@ class Circle:
     def occupies(self, z, slit_tol) -> np.ndarray:
         return self.contains(z)  # slit_tol widens only a plate's slit
 
-    def boundary(self, n: int) -> np.ndarray:
-        th = TWO_PI * np.arange(n) / n
-        return self.radius * np.exp(1j * th)
+    def near(self, z, pad) -> np.ndarray:
+        return np.abs(z) <= self.radius + pad
+
+    def farthest(self, p: complex) -> float:
+        return abs(p) + self.radius
 
     def panel_nodes(self, n: int, cluster: float = 1.0):
         """The regular inscribed n-gon, closed; cluster has no effect."""
-        return self.boundary(n), True
+        return self.radius * np.exp(1j * TWO_PI * np.arange(n) / n), True
 
 
 @dataclass(frozen=True)
@@ -272,9 +283,11 @@ class FlatPlate:
         interior of a solid body (Circle, Polygon)."""
         return self.on_slit(z, slit_tol / self.chord)
 
-    def boundary(self, n: int) -> np.ndarray:
-        t = np.linspace(-0.5, 0.5, n)
-        return t * self.chord * self.direction
+    def near(self, z, pad) -> np.ndarray:
+        return _segment_distance(z, self.leading_edge, self.trailing_edge) <= pad
+
+    def farthest(self, p: complex) -> float:
+        return max(abs(p - self.leading_edge), abs(p - self.trailing_edge))
 
     def panel_nodes(self, n: int, cluster: float = 1.0):
         """One open run of n chordwise panels from the leading edge,
@@ -319,22 +332,31 @@ class Polygon:
         return float(np.max(np.abs(self.vertex_array - self.centroid)))
 
     def contains(self, z) -> np.ndarray:
-        """Even-odd point-in-polygon test (boundary counts as inside)."""
+        """Even-odd point-in-polygon test (boundary counts as inside), made
+        only within R (1 + 1e-9) of the centroid, where all inside lies."""
         z = np.asarray(z, dtype=complex)
-        v = self.vertex_array
-        w = np.roll(v, -1)
-        x, y = z.real[..., None], z.imag[..., None]
-        cond = (v.imag > y) != (w.imag > y)
+        inside = np.asarray(np.abs(z - self.centroid) <= self.circumradius * (1 + 1e-9))
+        v, w, zc = self.vertex_array, np.roll(self.vertex_array, -1), z[inside, None]
+        cond = (v.imag > zc.imag) != (w.imag > zc.imag)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xi = v.real + (y - v.imag) * (w.real - v.real) / (w.imag - v.imag)
-        inside = np.sum(cond & (x < xi), axis=-1) % 2 == 1
+            xi = v.real + (zc.imag - v.imag) * (w.real - v.real) / (w.imag - v.imag)
+        inside[inside] = np.sum(cond & (zc.real < xi), axis=-1) % 2 == 1
         return inside
 
     def occupies(self, z, slit_tol) -> np.ndarray:
         return self.contains(z)  # slit_tol widens only a plate's slit
 
-    def boundary(self, per_side: int) -> np.ndarray:
-        return self._side_nodes(np.full(len(self.vertices), per_side), 0.0)
+    def near(self, z, pad) -> np.ndarray:
+        """Inside or within pad of a side, tested within R + pad of the centroid."""
+        z = np.asarray(z, dtype=complex)
+        hit = np.asarray(np.abs(z - self.centroid) <= self.circumradius + pad)
+        v, zc = self.vertex_array, z[hit]
+        hit[hit] = self.contains(zc) | np.logical_or.reduce(
+            [_segment_distance(zc, a, b) <= pad for a, b in zip(v, np.roll(v, -1))])
+        return hit
+
+    def farthest(self, p: complex) -> float:
+        return float(np.max(np.abs(self.vertex_array - p)))
 
     @property
     def min_panels(self) -> int:
@@ -344,16 +366,12 @@ class Polygon:
         """Closed nodes of cosine-clustered panels on each side, n shared
         in proportion to side length, at least PANELS_PER_SIDE a side."""
         v = self.vertex_array
-        lens = np.abs(np.roll(v, -1) - v)
-        counts = np.round(lens / lens.sum() * n).astype(int)
-        return self._side_nodes(np.maximum(self.PANELS_PER_SIDE, counts), cluster), True
-
-    def _side_nodes(self, counts, blend):
-        """counts[i] panels on side i, spaced by _cosine_nodes(., blend); the
-        next side's first node closes each side."""
-        v = self.vertex_array
-        return np.concatenate([a + _cosine_nodes(int(m), blend)[:-1] * (b - a)
-                               for a, b, m in zip(v, np.roll(v, -1), counts)])
+        w = np.roll(v, -1)  # the next side's first node closes each side
+        lens = np.abs(w - v)
+        counts = np.maximum(self.PANELS_PER_SIDE,
+                            np.round(lens / lens.sum() * n).astype(int))
+        return np.concatenate([a + _cosine_nodes(int(m), cluster)[:-1] * (b - a)
+                               for a, b, m in zip(v, w, counts)]), True
 
 
 Body = Circle | FlatPlate | Polygon
@@ -421,10 +439,7 @@ class CircleContour:
         return CircleContour(self.center, self.radius, 2 * self.n_samples)
 
     def clears_body(self, body: Body) -> bool:
-        if isinstance(body, Circle):
-            return abs(self.center) + body.radius < self.radius
-        far = np.max(np.abs(body.boundary(512) - self.center))
-        return far < self.radius
+        return body.farthest(self.center) < self.radius
 
 
 def body_from_config(cfg: dict) -> Body:

@@ -569,12 +569,9 @@ class PanelFlow:
 
     def _check(self, z):
         """z as a complex array; FluidDomainError where the body occupies
-        a point (tol = 1e-12 R).  Only points within R (1 + 1e-9) + tol of
-        the centroid are tested: no body kind occupies a point farther out."""
+        a point (tol = 1e-12 R)."""
         z = np.asarray(z, dtype=complex)
-        R = self.body.circumradius
-        near = np.abs(z - self.body.centroid) <= R * (1 + 1e-9) + 1e-12 * R
-        if np.any(self.body.occupies(z[near], 1e-12 * R)):
+        if np.any(self.body.occupies(z, 1e-12 * self.body.circumradius)):
             raise FluidDomainError("point inside the body or on the plate slit")
         return z
 
@@ -708,7 +705,7 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
     Closed bodies have one nodal unknown per panel, so the last tangency
     equation is left out of the square system in favour of the
     circulation row; it is implied by the others and is checked to hold
-    within TOL_SLIP * |w_inf| after the solve, with every other row.
+    within TOL_SLIP * (|w_inf| or 1) after the solve, with every other row.
     Open plates keep every row (one more node than panels).
 
     The square system depends only on the geometry and is inverted once,
@@ -726,7 +723,7 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
     circ = float(system.circulation @ c)
     residual = float(np.max(np.abs(system.residual @ c)))
     cond = system.cond
-    if residual > TOL_SLIP * max(abs(far.w_inf), 1e-300):
+    if residual > TOL_SLIP * (abs(far.w_inf) or 1.0):
         raise SolverError(
             f"tangency residual {residual} exceeds tol_slip", condition_number=cond)
 

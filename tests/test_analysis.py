@@ -28,6 +28,18 @@ MASK_WINDOWS = [((-4, 4), (-4, 4)), ((-8, 8), (-0.4, 0.4)),
                 ((0.1, 4), (-2, 2))]
 
 
+def dense_boundary(body, s):
+    """Boundary points at most s apart along the boundary, ends and
+    vertices included."""
+    if body.kind == "circle":
+        n = int(np.ceil(TWO_PI * body.radius / s))
+        return body.radius * np.exp(1j * TWO_PI * np.arange(n) / n)
+    ends = ([body.leading_edge, body.trailing_edge] if body.kind == "flat_plate"
+            else list(body.vertices) + [body.vertices[0]])
+    return np.concatenate([a + np.linspace(0.0, 1.0, int(np.ceil(abs(b - a) / s)) + 1)
+                           * (b - a) for a, b in zip(ends, ends[1:])])
+
+
 def wedge_corner(beta, wall_angle=0.0):
     d0 = complex(np.exp(1j * wall_angle))
     d1 = complex(np.exp(1j * (wall_angle + beta)))
@@ -384,42 +396,43 @@ class TestSignComponentCensus:
     @pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), Circle(1.0),
                                       TRIANGLE, L_SHAPE],
                              ids=["plate", "circle", "triangle", "L-shape"])
-    def test_chunked_body_mask_equals_one_shot(self, body, monkeypatch):
-        # the box mask, 1000 cell-sample pairs at a time, against the
-        # all-pairs formula on the cells within R + pad of the centroid
+    def test_near_is_bracketed_by_dense_boundary_samples(self, body):
+        # the distance to samples s apart along the boundary exceeds the
+        # exact distance by at most s/2, so on cells outside the body
+        # dense <= pad => near => dense <= pad + s/2; inside, near holds
         c, R = body.centroid, body.circumradius
-        bnd = body.boundary(256)
-        monkeypatch.setattr(analysis, "MASK_PAIRS", 1000)
+        s, eps = 0.01 * R, 1e-12 * R
+        bnd = dense_boundary(body, s)
         for (x0, x1), (y0, y1) in MASK_WINDOWS:
             for resolution in (2, 3, 41, 400):
                 xs = c.real + R * np.linspace(x0, x1, resolution)
                 ys = c.imag + R * np.linspace(y0, y1, resolution)
                 Z = xs[None, :] + 1j * ys[:, None]
                 pad = 1.5 * (xs[-1] - xs[0]) / resolution
-                near = np.abs(Z - c) <= R + pad
-                z = Z[near]
-                dmin = np.concatenate([
+                near, inside = body.near(Z, pad), body.contains(Z)
+                dense = np.full(Z.shape, np.inf)
+                reach = np.abs(Z - c) <= R + pad + s
+                z = Z[reach]
+                dense[reach] = np.concatenate([
                     np.min(np.abs(part[:, None] - bnd), axis=-1)
                     for part in np.array_split(z, 1 + len(z) // 500)])
-                one_shot = np.zeros(Z.shape, dtype=bool)
-                one_shot[near] = body.occupies(z, pad) | (dmin <= pad)
-                mask = analysis._near_body_mask(body, Z, pad)
-                assert np.array_equal(mask, one_shot)
+                assert np.all(near[inside])
+                assert np.all(near[~inside & (dense <= pad - eps)])
+                assert np.all(dense[~inside & near] <= pad + s / 2 + eps)
                 if resolution == 400:
-                    assert 0 < np.count_nonzero(mask) < mask.size
+                    assert 0 < np.count_nonzero(near) < near.size
 
     def test_body_mask_memory_on_a_wide_window(self):
         # 20:1 at 2000**2 cells: the grid-sized test of which cells lie
-        # near the body (Z - c and its modulus, 1.5 grids) sets the peak;
-        # the box pairs live one MASK_PAIRS chunk at a time, where one
-        # all-pairs table of the near cells would take about 10 GB
+        # within R + pad of the centroid (Z - c and its modulus, 1.5 grids)
+        # sets the peak; the side distances see only those cells
         c, R = L_SHAPE.centroid, L_SHAPE.circumradius
         xs = c.real + R * np.linspace(-10.0, 10.0, 2000)
         ys = c.imag + R * np.linspace(-0.5, 0.5, 2000)
         Z = xs[None, :] + 1j * ys[:, None]
         tracemalloc.start()
         try:
-            mask = analysis._near_body_mask(L_SHAPE, Z, 1.5 * (xs[-1] - xs[0]) / 2000)
+            mask = L_SHAPE.near(Z, 1.5 * (xs[-1] - xs[0]) / 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

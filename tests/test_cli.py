@@ -13,9 +13,9 @@ from cornerflow import cli, compressible, incompressible
 from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
-from cornerflow.errors import ConfigError
+from cornerflow.errors import ConfigError, InvalidGeometryError
 from cornerflow.gas import BernoulliState, GasModel
-from cornerflow.geometry import Circle, FlatPlate, Polygon
+from cornerflow.geometry import Circle, FlatPlate, Polygon, body_from_config
 from cornerflow.incompressible import FarField, exact_flow, panel_solve
 
 
@@ -200,6 +200,40 @@ class TestKeys:
         assert run(p, tmp_path / "out", overrides) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body", [{"kind": "circle", "radius": 1.5}, PLATE],
+                             ids=["circle", "plate"])
+    def test_grid_limits_are_the_grid_builders(self, tmp_path, capsys,
+                                               monkeypatch, body):
+        # KEYS reads build_grid's least values and refinement_study's r_far
+        # from compressible's constants: the least values build, a value
+        # just below exits 2 and raises in build_grid
+        built = body_from_config(body)
+        R, r_far = built.circumradius, cli.KEYS["solver.grid.r_far"]
+        assert r_far.least(built) == compressible.MIN_R_FAR * R
+        assert r_far.default(built) == compressible.R_FAR * R
+        least = {"r_far": r_far.least(built), "n_r": compressible.MIN_GRID_NODES,
+                 "n_theta": compressible.MIN_GRID_NODES}
+        build_grid(built, **least)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg(body=body)))
+        for name, value in [("r_far", least["r_far"] * (1 - 1e-12)),
+                            ("n_r", least["n_r"] - 1),
+                            ("n_theta", least["n_theta"] - 2)]:
+            with pytest.raises(InvalidGeometryError):
+                build_grid(built, **{**least, name: value})
+            assert run(p, tmp_path / "out", COMPRESSIBLE + [
+                'analyses=["compressible"]', f"solver.grid.{name}={value!r}"]) == 2
+            assert f"config error: $.solver.grid.{name}: " in capsys.readouterr().err
+        seen, real = [], compressible.build_grid
+
+        def spy(body, r_far, n_r, n_theta):
+            seen.append(r_far)
+            return real(body, r_far, n_r, n_theta)
+
+        monkeypatch.setattr(compressible, "build_grid", spy)
+        compressible.refinement_study(built, GasModel(1.4), 0.3, 0.0, [(16, 32)])
+        assert seen == [r_far.default(built)]
 
     def test_default_field_window_is_centred_on_the_body(self, tmp_path):
         # R = |(3, 3) - centroid (4, 3.5)|; the map must cover the body
@@ -422,8 +456,12 @@ class TestRun:
 
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
         out = tmp_path / "out"
-        assert run("circle.json", out, ["flow.w_inf=1e300",
-                                        "output.sign_resolution=50"]) == 1
+        # the drag integral overflows on purpose, and w**2 * dz and its
+        # sum then meet inf * 0
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value") as seen:
+            assert run("circle.json", out, ["flow.w_inf=1e300",
+                                            "output.sign_resolution=50"]) == 1
+        assert any("overflow" in str(w.message) for w in seen)
 
         def refuse(token):
             raise ValueError(f"non-strict JSON constant {token}")

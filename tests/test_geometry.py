@@ -157,3 +157,25 @@ class TestContours:
         assert CircleContour(0j, 2.0).clears_body(Circle(1.0))
         assert not CircleContour(0j, 0.5).clears_body(Circle(1.0))
         assert CircleContour(0j, 3.0).clears_body(Polygon(SQUARE))
+
+    @pytest.mark.parametrize("body", [
+        Circle(1.5), FlatPlate(4.0, np.pi / 6), Polygon(TRIANGLE),
+        Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])],
+        ids=["circle", "plate", "triangle", "L-shape"])
+    def test_clears_body_flips_at_the_farthest_point(self, body):
+        # farthest(p), the largest distance from p to the body, bounds
+        # every dense boundary sample's distance and is nearly attained
+        R = body.circumradius
+        t = np.linspace(0.0, 1.0, 4097)[:, None]
+        if body.kind == "circle":
+            z = body.radius * np.exp(2j * np.pi * t)
+        else:  # every side, a plate's both ways
+            v = (np.array([body.leading_edge, body.trailing_edge])
+                 if body.kind == "flat_plate" else body.vertex_array)
+            z = v + t * (np.roll(v, -1) - v)
+        for center in (0j, 0.7 - 0.4j, 3.0 + 2.0j, body.centroid):
+            far = body.farthest(center)
+            assert np.max(np.abs(z - center)) <= far * (1 + 1e-15)
+            assert np.max(np.abs(z - center)) >= far - 1e-6 * R
+            assert CircleContour(center, far + 1e-9 * R).clears_body(body)
+            assert not CircleContour(center, far - 1e-9 * R).clears_body(body)

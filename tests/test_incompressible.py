@@ -219,8 +219,9 @@ def test_plate_stream_accepts_slit_and_velocity_rejects_it():
     Polygon([(3, -2), (5, -2), (5, -1), (4, -1), (4, 0), (3, 0)])],
     ids=["circle", "plate", "triangle", "L-shape"])
 def test_fluid_domain_guard_matches_the_unfiltered_check(body):
-    # PanelFlow._check tests occupies only within R (1 + 1e-9) + tol of
-    # the centroid; its verdict must be that of occupies over every point
+    # Polygon.contains runs its even-odd test only within R (1 + 1e-9) of
+    # the centroid; its verdict must be that of the plain test over every
+    # point, and PanelFlow._check must refuse exactly what occupies does
     flow = incompressible.PanelFlow(body, FarField(1.0, 0.0), np.zeros(2),
                                     np.zeros(2), True)
     c, R = body.centroid, body.circumradius
@@ -231,17 +232,47 @@ def test_fluid_domain_guard_matches_the_unfiltered_check(body):
         [ends, (ends[:, None] + tol * np.exp(1j * TWO_PI * np.arange(8) / 8)
                 ).ravel()])
     u = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 10000))
-    sets = [ends, body.boundary(256), c + R * (u[0] + 1j * u[1])]
-    sets += [np.array([z]) for z in np.concatenate([ends, body.boundary(16)])]
+    sets = [ends, body.panel_nodes(256)[0], c + R * (u[0] + 1j * u[1])]
+    sets += [np.asarray(z) for z in np.concatenate([ends, body.panel_nodes(16)[0]])]
     for z in sets:
         occupied = body.occupies(z, tol)
         assert np.all(np.abs(z[occupied] - c) <= R * (1 + 1e-9) + tol)
+        if body.kind == "polygon":
+            assert np.array_equal(body.contains(z), even_odd(body, z))
         if np.any(occupied):
             with pytest.raises(FluidDomainError):
                 flow._check(z)
         else:
             assert flow._check(z) is not None
     assert np.any(body.occupies(sets[1], tol))
+
+
+def even_odd(polygon, z):
+    """The even-odd point-in-polygon test on every point, unfiltered."""
+    v = polygon.vertex_array
+    w = np.roll(v, -1)
+    x, y = z.real[..., None], z.imag[..., None]
+    cond = (v.imag > y) != (w.imag > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = v.real + (y - v.imag) * (w.real - v.real) / (w.imag - v.imag)
+    return np.sum(cond & (x < xi), axis=-1) % 2 == 1
+
+
+@pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(2.0, 0.3), TRIANGLE],
+                         ids=["circle", "plate", "triangle"])
+def test_flow_at_rest_solves(body):
+    # with w_inf = 0 the slip scale is 1, as in PanelFlow's expansion
+    # tolerances; the circle's flow is then the point vortex Gamma/(2 pi i z)
+    sol = panel_solve(body, FarField(0.0, 1.0), 64)
+    assert sol.residual_norm <= TOL_SLIP
+    if body.kind == "circle":
+        z = np.array([2.0, 5j])
+        exact = exact_flow(body, FarField(0.0, 1.0)).velocity(z)
+        assert np.max(np.abs(sol.flow.velocity(z) - exact)) <= 1e-12
+
+
+def test_kutta_solve_at_rest_finds_zero():
+    assert kutta_solve(FlatPlate(2.0, 0.3), 0.0, 0, 64).gamma_star == 0.0
 
 
 def test_public_names_resolve():
