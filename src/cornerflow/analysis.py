@@ -35,6 +35,8 @@ TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
+# cells per block of whole rows that sign_component_census evaluates at once
+CENSUS_BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +373,32 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     cells with |psi| below the noise floor stay unsigned so the psi = 0
     streamline cannot leak spurious components (noise floor
     1e-6 * |w_inf| * R).  Both counts are zero for a valid flow (the sign
-    sets are unbounded and connected, by the maximum principle).
+    sets are unbounded and connected, by the maximum principle).  The
+    grid is evaluated in blocks of whole rows, about CENSUS_BLOCK cells
+    each, so only the two sign masks are grid-sized.
     """
     (x0, x1), (y0, y1) = window
     body = flow.body
     tol = 1e-6 * (abs(flow.far.w_inf) or 1.0) * body.circumradius
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
-    Z = xs[None, :] + 1j * ys[:, None]
-    psi = np.full(Z.shape, np.nan)
-    fluid = ~body.near(Z, 1.5 * (x1 - x0) / resolution)
-    psi[fluid] = flow.stream(Z[fluid])
-
-    counts = {sign: _bounded_components(fluid & (sign * psi > tol))
-              for sign in (+1, -1)}
+    pad = 1.5 * (x1 - x0) / resolution
+    signed = np.zeros((2, resolution, resolution), dtype=bool)  # psi > tol, < -tol
+    step = max(1, CENSUS_BLOCK // resolution)
+    for start in range(0, resolution, step):
+        Z = xs[None, :] + 1j * ys[start:start + step, None]
+        fluid = ~body.near(Z, pad)
+        psi = flow.stream(Z[fluid])
+        signed[0, start:start + step][fluid] = psi > tol
+        signed[1, start:start + step][fluid] = -psi > tol
 
     # resolution check: corner lobes need a few cells between sign changes
     cell = (x1 - x0) / resolution
     inconclusive = cell > 0.02 * body.circumradius
-    return SignComponentCensus(bounded_positive=counts[+1],
-                               bounded_negative=counts[-1],
+    return SignComponentCensus(bounded_positive=_bounded_components(signed[0]),
+                               bounded_negative=_bounded_components(signed[1]),
                                inconclusive=bool(inconclusive),
-                               grid_shape=Z.shape)
+                               grid_shape=signed.shape[1:])
 
 
 def _bounded_components(cells) -> int:

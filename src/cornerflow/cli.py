@@ -32,7 +32,7 @@ from .geometry import CircleContour, body_from_config
 from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
 
 SCHEMA_VERSION = 1
-CSV_BLOCK = 4096  # leading values _write_csv tests for repeats (see there)
+CSV_BLOCK = 4096  # rows _write_csv formats and writes at once (see there)
 
 ANALYSES = ("circulation", "farfield", "forces", "corner_fits", "census",
             "sign_census", "field_export", "compressible", "refinement_study")
@@ -404,13 +404,14 @@ def export_field(flow_or_solution, window, resolution, path):
 
 def _write_csv(path, header, *columns):
     """One row per element of the equally shaped columns, in C order,
-    every value as %.17g (a mask column prints as 0/1).  A column with at
-    most half as many distinct bit patterns as rows (a grid axis, a mask)
-    has each distinct value formatted once, and enters the row as %s.
-    Only a column whose first CSV_BLOCK values repeat that much is sorted
-    to count them: the bytes are the same either way."""
-    cols = [np.ravel(c).astype(float) for c in columns]
-    values, fields = [None] * (len(cols) * len(cols[0])), []
+    every value as %.17g (a mask column prints as 0/1), written CSV_BLOCK
+    rows at a time.  A column with at most half as many distinct bit
+    patterns as rows (a grid axis, a mask) has each distinct value
+    formatted once, and enters the row as %s.  Only a column whose first
+    CSV_BLOCK values repeat that much is sorted to count them: the bytes
+    are the same either way."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+    tables, fields = [None] * len(cols), []
     for i, col in enumerate(cols):
         # a sort, not np.unique: numpy 2.4's hash-based unique keeps about
         # 1 MB allocated after it returns
@@ -420,13 +421,20 @@ def _write_csv(path, header, *columns):
         if repeats:
             bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
             repeats = 2 * len(bits) <= len(col)
-        if repeats:
-            col = np.array(["%.17g" % v for v in bits.view(float).tolist()],
-                           dtype=object)[inverse]
-        values[i::len(cols)] = col.tolist()
+        if repeats:  # the column becomes indices into its distinct strings
+            tables[i] = np.array(["%.17g" % v for v in bits.view(float).tolist()],
+                                 dtype=object)
+            cols[i] = inverse
         fields.append("%s" if repeats else "%.17g")
     row = ",".join(fields) + "\n"
-    Path(path).write_text(header + "\n" + (row * len(cols[0])) % tuple(values))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(cols[0]), CSV_BLOCK):
+            parts = [col[start:start + CSV_BLOCK] for col in cols]
+            values = [None] * (len(cols) * len(parts[0]))
+            for i, (part, table) in enumerate(zip(parts, tables)):
+                values[i::len(cols)] = (part if table is None else table[part]).tolist()
+            fh.write((row * len(parts[0])) % tuple(values))
 
 
 def _run_compressible(cfg, flow, body, far, summary, out):

@@ -159,15 +159,21 @@ class BernoulliState:
             raise SonicFluxError(
                 f"flux m={m_arr.flat[k]} at/above sonic bound {self.flux_max_m}")
         lo, hi = self.sonic_density, self.stagnation_density
-        rho = np.empty_like(m_arr)
+        # the iterate, its successor, a scratch array and two masks, reused
+        rho, cand, work = (np.empty_like(m_arr) for _ in range(3))
+        out, done = np.empty(m_arr.shape, bool), np.empty(m_arr.shape, bool)
         np.clip(hi if rho_start is None else rho_start, lo, hi, out=rho)
         for _ in range(200):
-            cand = rho - self._newton_step(m_arr, rho)[1]
-            out = ~((cand >= lo) & (cand <= hi))  # NaN is out too
+            np.subtract(rho, self._newton_step(m_arr, rho)[1], out=cand)
+            np.greater_equal(cand, lo, out=out)
+            out &= np.less_equal(cand, hi, out=done)
+            np.logical_not(out, out=out)  # NaN is out too
             if out.any():
                 cand[out] = self._bracketed_root(m_arr[out], rho[out])
-            done = np.abs(cand - rho) <= 1e-14 * cand
-            rho = cand
+            np.subtract(cand, rho, out=work)
+            np.less_equal(np.abs(work, out=work),
+                          np.multiply(cand, 1e-14, out=rho), out=done)
+            rho, cand = cand, rho
             if done.all():
                 break
         if scalar:
@@ -177,14 +183,21 @@ class BernoulliState:
 
     def _newton_step(self, m, rho):
         """f(rho) = m/rho^2 + pi(rho) - B and the Newton step f/f'(rho),
-        with one fractional power: c2 = c^2, q = m/rho^2."""
+        with one fractional power: c2 = c^2, q = m/rho^2.  Three arrays
+        hold every intermediate; each operation is the plain formula's."""
         g = self.gas.gamma
-        c2 = g * rho ** (g - 1.0)
-        q = m / (rho * rho)
-        f = q + c2 / (g - 1.0) - self.bernoulli_B
-        fp = (c2 - 2.0 * q) / rho
+        c2 = rho ** (g - 1.0)
+        c2 *= g
+        q = rho * rho
+        np.divide(m, q, out=q)
+        f = c2 / (g - 1.0)
+        f += q
+        f -= self.bernoulli_B
+        q *= 2.0
+        fp = np.subtract(c2, q, out=c2)
+        fp /= rho
         with np.errstate(divide="ignore", invalid="ignore"):
-            return f, f / fp
+            return f, np.divide(f, fp, out=fp)
 
     def _bracketed_root(self, m, rho):
         """Safeguarded Newton iteration from rho: f's sign at every iterate

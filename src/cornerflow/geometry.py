@@ -284,7 +284,12 @@ class FlatPlate:
         return self.on_slit(z, slit_tol / self.chord)
 
     def near(self, z, pad) -> np.ndarray:
-        return _segment_distance(z, self.leading_edge, self.trailing_edge) <= pad
+        """Within pad of the segment, tested within R + pad of the centroid."""
+        z = np.asarray(z, dtype=complex)
+        hit = np.asarray(np.abs(z - self.centroid) <= self.circumradius + pad)
+        hit[hit] = _segment_distance(z[hit], self.leading_edge,
+                                     self.trailing_edge) <= pad
+        return hit
 
     def farthest(self, p: complex) -> float:
         return max(abs(p - self.leading_edge), abs(p - self.trailing_edge))

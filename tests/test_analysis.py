@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import dataclass
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,34 @@ def dense_boundary(body, s):
             else list(body.vertices) + [body.vertices[0]])
     return np.concatenate([a + np.linspace(0.0, 1.0, int(np.ceil(abs(b - a) / s)) + 1)
                            * (b - a) for a, b in zip(ends, ends[1:])])
+
+
+def whole_grid_census(flow, window, resolution):
+    """(bounded positive, bounded negative) by the census's whole-grid
+    form: every cell's psi evaluated at once, NaN off the fluid."""
+    (x0, x1), (y0, y1) = window
+    body = flow.body
+    tol = 1e-6 * (abs(flow.far.w_inf) or 1.0) * body.circumradius
+    xs = np.linspace(x0, x1, resolution)
+    ys = np.linspace(y0, y1, resolution)
+    Z = xs[None, :] + 1j * ys[:, None]
+    psi = np.full(Z.shape, np.nan)
+    fluid = ~body.near(Z, 1.5 * (x1 - x0) / resolution)
+    psi[fluid] = flow.stream(Z[fluid])
+    return tuple(analysis._bounded_components(fluid & (sign * psi > tol))
+                 for sign in (+1, -1))
+
+
+# a flow about each body and the finest census it runs in the block test
+# (a panel flow's 400**2 census takes 0.25 s, four of them a second)
+CENSUS_FLOWS = {
+    "plate": (lambda: exact_flow(FlatPlate(4.0, np.pi / 6), FarField(1.0, -1.0)), 400),
+    "circle": (lambda: exact_flow(Circle(1.0), FarField(1.0, 3.0)), 400),
+    "triangle": (lambda: panel_solve(TRIANGLE, FarField(1.0, 0.5), 48).flow, 41),
+    # no L-shape panel flow meets TOL_SLIP: a uniform stream through it
+    "L-shape": (lambda: SimpleNamespace(body=L_SHAPE, far=FarField(1.0, 0.0),
+                                        stream=lambda z: z.imag), 400),
+}
 
 
 def wedge_corner(beta, wall_angle=0.0):
@@ -421,6 +450,55 @@ class TestSignComponentCensus:
                 assert np.all(dense[~inside & near] <= pad + s / 2 + eps)
                 if resolution == 400:
                     assert 0 < np.count_nonzero(near) < near.size
+
+    @pytest.mark.parametrize("name", ["plate", "circle", "triangle", "L-shape"])
+    def test_blocked_census_equals_whole_grid(self, monkeypatch, name):
+        # blocks of one row, of seven rows and the whole grid count what
+        # one whole-grid evaluation counts: on a checkerboard stream with
+        # many bounded components in the square and the 20:1 window, and
+        # on a flow about the body in the square one, up to its finest
+        # resolution.  The checkerboard takes the values -2, -1, 0, 1 and
+        # 2 times the noise floor, which stays unsigned
+        make, finest = CENSUS_FLOWS[name]
+        flow = make()
+        c, R = flow.body.centroid, flow.body.circumradius
+        tol = 1e-6 * abs(flow.far.w_inf) * R
+        checkers = SimpleNamespace(body=flow.body, far=flow.far, stream=lambda z: tol
+                                   * np.round(2 * np.sin(5 * z.real / R)
+                                              * np.sin(5 * z.imag / R)))
+        counted = 0
+        for ((x0, x1), (y0, y1)), flows in zip(MASK_WINDOWS[:2],
+                                               [(flow, checkers), (checkers,)]):
+            window = ((c.real + R * x0, c.real + R * x1),
+                      (c.imag + R * y0, c.imag + R * y1))
+            for resolution, f in product((3, 41, 400), flows):
+                if f is flow and resolution > finest:
+                    continue
+                expected = whole_grid_census(f, window, resolution)
+                counted += sum(expected)
+                for rows in (1, 7, resolution):
+                    monkeypatch.setattr(analysis, "CENSUS_BLOCK", rows * resolution)
+                    census = sign_component_census(f, window, resolution)
+                    assert census.grid_shape == (resolution, resolution)
+                    assert (census.bounded_positive,
+                            census.bounded_negative) == expected
+        assert counted > 20
+
+    def test_census_memory_is_two_sign_masks(self):
+        # the bundled plate30 flow at resolution 1000: the two bool masks
+        # are grid-sized, each block's coordinates and psi are not
+        body = FlatPlate(4.0, np.deg2rad(30.0))
+        root = kutta_solve(body, 1.0, 0, n_panels=512).gamma_star
+        flow = panel_solve(body, FarField(1.0, root), 512).flow
+        flow.stream(np.array([3.0 + 3.0j]))  # the flow's expansions, built once
+        tracemalloc.start()
+        try:
+            census = sign_component_census(flow, ((-8, 8), (-8, 8)), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (census.bounded_positive, census.bounded_negative) == (0, 0)
+        assert peak <= 2 * 1000**2 + 16e6
 
     def test_body_mask_memory_on_a_wide_window(self):
         # 20:1 at 2000**2 cells: the grid-sized test of which cells lie

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -669,11 +670,52 @@ def check_write_csv_against_plain_writer(tmp_path):
                         rng.standard_normal(rows)),
                np.concatenate([np.arange(rows // 2), np.arange(rows // 2)]) * 0.1]
     _write_csv(tmp_path / "new.csv", "a,b,c,d,e", *columns)
-    plain = "a,b,c,d,e\n" + "".join(
-        ",".join(f"{float(v):.17g}" for v in row) + "\n"
-        for row in zip(*columns))
+    plain = plain_csv("a,b,c,d,e", columns)
     assert (tmp_path / "new.csv").read_text() == plain
     assert "-0," in plain and ",0," in plain and "nan" in plain
+
+
+def plain_csv(header, columns):
+    """The CSV text of the columns, one %.17g value at a time."""
+    return header + "\n" + "".join(",".join(f"{float(v):.17g}" for v in row)
+                                   + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize("rows", [3 * 64 - 1, 3 * 64, 3 * 64 + 1])
+def test_write_csv_blocks_match_plain_writer(tmp_path, monkeypatch, rows):
+    # 64-row blocks, the last one row short, full, or a one-row block;
+    # the NaN/-0.0/0.0 cycle of length 3 and the 16-value axis run across
+    # every block edge, through the distinct-value path and through %.17g
+    monkeypatch.setattr(cli, "CSV_BLOCK", 64)
+    rng = np.random.default_rng(11)
+    specials = np.tile([np.nan, -0.0, 0.0], rows)[:rows]
+    columns = [np.tile(np.linspace(-1.0, 1.0, 16), rows)[:rows], specials,
+               rng.random(rows) < 0.5,
+               np.where(rng.random(rows) < 0.4, specials, rng.standard_normal(rows))]
+    _write_csv(tmp_path / "new.csv", "a,b,c,d", *columns)
+    plain = plain_csv("a,b,c,d", columns)
+    assert (tmp_path / "new.csv").read_text() == plain
+    assert plain.count("\n") == rows + 1
+
+
+def test_write_csv_memory_is_one_block_of_rows(tmp_path):
+    # a 300 x 300 (x, y, psi, mask) table: besides per-row arrays
+    # (indices into the distinct strings of x, y and mask, the mask as
+    # floats, np.unique's sort buffers), within two tables' bytes, the
+    # writer holds one block of formatted rows, within 2 MB; every value's
+    # string at once took 20 MB
+    xs = np.linspace(-3.0, 3.0, 300)
+    x, y = np.meshgrid(xs, xs)
+    rng = np.random.default_rng(2)
+    mask = rng.random(x.shape) < 0.1
+    psi = np.where(mask, np.nan, rng.standard_normal(x.shape))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "f.csv", "x,y,psi,mask", x, y, psi, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 4 * x.nbytes + 2e6
 
 
 def test_cli_import_loads_no_scipy():

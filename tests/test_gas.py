@@ -224,3 +224,59 @@ def test_flux_inversion_safeguard_matches_bisection(monkeypatch):
             assert np.all(rel[m <= 0.99 * st.flux_max_m] <= 1e-14)
             assert np.all(rel <= 1e-14 + 4.0 * rounding)
     assert sum(fallback_faces) > 0
+
+
+def plain_newton_step(st, m, rho):
+    """The Newton step's plain formulas, one new array per operation."""
+    g = st.gas.gamma
+    c2 = g * rho ** (g - 1.0)
+    q = m / (rho * rho)
+    f = q + c2 / (g - 1.0) - st.bernoulli_B
+    fp = (c2 - 2.0 * q) / rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return f, f / fp
+
+
+def plain_flux_inversion(st, m, rho_start=None):
+    """density_from_flux's iteration with its safeguard, written with the
+    plain formulas: the reference of the in-place arithmetic."""
+    lo, hi = st.sonic_density, st.stagnation_density
+    rho = np.clip(hi if rho_start is None else rho_start, lo, hi) + 0.0 * m
+    for _ in range(200):
+        cand = rho - plain_newton_step(st, m, rho)[1]
+        out = ~((cand >= lo) & (cand <= hi))
+        if out.any():  # the bracketed iteration
+            mo, r = m[out], rho[out]
+            blo, bhi = np.full_like(mo, lo), np.full_like(mo, hi)
+            for _ in range(200):
+                f, step = plain_newton_step(st, mo, r)
+                blo, bhi = np.where(f < 0, r, blo), np.where(f > 0, r, bhi)
+                c = r - step
+                bad = ~np.isfinite(c) | (c <= blo) | (c > bhi)
+                c = np.where(bad, 0.5 * (blo + bhi), c)
+                done = np.abs(c - r) <= 1e-14 * np.abs(c)
+                r = c
+                if np.all(done):
+                    break
+            cand[out] = r
+        done = np.abs(cand - rho) <= 1e-14 * cand
+        rho = cand
+        if done.all():
+            break
+    return rho
+
+
+def test_flux_inversion_is_bitwise_the_plain_formulas():
+    # cold, warm (the previous step's roots) and both bracket ends as
+    # starts; the sonic end sends faces through the safeguard
+    for gamma in (1.4, 5.0 / 3.0, 2.0):
+        st = BernoulliState(GasModel(gamma), 2.3)
+        m = np.linspace(0.0, 0.999 * st.flux_max_m, 4097)
+        warm = st.density_from_flux(0.99 * m).rho
+        for start in (None, warm, st.sonic_density, st.stagnation_density):
+            inv = st.density_from_flux(m, start)
+            ref = plain_flux_inversion(st, m, start)
+            assert np.array_equal(inv.rho.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(inv.h, 1.0 / ref)
+        assert st.density_from_flux(m[1000]).rho == plain_flux_inversion(
+            st, m[1000:1001])[0]

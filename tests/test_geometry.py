@@ -5,7 +5,7 @@ import pytest
 
 from cornerflow.errors import GeometryClipError, InvalidGeometryError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
-                                 classify_corners, probe_ring)
+                                 _segment_distance, classify_corners, probe_ring)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 TRIANGLE = [(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)]
@@ -110,6 +110,35 @@ class TestBodies:
         assert plate.on_slit(0.3 + 0j)
         assert not plate.on_slit(0.3 + 0.01j)
         assert not plate.on_slit(1.5 + 0j)
+
+
+# (chord, alpha in degrees) of the first plate of field_maps seeds 1-3
+BENCH_PLATES = [(4.476933414727785, 20.285623465613497),
+                (3.2056922456686507, 16.15673107201856),
+                (1.2757765876245006, 33.92451679280046)]
+
+
+@pytest.mark.parametrize("chord, alpha_deg", BENCH_PLATES)
+def test_plate_near_equals_the_unfiltered_distance(chord, alpha_deg):
+    # the census grid (+-4R, 400 cells, pad 1.5 cells), a window whose
+    # edge cuts the slit, and points at pad (1 +- 1e-15) beyond either
+    # edge, where the prefilter disc R + pad touches the pad
+    body = FlatPlate(chord, np.deg2rad(alpha_deg))
+    R, d = body.circumradius, body.direction
+    grids = []
+    for (x0, x1), (y0, y1) in [((-4, 4), (-4, 4)), ((0.1, 4), (-2, 2))]:
+        xs, ys = np.linspace(R * x0, R * x1, 400), np.linspace(R * y0, R * y1, 400)
+        grids.append((xs[None, :] + 1j * ys[:, None], 1.5 * R * (x1 - x0) / 400))
+    pad = 0.03 * R
+    spread = np.linspace(-1e-15, 1e-15, 201)
+    grids.append((np.concatenate([edge + s * pad * (1 + spread) * d * np.exp(1j * a)
+                                  for edge, s in ((body.trailing_edge, 1),
+                                                  (body.leading_edge, -1))
+                                  for a in (-1e-3, 0.0, 1e-3)]), pad))
+    for Z, pad in grids:
+        plain = _segment_distance(Z, body.leading_edge, body.trailing_edge) <= pad
+        assert np.array_equal(body.near(Z, pad), plain)
+        assert 0 < np.count_nonzero(plain) < plain.size
 
 
 class TestProbeRing:
