@@ -35,8 +35,9 @@ TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
-# cells per block of whole rows that sign_component_census evaluates at once
-CENSUS_BLOCK = 16384
+# cells per block of whole grid rows: sign_component_census evaluates, and
+# cli._write_csv formats and writes, one block at a time
+GRID_BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +370,13 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     around the body, found by joining the runs of signed cells in each
     row with the overlapping runs of the next (``_bounded_components``);
     components not touching the window edge count as bounded.  Cells
-    that ``body.near`` places within 1.5 cells of the body are not fluid;
+    that ``body.near`` places within 1.5 cells of the body are not fluid,
+    a cell measured by its longer side here and in the resolution check;
     cells with |psi| below the noise floor stay unsigned so the psi = 0
     streamline cannot leak spurious components (noise floor
     1e-6 * |w_inf| * R).  Both counts are zero for a valid flow (the sign
     sets are unbounded and connected, by the maximum principle).  The
-    grid is evaluated in blocks of whole rows, about CENSUS_BLOCK cells
+    grid is evaluated in blocks of whole rows, about GRID_BLOCK cells
     each, so only the two sign masks are grid-sized.
     """
     (x0, x1), (y0, y1) = window
@@ -382,19 +384,18 @@ def sign_component_census(flow, window, resolution: int = 400) -> SignComponentC
     tol = 1e-6 * (abs(flow.far.w_inf) or 1.0) * body.circumradius
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
-    pad = 1.5 * (x1 - x0) / resolution
+    side = max(x1 - x0, y1 - y0)  # a cell's longer side, times resolution
     signed = np.zeros((2, resolution, resolution), dtype=bool)  # psi > tol, < -tol
-    step = max(1, CENSUS_BLOCK // resolution)
+    step = max(1, GRID_BLOCK // resolution)
     for start in range(0, resolution, step):
         Z = xs[None, :] + 1j * ys[start:start + step, None]
-        fluid = ~body.near(Z, pad)
+        fluid = ~body.near(Z, 1.5 * side / resolution)
         psi = flow.stream(Z[fluid])
         signed[0, start:start + step][fluid] = psi > tol
         signed[1, start:start + step][fluid] = -psi > tol
 
     # resolution check: corner lobes need a few cells between sign changes
-    cell = (x1 - x0) / resolution
-    inconclusive = cell > 0.02 * body.circumradius
+    inconclusive = side / resolution > 0.02 * body.circumradius
     return SignComponentCensus(bounded_positive=_bounded_components(signed[0]),
                                bounded_negative=_bounded_components(signed[1]),
                                inconclusive=bool(inconclusive),

@@ -32,7 +32,6 @@ from .geometry import CircleContour, body_from_config
 from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
 
 SCHEMA_VERSION = 1
-CSV_BLOCK = 4096  # rows _write_csv formats and writes at once (see there)
 
 ANALYSES = ("circulation", "farfield", "forces", "corner_fits", "census",
             "sign_census", "field_export", "compressible", "refinement_study")
@@ -144,6 +143,21 @@ KEYS = {
 }
 
 
+# each key of KEYS as a path of names, and the objects that hold them
+PATHS = {tuple(dotted.split(".")) for dotted in KEYS}
+OBJECTS = {path[:i] for path in PATHS for i in range(1, len(path))}
+
+
+def _reject_unknown(node, parents=()):
+    """Raise ConfigError naming the first key of ``node`` that KEYS lacks."""
+    for name, value in node.items():
+        path = parents + (name,)
+        _require(path in PATHS or path in OBJECTS, f"unknown key {name!r}",
+                 "$." + ".".join(path))
+        if path in OBJECTS and isinstance(value, dict):
+            _reject_unknown(value, path)
+
+
 def _get(cfg, dotted, body=None):
     """The value of a KEYS entry in a validated scenario, or its default."""
     *parents, name = dotted.split(".")
@@ -163,6 +177,7 @@ def _body(cfg):
 
 def validate_scenario(cfg: dict) -> dict:
     _require(isinstance(cfg, dict), "scenario must be a JSON object", "$")
+    _reject_unknown(cfg)
     built = cache(lambda: _body(cfg))  # once the body keys have passed
     for dotted, key in KEYS.items():
         if key.when and _get(cfg, key.when[0]) != key.when[1]:
@@ -382,9 +397,8 @@ def export_field(flow_or_solution, window, resolution, path):
     if isinstance(flow_or_solution, compressible.CompressibleSolution):
         sol = flow_or_solution
         g = sol.grid
-        r, theta = np.meshgrid(np.exp(g.xi), g.theta, indexing="ij")
-        _write_csv(path, "r,theta,x,y,psi,rho,mach",
-                   r, theta, g.z.real, g.z.imag, sol.psi, sol.rho, sol.mach)
+        _write_csv(path, "r,theta,x,y,psi,rho,mach", np.exp(g.xi)[:, None],
+                   g.theta[None, :], g.z.real, g.z.imag, sol.psi, sol.rho, sol.mach)
         return
 
     flow = flow_or_solution
@@ -398,43 +412,35 @@ def export_field(flow_or_solution, window, resolution, path):
     free = ~masked
     psi[free] = flow.stream(Z[free])
     speed[free] = np.abs(np.asarray(flow.velocity(Z[free])))
-    x, y = np.meshgrid(xs, ys)
-    _write_csv(path, "x,y,psi,speed,mask", x, y, psi, speed, masked)
+    _write_csv(path, "x,y,psi,speed,mask", xs[None, :], ys[:, None], psi, speed,
+               masked)
 
 
 def _write_csv(path, header, *columns):
-    """One row per element of the equally shaped columns, in C order,
-    every value as %.17g (a mask column prints as 0/1), written CSV_BLOCK
-    rows at a time.  A column with at most half as many distinct bit
-    patterns as rows (a grid axis, a mask) has each distinct value
-    formatted once, and enters the row as %s.  Only a column whose first
-    CSV_BLOCK values repeat that much is sorted to count them: the bytes
-    are the same either way."""
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
-    tables, fields = [None] * len(cols), []
-    for i, col in enumerate(cols):
-        # a sort, not np.unique: numpy 2.4's hash-based unique keeps about
-        # 1 MB allocated after it returns
-        block = np.sort(col[:CSV_BLOCK].view(np.int64))
-        distinct = 1 + np.count_nonzero(block[1:] != block[:-1])
-        repeats = 2 * distinct <= len(block)
-        if repeats:
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            repeats = 2 * len(bits) <= len(col)
-        if repeats:  # the column becomes indices into its distinct strings
-            tables[i] = np.array(["%.17g" % v for v in bits.view(float).tolist()],
-                                 dtype=object)
-            cols[i] = inverse
-        fields.append("%s" if repeats else "%.17g")
-    row = ",".join(fields) + "\n"
+    """One row per cell of the 2-d grid the columns broadcast to, in C
+    order, every value as %.17g and a bool column as 0/1.  A grid axis (a
+    row or a column of the grid) has each of its values formatted once.
+    Rows are written in blocks of whole grid rows, about
+    analysis.GRID_BLOCK cells each."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    cols = []
+    for c in map(np.asarray, columns):
+        if c.size < np.prod(shape):  # an axis: its strings, once
+            c = np.array(["%.17g" % v for v in c.ravel().tolist()],
+                         dtype=object).reshape(c.shape)
+        cols.append(np.broadcast_to(c, shape))
+    row = ",".join("%s" if c.dtype.kind in "bO" else "%.17g" for c in cols) + "\n"
+    bits = np.array(["0", "1"], dtype=object)  # a bool's strings: "%d" is slower
+    step = max(1, analysis.GRID_BLOCK // shape[1])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(cols[0]), CSV_BLOCK):
-            parts = [col[start:start + CSV_BLOCK] for col in cols]
-            values = [None] * (len(cols) * len(parts[0]))
-            for i, (part, table) in enumerate(zip(parts, tables)):
-                values[i::len(cols)] = (part if table is None else table[part]).tolist()
-            fh.write((row * len(parts[0])) % tuple(values))
+        for start in range(0, shape[0], step):
+            parts = [col[start:start + step].ravel() for col in cols]
+            values = [None] * (len(cols) * parts[0].size)
+            for i, part in enumerate(parts):
+                values[i::len(cols)] = (bits[part.view(np.uint8)]
+                                        if part.dtype == bool else part).tolist()
+            fh.write((row * parts[0].size) % tuple(values))
 
 
 def _run_compressible(cfg, flow, body, far, summary, out):

@@ -51,7 +51,7 @@ def whole_grid_census(flow, window, resolution):
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
     psi = np.full(Z.shape, np.nan)
-    fluid = ~body.near(Z, 1.5 * (x1 - x0) / resolution)
+    fluid = ~body.near(Z, 1.5 * max(x1 - x0, y1 - y0) / resolution)
     psi[fluid] = flow.stream(Z[fluid])
     return tuple(analysis._bounded_components(fluid & (sign * psi > tol))
                  for sign in (+1, -1))
@@ -360,6 +360,22 @@ class TestSignComponentCensus:
         # regularized corner sees both signs close by
         assert sign_attainment(flow, TRIANGLE.corners[0], 0.05) == "both"
 
+    @pytest.mark.parametrize("window, side, inconclusive", [
+        (((-3, 3), (-3, 3)), 6, False),
+        # cells 0.015 wide and 0.3 tall, 0.15 R on the 4-chord plate
+        (((-3, 3), (-60, 60)), 120, True),
+        (((-60, 60), (-3, 3)), 120, True)])
+    def test_census_cell_is_its_longer_side(self, monkeypatch, window, side,
+                                            inconclusive):
+        # the pad and the resolution check both take the longer side
+        flow = exact_flow(FlatPlate(4.0, np.pi / 6), FarField(1.0, -1.0))
+        near, pads = FlatPlate.near, set()
+        monkeypatch.setattr(FlatPlate, "near", lambda body, z, pad:
+                            pads.add(pad) or near(body, z, pad))
+        census = sign_component_census(flow, window, resolution=400)
+        assert pads == {1.5 * side / 400}
+        assert census.inconclusive is inconclusive
+
     def test_bounded_components_match_ndimage_label(self):
         ndimage = pytest.importorskip("scipy.ndimage")
 
@@ -477,7 +493,7 @@ class TestSignComponentCensus:
                 expected = whole_grid_census(f, window, resolution)
                 counted += sum(expected)
                 for rows in (1, 7, resolution):
-                    monkeypatch.setattr(analysis, "CENSUS_BLOCK", rows * resolution)
+                    monkeypatch.setattr(analysis, "GRID_BLOCK", rows * resolution)
                     census = sign_component_census(f, window, resolution)
                     assert census.grid_shape == (resolution, resolution)
                     assert (census.bounded_positive,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerflow import cli, compressible, incompressible
+from cornerflow import analysis, cli, compressible, incompressible
 from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
@@ -167,6 +167,19 @@ class TestKeys:
                 assert default == "—"
             else:
                 assert default == f"`{json.dumps(key.default)}`"
+
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
+        # a misspelt key must not run at its default without a word; a
+        # listed key that does not apply (gas.gamma here) stays allowed
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg()))
+        for override, path in [("output.field_resolutoin=5",
+                                 "$.output.field_resolutoin"),
+                                ("solvr.n_panels=3", "$.solvr")]:
+            assert run(p, tmp_path / "out", [override, "gas.gamma=1.3"]) == 2
+            assert f"config error: {path}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        validate_scenario(apply_overrides(minimal_cfg(), ["gas.gamma=1.3"]))
 
     @pytest.mark.parametrize("body, overrides, path", [
         # gas.incompressible is a boolean, true unless it says false
@@ -644,78 +657,82 @@ def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
     assert new == (tmp_path / "old.csv").read_bytes()
 
 
-def test_write_csv_matches_plain_writer(tmp_path):
-    # a 200-value grid axis and columns of repeated specials go through
-    # the distinct-value path, the rest through %.17g
-    check_write_csv_against_plain_writer(tmp_path)
+SPECIALS = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324]
 
 
-@pytest.mark.parametrize("block", [64, 1])
-def test_write_csv_short_block_matches_plain_writer(tmp_path, monkeypatch,
-                                                    block):
-    # a leading block that does not repeat sends a column to %.17g (64:
-    # the last column, whose halves repeat each other; 1: every column)
-    monkeypatch.setattr(cli, "CSV_BLOCK", block)
-    check_write_csv_against_plain_writer(tmp_path)
-
-
-def check_write_csv_against_plain_writer(tmp_path):
-    rows = 200 * 7
-    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324])
+def grid_columns(ny=23, nx=11):
+    """An (x, y, f, g, mask) grid as the field export passes it: the axes
+    as a row and a column of the grid, each holding every special value,
+    then two fields and a mask of the full grid shape."""
     rng = np.random.default_rng(5)
-    columns = [np.repeat(np.linspace(-3.0, 3.0, 200), 7),
-               np.tile(specials, 200),
-               rng.standard_normal(rows) > 0,
-               np.where(rng.random(rows) < 0.1, specials[rng.integers(0, 7, rows)],
-                        rng.standard_normal(rows)),
-               np.concatenate([np.arange(rows // 2), np.arange(rows // 2)]) * 0.1]
-    _write_csv(tmp_path / "new.csv", "a,b,c,d,e", *columns)
-    plain = plain_csv("a,b,c,d,e", columns)
-    assert (tmp_path / "new.csv").read_text() == plain
-    assert "-0," in plain and ",0," in plain and "nan" in plain
+    x = np.concatenate([SPECIALS, np.linspace(-3.0, 3.0, nx - 7)])[None, :]
+    y = np.concatenate([np.linspace(-2.0, 2.0, ny - 7), SPECIALS])[:, None]
+    f = np.where(rng.random((ny, nx)) < 0.3,
+                 np.array(SPECIALS)[rng.integers(0, 7, (ny, nx))],
+                 rng.standard_normal((ny, nx)))
+    g = np.tile(SPECIALS, ny * nx)[:ny * nx].reshape(ny, nx)
+    return [x, y, f, g, rng.random((ny, nx)) < 0.5]
 
 
 def plain_csv(header, columns):
-    """The CSV text of the columns, one %.17g value at a time."""
+    """The CSV text of the grid the columns broadcast to, one %.17g value
+    at a time."""
+    cells = [c.ravel() for c in np.broadcast_arrays(*columns)]
     return header + "\n" + "".join(",".join(f"{float(v):.17g}" for v in row)
-                                   + "\n" for row in zip(*columns))
+                                   + "\n" for row in zip(*cells))
 
 
-@pytest.mark.parametrize("rows", [3 * 64 - 1, 3 * 64, 3 * 64 + 1])
-def test_write_csv_blocks_match_plain_writer(tmp_path, monkeypatch, rows):
-    # 64-row blocks, the last one row short, full, or a one-row block;
-    # the NaN/-0.0/0.0 cycle of length 3 and the 16-value axis run across
-    # every block edge, through the distinct-value path and through %.17g
-    monkeypatch.setattr(cli, "CSV_BLOCK", 64)
-    rng = np.random.default_rng(11)
-    specials = np.tile([np.nan, -0.0, 0.0], rows)[:rows]
-    columns = [np.tile(np.linspace(-1.0, 1.0, 16), rows)[:rows], specials,
-               rng.random(rows) < 0.5,
-               np.where(rng.random(rows) < 0.4, specials, rng.standard_normal(rows))]
-    _write_csv(tmp_path / "new.csv", "a,b,c,d", *columns)
-    plain = plain_csv("a,b,c,d", columns)
+def test_write_csv_matches_plain_writer(tmp_path):
+    # the whole grid is one block
+    columns = grid_columns()
+    _write_csv(tmp_path / "new.csv", "x,y,f,g,mask", *columns)
+    plain = plain_csv("x,y,f,g,mask", columns)
     assert (tmp_path / "new.csv").read_text() == plain
-    assert plain.count("\n") == rows + 1
+    for text in ("-0,", ",0,", "nan", "-inf", "4.9406564584124654e-324"):
+        assert text in plain
 
 
-def test_write_csv_memory_is_one_block_of_rows(tmp_path):
-    # a 300 x 300 (x, y, psi, mask) table: besides per-row arrays
-    # (indices into the distinct strings of x, y and mask, the mask as
-    # floats, np.unique's sort buffers), within two tables' bytes, the
-    # writer holds one block of formatted rows, within 2 MB; every value's
-    # string at once took 20 MB
-    xs = np.linspace(-3.0, 3.0, 300)
-    x, y = np.meshgrid(xs, xs)
-    rng = np.random.default_rng(2)
-    mask = rng.random(x.shape) < 0.1
-    psi = np.where(mask, np.nan, rng.standard_normal(x.shape))
-    tracemalloc.start()
-    try:
-        _write_csv(tmp_path / "f.csv", "x,y,psi,mask", x, y, psi, mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 4 * x.nbytes + 2e6
+@pytest.mark.parametrize("rows", [1, 7, 23])
+def test_write_csv_blocks_match_plain_writer(tmp_path, monkeypatch, rows):
+    # blocks of one row, of seven rows (the last of the 23 two rows
+    # short) and of the whole grid
+    monkeypatch.setattr(analysis, "GRID_BLOCK", rows * 11)
+    columns = grid_columns()
+    _write_csv(tmp_path / "new.csv", "x,y,f,g,mask", *columns)
+    plain = plain_csv("x,y,f,g,mask", columns)
+    assert (tmp_path / "new.csv").read_text() == plain
+    assert plain.count("\n") == 23 * 11 + 1
+
+
+def test_write_csv_memory_is_one_block_of_rows(tmp_path, monkeypatch):
+    # an exact circle at 600**2: the writer holds its axes' strings and one
+    # block of formatted rows, within 6 MB of its entry (4.4 MB measured),
+    # so the export peaks within 6 MB of where its evaluation does
+    flow = exact_flow(Circle(1.0), FarField(1.0, 2.0))
+    window = ((-3.0, 3.0), (-3.0, 3.0))
+    writer, traced = cli._write_csv, []
+
+    def traced_writer(*args):  # (entry, peak before, peak within the writer)
+        entry, before = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        writer(*args)
+        traced.append((entry, before, tracemalloc.get_traced_memory()[1]))
+
+    def export_peak():
+        tracemalloc.start()
+        try:
+            export_field(flow, window, 600, tmp_path / "f.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_csv", lambda *args: None)
+    evaluation = export_peak()
+    monkeypatch.setattr(cli, "_write_csv", traced_writer)
+    export_peak()
+    (entry, before, within), = traced
+    assert within - entry <= 6e6
+    assert max(before, within) <= evaluation + 6e6
 
 
 def test_cli_import_loads_no_scipy():
