@@ -92,10 +92,9 @@ def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
     return np.array([0.1 * r_hi, r_hi])
 
 
-def _flow_scale(flow, body_scale: float, beta: float) -> float:
-    """Natural magnitude of a1 for this flow/body: |w_inf| * R**(1-pi/beta)."""
-    w = abs(flow.far.w_inf) or 1.0
-    return w * body_scale ** (1.0 - np.pi / beta)
+def _flow_scale(w_inf: complex, body_scale: float, beta: float) -> float:
+    """Natural magnitude of a1 for this free stream/body: |w_inf| * R**(1-pi/beta)."""
+    return (abs(w_inf) or 1.0) * body_scale ** (1.0 - np.pi / beta)
 
 
 def _ring_a1(flow, corner: Corner, radii) -> np.ndarray:
@@ -139,7 +138,7 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     a1_lo, a1 = _ring_a1(flow, corner, radii)
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, body_scale)
-    singular = bool(abs(a1) > TOL_A1 * _flow_scale(flow, body_scale, beta))
+    singular = bool(abs(a1) > TOL_A1 * _flow_scale(flow.far.w_inf, body_scale, beta))
     verdict = sign_attainment(flow, corner, radii.min())
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta),
@@ -252,6 +251,10 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
 
 @dataclass(frozen=True)
 class CornerCensusEntry:
+    """a1 of one corner as the line a1_at_zero + slope * Gamma; ``root``
+    is the one circulation that makes the corner regular (its Kutta root).
+    The fields are the keys of the summary's census.corners[]."""
+
     corner_id: int
     root: float
     slope: float
@@ -294,7 +297,7 @@ def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
     radii = default_fit_radii(corner, body_scale)
     a0 = _ring_a1(flow0, corner, radii)
     rise = _ring_a1(flow1, corner, radii) - a0
-    if np.min(np.abs(rise)) < 1e-12 * _flow_scale(flow0, body_scale,
+    if np.min(np.abs(rise)) < 1e-12 * _flow_scale(flow0.far.w_inf, body_scale,
                                                   corner.exterior_angle_beta):
         raise DegenerateKuttaError(
             f"a1 at corner {corner.corner_id} does not respond to circulation")
@@ -321,7 +324,7 @@ def corner_census(body: Body, w_inf: complex, gamma_grid=None,
     if len(corners) < 2:
         raise FluidDomainError("census needs at least two protruding corners")
     scale = abs(w_inf) * body.circumradius
-    flow0, entries = _affine_corners(body, w_inf, corners, n_panels)
+    entries = _affine_corners(body, w_inf, corners, n_panels)
 
     roots = np.array([e.root for e in entries])
     coincidence_tol = 1e-3 * scale
@@ -335,7 +338,7 @@ def corner_census(body: Body, w_inf: complex, gamma_grid=None,
     gamma_grid = np.asarray(gamma_grid, dtype=float)
 
     singular_above = [
-        TOL_A1 * _flow_scale(flow0, body.circumradius, c.exterior_angle_beta)
+        TOL_A1 * _flow_scale(w_inf, body.circumradius, c.exterior_angle_beta)
         for c in corners]
     sweep = [tuple(e.corner_id for e, tol in zip(entries, singular_above)
                    if abs(e.a1_at_zero + e.slope * gam) > tol)

@@ -14,6 +14,7 @@ null and its JSON path is named in an error entry.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .compressible import MIN_GRID_NODES, MIN_R_FAR, R_FAR
 from .errors import ConfigError, CornerFlowError
 from .gas import BernoulliState, GasModel
 from .geometry import CircleContour, body_from_config
-from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
+from .incompressible import FarField, MappedFlow, kutta_solve, panel_solve
 
 SCHEMA_VERSION = 1
 
@@ -121,7 +122,7 @@ KEYS = {
                      + ", ".join(ANALYSES), (), each=lambda v: v in ANALYSES),
     "solver.n_panels": _Key(
         _is_int, "a positive integer, >= 2 on a circle, >= 8 per side of a polygon",
-        256, least=lambda b: b.min_panels),
+        lambda b: max(256, b.min_panels), least=lambda b: b.min_panels),
     "solver.representation": _Key(
         lambda v: v in ("panel", "exact"), "panel or exact",
         lambda b: "panel" if incompressible.conformal_map(b) is None else "exact"),
@@ -242,35 +243,35 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 def _resolve_flow(cfg: dict, body, summary: dict):
     w_inf = float(_get(cfg, "flow.w_inf"))
-    n_panels = int(_get(cfg, "solver.n_panels"))
+    n_panels = int(_get(cfg, "solver.n_panels", body))
     representation = _get(cfg, "solver.representation", body)
-    exact = (exact_flow(body, FarField(w_inf, 0.0))
-             if representation == "exact" else None)
+    cmap = incompressible.conformal_map(body)
 
     gamma, corner_id = _get(cfg, "flow.gamma"), _get(cfg, "flow.kutta_corner")
     if gamma is not None:
         gamma = float(gamma)
     elif corner_id is not None:
         corner_id = int(corner_id)
-        if exact is not None:  # a plate: circles have no corner to name
-            gamma = exact.kutta_circulation(corner_id)
+        if representation == "exact":  # a plate: circles have no corner to name
+            gamma = MappedFlow(cmap, FarField(w_inf)).kutta_circulation(corner_id)
             summary["kutta"] = {"corner_id": corner_id, "gamma_star": gamma,
                                 "method": "conformal_map"}
-        else:
-            res = kutta_solve(body, w_inf, corner_id,  # the default at least
-                              max(n_panels, KEYS["solver.n_panels"].default))
-            gamma = res.gamma_star
+        else:  # at least the default panel count
+            kutta_panels = max(n_panels, KEYS["solver.n_panels"].default(body))
+            e = kutta_solve(body, w_inf, corner_id, kutta_panels)
+            gamma = e.root
             summary["kutta"] = {
-                "corner_id": corner_id, "gamma_star": res.gamma_star,
-                "a1_at_zero": res.a1_at_zero, "a1_slope": res.a1_slope,
-                "uncertainty": res.uncertainty, "n_panels": res.n_panels,
+                "corner_id": corner_id, "gamma_star": e.root,
+                "a1_at_zero": e.a1_at_zero, "a1_slope": e.slope,
+                "uncertainty": e.root_uncertainty, "n_panels": kutta_panels,
                 "method": "panel_affine_root"}
     else:
         gamma = 0.0  # sweep scenarios analyse the census, not one flow
 
     far = FarField(w_inf=w_inf, circulation=gamma)
-    if exact is not None:
-        flow = exact_flow(body, far)
+    exact = None if cmap is None else MappedFlow(cmap, far)
+    if representation == "exact":
+        flow = exact
     else:
         sol = panel_solve(body, far, n_panels=n_panels)
         summary["panel"] = {
@@ -280,6 +281,8 @@ def _resolve_flow(cfg: dict, body, summary: dict):
             "circulation_of_strengths": sol.circulation_of_strengths,
         }
         flow = sol.flow
+        if exact is not None:
+            summary["exact_regression_max_rel_dev"] = _exact_regression(flow, exact)
     summary["flow"] = {"w_inf": w_inf, "gamma": gamma,
                        "representation": representation}
     return flow, far
@@ -353,12 +356,9 @@ def _run_corner_fits(cfg, flow, body, far, summary, out):
 def _run_census(cfg, flow, body, far, summary, out):
     census = analysis.corner_census(body, float(_get(cfg, "flow.w_inf")),
                                     gamma_grid=_get(cfg, "flow.gamma_sweep"),
-                                    n_panels=int(_get(cfg, "solver.n_panels")))
+                                    n_panels=int(_get(cfg, "solver.n_panels", body)))
     summary["census"] = {
-        "corners": [{
-            "corner_id": e.corner_id, "root": e.root, "slope": e.slope,
-            "a1_at_zero": e.a1_at_zero, "root_uncertainty": e.root_uncertainty,
-        } for e in census.corners],
+        "corners": [dataclasses.asdict(e) for e in census.corners],
         "sweep_gammas": list(census.sweep_gammas),
         "sweep_singular_counts": [len(ids) for ids in census.sweep_singular_ids],
         "min_singular_count": census.min_singular_count,
@@ -549,9 +549,6 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         body = body_from_config(cfg["body"])
         flow, far = _resolve_flow(cfg, body, summary)
         analyses = _get(cfg, "analyses")
-        exact = exact_flow(body, far)
-        if summary["flow"]["representation"] == "panel" and exact is not None:
-            summary["exact_regression_max_rel_dev"] = _exact_regression(flow, exact)
         for name in ANALYSES:  # in this order, each by its _run_<name>
             if name in analyses:
                 globals()[f"_run_{name}"](cfg, flow, body, far, summary, out)

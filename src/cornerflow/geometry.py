@@ -48,7 +48,6 @@ class Corner:
 
     vertex: complex
     exterior_angle_beta: float
-    protruding: bool
     side_directions: tuple[complex, complex]
     corner_id: int = 0
     clearance: float = np.inf
@@ -59,8 +58,6 @@ class Corner:
             raise InvalidGeometryError(f"corner angle beta={beta} outside (0, 2*pi]")
         if abs(beta - np.pi) < 1e-12:
             raise InvalidGeometryError("beta = pi is not a corner")
-        if self.protruding != (beta > np.pi):
-            raise InvalidGeometryError("protruding flag inconsistent with beta")
         for d in self.side_directions:
             if abs(abs(d) - 1.0) > 1e-12:
                 raise InvalidGeometryError("side directions must be unit length")
@@ -70,6 +67,11 @@ class Corner:
             raise InvalidGeometryError(
                 f"fluid-side angle between side directions {swept} != beta {beta}"
             )
+
+    @property
+    def protruding(self) -> bool:
+        """Convex: the fluid wedge is wider than pi."""
+        return self.exterior_angle_beta > np.pi
 
     @property
     def wall_angle(self) -> float:
@@ -167,7 +169,6 @@ def classify_corners(vertices) -> list[Corner]:
         corners.append(Corner(
             vertex=complex(v[i]),
             exterior_angle_beta=beta,
-            protruding=beta > np.pi,
             side_directions=(complex(u_prev), complex(u_next)),
             corner_id=i,
             clearance=float(min(lens[prev_i], lens[i])),
@@ -255,11 +256,9 @@ class FlatPlate:
         # opposite edge; the fluid wedge is the full 2*pi turn
         return [
             Corner(vertex=self.trailing_edge, exterior_angle_beta=TWO_PI,
-                   protruding=True, side_directions=(-d, -d), corner_id=0,
-                   clearance=self.chord),
+                   side_directions=(-d, -d), corner_id=0, clearance=self.chord),
             Corner(vertex=self.leading_edge, exterior_angle_beta=TWO_PI,
-                   protruding=True, side_directions=(d, d), corner_id=1,
-                   clearance=self.chord),
+                   side_directions=(d, d), corner_id=1, clearance=self.chord),
         ]
 
     @property
@@ -306,7 +305,7 @@ class Polygon:
     """Simple counterclockwise polygon."""
 
     vertices: tuple
-    corners_cache: tuple = field(default=None, repr=False, compare=False)
+    corners_cache: tuple = field(init=False, repr=False, compare=False)
 
     kind = "polygon"
     PANELS_PER_SIDE = 8  # the least panels on any side

@@ -311,10 +311,8 @@ def vortex_panel_psi_coeffs(z, za, zb):
     return ca, cb
 
 
-# point-panel pairs per chunk of the assembly: about a megabyte of temporaries
-CHUNK_PAIRS = 4096
-# point-cluster pairs per treecode chunk, and points per chunk of the body
-# expansion
+# point-cluster pairs per treecode chunk, points per chunk of the body
+# expansion, and point-panel pairs per chunk of the assembly
 TREE_PAIRS = 16384
 # each expansion tabulates its order at the separations t = rho / |z - c|
 # = j / (SEPARATIONS * KAPPA), j = 0..SEPARATIONS, and a point takes the
@@ -651,7 +649,7 @@ def _system_rows(nodes, closed):
 
     rows = np.zeros((n_pan + 1, n_nodes))
     tangency = rows[:-1]
-    step = max(1, CHUNK_PAIRS // n_pan)
+    step = max(1, TREE_PAIRS // n_pan)
     for start in range(0, n_pan, step):
         chunk = slice(start, start + step)
         ca, cb = vortex_panel_w_coeffs(mids[chunk, None], za, zb)
@@ -737,21 +735,14 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
 # Kutta condition
 
 
-@dataclass(frozen=True)
-class KuttaResult:
-    gamma_star: float
-    a1_at_zero: float
-    a1_slope: float
-    uncertainty: float
-    n_panels: int
-
-
 def kutta_solve(body: Body, w_inf: complex, corner_id: int,
-                n_panels: int = 512) -> KuttaResult:
-    """Circulation making the designated corner regular (a1 = 0).
+                n_panels: int = 512) -> analysis.CornerCensusEntry:
+    """The affine a1(Gamma) of one protruding corner, whose root is the
+    circulation making that corner regular (a1 = 0).
 
-    The singular coefficient depends affinely on Gamma (superposition),
-    so two panel solves determine the root (``_affine_corners``).
+    a1 depends affinely on Gamma (superposition), so two panel solves fix
+    the line (``_affine_corners``); the result is the corner's
+    ``corner_census`` entry at the same n_panels.
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):
@@ -759,16 +750,14 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     corner = corners[corner_id]
     if not corner.protruding:
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
-
-    _, (e,) = _affine_corners(body, w_inf, [corner], n_panels)
-    return KuttaResult(e.root, e.a1_at_zero, e.slope, e.root_uncertainty,
-                       n_panels)
+    (entry,) = _affine_corners(body, w_inf, [corner], n_panels)
+    return entry
 
 
 def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
-    """The Gamma = 0 panel flow, and each corner's ``analysis.affine_corner``
-    from it and the flow at Gamma = |w_inf| R (roots scale exactly with w_inf)."""
+    """Each corner's ``analysis.affine_corner`` from the panel flows at
+    Gamma = 0 and Gamma = |w_inf| R (roots scale exactly with w_inf)."""
     gamma1 = abs(w_inf) * body.circumradius or 1.0
     flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
     flow1 = panel_solve(body, FarField(w_inf, gamma1), n_panels).flow
-    return flow0, [analysis.affine_corner(flow0, flow1, c) for c in corners]
+    return [analysis.affine_corner(flow0, flow1, c) for c in corners]

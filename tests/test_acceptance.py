@@ -39,10 +39,10 @@ def bundled_panel_flows():
     flows.append(("circle", panel_solve(Circle(1.0), FarField(1.0, TWO_PI),
                                         256).flow))
     alpha = np.deg2rad(30.0)
-    gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).gamma_star
+    gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).root
     flows.append(("plate30", panel_solve(FlatPlate(4.0, alpha),
                                          FarField(1.0, gstar), 512).flow))
-    root0 = kutta_solve(TRIANGLE, 1.0, 0, n_panels=256).gamma_star
+    root0 = kutta_solve(TRIANGLE, 1.0, 0, n_panels=256).root
     flows.append(("triangle", panel_solve(TRIANGLE, FarField(1.0, root0),
                                           256).flow))
     return flows
@@ -96,8 +96,8 @@ def test_criterion_03_kutta_root():
         plate = FlatPlate(4.0, alpha)
         res = kutta_solve(plate, 1.0, 0, n_panels=512)
         oracle = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
-        rel = abs(res.gamma_star - oracle) / abs(oracle)
-        flow = panel_solve(plate, FarField(1.0, res.gamma_star), 512).flow
+        rel = abs(res.root - oracle) / abs(oracle)
+        flow = panel_solve(plate, FarField(1.0, res.root), 512).flow
         trailing = fit_corner(flow, plate.corners[0])
         leading = fit_corner(flow, plate.corners[1])
         results.append((deg, rel, not trailing.singular,
@@ -112,17 +112,17 @@ def test_criterion_04_plate_root_splitting():
     alpha = np.deg2rad(30.0)
     r_te = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512)
     r_le = kutta_solve(FlatPlate(4.0, alpha), 1.0, 1, n_panels=512)
-    gap = abs(r_te.gamma_star - r_le.gamma_star)
-    unc = max(r_te.uncertainty + r_le.uncertainty, 1e-12)
+    gap = abs(r_te.root - r_le.root)
+    unc = max(r_te.root_uncertainty + r_le.root_uncertainty, 1e-12)
     split_ok = gap > 10.0 * unc
     z_te = kutta_solve(FlatPlate(4.0, 0.0), 1.0, 0, n_panels=512)
     z_le = kutta_solve(FlatPlate(4.0, 0.0), 1.0, 1, n_panels=512)
     tol0 = 1e-6 * 1.0 * 4.0
-    zero_ok = abs(z_te.gamma_star) < tol0 and abs(z_le.gamma_star) < tol0
+    zero_ok = abs(z_te.root) < tol0 and abs(z_le.root) < tol0
     report(4, split_ok and zero_ok,
            f"alpha=30deg roots gap {gap:.4f} > 10x uncertainty {unc:.2e}: "
-           f"{split_ok}; alpha=0 roots ({z_te.gamma_star:.2e}, "
-           f"{z_le.gamma_star:.2e}) ~ 0: {zero_ok}")
+           f"{split_ok}; alpha=0 roots ({z_te.root:.2e}, "
+           f"{z_le.root:.2e}) ~ 0: {zero_ok}")
 
 
 def test_criterion_05_polygon_census():
@@ -144,12 +144,12 @@ def test_criterion_05_polygon_census():
 
 def test_criterion_06_sign_properties():
     alpha = np.deg2rad(30.0)
-    gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).gamma_star
+    gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).root
     plate_flow = panel_solve(FlatPlate(4.0, alpha), FarField(1.0, gstar),
                              512).flow
     verdict_plate = sign_attainment(plate_flow, plate_flow.body.corners[0],
                                     0.05, n_radii=3)
-    root0 = kutta_solve(TRIANGLE, 1.0, 0, n_panels=256).gamma_star
+    root0 = kutta_solve(TRIANGLE, 1.0, 0, n_panels=256).root
     tri_flow = panel_solve(TRIANGLE, FarField(1.0, root0), 256).flow
     verdict_tri = sign_attainment(tri_flow, TRIANGLE.corners[0], 0.05,
                                   n_radii=3)
@@ -177,7 +177,7 @@ def test_criterion_07_forces():
     checks.append(("circle", abs(abs(f.lift) - ref) / ref, abs(f.drag) / ref))
 
     alpha = np.deg2rad(30.0)
-    gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).gamma_star
+    gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).root
     flow_p = panel_solve(FlatPlate(4.0, alpha), FarField(1.0, gstar), 512).flow
     fp = blasius_force(flow_p, CircleContour(0j, 6.0, 1024))
     refp = 1.0 * 1.0 * abs(gstar)

@@ -215,6 +215,21 @@ class TestKeys:
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_panel_count_defaults_to_what_the_body_takes(self, tmp_path, capsys):
+        # a 40-gon needs 8 panels a side, more than 256: without
+        # solver.n_panels it runs at its least count, and 256 exits 2
+        th = 2 * np.pi * np.arange(40) / 40
+        forty = {"kind": "polygon",
+                 "vertices": np.stack([np.cos(th), np.sin(th)], 1).tolist()}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(minimal_cfg(body=forty)))
+        assert run(p, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["panel"]["n_nodes"] == 320
+        assert run(p, tmp_path / "bad", ["solver.n_panels=256"]) == 2
+        assert "config error: $.solver.n_panels: " in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("body", [{"kind": "circle", "radius": 1.5}, PLATE],
                              ids=["circle", "plate"])
     def test_grid_limits_are_the_grid_builders(self, tmp_path, capsys,

@@ -272,7 +272,7 @@ def test_flow_at_rest_solves(body):
 
 
 def test_kutta_solve_at_rest_finds_zero():
-    assert kutta_solve(FlatPlate(2.0, 0.3), 0.0, 0, 64).gamma_star == 0.0
+    assert kutta_solve(FlatPlate(2.0, 0.3), 0.0, 0, 64).root == 0.0
 
 
 def test_public_names_resolve():
@@ -395,16 +395,16 @@ class TestPanelSolve:
 class TestKutta:
     def test_horizontal_plate_root_is_zero(self):
         res = kutta_solve(FlatPlate(4.0, 0.0), 1.0, 0, n_panels=128)
-        assert abs(res.gamma_star) < 1e-8
+        assert abs(res.root) < 1e-8
 
     def test_plate_root_matches_conformal_oracle(self):
         alpha = np.pi / 6
         res = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512)
         oracle = -np.pi * 4.0 * np.sin(alpha)
-        assert res.gamma_star == pytest.approx(oracle, rel=0.01)
+        assert res.root == pytest.approx(oracle, rel=0.01)
 
     def test_triangle_roots_differ(self):
-        roots = [kutta_solve(TRIANGLE, 1.0, k, n_panels=192).gamma_star
+        roots = [kutta_solve(TRIANGLE, 1.0, k, n_panels=192).root
                  for k in range(3)]
         assert not np.allclose(roots, roots[0], atol=1e-3)
 
