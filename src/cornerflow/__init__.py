@@ -13,7 +13,7 @@ from .compressible import (CompressibleSolution, ConformalGrid,
                            RefinementStudy, SolverOptions, build_grid,
                            refinement_study, solve_subsonic)
 from .forces import ForceResult, blasius_force, kutta_joukowsky_lift
-from .gas import BernoulliState, FluxInversion, GasModel
+from .gas import BernoulliState, GasModel
 from .geometry import (Body, Circle, CircleContour, Corner, FlatPlate,
                        Polygon, classify_corners, probe_ring)
 from .incompressible import (FarField, JoukowskyPlateMap, MappedFlow,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BernoulliState", "Body", "CensusResult", "Circle", "CircleContour",
     "CompressibleSolution", "ConformalGrid", "Corner", "CornerCensusEntry",
-    "CornerReport", "FarField", "FlatPlate", "FluxInversion", "ForceResult",
-    "GasModel", "JoukowskyPlateMap", "LaurentFit", "MappedFlow",
+    "CornerReport", "FarField", "FlatPlate", "ForceResult", "GasModel",
+    "JoukowskyPlateMap", "LaurentFit", "MappedFlow",
     "PanelFlow", "PanelSolution", "Polygon", "RefinementStudy",
     "SolverOptions", "blasius_force", "build_grid", "circulation",
     "classify_corners", "corner_census", "exact_flow", "farfield_fit",

@@ -164,11 +164,10 @@ def _exponent_slope(flow, corner: Corner, body_scale: float) -> float:
     return float(coef[0])
 
 
-def sign_attainment(flow, corner: Corner, radius: float,
-                    n_radii: int = 3) -> str:
+def sign_attainment(flow, corner: Corner, radius: float) -> str:
     """Do psi's signs both appear arbitrarily close to the corner?
 
-    Samples the wedge at ``n_radii`` radii, halving from ``radius``;
+    Samples the wedge at ``radius``, its half and its quarter;
     "both" requires a clear positive and negative value at every radius.
     The k = 1 mode alone is one-signed over the wedge, so a corner
     dominated by it reports positive_only/negative_only; a regular corner
@@ -176,9 +175,8 @@ def sign_attainment(flow, corner: Corner, radius: float,
     """
     body_scale = flow.body.circumradius
     w_scale = abs(flow.far.w_inf) or 1.0
-    radii = radius / 2.0 ** np.arange(n_radii)
     verdicts = []
-    for r in radii:
+    for r in (radius, radius / 2.0, radius / 4.0):
         # noise floor shrinks with the leading admissible mode
         level = 1e-9 * w_scale * body_scale * (r / body_scale) ** (
             np.pi / corner.exterior_angle_beta)
@@ -309,21 +307,23 @@ def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
         root_uncertainty=float(abs(roots[1] - roots[0])))
 
 
-def corner_census(body: Body, w_inf: complex, gamma_grid=None,
-                  n_panels: int = 256) -> CensusResult:
-    """Affine a1(Gamma) census over all protruding corners of a polygon.
+def corner_census(body: Body, w_inf: complex, n_panels: int,
+                  gamma_grid=None) -> CensusResult:
+    """Affine a1(Gamma) census over all protruding corners of a body.
 
-    Two panel solves (Gamma = 0 and Gamma = |w_inf| R, the flow's own
-    scale) fix every corner's affine form exactly; the census then reads
-    off roots and sweeps a 33-point grid spanning all roots with margin
-    as a redundancy check.
+    Two solves on ``n_panels`` panels (Gamma = 0 and Gamma = |w_inf| R,
+    the flow's own scale) fix every corner's affine form exactly; the
+    census then reads off roots and, unless ``gamma_grid`` is given,
+    sweeps a 33-point grid spanning all roots with margin as a
+    redundancy check.  Root coincidence and the margin scale with
+    (|w_inf| or 1) * R.
     """
     from .incompressible import _affine_corners  # deferred: avoids cycle
 
     corners = [c for c in body.corners if c.protruding]
     if len(corners) < 2:
         raise FluidDomainError("census needs at least two protruding corners")
-    scale = abs(w_inf) * body.circumradius
+    scale = (abs(w_inf) or 1.0) * body.circumradius
     entries = _affine_corners(body, w_inf, corners, n_panels)
 
     roots = np.array([e.root for e in entries])
@@ -366,7 +366,7 @@ class SignComponentCensus:
     grid_shape: tuple
 
 
-def sign_component_census(flow, window, resolution: int = 400) -> SignComponentCensus:
+def sign_component_census(flow, window, resolution: int) -> SignComponentCensus:
     """Count bounded connected components of {psi > 0} and {psi < 0}.
 
     Components are 4-connected sets of cells on a rectilinear window

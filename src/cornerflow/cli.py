@@ -102,8 +102,7 @@ KEYS = {
                       "circle, flat_plate or polygon", REQUIRED),
     "body.radius": _Key(*POSITIVE, REQUIRED, CIRCLE),
     "body.chord": _Key(*POSITIVE, REQUIRED, PLATE),
-    "body.alpha": _Key(_is_number, "a finite number (radians)", None, PLATE),
-    "body.alpha_deg": _Key(_is_number, "a finite number (degrees)", None, PLATE),
+    "body.alpha_deg": _Key(_is_number, "a finite number (degrees)", REQUIRED, PLATE),
     "body.vertices": _Key(lambda v: isinstance(v, list) and len(v) >= 3,
                           ">= 3 [x, y] pairs of finite numbers", REQUIRED, POLYGON,
                           each=lambda xy: _is_pair(xy, _is_number)),
@@ -200,16 +199,20 @@ def validate_scenario(cfg: dict) -> dict:
     body = built()  # the rules across keys
     _require(len({"gamma", "kutta_corner", "gamma_sweep"} & set(cfg["flow"])) == 1,
              "exactly one of gamma, kutta_corner, gamma_sweep", "$.flow")
-    for i, name in enumerate(_get(cfg, "analyses")):
-        _require(not _get(cfg, "gas.incompressible")
-                 or name not in COMPRESSIBLE_ANALYSES,
-                 f"analysis {name!r} needs gas.incompressible: false",
-                 f"$.analyses[{i}]")
-    _require(_get(cfg, "solver.representation", body) != "exact"
-             or incompressible.conformal_map(body) is not None,
-             f"exact representation needs a closed-form map; a {body.kind} has none",
-             "$.solver.representation")
+    mapped = incompressible.conformal_map(body) is not None
+    unmapped = f"needs a closed-form map; a {body.kind} has none"
     protruding = [c.corner_id for c in body.corners if c.protruding]
+    for i, name in enumerate(_get(cfg, "analyses")):
+        path = f"$.analyses[{i}]"
+        if name in COMPRESSIBLE_ANALYSES:
+            _require(not _get(cfg, "gas.incompressible"),
+                     f"analysis {name!r} needs gas.incompressible: false", path)
+            _require(mapped, f"analysis {name!r} {unmapped}", path)
+        _require(name != "census" or len(protruding) >= 2,
+                 f"analysis 'census' needs at least two protruding corners;"
+                 f" a {body.kind} has {len(protruding)}", path)
+    _require(_get(cfg, "solver.representation", body) != "exact" or mapped,
+             f"exact representation {unmapped}", "$.solver.representation")
     _require(_get(cfg, "flow.kutta_corner") in [None] + protruding,
              f"kutta_corner must name a protruding corner, one of {protruding}",
              "$.flow.kutta_corner")
@@ -256,14 +259,13 @@ def _resolve_flow(cfg: dict, body, summary: dict):
             gamma = MappedFlow(cmap, FarField(w_inf)).kutta_circulation(corner_id)
             summary["kutta"] = {"corner_id": corner_id, "gamma_star": gamma,
                                 "method": "conformal_map"}
-        else:  # at least the default panel count
-            kutta_panels = max(n_panels, KEYS["solver.n_panels"].default(body))
-            e = kutta_solve(body, w_inf, corner_id, kutta_panels)
+        else:  # on the panels the flow is solved on
+            e = kutta_solve(body, w_inf, corner_id, n_panels)
             gamma = e.root
             summary["kutta"] = {
                 "corner_id": corner_id, "gamma_star": e.root,
                 "a1_at_zero": e.a1_at_zero, "a1_slope": e.slope,
-                "uncertainty": e.root_uncertainty, "n_panels": kutta_panels,
+                "uncertainty": e.root_uncertainty, "n_panels": n_panels,
                 "method": "panel_affine_root"}
     else:
         gamma = 0.0  # sweep scenarios analyse the census, not one flow
@@ -273,7 +275,7 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     if representation == "exact":
         flow = exact
     else:
-        sol = panel_solve(body, far, n_panels=n_panels)
+        sol = panel_solve(body, far, n_panels)
         summary["panel"] = {
             "n_nodes": int(len(sol.nodes)),
             "condition_number": sol.condition_number,
@@ -355,8 +357,8 @@ def _run_corner_fits(cfg, flow, body, far, summary, out):
 
 def _run_census(cfg, flow, body, far, summary, out):
     census = analysis.corner_census(body, float(_get(cfg, "flow.w_inf")),
-                                    gamma_grid=_get(cfg, "flow.gamma_sweep"),
-                                    n_panels=int(_get(cfg, "solver.n_panels", body)))
+                                    int(_get(cfg, "solver.n_panels", body)),
+                                    _get(cfg, "flow.gamma_sweep"))
     summary["census"] = {
         "corners": [dataclasses.asdict(e) for e in census.corners],
         "sweep_gammas": list(census.sweep_gammas),
@@ -373,7 +375,7 @@ def _run_census(cfg, flow, body, far, summary, out):
 def _run_sign_census(cfg, flow, body, far, summary, out):
     res = int(_get(cfg, "output.sign_resolution"))
     census = analysis.sign_component_census(
-        flow, _get(cfg, "output.sign_window", body), resolution=res)
+        flow, _get(cfg, "output.sign_window", body), res)
     summary["sign_census"] = {
         "bounded_positive": census.bounded_positive,
         "bounded_negative": census.bounded_negative,

@@ -513,7 +513,7 @@ def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
 
 def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
               disc: _Discretization):
-    """(rho, h) at one kind of face from the start rho, and #capped faces."""
+    """(rho, 1/rho) at one kind of face from the start rho, and #capped faces."""
     m_max = state.flux_max_m
     capped = 0
     if opts.capped:
@@ -526,7 +526,8 @@ def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
         raise SonicExcursionError(
             f"sonic flux bound reached at {where}-face {k}, z={z:.6g}",
             location=complex(z), m_value=float(m[k]), m_max=float(m_max))
-    return state.density_from_flux(m, rho), capped
+    rho = state.density_from_flux(m, rho)
+    return (rho, 1.0 / rho), capped
 
 
 def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
@@ -626,7 +627,7 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
     if opts.capped:
         m_eval = np.minimum(m_eval, CAP_FRACTION * state.flux_max_m)
     rho = np.full(psi_t.shape, np.nan)
-    rho[valid] = state.density_from_flux(m_eval[valid]).rho
+    rho[valid] = state.density_from_flux(m_eval[valid])
     speed = np.full(psi_t.shape, np.nan)
     speed[valid] = np.sqrt(2.0 * m_eval[valid]) / rho[valid]
     mach = np.full(psi_t.shape, np.nan)

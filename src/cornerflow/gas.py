@@ -23,7 +23,6 @@ All operations accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +74,6 @@ def _check_density(rho):
     if np.any(rho < 0):
         raise GasDomainError("density must be nonnegative")
     return rho if rho.ndim else float(rho)
-
-
-class FluxInversion(NamedTuple):
-    """Subsonic root of the flux form of the Bernoulli relation."""
-
-    rho: float | np.ndarray
-    h: float | np.ndarray  # inverse density 1/rho
 
 
 @dataclass(frozen=True)
@@ -139,8 +131,9 @@ class BernoulliState:
         out = self.gas.enthalpy_pi_inverse(self.bernoulli_B - 0.5 * q**2)
         return out if np.ndim(out) else float(out)
 
-    def density_from_flux(self, m, rho_start=None) -> FluxInversion:
-        """Solve B = m/rho^2 + pi(rho) for the subsonic root rho(m).
+    def density_from_flux(self, m, rho_start=None):
+        """The subsonic root rho(m) of B = m/rho^2 + pi(rho); a float for
+        scalar m.
 
         Plain Newton steps from rho_start (default: the stagnation
         density), clipped into [sonic_density, stagnation_density]; a face
@@ -176,10 +169,7 @@ class BernoulliState:
             rho, cand = cand, rho
             if done.all():
                 break
-        if scalar:
-            r = float(rho[0])
-            return FluxInversion(r, 1.0 / r)
-        return FluxInversion(rho, 1.0 / rho)
+        return float(rho[0]) if scalar else rho
 
     def _newton_step(self, m, rho):
         """f(rho) = m/rho^2 + pi(rho) - B and the Newton step f/f'(rho),

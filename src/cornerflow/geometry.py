@@ -392,10 +392,7 @@ def probe_ring(corner: Corner, radii, samples_per_radius: int) -> np.ndarray:
         raise GeometryClipError("need at least one sample per radius")
     beta = corner.exterior_angle_beta
     theta_margin = 0.05 * beta
-    if samples_per_radius == 1:
-        theta = np.array([beta / 2.0])
-    else:
-        theta = np.linspace(theta_margin, beta - theta_margin, samples_per_radius)
+    theta = np.linspace(theta_margin, beta - theta_margin, samples_per_radius)
     return _ring_points(corner, radii, theta)
 
 
@@ -452,10 +449,8 @@ def body_from_config(cfg: dict) -> Body:
     if kind == "circle":
         return Circle(radius=float(cfg["radius"]))
     if kind == "flat_plate":
-        if ("alpha" in cfg) == ("alpha_deg" in cfg):
-            raise InvalidGeometryError("exactly one of alpha (radians) or alpha_deg")
-        alpha = cfg["alpha"] if "alpha" in cfg else np.deg2rad(float(cfg["alpha_deg"]))
-        return FlatPlate(chord=float(cfg["chord"]), alpha=float(alpha))
+        return FlatPlate(chord=float(cfg["chord"]),
+                         alpha=float(np.deg2rad(float(cfg["alpha_deg"]))))
     if kind == "polygon":
         return Polygon(vertices=tuple(
             complex(xy[0], xy[1]) for xy in cfg["vertices"]))

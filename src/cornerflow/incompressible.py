@@ -694,7 +694,7 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     return _System(nodes, closed, basis, residual, circulation, cond)
 
 
-def panel_solve(body: Body, far: FarField, n_panels: int = 256,
+def panel_solve(body: Body, far: FarField, n_panels: int,
                 cluster: float = 1.0) -> PanelSolution:
     """Solve for linear-strength vortex panels around a body.
 
@@ -736,13 +736,13 @@ def panel_solve(body: Body, far: FarField, n_panels: int = 256,
 
 
 def kutta_solve(body: Body, w_inf: complex, corner_id: int,
-                n_panels: int = 512) -> analysis.CornerCensusEntry:
+                n_panels: int) -> analysis.CornerCensusEntry:
     """The affine a1(Gamma) of one protruding corner, whose root is the
     circulation making that corner regular (a1 = 0).
 
-    a1 depends affinely on Gamma (superposition), so two panel solves fix
-    the line (``_affine_corners``); the result is the corner's
-    ``corner_census`` entry at the same n_panels.
+    a1 depends affinely on Gamma (superposition), so two solves on
+    ``n_panels`` panels fix the line (``_affine_corners``); the result is
+    the corner's ``corner_census`` entry at the same n_panels.
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):

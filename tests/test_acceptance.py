@@ -147,12 +147,10 @@ def test_criterion_06_sign_properties():
     gstar = kutta_solve(FlatPlate(4.0, alpha), 1.0, 0, n_panels=512).root
     plate_flow = panel_solve(FlatPlate(4.0, alpha), FarField(1.0, gstar),
                              512).flow
-    verdict_plate = sign_attainment(plate_flow, plate_flow.body.corners[0],
-                                    0.05, n_radii=3)
+    verdict_plate = sign_attainment(plate_flow, plate_flow.body.corners[0], 0.05)
     root0 = kutta_solve(TRIANGLE, 1.0, 0, n_panels=256).root
     tri_flow = panel_solve(TRIANGLE, FarField(1.0, root0), 256).flow
-    verdict_tri = sign_attainment(tri_flow, TRIANGLE.corners[0], 0.05,
-                                  n_radii=3)
+    verdict_tri = sign_attainment(tri_flow, TRIANGLE.corners[0], 0.05)
     both_ok = verdict_plate == "both" and verdict_tri == "both"
 
     census_ok, census_detail = True, []
@@ -268,7 +266,7 @@ def test_criterion_11_gas_property_suite():
                 failures += 1
                 continue
             m = rng.uniform(0.0, 0.99) * st.flux_max_m
-            r2 = st.density_from_flux(m).rho
+            r2 = st.density_from_flux(m)
             if abs(m / r2**2 + gas.enthalpy_pi(r2) - B) > 1e-10 * B:
                 failures += 1
                 continue

@@ -320,6 +320,17 @@ class TestCornerCensus:
         for e in census.corners:
             assert kutta_solve(TRIANGLE, 1.0, e.corner_id, n_panels=192) == e
 
+    def test_census_of_a_flow_at_rest(self):
+        # every root is 0: all pairs coincide, and the sweep spans the
+        # margin at the unit scale, as every |w_inf|-relative threshold does
+        census = corner_census(TRIANGLE, 0.0, 96)
+        assert [e.root for e in census.corners] == [0.0, 0.0, 0.0]
+        assert census.coincident_pairs == ((0, 1), (0, 2), (1, 2))
+        assert census.regularizes_all_somewhere
+        R = TRIANGLE.circumradius
+        assert census.sweep_gammas[0] == pytest.approx(-0.1 * R, rel=1e-15)
+        assert census.sweep_gammas[-1] == pytest.approx(0.1 * R, rel=1e-15)
+
     def test_affine_corner_rejects_unresponsive_a1(self):
         # the same flow twice has slope 0: no root, never an infinite one
         flow = panel_solve(TRIANGLE, FarField(1.0, 0.0), 96).flow

@@ -100,7 +100,6 @@ KEY_CASES = [
     ("body.kind", "square", None, []),
     ("body.radius", 0.0, None, []),
     ("body.chord", -1.0, PLATE, []),
-    ("body.alpha", "0.5", PLATE, []),
     ("body.alpha_deg", None, PLATE, []),
     ("body.vertices", [[0, 0], [1, 0]], TRIANGLE, []),
     ("gas.incompressible", "no", None, []),
@@ -123,13 +122,19 @@ KEY_CASES = [
     ("output.sign_window", [[-4, 4]], None, []),
 ]
 
+# keys the schema no longer has: any value exits 2, named as an unknown key
+RETIRED_KEY_CASES = [
+    ("body.alpha", "0.5", PLATE, []),
+]
+
 
 class TestKeys:
     def test_cases_cover_every_key(self):
         assert [case[0] for case in KEY_CASES] == list(cli.KEYS)
 
-    @pytest.mark.parametrize("key, bad, body, overrides", KEY_CASES,
-                             ids=[case[0] for case in KEY_CASES])
+    @pytest.mark.parametrize("key, bad, body, overrides",
+                             KEY_CASES + RETIRED_KEY_CASES,
+                             ids=[case[0] for case in KEY_CASES + RETIRED_KEY_CASES])
     def test_bad_or_missing_value_exits_2_naming_it(self, tmp_path, capsys,
                                                     key, bad, body, overrides):
         cfg = apply_overrides(minimal_cfg(body=body) if body else minimal_cfg(),
@@ -140,7 +145,7 @@ class TestKeys:
         assert run(p, tmp_path / "out", [f"{key}={json.dumps(bad)}"]) == 2
         assert f"config error: $.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        if cli.KEYS[key].default is cli.REQUIRED:
+        if key in cli.KEYS and cli.KEYS[key].default is cli.REQUIRED:
             *parents, name = key.split(".")
             node = cfg
             for parent in parents:
@@ -175,7 +180,8 @@ class TestKeys:
         p.write_text(json.dumps(minimal_cfg()))
         for override, path in [("output.field_resolutoin=5",
                                  "$.output.field_resolutoin"),
-                                ("solvr.n_panels=3", "$.solvr")]:
+                                ("solvr.n_panels=3", "$.solvr"),
+                                ("body.alpha=0.5", "$.body.alpha")]:
             assert run(p, tmp_path / "out", [override, "gas.gamma=1.3"]) == 2
             assert f"config error: {path}: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -206,6 +212,12 @@ class TestKeys:
         # vertex 3 of the L is reflex
         (L_SHAPE, ['flow={"w_inf": 1.0, "kutta_corner": 3}'],
          "$.flow.kutta_corner"),
+        # analyses the body cannot take: a circle has no protruding
+        # corner, a polygon no closed-form map
+        (None, ['analyses=["farfield", "census"]'], "$.analyses[1]"),
+        (TRIANGLE, COMPRESSIBLE + ['analyses=["compressible"]'], "$.analyses[0]"),
+        (TRIANGLE, COMPRESSIBLE + ['analyses=["refinement_study"]'],
+         "$.analyses[0]"),
     ])
     def test_values_a_solver_rejects_exit_2_before_any_solve(
             self, tmp_path, capsys, body, overrides, path):
@@ -229,6 +241,31 @@ class TestKeys:
         assert run(p, tmp_path / "bad", ["solver.n_panels=256"]) == 2
         assert "config error: $.solver.n_panels: " in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("scenario, overrides, n_nodes, kutta_panels", [
+        ("circle.json", [], 256, None), ("plate30.json", [], 513, 512),
+        ("triangle_census.json", [], 255, 256),
+        # the shape of the corner_census benchmark's warm-up run
+        ("plate30.json", ["solver.n_panels=64", 'analyses=["corner_fits"]'], 65, 64),
+    ], ids=["circle", "plate30", "triangle_census", "plate30-64-panels"])
+    def test_a_run_builds_one_panel_system(self, tmp_path, monkeypatch, scenario,
+                                           overrides, n_nodes, kutta_panels):
+        # the Kutta root, the census and the flow share the run's system,
+        # so the flow is regular at its own Kutta corner (corner 0)
+        built, real = [], incompressible._system_rows
+
+        def spy(nodes, closed):
+            built.append(len(nodes))
+            return real(nodes, closed)
+
+        incompressible._assemble.cache_clear()
+        monkeypatch.setattr(incompressible, "_system_rows", spy)
+        assert run(scenario, tmp_path / "out", overrides) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert built == [summary["panel"]["n_nodes"]] == [n_nodes]
+        assert summary.get("kutta", {}).get("n_panels") == kutta_panels
+        assert not any(r["singular"] for r in summary.get("corner_reports", [])
+                       if r["corner_id"] == 0)
 
     @pytest.mark.parametrize("body", [{"kind": "circle", "radius": 1.5}, PLATE],
                              ids=["circle", "plate"])

@@ -101,16 +101,15 @@ class TestBernoulliState:
 
     def test_flux_inversion_zero_is_stagnation(self):
         st = BernoulliState(GasModel(1.4), 3.0)
-        rho, h = st.density_from_flux(0.0)
+        rho = st.density_from_flux(0.0)
         assert rho == pytest.approx(st.stagnation_density, rel=1e-14)
-        assert h == pytest.approx(1.0 / rho, rel=1e-14)
 
     def test_flux_inversion_against_bisection_oracle(self):
         st = BernoulliState(GasModel(2.0), 2.0)
         oracle = bisect(lambda r: 0.1 / r**2 + 2.0 * r - 2.0,
                         st.sonic_density, st.stagnation_density)
         assert oracle == pytest.approx(0.9438772464712457, rel=1e-12)
-        assert st.density_from_flux(0.1).rho == pytest.approx(oracle, rel=1e-12)
+        assert st.density_from_flux(0.1) == pytest.approx(oracle, rel=1e-12)
 
     def test_flux_max_matches_bisection_oracle(self):
         # m_max is where |v| = c on the Bernoulli relation
@@ -139,7 +138,7 @@ class TestBernoulliState:
     def test_flux_inversion_vectorized(self):
         st = BernoulliState(GasModel(1.4), 3.0)
         m = np.linspace(0.0, 0.99 * st.flux_max_m, 257)
-        rho = st.density_from_flux(m).rho
+        rho = st.density_from_flux(m)
         assert rho.shape == m.shape
         assert np.all(np.diff(rho) < 0)  # strictly decreasing in m
 
@@ -169,7 +168,7 @@ class TestBernoulliProperties:
         gas = GasModel(gamma)
         st = BernoulliState(gas, 2.3)
         m = np.linspace(0.0, 0.99 * st.flux_max_m, 100)[1:]
-        rho = st.density_from_flux(m).rho
+        rho = st.density_from_flux(m)
         back = m / rho**2 + gas.enthalpy_pi(rho)
         assert np.max(np.abs(back - st.bernoulli_B)) < 1e-10 * st.bernoulli_B
         q = np.sqrt(2.0 * m) / rho
@@ -219,7 +218,7 @@ def test_flux_inversion_safeguard_matches_bisection(monkeypatch):
         slope = (gamma * ref ** (gamma - 1.0) - 2.0 * m / ref**2) / ref
         rounding = eps * st.bernoulli_B / (slope * ref)
         for start in (st.sonic_density, st.stagnation_density, warm):
-            rho = st.density_from_flux(m, np.broadcast_to(start, m.shape)).rho
+            rho = st.density_from_flux(m, np.broadcast_to(start, m.shape))
             rel = np.abs(rho - ref) / ref
             assert np.all(rel[m <= 0.99 * st.flux_max_m] <= 1e-14)
             assert np.all(rel <= 1e-14 + 4.0 * rounding)
@@ -272,11 +271,10 @@ def test_flux_inversion_is_bitwise_the_plain_formulas():
     for gamma in (1.4, 5.0 / 3.0, 2.0):
         st = BernoulliState(GasModel(gamma), 2.3)
         m = np.linspace(0.0, 0.999 * st.flux_max_m, 4097)
-        warm = st.density_from_flux(0.99 * m).rho
+        warm = st.density_from_flux(0.99 * m)
         for start in (None, warm, st.sonic_density, st.stagnation_density):
-            inv = st.density_from_flux(m, start)
+            rho = st.density_from_flux(m, start)
             ref = plain_flux_inversion(st, m, start)
-            assert np.array_equal(inv.rho.view(np.int64), ref.view(np.int64))
-            assert np.array_equal(inv.h, 1.0 / ref)
-        assert st.density_from_flux(m[1000]).rho == plain_flux_inversion(
+            assert np.array_equal(rho.view(np.int64), ref.view(np.int64))
+        assert st.density_from_flux(m[1000]) == plain_flux_inversion(
             st, m[1000:1001])[0]

@@ -410,7 +410,7 @@ class TestKutta:
 
     def test_invalid_corner_id(self):
         with pytest.raises(InvalidGeometryError):
-            kutta_solve(FlatPlate(4.0, 0.3), 1.0, 5)
+            kutta_solve(FlatPlate(4.0, 0.3), 1.0, 5, 256)
 
 
 # ---------------------------------------------------------------------------
