@@ -69,20 +69,18 @@ def mass_flux(flow, contour: CircleContour) -> float:
 
 @dataclass(frozen=True)
 class CornerReport:
-    """Fitted singular behaviour at one corner."""
+    """Fitted singular behaviour at one corner; ``singular_exponent`` is
+    the velocity exponent pi/beta - 1 of the leading mode.  The fields are
+    the keys of the summary's corner_reports[]."""
 
     corner_id: int
     beta: float
-    a1_estimate: float
+    a1: float
     a1_uncertainty: float
     fitted_exponent: float
+    singular_exponent: float
     singular: bool
     sign_attainment: str
-
-    @property
-    def singular_exponent(self) -> float:
-        """Velocity exponent pi/beta - 1 of the leading mode."""
-        return np.pi / self.beta - 1.0
 
 
 def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
@@ -142,8 +140,9 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     verdict = sign_attainment(flow, corner, radii.min())
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta),
-        a1_estimate=float(a1), a1_uncertainty=float(abs(a1 - a1_lo)),
-        fitted_exponent=float(slope), singular=singular,
+        a1=float(a1), a1_uncertainty=float(abs(a1 - a1_lo)),
+        fitted_exponent=float(slope),
+        singular_exponent=np.pi / float(beta) - 1.0, singular=singular,
         sign_attainment=verdict)
 
 
@@ -204,21 +203,16 @@ def sign_attainment(flow, corner: Corner, radius: float) -> str:
 
 @dataclass(frozen=True)
 class LaurentFit:
-    """Leading far-field Laurent coefficients of w."""
+    """Leading far-field Laurent coefficients of w, with the circulation
+    -2 pi Im c1 they give (c1 = Gamma / (2 pi i)) and Re c1, the mass-flux
+    indicator, zero for a valid flow around a closed body.  The fields are
+    the keys of the summary's farfield."""
 
     c0: complex
     c1: complex
+    gamma_estimate: float
+    re_c1: float
     residual: float
-
-    @property
-    def gamma_estimate(self) -> float:
-        # c1 = Gamma / (2 pi i)
-        return float(-TWO_PI * np.imag(self.c1))
-
-    @property
-    def re_c1(self) -> float:
-        """Mass-flux indicator; zero for a valid flow around a closed body."""
-        return float(np.real(self.c1))
 
 
 def farfield_fit(flow, r_list=None) -> LaurentFit:
@@ -240,7 +234,9 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
     if resid > 1e-3 * w_scale:
         raise FitQualityError(
             f"far-field fit residual {resid:.3g} too large; radii too small?")
-    return LaurentFit(c0=complex(coef[0]), c1=complex(coef[1]), residual=resid)
+    c1 = complex(coef[1])
+    return LaurentFit(c0=complex(coef[0]), c1=c1, gamma_estimate=-TWO_PI * c1.imag,
+                      re_c1=c1.real, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +264,13 @@ class CensusResult:
     at Gamma = root_i; distinct roots mean no circulation regularizes two
     corners at once, hence at least n-1 of n corners stay singular at
     every Gamma.  A swept grid provides a redundancy check at finite
-    fit tolerance.
+    fit tolerance: the number of singular corners at each of its Gamma.
+    The fields are keys of the summary's census.
     """
 
     corners: tuple
     sweep_gammas: tuple
-    sweep_singular_ids: tuple
+    sweep_singular_counts: tuple
     min_singular_count: int
     regularizes_all_somewhere: bool
     coincident_pairs: tuple
@@ -340,16 +337,15 @@ def corner_census(body: Body, w_inf: complex, n_panels: int,
     singular_above = [
         TOL_A1 * _flow_scale(w_inf, body.circumradius, c.exterior_angle_beta)
         for c in corners]
-    sweep = [tuple(e.corner_id for e, tol in zip(entries, singular_above)
-                   if abs(e.a1_at_zero + e.slope * gam) > tol)
-             for gam in gamma_grid]
-    min_count = min(len(ids) for ids in sweep)
+    counts = tuple(sum(1 for e, tol in zip(entries, singular_above)
+                       if abs(e.a1_at_zero + e.slope * gam) > tol)
+                   for gam in gamma_grid)
     # exact affine verdict: is there any Gamma where every |a1| is small?
     # distinct roots => impossible; coincident roots are reported, not claimed
     regular_everywhere = bool(np.all(np.abs(roots - roots[0]) < coincidence_tol))
     return CensusResult(
         corners=tuple(entries), sweep_gammas=tuple(float(g) for g in gamma_grid),
-        sweep_singular_ids=tuple(sweep), min_singular_count=int(min_count),
+        sweep_singular_counts=counts, min_singular_count=min(counts),
         regularizes_all_somewhere=regular_everywhere,
         coincident_pairs=tuple(coincident))
 

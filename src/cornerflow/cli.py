@@ -14,10 +14,10 @@ null and its JSON path is named in an error entry.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -265,8 +265,7 @@ def _resolve_flow(cfg: dict, body, summary: dict):
             summary["kutta"] = {
                 "corner_id": corner_id, "gamma_star": e.root,
                 "a1_at_zero": e.a1_at_zero, "a1_slope": e.slope,
-                "uncertainty": e.root_uncertainty, "n_panels": n_panels,
-                "method": "panel_affine_root"}
+                "uncertainty": e.root_uncertainty, "method": "panel_affine_root"}
     else:
         gamma = 0.0  # sweep scenarios analyse the census, not one flow
 
@@ -276,6 +275,8 @@ def _resolve_flow(cfg: dict, body, summary: dict):
         flow = exact
     else:
         sol = panel_solve(body, far, n_panels)
+        if "kutta" in summary:  # the panels built: a polygon rounds per side
+            summary["kutta"]["n_panels"] = len(sol.nodes) - (not sol.flow.closed)
         summary["panel"] = {
             "n_nodes": int(len(sol.nodes)),
             "condition_number": sol.condition_number,
@@ -319,22 +320,14 @@ def _run_circulation(cfg, flow, body, far, summary, out):
 
 
 def _run_farfield(cfg, flow, body, far, summary, out):
-    fit = analysis.farfield_fit(flow)
-    summary["farfield"] = {
-        "c0": [float(np.real(fit.c0)), float(np.imag(fit.c0))],
-        "c1": [float(np.real(fit.c1)), float(np.imag(fit.c1))],
-        "gamma_estimate": fit.gamma_estimate,
-        "re_c1": fit.re_c1,
-        "residual": fit.residual,
-    }
+    # c0, c1 are written [re, im] by _null_non_finite
+    summary["farfield"] = asdict(analysis.farfield_fit(flow))
 
 
 def _run_forces(cfg, flow, body, far, summary, out):
     contour = CircleContour(body.centroid, 3.0 * body.circumradius, 1024)
-    result = forces.blasius_force(flow, contour)
     summary["forces"] = {
-        "drag": result.drag, "lift": result.lift,
-        "quadrature_error": result.quadrature_error,
+        **asdict(forces.blasius_force(flow, contour)),
         "kutta_joukowsky_lift": forces.kutta_joukowsky_lift(
             1.0, far.w_inf, far.circulation),
         "sign_convention": forces.ForceResult.sign_convention,
@@ -342,17 +335,8 @@ def _run_forces(cfg, flow, body, far, summary, out):
 
 
 def _run_corner_fits(cfg, flow, body, far, summary, out):
-    reports = []
-    for corner in body.corners:
-        rep = analysis.fit_corner(flow, corner)
-        reports.append({
-            "corner_id": rep.corner_id, "beta": rep.beta,
-            "a1": rep.a1_estimate, "a1_uncertainty": rep.a1_uncertainty,
-            "fitted_exponent": rep.fitted_exponent,
-            "singular_exponent": rep.singular_exponent,
-            "singular": rep.singular, "sign_attainment": rep.sign_attainment,
-        })
-    summary["corner_reports"] = reports
+    summary["corner_reports"] = [asdict(analysis.fit_corner(flow, corner))
+                                 for corner in body.corners]
 
 
 def _run_census(cfg, flow, body, far, summary, out):
@@ -360,12 +344,7 @@ def _run_census(cfg, flow, body, far, summary, out):
                                     int(_get(cfg, "solver.n_panels", body)),
                                     _get(cfg, "flow.gamma_sweep"))
     summary["census"] = {
-        "corners": [dataclasses.asdict(e) for e in census.corners],
-        "sweep_gammas": list(census.sweep_gammas),
-        "sweep_singular_counts": [len(ids) for ids in census.sweep_singular_ids],
-        "min_singular_count": census.min_singular_count,
-        "regularizes_all_somewhere": census.regularizes_all_somewhere,
-        "coincident_pairs": [list(p) for p in census.coincident_pairs],
+        **asdict(census),
         "verdict": ("degenerate coincidence" if census.coincident_pairs else
                     "no circulation regularizes all corners"),
         "note": "finite-resolution signature, not a proof",
@@ -457,7 +436,7 @@ def _run_compressible(cfg, flow, body, far, summary, out):
     q_inf = state.free_stream_speed(mach_inf)
     cfar = FarField(w_inf=q_inf * far.flow_direction.conjugate(),
                     circulation=far.circulation)
-    sol = compressible.solve_subsonic(grid, gas, state, cfar)
+    sol = compressible.solve_subsonic(grid, state, cfar)
     summary["compressible"] = {
         "converged": sol.converged, "iterations": sol.iterations,
         "max_mach": sol.max_mach,
@@ -476,17 +455,7 @@ def _run_refinement_study(cfg, flow, body, far, summary, out):
     study = compressible.refinement_study(
         body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, grids)
     summary["refinement_study"] = {
-        "levels": [{
-            "grid": list(lv.grid_shape), "outcome": lv.outcome,
-            "max_mach": lv.max_mach, "corner_max_mach": lv.corner_max_mach,
-            "sonic_margin_ratio": lv.sonic_margin_ratio,
-            "excursion_m_ratio": lv.excursion_m_ratio,
-        } for lv in study.levels],
-        "margin_strictly_increasing": study.margin_strictly_increasing,
-        "abort_at_finest": study.abort_at_finest,
-        "mach_cauchy_differences": list(study.mach_cauchy_factors),
-        "note": "blow-up signature at finite resolution, not a proof",
-    }
+        **asdict(study), "note": "blow-up signature at finite resolution, not a proof"}
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +474,10 @@ def resolve_scenario_path(name: str) -> Path:
 
 def _null_non_finite(node, path, found):
     """A copy of a JSON tree with every non-finite float replaced by None;
-    the JSON path of each is appended to ``found``."""
+    the JSON path of each is appended to ``found``.  A complex number is
+    written as [re, im], a tuple as a list."""
+    if isinstance(node, complex):
+        node = [node.real, node.imag]
     if isinstance(node, float) and not math.isfinite(node):
         found.append(path)
         return None

@@ -530,8 +530,7 @@ def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
     return (rho, 1.0 / rho), capped
 
 
-def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
-                   far: FarField,
+def solve_subsonic(grid: ConformalGrid, state: BernoulliState, far: FarField,
                    opts: SolverOptions | None = None) -> CompressibleSolution:
     """Picard solve of the compressible stream-function equation.
 
@@ -599,9 +598,8 @@ def solve_subsonic(grid: ConformalGrid, gas: GasModel, state: BernoulliState,
             f"after {opts.max_iters} iterations", residuals=residuals)
 
     # capped diagnostic runs return their last (non-physical) iterate
-    return _postprocess(grid, disc, gas, state, psi_t, residuals,
-                        linear_residuals, linear_iterations, it, capped_total,
-                        opts, converged)
+    return _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
+                        linear_iterations, it, capped_total, opts, converged)
 
 
 def _first_near_max(values):
@@ -611,7 +609,7 @@ def _first_near_max(values):
     return top, divmod(int(np.argmax(values >= top - 1e-12 * top)), values.shape[1])
 
 
-def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
+def _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
                  linear_iterations, iterations, capped_faces, opts, converged):
     gx, gt, dz = disc.nodal_gradient(psi_t)
     valid = ~grid.flagged
@@ -631,7 +629,7 @@ def _postprocess(grid, disc, gas, state, psi_t, residuals, linear_residuals,
     speed = np.full(psi_t.shape, np.nan)
     speed[valid] = np.sqrt(2.0 * m_eval[valid]) / rho[valid]
     mach = np.full(psi_t.shape, np.nan)
-    mach[valid] = gas.mach(speed[valid], rho[valid])
+    mach[valid] = state.gas.mach(speed[valid], rho[valid])
 
     far = disc.far
     psi_total = np.imag(far.w_inf * grid.z) + psi_t
@@ -673,7 +671,7 @@ def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField,
 
 @dataclass(frozen=True)
 class RefinementLevel:
-    grid_shape: tuple
+    grid: tuple             # (n_r, n_theta)
     outcome: str            # "converged" | "sonic_excursion" | "iteration_limit"
     max_mach: float | None
     corner_max_mach: float | None
@@ -686,7 +684,7 @@ class RefinementStudy:
     levels: tuple
     margin_strictly_increasing: bool
     abort_at_finest: bool
-    mach_cauchy_factors: tuple
+    mach_cauchy_differences: tuple
 
 
 def _near_corners(body: Body, z, radius: float):
@@ -729,7 +727,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
 
         outcome, max_mach, corner_mach, exc_ratio = "converged", None, None, None
         try:
-            sol = solve_subsonic(grid, gas, state, far)
+            sol = solve_subsonic(grid, state, far)
             max_mach = sol.max_mach
             near = _near_corners(body, grid.z, corner_radius)
             vals = sol.mach[near & ~grid.flagged]
@@ -741,7 +739,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
         except IterationLimitError:
             outcome = "iteration_limit"
         levels.append(RefinementLevel(
-            grid_shape=(n_r, n_theta), outcome=outcome, max_mach=max_mach,
+            grid=(n_r, n_theta), outcome=outcome, max_mach=max_mach,
             corner_max_mach=corner_mach, sonic_margin_ratio=margin,
             excursion_m_ratio=exc_ratio))
         del grid  # every array of this level is freed before the next grid
@@ -753,5 +751,5 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     return RefinementStudy(
         levels=tuple(levels), margin_strictly_increasing=bool(increasing),
         abort_at_finest=levels[-1].outcome == "sonic_excursion",
-        mach_cauchy_factors=cauchy)
+        mach_cauchy_differences=cauchy)
 

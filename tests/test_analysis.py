@@ -113,7 +113,7 @@ class TestFitCorner:
         beta = 1.5 * np.pi
         flow = SyntheticWedgeFlow(beta, (1.0,))
         rep = fit_corner(flow, wedge_corner(beta), radii=np.geomspace(0.01, 0.1, 6))
-        assert rep.a1_estimate == pytest.approx(1.0, rel=1e-10)
+        assert rep.a1 == pytest.approx(1.0, rel=1e-10)
         assert rep.fitted_exponent == pytest.approx(np.pi / beta - 1.0, abs=1e-6)
         assert rep.singular
 
@@ -123,7 +123,7 @@ class TestFitCorner:
         flow = SyntheticWedgeFlow(beta, (0.7, -0.4))
         rep = fit_corner(flow, wedge_corner(beta),
                          radii=np.geomspace(0.01, 0.1, 6))
-        assert rep.a1_estimate == pytest.approx(0.7, rel=1e-6)
+        assert rep.a1 == pytest.approx(0.7, rel=1e-6)
         assert rep.fitted_exponent == pytest.approx(np.pi / beta - 1.0, abs=5e-3)
 
     def test_regular_corner_not_singular(self):
@@ -131,7 +131,7 @@ class TestFitCorner:
         flow = SyntheticWedgeFlow(beta, (0.0, 1.0))
         rep = fit_corner(flow, wedge_corner(beta),
                          radii=np.geomspace(0.01, 0.1, 6))
-        assert abs(rep.a1_estimate) < 1e-12
+        assert abs(rep.a1) < 1e-12
         assert not rep.singular
         assert rep.sign_attainment == "both"
 
@@ -145,7 +145,7 @@ class TestFitCorner:
         flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         for corner in flow.body.corners:
             rep = fit_corner(flow, corner)
-            assert abs(rep.a1_estimate) < 1e-10
+            assert abs(rep.a1) < 1e-10
             assert not rep.singular
 
     def test_kutta_plate_trailing_regular_leading_singular(self):
@@ -283,7 +283,7 @@ class TestAffinity:
         a1 = {}
         for gam in (0.0, 0.5, 1.0):
             flow = panel_solve(TRIANGLE, FarField(1.0, gam), 192).flow
-            a1[gam] = fit_corner(flow, corner).a1_estimate
+            a1[gam] = fit_corner(flow, corner).a1
         midpoint_dev = abs(a1[0.5] - 0.5 * (a1[0.0] + a1[1.0]))
         assert midpoint_dev < 0.01 * abs(a1[1.0] - a1[0.0])
 

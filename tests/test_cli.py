@@ -1,5 +1,6 @@
 """Scenario runner: schema, determinism, exports, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerflow import analysis, cli, compressible, incompressible
+from cornerflow import analysis, cli, compressible, forces, incompressible
 from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
@@ -244,7 +245,7 @@ class TestKeys:
 
     @pytest.mark.parametrize("scenario, overrides, n_nodes, kutta_panels", [
         ("circle.json", [], 256, None), ("plate30.json", [], 513, 512),
-        ("triangle_census.json", [], 255, 256),
+        ("triangle_census.json", [], 255, 255),
         # the shape of the corner_census benchmark's warm-up run
         ("plate30.json", ["solver.n_panels=64", 'analyses=["corner_fits"]'], 65, 64),
     ], ids=["circle", "plate30", "triangle_census", "plate30-64-panels"])
@@ -539,6 +540,56 @@ class TestRun:
         assert entry["type"] == "NonFiniteResult"
         assert "$.forces.drag" in entry["message"]
 
+    def test_non_finite_complex_part_is_null_and_named(self, tmp_path,
+                                                      monkeypatch):
+        real = analysis.farfield_fit
+
+        def fit(flow):
+            f = real(flow)
+            return dataclasses.replace(f, c0=complex(f.c0.real, np.nan))
+
+        monkeypatch.setattr(analysis, "farfield_fit", fit)
+        out = tmp_path / "out"
+        assert run("circle.json", out, ['analyses=["farfield"]']) == 1
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        re_c0, im_c0 = summary["farfield"]["c0"]
+        assert isinstance(re_c0, float) and im_c0 is None
+        assert summary["errors"] == [{
+            "type": "NonFiniteResult",
+            "message": "non-finite numbers written as null at $.farfield.c0[1]"}]
+
+    def test_sections_are_their_result_types_fields(self, tmp_path):
+        # one name per output: a section that a result type holds whole
+        # has the type's fields as its keys, plus only what no result holds
+        def keys(cls, *extra):
+            return {f.name for f in dataclasses.fields(cls)} | set(extra)
+
+        assert run("triangle_census.json", tmp_path / "tri", [
+            'analyses=["corner_fits", "census", "farfield", "forces"]']) == 0
+        assert run("plate_horizontal_m03.json", tmp_path / "plate", [
+            'analyses=["refinement_study"]',
+            "solver.study.grids=[[16, 32], [32, 64]]"]) == 0
+        tri, plate = (json.loads((tmp_path / name / "summary.json").read_text())
+                      for name in ("tri", "plate"))
+        assert tri["farfield"].keys() == keys(analysis.LaurentFit)
+        assert tri["forces"].keys() == keys(
+            forces.ForceResult, "kutta_joukowsky_lift", "sign_convention")
+        assert [r.keys() for r in tri["corner_reports"]] == [
+            keys(analysis.CornerReport)] * 3
+        assert tri["census"].keys() == keys(analysis.CensusResult,
+                                            "verdict", "note")
+        assert [e.keys() for e in tri["census"]["corners"]] == [
+            keys(analysis.CornerCensusEntry)] * 3
+        study = plate["refinement_study"]
+        assert study.keys() == keys(compressible.RefinementStudy, "note")
+        assert [lv.keys() for lv in study["levels"]] == [
+            keys(compressible.RefinementLevel)] * 2
+
     def test_refinement_study_uses_resolved_gamma(self, tmp_path,
                                                   monkeypatch):
         # a Kutta plate: the study must see Gamma*, not a missing flow.gamma
@@ -627,7 +678,7 @@ class TestExportField:
         state = BernoulliState.from_free_stream(gas, 0.2)
         far = FarField(state.free_stream_speed(0.2), 0.0)
         grid = build_grid(FlatPlate(4.0, 0.0), 50.0, 32, 64)
-        sol = solve_subsonic(grid, gas, state, far)
+        sol = solve_subsonic(grid, state, far)
         path = tmp_path / "c.csv"
         export_field(sol, None, None, path)
         lines = path.read_text().splitlines()
@@ -683,7 +734,7 @@ def _plate_solution():
     state = BernoulliState.from_free_stream(gas, 0.3)
     far = FarField(state.free_stream_speed(0.3), 0.0)
     return solve_subsonic(build_grid(FlatPlate(4.0, 0.0), 50.0, 64, 128),
-                          gas, state, far)
+                          state, far)
 
 
 def _triangle_panel_flow():
