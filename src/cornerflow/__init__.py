@@ -10,8 +10,8 @@ from .analysis import (CensusResult, CornerCensusEntry, CornerReport,
                        fit_corner, mass_flux, sign_attainment,
                        sign_component_census)
 from .compressible import (CompressibleSolution, ConformalGrid,
-                           RefinementStudy, SolverOptions, build_grid,
-                           refinement_study, solve_subsonic)
+                           RefinementStudy, build_grid, refinement_study,
+                           solve_subsonic)
 from .forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from .gas import BernoulliState, GasModel
 from .geometry import (Body, Circle, CircleContour, Corner, FlatPlate,
@@ -28,7 +28,7 @@ __all__ = [
     "CornerReport", "FarField", "FlatPlate", "ForceResult", "GasModel",
     "JoukowskyPlateMap", "LaurentFit", "MappedFlow",
     "PanelFlow", "PanelSolution", "Polygon", "RefinementStudy",
-    "SolverOptions", "blasius_force", "build_grid", "circulation",
+    "blasius_force", "build_grid", "circulation",
     "classify_corners", "corner_census", "exact_flow", "farfield_fit",
     "fit_corner", "kutta_joukowsky_lift", "kutta_solve", "mass_flux",
     "panel_solve", "probe_ring", "refinement_study", "sign_attainment",

@@ -22,25 +22,23 @@ warm-started from the current iterate and preconditioned with the exact
 inverse of the constant-h operator (real FFT in theta, a Thomas sweep in
 xi per Fourier mode), under-relax, repeat.  CG starts from the step's own
 cell balance and stops at a tolerance that follows the outer residual,
-max(LINEAR_TOL, min(tol, FORCING * residual)) (Eisenstat & Walker 1996):
-no step solves its frozen system further than the next residual needs.
+max(LINEAR_TOL, min(PICARD_TOL, FORCING * residual)) (Eisenstat & Walker
+1996): no step solves its frozen system further than the next residual needs.
 Each CG iteration applies the operator once (the residual recurrence
 r <- r - alpha A p); the true residual is formed once, at exit.  The face
 differences of psi~ are formed once per step, for the face m and the
 cell balance.
-The coefficient evaluation
-is guarded: any face whose half-squared mass flux m reaches the sonic
-bound of the Bernoulli state aborts the solve (the equation leaves its
-elliptic region there).  No density clamping is applied unless the
-explicitly non-physical "capped" diagnostic mode is requested.  The
-free-stream density is 1 (see ``gas``).
+The coefficient evaluation is guarded: any face whose half-squared mass
+flux m reaches the sonic bound of the Bernoulli state aborts the solve
+(the equation leaves its elliptic region there).  No density is ever
+clamped.  The free-stream density is 1 (see ``gas``).
 
 Each relaxed step is combined with up to ANDERSON_DEPTH earlier ones by
 damped Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; the
 damping is OMEGA).  The mixed iterate is taken only while its face m stays
 below the sonic bound on every face; otherwise the step takes the relaxed
 iterate and the history restarts, so an abort only ever comes from a
-plain step.  Capped mode is plain Picard.
+plain step.
 
 Per (grid, free stream) only what the Picard steps read is stored: base
 face fluxes, base gradients and H^2 at the faces, Dirichlet rows and Thomas
@@ -65,7 +63,8 @@ from .incompressible import FarField, MappedFlow, conformal_map
 
 TWO_PI = 2.0 * np.pi
 OMEGA = 0.7           # Picard under-relaxation
-CAP_FRACTION = 0.995  # capped mode clamps m at this fraction of flux_max_m
+PICARD_TOL = 1e-10    # a solve converges at cell-balance residual < PICARD_TOL
+MAX_PICARD_ITERS = 200  # a solve that has not converged by then stalls
 LINEAR_TOL = 1e-13    # CG stops at max|A x - b| <= LINEAR_TOL max|b|
 FORCING = 0.01        # a Picard step's CG tolerance: FORCING * its residual
 CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
@@ -172,19 +171,9 @@ class CompressibleSolution:
     residuals: tuple
     linear_residuals: tuple
     linear_iterations: tuple
-    converged: bool
     iterations: int
     max_mach: float
     max_mach_location: complex
-    capped: bool
-    capped_faces: int
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10
-    max_iters: int = 200
-    capped: bool = False
 
 
 def _node_gradient(psi_t, dxi, dth):
@@ -355,13 +344,12 @@ class _Discretization:
         bal[:, :1] -= flux_th[1:-1, -1:]
         return bal, flux_xi, flux_th
 
-    def cell_residual(self, psi_t, h_xf, h_tf, diffs=None):
-        """Net face flux around every interior cell (rows 1..nr-2).  diffs
-        are psi_t's face differences when face_m has formed them; the
-        fluxes overwrite them."""
+    def cell_residual(self, diffs, h_xf, h_tf):
+        """Net face flux around every interior cell (rows 1..nr-2) of the
+        field whose face differences (see face_m) are diffs; the fluxes
+        overwrite them."""
         bal, flux_xi, flux_th = self._balance(
-            _differences(psi_t) if diffs is None else diffs, h_xf, h_tf,
-            self.base_flux_xi, self.base_flux_th)
+            diffs, h_xf, h_tf, self.base_flux_xi, self.base_flux_th)
         scale = max(np.max(np.abs(flux_xi)), np.max(np.abs(flux_th)), 1e-300)
         return bal, scale
 
@@ -456,7 +444,7 @@ class _Anderson:
     before it, with the weights (summing to 1) that minimize
     |sum a_i f_i|: a = g^-1 1 / (1' g^-1 1) for the Gram matrix g of the
     f_i, kept from step to step so that each step forms only its own row.
-    Depth 0 is plain relaxed Picard.
+    Depth 0 keeps no history and is plain relaxed Picard.
     """
 
     def __init__(self, depth: int):
@@ -469,12 +457,9 @@ class _Anderson:
         self.gram = self.gram[-1:, -1:]
 
     def mix(self, y, f):
-        """The mixed iterate of the relaxed step y and its f; None at depth
-        0, without an earlier step or when the f_i are linearly dependent.
-        (y, f) joins the history, which keeps ``depth`` steps between
-        calls."""
-        if self.depth == 0:
-            return None
+        """The mixed iterate of the relaxed step y and its f; None without
+        an earlier step or when the f_i are linearly dependent.  (y, f)
+        joins the history, which keeps ``depth`` steps between calls."""
         row = [float(np.einsum("ij,ij->", f, g)) for g in self.fs + [f]]
         gram = np.empty((len(row), len(row)))
         gram[:-1, :-1], gram[-1], gram[:, -1] = self.gram, row, row
@@ -511,15 +496,10 @@ def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
     return disc
 
 
-def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
-              disc: _Discretization):
-    """(rho, 1/rho) at one kind of face from the start rho, and #capped faces."""
+def _face_rho(state: BernoulliState, m, rho, where: str, disc: _Discretization):
+    """(rho, 1/rho) at one kind of face from the start rho."""
     m_max = state.flux_max_m
-    capped = 0
-    if opts.capped:
-        capped = int(np.count_nonzero(m >= CAP_FRACTION * m_max))
-        m = np.minimum(m, CAP_FRACTION * m_max)
-    elif np.any(m >= m_max):
+    if np.any(m >= m_max):
         k = divmod(int(np.argmax(m)), m.shape[1])
         xi, theta = disc.faces[where]  # z of that face only
         z = disc.map_z(xi[k[0]:k[0] + 1], theta)[0, k[1]]
@@ -527,20 +507,19 @@ def _face_rho(state: BernoulliState, m, rho, opts: SolverOptions, where: str,
             f"sonic flux bound reached at {where}-face {k}, z={z:.6g}",
             location=complex(z), m_value=float(m[k]), m_max=float(m_max))
     rho = state.density_from_flux(m, rho)
-    return (rho, 1.0 / rho), capped
+    return rho, 1.0 / rho
 
 
-def solve_subsonic(grid: ConformalGrid, state: BernoulliState, far: FarField,
-                   opts: SolverOptions | None = None) -> CompressibleSolution:
+def solve_subsonic(grid: ConformalGrid, state: BernoulliState,
+                   far: FarField) -> CompressibleSolution:
     """Picard solve of the compressible stream-function equation.
 
     Dirichlet data: psi = 0 on the body ring, psi = Im(W(z)) on
     the outer ring with W the exact incompressible potential for this
     body and (w_inf, Gamma).  Raises SonicExcursionError the moment any
     face leaves the subsonic (elliptic) region, IterationLimitError if
-    the residual stalls.
+    the residual is not below PICARD_TOL within MAX_PICARD_ITERS steps.
     """
-    opts = opts or SolverOptions()
     disc = _discretization(grid, far)
 
     # interior initial guess: blend the boundary data radially
@@ -549,29 +528,24 @@ def solve_subsonic(grid: ConformalGrid, state: BernoulliState, far: FarField,
                                + w * disc.psi_outer[None, :])
 
     residuals, linear_residuals, linear_iterations = [], [], []
-    capped_total = 0
-    converged = False
-    it = 0
     rho_xf = rho_tf = None
-    mixer = _Anderson(0 if opts.capped else ANDERSON_DEPTH)
+    mixer = _Anderson(ANDERSON_DEPTH)
     m_xf, m_tf, diffs = disc.face_m(psi_t)
-    for it in range(1, opts.max_iters + 1):
-        (rho_xf, h_xf), nc1 = _face_rho(state, m_xf, rho_xf, opts, "xi", disc)
-        (rho_tf, h_tf), nc2 = _face_rho(state, m_tf, rho_tf, opts, "theta", disc)
-        capped_total = max(capped_total, nc1 + nc2)
+    for _ in range(MAX_PICARD_ITERS):
+        rho_xf, h_xf = _face_rho(state, m_xf, rho_xf, "xi", disc)
+        rho_tf, h_tf = _face_rho(state, m_tf, rho_tf, "theta", disc)
 
-        bal, scale = disc.cell_residual(psi_t, h_xf, h_tf, diffs)
+        bal, scale = disc.cell_residual(diffs, h_xf, h_tf)
         res = float(np.max(np.abs(bal)) / scale)
         residuals.append(res)
-        if res < opts.tol:
-            converged = True
+        if res < PICARD_TOL:
             break
 
         # the cell balance is A x - b at x = psi_t; the inner tolerance
-        # follows the outer residual, never above opts.tol
+        # follows the outer residual, never above PICARD_TOL
         interior, lin_res, lin_its = disc.solve_linear(
             h_xf, h_tf, psi_t[1:-1, :], -bal,
-            max(LINEAR_TOL, min(opts.tol, FORCING * res)))
+            max(LINEAR_TOL, min(PICARD_TOL, FORCING * res)))
         linear_residuals.append(lin_res)
         linear_iterations.append(lin_its)
         relaxed = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
@@ -590,16 +564,14 @@ def solve_subsonic(grid: ConformalGrid, state: BernoulliState, far: FarField,
             mixer.restart()
         psi_t[1:-1, :] = relaxed
         m_xf, m_tf, diffs = disc.face_m(psi_t)
-    del mixer  # its history, before post-processing
-
-    if not converged and not opts.capped:
+    else:
         raise IterationLimitError(
             f"Picard stalled at residual {residuals[-1]:.3e} "
-            f"after {opts.max_iters} iterations", residuals=residuals)
+            f"after {MAX_PICARD_ITERS} iterations", residuals=residuals)
+    del mixer  # its history, before post-processing
 
-    # capped diagnostic runs return their last (non-physical) iterate
     return _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
-                        linear_iterations, it, capped_total, opts, converged)
+                        linear_iterations)
 
 
 def _first_near_max(values):
@@ -610,24 +582,21 @@ def _first_near_max(values):
 
 
 def _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
-                 linear_iterations, iterations, capped_faces, opts, converged):
+                 linear_iterations):
     gx, gt, dz = disc.nodal_gradient(psi_t)
     valid = ~grid.flagged
     m = np.full(psi_t.shape, np.nan)
     m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / grid.H[valid]**2
-    if not opts.capped and np.any(m[valid] >= state.flux_max_m):
+    if np.any(m[valid] >= state.flux_max_m):
         k = divmod(int(np.nanargmax(m)), m.shape[1])
         raise SonicExcursionError(
             f"sonic flux bound reached at node {k}, z={grid.z[k]:.6g}",
             location=complex(grid.z[k]), m_value=float(m[k]),
             m_max=float(state.flux_max_m))
-    m_eval = np.where(valid, np.nan_to_num(m), 0.0)
-    if opts.capped:
-        m_eval = np.minimum(m_eval, CAP_FRACTION * state.flux_max_m)
     rho = np.full(psi_t.shape, np.nan)
-    rho[valid] = state.density_from_flux(m_eval[valid])
+    rho[valid] = state.density_from_flux(m[valid])
     speed = np.full(psi_t.shape, np.nan)
-    speed[valid] = np.sqrt(2.0 * m_eval[valid]) / rho[valid]
+    speed[valid] = np.sqrt(2.0 * m[valid]) / rho[valid]
     mach = np.full(psi_t.shape, np.nan)
     mach[valid] = state.gas.mach(speed[valid], rho[valid])
 
@@ -639,10 +608,8 @@ def _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
         rho=rho, mach=mach, speed=speed,
         velocity=disc.nodal_velocity(gx, gt, dz, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
-        linear_iterations=tuple(linear_iterations), converged=converged,
-        iterations=iterations, max_mach=max_mach,
-        max_mach_location=complex(grid.z[k]), capped=opts.capped,
-        capped_faces=capped_faces)
+        linear_iterations=tuple(linear_iterations), iterations=len(residuals),
+        max_mach=max_mach, max_mach_location=complex(grid.z[k]))
 
 
 def incompressible_reference_solution(grid: ConformalGrid,
@@ -706,7 +673,9 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     iterate over the corner neighbourhoods - a resolution-independent
     blow-up metric that keeps growing when no subsonic solution exists -
     and (b) the guarded Picard outcome (converged max Mach, or the abort).
-    Solver errors are recorded per level, never fatal to the study.
+    A SonicExcursionError or IterationLimitError of the Picard solve is
+    recorded as its level's outcome and the study goes on; any other error
+    (a CG SolverError, or any error of the reference solve) ends the study.
     """
     r_far = R_FAR * body.circumradius
     corner_radius = 0.15 * body.circumradius

@@ -219,6 +219,11 @@ class TestKeys:
         (TRIANGLE, COMPRESSIBLE + ['analyses=["compressible"]'], "$.analyses[0]"),
         (TRIANGLE, COMPRESSIBLE + ['analyses=["refinement_study"]'],
          "$.analyses[0]"),
+        # a subnormal free stream underflowed the panel flows' far-field
+        # tolerances and raised IndexError, writing no summary
+        (TRIANGLE, ["flow.w_inf=1e-310"], "$.flow.w_inf"),
+        (None, ['solver={"representation": "panel"}', "flow.w_inf=1e-310"],
+         "$.flow.w_inf"),
     ])
     def test_values_a_solver_rejects_exit_2_before_any_solve(
             self, tmp_path, capsys, body, overrides, path):
@@ -484,6 +489,28 @@ class TestRun:
         assert run(p, tmp_path / "out") == 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["errors"][0]["type"] == "SolverError"
+
+    def test_picard_stall_exits_1_with_structured_error(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(compressible, "MAX_PICARD_ITERS", 3)
+        cfg = minimal_cfg(
+            gas={"incompressible": False, "gamma": 1.4, "mach_inf": 0.3},
+            analyses=["compressible"],
+        )
+        cfg["solver"] = {"grid": {"n_r": 32, "n_theta": 64}}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 1
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=refuse)
+        (entry,) = summary["errors"]
+        assert entry["type"] == "IterationLimitError"
+        assert "after 3 iterations" in entry["message"]
+        assert "compressible" not in summary
 
     def test_singular_linear_system_exits_1(self, tmp_path, monkeypatch):
         def singular(*args, **kwargs):

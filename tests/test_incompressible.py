@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -317,6 +318,34 @@ class TestPanelSolve:
                              (TRIANGLE, 1024, 1e-9), (HEXAGON, 1024, 1e-9)):
             sol = panel_solve(body, FarField(1.0, 1.0), n)
             assert sol.residual_norm <= tol
+
+    @pytest.mark.parametrize("body, far", [
+        # the circulation row, in units of w R, is off by about 1e-16 |w_inf| R
+        (Circle(1e9), FarField(1.0, 0.0)),
+        # a slow stream past a unit-speed vortex: the speed scale is 1
+        (Circle(1.0), FarField(1e-7, TWO_PI)),
+    ], ids=["large_circle", "slow_stream"])
+    def test_slip_gate_holds_rows_to_the_flow_speed(self, body, far):
+        # both failed a gate of TOL_SLIP * |w_inf| on every row; the
+        # reported residual_norm is still the largest raw row residual
+        sol = panel_solve(body, far, 256)
+        assert sol.residual_norm > TOL_SLIP * abs(far.w_inf)
+
+    @pytest.mark.parametrize("far", [FarField(0.0, 1.0), FarField(1e-7, TWO_PI)],
+                             ids=["vortex", "slow_stream"])
+    def test_slip_gate_refuses_an_asymmetric_polygon(self, far):
+        # held to the vortex's speed scale (a uniform stream past SCALENE
+        # raises in test_failures_leave_the_next_solve_correct)
+        with pytest.raises(SolverError, match="tol_slip"):
+            panel_solve(SCALENE, far, 96)
+
+    @pytest.mark.parametrize("w_inf", [1e-310, 1e-310j])
+    def test_subnormal_free_stream_raises(self, w_inf):
+        # its far-field tolerances would underflow to 0
+        with pytest.raises(InvalidGeometryError, match="subnormal"):
+            panel_solve(TRIANGLE, FarField(w_inf, 0.0), 96)
+        sol = panel_solve(TRIANGLE, FarField(sys.float_info.min, 0.0), 96)
+        assert np.all(np.isfinite(sol.flow.velocity(np.array([3.0 + 1.0j]))))
 
     def test_circulation_constraint_exact(self):
         for gam in (0.0, 2.5, -4.0):
