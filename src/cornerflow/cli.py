@@ -434,11 +434,9 @@ def _run_compressible(cfg, flow, body, far, summary, out):
     n_r = int(_get(cfg, "solver.grid.n_r"))
     n_theta = int(_get(cfg, "solver.grid.n_theta"))
     r_far = float(_get(cfg, "solver.grid.r_far", body))
-    grid = compressible.build_grid(body, r_far, n_r, n_theta)
-    q_inf = state.free_stream_speed(mach_inf)
-    cfar = FarField(w_inf=q_inf * far.flow_direction.conjugate(),
-                    circulation=far.circulation)
-    sol = compressible.solve_subsonic(grid, state, cfar)
+    cfar = FarField(state.free_stream_speed(mach_inf), far.circulation)
+    grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
+    sol = compressible.solve_subsonic(grid, state)
     summary["compressible"] = {
         # a solve that does not converge raises IterationLimitError
         "converged": True, "iterations": sol.iterations,
@@ -535,11 +533,11 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
             entry["location"] = [exc.location.real, exc.location.imag]
         summary["errors"].append(entry)
         code = 1
-    except np.linalg.LinAlgError as exc:
-        summary["errors"].append({"type": "LinAlgError", "message": str(exc)})
-        code = 1
-    except MemoryError as exc:  # numpy raises its subclass _ArrayMemoryError
-        summary["errors"].append({"type": "MemoryError", "message": str(exc)})
+    except (np.linalg.LinAlgError, MemoryError, OverflowError) as exc:
+        # numpy raises MemoryError's subclass _ArrayMemoryError; a float
+        # overflows in Python arithmetic on lengths near 1e154 and beyond
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        summary["errors"].append({"type": name, "message": str(exc)})
         code = 1
 
     non_finite = []

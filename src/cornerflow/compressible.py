@@ -40,18 +40,19 @@ below the sonic bound on every face; otherwise the step takes the relaxed
 iterate and the history restarts, so an abort only ever comes from a
 plain step.
 
-Per (grid, free stream) only what the Picard steps read is stored: base
-face fluxes, base gradients and H^2 at the faces, Dirichlet rows and Thomas
-factors, about ten full-grid arrays.  Face z (abort location, corner
-masks) and nodal dz/dzeta (post-processing) are recomputed from the map.
-On every such grid sigma = e^xi e^(i theta) is separable: one outer
-product of n_r real and n_theta complex exponentials, not a complex
-exponential per node.
+A grid is built for one free stream, whose base flow and outer Dirichlet
+data it discretizes.  Besides its nodal z, H and flags it stores only what
+the Picard steps read: base face fluxes, base gradients and H^2 at the
+faces, Dirichlet rows and Thomas factors, about ten full-grid arrays.
+Face z (abort location, corner masks) and nodal dz/dzeta (post-processing)
+are recomputed from the map.  On every grid sigma = e^xi e^(i theta) is
+separable: one outer product of n_r real and n_theta complex exponentials,
+not a complex exponential per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,117 +79,25 @@ R_FAR = 25.0          # refinement_study's outer radius, in body circumradii
 # grid
 
 
-@dataclass(frozen=True, eq=False)
-class ConformalGrid:
-    """Body-fitted polar grid in the conformal sigma plane.
-
-    Radial levels are log-spaced (uniform in xi = log |sigma|), which
-    clusters physical resolution toward the body and its edges.  Nodes
-    where the conformal factor vanishes (plate-edge preimages) are
-    flagged; fields are undefined there.
-    """
-
-    body: Body
-    r_far: float
-    n_r: int
-    n_theta: int
-    xi: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)          # (n_r, n_theta)
-    H: np.ndarray = field(repr=False)          # |dz/dzeta| per node
-    flagged: np.ndarray = field(repr=False)    # True at singular map nodes
-    map: object = field(repr=False)            # conformal_map(body)
-    # the last discretization built on this grid (see _discretization)
-    _disc: object = field(default=None, init=False, repr=False)
-
-    @property
-    def d_xi(self) -> float:
-        return float(self.xi[1] - self.xi[0])
-
-    @property
-    def d_theta(self) -> float:
-        return float(self.theta[1] - self.theta[0])
-
-
-def build_grid(body: Body, r_far: float, n_r: int, n_theta: int) -> ConformalGrid:
-    """Construct the annular grid; r_far is the physical outer distance.
-
-    Requires r_far >= MIN_R_FAR circumradii, n_r, n_theta >= MIN_GRID_NODES
-    and an even n_theta, so that plate edges land on single flagged nodes.
-    """
-    cmap = conformal_map(body)
-    if cmap is None:
-        raise UnsupportedBodyError(
-            f"a {body.kind} has no closed-form conformal map for the grid; "
-            "the incompressible census handles it")
-    if n_r < MIN_GRID_NODES or n_theta < MIN_GRID_NODES:
-        raise InvalidGeometryError(f"grid needs n_r, n_theta >= {MIN_GRID_NODES}")
-    if n_theta % 2:
-        raise InvalidGeometryError("n_theta must be even")
-    if r_far < MIN_R_FAR * body.circumradius:
-        raise InvalidGeometryError(f"r_far must be >= {MIN_R_FAR:g} circumradii")
-
-    xi = np.linspace(0.0, np.log(cmap.sigma_radius(r_far)), n_r)
-    theta = TWO_PI * np.arange(n_theta) / n_theta
-    sigma = _sigma(xi, theta)
-    z = cmap.to_z(sigma)
-    H = np.abs(cmap.dz_dsigma(sigma) * sigma)
-    flagged = H <= 1e-12 * body.circumradius
-    return ConformalGrid(body=body, r_far=float(r_far), n_r=n_r,
-                         n_theta=n_theta, xi=xi, theta=theta, z=z, H=H,
-                         flagged=flagged, map=cmap)
-
-
 def _sigma(xi, theta):
     """sigma = e^xi e^(i theta) at xi (rows) x theta (columns): the outer
     product of n_r real and n_theta complex exponentials."""
     return np.exp(xi)[:, None] * np.exp(1j * theta)[None, :]
 
 
-# ---------------------------------------------------------------------------
-# solution container
-
-
-@dataclass(frozen=True, eq=False)
-class CompressibleSolution:
-    """Converged discrete stream-function flow with derived fields.
-
-    Fields are nodal; flagged map nodes hold NaN.  ``residuals`` is the
-    nonlinear cell-balance history (relative to the largest face flux)
-    per Picard step; ``linear_residuals`` and ``linear_iterations`` give
-    the relative residual and the CG iteration count of each step's
-    linear solve.
-    """
-
-    grid: ConformalGrid
-    far: FarField
-    psi: np.ndarray
-    psi_pert: np.ndarray
-    rho: np.ndarray
-    mach: np.ndarray
-    speed: np.ndarray
-    velocity: np.ndarray
-    residuals: tuple
-    linear_residuals: tuple
-    linear_iterations: tuple
-    iterations: int
-    max_mach: float
-    max_mach_location: complex
-
-
-def _node_gradient(psi_t, dxi, dth):
+def _node_gradient(psi_t, d_xi, d_theta):
     """(d/dxi, d/dtheta) of a nodal field: periodic central differences
     in theta; in xi central differences inside and second-order one-sided
     differences on the body and outer rows."""
     gx = np.empty_like(psi_t)
-    gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * dxi)
-    gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * dxi)
-    gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * dxi)
+    gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * d_xi)
+    gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * d_xi)
+    gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * d_xi)
     gt = np.empty_like(psi_t)
     gt[:, 1:-1] = psi_t[:, 2:] - psi_t[:, :-2]
     gt[:, 0] = psi_t[:, 1] - psi_t[:, -1]
     gt[:, -1] = psi_t[:, 0] - psi_t[:, -2]
-    gt /= 2 * dth
+    gt /= 2 * d_theta
     return gx, gt
 
 
@@ -215,32 +124,46 @@ def _differences(psi_t):
     return psi_t[1:, :] - psi_t[:-1, :], _theta_pairs(np.subtract, psi_t)
 
 
-class _Discretization:
-    """What the Picard steps on one (grid, free stream) pair read (see the
-    module docstring).  No reference to the grid: grid._disc points here,
-    and that cycle would keep every refinement level alive."""
+class ConformalGrid:
+    """Body-fitted polar grid in the conformal sigma plane, discretized
+    for one free stream ``far`` (built by build_grid).
 
-    def __init__(self, grid: ConformalGrid, far: FarField):
-        self.far = far
-        self.flagged = grid.flagged
-        self.map = grid.map
-        self.xi, self.theta = xi, th = grid.xi, grid.theta
-        self.nr, self.nt = nr, nt = grid.n_r, grid.n_theta
-        self.dxi, self.dth = dxi, dth = grid.d_xi, grid.d_theta
+    Radial levels are log-spaced (uniform in xi = log |sigma|), which
+    clusters physical resolution toward the body and its edges.  Nodes
+    where the conformal factor vanishes (plate-edge preimages) are
+    flagged; fields are undefined there.  Besides the nodal z, H = |dz/dzeta|
+    and flags the grid keeps what the Picard steps read (see the module
+    docstring).
+    """
+
+    def __init__(self, body: Body, far: FarField, cmap, xi_far: float,
+                 n_r: int, n_theta: int):
+        self.body, self.far, self.map = body, far, cmap
+        self.n_r, self.n_theta = n_r, n_theta
+        self.xi = xi = np.linspace(0.0, xi_far, n_r)
+        self.theta = th = TWO_PI * np.arange(n_theta) / n_theta
+        self.d_xi = d_xi = float(xi[1] - xi[0])
+        self.d_theta = d_theta = float(th[1] - th[0])
+        sigma = _sigma(xi, th)
+        self.z = cmap.to_z(sigma)                        # (n_r, n_theta)
+        self.H = np.abs(cmap.dz_dsigma(sigma) * sigma)   # |dz/dzeta| per node
+        del sigma
+        self.flagged = self.H <= 1e-12 * body.circumradius  # singular map nodes
+
         xi_f = 0.5 * (xi[:-1] + xi[1:])  # xi_{i+1/2}
-        te = th + 0.5 * dth  # theta_{j+1/2}; wraps periodically
+        te = th + 0.5 * d_theta  # theta_{j+1/2}; wraps periodically
         # (xi, theta) of the xi-face and theta-face midpoints
         self.faces = {"xi": (xi_f, th), "theta": (xi, te)}
 
         # each face quantity in turn, its complex temporaries freed before
         # the next: face-corner potentials of the uniform base, Re F at
-        # (xi_{i+1/2}, theta_{j+1/2}) for i = -1..nr-1 shifted to 0..nr-1
+        # (xi_{i+1/2}, theta_{j+1/2}) for i = -1..n_r-1 shifted to 0..n_r-1
         xe = np.concatenate([[xi[0]], xi_f, [xi[-1]]])
-        pc = np.real(far.w_inf * self.map_z(xe, te))  # (nr+1, nt)
-        # xi-face (i+1/2, j): phi(i+1/2, j-1/2) - phi(i+1/2, j+1/2)
-        self.base_flux_xi = np.roll(pc[1:-1, :], 1, axis=1) - pc[1:-1, :]  # (nr-1, nt)
-        # theta-face (i, j+1/2): phi(i+1/2, j+1/2) - phi(i-1/2, j+1/2)
-        self.base_flux_th = pc[1:, :] - pc[:-1, :]                          # (nr, nt)
+        pc = np.real(far.w_inf * self.map_z(xe, te))  # (n_r+1, n_theta)
+        # xi-face (i+1/2, j): phi(i+1/2, j-1/2) - phi(i+1/2, j+1/2), (n_r-1, n_theta)
+        self.base_flux_xi = np.roll(pc[1:-1, :], 1, axis=1) - pc[1:-1, :]
+        # theta-face (i, j+1/2): phi(i+1/2, j+1/2) - phi(i-1/2, j+1/2), (n_r, n_theta)
+        self.base_flux_th = pc[1:, :] - pc[:-1, :]
         del pc
         # analytic base gradients at face midpoints (for m evaluation)
         dz, self.base_dxi_xf, self.base_dth_xf = self.base_gradient(
@@ -251,24 +174,24 @@ class _Discretization:
             *self.faces["theta"])
         self.H2_tf = np.abs(dz)**2
         # the h = 1 operator on Fourier mode k in theta is tridiagonal over
-        # the nr - 2 Dirichlet interior rows: a x[i-1] + d_k x[i] + a x[i+1].
+        # the n_r - 2 Dirichlet interior rows: a x[i-1] + d_k x[i] + a x[i+1].
         # Thomas elimination factors, one column per (re, im) of each mode:
         # inverse pivots and c_i = a / pivot_i.
-        a = dth / dxi
-        k = np.arange(nt // 2 + 1)
-        d = dxi / dth * (2 * np.cos(TWO_PI * k / nt) - 2) - 2 * a
-        inv_piv = np.empty((nr - 2, k.size))
+        a = d_theta / d_xi
+        k = np.arange(n_theta // 2 + 1)
+        d = d_xi / d_theta * (2 * np.cos(TWO_PI * k / n_theta) - 2) - 2 * a
+        inv_piv = np.empty((n_r - 2, k.size))
         inv_piv[0] = 1.0 / d
-        for i in range(1, nr - 2):
+        for i in range(1, n_r - 2):
             inv_piv[i] = 1.0 / (d - a * a * inv_piv[i - 1])
         self.inv_pivot = np.repeat(inv_piv, 2, axis=1)
         self.elim = list(a * self.inv_pivot)  # its rows, as the sweeps take them
 
         # Dirichlet data of psi~: total psi = 0 on the body ring and
         # Im W of the exact incompressible flow on the outer ring
-        self.psi_body = -np.imag(far.w_inf * grid.z[0, :])
-        self.psi_outer = (MappedFlow(grid.map, far).stream(grid.z[-1, :])
-                          - np.imag(far.w_inf * grid.z[-1, :]))
+        self.psi_body = -np.imag(far.w_inf * self.z[0, :])
+        self.psi_outer = (MappedFlow(cmap, far).stream(self.z[-1, :])
+                          - np.imag(far.w_inf * self.z[-1, :]))
 
     def map_z(self, xi, theta):
         """z at the chart points xi (rows) x theta (columns)."""
@@ -283,7 +206,7 @@ class _Discretization:
 
     def with_boundary(self, interior):
         """Nodal psi~: the Dirichlet rows around the given interior rows."""
-        psi_t = np.empty((self.nr, self.nt))
+        psi_t = np.empty((self.n_r, self.n_theta))
         psi_t[0, :] = self.psi_body
         psi_t[1:-1, :] = interior
         psi_t[-1, :] = self.psi_outer
@@ -293,29 +216,29 @@ class _Discretization:
         """Half-squared physical gradient at xi- and theta-faces, and the
         face differences of psi~ (see _differences), which the cell balance
         of the same field takes."""
-        dxi, dth = self.dxi, self.dth
+        d_xi, d_theta = self.d_xi, self.d_theta
         diffs = _differences(psi_t)
-        xdiff, tdiff = _node_gradient(psi_t, dxi, dth)
-        # xi-faces (nr-1, nt)
+        xdiff, tdiff = _node_gradient(psi_t, d_xi, d_theta)
+        # xi-faces (n_r-1, n_theta)
         gt = tdiff[1:, :] + tdiff[:-1, :]
         del tdiff
         gt *= 0.5
         gt += self.base_dth_xf
-        m_xf = _half_square(diffs[0] / dxi + self.base_dxi_xf, gt,
+        m_xf = _half_square(diffs[0] / d_xi + self.base_dxi_xf, gt,
                             self.H2_xf)
-        # theta-faces (nr, nt): face between (i,j) and (i,j+1)
+        # theta-faces (n_r, n_theta): face between (i,j) and (i,j+1)
         gx = _theta_pairs(np.add, xdiff)
         del xdiff
         gx *= 0.5
         gx += self.base_dxi_tf
-        m_tf = _half_square(gx, diffs[1] / dth + self.base_dth_tf,
+        m_tf = _half_square(gx, diffs[1] / d_theta + self.base_dth_tf,
                             self.H2_tf)
         return m_xf, m_tf, diffs
 
     def nodal_gradient(self, psi_t):
         """Nodal (psi_xi, psi_theta) of the total stream function, dz/dzeta."""
         dz, base_dxi, base_dth = self.base_gradient(self.xi, self.theta)
-        gx, gt = _node_gradient(psi_t, self.dxi, self.dth)
+        gx, gt = _node_gradient(psi_t, self.d_xi, self.d_theta)
         return gx + base_dxi, gt + base_dth, dz
 
     def nodal_velocity(self, gx, gt, dz, rho):
@@ -329,12 +252,12 @@ class _Discretization:
 
     def _balance(self, diffs, h_xf, h_tf, base_xi, base_th):
         """Face fluxes h (base + difference) and their net sum around every
-        interior cell (rows 1..nr-2): the one five-point stencil.  The
+        interior cell (rows 1..n_r-2): the one five-point stencil.  The
         fluxes are formed in the two difference arrays."""
-        dxi, dth = self.dxi, self.dth
+        d_xi, d_theta = self.d_xi, self.d_theta
         flux_xi, flux_th = diffs
-        for flux, num, den, base, h in ((flux_xi, dth, dxi, base_xi, h_xf),
-                                        (flux_th, dxi, dth, base_th, h_tf)):
+        for flux, num, den, base, h in ((flux_xi, d_theta, d_xi, base_xi, h_xf),
+                                        (flux_th, d_xi, d_theta, base_th, h_tf)):
             flux *= num
             flux /= den
             flux += base
@@ -345,7 +268,7 @@ class _Discretization:
         return bal, flux_xi, flux_th
 
     def cell_residual(self, diffs, h_xf, h_tf):
-        """Net face flux around every interior cell (rows 1..nr-2) of the
+        """Net face flux around every interior cell (rows 1..n_r-2) of the
         field whose face differences (see face_m) are diffs; the fluxes
         overwrite them."""
         bal, flux_xi, flux_th = self._balance(
@@ -367,7 +290,7 @@ class _Discretization:
             sub(row, mul(ci, prev, cy), row)
         for ci, nxt, row in zip(c[-2::-1], rows[:0:-1], rows[-2::-1]):
             sub(row, mul(ci, nxt, cy), row)
-        return np.fft.irfft(y.view(np.complex128), n=self.nt, axis=1)
+        return np.fft.irfft(y.view(np.complex128), n=self.n_theta, axis=1)
 
     def solve_linear(self, h_xf, h_tf, x0, r0=None, tol=LINEAR_TOL):
         """Solve the frozen-coefficient five-point system for the interior.
@@ -389,12 +312,12 @@ class _Discretization:
         iterations; raises SolverError if CG misses tol within
         CG_MAX_ITERS iterations.
         """
-        nr, nt = self.nr, self.nt
-        h_in = (np.broadcast_to(h_xf, (nr - 1, nt)),
-                np.broadcast_to(h_tf, (nr, nt))[1:-1])
+        n_r, n_theta = self.n_r, self.n_theta
+        h_in = (np.broadcast_to(h_xf, (n_r - 1, n_theta)),
+                np.broadcast_to(h_tf, (n_r, n_theta))[1:-1])
         h_mean = float(sum(np.sum(h) for h in h_in)
                        / sum(h.size for h in h_in))
-        padded = np.zeros((nr, nt))
+        padded = np.zeros((n_r, n_theta))
 
         def apply(p):  # A p: homogeneous boundary rows, no base flux
             padded[1:-1, :] = p
@@ -433,6 +356,59 @@ class _Discretization:
             ap *= alpha
             r -= ap
             true_r, it = False, it + 1
+
+
+def build_grid(body: Body, far: FarField, r_far: float, n_r: int,
+               n_theta: int) -> ConformalGrid:
+    """Construct the annular grid for the free stream far; r_far is the
+    physical outer distance.
+
+    Requires r_far >= MIN_R_FAR circumradii, n_r, n_theta >= MIN_GRID_NODES
+    and an even n_theta, so that plate edges land on single flagged nodes.
+    """
+    cmap = conformal_map(body)
+    if cmap is None:
+        raise UnsupportedBodyError(
+            f"a {body.kind} has no closed-form conformal map for the grid; "
+            "the incompressible census handles it")
+    if n_r < MIN_GRID_NODES or n_theta < MIN_GRID_NODES:
+        raise InvalidGeometryError(f"grid needs n_r, n_theta >= {MIN_GRID_NODES}")
+    if n_theta % 2:
+        raise InvalidGeometryError("n_theta must be even")
+    if r_far < MIN_R_FAR * body.circumradius:
+        raise InvalidGeometryError(f"r_far must be >= {MIN_R_FAR:g} circumradii")
+    return ConformalGrid(body, far, cmap, np.log(cmap.sigma_radius(r_far)),
+                         n_r, n_theta)
+
+
+# ---------------------------------------------------------------------------
+# solution container
+
+
+@dataclass(frozen=True, eq=False)
+class CompressibleSolution:
+    """Converged discrete stream-function flow with derived fields.
+
+    Fields are nodal; flagged map nodes hold NaN.  ``residuals`` is the
+    nonlinear cell-balance history (relative to the largest face flux)
+    per Picard step; ``linear_residuals`` and ``linear_iterations`` give
+    the relative residual and the CG iteration count of each step's
+    linear solve.
+    """
+
+    grid: ConformalGrid
+    psi: np.ndarray
+    psi_pert: np.ndarray
+    rho: np.ndarray
+    mach: np.ndarray
+    speed: np.ndarray
+    velocity: np.ndarray
+    residuals: tuple
+    linear_residuals: tuple
+    linear_iterations: tuple
+    iterations: int
+    max_mach: float
+    max_mach_location: complex
 
 
 class _Anderson:
@@ -483,26 +459,13 @@ class _Anderson:
         return mixed
 
 
-def _discretization(grid: ConformalGrid, far: FarField) -> _Discretization:
-    """The discretization of (grid, far), built once per grid.
-
-    The grid keeps the last one it built, so the solves of one refinement
-    level share it and it is freed together with the grid.
-    """
-    disc = grid._disc
-    if disc is None or disc.far != far:
-        disc = _Discretization(grid, far)
-        object.__setattr__(grid, "_disc", disc)
-    return disc
-
-
-def _face_rho(state: BernoulliState, m, rho, where: str, disc: _Discretization):
+def _face_rho(state: BernoulliState, m, rho, where: str, grid: ConformalGrid):
     """(rho, 1/rho) at one kind of face from the start rho."""
     m_max = state.flux_max_m
     if np.any(m >= m_max):
         k = divmod(int(np.argmax(m)), m.shape[1])
-        xi, theta = disc.faces[where]  # z of that face only
-        z = disc.map_z(xi[k[0]:k[0] + 1], theta)[0, k[1]]
+        xi, theta = grid.faces[where]  # z of that face only
+        z = grid.map_z(xi[k[0]:k[0] + 1], theta)[0, k[1]]
         raise SonicExcursionError(
             f"sonic flux bound reached at {where}-face {k}, z={z:.6g}",
             location=complex(z), m_value=float(m[k]), m_max=float(m_max))
@@ -510,8 +473,8 @@ def _face_rho(state: BernoulliState, m, rho, where: str, disc: _Discretization):
     return rho, 1.0 / rho
 
 
-def solve_subsonic(grid: ConformalGrid, state: BernoulliState,
-                   far: FarField) -> CompressibleSolution:
+def solve_subsonic(grid: ConformalGrid,
+                   state: BernoulliState) -> CompressibleSolution:
     """Picard solve of the compressible stream-function equation.
 
     Dirichlet data: psi = 0 on the body ring, psi = Im(W(z)) on
@@ -520,22 +483,20 @@ def solve_subsonic(grid: ConformalGrid, state: BernoulliState,
     face leaves the subsonic (elliptic) region, IterationLimitError if
     the residual is not below PICARD_TOL within MAX_PICARD_ITERS steps.
     """
-    disc = _discretization(grid, far)
-
     # interior initial guess: blend the boundary data radially
     w = (grid.xi[1:-1, None] - grid.xi[0]) / (grid.xi[-1] - grid.xi[0])
-    psi_t = disc.with_boundary((1 - w) * disc.psi_body[None, :]
-                               + w * disc.psi_outer[None, :])
+    psi_t = grid.with_boundary((1 - w) * grid.psi_body[None, :]
+                               + w * grid.psi_outer[None, :])
 
     residuals, linear_residuals, linear_iterations = [], [], []
     rho_xf = rho_tf = None
     mixer = _Anderson(ANDERSON_DEPTH)
-    m_xf, m_tf, diffs = disc.face_m(psi_t)
+    m_xf, m_tf, diffs = grid.face_m(psi_t)
     for _ in range(MAX_PICARD_ITERS):
-        rho_xf, h_xf = _face_rho(state, m_xf, rho_xf, "xi", disc)
-        rho_tf, h_tf = _face_rho(state, m_tf, rho_tf, "theta", disc)
+        rho_xf, h_xf = _face_rho(state, m_xf, rho_xf, "xi", grid)
+        rho_tf, h_tf = _face_rho(state, m_tf, rho_tf, "theta", grid)
 
-        bal, scale = disc.cell_residual(diffs, h_xf, h_tf)
+        bal, scale = grid.cell_residual(diffs, h_xf, h_tf)
         res = float(np.max(np.abs(bal)) / scale)
         residuals.append(res)
         if res < PICARD_TOL:
@@ -543,7 +504,7 @@ def solve_subsonic(grid: ConformalGrid, state: BernoulliState,
 
         # the cell balance is A x - b at x = psi_t; the inner tolerance
         # follows the outer residual, never above PICARD_TOL
-        interior, lin_res, lin_its = disc.solve_linear(
+        interior, lin_res, lin_its = grid.solve_linear(
             h_xf, h_tf, psi_t[1:-1, :], -bal,
             max(LINEAR_TOL, min(PICARD_TOL, FORCING * res)))
         linear_residuals.append(lin_res)
@@ -555,22 +516,22 @@ def solve_subsonic(grid: ConformalGrid, state: BernoulliState,
             # the mixed iterate only while every face stays subsonic, so
             # that an abort only ever comes from a plain step; its face m
             # is the next step's
-            trial = disc.with_boundary(mixed)
-            m_xf, m_tf, diffs = disc.face_m(trial)
+            trial = grid.with_boundary(mixed)
+            m_xf, m_tf, diffs = grid.face_m(trial)
             m_max = state.flux_max_m
             if np.all(m_xf < m_max) and np.all(m_tf < m_max):
                 psi_t = trial
                 continue
             mixer.restart()
         psi_t[1:-1, :] = relaxed
-        m_xf, m_tf, diffs = disc.face_m(psi_t)
+        m_xf, m_tf, diffs = grid.face_m(psi_t)
     else:
         raise IterationLimitError(
             f"Picard stalled at residual {residuals[-1]:.3e} "
             f"after {MAX_PICARD_ITERS} iterations", residuals=residuals)
     del mixer  # its history, before post-processing
 
-    return _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
+    return _postprocess(grid, state, psi_t, residuals, linear_residuals,
                         linear_iterations)
 
 
@@ -581,9 +542,9 @@ def _first_near_max(values):
     return top, divmod(int(np.argmax(values >= top - 1e-12 * top)), values.shape[1])
 
 
-def _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
+def _postprocess(grid, state, psi_t, residuals, linear_residuals,
                  linear_iterations):
-    gx, gt, dz = disc.nodal_gradient(psi_t)
+    gx, gt, dz = grid.nodal_gradient(psi_t)
     valid = ~grid.flagged
     m = np.full(psi_t.shape, np.nan)
     m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / grid.H[valid]**2
@@ -600,36 +561,26 @@ def _postprocess(grid, disc, state, psi_t, residuals, linear_residuals,
     mach = np.full(psi_t.shape, np.nan)
     mach[valid] = state.gas.mach(speed[valid], rho[valid])
 
-    far = disc.far
-    psi_total = np.imag(far.w_inf * grid.z) + psi_t
+    psi_total = np.imag(grid.far.w_inf * grid.z) + psi_t
     max_mach, k = _first_near_max(np.where(valid, mach, -1.0))
     return CompressibleSolution(
-        grid=grid, far=far, psi=psi_total, psi_pert=psi_t,
+        grid=grid, psi=psi_total, psi_pert=psi_t,
         rho=rho, mach=mach, speed=speed,
-        velocity=disc.nodal_velocity(gx, gt, dz, rho),
+        velocity=grid.nodal_velocity(gx, gt, dz, rho),
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
         linear_iterations=tuple(linear_iterations), iterations=len(residuals),
         max_mach=max_mach, max_mach_location=complex(grid.z[k]))
 
 
-def incompressible_reference_solution(grid: ConformalGrid,
-                                      far: FarField) -> np.ndarray:
+def incompressible_reference_solution(grid: ConformalGrid) -> np.ndarray:
     """Discrete incompressible solve on the same grid (h frozen constant).
 
     Returns the perturbation field psi~; used as the bias-free oracle for
     low-Mach comparisons and as the first frozen iterate of the blow-up
     metric.
     """
-    disc = _discretization(grid, far)
-    interior, _, _ = disc.solve_linear(1.0, 1.0, 0.0)
-    return disc.with_boundary(interior)
-
-
-def nodal_velocity_from_pert(grid: ConformalGrid, far: FarField,
-                             psi_t) -> np.ndarray:
-    """Velocity field of an incompressible perturbation solve (rho = 1)."""
-    disc = _discretization(grid, far)
-    return disc.nodal_velocity(*disc.nodal_gradient(psi_t), 1.0)
+    interior, _, _ = grid.solve_linear(1.0, 1.0, 0.0)
+    return grid.with_boundary(interior)
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +636,17 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
 
     levels = []
     for (n_r, n_theta) in grids:
-        grid = build_grid(body, r_far, n_r, n_theta)
-        disc = _discretization(grid, far)
-        m_faces = disc.face_m(incompressible_reference_solution(grid, far))[:2]
+        grid = build_grid(body, far, r_far, n_r, n_theta)
+        m_faces = grid.face_m(incompressible_reference_solution(grid))[:2]
         margin = max(
-            float(np.max(m[_near_corners(body, disc.map_z(*disc.faces[where]),
+            float(np.max(m[_near_corners(body, grid.map_z(*grid.faces[where]),
                                          corner_radius)]) / state.flux_max_m)
             for m, where in zip(m_faces, ("xi", "theta")))
-        del disc, m_faces  # the Picard solve reads neither
+        del m_faces  # the Picard solve does not read them
 
         outcome, max_mach, corner_mach, exc_ratio = "converged", None, None, None
         try:
-            sol = solve_subsonic(grid, state, far)
+            sol = solve_subsonic(grid, state)
             max_mach = sol.max_mach
             near = _near_corners(body, grid.z, corner_radius)
             vals = sol.mach[near & ~grid.flagged]

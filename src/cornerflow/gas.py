@@ -139,14 +139,14 @@ class BernoulliState:
         density), clipped into [sonic_density, stagnation_density]; a face
         whose step leaves that bracket or is not finite is solved by the
         safeguarded iteration (``_bracketed_root``) instead.  Relative
-        tolerance 1e-14.  Raises SonicFluxError for m >= flux_max_m
-        (ellipticity guard).
+        tolerance 1e-14.  Raises GasDomainError for an m that is negative
+        or NaN, SonicFluxError for m >= flux_max_m (ellipticity guard).
         """
         m_arr = np.asarray(m, dtype=float)
         scalar = m_arr.ndim == 0
         m_arr = np.atleast_1d(m_arr)
-        if np.any(m_arr < 0):
-            raise GasDomainError("flux m must be nonnegative")
+        if not np.all(m_arr >= 0):  # NaN too: it fails every comparison
+            raise GasDomainError("flux m must be a nonnegative number")
         if np.any(m_arr >= self.flux_max_m):
             k = int(np.argmax(m_arr))
             raise SonicFluxError(

@@ -284,7 +284,8 @@ class TestKeys:
         R, r_far = built.circumradius, cli.KEYS["solver.grid.r_far"]
         assert r_far.least(built) == compressible.MIN_R_FAR * R
         assert r_far.default(built) == compressible.R_FAR * R
-        least = {"r_far": r_far.least(built), "n_r": compressible.MIN_GRID_NODES,
+        least = {"far": FarField(1.0), "r_far": r_far.least(built),
+                 "n_r": compressible.MIN_GRID_NODES,
                  "n_theta": compressible.MIN_GRID_NODES}
         build_grid(built, **least)
         p = tmp_path / "s.json"
@@ -299,9 +300,9 @@ class TestKeys:
             assert f"config error: $.solver.grid.{name}: " in capsys.readouterr().err
         seen, real = [], compressible.build_grid
 
-        def spy(body, r_far, n_r, n_theta):
+        def spy(body, far, r_far, n_r, n_theta):
             seen.append(r_far)
-            return real(body, r_far, n_r, n_theta)
+            return real(body, far, r_far, n_r, n_theta)
 
         monkeypatch.setattr(compressible, "build_grid", spy)
         compressible.refinement_study(built, GasModel(1.4), 0.3, 0.0, [(16, 32)])
@@ -548,6 +549,49 @@ class TestRun:
         assert summary["errors"] == [{"type": "MemoryError",
                                       "message": "Unable to allocate 14.6 TiB"}]
 
+    @pytest.mark.parametrize("overrides", [
+        # the face gradients and H^2 underflow: every face m is 0/0
+        ["body.chord=1e-200"],
+        # the outer ring overflows
+        ['body={"kind": "circle", "radius": 1}', "solver.grid.r_far=1e300"],
+    ], ids=["tiny_plate", "huge_circle_ring"])
+    def test_nan_flux_exits_1_with_gas_domain_error(self, tmp_path, overrides):
+        # in a subprocess: the NaN warnings on the way are this run's to
+        # give, and would fail the test in-process
+        src = str(Path(compressible.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        args = [sys.executable, "-m", "cornerflow.cli", "run",
+                "plate_horizontal_m03.json", "--out", str(out)]
+        for o in overrides:
+            args += ["--override", o]
+        assert subprocess.run(args, env=env, capture_output=True).returncode == 1
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert [e["type"] for e in summary["errors"]] == ["GasDomainError"]
+        assert "compressible" not in summary
+
+    @pytest.mark.parametrize("override", ["body.chord=1e200",
+                                          "solver.grid.r_far=1.4e154"])
+    def test_overflowing_length_exits_1_with_structured_error(self, tmp_path,
+                                                              override):
+        # the square of the plate's map radius overflows a Python float
+        out = tmp_path / "out"
+        assert run("plate_horizontal_m03.json", out, [override]) == 1
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert [e["type"] for e in summary["errors"]] == ["OverflowError"]
+        assert "compressible" not in summary
+
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
         out = tmp_path / "out"
         # the drag integral overflows on purpose, and w**2 * dz and its
@@ -704,8 +748,8 @@ class TestExportField:
         gas = GasModel(1.4)
         state = BernoulliState.from_free_stream(gas, 0.2)
         far = FarField(state.free_stream_speed(0.2), 0.0)
-        grid = build_grid(FlatPlate(4.0, 0.0), 50.0, 32, 64)
-        sol = solve_subsonic(grid, state, far)
+        grid = build_grid(FlatPlate(4.0, 0.0), far, 50.0, 32, 64)
+        sol = solve_subsonic(grid, state)
         path = tmp_path / "c.csv"
         export_field(sol, None, None, path)
         lines = path.read_text().splitlines()
@@ -760,8 +804,8 @@ def _plate_solution():
     gas = GasModel(1.4)
     state = BernoulliState.from_free_stream(gas, 0.3)
     far = FarField(state.free_stream_speed(0.3), 0.0)
-    return solve_subsonic(build_grid(FlatPlate(4.0, 0.0), 50.0, 64, 128),
-                          state, far)
+    return solve_subsonic(build_grid(FlatPlate(4.0, 0.0), far, 50.0, 64, 128),
+                          state)
 
 
 def _triangle_panel_flow():

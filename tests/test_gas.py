@@ -135,6 +135,13 @@ class TestBernoulliState:
         with pytest.raises(SonicFluxError):
             st.density_from_flux(st.flux_max_m * 2.0)
 
+    @pytest.mark.parametrize("m", [np.nan, [0.1, np.nan], -1e-300])
+    def test_flux_that_is_no_nonnegative_number_raises(self, m):
+        # a NaN m fails both the sign and the sonic comparison; the
+        # bracketed fallback would turn it into a finite density
+        with pytest.raises(GasDomainError, match="nonnegative number"):
+            BernoulliState(GasModel(1.4), 3.0).density_from_flux(m)
+
     def test_flux_inversion_vectorized(self):
         st = BernoulliState(GasModel(1.4), 3.0)
         m = np.linspace(0.0, 0.99 * st.flux_max_m, 257)
