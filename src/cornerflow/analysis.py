@@ -95,8 +95,9 @@ def _flow_scale(w_inf: complex, body_scale: float, beta: float) -> float:
     return (abs(w_inf) or 1.0) * body_scale ** (1.0 - np.pi / beta)
 
 
-def _ring_a1(flow, corner: Corner, radii) -> np.ndarray:
-    """a1 projected on the innermost and the outermost ring of ``radii``.
+def _ring_a1(flow, corners, radii) -> np.ndarray:
+    """a1 of each corner projected on the innermost and the outermost ring
+    of its ``radii`` (one sequence per corner), all in one stream call.
 
     The corner modes are orthogonal on one ring, so
         a1(r) = (2/beta) r**(-pi/beta)
@@ -104,18 +105,21 @@ def _ring_a1(flow, corner: Corner, radii) -> np.ndarray:
     here by RING_NODES-point Gauss-Legendre in theta.  Exact wherever the
     walls are straight out to r; on a panel flow the change of a1(r)
     between the rings measures the discretization error.  Returns
-    [a1(r_lo), a1(r_hi)].
+    [a1(r_lo), a1(r_hi)] per corner, shape (len(corners), 2).
     """
-    radii = np.asarray(radii, dtype=float)
-    rings = np.array([radii.min(), radii.max()])
-    if rings[1] / rings[0] < 9.99:
-        raise FitQualityError("need radii spanning a decade")
-    beta = corner.exterior_angle_beta
     s, w = _gauss_legendre(RING_NODES)
-    psi = np.asarray(flow.stream(_ring_points(corner, rings, beta * s)),
-                     dtype=float)
+    points, scales = [], []
+    for corner, r in zip(corners, radii):
+        r = np.asarray(r, dtype=float)
+        rings = np.array([r.min(), r.max()])
+        if rings[1] / rings[0] < 9.99:
+            raise FitQualityError("need radii spanning a decade")
+        beta = corner.exterior_angle_beta
+        points.append(_ring_points(corner, rings, beta * s))
+        scales.append(rings ** (np.pi / beta))
+    psi = np.asarray(flow.stream(np.array(points)), dtype=float)
     # (2/beta) times the rule's Jacobian beta/2 is 1
-    return psi @ (w * np.sin(np.pi * s)) / rings ** (np.pi / beta)
+    return psi @ (w * np.sin(np.pi * s)) / np.array(scales)
 
 
 def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
@@ -133,7 +137,7 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     if radii is None:
         radii = default_fit_radii(corner, body_scale)
     radii = np.asarray(radii, dtype=float)
-    a1_lo, a1 = _ring_a1(flow, corner, radii)
+    ((a1_lo, a1),) = _ring_a1(flow, [corner], [radii])
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, body_scale)
     singular = bool(abs(a1) > TOL_A1 * _flow_scale(flow.far.w_inf, body_scale, beta))
@@ -217,7 +221,9 @@ class LaurentFit:
 
 def farfield_fit(flow, r_list=None) -> LaurentFit:
     """Least squares of w against {1, 1/z, 1/z^2} on 64 points of each
-    far circle."""
+    far circle, fitted as {1, u, u^2} with u = R / z, whose columns keep
+    their size at any circumradius R, and rescaled (c1 = R times the
+    coefficient of u)."""
     body_scale = flow.body.circumradius
     if r_list is None:
         r_list = body_scale * np.array([10.0, 20.0, 40.0])
@@ -227,14 +233,15 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
     th = TWO_PI * np.arange(64) / 64
     z = (r_list[:, None] * np.exp(1j * th)[None, :]).ravel()
     w = np.asarray(flow.velocity(z)).ravel()
-    X = np.stack([np.ones_like(z), 1.0 / z, 1.0 / z**2], axis=1)
+    u = body_scale / z
+    X = np.stack([np.ones_like(u), u, u**2], axis=1)
     coef, *_ = np.linalg.lstsq(X, w, rcond=None)
     resid = float(np.max(np.abs(X @ coef - w)))
     w_scale = abs(flow.far.w_inf) or 1.0
     if resid > 1e-3 * w_scale:
         raise FitQualityError(
             f"far-field fit residual {resid:.3g} too large; radii too small?")
-    c1 = complex(coef[1])
+    c1 = complex(coef[1] * body_scale)
     return LaurentFit(c0=complex(coef[0]), c1=c1, gamma_estimate=-TWO_PI * c1.imag,
                       re_c1=c1.real, residual=resid)
 
@@ -276,32 +283,52 @@ class CensusResult:
     coincident_pairs: tuple
 
 
-def affine_corner(flow0, flow1, corner: Corner) -> CornerCensusEntry:
-    """a1 of one corner as the affine function a1(0) + slope * Gamma.
+def affine_corner(flow0, flow1, corners) -> list:
+    """a1 of each corner as the affine function a1(0) + slope * Gamma.
 
     ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
     Gamma = Gamma_1 = flow1.far.circulation; by superposition their a1
     projections fix the line exactly.  Both are taken on the two rings of
-    ``default_fit_radii``: the root, slope and a1(0) come from the outer
-    ring, and the root uncertainty is the change of the root between the
-    rings, which does not depend on Gamma_1.  Raises DegenerateKuttaError
-    when a1 does not respond to circulation on either ring,
+    ``default_fit_radii``, every corner's in one stream call per flow: the
+    root, slope and a1(0) come from the outer ring, and the root
+    uncertainty is the change of the root between the rings, which does
+    not depend on Gamma_1.  Raises DegenerateKuttaError when a1 of a
+    corner does not respond to circulation on either ring,
     |a1(Gamma_1) - a1(0)| < 1e-12 * |w_inf| * R**(1-pi/beta).
     """
+    return _responsive(_affine_entries(flow0, flow1, corners), corners)
+
+
+def _affine_entries(flow0, flow1, corners) -> list:
+    """``affine_corner``'s entry of each corner, or None where a1 does not
+    respond to circulation."""
     body_scale = flow0.body.circumradius
-    radii = default_fit_radii(corner, body_scale)
-    a0 = _ring_a1(flow0, corner, radii)
-    rise = _ring_a1(flow1, corner, radii) - a0
-    if np.min(np.abs(rise)) < 1e-12 * _flow_scale(flow0.far.w_inf, body_scale,
-                                                  corner.exterior_angle_beta):
-        raise DegenerateKuttaError(
-            f"a1 at corner {corner.corner_id} does not respond to circulation")
+    radii = [default_fit_radii(c, body_scale) for c in corners]
+    a0 = _ring_a1(flow0, corners, radii)
+    rise = _ring_a1(flow1, corners, radii) - a0
     gamma1 = flow1.far.circulation
-    roots = -a0 * gamma1 / rise
-    return CornerCensusEntry(
-        corner_id=corner.corner_id, root=float(roots[1]),
-        slope=float(rise[1] / gamma1), a1_at_zero=float(a0[1]),
-        root_uncertainty=float(abs(roots[1] - roots[0])))
+    entries = []
+    for corner, a, r in zip(corners, a0, rise):
+        if np.min(np.abs(r)) < 1e-12 * _flow_scale(flow0.far.w_inf, body_scale,
+                                                   corner.exterior_angle_beta):
+            entries.append(None)
+            continue
+        roots = -a * gamma1 / r
+        entries.append(CornerCensusEntry(
+            corner_id=corner.corner_id, root=float(roots[1]),
+            slope=float(r[1] / gamma1), a1_at_zero=float(a[1]),
+            root_uncertainty=float(abs(roots[1] - roots[0]))))
+    return entries
+
+
+def _responsive(entries, corners) -> list:
+    """The entries, once every one of them exists: DegenerateKuttaError
+    names the first corner whose a1 does not respond to circulation."""
+    for entry, corner in zip(entries, corners):
+        if entry is None:
+            raise DegenerateKuttaError(
+                f"a1 at corner {corner.corner_id} does not respond to circulation")
+    return entries
 
 
 def corner_census(body: Body, w_inf: complex, n_panels: int,

@@ -34,9 +34,20 @@ closed-form panel integrals of C's panels elsewhere; each cluster tail is
 held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL, at
 the separation of a chunk's nearest point that uses it.  At 512 panels
 that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18 at 4 KAPPA
-and 10-12 at 8 KAPPA.  The velocity closed form, used there and in the
-tangency assembly alike, takes a cancellation-free log for panels short
-against their distance.
+and 10-12 at 8 KAPPA.
+
+The velocity of a panel has one closed form, in real arithmetic in the
+panel's frame (``_w_integrals``), with two consumers: the treecode's
+near pairs, through ``vortex_panel_w_coeffs``, and the tangency
+assembly, which runs it in place over chunks of point-panel pairs and
+projects it straight onto the collocation normals (``_system_rows``).
+Its log takes the distance to the panel's nearer end, so it loses no
+digit near either end or far away.
+
+A Kutta root and a corner census read the same numbers: the flows at
+Gamma = 0 and Gamma_1, each projected once on the rings of every
+protruding corner and kept for the last (body, w_inf, n_panels)
+(``_affine_corners``).
 """
 
 from __future__ import annotations
@@ -260,39 +271,88 @@ def _local(z, za, zb):
     return (np.asarray(z, dtype=complex) - za) / e, e, length
 
 
+def _w_integrals(dx, dy, ux, uy, out):
+    """The two integrals of a straight panel za -> zb of length L, in its
+    frame and units of L, at the offsets dx + i dy = z - za of the points
+    from its start, with ux + i uy = (zb - za) / L**2: at zl = x + iy,
+
+        i0 = int_0^1 ds / (zl - s) = log(zl / (zl - 1)) = a + ib,
+        i1 = int_0^1 s ds / (zl - s) = zl i0 - 1 = c + id,
+
+    written in place into out = (x, y, a, b, c, d), all of the broadcast
+    shape of the inputs; dx and dy are overwritten as scratch.
+
+    a = log(r1 / r2), the log of the distances to the two ends, is
+    +-(1/2) log1p(|2x - 1| / r**2) with r the distance to the nearer end,
+    whose argument is never negative, so no digit is lost near either end
+    or far away; b = atan2(-y, x (x - 1) + y**2) = arg(zl / (zl - 1)),
+    with the principal (two-sided average) value 0 on the panel, within
+    1e-12 L of it.  i1 then keeps an absolute error of a few ulps.
+    """
+    x, y, a, b, c, d = out
+    # zl = x + iy = (z - za) conj(zb - za) / L**2
+    np.multiply(dx, ux, out=x)
+    np.multiply(dy, uy, out=a)
+    x += a
+    np.multiply(dy, ux, out=y)
+    np.multiply(dx, uy, out=a)
+    y -= a
+    # b, with x - 1 in c and y**2 in d
+    np.subtract(x, 1.0, out=c)
+    np.multiply(y, y, out=d)
+    np.multiply(x, c, out=b)
+    b += d
+    np.negative(y, out=dx)
+    np.arctan2(dx, b, out=b)
+    np.abs(y, out=dx)
+    on = dx <= 1e-12
+    on &= x > 1e-12
+    on &= c < -1e-12
+    b[on] = 0.0
+    # a, from r**2 = min(x**2, (x - 1)**2) + y**2 and 2x - 1 in c
+    np.multiply(x, x, out=a)
+    np.multiply(c, c, out=dy)
+    np.minimum(a, dy, out=a)
+    a += d
+    c += x
+    np.abs(c, out=dx)
+    # at a node r = 0: a = +-inf, and i1 is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(dx, a, out=dx)
+        np.log1p(dx, out=dx)
+        dx *= 0.5
+        np.copysign(dx, c, out=a)
+        # c = x a - y b - 1 and d = x b + y a
+        np.multiply(x, a, out=c)
+        np.multiply(y, b, out=dx)
+        c -= dx
+        c -= 1.0
+        np.multiply(x, b, out=d)
+        np.multiply(y, a, out=dx)
+        d += dx
+    return out
+
+
 def vortex_panel_w_coeffs(z, za, zb):
     """Complex-velocity influence (per unit nodal strength) of a straight
     linear-strength vortex panel from za to zb: w = ca*g_a + cb*g_b.
 
     Points on the panel get the principal-value (two-sided average)
-    velocity.
-
-    In the panel frame (zl the point, L the length) the integral is
-    i0 = log(zl / (zl - L)) = log(1 + y) with y = L / (zl - L).  At
-    |y| <= 1/2 the ratio 1 + y rounds to within an ulp of 1 and its log
-    would lose the digits of y, so log|1 + y| = log1p(y_r (2 + y_r) +
-    y_i**2) / 2 and arg(1 + y) come from y itself; i1_L = zl i0 / L - 1
-    then keeps an absolute error of a few ulps, where the log of the
-    ratio gave |zl| / L ulps.  Only the few pairs within 2L of the
-    panel's far end (and those at it) take the log of the ratio.
+    velocity.  With e = (zb - za) / L and the panel integrals i0, i1 of
+    ``_w_integrals``, ca = (i0 - i1) / (2 pi i e) and cb = i1 / (2 pi i e).
     """
-    zl, e, L = _local(z, za, zb)
-    zl = np.asarray(zl)
-    L = np.broadcast_to(L, zl.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = L / (zl - L)
-        i0 = np.asarray(0.5 * np.log1p(y.real * (2.0 + y.real) + y.imag**2)
-                        + 1j * np.arctan2(y.imag, 1.0 + y.real))
-        near = ~(np.abs(y) <= 0.5)
-        zn, Ln = zl[near], L[near]
-        on = (np.abs(zn.imag) <= 1e-12 * Ln) & (zn.real > 1e-12 * Ln) \
-            & (zn.real < Ln * (1 - 1e-12))
-        ratio = zn / (zn - Ln)
-        i0[near] = np.log(np.where(on, np.abs(ratio) + 0j, ratio))
-    i1_L = (zl * i0 - L) / L
-    ca = (i0 - i1_L) / (TWO_PI * 1j)
-    cb = i1_L / (TWO_PI * 1j)
-    return ca / e, cb / e
+    span = zb - za
+    L = np.hypot(span.real, span.imag)
+    e = span / L
+    u = e / L
+    dz = np.asarray(z, dtype=complex) - za
+    shape = np.broadcast_shapes(dz.shape, np.shape(u))
+    dx, dy = (np.array(np.broadcast_to(p, shape)) for p in (dz.real, dz.imag))
+    _, _, a, b, c, d = _w_integrals(dx, dy, u.real, u.imag,
+                                    [np.empty(shape) for _ in range(6)])
+    i0, i1 = a + 1j * b, c + 1j * d
+    k = 1.0 / (TWO_PI * 1j * e)
+    return (i0 - i1) * k, i1 * k
 
 
 def vortex_panel_psi_coeffs(z, za, zb):
@@ -621,47 +681,81 @@ class _System:
     closed: bool
     basis: np.ndarray        # (n_nodes, 3) strengths of the three columns
     residual: np.ndarray     # (n_pan + 1, 3) their residuals over every row
-    circulation: np.ndarray  # (3,) the circulation row applied to basis
+    circulation: np.ndarray  # (3,) R times the circulation row applied to basis
     cond: float              # 1-norm condition number of the square system
 
 
-def _system_rows(nodes, closed):
+def _system_rows(nodes, closed, R):
     """Rows of the panel system on the layout nodes, with their right-hand
     sides at unit Re w_inf, Im w_inf and Gamma as columns.
 
-    One midpoint tangency row per panel and the circulation row
-    sum(L_j * (g_j + g_{j+1}) / 2) = Gamma.  The circulation row is row
-    n_nodes - 1, so the leading n_nodes rows are the square system; a
+    One midpoint tangency row per panel and the circulation row in units
+    of the circumradius R, sum(L_j * (g_j + g_{j+1}) / (2 R)) = Gamma / R,
+    so that every row is free of the body's scale.  The circulation row is
+    row n_nodes - 1, so the leading n_nodes rows are the square system; a
     closed body's last tangency row follows it.
+
+    The tangency rows take the panel integrals of ``_w_integrals`` in
+    chunks of about TREE_PAIRS point-panel pairs, each projected on the
+    collocation normal n_i = i e_i in place: Re(w n_i) per unit strength
+    is Re(i0 e_i conj(e_j)) / (2 pi) - Re(i1 e_i conj(e_j)) / (2 pi) for
+    the panel's start node and the second term alone, added, for its end.
     """
     if closed:
         za, zb = nodes, np.roll(nodes, -1)
     else:
         za, zb = nodes[:-1], nodes[1:]
-    lens = np.abs(zb - za)
+    span = zb - za
+    lens = np.hypot(span.real, span.imag)
     if np.any(lens <= 1e-14 * np.max(lens)):  # one node: every length 0
         raise SolverError("degenerate panel layout (duplicate nodes)")
+    e = span / lens
+    u = e / lens
     mids = 0.5 * (za + zb)
-    normal = 1j * (zb - za) / lens
+    # e_i / (2 pi), the collocation side of e_i conj(e_j) / (2 pi)
+    ei = e / TWO_PI
     n_nodes = len(nodes)
     n_pan = len(za)
-    # panel j runs from node j to node ib[j]
-    ib = (np.arange(n_pan) + 1) % n_nodes
 
     rows = np.zeros((n_pan + 1, n_nodes))
     tangency = rows[:-1]
     step = max(1, TREE_PAIRS // n_pan)
+    buf = np.empty((8, min(step, n_pan), n_pan))
     for start in range(0, n_pan, step):
         chunk = slice(start, start + step)
-        ca, cb = vortex_panel_w_coeffs(mids[chunk, None], za, zb)
-        tangency[chunk, :n_pan] = np.real(ca * normal[chunk, None])
-        tangency[chunk, ib] += np.real(cb * normal[chunk, None])
+        dx, dy, cos, sin, a, b, c, d = buf[:, :len(mids[chunk])]
+        np.subtract(mids.real[chunk, None], za.real, out=dx)
+        np.subtract(mids.imag[chunk, None], za.imag, out=dy)
+        _w_integrals(dx, dy, u.real, u.imag, (cos, sin, a, b, c, d))
+        # cos + i sin = e_i conj(e_j) / (2 pi)
+        np.multiply(ei.real[chunk, None], e.real, out=cos)
+        np.multiply(ei.imag[chunk, None], e.imag, out=dx)
+        cos += dx
+        np.multiply(ei.imag[chunk, None], e.real, out=sin)
+        np.multiply(ei.real[chunk, None], e.imag, out=dx)
+        sin -= dx
+        c *= cos  # the end node's part: Re(i1 (cos + i sin))
+        d *= sin
+        c -= d
+        a *= cos  # the start node's: Re(i0 (cos + i sin)) less that
+        b *= sin
+        a -= b
+        a -= c
+        # panel j runs from node j to node j + 1 (node 0 when closed)
+        tangency[chunk, :n_pan] = a
+        tangency[chunk, 1:] += c[:, :n_nodes - 1]
+        if closed:
+            tangency[chunk, 0] += c[:, -1]
     # panel j adds half its length to each of its nodes
-    rows[-1, :n_pan] = 0.5 * lens
-    rows[-1, ib] += 0.5 * lens
+    half = 0.5 * lens / R
+    rows[-1, :n_pan] = half
+    rows[-1, 1:] += half[:n_nodes - 1]
+    if closed:
+        rows[-1, 0] += half[-1]
     # v . n = Re(w n) = 0 with w = w_inf + sheet: -Re(w_inf n) on the right
+    normal = 1j * e
     rhs = np.zeros((n_pan + 1, 3))
-    rhs[:-1, 0], rhs[:-1, 1], rhs[-1, 2] = -normal.real, normal.imag, 1.0
+    rhs[:-1, 0], rhs[:-1, 1], rhs[-1, 2] = -normal.real, normal.imag, 1.0 / R
     if closed:
         # the circulation row takes the last tangency row's place in M
         rows[[-2, -1]] = rows[[-1, -2]]
@@ -679,7 +773,8 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
         raise InvalidGeometryError(f"{n_panels} panels: a {body.kind} needs "
                                    f"at least {body.min_panels}")
     nodes, closed = body.panel_nodes(n_panels, cluster)
-    rows, rhs = _system_rows(nodes, closed)
+    R = body.circumradius
+    rows, rhs = _system_rows(nodes, closed, R)
     n_nodes = len(nodes)
     M = rows[:n_nodes]
     M_inv = np.linalg.inv(M)
@@ -689,7 +784,7 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
                           condition_number=cond)
     basis = M_inv @ rhs[:n_nodes]
     residual = rows @ basis - rhs
-    circulation = rows[n_nodes - 1] @ basis
+    circulation = R * (rows[n_nodes - 1] @ basis)  # physical units
     for arr in (nodes, basis, residual, circulation):
         arr.flags.writeable = False
     return _System(nodes, closed, basis, residual, circulation, cond)
@@ -700,11 +795,11 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
     """Solve for linear-strength vortex panels around a body.
 
     One tangency condition (v . n = 0) per panel midpoint plus the
-    explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma.
-    Closed bodies have one nodal unknown per panel, so the last tangency
-    equation is left out of the square system in favour of the
-    circulation row; it is implied by the others.  After the solve every
-    tangency row, and the circulation row over R, is held to TOL_SLIP * V.
+    explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma, over
+    the circumradius R (``_system_rows``).  Closed bodies have one nodal
+    unknown per panel, so the last tangency equation is left out of the
+    square system in favour of the circulation row; it is implied by the
+    others.  After the solve every row is held to TOL_SLIP * V.
     Open plates keep every row (one more node than panels).
 
     The square system depends only on the geometry and is inverted once,
@@ -723,12 +818,10 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
     c = np.array([np.real(far.w_inf), np.imag(far.w_inf), far.circulation])
     g = system.basis @ c
     circ = float(system.circulation @ c)
-    slip = np.abs(system.residual @ c)
-    residual = float(np.max(slip))
+    residual = float(np.max(np.abs(system.residual @ c)))
     R = body.circumradius
-    slip[len(system.nodes) - 1] /= R  # the circulation row is in units of w R
     speed = max(abs(far.w_inf), abs(far.circulation) / (TWO_PI * R)) or 1.0
-    if np.max(slip) > TOL_SLIP * speed:  # perfbench's oracle parses the message
+    if residual > TOL_SLIP * speed:  # perfbench's oracle parses the message
         raise SolverError(f"tangency residual {residual} exceeds tol_slip",
                           condition_number=system.cond)
 
@@ -762,10 +855,28 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     return entry
 
 
+# the last body's projected corners: (body, w_inf, n_panels) -> entries
+_projected = {}
+
+
 def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
-    """Each corner's ``analysis.affine_corner`` from the panel flows at
-    Gamma = 0 and Gamma = |w_inf| R (roots scale exactly with w_inf)."""
+    """Each corner's ``analysis.affine_corner`` entry from the panel flows
+    at Gamma = 0 and Gamma = |w_inf| R (roots scale exactly with w_inf).
+
+    Both flows are solved, slip gate and all, on every call.  Their
+    projections are made once per (body, w_inf, n_panels): on the rings
+    of every protruding corner, in one stream call per flow, and kept for
+    the last such key, so a Kutta root and a census of one body share
+    them.  DegenerateKuttaError is raised for the given corners alone."""
     gamma1 = abs(w_inf) * body.circumradius or 1.0
     flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
     flow1 = panel_solve(body, FarField(w_inf, gamma1), n_panels).flow
-    return [analysis.affine_corner(flow0, flow1, c) for c in corners]
+    key = (body, w_inf, n_panels)
+    if key not in _projected:
+        # a miss: free the stale entries before building the next
+        _projected.clear()
+        protruding = [c for c in body.corners if c.protruding]
+        _projected[key] = dict(zip([c.corner_id for c in protruding],
+                                   analysis._affine_entries(flow0, flow1, protruding)))
+    entries = _projected[key]
+    return analysis._responsive([entries[c.corner_id] for c in corners], corners)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cornerflow import analysis
+from cornerflow import analysis, incompressible
 from cornerflow.analysis import (affine_corner, circulation, corner_census,
                                  farfield_fit, fit_corner, mass_flux,
                                  sign_attainment, sign_component_census)
@@ -22,6 +22,8 @@ TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
 SQUARE = Polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
 L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+HEXAGON = Polygon([(1.3 * np.cos(t), 1.3 * np.sin(t))
+                   for t in np.linspace(0.0, 2 * np.pi, 7)[:-1] + 0.3])
 # sign-census windows about the centroid, in circumradii: square, 20:1,
 # 1:20, off-centre, and one whose edge cuts the body
 MASK_WINDOWS = [((-4, 4), (-4, 4)), ((-8, 8), (-0.4, 0.4)),
@@ -163,8 +165,8 @@ class TestFitCorner:
 def test_exact_plate_root_matches_kutta_oracle(alpha_deg):
     # straight walls out to the clearance: the ring projection is exact
     plate = FlatPlate(4.0, np.deg2rad(alpha_deg))
-    e = affine_corner(exact_flow(plate, FarField(1.0, 0.0)),
-                      exact_flow(plate, FarField(1.0, 2.0)), plate.corners[0])
+    (e,) = affine_corner(exact_flow(plate, FarField(1.0, 0.0)),
+                         exact_flow(plate, FarField(1.0, 2.0)), [plate.corners[0]])
     oracle = -np.pi * 4.0 * np.sin(np.deg2rad(alpha_deg))
     assert abs(e.root - oracle) <= 1e-12 * abs(oracle)
 
@@ -183,7 +185,7 @@ def test_root_does_not_depend_on_second_circulation():
     flow0 = panel_solve(plate, FarField(1.0, 0.0), 512).flow
     e1, e2 = (affine_corner(flow0,
                             panel_solve(plate, FarField(1.0, g1), 512).flow,
-                            plate.corners[0]) for g1 in (1.0, 2.0))
+                            [plate.corners[0]])[0] for g1 in (1.0, 2.0))
     assert e2.root == pytest.approx(e1.root, rel=1e-9)
     assert e2.root_uncertainty == pytest.approx(e1.root_uncertainty, rel=1e-9)
 
@@ -320,6 +322,74 @@ class TestCornerCensus:
         for e in census.corners:
             assert kutta_solve(TRIANGLE, 1.0, e.corner_id, n_panels=192) == e
 
+    @pytest.mark.parametrize("body, n_panels", [
+        (TRIANGLE, 192), (FlatPlate(4.0, np.pi / 6), 256), (HEXAGON, 512)],
+        ids=["triangle", "plate", "hexagon"])
+    def test_batched_affine_corner_matches_one_corner_calls(self, body, n_panels):
+        # one stream call per flow over every corner's rings takes other
+        # treecode chunks than one call per corner; the lines agree, and
+        # the root uncertainty, a difference of two roots, to the roots'
+        # scale |w_inf| R
+        R = body.circumradius
+        flow0 = panel_solve(body, FarField(1.0, 0.0), n_panels).flow
+        flow1 = panel_solve(body, FarField(1.0, R), n_panels).flow
+        corners = [c for c in body.corners if c.protruding]
+        batched = affine_corner(flow0, flow1, corners)
+        assert [e.corner_id for e in batched] == [c.corner_id for c in corners]
+        for e, corner in zip(batched, corners):
+            (one,) = affine_corner(flow0, flow1, [corner])
+            for field in ("root", "slope", "a1_at_zero"):
+                assert getattr(e, field) == pytest.approx(getattr(one, field), rel=1e-12)
+            assert abs(e.root_uncertainty - one.root_uncertainty) <= 1e-12 * R
+
+    def test_kutta_and_census_project_each_flow_once(self, monkeypatch):
+        # a Kutta root and a census of one body solve the flows at Gamma = 0
+        # and Gamma_1 twice each, but build each flow's clusters once and
+        # project the rings of all its corners in one stream call
+        projected, builds, streams = [], [], []
+        ring_a1, expansion = analysis._ring_a1, incompressible._expansion
+        stream = incompressible.PanelFlow.stream
+
+        def count_rings(flow, corners, radii):
+            projected.append((flow.far.circulation, len(corners)))
+            return ring_a1(flow, corners, radii)
+
+        def count_builds(*args):
+            builds.append(args[0].shape)
+            return expansion(*args)
+
+        def count_streams(flow, z):
+            streams.append(flow.far.circulation)
+            return stream(flow, z)
+
+        monkeypatch.setattr(analysis, "_ring_a1", count_rings)
+        monkeypatch.setattr(incompressible, "_expansion", count_builds)
+        monkeypatch.setattr(incompressible.PanelFlow, "stream", count_streams)
+        incompressible._projected.clear()
+        entry = kutta_solve(HEXAGON, 1.0, 2, n_panels=256)
+        census = corner_census(HEXAGON, 1.0, n_panels=256)
+        R = HEXAGON.circumradius
+        assert projected == [(0.0, 6), (R, 6)]
+        assert streams == [0.0, R]
+        assert len(builds) == 2
+        assert census.corners[2] == entry
+
+    def test_unresponsive_corner_raises_only_when_asked(self, monkeypatch):
+        # corner 0 reads as unresponsive; a Kutta root at corner 1 is found
+        entries = analysis._affine_entries
+        monkeypatch.setattr(analysis, "_affine_entries",
+                            lambda flow0, flow1, corners:
+                            [None] + entries(flow0, flow1, corners)[1:])
+        incompressible._projected.clear()
+        try:
+            assert kutta_solve(TRIANGLE, 1.0, 1, n_panels=96).corner_id == 1
+            for ask in (lambda: kutta_solve(TRIANGLE, 1.0, 0, n_panels=96),
+                        lambda: corner_census(TRIANGLE, 1.0, n_panels=96)):
+                with pytest.raises(DegenerateKuttaError, match="corner 0"):
+                    ask()
+        finally:
+            incompressible._projected.clear()
+
     def test_census_of_a_flow_at_rest(self):
         # every root is 0: all pairs coincide, and the sweep spans the
         # margin at the unit scale, as every |w_inf|-relative threshold does
@@ -335,7 +405,7 @@ class TestCornerCensus:
         # the same flow twice has slope 0: no root, never an infinite one
         flow = panel_solve(TRIANGLE, FarField(1.0, 0.0), 96).flow
         with pytest.raises(DegenerateKuttaError):
-            affine_corner(flow, flow, TRIANGLE.corners[0])
+            affine_corner(flow, flow, [TRIANGLE.corners[0]])
 
     def test_plate_census_min_one_singular(self):
         # two distinct edge roots: regularizing one edge leaves the other

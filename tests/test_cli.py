@@ -260,9 +260,9 @@ class TestKeys:
         # so the flow is regular at its own Kutta corner (corner 0)
         built, real = [], incompressible._system_rows
 
-        def spy(nodes, closed):
+        def spy(nodes, closed, R):
             built.append(len(nodes))
-            return real(nodes, closed)
+            return real(nodes, closed, R)
 
         incompressible._assemble.cache_clear()
         monkeypatch.setattr(incompressible, "_system_rows", spy)
