@@ -95,18 +95,13 @@ def _flow_scale(w_inf: complex, body_scale: float, beta: float) -> float:
     return (abs(w_inf) or 1.0) * body_scale ** (1.0 - np.pi / beta)
 
 
-def _ring_a1(flow, corners, radii) -> np.ndarray:
-    """a1 of each corner projected on the innermost and the outermost ring
-    of its ``radii`` (one sequence per corner), all in one stream call.
-
-    The corner modes are orthogonal on one ring, so
-        a1(r) = (2/beta) r**(-pi/beta)
-                * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
-    here by RING_NODES-point Gauss-Legendre in theta.  Exact wherever the
-    walls are straight out to r; on a panel flow the change of a1(r)
-    between the rings measures the discretization error.  Returns
-    [a1(r_lo), a1(r_hi)] per corner, shape (len(corners), 2).
-    """
+def _rings(corners, radii):
+    """The projection rings of each corner: its innermost and outermost
+    radius of ``radii`` (one sequence per corner), as RING_NODES
+    Gauss-Legendre points in theta, shape (len(corners), 2, RING_NODES),
+    with the rule's weights q times sin(pi theta / beta) and the ring
+    scales r**(pi/beta), shape (len(corners), 2), so that
+    a1 = psi(points) @ q / scales (``_ring_a1``)."""
     s, w = _gauss_legendre(RING_NODES)
     points, scales = [], []
     for corner, r in zip(corners, radii):
@@ -117,9 +112,25 @@ def _ring_a1(flow, corners, radii) -> np.ndarray:
         beta = corner.exterior_angle_beta
         points.append(_ring_points(corner, rings, beta * s))
         scales.append(rings ** (np.pi / beta))
-    psi = np.asarray(flow.stream(np.array(points)), dtype=float)
     # (2/beta) times the rule's Jacobian beta/2 is 1
-    return psi @ (w * np.sin(np.pi * s)) / np.array(scales)
+    return np.array(points), w * np.sin(np.pi * s), np.array(scales)
+
+
+def _ring_a1(flow, corners, radii) -> np.ndarray:
+    """a1 of each corner projected on the innermost and the outermost ring
+    of its ``radii`` (one sequence per corner), all in one stream call.
+
+    The corner modes are orthogonal on one ring, so
+        a1(r) = (2/beta) r**(-pi/beta)
+                * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
+    here by RING_NODES-point Gauss-Legendre in theta (``_rings``).  Exact
+    wherever the walls are straight out to r; on a panel flow the change
+    of a1(r) between the rings measures the discretization error.  Returns
+    [a1(r_lo), a1(r_hi)] per corner, shape (len(corners), 2).
+    """
+    points, q, scales = _rings(corners, radii)
+    psi = np.asarray(flow.stream(points), dtype=float)
+    return psi @ q / scales
 
 
 def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
@@ -289,27 +300,31 @@ def affine_corner(flow0, flow1, corners) -> list:
     ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
     Gamma = Gamma_1 = flow1.far.circulation; by superposition their a1
     projections fix the line exactly.  Both are taken on the two rings of
-    ``default_fit_radii``, every corner's in one stream call per flow: the
-    root, slope and a1(0) come from the outer ring, and the root
-    uncertainty is the change of the root between the rings, which does
-    not depend on Gamma_1.  Raises DegenerateKuttaError when a1 of a
+    ``default_fit_radii``, every corner's in one stream call per flow
+    (``_affine_entries``).  This is the path of any flow; a panel system
+    reads the same lines off its unit columns (``incompressible``'s
+    ``_affine_corners``).  Raises DegenerateKuttaError when a1 of a
     corner does not respond to circulation on either ring,
     |a1(Gamma_1) - a1(0)| < 1e-12 * |w_inf| * R**(1-pi/beta).
     """
-    return _responsive(_affine_entries(flow0, flow1, corners), corners)
-
-
-def _affine_entries(flow0, flow1, corners) -> list:
-    """``affine_corner``'s entry of each corner, or None where a1 does not
-    respond to circulation."""
     body_scale = flow0.body.circumradius
     radii = [default_fit_radii(c, body_scale) for c in corners]
     a0 = _ring_a1(flow0, corners, radii)
     rise = _ring_a1(flow1, corners, radii) - a0
-    gamma1 = flow1.far.circulation
+    return _responsive(_affine_entries(corners, a0, rise, flow1.far.circulation,
+                                       flow0.far.w_inf, body_scale), corners)
+
+
+def _affine_entries(corners, a0, rise, gamma1, w_inf, body_scale) -> list:
+    """Each corner's ``CornerCensusEntry`` from a1 at Gamma = 0 (a0) and
+    its rise to Gamma = gamma1, each on the inner and the outer ring,
+    shape (len(corners), 2): the root, slope and a1(0) of the outer ring,
+    and the change of the root between the rings as its uncertainty, which
+    does not depend on gamma1.  None where a1 does not respond to
+    circulation."""
     entries = []
     for corner, a, r in zip(corners, a0, rise):
-        if np.min(np.abs(r)) < 1e-12 * _flow_scale(flow0.far.w_inf, body_scale,
+        if np.min(np.abs(r)) < 1e-12 * _flow_scale(w_inf, body_scale,
                                                    corner.exterior_angle_beta):
             entries.append(None)
             continue
@@ -335,8 +350,9 @@ def corner_census(body: Body, w_inf: complex, n_panels: int,
                   gamma_grid=None) -> CensusResult:
     """Affine a1(Gamma) census over all protruding corners of a body.
 
-    Two solves on ``n_panels`` panels (Gamma = 0 and Gamma = |w_inf| R,
-    the flow's own scale) fix every corner's affine form exactly; the
+    The panel system on ``n_panels`` panels fixes every corner's affine
+    form exactly, from its unit columns, once its flows at Gamma = 0 and
+    Gamma = |w_inf| R (the flow's own scale) pass the slip gate; the
     census then reads off roots and, unless ``gamma_grid`` is given,
     sweeps a 33-point grid spanning all roots with margin as a
     redundancy check.  Root coincidence and the margin scale with

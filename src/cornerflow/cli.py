@@ -435,7 +435,16 @@ def _run_compressible(cfg, flow, body, far, summary, out):
     n_theta = int(_get(cfg, "solver.grid.n_theta"))
     r_far = float(_get(cfg, "solver.grid.r_far", body))
     cfar = FarField(state.free_stream_speed(mach_inf), far.circulation)
-    grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
+    try:
+        grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
+    except OverflowError as exc:
+        # the plate map's sigma_radius squares r_far
+        length = "chord" if body.kind == "flat_plate" else "radius"
+        source = ("solver.grid.r_far" if "r_far" in cfg.get("solver", {}).get("grid", {})
+                  else f"the default of solver.grid.r_far, {R_FAR:g} circumradii "
+                  f"of the body set by body.{length}")
+        raise OverflowError(f"the grid's outer radius {r_far:g} ({source}) overflows "
+                            f"when the conformal map squares it: {exc}") from exc
     sol = compressible.solve_subsonic(grid, state)
     summary["compressible"] = {
         # a solve that does not converge raises IterationLimitError

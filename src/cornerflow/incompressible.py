@@ -36,18 +36,17 @@ the separation of a chunk's nearest point that uses it.  At 512 panels
 that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18 at 4 KAPPA
 and 10-12 at 8 KAPPA.
 
-The velocity of a panel has one closed form, in real arithmetic in the
-panel's frame (``_w_integrals``), with two consumers: the treecode's
-near pairs, through ``vortex_panel_w_coeffs``, and the tangency
-assembly, which runs it in place over chunks of point-panel pairs and
-projects it straight onto the collocation normals (``_system_rows``).
-Its log takes the distance to the panel's nearer end, so it loses no
-digit near either end or far away.
+A panel's velocity and stream function each have one closed form, in
+real arithmetic in its frame on one log-ratio and angle
+(``_frame_logs``): ``_w_integrals`` for the treecode's near pairs and
+the tangency rows (``_system_rows``), ``_psi_integrals`` for the near
+pairs and the corner functionals (``_psi_rows``), each run in place
+over chunks of point-panel pairs.
 
-A Kutta root and a corner census read the same numbers: the flows at
-Gamma = 0 and Gamma_1, each projected once on the rings of every
-protruding corner and kept for the last (body, w_inf, n_panels)
-(``_affine_corners``).
+A Kutta root and a corner census read each corner's a1 as a linear
+functional of the panel system's three unit columns, built once per
+system (``_System.corner_a1``); the flows at Gamma = 0 and Gamma_1 are
+solved only as the slip gate of the line (``_affine_corners``).
 """
 
 from __future__ import annotations
@@ -263,31 +262,18 @@ def exact_flow(body: Body, far: FarField) -> MappedFlow | None:
 # linear-strength vortex panels
 
 
-def _local(z, za, zb):
-    d = zb - za
-    # correctly rounded, and the same for one panel as for a broadcast row
-    length = np.hypot(d.real, d.imag)
-    e = d / length
-    return (np.asarray(z, dtype=complex) - za) / e, e, length
+def _frame_logs(dx, dy, ux, uy, out, end=None):
+    """a + ib = log(zl / (zl - 1)) of a straight panel za -> zb of length
+    L, in its frame and units of L, at zl = x + iy: the offsets
+    dx + i dy = z - za times conj(ux + i uy), (zb - za) / L**2.  Written
+    in place into out = (x, y, a, b, x - 1, r**2) with r the distance to
+    the nearer end; dx and dy are left holding |a| and 2x - 1.  Offsets
+    ``end`` = (ex, ey) = z - zb give x - 1 every digit near zb (ey is
+    overwritten).
 
-
-def _w_integrals(dx, dy, ux, uy, out):
-    """The two integrals of a straight panel za -> zb of length L, in its
-    frame and units of L, at the offsets dx + i dy = z - za of the points
-    from its start, with ux + i uy = (zb - za) / L**2: at zl = x + iy,
-
-        i0 = int_0^1 ds / (zl - s) = log(zl / (zl - 1)) = a + ib,
-        i1 = int_0^1 s ds / (zl - s) = zl i0 - 1 = c + id,
-
-    written in place into out = (x, y, a, b, c, d), all of the broadcast
-    shape of the inputs; dx and dy are overwritten as scratch.
-
-    a = log(r1 / r2), the log of the distances to the two ends, is
-    +-(1/2) log1p(|2x - 1| / r**2) with r the distance to the nearer end,
-    whose argument is never negative, so no digit is lost near either end
-    or far away; b = atan2(-y, x (x - 1) + y**2) = arg(zl / (zl - 1)),
-    with the principal (two-sided average) value 0 on the panel, within
-    1e-12 L of it.  i1 then keeps an absolute error of a few ulps.
+    a = log(r1 / r2) = +-(1/2) log1p(|2x - 1| / r**2), whose argument is
+    never negative, so no digit is lost near either end or far away; it
+    is +-inf at a node.  b = atan2(-y, x (x - 1) + y**2).
     """
     x, y, a, b, c, d = out
     # zl = x + iy = (z - za) conj(zb - za) / L**2
@@ -297,31 +283,54 @@ def _w_integrals(dx, dy, ux, uy, out):
     np.multiply(dy, ux, out=y)
     np.multiply(dx, uy, out=a)
     y -= a
-    # b, with x - 1 in c and y**2 in d
-    np.subtract(x, 1.0, out=c)
+    if end is None:
+        np.subtract(x, 1.0, out=c)
+    else:
+        ex, ey = end
+        np.multiply(ex, ux, out=c)
+        np.multiply(ey, uy, out=ey)
+        c += ey
+    # b, with y**2 in d
     np.multiply(y, y, out=d)
     np.multiply(x, c, out=b)
     b += d
     np.negative(y, out=dx)
     np.arctan2(dx, b, out=b)
-    np.abs(y, out=dx)
-    on = dx <= 1e-12
-    on &= x > 1e-12
-    on &= c < -1e-12
-    b[on] = 0.0
-    # a, from r**2 = min(x**2, (x - 1)**2) + y**2 and 2x - 1 in c
+    # r**2 = min(x**2, (x - 1)**2) + y**2 in d, and 2x - 1 in dy
     np.multiply(x, x, out=a)
     np.multiply(c, c, out=dy)
     np.minimum(a, dy, out=a)
-    a += d
-    c += x
-    np.abs(c, out=dx)
-    # at a node r = 0: a = +-inf, and i1 is NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(dx, a, out=dx)
-        np.log1p(dx, out=dx)
-        dx *= 0.5
-        np.copysign(dx, c, out=a)
+    d += a
+    np.add(x, c, out=dy)
+    np.abs(dy, out=dx)
+    with np.errstate(divide="ignore"):
+        np.divide(dx, d, out=dx)
+    np.log1p(dx, out=dx)
+    dx *= 0.5
+    np.copysign(dx, dy, out=a)
+    return out
+
+
+def _w_integrals(dx, dy, ux, uy, out, on=None):
+    """The panel integrals, at the arguments of ``_frame_logs``,
+
+        i0 = int_0^1 ds / (zl - s) = a + ib,
+        i1 = int_0^1 s ds / (zl - s) = zl i0 - 1 = c + id,
+
+    in place into out = (x, y, a, b, c, d); dx and dy are scratch.  b
+    takes the principal (two-sided average) value 0 on the panel: at the
+    index ``on`` where the caller knows which points lie on it, else
+    within 1e-12 L of it.  i1 keeps an absolute error of a few ulps; at a
+    node a = +-inf and i1 is NaN.
+    """
+    x, y, a, b, c, d = _frame_logs(dx, dy, ux, uy, out)
+    if on is None:
+        np.abs(y, out=dx)
+        on = dx <= 1e-12
+        on &= x > 1e-12
+        on &= c < -1e-12
+    b[on] = 0.0
+    with np.errstate(invalid="ignore"):
         # c = x a - y b - 1 and d = x b + y a
         np.multiply(x, a, out=c)
         np.multiply(y, b, out=dx)
@@ -333,6 +342,68 @@ def _w_integrals(dx, dy, ux, uy, out):
     return out
 
 
+def _psi_integrals(dx, dy, ex, ey, ux, uy, out):
+    """The log integrals of the panel at the offsets z - za (dx, dy) and
+    z - zb (ex, ey), as views (p0, p1) of the six buffers out; the
+    offsets are scratch.  Per unit nodal strength the panel's psi is
+    -(L / 2 pi) (p + (1/2) log L), p0 for its start node, p1 for its end:
+
+        p0 = int_0^1 (1 - s) log|zl - s| ds,   p1 = int_0^1 s log|zl - s| ds.
+
+    With a and b of ``_frame_logs``, m = x or x - 1 the offset from the
+    nearer end, r the distance to it and rf to the other end,
+
+        p0 + p1 = m a - y b - 1 + log rf,
+        p1 = (x m - r**2 / 2) a - x y b - x / 2 - 1/4 + (log rf) / 2.
+
+    Each factor of a vanishes at the nearer end, where a diverges, so no
+    digit is lost near either end; log rf = (1/2) log(r**2 + |2x - 1|).
+    a is clipped to +-1e3, so its terms are 0 at a node.  b takes no
+    principal value: y b is continuous across the panel.
+    """
+    x, y, a, b, c, d = _frame_logs(dx, dy, ux, uy, out, end=(ex, ey))
+    np.clip(a, -1e3, 1e3, out=a)
+    # log rf in dx, and m in c: x - 1 where the end node is nearer, else x
+    np.abs(dy, out=dx)
+    dx += d
+    np.log(dx, out=dx)
+    dx *= 0.5
+    np.copyto(c, x, where=dy <= 0.0)
+    # p1 in y, p0 + p1 in c, with y b in ex
+    np.multiply(y, b, out=ex)
+    np.multiply(x, c, out=y)
+    d *= 0.5
+    y -= d
+    y *= a
+    c *= a
+    c -= ex
+    c -= 1.0
+    c += dx
+    ex *= x
+    y -= ex
+    x *= 0.5
+    y -= x
+    y -= 0.25
+    dx *= 0.5
+    y += dx
+    np.subtract(c, y, out=d)
+    return d, y
+
+
+def _broadcast_integrals(integrals, z, za, zb, *, end=False):
+    """``integrals`` of the panels za -> zb at the points z, broadcast,
+    given the offsets from za (and, with ``end``, from zb), and L."""
+    span = zb - za
+    L = np.hypot(span.real, span.imag)
+    u = span / L / L
+    z = np.asarray(z, dtype=complex)
+    shape = np.broadcast_shapes(z.shape, np.shape(u))
+    offsets = [np.array(np.broadcast_to(p, shape))
+               for node in ((za, zb) if end else (za,))
+               for p in ((z - node).real, (z - node).imag)]
+    return integrals(*offsets, u.real, u.imag, [np.empty(shape) for _ in range(6)]), L
+
+
 def vortex_panel_w_coeffs(z, za, zb):
     """Complex-velocity influence (per unit nodal strength) of a straight
     linear-strength vortex panel from za to zb: w = ca*g_a + cb*g_b.
@@ -341,39 +412,24 @@ def vortex_panel_w_coeffs(z, za, zb):
     velocity.  With e = (zb - za) / L and the panel integrals i0, i1 of
     ``_w_integrals``, ca = (i0 - i1) / (2 pi i e) and cb = i1 / (2 pi i e).
     """
-    span = zb - za
-    L = np.hypot(span.real, span.imag)
-    e = span / L
-    u = e / L
-    dz = np.asarray(z, dtype=complex) - za
-    shape = np.broadcast_shapes(dz.shape, np.shape(u))
-    dx, dy = (np.array(np.broadcast_to(p, shape)) for p in (dz.real, dz.imag))
-    _, _, a, b, c, d = _w_integrals(dx, dy, u.real, u.imag,
-                                    [np.empty(shape) for _ in range(6)])
+    (_, _, a, b, c, d), L = _broadcast_integrals(_w_integrals, z, za, zb)
     i0, i1 = a + 1j * b, c + 1j * d
-    k = 1.0 / (TWO_PI * 1j * e)
+    k = 1.0 / (TWO_PI * 1j * ((zb - za) / L))
     return (i0 - i1) * k, i1 * k
 
 
 def vortex_panel_psi_coeffs(z, za, zb):
-    """Stream-function influence of the same panel; continuous across it."""
-    zl, _, L = _local(z, za, zb)
-    zm = zl - L
-    at0 = np.abs(zl) <= 1e-300
-    atL = np.abs(zm) <= 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.where(at0, 0.0, np.log(np.where(at0, 1.0, zl)))
-        lzl = np.where(atL, 0.0, np.log(np.where(atL, 1.0, zm)))
-    j0 = zl * lz - zm * lzl - L
-    j1_L = (L**2 / 2.0 * lzl - L**2 / 4.0 - zl * L / 2.0
-            + zl**2 / 2.0 * (lz - lzl)) / L
-    ca = -np.real(j0 - j1_L) / TWO_PI
-    cb = -np.real(j1_L) / TWO_PI
-    return ca, cb
+    """Stream-function influence of the same panel, continuous across it:
+    with the integrals p0, p1 of ``_psi_integrals``,
+    ca = -(L / 2 pi) (p0 + (1/2) log L) and cb likewise with p1."""
+    (p0, p1), L = _broadcast_integrals(_psi_integrals, z, za, zb, end=True)
+    half_log, k = 0.5 * np.log(L), -L / TWO_PI
+    return (p0 + half_log) * k, (p1 + half_log) * k
 
 
 # point-cluster pairs per treecode chunk, points per chunk of the body
-# expansion, and point-panel pairs per chunk of the assembly
+# expansion, and point-panel pairs per chunk of the assembly, of the psi
+# rows and of the treecode's near psi pairs
 TREE_PAIRS = 16384
 # each expansion tabulates its order at the separations t = rho / |z - c|
 # = j / (SEPARATIONS * KAPPA), j = 0..SEPARATIONS, and a point takes the
@@ -509,15 +565,48 @@ def _multipole(field, rows, m0, rho, d, orders):
     return (y.real - m0 * np.log(np.abs(d))) / TWO_PI
 
 
-class _Field(NamedTuple):
-    """One field of a vortex sheet: its panel closed form and its dtype."""
+def _near_psi(flow, z, point, cluster):
+    """psi of the clusters' panels (``PanelFlow._psi_panels``) at the near
+    pairs (z[point], cluster), summed by point, in blocks of about
+    TREE_PAIRS point-panel pairs."""
+    rows, level = flow._psi_panels
+    sums = level[cluster]
+    block = TREE_PAIRS // CLUSTER
+    buf = np.empty((14, min(block, len(point)), CLUSTER))
+    for start in range(0, len(point), block):
+        pairs = slice(start, start + block)
+        gathered, out = buf[:8, :len(point[pairs])], buf[8:, :len(point[pairs])]
+        np.take(rows, cluster[pairs], axis=1, out=gathered)
+        # the gathered panel ends become the offsets
+        xa, ya, xb, yb, ux, uy, ka, kb = gathered
+        zp = z[point[pairs], None]
+        for offset, coord in ((xa, zp.real), (ya, zp.imag), (xb, zp.real), (yb, zp.imag)):
+            np.subtract(coord, offset, out=offset)
+        p0, p1 = _psi_integrals(xa, ya, xb, yb, ux, uy, out)
+        p0 *= ka
+        p1 *= kb
+        p0 += p1
+        sums[pairs] += p0.sum(axis=1)
+    return np.bincount(point, sums, len(z))
 
-    coeffs: Callable
+
+def _near_w(flow, z, point, cluster):
+    """w of the clusters' panels at the near pairs, summed by point."""
+    tree = flow._clusters
+    ca, cb = vortex_panel_w_coeffs(z[point, None], tree.za[cluster], tree.zb[cluster])
+    w = np.sum(ca * tree.ga[cluster] + cb * tree.gb[cluster], axis=1)
+    return np.bincount(point, w.real, len(z)) + 1j * np.bincount(point, w.imag, len(z))
+
+
+class _Field(NamedTuple):
+    """One field of a vortex sheet: its sum over near pairs and its dtype."""
+
+    near: Callable
     dtype: type
 
 
-_PSI = _Field(vortex_panel_psi_coeffs, float)
-_W = _Field(vortex_panel_w_coeffs, complex)
+_PSI = _Field(_near_psi, float)
+_W = _Field(_near_w, complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,10 +654,7 @@ class PanelFlow:
                                tree.rho[by, None], d, order[by])
             part = np.where(far[by], terms, 0.0).sum(axis=0)
             point, cluster = np.nonzero(~far.T)
-            ca, cb = field.coeffs(zc[point, None], tree.za[cluster], tree.zb[cluster])
-            np.add.at(part, point, np.sum(ca * tree.ga[cluster]
-                                          + cb * tree.gb[cluster], axis=1))
-            acc[start:start + step] = part
+            acc[start:start + step] = part + field.near(self, zc, point, cluster)
         return acc.reshape(z.shape)
 
     def _sheet(self, z, field):
@@ -626,6 +712,21 @@ class PanelFlow:
         return _expansion(za, zb, ga, gb, centre, rho, R,
                           FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
 
+    @cached_property
+    def _psi_panels(self):
+        """The clusters' panels for ``_near_psi``: rows za.real, za.imag,
+        zb.real, zb.imag, (ux, uy) = (zb - za) / L**2 and the weights
+        ka, kb = -L (ga, gb) / 2 pi of p0 and p1, each (K, CLUSTER); and
+        each cluster's sum of (ka + kb) log(L) / 2."""
+        tree = self._clusters
+        span = tree.zb - tree.za
+        L = np.hypot(span.real, span.imag)
+        u = span / L / L
+        ka, kb = -L / TWO_PI * tree.ga, -L / TWO_PI * tree.gb
+        rows = np.stack([tree.za.real, tree.za.imag, tree.zb.real, tree.zb.imag,
+                         u.real, u.imag, ka, kb])
+        return rows, np.sum((ka + kb) * (0.5 * np.log(L)), axis=1)
+
     def _check(self, z):
         """z as a complex array; FluidDomainError where the body occupies
         a point (tol = 1e-12 R)."""
@@ -677,12 +778,77 @@ class _System:
     strengths and residuals at any free stream and Gamma superpose the
     columns solved at unit Re w_inf, unit Im w_inf and unit Gamma."""
 
+    body: Body
     nodes: np.ndarray
     closed: bool
     basis: np.ndarray        # (n_nodes, 3) strengths of the three columns
     residual: np.ndarray     # (n_pan + 1, 3) their residuals over every row
     circulation: np.ndarray  # (3,) R times the circulation row applied to basis
     cond: float              # 1-norm condition number of the square system
+
+    @cached_property
+    def corner_a1(self) -> np.ndarray:
+        """a1 of every protruding corner on its two ``default_fit_radii``
+        rings for each unit column, shape (corners, 2, 3), so that
+        a1 = Re w_inf a[..., 0] + Im w_inf a[..., 1] + Gamma a[..., 2].
+
+        Each column's psi, its sheet's plus its free stream's (Im z at unit
+        Re w_inf, Re z at unit Im w_inf) less the body level at the first
+        panel's midpoint, as ``PanelFlow.stream``, is projected as
+        ``analysis._ring_a1`` projects a flow's."""
+        R = self.body.circumradius
+        corners = [c for c in self.body.corners if c.protruding]
+        points, q, scales = analysis._rings(
+            corners, [analysis.default_fit_radii(c, R) for c in corners])
+        z = np.append(points.ravel(), 0.5 * (self.nodes[0] + self.nodes[1]))
+        psi = _psi_rows(z, self.nodes, self.closed, self.basis)
+        psi[:, 0] += z.imag
+        psi[:, 1] += z.real
+        psi = (psi[:-1] - psi[-1]).reshape(points.shape + (3,))
+        a1 = np.swapaxes(psi, -1, -2) @ q / scales[..., None]
+        a1.flags.writeable = False
+        return a1
+
+
+def _layout_panels(nodes, closed):
+    """(za, zb, zb - za, L) of the panels on the layout nodes: panel j runs
+    from node j to node j + 1 (node 0 when closed)."""
+    if closed:
+        za, zb = nodes, np.roll(nodes, -1)
+    else:
+        za, zb = nodes[:-1], nodes[1:]
+    span = zb - za
+    return za, zb, span, np.hypot(span.real, span.imag)
+
+
+def _psi_rows(z, nodes, closed, columns):
+    """psi per unit nodal strength of the sheet on the layout nodes at the
+    points z, times the strengths ``columns`` (n_nodes, k): (len(z), k).
+    ``_psi_integrals`` runs in place over chunks of about TREE_PAIRS
+    point-panel pairs, and each chunk's start-node and end-node parts
+    meet the columns of their nodes, scaled by -L / 2 pi, in two
+    products."""
+    za, zb, span, lens = _layout_panels(nodes, closed)
+    u = span / lens / lens
+    half_log, k = 0.5 * np.log(lens), -lens / TWO_PI
+    ia = np.arange(len(za))
+    start_cols = k[:, None] * columns[ia]
+    end_cols = k[:, None] * columns[(ia + 1) % len(nodes)]
+    psi = np.empty((len(z), columns.shape[1]))
+    step = max(1, TREE_PAIRS // len(za))
+    buf = np.empty((10, min(step, len(z)), len(za)))
+    for start in range(0, len(z), step):
+        chunk = slice(start, start + step)
+        dx, dy, ex, ey, *out = buf[:, :len(z[chunk])]
+        for offset, coord, node in ((dx, z.real, za.real), (dy, z.imag, za.imag),
+                                    (ex, z.real, zb.real), (ey, z.imag, zb.imag)):
+            np.subtract(coord[chunk, None], node, out=offset)
+        p0, p1 = _psi_integrals(dx, dy, ex, ey, u.real, u.imag, out)
+        p0 += half_log
+        p1 += half_log
+        np.matmul(p0, start_cols, out=psi[chunk])
+        psi[chunk] += p1 @ end_cols
+    return psi
 
 
 def _system_rows(nodes, closed, R):
@@ -701,12 +867,7 @@ def _system_rows(nodes, closed, R):
     is Re(i0 e_i conj(e_j)) / (2 pi) - Re(i1 e_i conj(e_j)) / (2 pi) for
     the panel's start node and the second term alone, added, for its end.
     """
-    if closed:
-        za, zb = nodes, np.roll(nodes, -1)
-    else:
-        za, zb = nodes[:-1], nodes[1:]
-    span = zb - za
-    lens = np.hypot(span.real, span.imag)
+    za, zb, span, lens = _layout_panels(nodes, closed)
     if np.any(lens <= 1e-14 * np.max(lens)):  # one node: every length 0
         raise SolverError("degenerate panel layout (duplicate nodes)")
     e = span / lens
@@ -726,7 +887,10 @@ def _system_rows(nodes, closed, R):
         dx, dy, cos, sin, a, b, c, d = buf[:, :len(mids[chunk])]
         np.subtract(mids.real[chunk, None], za.real, out=dx)
         np.subtract(mids.imag[chunk, None], za.imag, out=dy)
-        _w_integrals(dx, dy, u.real, u.imag, (cos, sin, a, b, c, d))
+        # the collocation point of panel i lies on panel i alone
+        own = np.arange(len(mids[chunk]))
+        _w_integrals(dx, dy, u.real, u.imag, (cos, sin, a, b, c, d),
+                     on=(own, start + own))
         # cos + i sin = e_i conj(e_j) / (2 pi)
         np.multiply(ei.real[chunk, None], e.real, out=cos)
         np.multiply(ei.imag[chunk, None], e.imag, out=dx)
@@ -787,7 +951,7 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     circulation = R * (rows[n_nodes - 1] @ basis)  # physical units
     for arr in (nodes, basis, residual, circulation):
         arr.flags.writeable = False
-    return _System(nodes, closed, basis, residual, circulation, cond)
+    return _System(body, nodes, closed, basis, residual, circulation, cond)
 
 
 def panel_solve(body: Body, far: FarField, n_panels: int,
@@ -841,9 +1005,9 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     """The affine a1(Gamma) of one protruding corner, whose root is the
     circulation making that corner regular (a1 = 0).
 
-    a1 depends affinely on Gamma (superposition), so two solves on
-    ``n_panels`` panels fix the line (``_affine_corners``); the result is
-    the corner's ``corner_census`` entry at the same n_panels.
+    a1 depends affinely on Gamma (superposition), so the system's unit
+    columns on ``n_panels`` panels fix the line (``_affine_corners``); the
+    result is the corner's ``corner_census`` entry at the same n_panels.
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):
@@ -855,28 +1019,22 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     return entry
 
 
-# the last body's projected corners: (body, w_inf, n_panels) -> entries
-_projected = {}
-
-
 def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
-    """Each corner's ``analysis.affine_corner`` entry from the panel flows
-    at Gamma = 0 and Gamma = |w_inf| R (roots scale exactly with w_inf).
+    """Each corner's ``analysis.affine_corner`` entry, read off the panel
+    system's unit columns (``_System.corner_a1``): a1(0) at w_inf and its
+    rise to Gamma_1 = |w_inf| R (or 1 at rest).
 
-    Both flows are solved, slip gate and all, on every call.  Their
-    projections are made once per (body, w_inf, n_panels): on the rings
-    of every protruding corner, in one stream call per flow, and kept for
-    the last such key, so a Kutta root and a census of one body share
-    them.  DegenerateKuttaError is raised for the given corners alone."""
+    The flows at Gamma = 0 and Gamma_1 are solved on every call, so a line
+    is read only where both its ends pass the slip gate; the functionals
+    are built once per system, the first time a Kutta root or a census
+    asks.  DegenerateKuttaError is raised for the given corners alone."""
     gamma1 = abs(w_inf) * body.circumradius or 1.0
-    flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
-    flow1 = panel_solve(body, FarField(w_inf, gamma1), n_panels).flow
-    key = (body, w_inf, n_panels)
-    if key not in _projected:
-        # a miss: free the stale entries before building the next
-        _projected.clear()
-        protruding = [c for c in body.corners if c.protruding]
-        _projected[key] = dict(zip([c.corner_id for c in protruding],
-                                   analysis._affine_entries(flow0, flow1, protruding)))
-    entries = _projected[key]
-    return analysis._responsive([entries[c.corner_id] for c in corners], corners)
+    for gamma in (0.0, gamma1):
+        panel_solve(body, FarField(w_inf, gamma), n_panels)
+    a1 = _assemble(body, n_panels, 1.0).corner_a1
+    ids = [c.corner_id for c in body.corners if c.protruding]
+    a1 = a1[[ids.index(c.corner_id) for c in corners]]
+    a0 = np.real(w_inf) * a1[..., 0] + np.imag(w_inf) * a1[..., 1]
+    return analysis._responsive(
+        analysis._affine_entries(corners, a0, gamma1 * a1[..., 2], gamma1, w_inf,
+                                 body.circumradius), corners)

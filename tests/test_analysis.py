@@ -342,53 +342,82 @@ class TestCornerCensus:
                 assert getattr(e, field) == pytest.approx(getattr(one, field), rel=1e-12)
             assert abs(e.root_uncertainty - one.root_uncertainty) <= 1e-12 * R
 
-    def test_kutta_and_census_project_each_flow_once(self, monkeypatch):
-        # a Kutta root and a census of one body solve the flows at Gamma = 0
-        # and Gamma_1 twice each, but build each flow's clusters once and
-        # project the rings of all its corners in one stream call
-        projected, builds, streams = [], [], []
-        ring_a1, expansion = analysis._ring_a1, incompressible._expansion
-        stream = incompressible.PanelFlow.stream
+    def test_kutta_and_census_read_one_functional_build(self, monkeypatch):
+        # a Kutta root and a census of one body each solve the flows at
+        # Gamma = 0 and Gamma_1 through the slip gate, then read their lines
+        # off the system's unit columns: one functional build per system,
+        # no stream call and no cluster expansion
+        builds, solves, streams, expansions = [], [], [], []
+        psi_rows, solve = incompressible._psi_rows, incompressible.panel_solve
+        stream, expansion = incompressible.PanelFlow.stream, incompressible._expansion
 
-        def count_rings(flow, corners, radii):
-            projected.append((flow.far.circulation, len(corners)))
-            return ring_a1(flow, corners, radii)
+        def count_builds(z, nodes, closed, columns):
+            builds.append(len(z))
+            return psi_rows(z, nodes, closed, columns)
 
-        def count_builds(*args):
-            builds.append(args[0].shape)
-            return expansion(*args)
+        def count_solves(body, far, n_panels, cluster=1.0):
+            solves.append(far.circulation)
+            return solve(body, far, n_panels, cluster)
 
         def count_streams(flow, z):
             streams.append(flow.far.circulation)
             return stream(flow, z)
 
-        monkeypatch.setattr(analysis, "_ring_a1", count_rings)
-        monkeypatch.setattr(incompressible, "_expansion", count_builds)
+        def count_expansions(*args):
+            expansions.append(args[0].shape)
+            return expansion(*args)
+
+        monkeypatch.setattr(incompressible, "_psi_rows", count_builds)
+        monkeypatch.setattr(incompressible, "panel_solve", count_solves)
         monkeypatch.setattr(incompressible.PanelFlow, "stream", count_streams)
-        incompressible._projected.clear()
+        monkeypatch.setattr(incompressible, "_expansion", count_expansions)
+        incompressible._assemble.cache_clear()
         entry = kutta_solve(HEXAGON, 1.0, 2, n_panels=256)
         census = corner_census(HEXAGON, 1.0, n_panels=256)
         R = HEXAGON.circumradius
-        assert projected == [(0.0, 6), (R, 6)]
-        assert streams == [0.0, R]
-        assert len(builds) == 2
+        # the rings of all six corners and the body level, in one build
+        assert builds == [6 * 2 * analysis.RING_NODES + 1]
+        assert solves == [0.0, R, 0.0, R]
+        assert streams == [] and expansions == []
         assert census.corners[2] == entry
+        # another system builds its own
+        kutta_solve(HEXAGON, 1.0, 2, n_panels=128)
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("w_inf", [1.0, 1.2 * np.exp(0.4j)], ids=["real", "tilted"])
+    @pytest.mark.parametrize("body, n_panels", [
+        (FlatPlate(4.0, np.pi / 6), 512), (TRIANGLE, 192), (SQUARE, 160),
+        (HEXAGON, 256)], ids=["plate", "triangle", "square", "hexagon"])
+    def test_functional_entries_match_the_flow_path(self, body, n_panels, w_inf):
+        # every Kutta and census entry read off the unit columns against
+        # affine_corner on the two gated flows, projected through the
+        # treecode: each root within its own root_uncertainty, and polygon
+        # roots to 1e-9 relative
+        gamma1 = abs(w_inf) * body.circumradius
+        corners = [c for c in body.corners if c.protruding]
+        flow0 = panel_solve(body, FarField(w_inf, 0.0), n_panels).flow
+        flow1 = panel_solve(body, FarField(w_inf, gamma1), n_panels).flow
+        flows = affine_corner(flow0, flow1, corners)
+        kutta = tuple(kutta_solve(body, w_inf, c.corner_id, n_panels) for c in corners)
+        assert corner_census(body, w_inf, n_panels).corners == kutta
+        for e, f in zip(kutta, flows):
+            assert e.corner_id == f.corner_id
+            assert abs(e.root - f.root) <= f.root_uncertainty
+            if not isinstance(body, FlatPlate):
+                assert abs(e.root - f.root) <= 1e-9 * abs(f.root)
 
     def test_unresponsive_corner_raises_only_when_asked(self, monkeypatch):
         # corner 0 reads as unresponsive; a Kutta root at corner 1 is found
         entries = analysis._affine_entries
         monkeypatch.setattr(analysis, "_affine_entries",
-                            lambda flow0, flow1, corners:
-                            [None] + entries(flow0, flow1, corners)[1:])
-        incompressible._projected.clear()
-        try:
-            assert kutta_solve(TRIANGLE, 1.0, 1, n_panels=96).corner_id == 1
-            for ask in (lambda: kutta_solve(TRIANGLE, 1.0, 0, n_panels=96),
-                        lambda: corner_census(TRIANGLE, 1.0, n_panels=96)):
-                with pytest.raises(DegenerateKuttaError, match="corner 0"):
-                    ask()
-        finally:
-            incompressible._projected.clear()
+                            lambda corners, *line: [
+                                None if c.corner_id == 0 else e
+                                for c, e in zip(corners, entries(corners, *line))])
+        assert kutta_solve(TRIANGLE, 1.0, 1, n_panels=96).corner_id == 1
+        for ask in (lambda: kutta_solve(TRIANGLE, 1.0, 0, n_panels=96),
+                    lambda: corner_census(TRIANGLE, 1.0, n_panels=96)):
+            with pytest.raises(DegenerateKuttaError, match="corner 0"):
+                ask()
 
     def test_census_of_a_flow_at_rest(self):
         # every root is 0: all pairs coincide, and the sweep spans the

@@ -576,11 +576,16 @@ class TestRun:
         assert [e["type"] for e in summary["errors"]] == ["GasDomainError"]
         assert "compressible" not in summary
 
-    @pytest.mark.parametrize("override", ["body.chord=1e200",
-                                          "solver.grid.r_far=1.4e154"])
+    @pytest.mark.parametrize("override, length, source", [
+        ("body.chord=1e200", "1.25e+201", "the default of solver.grid.r_far, "
+         "25 circumradii of the body set by body.chord"),
+        ("solver.grid.r_far=1.4e154", "1.4e+154", "solver.grid.r_far")],
+        ids=["body.chord=1e200", "solver.grid.r_far=1.4e154"])
     def test_overflowing_length_exits_1_with_structured_error(self, tmp_path,
-                                                              override):
-        # the square of the plate's map radius overflows a Python float
+                                                              override, length,
+                                                              source):
+        # the square of the plate's map radius overflows a Python float; the
+        # message names that length and the key it comes from
         out = tmp_path / "out"
         assert run("plate_horizontal_m03.json", out, [override]) == 1
 
@@ -589,7 +594,10 @@ class TestRun:
 
         summary = json.loads((out / "summary.json").read_text(),
                              parse_constant=refuse)
-        assert [e["type"] for e in summary["errors"]] == ["OverflowError"]
+        (entry,) = summary["errors"]
+        assert entry["type"] == "OverflowError"
+        assert entry["message"].startswith(
+            f"the grid's outer radius {length} ({source}) overflows")
         assert "compressible" not in summary
 
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):

@@ -636,7 +636,7 @@ def loop_tangency_matrix(flow):
                          ids=["plate", "triangle", "circle"])
 def test_near_field_matches_panel_loop(body):
     # stream and velocity against the 40-digit reference, body level
-    # included; the per-panel loop itself errs by up to 8e-9 on the plate
+    # included
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
     R = body.circumradius
     z = near_points(flow, radii=np.linspace(0.3, 1.55, 6), angles=6,
@@ -652,12 +652,15 @@ def test_near_field_matches_panel_loop(body):
     assert np.max(np.abs(flow.velocity(z) - (w_inf + ref_w[:-1]))) <= 1e-13 * abs(w_inf)
 
     # on a panel (principal value) and exactly at a node, where w is
-    # log-singular and only psi is defined
+    # log-singular and only psi is defined: psi against the 40-digit rows,
+    # and both fields against the per-panel loop
     on = np.array([0.5 * (flow.nodes[3] + flow.nodes[4]), flow.nodes[7]])
-    assert np.max(np.abs(flow._accumulate(on, incompressible._PSI)
-                         - direct_sheet(flow, on, psi_fn))) <= 1e-9 * scale
+    psi_on = flow._accumulate(on, incompressible._PSI)
+    ref_on = np.array([reference_psi_row(flow.nodes, flow.closed, zk) for zk in on])
+    assert np.max(np.abs(psi_on - ref_on @ flow.gamma)) <= 1e-13 * scale
+    assert np.max(np.abs(psi_on - direct_sheet(flow, on, psi_fn))) <= 1e-12 * scale
     assert np.abs(flow._accumulate(on[:1], incompressible._W)
-                  - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-9 * abs(w_inf)
+                  - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-12 * abs(w_inf)
 
     rows, _ = incompressible._system_rows(flow.nodes, flow.closed, R)
     A = np.delete(rows, len(flow.nodes) - 1, axis=0)  # drop the circulation row
@@ -717,6 +720,92 @@ def test_assembled_rows_match_40_digit_reference(body):
     np.add.at(want, (np.arange(n_pan) + 1) % n_nodes, 0.5 * lens / R)
     assert np.allclose(rows[n_nodes - 1], want, rtol=1e-15, atol=0.0)
     assert rhs[n_nodes - 1].tolist() == [0.0, 0.0, 1.0 / R]
+
+
+def test_short_panel_rows_take_the_principal_value():
+    # the 512-panel plate's end panels are 9.4e-6 chords long, and the
+    # rounding of the first one's midpoint alone sets it 2.7e-12 L off the
+    # panel: each self pair still takes the principal value, so the end
+    # rows keep a few ulps of their largest entry
+    body = FlatPlate(4.0, 0.5)
+    nodes, closed = body.panel_nodes(512)
+    rows, _ = incompressible._system_rows(nodes, closed, body.circumradius)
+    for i in (0, len(nodes) - 2):
+        ref = reference_tangency_row(nodes, closed, i)
+        assert (np.max(np.abs(rows[i] - ref))
+                <= 8 * np.finfo(float).eps * np.max(np.abs(ref)))
+
+
+def reference_psi_row(nodes, closed, zk, digits=40):
+    """psi per unit nodal strength at the point zk as rounded to doubles,
+    -(1/2 pi) int g log|zk - zeta| ds over every panel, from the integrals
+    of ``reference_sheet`` at ``digits`` digits; u log u is 0 at u = 0,
+    so that zk may be a node."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(nodes)
+    row = np.zeros(n)
+    with mpmath.workdps(digits):
+        node, z = [mpmath.mpc(v) for v in nodes], mpmath.mpc(zk)
+
+        def ulog(u):
+            return mpmath.mpf(0) if u == 0 else u * mpmath.log(u)
+
+        for j in range(n if closed else n - 1):
+            a, b = node[j], node[(j + 1) % n]
+            L = abs(b - a)
+            u1 = (z - a) * L / (b - a)
+            u0 = u1 - L
+            l1, l0 = ulog(u1), ulog(u0)
+            i0 = l1 - l0 - L
+            i1 = u1 * i0 - (u1 * l1 - u0 * l0) / 2 + (u1**2 - u0**2) / 4
+            for k, c in ((j, i0 - i1 / L), ((j + 1) % n, i1 / L)):
+                row[k] += float(-mpmath.re(c) / (2 * mpmath.pi))
+    return row
+
+
+@pytest.mark.parametrize("length", [1e-3, 1.0, 1e3])
+def test_psi_kernel_matches_40_digit_integral(length):
+    # two panels meeting at a corner, seen from 1e-3 L of either end of the
+    # first, from on it, from exactly each node, and
+    # from 3 L to 100 L: the closed form errs by a few ulps of the pair or
+    # of max(L, |z - z_mid|) / 2 pi, the size of its far dipole term,
+    # whichever is larger, at every panel length
+    za = length * (0.3 - 0.2j)
+    zb = za + length * (0.8 + 0.6j)
+    zc = zb + 0.7 * length * np.exp(1.9j)
+    span = zb - za
+    z = np.concatenate([
+        za + 1e-3 * length * np.exp(1j * np.array([0.4, 2.0, 3.5, 5.0])),
+        zb + 1e-3 * length * np.exp(1j * np.array([0.4, 2.0, 3.5, 5.0])),
+        za + span * np.array([0.5, 0.137, 0.999]), [za, zb, zc],
+        za + span * (0.5 + np.array([3.0, 10.0, 30.0, 100.0])
+                     * np.exp(1j * np.array([0.7, 2.5, 4.0, 1.2])))])
+    for a, b in ((za, zb), (zb, zc)):
+        scale = np.maximum(abs(b - a), np.abs(z - 0.5 * (a + b))) / TWO_PI
+        got = np.stack(vortex_panel_psi_coeffs(z, a, b), axis=1)
+        ref = np.array([reference_psi_row(np.array([a, b]), False, zk) for zk in z])
+        scale = np.maximum(scale, np.max(np.abs(ref), axis=1))
+        assert np.all(np.max(np.abs(got - ref), axis=1)
+                      <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), TRIANGLE],
+                         ids=["plate", "triangle"])
+def test_psi_rows_are_the_kernel_per_panel(body):
+    # the functional rows add the kernel's pairs of every panel into its
+    # two nodes, bit for bit, at points near a corner, on a panel and at
+    # a node (times the identity, the rows themselves)
+    nodes, closed = body.panel_nodes(64)
+    corner = body.corners[-1]
+    z = np.concatenate([probe_ring(corner, [1e-3, 0.1], 3).ravel(),
+                        [0.5 * (nodes[5] + nodes[6]), nodes[9]]])
+    n = len(nodes)
+    want = np.zeros((len(z), n))
+    for j in range(n if closed else n - 1):
+        ca, cb = vortex_panel_psi_coeffs(z, nodes[j], nodes[(j + 1) % n])
+        want[:, j] += ca
+        want[:, (j + 1) % n] += cb
+    assert np.array_equal(incompressible._psi_rows(z, nodes, closed, np.eye(n)), want)
 
 
 def scalar_order(S, ratio, tol, t=1.0 / KAPPA):
