@@ -181,35 +181,24 @@ def _exponent_slope(flow, corner: Corner, body_scale: float) -> float:
 def sign_attainment(flow, corner: Corner, radius: float) -> str:
     """Do psi's signs both appear arbitrarily close to the corner?
 
-    Samples the wedge at ``radius``, its half and its quarter;
-    "both" requires a clear positive and negative value at every radius.
-    The k = 1 mode alone is one-signed over the wedge, so a corner
-    dominated by it reports positive_only/negative_only; a regular corner
-    with nonzero local field reports both.
+    Samples the wedge at ``radius``, its half and its quarter in one
+    stream call; "both" requires a clear positive and negative value at
+    every radius.  The k = 1 mode alone is one-signed over the wedge, so a
+    corner dominated by it reports positive_only/negative_only; a regular
+    corner with nonzero local field reports both.
     """
     body_scale = flow.body.circumradius
     w_scale = abs(flow.far.w_inf) or 1.0
-    verdicts = []
-    for r in (radius, radius / 2.0, radius / 4.0):
-        # noise floor shrinks with the leading admissible mode
-        level = 1e-9 * w_scale * body_scale * (r / body_scale) ** (
-            np.pi / corner.exterior_angle_beta)
-        pts = probe_ring(corner, [r], 64)
-        psi = np.asarray(flow.stream(pts), dtype=float).ravel()
-        has_pos = bool(np.max(psi) > level)
-        has_neg = bool(np.min(psi) < -level)
-        if has_pos and has_neg:
-            verdicts.append("both")
-        elif has_pos:
-            verdicts.append("positive_only")
-        elif has_neg:
-            verdicts.append("negative_only")
-        else:
-            verdicts.append("indeterminate")
-    first = verdicts[0]
-    if all(v == first for v in verdicts):
-        return first
-    return "indeterminate"
+    radii = radius / np.array([1.0, 2.0, 4.0])
+    psi = np.asarray(flow.stream(probe_ring(corner, radii, 64)), dtype=float)
+    # noise floor shrinks with the leading admissible mode
+    level = 1e-9 * w_scale * body_scale * (radii / body_scale) ** (
+        np.pi / corner.exterior_angle_beta)
+    names = {(True, True): "both", (True, False): "positive_only",
+             (False, True): "negative_only", (False, False): "indeterminate"}
+    verdicts = {names[bool(pos), bool(neg)] for pos, neg in
+                zip(psi.max(axis=1) > level, psi.min(axis=1) < -level)}
+    return verdicts.pop() if len(verdicts) == 1 else "indeterminate"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import cache
 from importlib import resources
@@ -330,8 +331,7 @@ def _run_forces(cfg, flow, body, far, summary, out):
     contour = CircleContour(body.centroid, 3.0 * body.circumradius, 1024)
     summary["forces"] = {
         **asdict(forces.blasius_force(flow, contour)),
-        "kutta_joukowsky_lift": forces.kutta_joukowsky_lift(
-            1.0, far.w_inf, far.circulation),
+        "kutta_joukowsky_lift": forces.kutta_joukowsky_lift(far.w_inf, far.circulation),
         "sign_convention": forces.ForceResult.sign_convention,
     }
 
@@ -426,6 +426,22 @@ def _write_csv(path, header, *columns):
             fh.write((row * parts[0].size) % tuple(values))
 
 
+@contextmanager
+def _outer_radius(cfg, body):
+    """solver.grid.r_far; an OverflowError of the block, as where the plate
+    map's sigma_radius squares r_far, is raised again naming its source."""
+    r_far = float(_get(cfg, "solver.grid.r_far", body))
+    try:
+        yield r_far
+    except OverflowError as exc:
+        length = "chord" if body.kind == "flat_plate" else "radius"
+        source = ("solver.grid.r_far" if "r_far" in cfg.get("solver", {}).get("grid", {})
+                  else f"the default of solver.grid.r_far, {R_FAR:g} circumradii "
+                  f"of the body set by body.{length}")
+        raise OverflowError(f"the grid's outer radius {r_far:g} ({source}) overflows "
+                            f"when the conformal map squares it: {exc}") from exc
+
+
 def _run_compressible(cfg, flow, body, far, summary, out):
     gamma = float(_get(cfg, "gas.gamma"))
     mach_inf = float(_get(cfg, "gas.mach_inf"))
@@ -433,18 +449,9 @@ def _run_compressible(cfg, flow, body, far, summary, out):
     state = BernoulliState.from_free_stream(gas, mach_inf)
     n_r = int(_get(cfg, "solver.grid.n_r"))
     n_theta = int(_get(cfg, "solver.grid.n_theta"))
-    r_far = float(_get(cfg, "solver.grid.r_far", body))
     cfar = FarField(state.free_stream_speed(mach_inf), far.circulation)
-    try:
+    with _outer_radius(cfg, body) as r_far:
         grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
-    except OverflowError as exc:
-        # the plate map's sigma_radius squares r_far
-        length = "chord" if body.kind == "flat_plate" else "radius"
-        source = ("solver.grid.r_far" if "r_far" in cfg.get("solver", {}).get("grid", {})
-                  else f"the default of solver.grid.r_far, {R_FAR:g} circumradii "
-                  f"of the body set by body.{length}")
-        raise OverflowError(f"the grid's outer radius {r_far:g} ({source}) overflows "
-                            f"when the conformal map squares it: {exc}") from exc
     sol = compressible.solve_subsonic(grid, state)
     summary["compressible"] = {
         # a solve that does not converge raises IterationLimitError
@@ -462,8 +469,9 @@ def _run_compressible(cfg, flow, body, far, summary, out):
 def _run_refinement_study(cfg, flow, body, far, summary, out):
     grids = [tuple(g) for g in _get(cfg, "solver.study.grids")]
     gas = GasModel(float(_get(cfg, "gas.gamma")))
-    study = compressible.refinement_study(
-        body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, grids)
+    with _outer_radius(cfg, body) as r_far:
+        study = compressible.refinement_study(
+            body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, r_far, grids)
     summary["refinement_study"] = {
         **asdict(study), "note": "blow-up signature at finite resolution, not a proof"}
 

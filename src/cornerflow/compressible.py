@@ -72,7 +72,7 @@ CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
 ANDERSON_DEPTH = 3    # earlier Picard steps mixed into each step
 MIN_GRID_NODES = 16   # least n_r and n_theta of a grid
 MIN_R_FAR = 20.0      # least outer radius of a grid, in body circumradii
-R_FAR = 25.0          # refinement_study's outer radius, in body circumradii
+R_FAR = 25.0          # solver.grid.r_far's default, in body circumradii
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +616,7 @@ def _near_corners(body: Body, z, radius: float):
 
 
 def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
-                     grids) -> RefinementStudy:
+                     r_far: float, grids) -> RefinementStudy:
     """Grid-refinement signature of (non-)existence.
 
     Per level the study records (a) the sonic-margin ratio
@@ -627,8 +627,8 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     A SonicExcursionError or IterationLimitError of the Picard solve is
     recorded as its level's outcome and the study goes on; any other error
     (a CG SolverError, or any error of the reference solve) ends the study.
+    Every level is built at the physical outer distance r_far.
     """
-    r_far = R_FAR * body.circumradius
     corner_radius = 0.15 * body.circumradius
     state = BernoulliState.from_free_stream(gas, mach_inf)
     q_inf = state.free_stream_speed(mach_inf)

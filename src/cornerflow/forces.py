@@ -59,7 +59,7 @@ def blasius_force(flow, contour: CircleContour) -> ForceResult:
                        quadrature_error=float(err))
 
 
-def kutta_joukowsky_lift(rho_inf: float, w_inf: complex, gamma: float) -> float:
-    """L = -rho * |w_inf| * Gamma (magnitude rho |w_inf| |Gamma|);
+def kutta_joukowsky_lift(w_inf: complex, gamma: float) -> float:
+    """L = -rho * |w_inf| * Gamma at rho = 1 (magnitude |w_inf| |Gamma|);
     matches the Blasius circle oracle's sign convention."""
-    return float(-rho_inf * abs(w_inf) * gamma)
+    return float(-abs(w_inf) * gamma)

@@ -38,10 +38,11 @@ and 10-12 at 8 KAPPA.
 
 A panel's velocity and stream function each have one closed form, in
 real arithmetic in its frame on one log-ratio and angle
-(``_frame_logs``): ``_w_integrals`` for the treecode's near pairs and
-the tangency rows (``_system_rows``), ``_psi_integrals`` for the near
-pairs and the corner functionals (``_psi_rows``), each run in place
-over chunks of point-panel pairs.
+(``_frame_logs``), ``_w_integrals`` and ``_psi_integrals``.  The
+treecode's near pairs of both fields take them broadcast, through
+``vortex_panel_w_coeffs`` and ``vortex_panel_psi_coeffs`` (``_near``);
+the tangency rows (``_system_rows``) and the corner functionals
+(``_psi_rows``) run them in place over chunks of point-panel pairs.
 
 A Kutta root and a corner census read each corner's a1 as a linear
 functional of the panel system's three unit columns, built once per
@@ -428,8 +429,8 @@ def vortex_panel_psi_coeffs(z, za, zb):
 
 
 # point-cluster pairs per treecode chunk, points per chunk of the body
-# expansion, and point-panel pairs per chunk of the assembly, of the psi
-# rows and of the treecode's near psi pairs
+# expansion, and point-panel pairs per chunk of the assembly and of the
+# psi rows, and per block of the treecode's near pairs
 TREE_PAIRS = 16384
 # each expansion tabulates its order at the separations t = rho / |z - c|
 # = j / (SEPARATIONS * KAPPA), j = 0..SEPARATIONS, and a point takes the
@@ -565,48 +566,32 @@ def _multipole(field, rows, m0, rho, d, orders):
     return (y.real - m0 * np.log(np.abs(d))) / TWO_PI
 
 
-def _near_psi(flow, z, point, cluster):
-    """psi of the clusters' panels (``PanelFlow._psi_panels``) at the near
-    pairs (z[point], cluster), summed by point, in blocks of about
-    TREE_PAIRS point-panel pairs."""
-    rows, level = flow._psi_panels
-    sums = level[cluster]
+def _near(field, z, point, cluster, tree):
+    """A field of the clusters' panels, ``field.coeffs`` times their nodal
+    strengths, at the near pairs (z[point], cluster) of the clusters
+    ``tree``, summed by point, in blocks of TREE_PAIRS // CLUSTER pairs."""
+    sums = np.empty(len(point), dtype=field.dtype)
     block = TREE_PAIRS // CLUSTER
-    buf = np.empty((14, min(block, len(point)), CLUSTER))
     for start in range(0, len(point), block):
         pairs = slice(start, start + block)
-        gathered, out = buf[:8, :len(point[pairs])], buf[8:, :len(point[pairs])]
-        np.take(rows, cluster[pairs], axis=1, out=gathered)
-        # the gathered panel ends become the offsets
-        xa, ya, xb, yb, ux, uy, ka, kb = gathered
-        zp = z[point[pairs], None]
-        for offset, coord in ((xa, zp.real), (ya, zp.imag), (xb, zp.real), (yb, zp.imag)):
-            np.subtract(coord, offset, out=offset)
-        p0, p1 = _psi_integrals(xa, ya, xb, yb, ux, uy, out)
-        p0 *= ka
-        p1 *= kb
-        p0 += p1
-        sums[pairs] += p0.sum(axis=1)
+        c = cluster[pairs]
+        ca, cb = field.coeffs(z[point[pairs], None], tree.za[c], tree.zb[c])
+        sums[pairs] = np.sum(ca * tree.ga[c] + cb * tree.gb[c], axis=1)
+    if field.dtype is complex:
+        return (np.bincount(point, sums.real, len(z))
+                + 1j * np.bincount(point, sums.imag, len(z)))
     return np.bincount(point, sums, len(z))
 
 
-def _near_w(flow, z, point, cluster):
-    """w of the clusters' panels at the near pairs, summed by point."""
-    tree = flow._clusters
-    ca, cb = vortex_panel_w_coeffs(z[point, None], tree.za[cluster], tree.zb[cluster])
-    w = np.sum(ca * tree.ga[cluster] + cb * tree.gb[cluster], axis=1)
-    return np.bincount(point, w.real, len(z)) + 1j * np.bincount(point, w.imag, len(z))
-
-
 class _Field(NamedTuple):
-    """One field of a vortex sheet: its sum over near pairs and its dtype."""
+    """One field of a vortex sheet: its panel closed form and its dtype."""
 
-    near: Callable
+    coeffs: Callable
     dtype: type
 
 
-_PSI = _Field(_near_psi, float)
-_W = _Field(_near_w, complex)
+_PSI = _Field(vortex_panel_psi_coeffs, float)
+_W = _Field(vortex_panel_w_coeffs, complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -654,7 +639,7 @@ class PanelFlow:
                                tree.rho[by, None], d, order[by])
             part = np.where(far[by], terms, 0.0).sum(axis=0)
             point, cluster = np.nonzero(~far.T)
-            acc[start:start + step] = part + field.near(self, zc, point, cluster)
+            acc[start:start + step] = part + _near(field, zc, point, cluster, tree)
         return acc.reshape(z.shape)
 
     def _sheet(self, z, field):
@@ -711,21 +696,6 @@ class PanelFlow:
         R = self.body.circumradius
         return _expansion(za, zb, ga, gb, centre, rho, R,
                           FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
-
-    @cached_property
-    def _psi_panels(self):
-        """The clusters' panels for ``_near_psi``: rows za.real, za.imag,
-        zb.real, zb.imag, (ux, uy) = (zb - za) / L**2 and the weights
-        ka, kb = -L (ga, gb) / 2 pi of p0 and p1, each (K, CLUSTER); and
-        each cluster's sum of (ka + kb) log(L) / 2."""
-        tree = self._clusters
-        span = tree.zb - tree.za
-        L = np.hypot(span.real, span.imag)
-        u = span / L / L
-        ka, kb = -L / TWO_PI * tree.ga, -L / TWO_PI * tree.gb
-        rows = np.stack([tree.za.real, tree.za.imag, tree.zb.real, tree.zb.imag,
-                         u.real, u.imag, ka, kb])
-        return rows, np.sum((ka + kb) * (0.5 * np.log(L)), axis=1)
 
     def _check(self, z):
         """z as a complex array; FluidDomainError where the body occupies

@@ -180,7 +180,7 @@ def test_criterion_07_forces():
     refp = 1.0 * 1.0 * abs(gstar)
     checks.append(("kutta plate", abs(abs(fp.lift) - refp) / refp,
                    abs(fp.drag) / refp))
-    kj = kutta_joukowsky_lift(1.0, 1.0, gstar)
+    kj = kutta_joukowsky_lift(1.0, gstar)
     checks.append(("plate blasius vs KJ", abs(fp.lift - kj) / abs(kj), 0.0))
 
     ok = all(lift_err < 0.01 and drag_rel < 1e-3 for _, lift_err, drag_rel in checks)
@@ -228,7 +228,7 @@ def test_criterion_10_blowup_signature():
     gas = GasModel(1.4)
     grids = [(64, 128), (128, 256), (256, 512)]
     plate_study = refinement_study(FlatPlate(4.0, np.deg2rad(30.0)), gas,
-                                   0.5, 0.0, grids)
+                                   0.5, 0.0, 50.0, grids)
     margins = [lv.sonic_margin_ratio for lv in plate_study.levels]
     machs = [lv.corner_max_mach for lv in plate_study.levels
              if lv.corner_max_mach is not None]
@@ -236,7 +236,7 @@ def test_criterion_10_blowup_signature():
     plate_ok = (plate_study.margin_strictly_increasing
                 and (plate_study.abort_at_finest or mach_increasing))
 
-    circle_study = refinement_study(Circle(1.0), gas, 0.3, 0.0, grids)
+    circle_study = refinement_study(Circle(1.0), gas, 0.3, 0.0, 25.0, grids)
     d = circle_study.mach_cauchy_differences
     circle_ok = (all(lv.outcome == "converged" for lv in circle_study.levels)
                  and len(d) == 2 and d[1] <= d[0] / 2.0)

@@ -215,6 +215,30 @@ class TestSignAttainment:
         for corner in flow.body.corners:
             assert sign_attainment(flow, corner, 0.1) == "both"
 
+    def test_three_rings_in_one_stream_call(self):
+        # and fit_corner makes three flow calls per corner: the a1 rings,
+        # the exponent ladder and the sign rings
+        flow = exact_flow(FlatPlate(4.0, np.pi / 6), FarField(1.0, 0.0))
+        calls = []
+
+        class Counting:
+            body, far = flow.body, flow.far
+
+            def stream(self, z):
+                calls.append(("stream", np.shape(z)))
+                return flow.stream(z)
+
+            def velocity(self, z):
+                calls.append(("velocity", np.shape(z)))
+                return flow.velocity(z)
+
+        corner = flow.body.corners[1]
+        assert sign_attainment(Counting(), corner, 0.05) == "positive_only"
+        assert calls == [("stream", (3, 64))]
+        calls.clear()
+        fit_corner(Counting(), corner)
+        assert [name for name, _ in calls] == ["stream", "velocity", "stream"]
+
 
 class TestContourIntegrals:
     def test_circle_circulation_residue(self):

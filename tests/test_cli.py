@@ -277,9 +277,10 @@ class TestKeys:
                              ids=["circle", "plate"])
     def test_grid_limits_are_the_grid_builders(self, tmp_path, capsys,
                                                monkeypatch, body):
-        # KEYS reads build_grid's least values and refinement_study's r_far
-        # from compressible's constants: the least values build, a value
-        # just below exits 2 and raises in build_grid
+        # KEYS reads build_grid's least values and r_far's default from
+        # compressible's constants: the least values build, a value just
+        # below exits 2 and raises in build_grid, and a study builds at the
+        # default
         built = body_from_config(body)
         R, r_far = built.circumradius, cli.KEYS["solver.grid.r_far"]
         assert r_far.least(built) == compressible.MIN_R_FAR * R
@@ -305,7 +306,8 @@ class TestKeys:
             return real(body, far, r_far, n_r, n_theta)
 
         monkeypatch.setattr(compressible, "build_grid", spy)
-        compressible.refinement_study(built, GasModel(1.4), 0.3, 0.0, [(16, 32)])
+        assert run(p, tmp_path / "study", COMPRESSIBLE + [
+            'analyses=["refinement_study"]', "solver.study.grids=[[16, 32]]"]) == 0
         assert seen == [r_far.default(built)]
 
     def test_default_field_window_is_centred_on_the_body(self, tmp_path):
@@ -576,18 +578,25 @@ class TestRun:
         assert [e["type"] for e in summary["errors"]] == ["GasDomainError"]
         assert "compressible" not in summary
 
-    @pytest.mark.parametrize("override, length, source", [
-        ("body.chord=1e200", "1.25e+201", "the default of solver.grid.r_far, "
-         "25 circumradii of the body set by body.chord"),
-        ("solver.grid.r_far=1.4e154", "1.4e+154", "solver.grid.r_far")],
-        ids=["body.chord=1e200", "solver.grid.r_far=1.4e154"])
+    @pytest.mark.parametrize("override, length, source, analysis", [
+        (override, length, source, analysis)
+        for analysis in ("compressible", "refinement_study")
+        for override, length, source in [
+            ("body.chord=1e200", "1.25e+201", "the default of solver.grid.r_far, "
+             "25 circumradii of the body set by body.chord"),
+            ("solver.grid.r_far=1.4e154", "1.4e+154", "solver.grid.r_far")]],
+        ids=["body.chord=1e200", "solver.grid.r_far=1.4e154",
+             "body.chord=1e200-refinement_study",
+             "solver.grid.r_far=1.4e154-refinement_study"])
     def test_overflowing_length_exits_1_with_structured_error(self, tmp_path,
                                                               override, length,
-                                                              source):
+                                                              source, analysis):
         # the square of the plate's map radius overflows a Python float; the
-        # message names that length and the key it comes from
+        # message names that length and the key it comes from, in either
+        # analysis that builds a grid
         out = tmp_path / "out"
-        assert run("plate_horizontal_m03.json", out, [override]) == 1
+        assert run("plate_horizontal_m03.json", out,
+                   [override, f"analyses={json.dumps([analysis])}"]) == 1
 
         def refuse(token):
             raise ValueError(f"non-strict JSON constant {token}")
@@ -598,7 +607,25 @@ class TestRun:
         assert entry["type"] == "OverflowError"
         assert entry["message"].startswith(
             f"the grid's outer radius {length} ({source}) overflows")
-        assert "compressible" not in summary
+        assert analysis not in summary
+
+    def test_refinement_study_reads_r_far(self, tmp_path, monkeypatch):
+        # every level is built at solver.grid.r_far, which moves the study
+        seen, real = [], compressible.build_grid
+
+        def spy(body, far, r_far, n_r, n_theta):
+            seen.append(r_far)
+            return real(body, far, r_far, n_r, n_theta)
+
+        monkeypatch.setattr(compressible, "build_grid", spy)
+        study = ['analyses=["refinement_study"]', "body.alpha_deg=10",
+                 "solver.study.grids=[[16, 32], [32, 64]]"]
+        summaries = []
+        for name, extra in (("default", []), ("r60", ["solver.grid.r_far=60"])):
+            assert run("plate_horizontal_m03.json", tmp_path / name, study + extra) == 0
+            summaries.append((tmp_path / name / "summary.json").read_text())
+        assert seen == [50.0] * 2 + [60.0] * 2  # the default is 25 R, R = 2
+        assert summaries[0] != summaries[1]
 
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
         out = tmp_path / "out"
@@ -675,9 +702,9 @@ class TestRun:
         seen = []
         real = compressible.refinement_study
 
-        def spy(body, gas, mach_inf, gamma, grids):
+        def spy(body, gas, mach_inf, gamma, r_far, grids):
             seen.append(gamma)
-            return real(body, gas, mach_inf, gamma, grids)
+            return real(body, gas, mach_inf, gamma, r_far, grids)
 
         monkeypatch.setattr(compressible, "refinement_study", spy)
         cfg = minimal_cfg(

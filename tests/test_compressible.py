@@ -172,7 +172,7 @@ class TestIterationLimit:
 
     def test_refinement_study_records_it_per_level(self, monkeypatch):
         monkeypatch.setattr(compressible, "MAX_PICARD_ITERS", 3)
-        study = refinement_study(Circle(1.0), GAS, 0.3, 0.0,
+        study = refinement_study(Circle(1.0), GAS, 0.3, 0.0, 25.0,
                                  [(16, 32), (32, 64)])
         assert [lv.outcome for lv in study.levels] == ["iteration_limit"] * 2
         assert all(lv.max_mach is None and lv.corner_max_mach is None
@@ -183,7 +183,7 @@ class TestIterationLimit:
 
 class TestRefinementStudy:
     def test_tilted_plate_blowup_signature(self):
-        study = refinement_study(FlatPlate(4.0, np.pi / 6), GAS, 0.5, 0.0,
+        study = refinement_study(FlatPlate(4.0, np.pi / 6), GAS, 0.5, 0.0, 50.0,
                                  [(16, 32), (32, 64), (64, 128)])
         assert study.margin_strictly_increasing
         assert study.levels[-1].outcome == "sonic_excursion"
@@ -191,7 +191,7 @@ class TestRefinementStudy:
         assert margins[-1] > margins[0]
 
     def test_horizontal_plate_control_constant(self):
-        study = refinement_study(FlatPlate(4.0, 0.0), GAS, 0.5, 0.0,
+        study = refinement_study(FlatPlate(4.0, 0.0), GAS, 0.5, 0.0, 50.0,
                                  [(16, 32), (32, 64)])
         for lv in study.levels:
             assert lv.outcome == "converged"
@@ -200,7 +200,7 @@ class TestRefinementStudy:
         assert m0 == pytest.approx(m1, rel=1e-10)
 
     def test_circle_control_converges(self):
-        study = refinement_study(Circle(1.0), GAS, 0.3, 0.0,
+        study = refinement_study(Circle(1.0), GAS, 0.3, 0.0, 25.0,
                                  [(16, 32), (32, 64), (64, 128)])
         assert all(lv.outcome == "converged" for lv in study.levels)
         d = study.mach_cauchy_differences
@@ -322,7 +322,7 @@ class TestSharedPieces:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(compressible, "ConformalGrid", Counting)
-        refinement_study(Circle(1.0), GAS, 0.3, 0.0, [(16, 32), (32, 64)])
+        refinement_study(Circle(1.0), GAS, 0.3, 0.0, 25.0, [(16, 32), (32, 64)])
         assert len(built) == 2
 
 
@@ -379,12 +379,12 @@ class TestLeanDiscretization:
         # was built, peaked at 43 full-grid arrays
         plate, grids = FlatPlate(4.0, np.pi / 6), [(32, 64), (64, 128),
                                                    (128, 256)]
-        refinement_study(plate, GAS, 0.5, 0.0, [(16, 32)])  # warm caches
+        refinement_study(plate, GAS, 0.5, 0.0, 50.0, [(16, 32)])  # warm caches
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            refinement_study(plate, GAS, 0.5, 0.0, grids)
+            refinement_study(plate, GAS, 0.5, 0.0, 50.0, grids)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -920,6 +920,27 @@ def test_stream_memory_on_a_field_grid():
     assert peak <= 12e6
 
 
+@pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), Circle(1.0)],
+                         ids=["plate", "circle"])
+def test_velocity_memory_near_the_body(body):
+    # 32 panels make two clusters, so a treecode chunk of 8192 points near
+    # the body holds up to 16384 near point-cluster pairs: w takes them in
+    # blocks of TREE_PAIRS // CLUSTER (6.0 and 5.6 MiB measured), not all
+    # at once (20.8 and 40.9 MiB)
+    flow = panel_solve(body, FarField(1.0, 1.3), 32).flow
+    x = 1.5 * body.circumradius * np.linspace(-1.0, 1.0, 200)
+    z = body.centroid + x[None, :] + 1j * x[:, None]
+    z = z[~body.occupies(z, 1e-12 * body.circumradius)]
+    flow.velocity(z[:1])  # the expansions, built once per flow
+    tracemalloc.start()
+    try:
+        flow.velocity(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
 # ---------------------------------------------------------------------------
 # the memo of the last assembled panel system
 
