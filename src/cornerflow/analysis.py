@@ -95,13 +95,19 @@ def _flow_scale(w_inf: complex, body_scale: float, beta: float) -> float:
     return (abs(w_inf) or 1.0) * body_scale ** (1.0 - np.pi / beta)
 
 
-def _rings(corners, radii):
-    """The projection rings of each corner: its innermost and outermost
-    radius of ``radii`` (one sequence per corner), as RING_NODES
-    Gauss-Legendre points in theta, shape (len(corners), 2, RING_NODES),
-    with the rule's weights q times sin(pi theta / beta) and the ring
-    scales r**(pi/beta), shape (len(corners), 2), so that
-    a1 = psi(points) @ q / scales (``_ring_a1``)."""
+def _ring_a1(flow, corners, radii) -> np.ndarray:
+    """a1 of each corner projected on the innermost and the outermost ring
+    of its ``radii`` (one sequence per corner), all in one stream call.
+
+    The corner modes are orthogonal on one ring, so
+        a1(r) = (2/beta) r**(-pi/beta)
+                * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
+    here by RING_NODES-point Gauss-Legendre in theta.  Exact wherever the
+    walls are straight out to r; on a panel flow the change of a1(r)
+    between the rings measures the discretization error.  Returns
+    [a1(r_lo), a1(r_hi)] per corner, shape (..., len(corners), 2), the
+    leading axes those of ``flow.stream`` (3 for ``_System.stream``).
+    """
     s, w = _gauss_legendre(RING_NODES)
     points, scales = [], []
     for corner, r in zip(corners, radii):
@@ -112,25 +118,9 @@ def _rings(corners, radii):
         beta = corner.exterior_angle_beta
         points.append(_ring_points(corner, rings, beta * s))
         scales.append(rings ** (np.pi / beta))
+    psi = np.asarray(flow.stream(np.array(points)), dtype=float)
     # (2/beta) times the rule's Jacobian beta/2 is 1
-    return np.array(points), w * np.sin(np.pi * s), np.array(scales)
-
-
-def _ring_a1(flow, corners, radii) -> np.ndarray:
-    """a1 of each corner projected on the innermost and the outermost ring
-    of its ``radii`` (one sequence per corner), all in one stream call.
-
-    The corner modes are orthogonal on one ring, so
-        a1(r) = (2/beta) r**(-pi/beta)
-                * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
-    here by RING_NODES-point Gauss-Legendre in theta (``_rings``).  Exact
-    wherever the walls are straight out to r; on a panel flow the change
-    of a1(r) between the rings measures the discretization error.  Returns
-    [a1(r_lo), a1(r_hi)] per corner, shape (len(corners), 2).
-    """
-    points, q, scales = _rings(corners, radii)
-    psi = np.asarray(flow.stream(points), dtype=float)
-    return psi @ q / scales
+    return psi @ (w * np.sin(np.pi * s)) / np.array(scales)
 
 
 def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
@@ -223,7 +213,7 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
     """Least squares of w against {1, 1/z, 1/z^2} on 64 points of each
     far circle, fitted as {1, u, u^2} with u = R / z, whose columns keep
     their size at any circumradius R, and rescaled (c1 = R times the
-    coefficient of u)."""
+    coefficient of u); its residual is held to 1e-3 ``far.speed_scale``."""
     body_scale = flow.body.circumradius
     if r_list is None:
         r_list = body_scale * np.array([10.0, 20.0, 40.0])
@@ -237,8 +227,7 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
     X = np.stack([np.ones_like(u), u, u**2], axis=1)
     coef, *_ = np.linalg.lstsq(X, w, rcond=None)
     resid = float(np.max(np.abs(X @ coef - w)))
-    w_scale = abs(flow.far.w_inf) or 1.0
-    if resid > 1e-3 * w_scale:
+    if resid > 1e-3 * flow.far.speed_scale(body_scale):
         raise FitQualityError(
             f"far-field fit residual {resid:.3g} too large; radii too small?")
     c1 = complex(coef[1] * body_scale)
@@ -288,50 +277,40 @@ def affine_corner(flow0, flow1, corners) -> list:
 
     ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
     Gamma = Gamma_1 = flow1.far.circulation; by superposition their a1
-    projections fix the line exactly.  Both are taken on the two rings of
-    ``default_fit_radii``, every corner's in one stream call per flow
-    (``_affine_entries``).  This is the path of any flow; a panel system
-    reads the same lines off its unit columns (``incompressible``'s
-    ``_affine_corners``).  Raises DegenerateKuttaError when a1 of a
-    corner does not respond to circulation on either ring,
-    |a1(Gamma_1) - a1(0)| < 1e-12 * |w_inf| * R**(1-pi/beta).
+    projections fix the line exactly, of slope (a1(Gamma_1) - a1(0)) /
+    Gamma_1.  Both are taken on the two rings of ``default_fit_radii``,
+    every corner's in one stream call per flow.  This is the path of any
+    flow; a panel system reads the same lines off its unit columns
+    (``incompressible``'s ``_affine_corners``).  DegenerateKuttaError at
+    Gamma_1 = 0, and as ``_affine_entries`` raises it.
     """
+    gamma1 = flow1.far.circulation
+    if gamma1 == 0:
+        raise DegenerateKuttaError("two flows at one circulation fix no line in Gamma")
     body_scale = flow0.body.circumradius
     radii = [default_fit_radii(c, body_scale) for c in corners]
     a0 = _ring_a1(flow0, corners, radii)
-    rise = _ring_a1(flow1, corners, radii) - a0
-    return _responsive(_affine_entries(corners, a0, rise, flow1.far.circulation,
-                                       flow0.far.w_inf, body_scale), corners)
+    slope = (_ring_a1(flow1, corners, radii) - a0) / gamma1
+    return _affine_entries(corners, a0, slope, body_scale)
 
 
-def _affine_entries(corners, a0, rise, gamma1, w_inf, body_scale) -> list:
-    """Each corner's ``CornerCensusEntry`` from a1 at Gamma = 0 (a0) and
-    its rise to Gamma = gamma1, each on the inner and the outer ring,
-    shape (len(corners), 2): the root, slope and a1(0) of the outer ring,
-    and the change of the root between the rings as its uncertainty, which
-    does not depend on gamma1.  None where a1 does not respond to
-    circulation."""
+def _affine_entries(corners, a0, slope, body_scale) -> list:
+    """Each corner's ``CornerCensusEntry`` from its line a0 + slope * Gamma
+    on the inner and the outer ring, shape (len(corners), 2) each: the
+    root -a0 / slope, slope and a0 of the outer ring, and the change of
+    the root between the rings as its uncertainty.  DegenerateKuttaError
+    names the first corner whose a1 does not respond to circulation,
+    |slope| < 1e-12 * R**(-pi/beta) on either ring."""
     entries = []
-    for corner, a, r in zip(corners, a0, rise):
-        if np.min(np.abs(r)) < 1e-12 * _flow_scale(w_inf, body_scale,
-                                                   corner.exterior_angle_beta):
-            entries.append(None)
-            continue
-        roots = -a * gamma1 / r
-        entries.append(CornerCensusEntry(
-            corner_id=corner.corner_id, root=float(roots[1]),
-            slope=float(r[1] / gamma1), a1_at_zero=float(a[1]),
-            root_uncertainty=float(abs(roots[1] - roots[0]))))
-    return entries
-
-
-def _responsive(entries, corners) -> list:
-    """The entries, once every one of them exists: DegenerateKuttaError
-    names the first corner whose a1 does not respond to circulation."""
-    for entry, corner in zip(entries, corners):
-        if entry is None:
+    for corner, a, s in zip(corners, a0, slope):
+        beta = corner.exterior_angle_beta
+        if np.min(np.abs(s)) < 1e-12 * body_scale ** (-np.pi / beta):
             raise DegenerateKuttaError(
                 f"a1 at corner {corner.corner_id} does not respond to circulation")
+        roots = -a / s
+        entries.append(CornerCensusEntry(
+            corner_id=corner.corner_id, root=float(roots[1]), slope=float(s[1]),
+            a1_at_zero=float(a[1]), root_uncertainty=float(abs(roots[1] - roots[0]))))
     return entries
 
 

@@ -44,10 +44,13 @@ treecode's near pairs of both fields take them broadcast, through
 the tangency rows (``_system_rows``) and the corner functionals
 (``_psi_rows``) run them in place over chunks of point-panel pairs.
 
-A Kutta root and a corner census read each corner's a1 as a linear
-functional of the panel system's three unit columns, built once per
-system (``_System.corner_a1``); the flows at Gamma = 0 and Gamma_1 are
-solved only as the slip gate of the line (``_affine_corners``).
+A Kutta root and a corner census read each corner's line
+a1(Gamma) = a1(0) + slope Gamma in slope form off the panel system's
+three unit columns: their psi (``_System.stream``) is projected on the
+corner rings as a flow's is, once per system (``_System.corner_a1``),
+and the root -a1(0) / slope scales with w_inf at any magnitude.  The
+flows at Gamma = 0 and Gamma_1 are solved only as the slip gate of the
+line (``_affine_corners``).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .geometry import Body, Circle, FlatPlate, _gauss_legendre
 
 TWO_PI = 2.0 * np.pi
 # largest tangency residual, and circulation residual over R, relative to
-# the speed scale V = max(|w_inf|, |Gamma| / (2 pi R)), or 1 at rest
+# the speed scale V (``FarField.speed_scale``)
 TOL_SLIP = 1e-8
 # panel flows use the multipole expansion at |z - c| >= KAPPA * R, with c
 # the centroid and R the circumradius; its truncation tail stays below
@@ -91,8 +94,12 @@ class FarField:
     circulation: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.w_inf):
-            raise InvalidGeometryError("w_inf must be finite")
+        if not (np.isfinite(self.w_inf) and np.isfinite(self.circulation)):
+            raise InvalidGeometryError("w_inf and circulation must be finite")
+
+    def speed_scale(self, R: float) -> float:
+        """V = max(|w_inf|, |Gamma| / (2 pi R)), or 1 at rest."""
+        return max(abs(self.w_inf), abs(self.circulation) / (TWO_PI * R)) or 1.0
 
     @property
     def flow_direction(self) -> complex:
@@ -756,26 +763,26 @@ class _System:
     circulation: np.ndarray  # (3,) R times the circulation row applied to basis
     cond: float              # 1-norm condition number of the square system
 
+    def stream(self, z):
+        """psi of the three unit columns at z, shape (3,) + z.shape: each
+        column's sheet (``_psi_rows``) and free stream, less its level at
+        the first panel's midpoint, as ``PanelFlow.stream``."""
+        z = np.asarray(z, dtype=complex)
+        at = np.append(z.ravel(), 0.5 * (self.nodes[0] + self.nodes[1]))
+        psi = _psi_rows(at, self.nodes, self.closed, self.basis)
+        psi[:, 0] += at.imag
+        psi[:, 1] += at.real
+        return (psi[:-1] - psi[-1]).T.reshape((3,) + z.shape)
+
     @cached_property
     def corner_a1(self) -> np.ndarray:
         """a1 of every protruding corner on its two ``default_fit_radii``
-        rings for each unit column, shape (corners, 2, 3), so that
-        a1 = Re w_inf a[..., 0] + Im w_inf a[..., 1] + Gamma a[..., 2].
-
-        Each column's psi, its sheet's plus its free stream's (Im z at unit
-        Re w_inf, Re z at unit Im w_inf) less the body level at the first
-        panel's midpoint, as ``PanelFlow.stream``, is projected as
-        ``analysis._ring_a1`` projects a flow's."""
+        rings for each unit column, shape (3, corners, 2), so that
+        a1 = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
         R = self.body.circumradius
         corners = [c for c in self.body.corners if c.protruding]
-        points, q, scales = analysis._rings(
-            corners, [analysis.default_fit_radii(c, R) for c in corners])
-        z = np.append(points.ravel(), 0.5 * (self.nodes[0] + self.nodes[1]))
-        psi = _psi_rows(z, self.nodes, self.closed, self.basis)
-        psi[:, 0] += z.imag
-        psi[:, 1] += z.real
-        psi = (psi[:-1] - psi[-1]).reshape(points.shape + (3,))
-        a1 = np.swapaxes(psi, -1, -2) @ q / scales[..., None]
+        a1 = analysis._ring_a1(self, corners,
+                               [analysis.default_fit_radii(c, R) for c in corners])
         a1.flags.writeable = False
         return a1
 
@@ -953,9 +960,8 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
     g = system.basis @ c
     circ = float(system.circulation @ c)
     residual = float(np.max(np.abs(system.residual @ c)))
-    R = body.circumradius
-    speed = max(abs(far.w_inf), abs(far.circulation) / (TWO_PI * R)) or 1.0
-    if residual > TOL_SLIP * speed:  # perfbench's oracle parses the message
+    if not residual <= TOL_SLIP * far.speed_scale(body.circumradius):
+        # perfbench's oracle parses the message
         raise SolverError(f"tangency residual {residual} exceeds tol_slip",
                           condition_number=system.cond)
 
@@ -985,26 +991,21 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     corner = corners[corner_id]
     if not corner.protruding:
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
-    (entry,) = _affine_corners(body, w_inf, [corner], n_panels)
-    return entry
+    return _affine_corners(body, w_inf, [corner], n_panels)[0]
 
 
 def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
-    """Each corner's ``analysis.affine_corner`` entry, read off the panel
-    system's unit columns (``_System.corner_a1``): a1(0) at w_inf and its
-    rise to Gamma_1 = |w_inf| R (or 1 at rest).
+    """Each corner's ``analysis.affine_corner`` entry in slope form, read
+    off the panel system's unit columns (``_System.corner_a1``).
 
-    The flows at Gamma = 0 and Gamma_1 are solved on every call, so a line
-    is read only where both its ends pass the slip gate; the functionals
-    are built once per system, the first time a Kutta root or a census
-    asks.  DegenerateKuttaError is raised for the given corners alone."""
-    gamma1 = abs(w_inf) * body.circumradius or 1.0
-    for gamma in (0.0, gamma1):
+    The flows at Gamma = 0 and Gamma_1 = |w_inf| R (or 1 at rest) are
+    solved on every call, so a line is read only where both its ends pass
+    the slip gate.  DegenerateKuttaError is raised for the given corners
+    alone."""
+    for gamma in (0.0, abs(w_inf) * body.circumradius or 1.0):
         panel_solve(body, FarField(w_inf, gamma), n_panels)
     a1 = _assemble(body, n_panels, 1.0).corner_a1
     ids = [c.corner_id for c in body.corners if c.protruding]
-    a1 = a1[[ids.index(c.corner_id) for c in corners]]
-    a0 = np.real(w_inf) * a1[..., 0] + np.imag(w_inf) * a1[..., 1]
-    return analysis._responsive(
-        analysis._affine_entries(corners, a0, gamma1 * a1[..., 2], gamma1, w_inf,
-                                 body.circumradius), corners)
+    a1 = a1[:, [ids.index(c.corner_id) for c in corners]]
+    a0 = np.real(w_inf) * a1[0] + np.imag(w_inf) * a1[1]
+    return analysis._affine_entries(corners, a0, a1[2], body.circumradius)

@@ -1,5 +1,6 @@
 """Corner fits, contour integrals, far-field fits, censuses."""
 
+import dataclasses
 import tracemalloc
 from dataclasses import dataclass
 from itertools import product
@@ -297,6 +298,14 @@ class TestFarFieldFit:
         assert fit.gamma_estimate == pytest.approx(1.0, abs=1e-4)
         assert abs(fit.re_c1) < 1e-6
 
+    def test_circulation_dominated_flow(self):
+        # a slow stream past a unit-speed vortex: the residual is held to
+        # the slip gate's speed scale V = 1, not to |w_inf| = 1e-13
+        sol = panel_solve(Circle(1.0), FarField(1e-13, TWO_PI), 256)
+        fit = farfield_fit(sol.flow)
+        assert fit.residual <= 1e-12
+        assert fit.gamma_estimate == pytest.approx(TWO_PI, rel=1e-9)
+
     def test_radii_too_small_rejected(self):
         flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
         with pytest.raises(FluidDomainError):
@@ -431,17 +440,51 @@ class TestCornerCensus:
                 assert abs(e.root - f.root) <= 1e-9 * abs(f.root)
 
     def test_unresponsive_corner_raises_only_when_asked(self, monkeypatch):
-        # corner 0 reads as unresponsive; a Kutta root at corner 1 is found
-        entries = analysis._affine_entries
-        monkeypatch.setattr(analysis, "_affine_entries",
-                            lambda corners, *line: [
-                                None if c.corner_id == 0 else e
-                                for c, e in zip(corners, entries(corners, *line))])
-        assert kutta_solve(TRIANGLE, 1.0, 1, n_panels=96).corner_id == 1
-        for ask in (lambda: kutta_solve(TRIANGLE, 1.0, 0, n_panels=96),
-                    lambda: corner_census(TRIANGLE, 1.0, n_panels=96)):
-            with pytest.raises(DegenerateKuttaError, match="corner 0"):
-                ask()
+        # corner 0's Gamma column reads 0; a Kutta root at corner 1 is found
+        ring_a1 = analysis._ring_a1
+
+        def deaf_corner_0(flow, corners, radii):
+            a1 = ring_a1(flow, corners, radii)
+            a1[2, [c.corner_id for c in corners].index(0)] = 0.0
+            return a1
+
+        monkeypatch.setattr(analysis, "_ring_a1", deaf_corner_0)
+        incompressible._assemble.cache_clear()
+        try:
+            assert kutta_solve(TRIANGLE, 1.0, 1, n_panels=96).corner_id == 1
+            for ask in (lambda: kutta_solve(TRIANGLE, 1.0, 0, n_panels=96),
+                        lambda: corner_census(TRIANGLE, 1.0, n_panels=96)):
+                with pytest.raises(DegenerateKuttaError, match="corner 0"):
+                    ask()
+        finally:  # the kept system holds the doctored columns
+            incompressible._assemble.cache_clear()
+
+    @pytest.mark.parametrize("body, n_panels", [
+        (TRIANGLE, 256), (FlatPlate(4.0, np.pi / 6), 512)], ids=["triangle", "plate"])
+    def test_roots_scale_with_the_free_stream_to_the_bit(self, body, n_panels):
+        # in slope form a1(0) scales with w_inf and the slope does not, so
+        # w_inf -> 2**k w_inf scales every root, a1(0) and root_uncertainty
+        # by 2**k exactly, out to the ends of the float range
+        unit = corner_census(body, 1.0, n_panels)
+        for k in (900, -900):
+            scale = 2.0 ** k
+            census = corner_census(body, scale, n_panels)
+            for e, f in zip(unit.corners, census.corners):
+                assert f == dataclasses.replace(
+                    e, root=scale * e.root, a1_at_zero=scale * e.a1_at_zero,
+                    root_uncertainty=scale * e.root_uncertainty)
+                assert kutta_solve(body, scale, e.corner_id, n_panels) == f
+
+    def test_census_verdict_does_not_depend_on_the_scale(self):
+        # at 2**-600 the roots, sweep and thresholds all scale by 2**-600:
+        # the counts and the verdict are those at w_inf = 1
+        unit = corner_census(TRIANGLE, 1.0, 256)
+        tiny = corner_census(TRIANGLE, 2.0 ** -600, 256)
+        assert tiny.sweep_gammas == tuple(2.0 ** -600 * g for g in unit.sweep_gammas)
+        for field in ("sweep_singular_counts", "min_singular_count",
+                      "regularizes_all_somewhere", "coincident_pairs"):
+            assert getattr(tiny, field) == getattr(unit, field)
+        assert not tiny.regularizes_all_somewhere and tiny.coincident_pairs == ()
 
     def test_census_of_a_flow_at_rest(self):
         # every root is 0: all pairs coincide, and the sweep spans the
@@ -455,7 +498,7 @@ class TestCornerCensus:
         assert census.sweep_gammas[-1] == pytest.approx(0.1 * R, rel=1e-15)
 
     def test_affine_corner_rejects_unresponsive_a1(self):
-        # the same flow twice has slope 0: no root, never an infinite one
+        # the same flow twice has Gamma_1 = 0: no line, never a 0 / 0 slope
         flow = panel_solve(TRIANGLE, FarField(1.0, 0.0), 96).flow
         with pytest.raises(DegenerateKuttaError):
             affine_corner(flow, flow, [TRIANGLE.corners[0]])

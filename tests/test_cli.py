@@ -669,6 +669,25 @@ class TestRun:
             "type": "NonFiniteResult",
             "message": "non-finite numbers written as null at $.farfield.c0[1]"}]
 
+    @pytest.mark.parametrize("w_inf", ["1e-300", "1e-170"])
+    def test_census_verdict_at_a_tiny_free_stream(self, tmp_path, w_inf):
+        # roots -a1(0) / slope scale with w_inf: three distinct nonzero
+        # roots and the verdict at w_inf = 1, not an underflowed coincidence
+        assert run("triangle_census.json", tmp_path / "one",
+                   ['analyses=["census"]']) == 0
+        assert run("triangle_census.json", tmp_path / "tiny",
+                   ['analyses=["census"]', f"flow.w_inf={w_inf}"]) == 0
+        one, tiny = (json.loads((tmp_path / name / "summary.json").read_text())
+                     ["census"] for name in ("one", "tiny"))
+        roots = [e["root"] for e in tiny["corners"]]
+        assert len(set(roots)) == 3 and 0.0 not in roots
+        assert [r / float(w_inf) for r in roots] == pytest.approx(
+            [e["root"] for e in one["corners"]], rel=1e-12)
+        for key in ("verdict", "sweep_singular_counts", "min_singular_count",
+                    "regularizes_all_somewhere"):
+            assert tiny[key] == one[key]
+        assert tiny["verdict"] == "no circulation regularizes all corners"
+
     def test_sections_are_their_result_types_fields(self, tmp_path):
         # one name per output: a section that a result type holds whole
         # has the type's fields as its keys, plus only what no result holds

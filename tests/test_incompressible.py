@@ -1,5 +1,6 @@
 """Exact-flow formulas, panel solves, and the Kutta condition."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -356,6 +357,21 @@ class TestPanelSolve:
             panel_solve(TRIANGLE, FarField(w_inf, 0.0), 96)
         sol = panel_solve(TRIANGLE, FarField(sys.float_info.min, 0.0), 96)
         assert np.all(np.isfinite(sol.flow.velocity(np.array([3.0 + 1.0j]))))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_circulation_raises(self, gamma):
+        # it would solve to NaN strengths
+        with pytest.raises(InvalidGeometryError, match="circulation"):
+            panel_solve(Circle(1.0), FarField(1.0, gamma), 64)
+
+    def test_slip_gate_refuses_nan(self, monkeypatch):
+        # a NaN residual fails the gate, never passes it
+        system = incompressible._assemble(Circle(1.0), 64, 1.0)
+        nan = np.full_like(system.residual, np.nan)
+        monkeypatch.setattr(incompressible, "_assemble",
+                            lambda *key: dataclasses.replace(system, residual=nan))
+        with pytest.raises(SolverError, match="tol_slip"):
+            panel_solve(Circle(1.0), FarField(1.0, 0.0), 64)
 
     def test_circulation_constraint_exact(self):
         for gam in (0.0, 2.5, -4.0):
