@@ -113,6 +113,7 @@ KEYS = {
     "gas.mach_inf": _Key(lambda v: _is_number(v) and 0 <= v < 1,
                          "a number in [0, 1)", REQUIRED, ("gas.incompressible", False)),
     # a subnormal |w_inf| underflows the panel flows' far-field tolerances
+    # at Gamma = 0, where the speed scale V is |w_inf|
     "flow.w_inf": _Key(lambda v: _is_number(v) and v >= sys.float_info.min,
                        f"a number >= {sys.float_info.min!r}", REQUIRED),
     "flow.gamma": _Key(_is_number, "a finite number", None),
@@ -303,7 +304,7 @@ def _exact_regression(flow, exact):
         z = mult * R * np.exp(1j * th)
         dev = np.max(np.abs(np.asarray(flow.velocity(z))
                             - np.asarray(exact.velocity(z))))
-        worst = max(worst, float(dev / abs(exact.far.w_inf)))
+        worst = max(worst, float(dev / exact.far.speed_scale(R)))
     return worst
 
 

@@ -38,11 +38,11 @@ and 10-12 at 8 KAPPA.
 
 A panel's velocity and stream function each have one closed form, in
 real arithmetic in its frame on one log-ratio and angle
-(``_frame_logs``), ``_w_integrals`` and ``_psi_integrals``.  The
-treecode's near pairs of both fields take them broadcast, through
-``vortex_panel_w_coeffs`` and ``vortex_panel_psi_coeffs`` (``_near``);
-the tangency rows (``_system_rows``) and the corner functionals
-(``_psi_rows``) run them in place over chunks of point-panel pairs.
+(``_frame_logs``), ``_w_integrals`` and ``_psi_integrals``, run in place
+over chunks of point-panel pairs: by the tangency rows (``_system_rows``)
+and by ``_w_rows`` and ``_psi_rows``, which the corner functionals run
+on the whole layout and the treecode on each cluster's run of panels,
+at all of the cluster's near points of one evaluation at once.
 
 A Kutta root and a corner census read each corner's line
 a1(Gamma) = a1(0) + slope Gamma in slope form off the panel system's
@@ -71,7 +71,8 @@ TWO_PI = 2.0 * np.pi
 TOL_SLIP = 1e-8
 # panel flows use the multipole expansion at |z - c| >= KAPPA * R, with c
 # the centroid and R the circumradius; its truncation tail stays below
-# FAR_TOL * |w_inf| * R in psi and FAR_TOL * |w_inf| in w.  KAPPA > 1.5
+# FAR_TOL * V * R in psi and FAR_TOL * V in w, V the speed scale
+# (``FarField.speed_scale``).  KAPPA > 1.5
 # keeps the CLI's exact-regression ring at 1.5 R wholly on the direct
 # path, not split by rounding
 KAPPA = 1.6
@@ -398,47 +399,83 @@ def _psi_integrals(dx, dy, ex, ey, ux, uy, out):
     return d, y
 
 
-def _broadcast_integrals(integrals, z, za, zb, *, end=False):
-    """``integrals`` of the panels za -> zb at the points z, broadcast,
-    given the offsets from za (and, with ``end``, from zb), and L."""
-    span = zb - za
-    L = np.hypot(span.real, span.imag)
-    u = span / L / L
-    z = np.asarray(z, dtype=complex)
-    shape = np.broadcast_shapes(z.shape, np.shape(u))
-    offsets = [np.array(np.broadcast_to(p, shape))
-               for node in ((za, zb) if end else (za,))
-               for p in ((z - node).real, (z - node).imag)]
-    return integrals(*offsets, u.real, u.imag, [np.empty(shape) for _ in range(6)]), L
-
-
-def vortex_panel_w_coeffs(z, za, zb):
-    """Complex-velocity influence (per unit nodal strength) of a straight
-    linear-strength vortex panel from za to zb: w = ca*g_a + cb*g_b.
-
-    Points on the panel get the principal-value (two-sided average)
-    velocity.  With e = (zb - za) / L and the panel integrals i0, i1 of
-    ``_w_integrals``, ca = (i0 - i1) / (2 pi i e) and cb = i1 / (2 pi i e).
-    """
-    (_, _, a, b, c, d), L = _broadcast_integrals(_w_integrals, z, za, zb)
-    i0, i1 = a + 1j * b, c + 1j * d
-    k = 1.0 / (TWO_PI * 1j * ((zb - za) / L))
-    return (i0 - i1) * k, i1 * k
-
-
-def vortex_panel_psi_coeffs(z, za, zb):
-    """Stream-function influence of the same panel, continuous across it:
-    with the integrals p0, p1 of ``_psi_integrals``,
-    ca = -(L / 2 pi) (p0 + (1/2) log L) and cb likewise with p1."""
-    (p0, p1), L = _broadcast_integrals(_psi_integrals, z, za, zb, end=True)
-    half_log, k = 0.5 * np.log(L), -L / TWO_PI
-    return (p0 + half_log) * k, (p1 + half_log) * k
-
-
 # point-cluster pairs per treecode chunk, points per chunk of the body
 # expansion, and point-panel pairs per chunk of the assembly and of the
-# psi rows, and per block of the treecode's near pairs
+# psi and w rows
 TREE_PAIRS = 16384
+
+
+def _layout_panels(nodes, closed):
+    """(ia, ib, za, zb, zb - za, L) of the panels on the layout nodes: panel
+    j runs from node ia[j] = j to node ib[j] = j + 1 (node 0 when closed)."""
+    ia = np.arange(len(nodes) if closed else len(nodes) - 1)
+    ib = (ia + 1) % len(nodes)
+    za, zb = nodes[ia], nodes[ib]
+    span = zb - za
+    return ia, ib, za, zb, span, np.hypot(span.real, span.imag)
+
+
+def _psi_rows(z, nodes, closed, columns):
+    """psi per unit nodal strength of the sheet on the layout nodes at the
+    points z, times the strengths ``columns`` (n_nodes, k): (len(z), k).
+    ``_psi_integrals`` runs in place over chunks of about TREE_PAIRS
+    point-panel pairs, and each chunk's start-node and end-node parts
+    meet the columns of their nodes, scaled by -L / 2 pi, in two
+    products."""
+    ia, ib, za, zb, span, lens = _layout_panels(nodes, closed)
+    u = span / lens / lens
+    half_log, k = 0.5 * np.log(lens), -lens / TWO_PI
+    start_cols = k[:, None] * columns[ia]
+    end_cols = k[:, None] * columns[ib]
+    psi = np.empty((len(z), columns.shape[1]))
+    step = max(1, TREE_PAIRS // len(za))
+    buf = np.empty((10, min(step, len(z)), len(za)))
+    for start in range(0, len(z), step):
+        chunk = slice(start, start + step)
+        dx, dy, ex, ey, *out = buf[:, :len(z[chunk])]
+        for offset, coord, node in ((dx, z.real, za.real), (dy, z.imag, za.imag),
+                                    (ex, z.real, zb.real), (ey, z.imag, zb.imag)):
+            np.subtract(coord[chunk, None], node, out=offset)
+        p0, p1 = _psi_integrals(dx, dy, ex, ey, u.real, u.imag, out)
+        p0 += half_log
+        p1 += half_log
+        np.matmul(p0, start_cols, out=psi[chunk])
+        psi[chunk] += p1 @ end_cols
+    return psi
+
+
+def _w_rows(z, nodes, closed, columns):
+    """w per unit nodal strength of the sheet on the layout nodes at the
+    points z, times the strengths ``columns`` (n_nodes, k): (len(z), k),
+    complex.  ``_w_integrals`` runs in place over chunks as in
+    ``_psi_rows``, taking the principal value within 1e-12 L of a panel.
+    With e = (zb - za) / L each panel gives (i0 - i1) / (2 pi i e) to its
+    start node and i1 / (2 pi i e) to its end node: with those columns S
+    and E, w = (a - c) S + (b - d) iS + c E + d iE, four real products
+    on the complex columns read as (re, im) pairs of floats."""
+    ia, ib, za, _, span, lens = _layout_panels(nodes, closed)
+    e = span / lens
+    u = e / lens
+    k = 1.0 / (TWO_PI * 1j * e)
+    start_cols = k[:, None] * columns[ia]
+    end_cols = k[:, None] * columns[ib]
+    cols = [m.view(float)
+            for m in (start_cols, 1j * start_cols, end_cols, 1j * end_cols)]
+    w = np.empty((len(z), columns.shape[1]), dtype=complex)
+    step = max(1, TREE_PAIRS // len(za))
+    buf = np.empty((8, min(step, len(z)), len(za)))
+    for start in range(0, len(z), step):
+        chunk = slice(start, start + step)
+        dx, dy, *out = buf[:, :len(z[chunk])]
+        np.subtract(z.real[chunk, None], za.real, out=dx)
+        np.subtract(z.imag[chunk, None], za.imag, out=dy)
+        _, _, a, b, c, d = _w_integrals(dx, dy, u.real, u.imag, out)
+        a -= c
+        b -= d
+        w[chunk] = (a @ cols[0] + b @ cols[1] + c @ cols[2] + d @ cols[3]).view(complex)
+    return w
+
+
 # each expansion tabulates its order at the separations t = rho / |z - c|
 # = j / (SEPARATIONS * KAPPA), j = 0..SEPARATIONS, and a point takes the
 # order tabulated at the next separation up from its own
@@ -493,18 +530,14 @@ def _order_index(t):
 
 
 class _Expansion(NamedTuple):
-    """G groups of linear-strength panels (rows of za, zb, ga, gb) and
-    their exact multipole expansions about their centres c (radii rho),
-    as the coefficient rows that _multipole sums: with the moments
+    """The exact multipole expansions of G groups of linear-strength panels
+    about their centres c (radii rho), as the coefficient rows that
+    _multipole sums: with the moments
     m_k = M_k / rho**k and u = rho / (z - c), row k of w_rows (m_k)
     multiplies u**(k+1) in w, and row k of psi_rows (m_{k+1} / (k+1))
     multiplies u**(k+1) in psi.  orders[g, j] is group g's order
     (_orders) at the separation j / (SEPARATIONS * KAPPA)."""
 
-    za: np.ndarray        # (G, panels)
-    zb: np.ndarray
-    ga: np.ndarray
-    gb: np.ndarray
     centre: np.ndarray    # (G,)
     rho: np.ndarray       # (G,)
     m0: np.ndarray        # (G,) Re m_0, the circulation of each group
@@ -545,8 +578,7 @@ def _expansion(za, zb, ga, gb, centre, rho, R, tol):
         q *= v
     m[np.arange(p + 1)[:, None] > orders[:, -1]] = 0.0
     psi_rows = m[1:] / np.arange(1, p + 1)[:, None]
-    return _Expansion(za, zb, ga, gb, centre, rho, m[0].real, m, psi_rows,
-                      orders.astype(np.int16))
+    return _Expansion(centre, rho, m[0].real, m, psi_rows, orders.astype(np.int16))
 
 
 def _multipole(field, rows, m0, rho, d, orders):
@@ -573,32 +605,15 @@ def _multipole(field, rows, m0, rho, d, orders):
     return (y.real - m0 * np.log(np.abs(d))) / TWO_PI
 
 
-def _near(field, z, point, cluster, tree):
-    """A field of the clusters' panels, ``field.coeffs`` times their nodal
-    strengths, at the near pairs (z[point], cluster) of the clusters
-    ``tree``, summed by point, in blocks of TREE_PAIRS // CLUSTER pairs."""
-    sums = np.empty(len(point), dtype=field.dtype)
-    block = TREE_PAIRS // CLUSTER
-    for start in range(0, len(point), block):
-        pairs = slice(start, start + block)
-        c = cluster[pairs]
-        ca, cb = field.coeffs(z[point[pairs], None], tree.za[c], tree.zb[c])
-        sums[pairs] = np.sum(ca * tree.ga[c] + cb * tree.gb[c], axis=1)
-    if field.dtype is complex:
-        return (np.bincount(point, sums.real, len(z))
-                + 1j * np.bincount(point, sums.imag, len(z)))
-    return np.bincount(point, sums, len(z))
-
-
 class _Field(NamedTuple):
-    """One field of a vortex sheet: its panel closed form and its dtype."""
+    """One field of a vortex sheet: its panel rows and its dtype."""
 
-    coeffs: Callable
+    rows: Callable
     dtype: type
 
 
-_PSI = _Field(vortex_panel_psi_coeffs, float)
-_W = _Field(vortex_panel_w_coeffs, complex)
+_PSI = _Field(_psi_rows, float)
+_W = _Field(_w_rows, complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -613,22 +628,23 @@ class PanelFlow:
 
     def _panels(self):
         """(za, zb, ga, gb): every panel's end nodes and nodal strengths."""
-        n = len(self.gamma)
-        ia = np.arange(n if self.closed else n - 1)
-        ib = (ia + 1) % n
-        return self.nodes[ia], self.nodes[ib], self.gamma[ia], self.gamma[ib]
+        ia, ib, za, zb, _, _ = _layout_panels(self.nodes, self.closed)
+        return za, zb, self.gamma[ia], self.gamma[ib]
 
     def _accumulate(self, z, field):
         """Vortex-sheet part of a field at the points z: each cluster's
-        expansion where |z - c_C| >= KAPPA rho_C, the closed forms of its
-        panels elsewhere.  A chunk of points takes each cluster's
-        expansion to the order of its nearest point that uses it."""
+        expansion where |z - c_C| >= KAPPA rho_C, and elsewhere the closed
+        forms of its panels, ``field.rows`` on its open run of nodes at all
+        its near points of the evaluation at once.  A chunk of points takes
+        each cluster's expansion to the order of its nearest point that
+        uses it."""
         z = np.asarray(z, dtype=complex)
         tree = self._clusters
         K = len(tree.rho)
-        rows = tree.rows(field)
+        coeffs = tree.rows(field)
         flat = z.ravel()
         acc = np.empty(flat.shape, dtype=field.dtype)
+        near = []  # (cluster, point) pairs
         step = max(1, TREE_PAIRS // K)
         for start in range(0, len(flat), step):
             zc = flat[start:start + step]
@@ -642,11 +658,21 @@ class PanelFlow:
             # dropped
             by = np.argsort(-order, kind="stable")
             d = np.where(far, d, KAPPA * tree.rho[:, None])[by]
-            terms = _multipole(field, rows[:, by, None], tree.m0[by, None],
+            terms = _multipole(field, coeffs[:, by, None], tree.m0[by, None],
                                tree.rho[by, None], d, order[by])
-            part = np.where(far[by], terms, 0.0).sum(axis=0)
-            point, cluster = np.nonzero(~far.T)
-            acc[start:start + step] = part + _near(field, zc, point, cluster, tree)
+            acc[start:start + step] = np.where(far[by], terms, 0.0).sum(axis=0)
+            near.append(np.argwhere(~far) + [0, start])
+        cluster, point = np.concatenate(near).T
+        point = point[np.argsort(cluster, kind="stable")]
+        counts = np.bincount(cluster, minlength=K)
+        ia, ib, *_ = _layout_panels(self.nodes, self.closed)
+        for k, at in enumerate(np.split(point, np.cumsum(counts)[:-1])):
+            if len(at):
+                # the run's first start node and every panel's end node
+                run = slice(k * CLUSTER, (k + 1) * CLUSTER)
+                nodes = np.append(ia[run][0], ib[run])
+                acc[at] += field.rows(flat[at], self.nodes[nodes], False,
+                                      self.gamma[nodes, None])[:, 0]
         return acc.reshape(z.shape)
 
     def _sheet(self, z, field):
@@ -675,19 +701,18 @@ class PanelFlow:
     @cached_property
     def _expansion(self) -> _Expansion:
         """The whole sheet expanded about the centroid, rho = R the body
-        circumradius, with orders that meet FAR_TOL."""
+        circumradius, with orders that meet FAR_TOL V R."""
         R = self.body.circumradius
         return _expansion(*(a[None] for a in self._panels()),
                           np.array([self.body.centroid]), np.array([R]), R,
-                          FAR_TOL * (abs(self.far.w_inf) or 1.0) * R)
+                          FAR_TOL * self.far.speed_scale(R) * R)
 
     @cached_property
     def _clusters(self) -> _Expansion:
-        """Contiguous runs of CLUSTER panels as (K, CLUSTER) arrays, the
-        last run padded by zero-strength copies of its last panel, each
-        expanded about its centre c_C, radius rho_C (its largest node
-        distance from c_C), to the orders at which the K cluster tails
-        together meet FAR_TOL."""
+        """Contiguous runs of CLUSTER panels, the last run padded by
+        zero-strength copies of its last panel, each expanded about its
+        centre c_C, radius rho_C (its largest node distance from c_C), to
+        the orders at which the K cluster tails together meet FAR_TOL."""
         za, zb, ga, gb = self._panels()
         n = len(za)
         K = -(-n // CLUSTER)
@@ -702,7 +727,7 @@ class PanelFlow:
         rho = np.abs(ends - centre[:, None]).max(axis=1)
         R = self.body.circumradius
         return _expansion(za, zb, ga, gb, centre, rho, R,
-                          FAR_TOL * (abs(self.far.w_inf) or 1.0) * R / K)
+                          FAR_TOL * self.far.speed_scale(R) * R / K)
 
     def _check(self, z):
         """z as a complex array; FluidDomainError where the body occupies
@@ -723,8 +748,7 @@ class PanelFlow:
     @cached_property
     def _psi_body(self) -> float:
         # stream-function level on the body (slip normalization psi = 0)
-        za, zb, _, _ = self._panels()
-        mid = 0.5 * (za[0] + zb[0])
+        mid = 0.5 * (self.nodes[0] + self.nodes[1])
         return np.imag(self.far.w_inf * mid) + float(self._accumulate(mid, _PSI))
 
 
@@ -787,47 +811,6 @@ class _System:
         return a1
 
 
-def _layout_panels(nodes, closed):
-    """(za, zb, zb - za, L) of the panels on the layout nodes: panel j runs
-    from node j to node j + 1 (node 0 when closed)."""
-    if closed:
-        za, zb = nodes, np.roll(nodes, -1)
-    else:
-        za, zb = nodes[:-1], nodes[1:]
-    span = zb - za
-    return za, zb, span, np.hypot(span.real, span.imag)
-
-
-def _psi_rows(z, nodes, closed, columns):
-    """psi per unit nodal strength of the sheet on the layout nodes at the
-    points z, times the strengths ``columns`` (n_nodes, k): (len(z), k).
-    ``_psi_integrals`` runs in place over chunks of about TREE_PAIRS
-    point-panel pairs, and each chunk's start-node and end-node parts
-    meet the columns of their nodes, scaled by -L / 2 pi, in two
-    products."""
-    za, zb, span, lens = _layout_panels(nodes, closed)
-    u = span / lens / lens
-    half_log, k = 0.5 * np.log(lens), -lens / TWO_PI
-    ia = np.arange(len(za))
-    start_cols = k[:, None] * columns[ia]
-    end_cols = k[:, None] * columns[(ia + 1) % len(nodes)]
-    psi = np.empty((len(z), columns.shape[1]))
-    step = max(1, TREE_PAIRS // len(za))
-    buf = np.empty((10, min(step, len(z)), len(za)))
-    for start in range(0, len(z), step):
-        chunk = slice(start, start + step)
-        dx, dy, ex, ey, *out = buf[:, :len(z[chunk])]
-        for offset, coord, node in ((dx, z.real, za.real), (dy, z.imag, za.imag),
-                                    (ex, z.real, zb.real), (ey, z.imag, zb.imag)):
-            np.subtract(coord[chunk, None], node, out=offset)
-        p0, p1 = _psi_integrals(dx, dy, ex, ey, u.real, u.imag, out)
-        p0 += half_log
-        p1 += half_log
-        np.matmul(p0, start_cols, out=psi[chunk])
-        psi[chunk] += p1 @ end_cols
-    return psi
-
-
 def _system_rows(nodes, closed, R):
     """Rows of the panel system on the layout nodes, with their right-hand
     sides at unit Re w_inf, Im w_inf and Gamma as columns.
@@ -844,7 +827,7 @@ def _system_rows(nodes, closed, R):
     is Re(i0 e_i conj(e_j)) / (2 pi) - Re(i1 e_i conj(e_j)) / (2 pi) for
     the panel's start node and the second term alone, added, for its end.
     """
-    za, zb, span, lens = _layout_panels(nodes, closed)
+    _, _, za, zb, span, lens = _layout_panels(nodes, closed)
     if np.any(lens <= 1e-14 * np.max(lens)):  # one node: every length 0
         raise SolverError("degenerate panel layout (duplicate nodes)")
     e = span / lens
@@ -882,7 +865,7 @@ def _system_rows(nodes, closed, R):
         b *= sin
         a -= b
         a -= c
-        # panel j runs from node j to node j + 1 (node 0 when closed)
+        # the start nodes ia and end nodes ib of _layout_panels, as slices
         tangency[chunk, :n_pan] = a
         tangency[chunk, 1:] += c[:, :n_nodes - 1]
         if closed:

@@ -688,6 +688,14 @@ class TestRun:
             assert tiny[key] == one[key]
         assert tiny["verdict"] == "no circulation regularizes all corners"
 
+    def test_exact_regression_at_a_tiny_free_stream(self, tmp_path):
+        # circle.json's Gamma = 2 pi dominates w_inf = 1e-300: the deviation
+        # is relative to the speed scale V = max(|w_inf|, |Gamma| / 2 pi R),
+        # not to |w_inf| (4.45e284 for an absolute deviation of 4.5e-16)
+        assert run("circle.json", tmp_path, ["analyses=[]", "flow.w_inf=1e-300"]) == 0
+        s = json.loads((tmp_path / "summary.json").read_text())
+        assert s["exact_regression_max_rel_dev"] <= 1e-10
+
     def test_sections_are_their_result_types_fields(self, tmp_path):
         # one name per output: a section that a result type holds whole
         # has the type's fields as its keys, plus only what no result holds

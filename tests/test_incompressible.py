@@ -16,9 +16,7 @@ from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverErro
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
 from cornerflow.incompressible import (KAPPA, TOL_SLIP, FarField, MappedFlow,
-                                       exact_flow, kutta_solve, panel_solve,
-                                       vortex_panel_psi_coeffs,
-                                       vortex_panel_w_coeffs)
+                                       exact_flow, kutta_solve, panel_solve)
 
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
@@ -479,12 +477,23 @@ def panels(flow):
     return flow.nodes[ia], flow.nodes[(ia + 1) % n], ia, (ia + 1) % n
 
 
-def direct_sheet(flow, z, coeff_fn):
+def one_panel(rows, z, za, zb):
+    """(ca, cb): the field ``rows`` (``_psi_rows`` or ``_w_rows``) of the
+    one-panel layout za -> zb at the points z, per unit strength of its
+    start and end node."""
+    out = rows(np.atleast_1d(z), np.array([za, zb]), False, np.eye(2))
+    return out[:, 0], out[:, 1]
+
+
+PSI_ROWS, W_ROWS = incompressible._psi_rows, incompressible._w_rows
+
+
+def direct_sheet(flow, z, rows):
     """Vortex-sheet part of psi or w as the sum over all panels."""
     za, zb, ia, ib = panels(flow)
     acc = 0.0
     for j in range(len(za)):
-        ca, cb = coeff_fn(z, za[j], zb[j])
+        ca, cb = one_panel(rows, z, za[j], zb[j])
         acc = acc + ca * flow.gamma[ia[j]] + cb * flow.gamma[ib[j]]
     return acc
 
@@ -569,8 +578,8 @@ def test_far_field_matches_40_digit_reference(body):
 
         flow_psi, flow_w = errors(flow.stream(z), flow.velocity(z))
         direct_psi, direct_w = errors(
-            np.imag(flow.far.w_inf * z) + direct_sheet(flow, z, vortex_panel_psi_coeffs),
-            flow.far.w_inf + direct_sheet(flow, z, vortex_panel_w_coeffs))
+            np.imag(flow.far.w_inf * z) + direct_sheet(flow, z, PSI_ROWS),
+            flow.far.w_inf + direct_sheet(flow, z, W_ROWS))
         print(f"{body.kind} {zone}: flow psi {flow_psi:.1e} w {flow_w:.1e}; "
               f"direct sum psi {direct_psi:.1e} w {direct_w:.1e}")
         scale = abs(flow.far.w_inf) * body.circumradius
@@ -598,9 +607,8 @@ def test_far_field_matches_direct_sum(body):
     # psi differences from a point evaluated by the direct sum itself
     z0 = flow.body.centroid + 1.2 * flow.body.circumradius
     direct_psi = np.imag(flow.far.w_inf * (z - z0)) + (
-        direct_sheet(flow, z, vortex_panel_psi_coeffs)
-        - direct_sheet(flow, np.array([z0]), vortex_panel_psi_coeffs))
-    direct_w = flow.far.w_inf + direct_sheet(flow, z, vortex_panel_w_coeffs)
+        direct_sheet(flow, z, PSI_ROWS) - direct_sheet(flow, np.array([z0]), PSI_ROWS))
+    direct_w = flow.far.w_inf + direct_sheet(flow, z, W_ROWS)
     scale = abs(flow.far.w_inf) * body.circumradius
     assert np.max(np.abs(flow.stream(z) - flow.stream(z0) - direct_psi)) <= 1e-10 * scale
     assert np.max(np.abs(flow.velocity(z) - direct_w)) <= 1e-10 * scale
@@ -614,7 +622,7 @@ def test_panel_kernel_matches_40_digit_integral():
     L, e = abs(zb - za), (zb - za) / abs(zb - za)
     zl = L + np.outer(L * np.geomspace(2.0, 1e4, 9),
                       np.exp(1j * np.array([0.0, 0.4, 1.3, 2.2, 3.0, np.pi]))).ravel()
-    ca, cb = vortex_panel_w_coeffs(za + e * zl, za, zb)
+    ca, cb = one_panel(W_ROWS, za + e * zl, za, zb)
     with mpmath.workdps(40):
         a, b = mpmath.mpc(za), mpmath.mpc(zb)
         Lm = abs(b - a)
@@ -642,7 +650,7 @@ def loop_tangency_matrix(flow):
     mids, normal = 0.5 * (za + zb), 1j * (zb - za) / np.abs(zb - za)
     A = np.zeros((len(za), len(flow.nodes)))
     for j in range(len(za)):
-        ca, cb = vortex_panel_w_coeffs(mids, za[j], zb[j])
+        ca, cb = one_panel(W_ROWS, mids, za[j], zb[j])
         A[:, ia[j]] += np.real(ca * normal)
         A[:, ib[j]] += np.real(cb * normal)
     return A
@@ -657,7 +665,6 @@ def test_near_field_matches_panel_loop(body):
     R = body.circumradius
     z = near_points(flow, radii=np.linspace(0.3, 1.55, 6), angles=6,
                     corner_radii=[1e-3])
-    psi_fn, w_fn = vortex_panel_psi_coeffs, vortex_panel_w_coeffs
     w_inf, scale = flow.far.w_inf, abs(flow.far.w_inf) * R
 
     # stream subtracts the body level, psi at the first panel's midpoint
@@ -674,9 +681,9 @@ def test_near_field_matches_panel_loop(body):
     psi_on = flow._accumulate(on, incompressible._PSI)
     ref_on = np.array([reference_psi_row(flow.nodes, flow.closed, zk) for zk in on])
     assert np.max(np.abs(psi_on - ref_on @ flow.gamma)) <= 1e-13 * scale
-    assert np.max(np.abs(psi_on - direct_sheet(flow, on, psi_fn))) <= 1e-12 * scale
+    assert np.max(np.abs(psi_on - direct_sheet(flow, on, PSI_ROWS))) <= 1e-12 * scale
     assert np.abs(flow._accumulate(on[:1], incompressible._W)
-                  - direct_sheet(flow, on[:1], w_fn))[0] <= 1e-12 * abs(w_inf)
+                  - direct_sheet(flow, on[:1], W_ROWS))[0] <= 1e-12 * abs(w_inf)
 
     rows, _ = incompressible._system_rows(flow.nodes, flow.closed, R)
     A = np.delete(rows, len(flow.nodes) - 1, axis=0)  # drop the circulation row
@@ -798,7 +805,7 @@ def test_psi_kernel_matches_40_digit_integral(length):
                      * np.exp(1j * np.array([0.7, 2.5, 4.0, 1.2])))])
     for a, b in ((za, zb), (zb, zc)):
         scale = np.maximum(abs(b - a), np.abs(z - 0.5 * (a + b))) / TWO_PI
-        got = np.stack(vortex_panel_psi_coeffs(z, a, b), axis=1)
+        got = np.stack(one_panel(PSI_ROWS, z, a, b), axis=1)
         ref = np.array([reference_psi_row(np.array([a, b]), False, zk) for zk in z])
         scale = np.maximum(scale, np.max(np.abs(ref), axis=1))
         assert np.all(np.max(np.abs(got - ref), axis=1)
@@ -808,9 +815,9 @@ def test_psi_kernel_matches_40_digit_integral(length):
 @pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), TRIANGLE],
                          ids=["plate", "triangle"])
 def test_psi_rows_are_the_kernel_per_panel(body):
-    # the functional rows add the kernel's pairs of every panel into its
-    # two nodes, bit for bit, at points near a corner, on a panel and at
-    # a node (times the identity, the rows themselves)
+    # a layout's rows add the one-panel rows of every panel into its two
+    # nodes, bit for bit, at points near a corner, on a panel and at a
+    # node (times the identity, the rows themselves)
     nodes, closed = body.panel_nodes(64)
     corner = body.corners[-1]
     z = np.concatenate([probe_ring(corner, [1e-3, 0.1], 3).ravel(),
@@ -818,10 +825,10 @@ def test_psi_rows_are_the_kernel_per_panel(body):
     n = len(nodes)
     want = np.zeros((len(z), n))
     for j in range(n if closed else n - 1):
-        ca, cb = vortex_panel_psi_coeffs(z, nodes[j], nodes[(j + 1) % n])
+        ca, cb = one_panel(PSI_ROWS, z, nodes[j], nodes[(j + 1) % n])
         want[:, j] += ca
         want[:, (j + 1) % n] += cb
-    assert np.array_equal(incompressible._psi_rows(z, nodes, closed, np.eye(n)), want)
+    assert np.array_equal(PSI_ROWS(z, nodes, closed, np.eye(n)), want)
 
 
 def scalar_order(S, ratio, tol, t=1.0 / KAPPA):
@@ -839,9 +846,12 @@ def sheet_bounds(flow):
     """(S, R / rho, tol) of the body expansion and of the cluster
     expansions of a flow: S bounds the integral of |gamma| ds of each."""
     tree, R = flow._clusters, flow.body.circumradius
-    S = np.sum(0.5 * np.abs(tree.zb - tree.za) * (np.abs(tree.ga) + np.abs(tree.gb)),
-               axis=1)
-    tol = incompressible.FAR_TOL * abs(flow.far.w_inf) * R
+    za, zb, ga, gb = flow._panels()
+    s = 0.5 * np.abs(zb - za) * (np.abs(ga) + np.abs(gb))
+    # runs of CLUSTER panels, the last padded with zeros
+    S = np.pad(s, (0, -len(s) % incompressible.CLUSTER)).reshape(
+        -1, incompressible.CLUSTER).sum(axis=1)
+    tol = incompressible.FAR_TOL * flow.far.speed_scale(R) * R
     return ((np.array([S.sum()]), np.ones(1), tol),
             (S, R / tree.rho, tol / len(S)))
 
@@ -869,6 +879,19 @@ def test_orders_match_scalar_rule(body):
             whole = np.sum(S[:-2])
             assert incompressible._orders(whole, t, tol, t) == \
                 scalar_order(whole, t, tol, t)
+
+
+def test_orders_read_the_speed_scale():
+    # a sheet dominated by its circulation is expanded to FAR_TOL V, with V
+    # the slip gate's speed scale: at w_inf = 1e-300 the largest order at
+    # each separation is no higher than at w_inf = 1 (FAR_TOL |w_inf| put
+    # the body's at KAPPA R at 1534, against 65).  A single cluster may
+    # need more: the free stream lowers |gamma| on part of the circle
+    flows = [panel_solve(Circle(1.0), FarField(w_inf, TWO_PI), 256).flow
+             for w_inf in (1e-300, 1.0)]
+    for exp in ("_expansion", "_clusters"):
+        slow, unit = (getattr(flow, exp).orders.max(axis=0) for flow in flows)
+        assert np.all(slow <= unit)
 
 
 @BODIES_512
@@ -939,10 +962,9 @@ def test_stream_memory_on_a_field_grid():
 @pytest.mark.parametrize("body", [FlatPlate(4.0, np.pi / 6), Circle(1.0)],
                          ids=["plate", "circle"])
 def test_velocity_memory_near_the_body(body):
-    # 32 panels make two clusters, so a treecode chunk of 8192 points near
-    # the body holds up to 16384 near point-cluster pairs: w takes them in
-    # blocks of TREE_PAIRS // CLUSTER (6.0 and 5.6 MiB measured), not all
-    # at once (20.8 and 40.9 MiB)
+    # 32 panels make two clusters, each near 8845 of the plate's points
+    # and 20058 of the circle's: w takes a cluster's near points in chunks
+    # of TREE_PAIRS // CLUSTER (4.3 and 4.8 MiB measured), not all at once
     flow = panel_solve(body, FarField(1.0, 1.3), 32).flow
     x = 1.5 * body.circumradius * np.linspace(-1.0, 1.0, 200)
     z = body.centroid + x[None, :] + 1j * x[:, None]
