@@ -30,7 +30,8 @@ from .geometry import (Body, CircleContour, Corner, _gauss_legendre, _ring_point
                        probe_ring)
 
 TWO_PI = 2.0 * np.pi
-# |a1| above TOL_A1 * |w_inf| * R**(1 - pi/beta) counts as singular
+# |a1| above TOL_A1 * V * R**(1 - pi/beta) counts as singular, V the speed
+# scale (``FarField.speed_scale``)
 TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
@@ -90,11 +91,6 @@ def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
     return np.array([0.1 * r_hi, r_hi])
 
 
-def _flow_scale(w_inf: complex, body_scale: float, beta: float) -> float:
-    """Natural magnitude of a1 for this free stream/body: |w_inf| * R**(1-pi/beta)."""
-    return (abs(w_inf) or 1.0) * body_scale ** (1.0 - np.pi / beta)
-
-
 def _ring_a1(flow, corners, radii) -> np.ndarray:
     """a1 of each corner projected on the innermost and the outermost ring
     of its ``radii`` (one sequence per corner), all in one stream call.
@@ -132,7 +128,7 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     log-log slope of the per-ring maximum speed on a deeper ring ladder
     (local slopes extrapolated to r = 0 against the known next-mode gap
     r**(pi/beta)).  ``singular`` means |a1| exceeds TOL_A1 times the
-    scale-invariant magnitude |w_inf|*R**(1-pi/beta).
+    scale-invariant magnitude V R**(1-pi/beta), V the speed scale.
     """
     body_scale = flow.body.circumradius
     if radii is None:
@@ -141,7 +137,8 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     ((a1_lo, a1),) = _ring_a1(flow, [corner], [radii])
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, body_scale)
-    singular = bool(abs(a1) > TOL_A1 * _flow_scale(flow.far.w_inf, body_scale, beta))
+    singular = bool(abs(a1) > TOL_A1 * flow.far.speed_scale(body_scale)
+                    * body_scale ** (1.0 - np.pi / beta))
     verdict = sign_attainment(flow, corner, radii.min())
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta),
@@ -178,12 +175,11 @@ def sign_attainment(flow, corner: Corner, radius: float) -> str:
     corner with nonzero local field reports both.
     """
     body_scale = flow.body.circumradius
-    w_scale = abs(flow.far.w_inf) or 1.0
     radii = radius / np.array([1.0, 2.0, 4.0])
     psi = np.asarray(flow.stream(probe_ring(corner, radii, 64)), dtype=float)
-    # noise floor shrinks with the leading admissible mode
-    level = 1e-9 * w_scale * body_scale * (radii / body_scale) ** (
-        np.pi / corner.exterior_angle_beta)
+    # noise floor, 1e-9 V R, shrinks with the leading admissible mode
+    level = 1e-9 * flow.far.speed_scale(body_scale) * body_scale * (
+        radii / body_scale) ** (np.pi / corner.exterior_angle_beta)
     names = {(True, True): "both", (True, False): "positive_only",
              (False, True): "negative_only", (False, False): "indeterminate"}
     verdicts = {names[bool(pos), bool(neg)] for pos, neg in
@@ -320,18 +316,20 @@ def corner_census(body: Body, w_inf: complex, n_panels: int,
 
     The panel system on ``n_panels`` panels fixes every corner's affine
     form exactly, from its unit columns, once its flows at Gamma = 0 and
-    Gamma = |w_inf| R (the flow's own scale) pass the slip gate; the
-    census then reads off roots and, unless ``gamma_grid`` is given,
-    sweeps a 33-point grid spanning all roots with margin as a
-    redundancy check.  Root coincidence and the margin scale with
-    (|w_inf| or 1) * R.
+    Gamma = V R (the flow's own scale, V the speed scale at Gamma = 0)
+    pass the slip gate; the census then reads off roots and, unless
+    ``gamma_grid`` is given, sweeps a 33-point grid spanning all roots
+    with margin as a redundancy check.  Root coincidence and the margin
+    scale with V R, and the singular threshold with V.
     """
-    from .incompressible import _affine_corners  # deferred: avoids cycle
+    from .incompressible import FarField, _affine_corners  # deferred: avoids cycle
 
     corners = [c for c in body.corners if c.protruding]
     if len(corners) < 2:
         raise FluidDomainError("census needs at least two protruding corners")
-    scale = (abs(w_inf) or 1.0) * body.circumradius
+    R = body.circumradius
+    V = FarField(w_inf).speed_scale(R)
+    scale = V * R
     entries = _affine_corners(body, w_inf, corners, n_panels)
 
     roots = np.array([e.root for e in entries])
@@ -345,9 +343,8 @@ def corner_census(body: Body, w_inf: complex, n_panels: int,
         gamma_grid = np.linspace(lo - margin, hi + margin, 33)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
 
-    singular_above = [
-        TOL_A1 * _flow_scale(w_inf, body.circumradius, c.exterior_angle_beta)
-        for c in corners]
+    singular_above = [TOL_A1 * V * R ** (1.0 - np.pi / c.exterior_angle_beta)
+                      for c in corners]
     counts = tuple(sum(1 for e, tol in zip(entries, singular_above)
                        if abs(e.a1_at_zero + e.slope * gam) > tol)
                    for gam in gamma_grid)
@@ -383,15 +380,15 @@ def sign_component_census(flow, window, resolution: int) -> SignComponentCensus:
     that ``body.near`` places within 1.5 cells of the body are not fluid,
     a cell measured by its longer side here and in the resolution check;
     cells with |psi| below the noise floor stay unsigned so the psi = 0
-    streamline cannot leak spurious components (noise floor
-    1e-6 * |w_inf| * R).  Both counts are zero for a valid flow (the sign
+    streamline cannot leak spurious components (noise floor 1e-6 V R, V
+    the speed scale).  Both counts are zero for a valid flow (the sign
     sets are unbounded and connected, by the maximum principle).  The
     grid is evaluated in blocks of whole rows, about GRID_BLOCK cells
     each, so only the two sign masks are grid-sized.
     """
     (x0, x1), (y0, y1) = window
     body = flow.body
-    tol = 1e-6 * (abs(flow.far.w_inf) or 1.0) * body.circumradius
+    tol = 1e-6 * flow.far.speed_scale(body.circumradius) * body.circumradius
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     side = max(x1 - x0, y1 - y0)  # a cell's longer side, times resolution

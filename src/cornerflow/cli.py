@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis, compressible, forces, incompressible
 from .compressible import MIN_GRID_NODES, MIN_R_FAR, R_FAR
-from .errors import ConfigError, CornerFlowError
+from .errors import ConfigError, CornerFlowError, InvalidGeometryError
 from .gas import BernoulliState, GasModel
 from .geometry import CircleContour, body_from_config
 from .incompressible import FarField, MappedFlow, kutta_solve, panel_solve
@@ -112,10 +112,8 @@ KEYS = {
                       ("gas.incompressible", False)),
     "gas.mach_inf": _Key(lambda v: _is_number(v) and 0 <= v < 1,
                          "a number in [0, 1)", REQUIRED, ("gas.incompressible", False)),
-    # a subnormal |w_inf| underflows the panel flows' far-field tolerances
-    # at Gamma = 0, where the speed scale V is |w_inf|
-    "flow.w_inf": _Key(lambda v: _is_number(v) and v >= sys.float_info.min,
-                       f"a number >= {sys.float_info.min!r}", REQUIRED),
+    # a subnormal speed scale V is refused across keys (validate_scenario)
+    "flow.w_inf": _Key(lambda v: _is_number(v) and v >= 0, "a number >= 0", REQUIRED),
     "flow.gamma": _Key(_is_number, "a finite number", None),
     "flow.kutta_corner": _Key(_is_int, "the id of a protruding corner", None),
     "flow.gamma_sweep": _Key(lambda v: v is None or isinstance(v, list) and v
@@ -203,6 +201,13 @@ def validate_scenario(cfg: dict) -> dict:
     body = built()  # the rules across keys
     _require(len({"gamma", "kutta_corner", "gamma_sweep"} & set(cfg["flow"])) == 1,
              "exactly one of gamma, kutta_corner, gamma_sweep", "$.flow")
+    # a subnormal speed scale underflows every tolerance it sizes; a Kutta
+    # or sweep run also solves its flows at Gamma = 0
+    far = FarField(_get(cfg, "flow.w_inf"), _get(cfg, "flow.gamma") or 0.0)
+    try:
+        far.speed_scale(body.circumradius)
+    except InvalidGeometryError as exc:
+        raise ConfigError(str(exc), "$.flow.w_inf") from exc
     mapped = incompressible.conformal_map(body) is not None
     unmapped = f"needs a closed-form map; a {body.kind} has none"
     protruding = [c.corner_id for c in body.corners if c.protruding]

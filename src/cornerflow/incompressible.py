@@ -99,8 +99,13 @@ class FarField:
             raise InvalidGeometryError("w_inf and circulation must be finite")
 
     def speed_scale(self, R: float) -> float:
-        """V = max(|w_inf|, |Gamma| / (2 pi R)), or 1 at rest."""
-        return max(abs(self.w_inf), abs(self.circulation) / (TWO_PI * R)) or 1.0
+        """V = max(|w_inf|, |Gamma| / (2 pi R)), or 1 at rest, the scale of
+        every tolerance on the flow; a subnormal V, whose tolerances would
+        underflow, raises InvalidGeometryError."""
+        V = max(abs(self.w_inf), abs(self.circulation) / (TWO_PI * R))
+        if 0.0 < V < np.finfo(float).tiny:
+            raise InvalidGeometryError(f"speed scale V = {V:g} is subnormal")
+        return V or 1.0
 
     @property
     def flow_direction(self) -> complex:
@@ -476,57 +481,22 @@ def _w_rows(z, nodes, closed, columns):
     return w
 
 
-# each expansion tabulates its order at the separations t = rho / |z - c|
-# = j / (SEPARATIONS * KAPPA), j = 0..SEPARATIONS, and a point takes the
-# order tabulated at the next separation up from its own
-SEPARATIONS = 64
-
-
-@lru_cache(maxsize=8)
-def _powers(ts, n):
-    """t**k, k = 0..n-1, for each t of the tuple ts (rows), by Python's
-    pow, whatever numpy's power kernel rounds; shared read-only.  Every
-    expansion asks for the same separations (_expansion)."""
-    out = np.array([[t**k for k in range(n)] for t in ts])
-    out.flags.writeable = False
-    return out
-
-
 def _orders(S, ratio, tol, t=1.0 / KAPPA):
     """Least expansion order p, elementwise, whose tail bound
-    S t**(p+1) / (2 pi (1 - t)) * max(1 / (p+1), ratio) is at most tol
-    at the separation t = rho / |z - c| <= 1 / KAPPA.  S bounds the
-    integral of |gamma| ds over the expanded panels, all within rho of the
-    centre c; 1 / (p+1) gives the psi tail, and ratio = t R / rho the w
-    tail relative to the length scale R of tol.
-
-    The bound falls as p grows.  Bounded by
-    S t**(p+1) / (2 pi (1 - t)) * max(1, ratio), it meets tol from an
-    order known in closed form, one order to spare; p steps down from
-    there while the order below meets tol as well."""
-    # an overflowed S (from a huge w_inf) bounds nothing: order 0
-    S, t = np.where(np.isfinite(S), S, 0.0), np.asarray(t, dtype=float)
-    scale = TWO_PI * (1.0 - t)
+    S t**(p+1) max(1, ratio) / (2 pi (1 - t)) is at most tol at the
+    separation t = rho / |z - c| <= 1 / KAPPA, in closed form:
+    p = ceil(log(tol / S * 2 pi (1 - t) / max(1, ratio)) / log t) - 1.
+    S bounds the integral of |gamma| ds over the panels, all within rho
+    of the centre c.  The psi tail carries 1 / (p+1) <= 1 and the w tail
+    ratio = t R / rho (tol in units of R), so one bound holds both.  tol / S
+    comes first, so the orders keep their bits under w_inf -> 2**k w_inf.
+    An overflowed S (a huge w_inf) bounds nothing, and a zero S or t needs
+    no term: order 0.  int16, whose stable argsort is a radix sort."""
+    S = np.where(np.isfinite(S), S, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = (np.log(tol * scale) - np.log(S)
-               - np.log(np.maximum(1.0, ratio))) / np.log(t)
-    p = np.fmax(top, 0.0).astype(int) + 1
-    # powers of each t, to a multiple of 64 orders, so that calls share them
-    tp = _powers(tuple(t.ravel().tolist()), 64 * (int(p.max(initial=0)) // 64 + 1))
-    at = np.arange(t.size).reshape(t.shape)
-    while True:
-        q = np.maximum(p - 1, 0)
-        bound = S * tp[at, q + 1] / scale * np.maximum(1.0 / (q + 1), ratio)
-        down = (p > 0) & (bound <= tol)
-        if not down.any():
-            return p
-        p -= down
-
-
-def _order_index(t):
-    """Column of an order table holding the next tabulated separation at
-    or above t."""
-    return np.minimum(np.ceil(t * (SEPARATIONS * KAPPA)), SEPARATIONS).astype(np.intp)
+        p = np.ceil(np.log(tol / S * (TWO_PI * (1.0 - t)) / np.maximum(1.0, ratio))
+                    / np.log(t)) - 1.0
+    return np.fmax(p, 0.0).astype(np.int16)
 
 
 class _Expansion(NamedTuple):
@@ -535,36 +505,46 @@ class _Expansion(NamedTuple):
     _multipole sums: with the moments
     m_k = M_k / rho**k and u = rho / (z - c), row k of w_rows (m_k)
     multiplies u**(k+1) in w, and row k of psi_rows (m_{k+1} / (k+1))
-    multiplies u**(k+1) in psi.  orders[g, j] is group g's order
-    (_orders) at the separation j / (SEPARATIONS * KAPPA)."""
+    multiplies u**(k+1) in psi.  S, R and tol are what the tail bound
+    (_orders) reads; top is each group's order at |z - c| = KAPPA rho, to
+    which its moments are built."""
 
     centre: np.ndarray    # (G,)
     rho: np.ndarray       # (G,)
     m0: np.ndarray        # (G,) Re m_0, the circulation of each group
     w_rows: np.ndarray    # (p + 1, G)
     psi_rows: np.ndarray  # (p, G)
-    orders: np.ndarray    # (G, SEPARATIONS + 1)
+    S: np.ndarray         # (G,) integral of |gamma| ds of each group
+    R: float              # the length scale of tol
+    tol: float            # the bound on each tail
+    top: np.ndarray       # (G,) int16
 
     def rows(self, field):
         return self.w_rows if field is _W else self.psi_rows
+
+    def order(self, t):
+        """Each group's order at the separation t = rho / |z - c|, t
+        broadcast against the groups, never above its top."""
+        return np.minimum(_orders(self.S, t * (self.R / self.rho), self.tol, t), self.top)
 
 
 def _expansion(za, zb, ga, gb, centre, rho, R, tol):
     """Expansions of groups of linear-strength panels za -> zb (nodal
     strengths ga, gb; one group per row, the panels along the last axis)
-    about their centres, each to the order whose tail bound (_orders)
-    meets tol at each tabulated separation, and its moments to its order
-    at |z - c| = KAPPA rho.
+    about their centres, with the moments of each to its order at
+    |z - c| = KAPPA rho, whose tail bound (_orders) meets tol there.
 
     Gauss-Legendre with ceil((p+2)/2) nodes per panel integrates the
-    degree-(p+1) integrand gamma(s) (zeta(s) - c)**k exactly.
+    degree-(p+1) integrand gamma(s) (zeta(s) - c)**k exactly.  A tol that
+    underflows to 0 (a tiny V R) is met by no order: InvalidGeometryError.
     """
+    if not tol > 0.0:
+        raise InvalidGeometryError("the far-field tolerance FAR_TOL V R underflows to 0")
     lens = np.abs(zb - za)
     S = np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb)), axis=-1)
-    ratio = (R / rho) / KAPPA
-    steps = np.arange(SEPARATIONS + 1) / SEPARATIONS
-    orders = _orders(S[:, None], ratio[:, None] * steps, tol, steps / KAPPA)
-    p = int(orders.max())
+    t = 1.0 / KAPPA
+    top = _orders(S, t * (R / rho), tol, t)
+    p = int(top.max())
     s, wq = _gauss_legendre((p + 3) // 2)
     v = ((za[..., None] + s * (zb - za)[..., None] - centre[:, None, None])
          / rho[:, None, None]).reshape(len(rho), -1)
@@ -576,9 +556,9 @@ def _expansion(za, zb, ga, gb, centre, rho, R, tol):
     for k in range(p + 1):
         m[k] = q.sum(axis=-1)
         q *= v
-    m[np.arange(p + 1)[:, None] > orders[:, -1]] = 0.0
+    m[np.arange(p + 1)[:, None] > top] = 0.0
     psi_rows = m[1:] / np.arange(1, p + 1)[:, None]
-    return _Expansion(centre, rho, m[0].real, m, psi_rows, orders.astype(np.int16))
+    return _Expansion(centre, rho, m[0].real, m, psi_rows, S, R, tol, top)
 
 
 def _multipole(field, rows, m0, rho, d, orders):
@@ -652,7 +632,7 @@ class PanelFlow:
             dist = np.abs(d)
             far = dist >= KAPPA * tree.rho[:, None]
             nearest = np.min(dist, axis=1, where=far, initial=np.inf)
-            order = tree.orders[np.arange(K), _order_index(tree.rho / nearest)]
+            order = tree.order(tree.rho / nearest)
             # clusters by descending order; the expansion of a cluster too
             # close to a point is evaluated on its convergence circle and
             # dropped
@@ -688,7 +668,7 @@ class PanelFlow:
             sheet = np.empty(d.shape, dtype=field.dtype)
             for start in range(0, len(d), TREE_PAIRS):
                 chunk = slice(start, start + TREE_PAIRS)
-                order = exp.orders[0, _order_index(exp.rho / np.abs(d[chunk]))]
+                order = exp.order(exp.rho / np.abs(d[chunk]))
                 # points by descending order
                 by = np.argsort(-order, kind="stable")
                 sheet[chunk][by] = _multipole(field, exp.rows(field), exp.m0, exp.rho,
@@ -929,21 +909,20 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
     The square system depends only on the geometry and is inverted once,
     which gives its 1-norm condition number ||M||_1 ||M^-1||_1 and the
     strengths at unit Re w_inf, Im w_inf and Gamma.  A body given fewer
-    than its ``min_panels`` or a subnormal |w_inf| (its far-field
-    tolerances would underflow) raises InvalidGeometryError; a system
+    than its ``min_panels`` or a subnormal speed scale V
+    (``FarField.speed_scale``) raises InvalidGeometryError; a system
     above 1e13 raises SolverError, and a singular one numpy's LinAlgError.
     The last assembled (body, n_panels, cluster) system is kept, so every
     solve of the same body superposes the three columns and their
     residuals.
     """
-    if 0.0 < abs(far.w_inf) < np.finfo(float).tiny:
-        raise InvalidGeometryError(f"|w_inf| = {abs(far.w_inf):g} is subnormal")
+    V = far.speed_scale(body.circumradius)
     system = _assemble(body, n_panels, cluster)
     c = np.array([np.real(far.w_inf), np.imag(far.w_inf), far.circulation])
     g = system.basis @ c
     circ = float(system.circulation @ c)
     residual = float(np.max(np.abs(system.residual @ c)))
-    if not residual <= TOL_SLIP * far.speed_scale(body.circumradius):
+    if not residual <= TOL_SLIP * V:
         # perfbench's oracle parses the message
         raise SolverError(f"tangency residual {residual} exceeds tol_slip",
                           condition_number=system.cond)
@@ -981,14 +960,15 @@ def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
     """Each corner's ``analysis.affine_corner`` entry in slope form, read
     off the panel system's unit columns (``_System.corner_a1``).
 
-    The flows at Gamma = 0 and Gamma_1 = |w_inf| R (or 1 at rest) are
-    solved on every call, so a line is read only where both its ends pass
-    the slip gate.  DegenerateKuttaError is raised for the given corners
-    alone."""
-    for gamma in (0.0, abs(w_inf) * body.circumradius or 1.0):
+    The flows at Gamma = 0 and Gamma_1 = V R, V the speed scale at
+    Gamma = 0, are solved on every call, so a line is read only where both
+    its ends pass the slip gate.  DegenerateKuttaError is raised for the
+    given corners alone."""
+    R = body.circumradius
+    for gamma in (0.0, FarField(w_inf).speed_scale(R) * R):
         panel_solve(body, FarField(w_inf, gamma), n_panels)
     a1 = _assemble(body, n_panels, 1.0).corner_a1
     ids = [c.corner_id for c in body.corners if c.protruding]
     a1 = a1[:, [ids.index(c.corner_id) for c in corners]]
     a0 = np.real(w_inf) * a1[0] + np.imag(w_inf) * a1[1]
-    return analysis._affine_entries(corners, a0, a1[2], body.circumradius)
+    return analysis._affine_entries(corners, a0, a1[2], R)

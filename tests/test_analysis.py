@@ -49,7 +49,7 @@ def whole_grid_census(flow, window, resolution):
     form: every cell's psi evaluated at once, NaN off the fluid."""
     (x0, x1), (y0, y1) = window
     body = flow.body
-    tol = 1e-6 * (abs(flow.far.w_inf) or 1.0) * body.circumradius
+    tol = 1e-6 * flow.far.speed_scale(body.circumradius) * body.circumradius
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     Z = xs[None, :] + 1j * ys[:, None]

@@ -106,7 +106,7 @@ KEY_CASES = [
     ("gas.incompressible", "no", None, []),
     ("gas.gamma", 1.0, None, COMPRESSIBLE),
     ("gas.mach_inf", 1.0, None, COMPRESSIBLE),
-    ("flow.w_inf", 0.0, None, []),
+    ("flow.w_inf", -1.0, None, []),
     ("flow.gamma", None, None, []),
     ("flow.kutta_corner", 1.5, PLATE, ['flow={"w_inf": 1.0, "kutta_corner": 0}']),
     ("flow.gamma_sweep", [], None, ['flow={"w_inf": 1.0, "gamma_sweep": null}']),

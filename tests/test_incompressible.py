@@ -350,11 +350,22 @@ class TestPanelSolve:
 
     @pytest.mark.parametrize("w_inf", [1e-310, 1e-310j])
     def test_subnormal_free_stream_raises(self, w_inf):
-        # its far-field tolerances would underflow to 0
+        # at Gamma = 0 the speed scale V is |w_inf|, and its tolerances
+        # would underflow to 0; a circulation sets V = 1 at any w_inf
         with pytest.raises(InvalidGeometryError, match="subnormal"):
             panel_solve(TRIANGLE, FarField(w_inf, 0.0), 96)
-        sol = panel_solve(TRIANGLE, FarField(sys.float_info.min, 0.0), 96)
-        assert np.all(np.isfinite(sol.flow.velocity(np.array([3.0 + 1.0j]))))
+        z = np.array([3.0 + 1.0j])
+        for far in (FarField(sys.float_info.min, 0.0), FarField(w_inf, TWO_PI)):
+            sol = panel_solve(TRIANGLE, far, 96)
+            assert np.all(np.isfinite(sol.flow.velocity(z)))
+
+    def test_underflowing_far_tolerance_raises(self):
+        # V = 1e-300 is normal, but FAR_TOL V R at R = 1e-12 is 0, which no
+        # expansion order meets (orders cast from inf read 0 and the far
+        # field came out 11 % off)
+        flow = panel_solve(Circle(1e-12), FarField(1e-300, 0.0), 64).flow
+        with pytest.raises(InvalidGeometryError, match="underflows"):
+            flow.velocity(np.array([1e-11 + 0j]))
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_circulation_raises(self, gamma):
@@ -837,7 +848,7 @@ def scalar_order(S, ratio, tol, t=1.0 / KAPPA):
     p = 0
     if not math.isfinite(S):
         return p
-    while S * t**(p + 1) / (TWO_PI * (1.0 - t)) * max(1.0 / (p + 1), ratio) > tol:
+    while S * t**(p + 1) * max(1.0, ratio) / (TWO_PI * (1.0 - t)) > tol:
         p += 1
     return p
 
@@ -889,27 +900,57 @@ def test_orders_read_the_speed_scale():
     # need more: the free stream lowers |gamma| on part of the circle
     flows = [panel_solve(Circle(1.0), FarField(w_inf, TWO_PI), 256).flow
              for w_inf in (1e-300, 1.0)]
+    t = np.linspace(0.0, 1.0, 65)[:, None] / KAPPA
     for exp in ("_expansion", "_clusters"):
-        slow, unit = (getattr(flow, exp).orders.max(axis=0) for flow in flows)
-        assert np.all(slow <= unit)
+        slow, unit = (getattr(flow, exp) for flow in flows)
+        assert slow.top.max() <= unit.top.max()
+        assert np.all(slow.order(t).max(axis=1) <= unit.order(t).max(axis=1))
+
+
+def separations(exp):
+    """Separations t = rho / |z - c| of each group (columns) of an
+    expansion: random ones, 1 / KAPPA, and one ulp either side of KAPPA rho
+    from its centre."""
+    rho = exp.rho
+    far = np.random.default_rng(5).uniform(KAPPA, 400.0, (100, 1)) * rho
+    switch = [np.nextafter(KAPPA * rho, side) for side in (0.0, np.inf)]
+    dist = np.concatenate([far, switch])
+    return np.concatenate([rho / dist, np.full((1, len(rho)), 1.0 / KAPPA)])
 
 
 @BODIES_512
 def test_order_lookup_never_undercuts_the_rule(body):
-    # a point at separation t reads its group's order at the next
-    # tabulated separation up, never below the order the rule gives at t
+    # a point at separation t takes its group's order at t itself, the
+    # rule's least order there, never above the group's top, at random
+    # separations, at 1 / KAPPA and one ulp either side of KAPPA R and of
+    # KAPPA rho_C
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-    steps = np.arange(incompressible.SEPARATIONS + 1) / incompressible.SEPARATIONS
-    t = np.concatenate([1.0 / np.random.default_rng(5).uniform(KAPPA, 400.0, 100),
-                        steps / KAPPA, [1.0 / KAPPA, 0.0]])
     for exp, (S, R_rho, tol) in zip((flow._expansion, flow._clusters),
                                     sheet_bounds(flow)):
-        read = exp.orders[:, incompressible._order_index(t)]
+        t = separations(exp)
+        read = exp.order(t)
+        assert read.dtype == np.int16
+        assert np.all(read <= exp.top)
         for g in range(len(S)):
-            want = [scalar_order(S[g], tk * R_rho[g], tol, tk) for tk in t]
-            assert np.all(read[g] >= want)
-            # at a tabulated separation the table holds the rule's own order
-            assert np.array_equal(read[g, 100:-2], want[100:-2])
+            want = [scalar_order(S[g], tk * R_rho[g], tol, tk) for tk in t[:, g]]
+            assert np.array_equal(read[:, g], want)
+            assert exp.top[g] == scalar_order(S[g], R_rho[g] / KAPPA, tol)
+
+
+@BODIES_512
+def test_orders_keep_their_bits_under_a_scaled_stream(body):
+    # S and tol scale alike, exactly, at w_inf -> 2**k w_inf (and Gamma):
+    # every top and every order(t) keeps its bits
+    def orders(k):
+        flow = panel_solve(body, FarField(2.0**k, 1.3 * 2.0**k), 512).flow
+        return [(exp.top, exp.order(separations(exp)))
+                for exp in (flow._expansion, flow._clusters)]
+
+    want = orders(0)
+    for k in (-900, 900):
+        for (top, read), (want_top, want_read) in zip(orders(k), want):
+            assert np.array_equal(top, want_top)
+            assert np.array_equal(read, want_read)
 
 
 @BODIES_512
@@ -935,8 +976,8 @@ def test_truncation_matches_full_order(body, monkeypatch):
         return flow.stream(z), flow.velocity(z)
 
     psi, w = fields()
-    monkeypatch.setattr(incompressible, "_order_index",
-                        lambda t: np.full(np.shape(t), incompressible.SEPARATIONS))
+    monkeypatch.setattr(incompressible._Expansion, "order", lambda self, t: (
+        np.broadcast_to(self.top, np.broadcast_shapes(np.shape(t), self.top.shape))))
     full_psi, full_w = fields()
     assert np.max(np.abs(psi - full_psi)) <= 2e-13 * R
     assert np.max(np.abs(w - full_w)) <= 2e-13
