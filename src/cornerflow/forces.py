@@ -37,19 +37,19 @@ class ForceResult:
 def blasius_force(flow, contour: CircleContour) -> ForceResult:
     """Evaluate the Blasius integral by contour quadrature at rho = 1.
 
-    The quadrature error is estimated by Richardson comparison against
-    the refined contour.
+    The trapezoid rule on a circle nests: the contour with twice the
+    samples holds this one's nodes as its even nodes, at half their
+    weights, to the bit.  So the flow is evaluated once, on the refined
+    nodes; the coarse sum reads the even ones at twice the weight, and
+    the quadrature error is the Richardson difference of the two sums.
     """
     if not contour.clears_body(flow.body):
         raise FluidDomainError("contour touches the body")
-
-    def integral(c):
-        z, dz = c.quadrature()
-        w = np.asarray(flow.velocity(z))
-        return 0.5j * np.sum(w**2 * dz)
-
-    coarse = integral(contour)
-    fine = integral(contour.refined())
+    z, dz = CircleContour(contour.center, contour.radius,
+                          2 * contour.n_samples).quadrature()
+    f = np.asarray(flow.velocity(z))**2 * dz
+    coarse = 1j * np.sum(f[::2])
+    fine = 0.5j * np.sum(f)
     err = abs(fine - coarse)
     fx, fy = float(np.real(fine)), float(-np.imag(fine))
     e = flow.far.flow_direction  # unit vector, as complex

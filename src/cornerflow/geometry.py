@@ -435,10 +435,6 @@ class CircleContour:
         dz = 1j * self.radius * np.exp(1j * th) * (TWO_PI / self.n_samples)
         return z, dz
 
-    def refined(self) -> "CircleContour":
-        """The same circle with twice the samples."""
-        return CircleContour(self.center, self.radius, 2 * self.n_samples)
-
     def clears_body(self, body: Body) -> bool:
         return body.farthest(self.center) < self.radius
 

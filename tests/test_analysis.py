@@ -1,6 +1,7 @@
 """Corner fits, contour integrals, far-field fits, censuses."""
 
 import dataclasses
+import math
 import tracemalloc
 from dataclasses import dataclass
 from itertools import product
@@ -173,8 +174,10 @@ def test_exact_plate_root_matches_kutta_oracle(alpha_deg):
 
 
 def test_triangle_root_uncertainty_covers_error():
-    # exact roots of the side-sqrt(3) triangle from its exterior map
-    exact = {0: 0.0, 1: 7.9498744, 2: -7.9498744}
+    # exact roots of the side-sqrt(3) triangle from its exterior map,
+    # (3 sqrt(3) / 4 pi) Gamma(1/3)^3 = 7.949874376284527 at corners 1, 2
+    root = 3 * math.sqrt(3) / (4 * math.pi) * math.gamma(1 / 3)**3
+    exact = {0: 0.0, 1: root, 2: -root}
     census = corner_census(TRIANGLE, 1.0, n_panels=256)
     for e in census.corners:
         err = abs(e.root - exact[e.corner_id])

@@ -1,8 +1,11 @@
 """Scenario runner: schema, determinism, exports, exit codes."""
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cornerflow
 from cornerflow import analysis, cli, compressible, forces, incompressible
 from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
@@ -173,6 +177,28 @@ class TestKeys:
                 assert default == "—"
             else:
                 assert default == f"`{json.dumps(key.default)}`"
+
+    def test_readme_quotes_constants_at_their_values(self):
+        # "`NAME` = value" and "`owner.NAME` = value" name a constant of a
+        # cornerflow module, or an attribute of a class in one, that holds it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quotes = re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]*)` = "
+                            r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)", readme)
+        modules = [importlib.import_module(f"cornerflow.{m.name}")
+                   for m in pkgutil.iter_modules(cornerflow.__path__)]
+        assert len(quotes) >= 10
+        for owner, name, value in quotes:
+            if not owner:
+                scopes = modules
+            elif any(m.__name__ == f"cornerflow.{owner}" for m in modules):
+                scopes = [importlib.import_module(f"cornerflow.{owner}")]
+            else:
+                scopes = [vars(m)[owner] for m in modules
+                          if isinstance(vars(m).get(owner), type)]
+            found = {getattr(scope, name) for scope in scopes if hasattr(scope, name)}
+            want = json.loads(value)
+            assert found == {want}, (owner, name, value)
+            assert type(found.pop()) is type(want), (owner, name, value)
 
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         # a misspelt key must not run at its default without a word; a
@@ -695,6 +721,25 @@ class TestRun:
         assert run("circle.json", tmp_path, ["analyses=[]", "flow.w_inf=1e-300"]) == 0
         s = json.loads((tmp_path / "summary.json").read_text())
         assert s["exact_regression_max_rel_dev"] <= 1e-10
+
+    @pytest.mark.parametrize("body", [Circle(1.0), FlatPlate(4.0, np.pi / 6)],
+                             ids=["circle", "plate30"])
+    def test_exact_regression_asks_each_flow_once(self, body, monkeypatch):
+        far = FarField(1.0, -2.0)
+        flow, exact = panel_solve(body, far, 256).flow, exact_flow(body, far)
+        R = body.circumradius
+        th = 2 * np.pi * (np.arange(100) + 0.31) / 100
+        rings = [float(np.max(np.abs(flow.velocity(z) - exact.velocity(z)))
+                       / far.speed_scale(R))
+                 for z in (mult * R * np.exp(1j * th) for mult in (1.5, 3.0, 10.0))]
+        calls = []
+        for cls in (type(flow), type(exact)):
+            def spy(self, z, velocity=cls.velocity):
+                calls.append((type(self).__name__, np.size(z)))
+                return velocity(self, z)
+            monkeypatch.setattr(cls, "velocity", spy)
+        assert cli._exact_regression(flow, exact).hex() == max(rings).hex()
+        assert sorted(calls) == [("MappedFlow", 300), ("PanelFlow", 300)]
 
     def test_sections_are_their_result_types_fields(self, tmp_path):
         # one name per output: a section that a result type holds whole
