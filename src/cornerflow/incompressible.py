@@ -765,7 +765,8 @@ class _System:
     basis: np.ndarray        # (n_nodes, 3) strengths of the three columns
     residual: np.ndarray     # (n_pan + 1, 3) their residuals over every row
     circulation: np.ndarray  # (3,) R times the circulation row applied to basis
-    cond: float              # 1-norm condition number of the square system
+    cond: float              # estimate of the square system's 1-norm condition
+                             # number, a lower bound (``_assemble``)
 
     def stream(self, z):
         """psi of the three unit columns at z, shape (3,) + z.shape: each
@@ -881,12 +882,22 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
     rows, rhs = _system_rows(nodes, closed, R)
     n_nodes = len(nodes)
     M = rows[:n_nodes]
-    M_inv = np.linalg.inv(M)
-    cond = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
+    # kappa_1 = ||M||_1 ||M^-1||_1 from lower bounds of ||M^-1||_1 (Hager,
+    # Higham), with no n x n inverse in memory: R times the Gamma column is
+    # M^-1 e_(n-1), the circulation row's column of M^-1; then M^-1 of e/n
+    # and of Higham's alternating v, and one solve with M^T on the signs of
+    # those three columns, whose largest entry bounds it too
+    i = np.arange(n_nodes)
+    v = (-1.0) ** i * (1 + i / (n_nodes - 1))
+    x = np.linalg.solve(M, np.column_stack(
+        [rhs[:n_nodes], np.full(n_nodes, 1 / n_nodes), v]))
+    basis = x[:, :3].copy()
+    z = np.linalg.solve(M.T, np.sign(x[:, 2:]))
+    lower = np.abs(x[:, 2:]).sum(axis=0) * [R, 1, 1 / np.abs(v).sum()]
+    cond = float(np.linalg.norm(M, 1) * np.max(np.append(lower, np.abs(z))))
     if not cond <= 1e13:
         raise SolverError(f"panel system condition number {cond:.3g} exceeds 1e13",
                           condition_number=cond)
-    basis = M_inv @ rhs[:n_nodes]
     residual = rows @ basis - rhs
     circulation = R * (rows[n_nodes - 1] @ basis)  # physical units
     for arr in (nodes, basis, residual, circulation):
@@ -906,9 +917,11 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
     others.  After the solve every row is held to TOL_SLIP * V.
     Open plates keep every row (one more node than panels).
 
-    The square system depends only on the geometry and is inverted once,
-    which gives its 1-norm condition number ||M||_1 ||M^-1||_1 and the
-    strengths at unit Re w_inf, Im w_inf and Gamma.  A body given fewer
+    The square system depends only on the geometry.  One LU solve gives the
+    strengths at unit Re w_inf, Im w_inf and Gamma, and with a solve by its
+    transpose a lower-bound estimate of its 1-norm condition number
+    ||M||_1 ||M^-1||_1, exact where the Gamma column is M^-1's largest (the
+    circle, the plate).  A body given fewer
     than its ``min_panels`` or a subnormal speed scale V
     (``FarField.speed_scale``) raises InvalidGeometryError; a system
     above 1e13 raises SolverError, and a singular one numpy's LinAlgError.

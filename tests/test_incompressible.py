@@ -1081,8 +1081,8 @@ class TestSystemMemo:
 
 
 def direct_solve(body, far, n_panels):
-    """Strengths, residual and 1-norm condition number from an LU solve of
-    the square system at this free stream and Gamma."""
+    """Strengths and residual from an LU solve of the square system at this
+    free stream and Gamma, and its exact 1-norm condition number."""
     nodes, closed = body.panel_nodes(n_panels)
     rows, rhs = incompressible._system_rows(nodes, closed, body.circumradius)
     b = rhs @ np.array([far.w_inf.real, far.w_inf.imag, far.circulation])
@@ -1107,13 +1107,43 @@ class TestSuperposedSolve:
         g, residual, cond = direct_solve(body, far, 256)
         assert np.max(np.abs(sol.gamma - g)) <= 1e-12 * np.max(np.abs(g))
         assert abs(sol.residual_norm - residual) <= 1e-12 * abs(far.w_inf)
-        assert sol.condition_number == pytest.approx(cond, rel=1e-12)
+        # the estimate is a lower bound of kappa_1, exact where the Gamma
+        # column is M^-1's largest (0.961 and 0.959 of it on the polygons)
+        if name in ("circle", "plate"):
+            assert sol.condition_number == pytest.approx(cond, rel=1e-12)
+        else:
+            assert 0.9 * cond <= sol.condition_number <= cond * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n_panels", [256, 1024])
+    @pytest.mark.parametrize("height", [1e-5, 1e-6])
+    def test_condition_estimate_on_thin_triangles(self, height, n_panels):
+        # kappa_1 of 7.5e7 to 2.2e10, where the 1e13 gate reads the estimate
+        body = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, height)])
+        incompressible._assemble.cache_clear()
+        estimate = incompressible._assemble(body, n_panels, 1.0).cond
+        nodes, closed = body.panel_nodes(n_panels)
+        rows, _ = incompressible._system_rows(nodes, closed, body.circumradius)
+        cond = np.linalg.cond(rows[:len(nodes)], 1)
+        assert 0.99 * cond <= estimate <= cond * (1 + 1e-12)
+
+    def test_assembly_holds_no_inverse(self):
+        # the rows and one working copy of the square system (2.0 n^2
+        # doubles measured); an n x n inverse beside them made 3.0 n^2
+        body, n_nodes = FlatPlate(4.0, np.pi / 6), 513
+        incompressible._assemble.cache_clear()
+        tracemalloc.start()
+        try:
+            incompressible._assemble(body, 512, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n_nodes**2 * 8
 
     @pytest.mark.parametrize("scale", [1e14, np.nan])
     def test_ill_conditioned_system_raises(self, monkeypatch, scale):
-        inv = np.linalg.inv
+        solve = np.linalg.solve
         incompressible._assemble.cache_clear()
-        monkeypatch.setattr(np.linalg, "inv", lambda M: scale * inv(M))
+        monkeypatch.setattr(np.linalg, "solve", lambda M, b: scale * solve(M, b))
         with pytest.raises(SolverError, match="condition number") as err:
             panel_solve(TRIANGLE, FarField(1.0, 0.5), 96)
         assert not err.value.condition_number <= 1e13
