@@ -91,9 +91,10 @@ def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
     return np.array([0.1 * r_hi, r_hi])
 
 
-def _ring_a1(flow, corners, radii) -> np.ndarray:
+def _ring_a1(stream, corners, radii) -> np.ndarray:
     """a1 of each corner projected on the innermost and the outermost ring
-    of its ``radii`` (one sequence per corner), all in one stream call.
+    of its ``radii`` (one sequence per corner), all in one call of the
+    stream function ``stream``.
 
     The corner modes are orthogonal on one ring, so
         a1(r) = (2/beta) r**(-pi/beta)
@@ -102,7 +103,7 @@ def _ring_a1(flow, corners, radii) -> np.ndarray:
     walls are straight out to r; on a panel flow the change of a1(r)
     between the rings measures the discretization error.  Returns
     [a1(r_lo), a1(r_hi)] per corner, shape (..., len(corners), 2), the
-    leading axes those of ``flow.stream`` (3 for ``_System.stream``).
+    leading axes those of ``stream`` (3 for three unit columns).
     """
     s, w = _gauss_legendre(RING_NODES)
     points, scales = [], []
@@ -114,7 +115,7 @@ def _ring_a1(flow, corners, radii) -> np.ndarray:
         beta = corner.exterior_angle_beta
         points.append(_ring_points(corner, rings, beta * s))
         scales.append(rings ** (np.pi / beta))
-    psi = np.asarray(flow.stream(np.array(points)), dtype=float)
+    psi = np.asarray(stream(np.array(points)), dtype=float)
     # (2/beta) times the rule's Jacobian beta/2 is 1
     return psi @ (w * np.sin(np.pi * s)) / np.array(scales)
 
@@ -134,7 +135,7 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     if radii is None:
         radii = default_fit_radii(corner, body_scale)
     radii = np.asarray(radii, dtype=float)
-    ((a1_lo, a1),) = _ring_a1(flow, [corner], [radii])
+    ((a1_lo, a1),) = _ring_a1(flow.stream, [corner], [radii])
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, body_scale)
     singular = bool(abs(a1) > TOL_A1 * flow.far.speed_scale(body_scale)
@@ -252,12 +253,14 @@ class CornerCensusEntry:
 class CensusResult:
     """Exact affine-root census of corner regularity over circulation.
 
-    ``a1`` of every corner is affine in Gamma, so corner i is regular only
-    at Gamma = root_i; distinct roots mean no circulation regularizes two
-    corners at once, hence at least n-1 of n corners stay singular at
-    every Gamma.  A swept grid provides a redundancy check at finite
-    fit tolerance: the number of singular corners at each of its Gamma.
-    The fields are keys of the summary's census.
+    ``a1`` of every corner is affine in Gamma, so corner i is regular, at
+    the singular threshold, on one closed interval about root_i; the
+    least number of singular corners at any Gamma, ``min_singular_count``,
+    is n less the deepest overlap of those intervals, and
+    ``regularizes_all_somewhere`` is its being 0.  Pairs of roots within
+    1e-3 V R are reported beside it.  A swept grid provides a redundancy
+    check: the number of singular corners at each of its Gamma, never
+    below the least.  The fields are keys of the summary's census.
     """
 
     corners: tuple
@@ -266,28 +269,6 @@ class CensusResult:
     min_singular_count: int
     regularizes_all_somewhere: bool
     coincident_pairs: tuple
-
-
-def affine_corner(flow0, flow1, corners) -> list:
-    """a1 of each corner as the affine function a1(0) + slope * Gamma.
-
-    ``flow0`` and ``flow1`` are one body and free stream at Gamma = 0 and
-    Gamma = Gamma_1 = flow1.far.circulation; by superposition their a1
-    projections fix the line exactly, of slope (a1(Gamma_1) - a1(0)) /
-    Gamma_1.  Both are taken on the two rings of ``default_fit_radii``,
-    every corner's in one stream call per flow.  This is the path of any
-    flow; a panel system reads the same lines off its unit columns
-    (``incompressible``'s ``_affine_corners``).  DegenerateKuttaError at
-    Gamma_1 = 0, and as ``_affine_entries`` raises it.
-    """
-    gamma1 = flow1.far.circulation
-    if gamma1 == 0:
-        raise DegenerateKuttaError("two flows at one circulation fix no line in Gamma")
-    body_scale = flow0.body.circumradius
-    radii = [default_fit_radii(c, body_scale) for c in corners]
-    a0 = _ring_a1(flow0, corners, radii)
-    slope = (_ring_a1(flow1, corners, radii) - a0) / gamma1
-    return _affine_entries(corners, a0, slope, body_scale)
 
 
 def _affine_entries(corners, a0, slope, body_scale) -> list:
@@ -310,15 +291,18 @@ def _affine_entries(corners, a0, slope, body_scale) -> list:
     return entries
 
 
-def corner_census(body: Body, w_inf: complex, n_panels: int,
-                  gamma_grid=None) -> CensusResult:
+def corner_census(body: Body, w_inf: complex, n_panels: int, gamma_grid=None,
+                  representation: str = "panel") -> CensusResult:
     """Affine a1(Gamma) census over all protruding corners of a body.
 
-    The panel system on ``n_panels`` panels fixes every corner's affine
-    form exactly, from its unit columns, once its flows at Gamma = 0 and
-    Gamma = V R (the flow's own scale, V the speed scale at Gamma = 0)
-    pass the slip gate; the census then reads off roots and, unless
-    ``gamma_grid`` is given, sweeps a 33-point grid spanning all roots
+    The representation's three unit columns fix every corner's affine form
+    exactly (``incompressible``'s ``_affine_corners``): the exact flows of
+    a mapped body, or the panel system on ``n_panels`` panels once its
+    flows at Gamma = 0 and Gamma = V R (V the speed scale at Gamma = 0)
+    pass the slip gate.  The census reads off the roots and the least
+    singular count from the lines' regular intervals, root +-
+    TOL_A1 V R**(1 - pi/beta) / |slope|, by one sort of their ends; unless
+    ``gamma_grid`` is given it sweeps a 33-point grid spanning all roots
     with margin as a redundancy check.  Root coincidence and the margin
     scale with V R, and the singular threshold with V.
     """
@@ -330,7 +314,7 @@ def corner_census(body: Body, w_inf: complex, n_panels: int,
     R = body.circumradius
     V = FarField(w_inf).speed_scale(R)
     scale = V * R
-    entries = _affine_corners(body, w_inf, corners, n_panels)
+    entries = _affine_corners(body, w_inf, corners, n_panels, representation)
 
     roots = np.array([e.root for e in entries])
     coincidence_tol = 1e-3 * scale
@@ -348,13 +332,17 @@ def corner_census(body: Body, w_inf: complex, n_panels: int,
     counts = tuple(sum(1 for e, tol in zip(entries, singular_above)
                        if abs(e.a1_at_zero + e.slope * gam) > tol)
                    for gam in gamma_grid)
-    # exact affine verdict: is there any Gamma where every |a1| is small?
-    # distinct roots => impossible; coincident roots are reported, not claimed
-    regular_everywhere = bool(np.all(np.abs(roots - roots[0]) < coincidence_tol))
+    # the deepest overlap of the regular intervals, a start counted before
+    # an end at the same Gamma: the intervals are closed
+    half = np.array(singular_above) / np.abs([e.slope for e in entries])
+    ends = np.concatenate([roots - half, roots + half])
+    steps = np.repeat([1, -1], len(roots))
+    least = len(roots) - int(np.max(np.cumsum(steps[np.lexsort((-steps, ends))])))
+    assert least <= min(counts), "the sweep reads fewer singular corners than the lines"
     return CensusResult(
         corners=tuple(entries), sweep_gammas=tuple(float(g) for g in gamma_grid),
-        sweep_singular_counts=counts, min_singular_count=min(counts),
-        regularizes_all_somewhere=regular_everywhere,
+        sweep_singular_counts=counts, min_singular_count=least,
+        regularizes_all_somewhere=least == 0,
         coincident_pairs=tuple(coincident))
 
 

@@ -261,19 +261,14 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     gamma, corner_id = _get(cfg, "flow.gamma"), _get(cfg, "flow.kutta_corner")
     if gamma is not None:
         gamma = float(gamma)
-    elif corner_id is not None:
-        corner_id = int(corner_id)
-        if representation == "exact":  # a plate: circles have no corner to name
-            gamma = exact_flow(body, FarField(w_inf)).kutta_circulation(corner_id)
-            summary["kutta"] = {"corner_id": corner_id, "gamma_star": gamma,
-                                "method": "conformal_map"}
-        else:  # on the panels the flow is solved on
-            e = kutta_solve(body, w_inf, corner_id, n_panels)
-            gamma = e.root
-            summary["kutta"] = {
-                "corner_id": corner_id, "gamma_star": e.root,
-                "a1_at_zero": e.a1_at_zero, "a1_slope": e.slope,
-                "uncertainty": e.root_uncertainty, "method": "panel_affine_root"}
+    elif corner_id is not None:  # in the representation the flow is solved in
+        e = kutta_solve(body, w_inf, int(corner_id), n_panels, representation)
+        gamma = e.root
+        summary["kutta"] = {
+            "corner_id": e.corner_id, "gamma_star": e.root,
+            "a1_at_zero": e.a1_at_zero, "a1_slope": e.slope,
+            "uncertainty": e.root_uncertainty,
+            "method": "conformal_map" if representation == "exact" else "panel_affine_root"}
     else:
         gamma = 0.0  # sweep scenarios analyse the census, not one flow
 
@@ -345,10 +340,11 @@ def _run_corner_fits(cfg, flow, body, far, summary, out):
 def _run_census(cfg, flow, body, far, summary, out):
     census = analysis.corner_census(body, float(_get(cfg, "flow.w_inf")),
                                     int(_get(cfg, "solver.n_panels", body)),
-                                    _get(cfg, "flow.gamma_sweep"))
+                                    _get(cfg, "flow.gamma_sweep"),
+                                    _get(cfg, "solver.representation", body))
     summary["census"] = {
         **asdict(census),
-        "verdict": ("degenerate coincidence" if census.coincident_pairs else
+        "verdict": ("degenerate coincidence" if census.regularizes_all_somewhere else
                     "no circulation regularizes all corners"),
         "note": "finite-resolution signature, not a proof",
     }

@@ -78,13 +78,6 @@ class Corner:
         """World angle of the first wall (theta = 0 ray of the wedge)."""
         return float(np.angle(self.side_directions[0]))
 
-    def local_polar(self, points):
-        """Map world points to corner polar coordinates (r, theta), theta
-        measured counterclockwise from the first wall; fluid points fall
-        in (0, beta)."""
-        rel = np.asarray(points, dtype=complex) - self.vertex
-        return np.abs(rel), np.mod(np.angle(rel) - self.wall_angle, TWO_PI)
-
 
 def _ccw_angle(d0: complex, d1: complex) -> float:
     """Counterclockwise angle in [0, 2*pi) rotating d0 onto d1."""

@@ -45,12 +45,14 @@ on the whole layout and the treecode on each cluster's run of panels,
 at all of the cluster's near points of one evaluation at once.
 
 A Kutta root and a corner census read each corner's line
-a1(Gamma) = a1(0) + slope Gamma in slope form off the panel system's
-three unit columns: their psi (``_System.stream``) is projected on the
-corner rings as a flow's is, once per system (``_System.corner_a1``),
-and the root -a1(0) / slope scales with w_inf at any magnitude.  The
-flows at Gamma = 0 and Gamma_1 are solved only as the slip gate of the
-line (``_affine_corners``).
+a1(Gamma) = a1(0) + slope Gamma in slope form off three unit columns,
+the flows at unit Re w_inf, unit Im w_inf and unit Gamma: their psi is
+projected on the corner rings as a flow's is (``_corner_a1``), and the
+root -a1(0) / slope scales with w_inf at any magnitude.  A representation
+only decides where the columns come from: the exact flows through the
+body's map, or the panel system (``_System.stream``), projected once per
+system (``_System.corner_a1``) after its flows at Gamma = 0 and Gamma_1
+pass the slip gate (``_affine_corners``).
 """
 
 from __future__ import annotations
@@ -130,8 +132,6 @@ class CircleScalingMap:
     def body(self) -> Circle:
         return Circle(self.radius)
 
-    prevertices = ()
-
     @property
     def dz_dsigma_inf(self) -> complex:
         return complex(self.radius)
@@ -161,8 +161,6 @@ class JoukowskyPlateMap:
 
     chord: float
     alpha: float
-
-    prevertices = (1.0 + 0j, -1.0 + 0j)
 
     @property
     def body(self) -> FlatPlate:
@@ -212,10 +210,10 @@ class MappedFlow:
     + (Gamma / 2 pi i) log sigma with u = w_inf f'(inf); then
     w(z) = U'(sigma) / f'(sigma) and psi = Im U(sigma).  Any circulation
     is admissible; velocities diverge at a corner unless Gamma is its
-    Kutta root (``kutta_circulation``).
+    Kutta root (``kutta_solve``), where U' = 0 at its prevertex.
     """
 
-    map: object  # body, to_z, to_sigma, dz_dsigma, f'(inf), prevertices
+    map: object  # body, to_z, to_sigma, dz_dsigma, f'(inf)
     far: FarField
 
     @property
@@ -244,16 +242,6 @@ class MappedFlow:
         u = self.far.w_inf * self.map.dz_dsigma_inf
         return (np.imag(u * sig + np.conj(u) / sig)
                 - self.far.circulation / TWO_PI * np.log(np.abs(sig)))
-
-    def kutta_circulation(self, corner_id: int) -> float:
-        """Circulation making a corner regular, U' = 0 at its prevertex:
-        Gamma = 4 pi Im(u sigma_k).  A plate's trailing-edge root in a real
-        w_inf is -pi * chord * w_inf * sin(alpha)."""
-        prevertices = self.map.prevertices
-        if not 0 <= corner_id < len(prevertices):
-            raise InvalidGeometryError(f"no corner {corner_id}")
-        u = self.far.w_inf * self.map.dz_dsigma_inf
-        return float(2 * TWO_PI * np.imag(u * prevertices[corner_id]))
 
 
 def conformal_map(body: Body):
@@ -781,15 +769,21 @@ class _System:
 
     @cached_property
     def corner_a1(self) -> np.ndarray:
-        """a1 of every protruding corner on its two ``default_fit_radii``
-        rings for each unit column, shape (3, corners, 2), so that
-        a1 = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
-        R = self.body.circumradius
-        corners = [c for c in self.body.corners if c.protruding]
-        a1 = analysis._ring_a1(self, corners,
-                               [analysis.default_fit_radii(c, R) for c in corners])
+        """``_corner_a1`` of the system's unit columns, once per system."""
+        a1 = _corner_a1(self.body, self.stream)
         a1.flags.writeable = False
         return a1
+
+
+def _corner_a1(body: Body, stream) -> np.ndarray:
+    """a1 of every protruding corner on its two ``default_fit_radii``
+    rings for each of three unit columns, whose psi ``stream`` gives with
+    shape (3,) + z.shape: shape (3, corners, 2), so that
+    a1 = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
+    R = body.circumradius
+    corners = [c for c in body.corners if c.protruding]
+    return analysis._ring_a1(stream, corners,
+                             [analysis.default_fit_radii(c, R) for c in corners])
 
 
 def _system_rows(nodes, closed, R):
@@ -951,14 +945,14 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
 # Kutta condition
 
 
-def kutta_solve(body: Body, w_inf: complex, corner_id: int,
-                n_panels: int) -> analysis.CornerCensusEntry:
+def kutta_solve(body: Body, w_inf: complex, corner_id: int, n_panels: int,
+                representation: str = "panel") -> analysis.CornerCensusEntry:
     """The affine a1(Gamma) of one protruding corner, whose root is the
     circulation making that corner regular (a1 = 0).
 
-    a1 depends affinely on Gamma (superposition), so the system's unit
-    columns on ``n_panels`` panels fix the line (``_affine_corners``); the
-    result is the corner's ``corner_census`` entry at the same n_panels.
+    a1 depends affinely on Gamma (superposition), so the representation's
+    unit columns fix the line (``_affine_corners``); the result is the
+    corner's ``corner_census`` entry in the same representation.
     """
     corners = body.corners
     if not 0 <= corner_id < len(corners):
@@ -966,21 +960,33 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int,
     corner = corners[corner_id]
     if not corner.protruding:
         raise InvalidGeometryError("Kutta condition applies to protruding corners")
-    return _affine_corners(body, w_inf, [corner], n_panels)[0]
+    return _affine_corners(body, w_inf, [corner], n_panels, representation)[0]
 
 
-def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int):
-    """Each corner's ``analysis.affine_corner`` entry in slope form, read
-    off the panel system's unit columns (``_System.corner_a1``).
+def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int,
+                    representation: str = "panel"):
+    """Each corner's ``analysis.CornerCensusEntry`` in slope form, read off
+    the unit columns of the representation (``_corner_a1``).
 
-    The flows at Gamma = 0 and Gamma_1 = V R, V the speed scale at
-    Gamma = 0, are solved on every call, so a line is read only where both
-    its ends pass the slip gate.  DegenerateKuttaError is raised for the
-    given corners alone."""
+    "exact": the exact flows at unit Re w_inf, Im w_inf and Gamma through
+    the body's conformal map, with no panel system; a body with no map
+    raises InvalidGeometryError.  "panel": the system on ``n_panels``
+    panels (``_System.corner_a1``), whose flows at Gamma = 0 and
+    Gamma_1 = V R, V the speed scale at Gamma = 0, are solved on every
+    call, so a line is read only where both its ends pass the slip gate.
+    DegenerateKuttaError is raised for the given corners alone."""
     R = body.circumradius
-    for gamma in (0.0, FarField(w_inf).speed_scale(R) * R):
-        panel_solve(body, FarField(w_inf, gamma), n_panels)
-    a1 = _assemble(body, n_panels, 1.0).corner_a1
+    if representation == "exact":
+        flows = [exact_flow(body, far)
+                 for far in (FarField(1.0), FarField(1j), FarField(0.0, 1.0))]
+        if flows[0] is None:
+            raise InvalidGeometryError(
+                f"exact representation needs a closed-form map; a {body.kind} has none")
+        a1 = _corner_a1(body, lambda z: np.array([f.stream(z) for f in flows]))
+    else:
+        for gamma in (0.0, FarField(w_inf).speed_scale(R) * R):
+            panel_solve(body, FarField(w_inf, gamma), n_panels)
+        a1 = _assemble(body, n_panels, 1.0).corner_a1
     ids = [c.corner_id for c in body.corners if c.protruding]
     a1 = a1[:, [ids.index(c.corner_id) for c in corners]]
     a0 = np.real(w_inf) * a1[0] + np.imag(w_inf) * a1[1]

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from cornerflow import analysis, incompressible
-from cornerflow.analysis import (affine_corner, circulation, corner_census,
-                                 farfield_fit, fit_corner, mass_flux,
-                                 sign_attainment, sign_component_census)
+from cornerflow.analysis import (circulation, corner_census, farfield_fit,
+                                 fit_corner, mass_flux, sign_attainment,
+                                 sign_component_census)
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
 from cornerflow.geometry import Circle, CircleContour, Corner, FlatPlate, Polygon
 from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
                                        panel_solve)
+from oracles import affine_corner, kutta_circulation, swept_least_singular_count
 
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
@@ -154,7 +155,7 @@ class TestFitCorner:
 
     def test_kutta_plate_trailing_regular_leading_singular(self):
         alpha = np.pi / 6
-        gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+        gstar = kutta_circulation(exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)), 0)
         flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, gstar))
         trailing = fit_corner(flow, flow.body.corners[0])
         leading = fit_corner(flow, flow.body.corners[1])
@@ -210,7 +211,7 @@ class TestSignAttainment:
 
     def test_kutta_regularized_trailing_edge_both(self):
         alpha = np.pi / 6
-        gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+        gstar = kutta_circulation(exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)), 0)
         flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, gstar))
         assert sign_attainment(flow, flow.body.corners[0], 0.05) == "both"
 
@@ -332,12 +333,16 @@ class TestCornerCensus:
         roots = [e.root for e in census.corners]
         assert len(set(np.round(roots, 3))) == 3  # pairwise distinct
         assert census.min_singular_count >= 2     # >= n-1 of 3 at any gamma
+        assert census.min_singular_count == swept_least_singular_count(
+            TRIANGLE, census, 1.0)
         assert not census.regularizes_all_somewhere
         assert census.coincident_pairs == ()
 
     def test_square_census(self):
         census = corner_census(SQUARE, 1.0, n_panels=160)
         assert census.min_singular_count >= 2     # >= n-2 of 4
+        assert census.min_singular_count == swept_least_singular_count(
+            SQUARE, census, 1.0)
         assert not census.regularizes_all_somewhere
 
     def test_census_consistency_at_roots(self):
@@ -353,7 +358,7 @@ class TestCornerCensus:
             assert off_root > scale
 
     def test_roots_match_kutta_solve(self):
-        # both run affine_corner on the same two flows: one entry, to the bit
+        # both read one line off the system's unit columns: one entry, to the bit
         census = corner_census(TRIANGLE, 1.0, n_panels=192)
         for e in census.corners:
             assert kutta_solve(TRIANGLE, 1.0, e.corner_id, n_panels=192) == e
@@ -446,8 +451,8 @@ class TestCornerCensus:
         # corner 0's Gamma column reads 0; a Kutta root at corner 1 is found
         ring_a1 = analysis._ring_a1
 
-        def deaf_corner_0(flow, corners, radii):
-            a1 = ring_a1(flow, corners, radii)
+        def deaf_corner_0(stream, corners, radii):
+            a1 = ring_a1(stream, corners, radii)
             a1[2, [c.corner_id for c in corners].index(0)] = 0.0
             return a1
 
@@ -462,21 +467,26 @@ class TestCornerCensus:
         finally:  # the kept system holds the doctored columns
             incompressible._assemble.cache_clear()
 
-    @pytest.mark.parametrize("body, n_panels", [
-        (TRIANGLE, 256), (FlatPlate(4.0, np.pi / 6), 512)], ids=["triangle", "plate"])
-    def test_roots_scale_with_the_free_stream_to_the_bit(self, body, n_panels):
+    @pytest.mark.parametrize("body, n_panels, representation", [
+        (TRIANGLE, 256, "panel"), (FlatPlate(4.0, np.pi / 6), 512, "panel"),
+        (FlatPlate(4.0, np.pi / 6), 512, "exact")],
+        ids=["triangle", "plate", "plate-exact"])
+    def test_roots_scale_with_the_free_stream_to_the_bit(self, body, n_panels,
+                                                         representation):
         # in slope form a1(0) scales with w_inf and the slope does not, so
         # w_inf -> 2**k w_inf scales every root, a1(0) and root_uncertainty
         # by 2**k exactly, out to the ends of the float range
-        unit = corner_census(body, 1.0, n_panels)
+        unit = corner_census(body, 1.0, n_panels, representation=representation)
         for k in (900, -900):
             scale = 2.0 ** k
-            census = corner_census(body, scale, n_panels)
+            census = corner_census(body, scale, n_panels,
+                                   representation=representation)
             for e, f in zip(unit.corners, census.corners):
                 assert f == dataclasses.replace(
                     e, root=scale * e.root, a1_at_zero=scale * e.a1_at_zero,
                     root_uncertainty=scale * e.root_uncertainty)
-                assert kutta_solve(body, scale, e.corner_id, n_panels) == f
+                assert kutta_solve(body, scale, e.corner_id, n_panels,
+                                   representation) == f
 
     def test_census_verdict_does_not_depend_on_the_scale(self):
         # at 2**-600 the roots, sweep and thresholds all scale by 2**-600:
@@ -496,6 +506,8 @@ class TestCornerCensus:
         assert [e.root for e in census.corners] == [0.0, 0.0, 0.0]
         assert census.coincident_pairs == ((0, 1), (0, 2), (1, 2))
         assert census.regularizes_all_somewhere
+        assert census.min_singular_count == 0 == swept_least_singular_count(
+            TRIANGLE, census, 0.0)
         R = TRIANGLE.circumradius
         assert census.sweep_gammas[0] == pytest.approx(-0.1 * R, rel=1e-15)
         assert census.sweep_gammas[-1] == pytest.approx(0.1 * R, rel=1e-15)
@@ -512,6 +524,39 @@ class TestCornerCensus:
         roots = sorted(e.root for e in census.corners)
         assert roots[1] - roots[0] > 1.0
         assert census.min_singular_count >= 1
+        assert not census.regularizes_all_somewhere
+
+    @pytest.mark.parametrize("representation", ["panel", "exact"])
+    def test_plate_census_least_count_is_one(self, representation):
+        # the two edges' regular intervals are disjoint: one edge is
+        # regular at its root, which no node of the 33-point sweep hits
+        plate = FlatPlate(4.0, np.pi / 6)
+        census = corner_census(plate, 1.0, 256, representation=representation)
+        assert census.min_singular_count == 1 == swept_least_singular_count(
+            plate, census, 1.0)
+
+    @pytest.mark.parametrize("n, scale, rotation, centre, n_panels, least", [
+        *((n, 1.0, rotation, (0.0, 0.0), 256, n - 1 - (rotation == 0 and n % 2 == 0))
+          for n in (3, 4, 5, 6) for rotation in (0.0, 0.1, 0.37)),
+        # the regular polygons of the corner_census benchmark at seed 1
+        (3, 1.0583596926711754, 5.086994462712799,
+         (-1.2413121222840244, -0.6988718181898292), 256, 2),
+        (4, 2.633891455300524, 1.5042998101158243,
+         (1.3780867154154004, -0.9042222316871444), 512, 3),
+        (5, 0.6612128274281779, 4.471050216573144,
+         (-0.30532920305670475, 0.7675471746608737), 512, 4),
+        (6, 2.315132747304826, 5.2816057645257874,
+         (-0.8510084651297989, 0.3073749463163278), 256, 5)])
+    def test_regular_polygon_least_count(self, n, scale, rotation, centre,
+                                         n_panels, least):
+        # distinct roots leave n - 1 corners singular at every Gamma; the
+        # square and the hexagon with a vertex on the stream axis have
+        # roots that coincide in pairs, n - 2
+        body = Polygon([(centre[0] + scale * np.cos(t), centre[1] + scale * np.sin(t))
+                        for t in rotation + 2 * np.pi * np.arange(n) / n])
+        census = corner_census(body, 1.0, n_panels)
+        assert census.min_singular_count == least == swept_least_singular_count(
+            body, census, 1.0)
         assert not census.regularizes_all_somewhere
 
 

@@ -714,6 +714,37 @@ class TestRun:
             assert tiny[key] == one[key]
         assert tiny["verdict"] == "no circulation regularizes all corners"
 
+    def test_exact_kutta_root_is_its_census_root(self, tmp_path, monkeypatch):
+        # one reader for both representations: an exact run reads its Kutta
+        # root and its census off the map's unit columns, one float per
+        # corner, and writes the panel run's kutta keys but n_panels
+        analyses = 'analyses=["census", "corner_fits"]'
+        assert run("plate30.json", tmp_path / "panel", [analyses]) == 0
+        assembled = []
+        monkeypatch.setattr(incompressible, "_assemble",
+                            lambda *args: assembled.append(args))
+        assert run("plate30.json", tmp_path / "exact",
+                   [analyses, "solver.representation=exact"]) == 0
+        panel, exact = (json.loads((tmp_path / name / "summary.json").read_text())
+                        for name in ("panel", "exact"))
+        assert assembled == []
+        assert exact["kutta"]["gamma_star"] == exact["census"]["corners"][0]["root"]
+        assert abs(exact["kutta"]["gamma_star"] + 2 * np.pi) <= 1e-14 * 2.0
+        assert exact["kutta"]["method"] == "conformal_map"
+        assert panel["kutta"]["method"] == "panel_affine_root"
+        assert exact["kutta"].keys() == panel["kutta"].keys() - {"n_panels"}
+
+    def test_census_verdict_reads_the_least_singular_count(self, tmp_path):
+        # the square's corners 0 and 2 share a root, 1 and 3 do not: two
+        # corners stay singular at every Gamma, whatever the coincidence
+        assert run("triangle_census.json", tmp_path, [
+            "body.vertices=[[1, 0], [0, 1], [-1, 0], [0, -1]]"]) == 0
+        census = json.loads((tmp_path / "summary.json").read_text())["census"]
+        assert census["coincident_pairs"] == [[0, 2]]
+        assert census["min_singular_count"] == 2
+        assert not census["regularizes_all_somewhere"]
+        assert census["verdict"] == "no circulation regularizes all corners"
+
     def test_exact_regression_at_a_tiny_free_stream(self, tmp_path):
         # circle.json's Gamma = 2 pi dominates w_inf = 1e-300: the deviation
         # is relative to the speed scale V = max(|w_inf|, |Gamma| / 2 pi R),

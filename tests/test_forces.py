@@ -8,13 +8,14 @@ import pytest
 from cornerflow.forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from cornerflow.geometry import Circle, CircleContour, FlatPlate
 from cornerflow.incompressible import FarField, exact_flow, panel_solve
+from oracles import kutta_circulation
 
 TWO_PI = 2 * np.pi
 
 
 def kutta_plate_flow():
     alpha = np.pi / 6
-    gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+    gstar = kutta_circulation(exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)), 0)
     return panel_solve(FlatPlate(4.0, alpha), FarField(1.0, gstar), 256).flow
 
 

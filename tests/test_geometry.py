@@ -6,6 +6,7 @@ import pytest
 from cornerflow.errors import GeometryClipError, InvalidGeometryError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  _segment_distance, classify_corners, probe_ring)
+from oracles import local_polar
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 TRIANGLE = [(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)]
@@ -146,7 +147,7 @@ class TestProbeRing:
         corner = classify_corners(SQUARE)[0]
         pts = probe_ring(corner, [0.1], 8)
         assert pts.shape == (1, 8)
-        r, theta = corner.local_polar(pts)
+        r, theta = local_polar(corner, pts)
         assert np.allclose(r, 0.1)
         assert np.all(theta > 0) and np.all(theta < corner.exterior_angle_beta)
         # fluid side: none of the samples inside the square

@@ -1,6 +1,7 @@
 """Exact-flow formulas, panel solves, and the Kutta condition."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cornerflow.analysis import circulation, mass_flux
+from cornerflow.analysis import circulation, corner_census, mass_flux
 from cornerflow.cli import KEYS, run
 from cornerflow import incompressible
 from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverError
@@ -17,6 +18,7 @@ from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
 from cornerflow.incompressible import (KAPPA, TOL_SLIP, FarField, MappedFlow,
                                        exact_flow, kutta_solve, panel_solve)
+from oracles import kutta_circulation
 
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
@@ -79,12 +81,12 @@ class TestPlateFlow:
         # trailing-edge root for real w_inf: -pi * chord * w * sin(alpha)
         for alpha in (np.deg2rad(10), np.deg2rad(30)):
             flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0))
-            assert flow.kutta_circulation(0) == pytest.approx(
+            assert kutta_circulation(flow, 0) == pytest.approx(
                 -np.pi * 4.0 * np.sin(alpha), rel=1e-12)
 
     def test_kutta_root_gives_bounded_trailing_edge(self):
         alpha = np.pi / 6
-        gstar = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)).kutta_circulation(0)
+        gstar = kutta_circulation(exact_flow(FlatPlate(4.0, alpha), FarField(1.0, 0.0)), 0)
         flow = exact_flow(FlatPlate(4.0, alpha), FarField(1.0, gstar))
         te = flow.body.trailing_edge
         d = np.exp(1j * (np.pi / 2 - alpha))
@@ -113,7 +115,7 @@ class TestPlateFlow:
         # U' = 0 at sigma = -1: +pi * chord * w * sin(alpha)
         alpha, w = np.deg2rad(25), 1.7
         flow = exact_flow(FlatPlate(3.0, alpha), FarField(w, 0.0))
-        assert flow.kutta_circulation(1) == pytest.approx(
+        assert kutta_circulation(flow, 1) == pytest.approx(
             np.pi * 3.0 * w * np.sin(alpha), rel=1e-12)
 
     def test_roots_invariant_under_rotating_plate_and_stream(self):
@@ -125,7 +127,7 @@ class TestPlateFlow:
             turned = exact_flow(FlatPlate(chord, alpha - phi),
                                 FarField(w * np.exp(-1j * phi), 0.0))
             for k in (0, 1):
-                assert abs(turned.kutta_circulation(k) - base.kutta_circulation(k)) \
+                assert abs(kutta_circulation(turned, k) - kutta_circulation(base, k)) \
                     <= 1e-12 * w * chord
 
     @pytest.mark.parametrize("body, corner_id", [
@@ -134,7 +136,9 @@ class TestPlateFlow:
         ids=["plate-2", "plate-5", "plate-minus-1", "circle-0"])
     def test_kutta_circulation_needs_a_prevertex(self, body, corner_id):
         with pytest.raises(InvalidGeometryError):
-            exact_flow(body, FarField(1.0, 0.0)).kutta_circulation(corner_id)
+            kutta_circulation(exact_flow(body, FarField(1.0, 0.0)), corner_id)
+        with pytest.raises(InvalidGeometryError):
+            kutta_solve(body, 1.0, corner_id, 256, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +479,29 @@ class TestKutta:
     def test_invalid_corner_id(self):
         with pytest.raises(InvalidGeometryError):
             kutta_solve(FlatPlate(4.0, 0.3), 1.0, 5, 256)
+
+    @pytest.mark.parametrize("read", [
+        lambda: kutta_solve(TRIANGLE, 1.0, 0, 96, "exact"),
+        lambda: corner_census(TRIANGLE, 1.0, 96, representation="exact")],
+        ids=["kutta_solve", "corner_census"])
+    def test_exact_representation_needs_a_map(self, read):
+        with pytest.raises(InvalidGeometryError, match="a polygon has none"):
+            read()
+
+    def test_exact_roots_are_the_closed_form(self):
+        # the map's three unit columns projected on the corner rings: every
+        # plate root within 1e-14 |w_inf| R of 4 pi Im(w_inf f'(inf) sigma_k),
+        # and the census's entries are the Kutta entries
+        for chord, alpha_deg in itertools.product((0.3, 1.0, 4.0, 37.0),
+                                                  range(-89, 90)):
+            plate = FlatPlate(chord, np.deg2rad(alpha_deg))
+            flow = exact_flow(plate, FarField(1.0))
+            census = corner_census(plate, 1.0, 256, representation="exact")
+            for e in census.corners:
+                assert abs(e.root - kutta_circulation(flow, e.corner_id)) \
+                    <= 1e-14 * plate.circumradius
+                if alpha_deg == 30:
+                    assert kutta_solve(plate, 1.0, e.corner_id, 256, "exact") == e
 
 
 # ---------------------------------------------------------------------------
