@@ -376,9 +376,9 @@ def export_field(flow_or_solution, window, resolution, path):
     (r, theta, x, y, psi, rho, mach) for compressible solutions."""
     if isinstance(flow_or_solution, compressible.CompressibleSolution):
         sol = flow_or_solution
-        g = sol.grid
+        g, z = sol.grid, sol.grid.z
         _write_csv(path, "r,theta,x,y,psi,rho,mach", np.exp(g.xi)[:, None],
-                   g.theta[None, :], g.z.real, g.z.imag, sol.psi, sol.rho, sol.mach)
+                   g.theta[None, :], z.real, z.imag, sol.psi, sol.rho, sol.mach)
         return
 
     flow = flow_or_solution

@@ -26,8 +26,8 @@ max(LINEAR_TOL, min(PICARD_TOL, FORCING * residual)) (Eisenstat & Walker
 1996): no step solves its frozen system further than the next residual needs.
 Each CG iteration applies the operator once (the residual recurrence
 r <- r - alpha A p); the true residual is formed once, at exit.  The face
-differences of psi~ are formed once per step, for the face m and the
-cell balance.
+m is formed one face kind and one direction of the nodal gradient at a
+time, and the cell balance forms its own face differences of psi~.
 The coefficient evaluation is guarded: any face whose half-squared mass
 flux m reaches the sonic bound of the Bernoulli state aborts the solve
 (the equation leaves its elliptic region there).  No density is ever
@@ -41,13 +41,16 @@ iterate and the history restarts, so an abort only ever comes from a
 plain step.
 
 A grid is built for one free stream, whose base flow and outer Dirichlet
-data it discretizes.  Besides its nodal z, H and flags it stores only what
-the Picard steps read: base face fluxes, base gradients and H^2 at the
-faces, Dirichlet rows and Thomas factors, about ten full-grid arrays.
-Face z (abort location, corner masks) and nodal dz/dzeta (post-processing)
-are recomputed from the map.  On every grid sigma = e^xi e^(i theta) is
-separable: one outer product of n_r real and n_theta complex exponentials,
-not a complex exponential per node.
+data it discretizes.  Besides its node flags it stores only what the
+Picard steps read: base face fluxes, base gradients and H^2 at the faces
+(eight full-grid arrays), the Dirichlet rows, and the Thomas factors (the
+inverse pivots once per Fourier mode, half a full-grid array, and the
+elimination factors once per (re, im) of each mode, one array).  Nodal z
+and H, face z (abort location, and the corner masks in blocks of rows)
+and nodal dz/dzeta (post-processing) are recomputed from the map, once by
+each reader.  On every grid sigma = e^xi e^(i theta) is separable: one outer
+product of n_r real and n_theta complex exponentials, not a complex
+exponential per node.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import GRID_BLOCK
 from .errors import (InvalidGeometryError, IterationLimitError,
                      SolverError, SonicExcursionError, UnsupportedBodyError)
 from .gas import BernoulliState, GasModel
@@ -85,20 +89,24 @@ def _sigma(xi, theta):
     return np.exp(xi)[:, None] * np.exp(1j * theta)[None, :]
 
 
-def _node_gradient(psi_t, d_xi, d_theta):
-    """(d/dxi, d/dtheta) of a nodal field: periodic central differences
-    in theta; in xi central differences inside and second-order one-sided
-    differences on the body and outer rows."""
+def _xi_derivative(psi_t, d_xi):
+    """d/dxi of a nodal field: central differences inside and second-order
+    one-sided differences on the body and outer rows."""
     gx = np.empty_like(psi_t)
     gx[1:-1, :] = (psi_t[2:, :] - psi_t[:-2, :]) / (2 * d_xi)
     gx[0, :] = (-3 * psi_t[0, :] + 4 * psi_t[1, :] - psi_t[2, :]) / (2 * d_xi)
     gx[-1, :] = (3 * psi_t[-1, :] - 4 * psi_t[-2, :] + psi_t[-3, :]) / (2 * d_xi)
+    return gx
+
+
+def _theta_derivative(psi_t, d_theta):
+    """d/dtheta of a nodal field: periodic central differences."""
     gt = np.empty_like(psi_t)
     gt[:, 1:-1] = psi_t[:, 2:] - psi_t[:, :-2]
     gt[:, 0] = psi_t[:, 1] - psi_t[:, -1]
     gt[:, -1] = psi_t[:, 0] - psi_t[:, -2]
     gt /= 2 * d_theta
-    return gx, gt
+    return gt
 
 
 def _theta_pairs(op, a):
@@ -131,9 +139,9 @@ class ConformalGrid:
     Radial levels are log-spaced (uniform in xi = log |sigma|), which
     clusters physical resolution toward the body and its edges.  Nodes
     where the conformal factor vanishes (plate-edge preimages) are
-    flagged; fields are undefined there.  Besides the nodal z, H = |dz/dzeta|
-    and flags the grid keeps what the Picard steps read (see the module
-    docstring).
+    flagged; fields are undefined there.  Besides the flags the grid keeps
+    only what the Picard steps read (see the module docstring); the nodal
+    z and H = |dz/dzeta| are recomputed from the map on each read.
     """
 
     def __init__(self, body: Body, far: FarField, cmap, xi_far: float,
@@ -144,10 +152,15 @@ class ConformalGrid:
         self.theta = th = TWO_PI * np.arange(n_theta) / n_theta
         self.d_xi = d_xi = float(xi[1] - xi[0])
         self.d_theta = d_theta = float(th[1] - th[0])
-        sigma = _sigma(xi, th)
-        self.z = cmap.to_z(sigma)                        # (n_r, n_theta)
-        self.H = np.abs(cmap.dz_dsigma(sigma) * sigma)   # |dz/dzeta| per node
-        del sigma
+        # Dirichlet data of psi~: total psi = 0 on the body ring and
+        # Im W of the exact incompressible flow on the outer ring, read off
+        # the two boundary rows of the nodal z (the map of a whole array
+        # can round otherwise than the map of its rows)
+        z = self.z
+        self.psi_body = -np.imag(far.w_inf * z[0, :])
+        self.psi_outer = (MappedFlow(cmap, far).stream(z[-1, :])
+                          - np.imag(far.w_inf * z[-1, :]))
+        del z
         self.flagged = self.H <= 1e-12 * body.circumradius  # singular map nodes
 
         xi_f = 0.5 * (xi[:-1] + xi[1:])  # xi_{i+1/2}
@@ -175,32 +188,42 @@ class ConformalGrid:
         self.H2_tf = np.abs(dz)**2
         # the h = 1 operator on Fourier mode k in theta is tridiagonal over
         # the n_r - 2 Dirichlet interior rows: a x[i-1] + d_k x[i] + a x[i+1].
-        # Thomas elimination factors, one column per (re, im) of each mode:
-        # inverse pivots and c_i = a / pivot_i.
+        # Thomas elimination factors: inverse pivots, one column per mode,
+        # and c_i = a / pivot_i, one column per (re, im) of each mode, so
+        # that each step of the sweeps is one contiguous product (c_i once
+        # per mode, broadcast or cast to complex, made _fast_solve 10-30 %
+        # slower).
         a = d_theta / d_xi
         k = np.arange(n_theta // 2 + 1)
         d = d_xi / d_theta * (2 * np.cos(TWO_PI * k / n_theta) - 2) - 2 * a
-        inv_piv = np.empty((n_r - 2, k.size))
+        self.inv_pivot = inv_piv = np.empty((n_r - 2, k.size))
         inv_piv[0] = 1.0 / d
         for i in range(1, n_r - 2):
             inv_piv[i] = 1.0 / (d - a * a * inv_piv[i - 1])
-        self.inv_pivot = np.repeat(inv_piv, 2, axis=1)
-        self.elim = list(a * self.inv_pivot)  # its rows, as the sweeps take them
+        self.elim = list(np.repeat(a * inv_piv, 2, axis=1))  # rows, as swept
 
-        # Dirichlet data of psi~: total psi = 0 on the body ring and
-        # Im W of the exact incompressible flow on the outer ring
-        self.psi_body = -np.imag(far.w_inf * self.z[0, :])
-        self.psi_outer = (MappedFlow(cmap, far).stream(self.z[-1, :])
-                          - np.imag(far.w_inf * self.z[-1, :]))
+    @property
+    def z(self):
+        """Nodal z, (n_r, n_theta), mapped on each read."""
+        return self.map_z(self.xi, self.theta)
+
+    @property
+    def H(self):
+        """Nodal |dz/dzeta|, (n_r, n_theta), mapped on each read."""
+        return np.abs(self.dz_dzeta(self.xi, self.theta))
 
     def map_z(self, xi, theta):
         """z at the chart points xi (rows) x theta (columns)."""
         return self.map.to_z(_sigma(xi, theta))
 
+    def dz_dzeta(self, xi, theta):
+        """dz/dzeta at the chart points xi x theta."""
+        sigma = _sigma(xi, theta)
+        return self.map.dz_dsigma(sigma) * sigma
+
     def base_gradient(self, xi, theta):
         """dz/dzeta and the exact base (psi_xi, psi_theta) at xi x theta."""
-        sigma = _sigma(xi, theta)
-        dz = self.map.dz_dsigma(sigma) * sigma
+        dz = self.dz_dzeta(xi, theta)
         fp = self.far.w_inf * dz
         return dz, np.imag(fp), np.real(fp)
 
@@ -213,33 +236,33 @@ class ConformalGrid:
         return psi_t
 
     def face_m(self, psi_t):
-        """Half-squared physical gradient at xi- and theta-faces, and the
-        face differences of psi~ (see _differences), which the cell balance
-        of the same field takes."""
+        """Half-squared physical gradient at xi- and theta-faces, one face
+        kind and one direction of the nodal gradient at a time."""
         d_xi, d_theta = self.d_xi, self.d_theta
-        diffs = _differences(psi_t)
-        xdiff, tdiff = _node_gradient(psi_t, d_xi, d_theta)
         # xi-faces (n_r-1, n_theta)
-        gt = tdiff[1:, :] + tdiff[:-1, :]
-        del tdiff
+        nodal = _theta_derivative(psi_t, d_theta)
+        gt = nodal[1:, :] + nodal[:-1, :]
+        del nodal
         gt *= 0.5
         gt += self.base_dth_xf
-        m_xf = _half_square(diffs[0] / d_xi + self.base_dxi_xf, gt,
-                            self.H2_xf)
+        gx = (psi_t[1:, :] - psi_t[:-1, :]) / d_xi + self.base_dxi_xf
+        m_xf = _half_square(gx, gt, self.H2_xf)
+        del gt
         # theta-faces (n_r, n_theta): face between (i,j) and (i,j+1)
-        gx = _theta_pairs(np.add, xdiff)
-        del xdiff
+        nodal = _xi_derivative(psi_t, d_xi)
+        gx = _theta_pairs(np.add, nodal)
+        del nodal
         gx *= 0.5
         gx += self.base_dxi_tf
-        m_tf = _half_square(gx, diffs[1] / d_theta + self.base_dth_tf,
-                            self.H2_tf)
-        return m_xf, m_tf, diffs
+        gt = _theta_pairs(np.subtract, psi_t) / d_theta + self.base_dth_tf
+        return m_xf, _half_square(gx, gt, self.H2_tf)
 
     def nodal_gradient(self, psi_t):
         """Nodal (psi_xi, psi_theta) of the total stream function, dz/dzeta."""
-        dz, base_dxi, base_dth = self.base_gradient(self.xi, self.theta)
-        gx, gt = _node_gradient(psi_t, self.d_xi, self.d_theta)
-        return gx + base_dxi, gt + base_dth, dz
+        dz, gx, gt = self.base_gradient(self.xi, self.theta)
+        gx += _xi_derivative(psi_t, self.d_xi)
+        gt += _theta_derivative(psi_t, self.d_theta)
+        return gx, gt, dz
 
     def nodal_velocity(self, gx, gt, dz, rho):
         """v = -i (psi_x + i psi_y) / rho, from rho v = -grad^perp psi;
@@ -269,8 +292,8 @@ class ConformalGrid:
 
     def cell_residual(self, diffs, h_xf, h_tf):
         """Net face flux around every interior cell (rows 1..n_r-2) of the
-        field whose face differences (see face_m) are diffs; the fluxes
-        overwrite them."""
+        field whose face differences (see _differences) are diffs; the
+        fluxes overwrite them."""
         bal, flux_xi, flux_th = self._balance(
             diffs, h_xf, h_tf, self.base_flux_xi, self.base_flux_th)
         scale = max(np.max(np.abs(flux_xi)), np.max(np.abs(flux_th)), 1e-300)
@@ -280,17 +303,18 @@ class ConformalGrid:
         """Exact inverse of the h = 1 operator: real FFT in the periodic
         theta direction, then per Fourier mode a Thomas sweep down and up
         the Dirichlet xi rows, on the (re, im) float view of the modes."""
-        y = np.fft.rfft(r, axis=1).view(np.float64)
-        y *= self.inv_pivot
+        y = np.fft.rfft(r, axis=1)
+        np.multiply(y.real, self.inv_pivot, out=y.real)
+        np.multiply(y.imag, self.inv_pivot, out=y.imag)
         # y_i -= c_i y_(i-1) down the rows, then y_i -= c_i y_(i+1) up them,
         # through row views and one reused row of c_i y
-        c, rows, cy = self.elim, list(y), np.empty(y.shape[1])
+        c, rows, cy = self.elim, list(y.view(np.float64)), np.empty(2 * y.shape[1])
         mul, sub = np.multiply, np.subtract
         for ci, prev, row in zip(c[1:], rows, rows[1:]):
             sub(row, mul(ci, prev, cy), row)
         for ci, nxt, row in zip(c[-2::-1], rows[:0:-1], rows[-2::-1]):
             sub(row, mul(ci, nxt, cy), row)
-        return np.fft.irfft(y.view(np.complex128), n=self.n_theta, axis=1)
+        return np.fft.irfft(y, n=self.n_theta, axis=1)
 
     def solve_linear(self, h_xf, h_tf, x0, r0=None, tol=LINEAR_TOL):
         """Solve the frozen-coefficient five-point system for the interior.
@@ -300,10 +324,11 @@ class ConformalGrid:
         of the constant-h operator at the mean face h.  h_xf and h_tf are
         face arrays, or scalars for a constant h.  CG starts from
         x0 + P^-1 r0 / mean h with r0 = b - A x0 (computed here unless
-        given), which is already the solution when h is constant; x0 is a
-        guess for the interior rows (0.0 for none).  Because h = 1/rho
-        lies between 1/rho_0 and 1/rho*, the preconditioned condition
-        number is bounded by rho_0/rho* independently of the grid.
+        given; b itself for a zero guess), which is already the solution
+        when h is constant; x0 is a guess for the interior rows (0.0 for
+        none).  Because h = 1/rho lies between 1/rho_0 and 1/rho*, the
+        preconditioned condition number is bounded by rho_0/rho*
+        independently of the grid.
         Each iteration applies the operator once and updates the residual
         by the recurrence r <- r - alpha A p; the true residual b - A x is
         formed when the recurrence meets tol, and CG restarts from it if
@@ -327,8 +352,8 @@ class ConformalGrid:
         b = -self._balance(_differences(self.with_boundary(0.0)), h_xf, h_tf,
                            self.base_flux_xi, self.base_flux_th)[0]
         b_max = max(float(np.max(np.abs(b))), 1e-300)
-        if r0 is None:
-            r0 = b - apply(x0)
+        if r0 is None:  # A 0 is exactly 0: a zero guess leaves b
+            r0 = b - apply(x0) if np.any(x0) else b
         x = x0 + self._fast_solve(r0) / h_mean
         r, true_r, it = b - apply(x), True, 0
         while True:
@@ -491,12 +516,13 @@ def solve_subsonic(grid: ConformalGrid,
     residuals, linear_residuals, linear_iterations = [], [], []
     rho_xf = rho_tf = None
     mixer = _Anderson(ANDERSON_DEPTH)
-    m_xf, m_tf, diffs = grid.face_m(psi_t)
+    m_xf, m_tf = grid.face_m(psi_t)
     for _ in range(MAX_PICARD_ITERS):
         rho_xf, h_xf = _face_rho(state, m_xf, rho_xf, "xi", grid)
         rho_tf, h_tf = _face_rho(state, m_tf, rho_tf, "theta", grid)
+        del m_xf, m_tf
 
-        bal, scale = grid.cell_residual(diffs, h_xf, h_tf)
+        bal, scale = grid.cell_residual(_differences(psi_t), h_xf, h_tf)
         res = float(np.max(np.abs(bal)) / scale)
         residuals.append(res)
         if res < PICARD_TOL:
@@ -517,14 +543,14 @@ def solve_subsonic(grid: ConformalGrid,
             # that an abort only ever comes from a plain step; its face m
             # is the next step's
             trial = grid.with_boundary(mixed)
-            m_xf, m_tf, diffs = grid.face_m(trial)
+            m_xf, m_tf = grid.face_m(trial)
             m_max = state.flux_max_m
             if np.all(m_xf < m_max) and np.all(m_tf < m_max):
                 psi_t = trial
                 continue
             mixer.restart()
         psi_t[1:-1, :] = relaxed
-        m_xf, m_tf, diffs = grid.face_m(psi_t)
+        m_xf, m_tf = grid.face_m(psi_t)
     else:
         raise IterationLimitError(
             f"Picard stalled at residual {residuals[-1]:.3e} "
@@ -547,12 +573,13 @@ def _postprocess(grid, state, psi_t, residuals, linear_residuals,
     gx, gt, dz = grid.nodal_gradient(psi_t)
     valid = ~grid.flagged
     m = np.full(psi_t.shape, np.nan)
-    m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / grid.H[valid]**2
+    m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / np.abs(dz[valid])**2
     if np.any(m[valid] >= state.flux_max_m):
         k = divmod(int(np.nanargmax(m)), m.shape[1])
+        z = grid.z[k]
         raise SonicExcursionError(
-            f"sonic flux bound reached at node {k}, z={grid.z[k]:.6g}",
-            location=complex(grid.z[k]), m_value=float(m[k]),
+            f"sonic flux bound reached at node {k}, z={z:.6g}",
+            location=complex(z), m_value=float(m[k]),
             m_max=float(state.flux_max_m))
     rho = np.full(psi_t.shape, np.nan)
     rho[valid] = state.density_from_flux(m[valid])
@@ -561,15 +588,16 @@ def _postprocess(grid, state, psi_t, residuals, linear_residuals,
     mach = np.full(psi_t.shape, np.nan)
     mach[valid] = state.gas.mach(speed[valid], rho[valid])
 
-    psi_total = np.imag(grid.far.w_inf * grid.z) + psi_t
+    velocity = grid.nodal_velocity(gx, gt, dz, rho)
+    del gx, gt, dz
+    z = grid.z
     max_mach, k = _first_near_max(np.where(valid, mach, -1.0))
     return CompressibleSolution(
-        grid=grid, psi=psi_total, psi_pert=psi_t,
-        rho=rho, mach=mach, speed=speed,
-        velocity=grid.nodal_velocity(gx, gt, dz, rho),
+        grid=grid, psi=np.imag(grid.far.w_inf * z) + psi_t, psi_pert=psi_t,
+        rho=rho, mach=mach, speed=speed, velocity=velocity,
         residuals=tuple(residuals), linear_residuals=tuple(linear_residuals),
         linear_iterations=tuple(linear_iterations), iterations=len(residuals),
-        max_mach=max_mach, max_mach_location=complex(grid.z[k]))
+        max_mach=max_mach, max_mach_location=complex(z[k]))
 
 
 def incompressible_reference_solution(grid: ConformalGrid) -> np.ndarray:
@@ -605,14 +633,21 @@ class RefinementStudy:
     mach_cauchy_differences: tuple
 
 
-def _near_corners(body: Body, z, radius: float):
-    """Points of z within radius of a body corner; all of them for a
-    body without corners (circle)."""
-    if not body.corners:
-        return np.ones(z.shape, dtype=bool)
-    # corner by corner: no complex temporary with a corner axis
-    return np.logical_or.reduce([np.abs(z - c.vertex) <= radius
-                                 for c in body.corners])
+def _near_corners(grid: ConformalGrid, xi, theta, radius: float):
+    """Chart points xi x theta whose z lies within radius of a body corner;
+    all of them for a body without corners (circle).  z is mapped in
+    blocks of whole rows, about GRID_BLOCK points each."""
+    corners = grid.body.corners
+    if not corners:
+        return np.ones((xi.size, theta.size), dtype=bool)
+    near = np.empty((xi.size, theta.size), dtype=bool)
+    step = max(1, GRID_BLOCK // theta.size)
+    for start in range(0, xi.size, step):
+        z = grid.map_z(xi[start:start + step], theta)
+        # corner by corner: no complex temporary with a corner axis
+        near[start:start + step] = np.logical_or.reduce(
+            [np.abs(z - c.vertex) <= radius for c in corners])
+    return near
 
 
 def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
@@ -637,9 +672,9 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     levels = []
     for (n_r, n_theta) in grids:
         grid = build_grid(body, far, r_far, n_r, n_theta)
-        m_faces = grid.face_m(incompressible_reference_solution(grid))[:2]
+        m_faces = grid.face_m(incompressible_reference_solution(grid))
         margin = max(
-            float(np.max(m[_near_corners(body, grid.map_z(*grid.faces[where]),
+            float(np.max(m[_near_corners(grid, *grid.faces[where],
                                          corner_radius)]) / state.flux_max_m)
             for m, where in zip(m_faces, ("xi", "theta")))
         del m_faces  # the Picard solve does not read them
@@ -648,7 +683,7 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
         try:
             sol = solve_subsonic(grid, state)
             max_mach = sol.max_mach
-            near = _near_corners(body, grid.z, corner_radius)
+            near = _near_corners(grid, grid.xi, grid.theta, corner_radius)
             vals = sol.mach[near & ~grid.flagged]
             corner_mach = float(np.nanmax(vals)) if vals.size else sol.max_mach
             del sol

@@ -974,7 +974,12 @@ def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int,
     panels (``_System.corner_a1``), whose flows at Gamma = 0 and
     Gamma_1 = V R, V the speed scale at Gamma = 0, are solved on every
     call, so a line is read only where both its ends pass the slip gate.
+    Any other representation raises InvalidGeometryError.
     DegenerateKuttaError is raised for the given corners alone."""
+    if representation not in ("panel", "exact"):
+        raise InvalidGeometryError(
+            f"unknown representation {representation!r}; "
+            "the representations are 'panel' and 'exact'")
     R = body.circumradius
     if representation == "exact":
         flows = [exact_flow(body, far)

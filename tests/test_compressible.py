@@ -305,7 +305,8 @@ class TestSharedPieces:
         xi = np.linspace(0.0, 3.0, 17)
         dxi = xi[1] - xi[0]
         psi = np.repeat((0.7 - 1.3 * xi + 0.45 * xi**2)[:, None], 8, axis=1)
-        gx, gt = compressible._node_gradient(psi, dxi, np.pi / 4)
+        gx = compressible._xi_derivative(psi, dxi)
+        gt = compressible._theta_derivative(psi, np.pi / 4)
         exact = np.repeat((-1.3 + 0.9 * xi)[:, None], 8, axis=1)
         # one-sided rows (body, outer) and central interior rows alike
         for rows in (slice(0, 1), slice(-1, None), slice(1, -1)):
@@ -390,6 +391,45 @@ class TestLeanDiscretization:
             tracemalloc.stop()
         full_grid_array = 128 * 256 * np.dtype(float).itemsize
         assert peak < 27 * full_grid_array  # 22.1 measured
+
+    def test_finest_study_level_traced_peak(self):
+        # a 256 x 512 tilted-plate level: reference solve, margin, and an
+        # abort at the first Picard step.  Keeping nodal z and H and every
+        # Thomas factor once per (re, im), holding both face differences
+        # and both nodal derivatives in face_m, and mapping every face to z
+        # in one call for the margin peaked at 20.3 full-grid arrays
+        plate = FlatPlate(4.0, np.pi / 6)
+        refinement_study(plate, GAS, 0.5, 0.0, 50.0, [(16, 32)])  # warm caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            study = refinement_study(plate, GAS, 0.5, 0.0, 50.0, [(256, 512)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert study.levels[0].outcome == "sonic_excursion"
+        full_grid_array = 256 * 512 * np.dtype(float).itemsize
+        assert peak < 17 * full_grid_array  # 15.8 measured
+
+    def test_grid_keeps_only_what_the_picard_steps_read(self):
+        # base fluxes, base gradients and H^2 at the faces (eight arrays),
+        # inverse pivots once per mode, elimination factors once per
+        # (re, im) of each mode and the flags: 9.6 arrays; with the nodal z
+        # and H and the inverse pivots once per (re, im) it held 13.1
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), FAR, 50.0, 64, 128)
+        held = [a for a in vars(grid).values() if isinstance(a, np.ndarray)]
+        nbytes = sum(a.nbytes for a in held + grid.elim)
+        assert nbytes < 10 * 64 * 128 * np.dtype(float).itemsize
+
+    @pytest.mark.parametrize("body", [Circle(1.3), FlatPlate(4.0, np.pi / 6)],
+                             ids=["circle", "plate"])
+    def test_nodal_z_and_H_are_the_map_at_the_nodes(self, body):
+        # recomputed on each read, to the bit of the map at the nodes
+        grid = build_grid(body, FAR, 50.0, 128, 256)
+        sigma = np.exp(grid.xi)[:, None] * np.exp(1j * grid.theta)[None, :]
+        assert grid.z.tobytes() == grid.map.to_z(sigma).tobytes()
+        assert grid.H.tobytes() == np.abs(
+            grid.map.dz_dsigma(sigma) * sigma).tobytes()
 
 
 class TestCheaperPicardSteps:
@@ -498,25 +538,54 @@ class TestFewerPicardSteps:
             10 * tol, 10 * TestLinearSolve.rel_diff(x_ref, exact))
 
     def test_thomas_sweeps_match_the_row_temporaries(self):
+        # reference: the sweeps on the (re, im) float view of the modes,
+        # by inverse pivots stored once for the real and once for the
+        # imaginary part of each mode, one row temporary per row
         grid = TestLinearSolve.grid(64, 128)
+        inv_pivot = np.repeat(grid.inv_pivot, 2, axis=1)
+        elim = grid.d_theta / grid.d_xi * inv_pivot
+        assert np.array_equal(grid.elim, elim)
         r = np.random.default_rng(2).standard_normal((62, 128))
-        y = np.fft.rfft(r, axis=1).view(np.float64) * grid.inv_pivot
+        y = np.fft.rfft(r, axis=1).view(np.float64) * inv_pivot
         for i in range(1, grid.n_r - 2):
-            y[i] -= grid.elim[i] * y[i - 1]
+            y[i] -= elim[i] * y[i - 1]
         for i in range(grid.n_r - 4, -1, -1):
-            y[i] -= grid.elim[i] * y[i + 1]
+            y[i] -= elim[i] * y[i + 1]
         old = np.fft.irfft(y.view(np.complex128), n=grid.n_theta, axis=1)
         assert np.array_equal(grid._fast_solve(r), old)
 
     def test_face_differences_feed_the_cell_balance(self):
-        grid = TestLinearSolve.grid(32, 64)
+        # face m one direction at a time against both nodal derivatives
+        # and both face differences held at once, and a Picard step's
+        # balance from the differences formed afresh
+        state, far = free_stream(0.3)
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), far, 50.0, 32, 64)
         psi_t = grid.with_boundary(
             np.random.default_rng(4).standard_normal((30, 64)))
-        h_xf, h_tf = TestLinearSolve.random_h(grid, 1.5)
-        *_, diffs = grid.face_m(psi_t)
-        bal, scale = grid.cell_residual(diffs, h_xf, h_tf)
-        bal_own, scale_own = cell_balance(grid, psi_t, h_xf, h_tf)
-        assert np.array_equal(bal, bal_own) and scale == scale_own
+        d_xi, d_theta = grid.d_xi, grid.d_theta
+        dx, dt = compressible._differences(psi_t)
+        xdiff = compressible._xi_derivative(psi_t, d_xi)
+        tdiff = compressible._theta_derivative(psi_t, d_theta)
+        gt = 0.5 * (tdiff[1:, :] + tdiff[:-1, :]) + grid.base_dth_xf
+        gx = dx / d_xi + grid.base_dxi_xf
+        m_xf = 0.5 * (gx**2 + gt**2) / grid.H2_xf
+        gx = 0.5 * (np.roll(xdiff, -1, axis=1) + xdiff) + grid.base_dxi_tf
+        gt = dt / d_theta + grid.base_dth_tf
+        m_tf = 0.5 * (gx**2 + gt**2) / grid.H2_tf
+        m = grid.face_m(psi_t)
+        assert np.array_equal(m[0], m_xf) and np.array_equal(m[1], m_tf)
+
+        grid = build_grid(Circle(1.0), far, 50.0, 32, 64)
+        sol = solve_subsonic(grid, state)
+        w = (grid.xi[1:-1, None] - grid.xi[0]) / (grid.xi[-1] - grid.xi[0])
+        psi_0 = grid.with_boundary((1 - w) * grid.psi_body[None, :]
+                                   + w * grid.psi_outer[None, :])
+        m_xf, m_tf = grid.face_m(psi_0)
+        h_xf = compressible._face_rho(state, m_xf, None, "xi", grid)[1]
+        h_tf = compressible._face_rho(state, m_tf, None, "theta", grid)[1]
+        bal, scale = grid.cell_residual(compressible._differences(psi_0),
+                                        h_xf, h_tf)
+        assert sol.residuals[0] == float(np.max(np.abs(bal)) / scale)
 
     def test_mixing_halves_the_steps_of_a_circle(self, monkeypatch):
         # 64 x 128 circle at M 0.34: plain Picard takes 29 steps

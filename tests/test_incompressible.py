@@ -488,6 +488,18 @@ class TestKutta:
         with pytest.raises(InvalidGeometryError, match="a polygon has none"):
             read()
 
+    @pytest.mark.parametrize("read", [
+        lambda: kutta_solve(FlatPlate(4.0, np.pi / 6), 1.0, 0, 256, "Exact"),
+        lambda: corner_census(FlatPlate(4.0, np.pi / 6), 1.0, 256,
+                              representation="Exact")],
+        ids=["kutta_solve", "corner_census"])
+    def test_unknown_representation_is_refused(self, read):
+        # before, any name but "exact" ran panels: "Exact" returned the
+        # 256-panel root -6.258152305401696
+        with pytest.raises(InvalidGeometryError,
+                           match="'Exact'.*'panel' and 'exact'"):
+            read()
+
     def test_exact_roots_are_the_closed_form(self):
         # the map's three unit columns projected on the corner rings: every
         # plate root within 1e-14 |w_inf| R of 4 pi Im(w_inf f'(inf) sigma_k),
