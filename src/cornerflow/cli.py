@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from functools import cache
 from importlib import resources
@@ -423,22 +422,6 @@ def _write_csv(path, header, *columns):
             fh.write((row * parts[0].size) % tuple(values))
 
 
-@contextmanager
-def _outer_radius(cfg, body):
-    """solver.grid.r_far; an OverflowError of the block, as where the plate
-    map's sigma_radius squares r_far, is raised again naming its source."""
-    r_far = float(_get(cfg, "solver.grid.r_far", body))
-    try:
-        yield r_far
-    except OverflowError as exc:
-        length = "chord" if body.kind == "flat_plate" else "radius"
-        source = ("solver.grid.r_far" if "r_far" in cfg.get("solver", {}).get("grid", {})
-                  else f"the default of solver.grid.r_far, {R_FAR:g} circumradii "
-                  f"of the body set by body.{length}")
-        raise OverflowError(f"the grid's outer radius {r_far:g} ({source}) overflows "
-                            f"when the conformal map squares it: {exc}") from exc
-
-
 def _run_compressible(cfg, flow, body, far, summary, out):
     gamma = float(_get(cfg, "gas.gamma"))
     mach_inf = float(_get(cfg, "gas.mach_inf"))
@@ -447,8 +430,8 @@ def _run_compressible(cfg, flow, body, far, summary, out):
     n_r = int(_get(cfg, "solver.grid.n_r"))
     n_theta = int(_get(cfg, "solver.grid.n_theta"))
     cfar = FarField(state.free_stream_speed(mach_inf), far.circulation)
-    with _outer_radius(cfg, body) as r_far:
-        grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
+    r_far = float(_get(cfg, "solver.grid.r_far", body))
+    grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
     sol = compressible.solve_subsonic(grid, state)
     summary["compressible"] = {
         # a solve that does not converge raises IterationLimitError
@@ -466,9 +449,9 @@ def _run_compressible(cfg, flow, body, far, summary, out):
 def _run_refinement_study(cfg, flow, body, far, summary, out):
     grids = [tuple(g) for g in _get(cfg, "solver.study.grids")]
     gas = GasModel(float(_get(cfg, "gas.gamma")))
-    with _outer_radius(cfg, body) as r_far:
-        study = compressible.refinement_study(
-            body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, r_far, grids)
+    study = compressible.refinement_study(
+        body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation,
+        float(_get(cfg, "solver.grid.r_far", body)), grids)
     summary["refinement_study"] = {
         **asdict(study), "note": "blow-up signature at finite resolution, not a proof"}
 

@@ -6,7 +6,9 @@ exterior of the unit circle (identity scaling for the circle, Joukowsky
 for the plate); in the conformal chart zeta = xi + i*theta with
 sigma = exp(zeta) the operator keeps its divergence form and only the
 metric factor H = |dz/dzeta| enters the coefficient, through
-|grad_z psi|^2 = (psi_xi^2 + psi_theta^2) / H^2.
+|grad_z psi|^2 = (psi_xi^2 + psi_theta^2) / H^2.  The grid works in units
+of the body's circumradius R: dz/dzeta, H and psi~ are divided by R where
+they are formed, so no length is squared and lengths scale out.
 
 The discrete unknown is the perturbation psi~ = psi - psi_base from the
 uniform-flow base psi_base = Im(w_inf z), whose face-integrated
@@ -141,27 +143,26 @@ class ConformalGrid:
     where the conformal factor vanishes (plate-edge preimages) are
     flagged; fields are undefined there.  Besides the flags the grid keeps
     only what the Picard steps read (see the module docstring); the nodal
-    z and H = |dz/dzeta| are recomputed from the map on each read.
+    z and H = |dz/dzeta| / R are recomputed from the map on each read;
+    dz/dzeta, H and psi~ are in units of R = body.circumradius.
     """
 
     def __init__(self, body: Body, far: FarField, cmap, xi_far: float,
                  n_r: int, n_theta: int):
         self.body, self.far, self.map = body, far, cmap
+        self.R = R = body.circumradius  # the unit of psi~ and of H
         self.n_r, self.n_theta = n_r, n_theta
         self.xi = xi = np.linspace(0.0, xi_far, n_r)
         self.theta = th = TWO_PI * np.arange(n_theta) / n_theta
         self.d_xi = d_xi = float(xi[1] - xi[0])
         self.d_theta = d_theta = float(th[1] - th[0])
-        # Dirichlet data of psi~: total psi = 0 on the body ring and
-        # Im W of the exact incompressible flow on the outer ring, read off
-        # the two boundary rows of the nodal z (the map of a whole array
-        # can round otherwise than the map of its rows)
-        z = self.z
-        self.psi_body = -np.imag(far.w_inf * z[0, :])
-        self.psi_outer = (MappedFlow(cmap, far).stream(z[-1, :])
-                          - np.imag(far.w_inf * z[-1, :]))
-        del z
-        self.flagged = self.H <= 1e-12 * body.circumradius  # singular map nodes
+        # Dirichlet data of psi~/R: total psi = 0 on the body ring and
+        # Im W of the exact incompressible flow on the outer ring
+        z_body, z_outer = self.map_z(xi[[0, -1]], th)
+        self.psi_body = -np.imag(far.w_inf * z_body) / R
+        self.psi_outer = (MappedFlow(cmap, far).stream(z_outer)
+                          - np.imag(far.w_inf * z_outer)) / R
+        self.flagged = self.H <= 1e-12  # singular map nodes
 
         xi_f = 0.5 * (xi[:-1] + xi[1:])  # xi_{i+1/2}
         te = th + 0.5 * d_theta  # theta_{j+1/2}; wraps periodically
@@ -172,7 +173,7 @@ class ConformalGrid:
         # the next: face-corner potentials of the uniform base, Re F at
         # (xi_{i+1/2}, theta_{j+1/2}) for i = -1..n_r-1 shifted to 0..n_r-1
         xe = np.concatenate([[xi[0]], xi_f, [xi[-1]]])
-        pc = np.real(far.w_inf * self.map_z(xe, te))  # (n_r+1, n_theta)
+        pc = np.real(far.w_inf * self.map_z(xe, te)) / R  # (n_r+1, n_theta)
         # xi-face (i+1/2, j): phi(i+1/2, j-1/2) - phi(i+1/2, j+1/2), (n_r-1, n_theta)
         self.base_flux_xi = np.roll(pc[1:-1, :], 1, axis=1) - pc[1:-1, :]
         # theta-face (i, j+1/2): phi(i+1/2, j+1/2) - phi(i-1/2, j+1/2), (n_r, n_theta)
@@ -209,7 +210,7 @@ class ConformalGrid:
 
     @property
     def H(self):
-        """Nodal |dz/dzeta|, (n_r, n_theta), mapped on each read."""
+        """Nodal |dz/dzeta| / R, (n_r, n_theta), mapped on each read."""
         return np.abs(self.dz_dzeta(self.xi, self.theta))
 
     def map_z(self, xi, theta):
@@ -217,15 +218,16 @@ class ConformalGrid:
         return self.map.to_z(_sigma(xi, theta))
 
     def dz_dzeta(self, xi, theta):
-        """dz/dzeta at the chart points xi x theta."""
+        """dz/dzeta in units of R at the chart points xi x theta."""
         sigma = _sigma(xi, theta)
-        return self.map.dz_dsigma(sigma) * sigma
+        return self.map.dz_dsigma(sigma) * sigma / self.R  # numpy divides in place
 
     def base_gradient(self, xi, theta):
-        """dz/dzeta and the exact base (psi_xi, psi_theta) at xi x theta."""
+        """dz/dzeta and the exact base (psi_xi, psi_theta), in units of R,
+        at xi x theta; the two gradients are contiguous arrays."""
         dz = self.dz_dzeta(xi, theta)
         fp = self.far.w_inf * dz
-        return dz, np.imag(fp), np.real(fp)
+        return dz, fp.imag.copy(), fp.real.copy()
 
     def with_boundary(self, interior):
         """Nodal psi~: the Dirichlet rows around the given interior rows."""
@@ -590,6 +592,7 @@ def _postprocess(grid, state, psi_t, residuals, linear_residuals,
 
     velocity = grid.nodal_velocity(gx, gt, dz, rho)
     del gx, gt, dz
+    psi_t *= grid.R  # psi~ from units of R, in place
     z = grid.z
     max_mach, k = _first_near_max(np.where(valid, mach, -1.0))
     return CompressibleSolution(
@@ -603,9 +606,9 @@ def _postprocess(grid, state, psi_t, residuals, linear_residuals,
 def incompressible_reference_solution(grid: ConformalGrid) -> np.ndarray:
     """Discrete incompressible solve on the same grid (h frozen constant).
 
-    Returns the perturbation field psi~; used as the bias-free oracle for
-    low-Mach comparisons and as the first frozen iterate of the blow-up
-    metric.
+    Returns the perturbation field psi~ in units of R, as the grid's
+    methods read it; used as the bias-free oracle for low-Mach comparisons
+    and as the first frozen iterate of the blow-up metric.
     """
     interior, _, _ = grid.solve_linear(1.0, 1.0, 0.0)
     return grid.with_boundary(interior)
@@ -673,9 +676,10 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     for (n_r, n_theta) in grids:
         grid = build_grid(body, far, r_far, n_r, n_theta)
         m_faces = grid.face_m(incompressible_reference_solution(grid))
+        # a coarse level with a far outer ring may have no xi-face near a corner
         margin = max(
-            float(np.max(m[_near_corners(grid, *grid.faces[where],
-                                         corner_radius)]) / state.flux_max_m)
+            float(np.max(m[_near_corners(grid, *grid.faces[where], corner_radius)],
+                         initial=0.0) / state.flux_max_m)
             for m, where in zip(m_faces, ("xi", "theta")))
         del m_faces  # the Picard solve does not read them
 

@@ -94,6 +94,11 @@ def _as_complex_vertices(vertices) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _frame(v: np.ndarray) -> float:
+    """A power of two s near max|v|: v / s keeps every bit, in float range."""
+    return float(np.ldexp(1.0, np.frexp(np.max(np.abs(v)))[1]))
+
+
 def _signed_area(v: np.ndarray) -> float:
     w = np.roll(v, -1)
     return 0.5 * float(np.sum(v.real * w.imag - v.imag * w.real))
@@ -140,14 +145,15 @@ def classify_corners(vertices) -> list[Corner]:
     scale = max(lens.max(), 1e-300)
     if np.any(lens < 1e-12 * scale):
         raise InvalidGeometryError("repeated vertices")
-    if _signed_area(v) <= 0:
+    u = v / _frame(v)  # the orientation tests are quadratic in v
+    if _signed_area(u) <= 0:
         raise InvalidGeometryError("vertices must be counterclockwise")
     # non-adjacent side pairs must not intersect
     for i in range(n):
         for j in range(i + 1, n):
             if j == i or (j + 1) % n == i or (i + 1) % n == j:
                 continue
-            if _segments_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
+            if _segments_intersect(u[i], u[(i + 1) % n], u[j], u[(j + 1) % n]):
                 raise InvalidGeometryError("polygon self-intersects")
 
     corners = []
@@ -318,11 +324,13 @@ class Polygon:
 
     @cached_property
     def centroid(self) -> complex:
-        v = self.vertex_array
+        s = _frame(self.vertex_array)  # the sums are cubic: in the unit frame
+        v = self.vertex_array / s
         w = np.roll(v, -1)
         cross = v.real * w.imag - v.imag * w.real
         area = 0.5 * np.sum(cross)
-        return complex(np.sum((v + w) * cross) / (6.0 * area))
+        c = np.sum((v + w) * cross) / (6.0 * area)
+        return complex(c.real * s, c.imag * s)
 
     @cached_property
     def circumradius(self) -> float:

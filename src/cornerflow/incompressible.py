@@ -172,7 +172,9 @@ class JoukowskyPlateMap:
 
     def to_z(self, sigma):
         sigma = np.asarray(sigma, dtype=complex)
-        return self.dz_dsigma_inf * (sigma + 1.0 / sigma)
+        # array first: numpy multiplies a temporary of 16384 points or more in
+        # place as array * scalar, which rounds otherwise than scalar * array
+        return (sigma + 1.0 / sigma) * self.dz_dsigma_inf
 
     def dz_dsigma(self, sigma):
         sigma = np.asarray(sigma, dtype=complex)
@@ -180,8 +182,8 @@ class JoukowskyPlateMap:
 
     def sigma_radius(self, r):
         """|sigma| of the circle whose image (an ellipse) reaches distance r."""
-        a = self.chord / 4.0
-        return (r + np.sqrt(r**2 - 4.0 * a**2)) / (2.0 * a)
+        t = r / (self.chord / 2.0)  # in units of R: no length is squared
+        return t + np.sqrt(t * t - 1.0)
 
     def to_sigma(self, z):
         """Exterior preimage, |sigma| >= 1.

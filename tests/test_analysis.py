@@ -488,6 +488,22 @@ class TestCornerCensus:
                 assert kutta_solve(body, scale, e.corner_id, n_panels,
                                    representation) == f
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 2.0**400, 2.0**-400],
+                             ids=["1e150", "1e-150", "2**400", "2**-400"])
+    def test_census_verdict_does_not_depend_on_the_body_size(self, scale):
+        # the polygon's centroid and orientation are formed in a power-of-two
+        # frame: at 1e150 the centroid was NaN and the panel system refused
+        # its condition number.  Roots scale with the body, to a few 1e-12
+        # of w_inf R (2.2e-12 measured)
+        unit = corner_census(TRIANGLE, 1.0, 256)
+        census = corner_census(Polygon([scale * v for v in TRIANGLE.vertices]),
+                               1.0, 256)
+        for field in ("sweep_singular_counts", "min_singular_count",
+                      "regularizes_all_somewhere", "coincident_pairs"):
+            assert getattr(census, field) == getattr(unit, field)
+        for e, f in zip(unit.corners, census.corners):
+            assert abs(f.root / scale - e.root) <= 5e-12
+
     def test_census_verdict_does_not_depend_on_the_scale(self):
         # at 2**-600 the roots, sweep and thresholds all scale by 2**-600:
         # the counts and the verdict are those at w_inf = 1

@@ -577,63 +577,50 @@ class TestRun:
         assert summary["errors"] == [{"type": "MemoryError",
                                       "message": "Unable to allocate 14.6 TiB"}]
 
-    @pytest.mark.parametrize("overrides", [
-        # the face gradients and H^2 underflow: every face m is 0/0
-        ["body.chord=1e-200"],
-        # the outer ring overflows
-        ['body={"kind": "circle", "radius": 1}', "solver.grid.r_far=1e300"],
-    ], ids=["tiny_plate", "huge_circle_ring"])
-    def test_nan_flux_exits_1_with_gas_domain_error(self, tmp_path, overrides):
-        # in a subprocess: the NaN warnings on the way are this run's to
-        # give, and would fail the test in-process
+    @staticmethod
+    def run_in_subprocess(out, overrides):
+        """Exit code and strict-JSON summary of plate_horizontal_m03.json
+        run in a fresh process: the NaN and overflow warnings on the way are
+        that run's to give, and would fail the test in-process."""
         src = str(Path(compressible.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / "out"
         args = [sys.executable, "-m", "cornerflow.cli", "run",
                 "plate_horizontal_m03.json", "--out", str(out)]
         for o in overrides:
             args += ["--override", o]
-        assert subprocess.run(args, env=env, capture_output=True).returncode == 1
+        code = subprocess.run(args, env=env, capture_output=True).returncode
 
         def refuse(token):
             raise ValueError(f"non-strict JSON constant {token}")
 
-        summary = json.loads((out / "summary.json").read_text(),
-                             parse_constant=refuse)
+        return code, json.loads((out / "summary.json").read_text(),
+                                parse_constant=refuse)
+
+    @pytest.mark.parametrize("overrides", [
+        # the outer ring overflows
+        ['body={"kind": "circle", "radius": 1}', "solver.grid.r_far=1e300"],
+    ], ids=["huge_circle_ring"])
+    def test_nan_flux_exits_1_with_gas_domain_error(self, tmp_path, overrides):
+        code, summary = self.run_in_subprocess(tmp_path / "out", overrides)
+        assert code == 1
         assert [e["type"] for e in summary["errors"]] == ["GasDomainError"]
         assert "compressible" not in summary
 
-    @pytest.mark.parametrize("override, length, source, analysis", [
-        (override, length, source, analysis)
-        for analysis in ("compressible", "refinement_study")
-        for override, length, source in [
-            ("body.chord=1e200", "1.25e+201", "the default of solver.grid.r_far, "
-             "25 circumradii of the body set by body.chord"),
-            ("solver.grid.r_far=1.4e154", "1.4e+154", "solver.grid.r_far")]],
-        ids=["body.chord=1e200", "solver.grid.r_far=1.4e154",
-             "body.chord=1e200-refinement_study",
-             "solver.grid.r_far=1.4e154-refinement_study"])
-    def test_overflowing_length_exits_1_with_structured_error(self, tmp_path,
-                                                              override, length,
-                                                              source, analysis):
-        # the square of the plate's map radius overflows a Python float; the
-        # message names that length and the key it comes from, in either
-        # analysis that builds a grid
-        out = tmp_path / "out"
-        assert run("plate_horizontal_m03.json", out,
-                   [override, f"analyses={json.dumps([analysis])}"]) == 1
-
-        def refuse(token):
-            raise ValueError(f"non-strict JSON constant {token}")
-
-        summary = json.loads((out / "summary.json").read_text(),
-                             parse_constant=refuse)
-        (entry,) = summary["errors"]
-        assert entry["type"] == "OverflowError"
-        assert entry["message"].startswith(
-            f"the grid's outer radius {length} ({source}) overflows")
-        assert analysis not in summary
+    @pytest.mark.parametrize("analysis", ["compressible", "refinement_study"])
+    @pytest.mark.parametrize("r_far, code", [(1.4e154, 0), (1e300, 1)])
+    def test_absurd_outer_radius_keeps_the_exit_code_contract(
+            self, tmp_path, analysis, r_far, code):
+        # the grid squares no length: at 1.4e154 (7e153 circumradii) only
+        # sigma^2 of the outer rows overflows, where 1/sigma^2 vanishes
+        # anyway, and the horizontal plate keeps its uniform stream; at
+        # 1e300 the chart's |sigma| overflows and the run fails with one
+        # structured error.  Either way summary.json is strict JSON.
+        got, summary = self.run_in_subprocess(tmp_path / "out", [
+            f"solver.grid.r_far={r_far!r}", f"analyses={json.dumps([analysis])}"])
+        assert got == code
+        assert len(summary["errors"]) == code
+        assert (analysis in summary) == (code == 0)
 
     def test_refinement_study_reads_r_far(self, tmp_path, monkeypatch):
         # every level is built at solver.grid.r_far, which moves the study

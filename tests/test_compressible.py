@@ -72,11 +72,12 @@ class TestBuildGrid:
         assert np.allclose(np.abs(grid.z[-1, :]), 50.0, atol=1e-9)
 
     def test_plate_joukowsky_factors(self):
+        # H = |dz/dzeta| in units of R = chord / 2
         chord = 4.0
         grid = build_grid(FlatPlate(chord, 0.0), FAR, 50.0, 32, 64)
         a = chord / 4.0
         sigma = np.exp(grid.xi[:, None] + 1j * grid.theta[None, :])
-        expected = np.abs(a * (1.0 - sigma**-2) * sigma)
+        expected = np.abs(a * (1.0 - sigma**-2) * sigma) / (chord / 2.0)
         assert np.allclose(grid.H, expected, atol=1e-12)
         # edge preimages sigma = +-1 are flagged, nothing else on the body ring
         assert grid.flagged[0, 0] and grid.flagged[0, 32]
@@ -199,12 +200,69 @@ class TestRefinementStudy:
         m0, m1 = (lv.sonic_margin_ratio for lv in study.levels)
         assert m0 == pytest.approx(m1, rel=1e-10)
 
+    def test_level_with_no_xi_face_near_a_corner(self):
+        # r_far = 1e10 puts the first xi-faces of a 16 x 32 level 0.62 from
+        # the edges, beyond the corner radius 0.3: the margin reads the
+        # theta-faces alone (np.max of the empty xi selection raised
+        # ValueError, which the CLI let through without a summary.json)
+        study = refinement_study(FlatPlate(4.0, 0.0), GAS, 0.3, 0.0, 1e10,
+                                 [(16, 32)])
+        assert study.levels[0].outcome == "converged"
+        assert study.levels[0].sonic_margin_ratio > 0.0
+
     def test_circle_control_converges(self):
         study = refinement_study(Circle(1.0), GAS, 0.3, 0.0, 25.0,
                                  [(16, 32), (32, 64), (64, 128)])
         assert all(lv.outcome == "converged" for lv in study.levels)
         d = study.mach_cauchy_differences
         assert d[1] <= d[0] / 2.0
+
+
+class TestLengthScale:
+    """The grid works in units of R: a verdict does not depend on the unit
+    of length.  In-process, so a RuntimeWarning fails the test."""
+
+    GRIDS = [(32, 64), (64, 128), (128, 256)]
+
+    @staticmethod
+    def plate_study(chord):
+        plate = FlatPlate(chord, np.pi / 6)
+        return refinement_study(plate, GAS, 0.3, 0.0,
+                                compressible.R_FAR * plate.circumradius,
+                                TestLengthScale.GRIDS)
+
+    @pytest.fixture(scope="class")
+    def chord_4(self):
+        return self.plate_study(4.0)
+
+    @pytest.mark.parametrize("chord", [4.0 * 2.0**600, 4.0 * 2.0**-600],
+                             ids=["4*2**600", "4*2**-600"])
+    def test_study_at_a_power_of_two_is_chord_4s_to_the_bit(self, chord_4, chord):
+        # every length array is chord 4's times a power of two, divided
+        # by R once: the study is chord 4's, bit for bit (a map that
+        # squared r_far overflowed at 4 * 2**600)
+        assert self.plate_study(chord) == chord_4
+
+    @pytest.mark.parametrize("chord", [1e200, 1e-200])
+    def test_study_at_any_chord_reads_chord_4s_verdict(self, chord_4, chord):
+        # H^2 underflowed at 1e-200 (every face m 0/0) and r_far^2
+        # overflowed at 1e200
+        study = self.plate_study(chord)
+        assert [lv.outcome for lv in study.levels] == [
+            lv.outcome for lv in chord_4.levels]
+        assert study.abort_at_finest and chord_4.abort_at_finest
+        assert study.margin_strictly_increasing and chord_4.margin_strictly_increasing
+        for lv, ref in zip(study.levels, chord_4.levels):
+            assert lv.sonic_margin_ratio == pytest.approx(
+                ref.sonic_margin_ratio, rel=1e-9)
+
+    @pytest.mark.parametrize("radius", [1e200, 1e-200])
+    def test_circle_solve_at_any_radius(self, radius):
+        state, far = free_stream(0.3)
+        sols = [solve_subsonic(build_grid(Circle(r), far, 25.0 * r, 48, 96), state)
+                for r in (1.0, radius)]
+        assert sols[1].max_mach == pytest.approx(sols[0].max_mach, rel=1e-12)
+        assert sols[1].max_mach_location / radius == sols[0].max_mach_location
 
 
 class TestLinearSolve:
@@ -338,13 +396,16 @@ def test_max_mach_location_ignores_ulp_order_of_mirror_maxima(swap):
 
 
 class TestLeanDiscretization:
-    @pytest.mark.parametrize("mach, where", [(0.5, "xi"), (0.3, "theta")])
-    def test_excursion_location_is_the_face_midpoint(self, mach, where):
+    @pytest.mark.parametrize("mach, where, shape", [
+        (0.5, "xi", (16, 32)), (0.3, "theta", (16, 32)),
+        (0.3, "xi", (128, 256))], ids=["0.5-xi", "0.3-theta", "0.3-xi-128x256"])
+    def test_excursion_location_is_the_face_midpoint(self, mach, where, shape):
         # the discretization keeps no face z: the location is recomputed
         # for the aborting face and must equal, bitwise, the map of that
-        # face's midpoint taken over the whole face array
+        # face's midpoint taken over the whole face array, also where that
+        # array reaches 16384 points and numpy maps it in place
         state, far = free_stream(mach)
-        grid = build_grid(FlatPlate(4.0, np.pi / 6), far, 50.0, 16, 32)
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), far, 50.0, *shape)
         with pytest.raises(SonicExcursionError) as err:
             solve_subsonic(grid, state)
         message = str(err.value)
@@ -424,12 +485,33 @@ class TestLeanDiscretization:
     @pytest.mark.parametrize("body", [Circle(1.3), FlatPlate(4.0, np.pi / 6)],
                              ids=["circle", "plate"])
     def test_nodal_z_and_H_are_the_map_at_the_nodes(self, body):
-        # recomputed on each read, to the bit of the map at the nodes
+        # recomputed on each read, to the bit of the map at the nodes; H in
+        # units of R
         grid = build_grid(body, FAR, 50.0, 128, 256)
         sigma = np.exp(grid.xi)[:, None] * np.exp(1j * grid.theta)[None, :]
         assert grid.z.tobytes() == grid.map.to_z(sigma).tobytes()
         assert grid.H.tobytes() == np.abs(
-            grid.map.dz_dsigma(sigma) * sigma).tobytes()
+            grid.map.dz_dsigma(sigma) * sigma / body.circumradius).tobytes()
+
+    @pytest.mark.parametrize("body", [Circle(1.3), FlatPlate(4.0, np.pi / 6)],
+                             ids=["circle", "plate"])
+    def test_z_is_the_same_mapped_whole_or_by_rows(self, body):
+        # numpy multiplies a temporary of 16384 points or more in place:
+        # the map must round alike on either side of that size
+        grid = build_grid(body, FAR, 50.0, 128, 512)
+        by_rows = np.array([grid.map_z(grid.xi[i:i + 1], grid.theta)[0]
+                            for i in range(grid.n_r)])
+        assert grid.z.tobytes() == by_rows.tobytes()
+        assert grid.psi_body.tobytes() == (
+            -np.imag(FAR.w_inf * by_rows[0]) / body.circumradius).tobytes()
+
+    def test_base_gradients_are_contiguous(self):
+        # face_m adds them row by row: strided views of one complex array
+        # made each Picard step's face m 10-23 % slower
+        grid = build_grid(FlatPlate(4.0, np.pi / 6), FAR, 50.0, 32, 64)
+        for name in ("base_dxi_xf", "base_dth_xf", "base_dxi_tf", "base_dth_tf"):
+            a = getattr(grid, name)
+            assert a.flags.c_contiguous and a.base is None
 
 
 class TestCheaperPicardSteps:

@@ -96,6 +96,27 @@ class TestBodies:
         assert plate.trailing_edge == pytest.approx(2.0 * np.exp(-1j * np.pi / 6))
         assert abs(plate.trailing_edge - plate.leading_edge) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 2.0**400, 2.0**-400,
+                                       1e103, 1e-162],
+                             ids=["1e150", "1e-150", "2**400", "2**-400",
+                                  "1e103", "1e-162"])
+    def test_polygon_at_any_scale(self, scale):
+        # the centroid's sums are cubic and the orientation's quadratic in
+        # the coordinates: in a power-of-two frame neither leaves float range
+        # (the centroid read NaN at 1e103, and 1e-162 was refused as
+        # clockwise), and a power of two scales them to the bit
+        shifted = [(x, y + 0.5) for x, y in TRIANGLE]
+        unit = Polygon(shifted)
+        body = Polygon([(scale * x, scale * y) for x, y in shifted])
+        if np.log2(scale).is_integer():
+            assert body.centroid == scale * unit.centroid
+            assert body.circumradius == scale * unit.circumradius
+        else:
+            assert abs(body.centroid / scale - unit.centroid) <= 1e-15
+            assert body.circumradius / scale == pytest.approx(1.0, rel=1e-15)
+        assert [c.exterior_angle_beta for c in body.corners] == pytest.approx(
+            [c.exterior_angle_beta for c in unit.corners], rel=1e-15)
+
     def test_circle_has_no_corners(self):
         assert Circle(2.0).corners == []
         assert Circle(2.0).circumradius == 2.0
