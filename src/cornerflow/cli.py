@@ -278,9 +278,9 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     else:
         sol = panel_solve(body, far, n_panels)
         if "kutta" in summary:  # the panels built: a polygon rounds per side
-            summary["kutta"]["n_panels"] = len(sol.nodes) - (not sol.flow.closed)
+            summary["kutta"]["n_panels"] = len(sol.flow.nodes) - (not sol.flow.closed)
         summary["panel"] = {
-            "n_nodes": int(len(sol.nodes)),
+            "n_nodes": int(len(sol.flow.nodes)),
             "condition_number": sol.condition_number,
             "residual_norm": sol.residual_norm,
             "circulation_of_strengths": sol.circulation_of_strengths,

@@ -14,22 +14,24 @@ Panel representation: linear-strength vortex sheets on the boundary with
 one strength unknown per node (corner nodes shared between adjacent
 sides) and the total circulation imposed as an explicit constraint row.
 Every body, closed or open, collocates the normal velocity v . n = 0 at
-the panel midpoints.
+the panel midpoints.  Panels work on Z = (z - c) / R, c the centroid and
+R the circumradius: psi leaves the frame times R, w as it is, and the
+circulation row reads Gamma / R, so a body scaled by 2**k solves on the
+same unit nodes.
 
 Away from the body a panel flow is evaluated by the exact multipole
-expansion of its vortex sheet about the centroid c: with the moments
-M_k = integral of gamma(s) (zeta(s) - c)**k ds,
+expansion of its vortex sheet about Z = 0: with the moments
+M_k = integral of gamma(s) Z(s)**k ds,
 
-    w = w_inf + (1 / 2 pi i) sum_k M_k / (z - c)**(k + 1),
-    psi = Im(w_inf z) - (1 / 2 pi) Re[M_0 log(z - c)
-                                     - sum_{k>=1} M_k / (k (z - c)**k)],
+    w = w_inf + (1 / 2 pi i) sum_k M_k / Z**(k + 1),
+    psi / R = Im(w_inf Z) - (1 / 2 pi) Re[M_0 log Z - sum_{k>=1} M_k / (k Z**k)],
 
 truncated where its a-priori tail bound at the point's own separation
-t = R / |z - c| <= 1 / KAPPA drops below FAR_TOL.  Closer in, a
+t = 1 / |Z| <= 1 / KAPPA drops below FAR_TOL.  Closer in, a
 two-level treecode: the panels are split into contiguous clusters of
 CLUSTER panels, each with its own exact expansion of the same form about
 its centre c_C (radius rho_C, its largest node distance from c_C).  A
-point takes cluster C's expansion where |z - c_C| >= KAPPA rho_C and the
+point takes cluster C's expansion where |Z - c_C| >= KAPPA rho_C and the
 closed-form panel integrals of C's panels elsewhere; each cluster tail is
 held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL, at
 the separation of a chunk's nearest point that uses it.  At 512 panels
@@ -68,12 +70,12 @@ from .errors import FluidDomainError, InvalidGeometryError, SolverError
 from .geometry import Body, Circle, FlatPlate, _gauss_legendre
 
 TWO_PI = 2.0 * np.pi
-# largest tangency residual, and circulation residual over R, relative to
-# the speed scale V (``FarField.speed_scale``)
+# largest tangency residual, and circulation residual in units of R (of
+# Gamma / R), relative to the speed scale V (``FarField.speed_scale``)
 TOL_SLIP = 1e-8
-# panel flows use the multipole expansion at |z - c| >= KAPPA * R, with c
-# the centroid and R the circumradius; its truncation tail stays below
-# FAR_TOL * V * R in psi and FAR_TOL * V in w, V the speed scale
+# panel flows use the multipole expansion at |Z| >= KAPPA, Z = (z - c) / R
+# with c the centroid and R the circumradius; its truncation tail stays
+# below FAR_TOL * V in psi / R and in w, V the speed scale
 # (``FarField.speed_scale``).  KAPPA > 1.5
 # keeps the CLI's exact-regression ring at 1.5 R wholly on the direct
 # path, not split by rounding
@@ -474,11 +476,11 @@ def _w_rows(z, nodes, closed, columns):
 def _orders(S, ratio, tol, t=1.0 / KAPPA):
     """Least expansion order p, elementwise, whose tail bound
     S t**(p+1) max(1, ratio) / (2 pi (1 - t)) is at most tol at the
-    separation t = rho / |z - c| <= 1 / KAPPA, in closed form:
+    separation t = rho / |Z - c| <= 1 / KAPPA, in closed form:
     p = ceil(log(tol / S * 2 pi (1 - t) / max(1, ratio)) / log t) - 1.
     S bounds the integral of |gamma| ds over the panels, all within rho
-    of the centre c.  The psi tail carries 1 / (p+1) <= 1 and the w tail
-    ratio = t R / rho (tol in units of R), so one bound holds both.  tol / S
+    of the centre c, in units of R.  The psi tail carries 1 / (p+1) <= 1
+    and the w tail ratio = t / rho, so one bound holds both.  tol / S
     comes first, so the orders keep their bits under w_inf -> 2**k w_inf.
     An overflowed S (a huge w_inf) bounds nothing, and a zero S or t needs
     no term: order 0.  int16, whose stable argsort is a radix sort."""
@@ -495,7 +497,7 @@ class _Expansion(NamedTuple):
     _multipole sums: with the moments
     m_k = M_k / rho**k and u = rho / (z - c), row k of w_rows (m_k)
     multiplies u**(k+1) in w, and row k of psi_rows (m_{k+1} / (k+1))
-    multiplies u**(k+1) in psi.  S, R and tol are what the tail bound
+    multiplies u**(k+1) in psi.  S and tol are what the tail bound
     (_orders) reads; top is each group's order at |z - c| = KAPPA rho, to
     which its moments are built."""
 
@@ -505,7 +507,6 @@ class _Expansion(NamedTuple):
     w_rows: np.ndarray    # (p + 1, G)
     psi_rows: np.ndarray  # (p, G)
     S: np.ndarray         # (G,) integral of |gamma| ds of each group
-    R: float              # the length scale of tol
     tol: float            # the bound on each tail
     top: np.ndarray       # (G,) int16
 
@@ -515,10 +516,10 @@ class _Expansion(NamedTuple):
     def order(self, t):
         """Each group's order at the separation t = rho / |z - c|, t
         broadcast against the groups, never above its top."""
-        return np.minimum(_orders(self.S, t * (self.R / self.rho), self.tol, t), self.top)
+        return np.minimum(_orders(self.S, t / self.rho, self.tol, t), self.top)
 
 
-def _expansion(za, zb, ga, gb, centre, rho, R, tol):
+def _expansion(za, zb, ga, gb, centre, rho, tol):
     """Expansions of groups of linear-strength panels za -> zb (nodal
     strengths ga, gb; one group per row, the panels along the last axis)
     about their centres, with the moments of each to its order at
@@ -526,14 +527,14 @@ def _expansion(za, zb, ga, gb, centre, rho, R, tol):
 
     Gauss-Legendre with ceil((p+2)/2) nodes per panel integrates the
     degree-(p+1) integrand gamma(s) (zeta(s) - c)**k exactly.  A tol that
-    underflows to 0 (a tiny V R) is met by no order: InvalidGeometryError.
+    underflows to 0 is met by no order: InvalidGeometryError.
     """
     if not tol > 0.0:
-        raise InvalidGeometryError("the far-field tolerance FAR_TOL V R underflows to 0")
+        raise InvalidGeometryError("the far-field tolerance underflows to 0")
     lens = np.abs(zb - za)
     S = np.sum(0.5 * lens * (np.abs(ga) + np.abs(gb)), axis=-1)
     t = 1.0 / KAPPA
-    top = _orders(S, t * (R / rho), tol, t)
+    top = _orders(S, t / rho, tol, t)
     p = int(top.max())
     s, wq = _gauss_legendre((p + 3) // 2)
     v = ((za[..., None] + s * (zb - za)[..., None] - centre[:, None, None])
@@ -548,7 +549,7 @@ def _expansion(za, zb, ga, gb, centre, rho, R, tol):
         q *= v
     m[np.arange(p + 1)[:, None] > top] = 0.0
     psi_rows = m[1:] / np.arange(1, p + 1)[:, None]
-    return _Expansion(centre, rho, m[0].real, m, psi_rows, S, R, tol, top)
+    return _Expansion(centre, rho, m[0].real, m, psi_rows, S, tol, top)
 
 
 def _multipole(field, rows, m0, rho, d, orders):
@@ -588,7 +589,7 @@ _W = _Field(_w_rows, complex)
 
 @dataclass(frozen=True, eq=False)
 class PanelFlow:
-    """Evaluable flow induced by nodal vortex strengths plus free stream."""
+    """Evaluable flow of nodal vortex strengths on unit-frame nodes plus free stream."""
 
     body: Body
     far: FarField
@@ -646,15 +647,14 @@ class PanelFlow:
         return acc.reshape(z.shape)
 
     def _sheet(self, z, field):
-        """Vortex-sheet part of a field: the body's own expansion at points
-        at least KAPPA * R from the centroid, each to the order of its own
-        separation, and _accumulate elsewhere."""
-        d = z - self.body.centroid
-        far = np.abs(d) >= KAPPA * self.body.circumradius
+        """Vortex-sheet part of a field at the unit-frame points z: the
+        body's own expansion at |z| >= KAPPA, each point to the order of its
+        own separation, and _accumulate elsewhere."""
+        far = np.abs(z) >= KAPPA
         out = np.empty(z.shape, dtype=field.dtype)
         if far.any():
             exp = self._expansion
-            d = d[far]
+            d = z[far]
             sheet = np.empty(d.shape, dtype=field.dtype)
             for start in range(0, len(d), TREE_PAIRS):
                 chunk = slice(start, start + TREE_PAIRS)
@@ -670,12 +670,11 @@ class PanelFlow:
 
     @cached_property
     def _expansion(self) -> _Expansion:
-        """The whole sheet expanded about the centroid, rho = R the body
-        circumradius, with orders that meet FAR_TOL V R."""
-        R = self.body.circumradius
+        """The whole sheet expanded about the centroid, rho = 1, with orders
+        that meet FAR_TOL V."""
         return _expansion(*(a[None] for a in self._panels()),
-                          np.array([self.body.centroid]), np.array([R]), R,
-                          FAR_TOL * self.far.speed_scale(R) * R)
+                          np.zeros(1, complex), np.ones(1),
+                          FAR_TOL * self.far.speed_scale(self.body.circumradius))
 
     @cached_property
     def _clusters(self) -> _Expansion:
@@ -695,29 +694,28 @@ class PanelFlow:
         centre = 0.5 * (ends.real.min(axis=1) + ends.real.max(axis=1)) \
             + 0.5j * (ends.imag.min(axis=1) + ends.imag.max(axis=1))
         rho = np.abs(ends - centre[:, None]).max(axis=1)
-        R = self.body.circumradius
-        return _expansion(za, zb, ga, gb, centre, rho, R,
-                          FAR_TOL * self.far.speed_scale(R) * R / K)
+        return _expansion(za, zb, ga, gb, centre, rho,
+                          FAR_TOL * self.far.speed_scale(self.body.circumradius) / K)
 
-    def _check(self, z):
-        """z as a complex array; FluidDomainError where the body occupies
-        a point (tol = 1e-12 R)."""
+    def _unit(self, z):
+        """The points z in the unit frame, (z - c) / R; FluidDomainError
+        where the body occupies one (tol = 1e-12 R)."""
         z = np.asarray(z, dtype=complex)
         if np.any(self.body.occupies(z, 1e-12 * self.body.circumradius)):
             raise FluidDomainError("point inside the body or on the plate slit")
-        return z
+        return (z - self.body.centroid) / self.body.circumradius
 
     def velocity(self, z):
-        z = self._check(z)
-        return self.far.w_inf + self._sheet(z, _W)
+        return self.far.w_inf + self._sheet(self._unit(z), _W)
 
     def stream(self, z):
-        z = self._check(z)
-        return self._sheet(z, _PSI) + np.imag(self.far.w_inf * z) - self._psi_body
+        z = self._unit(z)
+        return self.body.circumradius * (
+            self._sheet(z, _PSI) + np.imag(self.far.w_inf * z) - self._psi_body)
 
     @cached_property
     def _psi_body(self) -> float:
-        # stream-function level on the body (slip normalization psi = 0)
+        # stream-function level on the body (slip normalization psi = 0), / R
         mid = 0.5 * (self.nodes[0] + self.nodes[1])
         return np.imag(self.far.w_inf * mid) + float(self._accumulate(mid, _PSI))
 
@@ -732,42 +730,36 @@ class PanelSolution:
     # circulation row applied to the solved strengths, sum L_j (g_j + g_{j+1}) / 2
     circulation_of_strengths: float
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.flow.nodes
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.flow.gamma
-
 
 @dataclass(frozen=True)
 class _System:
     """A panel system solved once for its three right-hand sides, read-only.
 
-    The right-hand side is linear in Re w_inf, Im w_inf and Gamma, so the
-    strengths and residuals at any free stream and Gamma superpose the
-    columns solved at unit Re w_inf, unit Im w_inf and unit Gamma."""
+    On unit-frame nodes the right-hand side is linear in Re w_inf, Im w_inf
+    and Gamma / R, so the strengths and residuals at any free stream and
+    Gamma superpose the columns solved at unit values of the three."""
 
     body: Body
     nodes: np.ndarray
     closed: bool
     basis: np.ndarray        # (n_nodes, 3) strengths of the three columns
     residual: np.ndarray     # (n_pan + 1, 3) their residuals over every row
-    circulation: np.ndarray  # (3,) R times the circulation row applied to basis
+    circulation: np.ndarray  # (3,) the circulation row applied to basis
     cond: float              # estimate of the square system's 1-norm condition
                              # number, a lower bound (``_assemble``)
 
     def stream(self, z):
-        """psi of the three unit columns at z, shape (3,) + z.shape: each
-        column's sheet (``_psi_rows``) and free stream, less its level at
-        the first panel's midpoint, as ``PanelFlow.stream``."""
+        """psi of the flows at unit Re w_inf, Im w_inf and Gamma at z, shape
+        (3,) + z.shape: each column's sheet (``_psi_rows``) and free stream,
+        less its level at the first panel's midpoint, times (R, R, 1)."""
         z = np.asarray(z, dtype=complex)
-        at = np.append(z.ravel(), 0.5 * (self.nodes[0] + self.nodes[1]))
+        R = self.body.circumradius
+        at = np.append((z.ravel() - self.body.centroid) / R,
+                       0.5 * (self.nodes[0] + self.nodes[1]))
         psi = _psi_rows(at, self.nodes, self.closed, self.basis)
         psi[:, 0] += at.imag
         psi[:, 1] += at.real
-        return (psi[:-1] - psi[-1]).T.reshape((3,) + z.shape)
+        return ((psi[:-1] - psi[-1]) * [R, R, 1.0]).T.reshape((3,) + z.shape)
 
     @cached_property
     def corner_a1(self) -> np.ndarray:
@@ -788,13 +780,13 @@ def _corner_a1(body: Body, stream) -> np.ndarray:
                              [analysis.default_fit_radii(c, R) for c in corners])
 
 
-def _system_rows(nodes, closed, R):
+def _system_rows(nodes, closed):
     """Rows of the panel system on the layout nodes, with their right-hand
     sides at unit Re w_inf, Im w_inf and Gamma as columns.
 
-    One midpoint tangency row per panel and the circulation row in units
-    of the circumradius R, sum(L_j * (g_j + g_{j+1}) / (2 R)) = Gamma / R,
-    so that every row is free of the body's scale.  The circulation row is
+    One midpoint tangency row per panel and the circulation row
+    sum(L_j * (g_j + g_{j+1}) / 2) = Gamma, which on nodes in units of R
+    (``_assemble``) reads Gamma / R.  The circulation row is
     row n_nodes - 1, so the leading n_nodes rows are the square system; a
     closed body's last tangency row follows it.
 
@@ -848,7 +840,7 @@ def _system_rows(nodes, closed, R):
         if closed:
             tangency[chunk, 0] += c[:, -1]
     # panel j adds half its length to each of its nodes
-    half = 0.5 * lens / R
+    half = 0.5 * lens
     rows[-1, :n_pan] = half
     rows[-1, 1:] += half[:n_nodes - 1]
     if closed:
@@ -856,7 +848,7 @@ def _system_rows(nodes, closed, R):
     # v . n = Re(w n) = 0 with w = w_inf + sheet: -Re(w_inf n) on the right
     normal = 1j * e
     rhs = np.zeros((n_pan + 1, 3))
-    rhs[:-1, 0], rhs[:-1, 1], rhs[-1, 2] = -normal.real, normal.imag, 1.0 / R
+    rhs[:-1, 0], rhs[:-1, 1], rhs[-1, 2] = -normal.real, normal.imag, 1.0
     if closed:
         # the circulation row takes the last tangency row's place in M
         rows[[-2, -1]] = rows[[-1, -2]]
@@ -874,12 +866,12 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
         raise InvalidGeometryError(f"{n_panels} panels: a {body.kind} needs "
                                    f"at least {body.min_panels}")
     nodes, closed = body.panel_nodes(n_panels, cluster)
-    R = body.circumradius
-    rows, rhs = _system_rows(nodes, closed, R)
+    nodes = (nodes - body.centroid) / body.circumradius
+    rows, rhs = _system_rows(nodes, closed)
     n_nodes = len(nodes)
     M = rows[:n_nodes]
     # kappa_1 = ||M||_1 ||M^-1||_1 from lower bounds of ||M^-1||_1 (Hager,
-    # Higham), with no n x n inverse in memory: R times the Gamma column is
+    # Higham), with no n x n inverse in memory: the Gamma column is
     # M^-1 e_(n-1), the circulation row's column of M^-1; then M^-1 of e/n
     # and of Higham's alternating v, and one solve with M^T on the signs of
     # those three columns, whose largest entry bounds it too
@@ -889,13 +881,13 @@ def _assemble(body: Body, n_panels: int, cluster: float) -> _System:
         [rhs[:n_nodes], np.full(n_nodes, 1 / n_nodes), v]))
     basis = x[:, :3].copy()
     z = np.linalg.solve(M.T, np.sign(x[:, 2:]))
-    lower = np.abs(x[:, 2:]).sum(axis=0) * [R, 1, 1 / np.abs(v).sum()]
+    lower = np.abs(x[:, 2:]).sum(axis=0) * [1, 1, 1 / np.abs(v).sum()]
     cond = float(np.linalg.norm(M, 1) * np.max(np.append(lower, np.abs(z))))
     if not cond <= 1e13:
         raise SolverError(f"panel system condition number {cond:.3g} exceeds 1e13",
                           condition_number=cond)
     residual = rows @ basis - rhs
-    circulation = R * (rows[n_nodes - 1] @ basis)  # physical units
+    circulation = rows[n_nodes - 1] @ basis
     for arr in (nodes, basis, residual, circulation):
         arr.flags.writeable = False
     return _System(body, nodes, closed, basis, residual, circulation, cond)
@@ -906,30 +898,31 @@ def panel_solve(body: Body, far: FarField, n_panels: int,
     """Solve for linear-strength vortex panels around a body.
 
     One tangency condition (v . n = 0) per panel midpoint plus the
-    explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma, over
-    the circumradius R (``_system_rows``).  Closed bodies have one nodal
-    unknown per panel, so the last tangency equation is left out of the
-    square system in favour of the circulation row; it is implied by the
-    others.  After the solve every row is held to TOL_SLIP * V.
-    Open plates keep every row (one more node than panels).
+    explicit circulation row sum(L_j * (g_j + g_{j+1}) / 2) = Gamma, which
+    reads Gamma / R on the unit frame (``_system_rows``).  Closed bodies
+    have one nodal unknown per panel, so the last tangency equation is
+    left out of the square system in favour of the circulation row; it is
+    implied by the others.  After the solve every row is held to
+    TOL_SLIP * V.  Open plates keep every row (one more node than panels).
 
-    The square system depends only on the geometry.  One LU solve gives the
-    strengths at unit Re w_inf, Im w_inf and Gamma, and with a solve by its
-    transpose a lower-bound estimate of its 1-norm condition number
-    ||M||_1 ||M^-1||_1, exact where the Gamma column is M^-1's largest (the
-    circle, the plate).  A body given fewer
-    than its ``min_panels`` or a subnormal speed scale V
-    (``FarField.speed_scale``) raises InvalidGeometryError; a system
-    above 1e13 raises SolverError, and a singular one numpy's LinAlgError.
+    The square system depends only on the geometry.  One LU solve gives
+    the strengths at unit Re w_inf, Im w_inf and Gamma / R, and with a
+    solve by its transpose a lower-bound estimate of its 1-norm condition
+    number ||M||_1 ||M^-1||_1, exact where the Gamma column is M^-1's
+    largest (the circle, the plate).  A body given fewer than its
+    ``min_panels`` or a subnormal speed scale V (``FarField.speed_scale``)
+    raises InvalidGeometryError; a system above 1e13 raises SolverError,
+    and a singular one numpy's LinAlgError.
     The last assembled (body, n_panels, cluster) system is kept, so every
     solve of the same body superposes the three columns and their
     residuals.
     """
-    V = far.speed_scale(body.circumradius)
+    R = body.circumradius
+    V = far.speed_scale(R)
     system = _assemble(body, n_panels, cluster)
-    c = np.array([np.real(far.w_inf), np.imag(far.w_inf), far.circulation])
+    c = np.array([np.real(far.w_inf), np.imag(far.w_inf), far.circulation / R])
     g = system.basis @ c
-    circ = float(system.circulation @ c)
+    circ = float(R * (system.circulation @ c))
     residual = float(np.max(np.abs(system.residual @ c)))
     if not residual <= TOL_SLIP * V:
         # perfbench's oracle parses the message

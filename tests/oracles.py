@@ -3,8 +3,13 @@
 Each reads what the library computes by another route: the closed-form
 Kutta root of a mapped flow, the corner lines of a pair of flows at two
 circulations, a census's least singular count by a dense sweep, and a
-corner's local polar coordinates.
+corner's local polar coordinates.  Beside them, the strict reader and the
+matcher of the golden summaries, which the numpy-only CI step also
+imports: nothing here needs pytest.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -71,3 +76,31 @@ def local_polar(corner, points):
     counterclockwise from the first wall; fluid points fall in (0, beta)."""
     rel = np.asarray(points, dtype=complex) - corner.vertex
     return np.abs(rel), np.mod(np.angle(rel) - corner.wall_angle, TWO_PI)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token} in summary.json")
+
+
+def load_strict(path):
+    """A summary.json, refusing NaN and Infinity, which strict JSON has not."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
+def assert_matches(got, want, abs_tol, where="$"):
+    """Strings, integers, booleans and the structure match exactly; floats
+    within 1e-9 relative or abs_tol absolute."""
+    assert type(got) is type(want), f"{where}: {got!r} vs {want!r}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{where}: keys differ"
+        for key in want:
+            assert_matches(got[key], want[key], abs_tol, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: length differs"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, abs_tol, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= max(1e-9 * abs(want), abs_tol), \
+            f"{where}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} vs {want!r}"

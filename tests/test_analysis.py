@@ -488,21 +488,36 @@ class TestCornerCensus:
                 assert kutta_solve(body, scale, e.corner_id, n_panels,
                                    representation) == f
 
-    @pytest.mark.parametrize("scale", [1e150, 1e-150, 2.0**400, 2.0**-400],
-                             ids=["1e150", "1e-150", "2**400", "2**-400"])
-    def test_census_verdict_does_not_depend_on_the_body_size(self, scale):
+    @pytest.mark.parametrize("scale, shift, tol", [
+        (1e150, 0, 5e-13), (1e-150, 0, 5e-13), (2.0**400, 0, 2e-15),
+        (2.0**-400, 0, 2e-15), (1.0, 3 - 2j, 5e-13), (1e150, 3 - 2j, 5e-13)],
+        ids=["1e150", "1e-150", "2**400", "2**-400", "shift", "shift-1e150"])
+    def test_census_verdict_does_not_depend_on_the_body_size(self, scale, shift, tol):
         # the polygon's centroid and orientation are formed in a power-of-two
         # frame: at 1e150 the centroid was NaN and the panel system refused
-        # its condition number.  Roots scale with the body, to a few 1e-12
-        # of w_inf R (2.2e-12 measured)
+        # its condition number.  The panel layer works on (z - c) / R, so
+        # roots scale with the body, moved by shift and then scaled, to
+        # tol |w_inf| R: 8.9e-16 and 0 measured at 2**+-400, where the unit
+        # frame holds the same nodes; 1.4e-13 and 2.0e-14 at 1e+-150 and
+        # 8.8e-14 and 9.5e-14 shifted (6.4e-13 to 2.7e-12 in physical lengths)
         unit = corner_census(TRIANGLE, 1.0, 256)
-        census = corner_census(Polygon([scale * v for v in TRIANGLE.vertices]),
-                               1.0, 256)
+        census = corner_census(
+            Polygon([scale * (v + shift) for v in TRIANGLE.vertices]), 1.0, 256)
         for field in ("sweep_singular_counts", "min_singular_count",
                       "regularizes_all_somewhere", "coincident_pairs"):
             assert getattr(census, field) == getattr(unit, field)
         for e, f in zip(unit.corners, census.corners):
-            assert abs(f.root / scale - e.root) <= 5e-12
+            assert abs(f.root / scale - e.root) <= tol * TRIANGLE.circumradius
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_kutta_root_scales_with_the_plate_to_the_bit(self, k):
+        # every length of the 30-degree plate at chord 4 * 2**k is chord 4's
+        # times 2**k, and its panel system solves in units of R: the root
+        # is chord 4's times 2**k exactly (3.1e-13 and 1.4e-13 relative off
+        # in physical lengths)
+        unit = kutta_solve(FlatPlate(4.0, np.pi / 6), 1.0, 0, 512)
+        scaled = kutta_solve(FlatPlate(4.0 * 2.0**k, np.pi / 6), 1.0, 0, 512)
+        assert scaled.root == 2.0**k * unit.root
 
     def test_census_verdict_does_not_depend_on_the_scale(self):
         # at 2**-600 the roots, sweep and thresholds all scale by 2**-600:

@@ -286,9 +286,9 @@ class TestKeys:
         # so the flow is regular at its own Kutta corner (corner 0)
         built, real = [], incompressible._system_rows
 
-        def spy(nodes, closed, R):
+        def spy(nodes, closed):
             built.append(len(nodes))
-            return real(nodes, closed, R)
+            return real(nodes, closed)
 
         incompressible._assemble.cache_clear()
         monkeypatch.setattr(incompressible, "_system_rows", spy)

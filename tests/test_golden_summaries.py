@@ -13,34 +13,10 @@ import pytest
 
 from cornerflow.cli import resolve_scenario_path, run
 from cornerflow.geometry import body_from_config
+from oracles import assert_matches, load_strict
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = ("circle", "plate30", "triangle_census", "plate_horizontal_m03")
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-JSON constant {token} in summary.json")
-
-
-def load_strict(path):
-    return json.loads(path.read_text(), parse_constant=_reject_constant)
-
-
-def assert_matches(got, want, abs_tol, where="$"):
-    assert type(got) is type(want), f"{where}: {got!r} vs {want!r}"
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), f"{where}: keys differ"
-        for key in want:
-            assert_matches(got[key], want[key], abs_tol, f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), f"{where}: length differs"
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, abs_tol, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert abs(got - want) <= max(1e-9 * abs(want), abs_tol), \
-            f"{where}: {got!r} vs {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} vs {want!r}"
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ def test_plate_stream_accepts_slit_and_velocity_rejects_it():
 def test_fluid_domain_guard_matches_the_unfiltered_check(body):
     # Polygon.contains runs its even-odd test only within R (1 + 1e-9) of
     # the centroid; its verdict must be that of the plain test over every
-    # point, and PanelFlow._check must refuse exactly what occupies does
+    # point, and PanelFlow._unit must refuse exactly what occupies does
     flow = incompressible.PanelFlow(body, FarField(1.0, 0.0), np.zeros(2),
                                     np.zeros(2), True)
     c, R = body.centroid, body.circumradius
@@ -245,9 +246,9 @@ def test_fluid_domain_guard_matches_the_unfiltered_check(body):
             assert np.array_equal(body.contains(z), even_odd(body, z))
         if np.any(occupied):
             with pytest.raises(FluidDomainError):
-                flow._check(z)
+                flow._unit(z)
         else:
-            assert flow._check(z) is not None
+            assert np.array_equal(flow._unit(z), (z - c) / R)
     assert np.any(body.occupies(sets[1], tol))
 
 
@@ -307,10 +308,10 @@ class TestPanelSolve:
         assert abs(got) < 1e-8
 
     def test_strengths_affine_in_circulation(self):
-        g0 = panel_solve(SQUARE, FarField(1.0, 0.0), 96).gamma
-        g1 = panel_solve(SQUARE, FarField(1.0, 1.0), 96).gamma
+        g0 = panel_solve(SQUARE, FarField(1.0, 0.0), 96).flow.gamma
+        g1 = panel_solve(SQUARE, FarField(1.0, 1.0), 96).flow.gamma
         t = 0.35
-        gt = panel_solve(SQUARE, FarField(1.0, t), 96).gamma
+        gt = panel_solve(SQUARE, FarField(1.0, t), 96).flow.gamma
         assert np.max(np.abs(gt - ((1 - t) * g0 + t * g1))) < 1e-10
 
     def test_tangency_residual_within_tolerance(self):
@@ -363,13 +364,31 @@ class TestPanelSolve:
             sol = panel_solve(TRIANGLE, far, 96)
             assert np.all(np.isfinite(sol.flow.velocity(z)))
 
-    def test_underflowing_far_tolerance_raises(self):
-        # V = 1e-300 is normal, but FAR_TOL V R at R = 1e-12 is 0, which no
-        # expansion order meets (orders cast from inf read 0 and the far
-        # field came out 11 % off)
-        flow = panel_solve(Circle(1e-12), FarField(1e-300, 0.0), 64).flow
+    def test_tiny_body_in_a_tiny_stream_evaluates(self):
+        # the expansions meet FAR_TOL V in units of R, which no body size
+        # underflows: a circle of radius 1e-12 at V = 1e-300 (FAR_TOL V R
+        # was 0 in physical units, and refused) errs from the exact flow as
+        # the unit circle does, in units of V and V R.  Its psi is subnormal,
+        # near 1e-312, so the psi deviations agree to 7e-10 (w: 3e-10)
+        def deviations(R):
+            far = FarField(1e-300, 0.0)
+            flow = panel_solve(Circle(R), far, 64).flow
+            exact = exact_flow(Circle(R), far)
+            z = R * np.array([1.01 * np.exp(2j), 1.2, 1.5j, -2.0, 3.0 * np.exp(0.3j), 10.0])
+            V = far.speed_scale(R)
+            return (np.max(np.abs(flow.velocity(z) - exact.velocity(z))) / V,
+                    np.max(np.abs(flow.stream(z) - exact.stream(z))) / (V * R))
+
+        assert deviations(1e-12) == pytest.approx(deviations(1.0), rel=1e-9)
+
+    def test_underflowing_far_tolerance_raises(self, monkeypatch):
+        # FAR_TOL V is normal at every normal V, but a tolerance that
+        # underflows to 0 is met by no expansion order (orders cast from
+        # inf read 0, and a far field came out 11 % off)
+        monkeypatch.setattr(incompressible, "FAR_TOL", 1e-30)
+        flow = panel_solve(Circle(1.0), FarField(1e-300, 0.0), 64).flow
         with pytest.raises(InvalidGeometryError, match="underflows"):
-            flow.velocity(np.array([1e-11 + 0j]))
+            flow.velocity(np.array([10.0 + 0j]))
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_circulation_raises(self, gamma):
@@ -520,11 +539,26 @@ class TestKutta:
 # far-field evaluation: multipole expansion against the direct panel sum
 
 
-def panels(flow):
+class Sheet(NamedTuple):
+    """A vortex sheet's layout nodes, nodal strengths and closure; a
+    ``PanelFlow`` is one in units of the body."""
+
+    nodes: np.ndarray
+    gamma: np.ndarray
+    closed: bool
+
+
+def body_sheet(flow):
+    """A panel flow's sheet on its nodes in the body's frame, c + R Z."""
+    body = flow.body
+    return Sheet(body.centroid + body.circumradius * flow.nodes, flow.gamma, flow.closed)
+
+
+def panels(sheet):
     """(za, zb, node index of za, node index of zb) of every panel."""
-    n = len(flow.nodes)
-    ia = np.arange(n if flow.closed else n - 1)
-    return flow.nodes[ia], flow.nodes[(ia + 1) % n], ia, (ia + 1) % n
+    n = len(sheet.nodes)
+    ia = np.arange(n if sheet.closed else n - 1)
+    return sheet.nodes[ia], sheet.nodes[(ia + 1) % n], ia, (ia + 1) % n
 
 
 def one_panel(rows, z, za, zb):
@@ -538,17 +572,17 @@ def one_panel(rows, z, za, zb):
 PSI_ROWS, W_ROWS = incompressible._psi_rows, incompressible._w_rows
 
 
-def direct_sheet(flow, z, rows):
+def direct_sheet(sheet, z, rows):
     """Vortex-sheet part of psi or w as the sum over all panels."""
-    za, zb, ia, ib = panels(flow)
+    za, zb, ia, ib = panels(sheet)
     acc = 0.0
     for j in range(len(za)):
         ca, cb = one_panel(rows, z, za[j], zb[j])
-        acc = acc + ca * flow.gamma[ia[j]] + cb * flow.gamma[ib[j]]
+        acc = acc + ca * sheet.gamma[ia[j]] + cb * sheet.gamma[ib[j]]
     return acc
 
 
-def reference_sheet(flow, z, digits=40):
+def reference_sheet(sheet, z, digits=40):
     """(psi, w) of the vortex sheet at the points z from the closed-form
     panel integrals at ``digits`` digits.
 
@@ -559,17 +593,17 @@ def reference_sheet(flow, z, digits=40):
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
-        sheet = []
-        for a, b, ja, jb in zip(*panels(flow)):
+        terms = []
+        for a, b, ja, jb in zip(*panels(sheet)):
             a, b = mpmath.mpc(a), mpmath.mpc(b)
             L = abs(b - a)
-            ga = mpmath.mpf(flow.gamma[ja])
-            sheet.append((a, L, L / (b - a), ga, (mpmath.mpf(flow.gamma[jb]) - ga) / L))
+            ga = mpmath.mpf(sheet.gamma[ja])
+            terms.append((a, L, L / (b - a), ga, (mpmath.mpf(sheet.gamma[jb]) - ga) / L))
         psi, w = [], []
         for zk in np.atleast_1d(z):
             zk = mpmath.mpc(zk)
             p, q = mpmath.mpf(0), mpmath.mpc(0)
-            for a, L, inv_e, ga, dg in sheet:
+            for a, L, inv_e, ga, dg in terms:
                 # int log(zl - t) dt and int t log(zl - t) dt over [0, L],
                 # with u = zl - t running from u0 = zl - L to u1 = zl
                 u1 = (zk - a) * inv_e
@@ -617,8 +651,9 @@ def test_far_field_matches_40_digit_reference(body):
     # cluster expansions and closed forms; psi is defined up to its body
     # level, so it is compared as differences from the first point
     flow = panel_solve(body, FarField(1.0, 1.3), 64).flow
+    sheet = body_sheet(flow)
     for z, zone in ((far_points(flow), "far"), (near_points(flow), "near")):
-        ref_psi, ref_w = reference_sheet(flow, z)
+        ref_psi, ref_w = reference_sheet(sheet, z)
         ref_psi += np.imag(flow.far.w_inf * z)
         ref_w += flow.far.w_inf
 
@@ -628,8 +663,8 @@ def test_far_field_matches_40_digit_reference(body):
 
         flow_psi, flow_w = errors(flow.stream(z), flow.velocity(z))
         direct_psi, direct_w = errors(
-            np.imag(flow.far.w_inf * z) + direct_sheet(flow, z, PSI_ROWS),
-            flow.far.w_inf + direct_sheet(flow, z, W_ROWS))
+            np.imag(flow.far.w_inf * z) + direct_sheet(sheet, z, PSI_ROWS),
+            flow.far.w_inf + direct_sheet(sheet, z, W_ROWS))
         print(f"{body.kind} {zone}: flow psi {flow_psi:.1e} w {flow_w:.1e}; "
               f"direct sum psi {direct_psi:.1e} w {direct_w:.1e}")
         scale = abs(flow.far.w_inf) * body.circumradius
@@ -638,12 +673,13 @@ def test_far_field_matches_40_digit_reference(body):
 
 
 def test_body_level_matches_40_digit_reference():
-    # psi at the first panel's midpoint, which every stream value subtracts
+    # psi at the first panel's midpoint, which every stream value
+    # subtracts, in units of the body (psi / R)
     body = FlatPlate(4.0, np.pi / 6)
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
     mid = 0.5 * (flow.nodes[0] + flow.nodes[1])
     ref = np.imag(flow.far.w_inf * mid) + reference_sheet(flow, mid)[0][0]
-    assert abs(flow._psi_body - ref) <= 1e-13 * abs(flow.far.w_inf) * body.circumradius
+    assert abs(flow._psi_body - ref) <= 1e-13 * abs(flow.far.w_inf)
 
 
 @pytest.mark.parametrize("body", [Circle(1.0), TRIANGLE], ids=["circle", "triangle"])
@@ -652,13 +688,14 @@ def test_far_field_matches_direct_sum(body):
     # out the direct sum's own cancellation error passes 1e-10 (see the
     # 40-digit reference above)
     flow = panel_solve(body, FarField(1.0, -2.0), 256).flow
+    sheet = body_sheet(flow)
     z = far_points(flow, radii=np.geomspace(1.7, 4.0 * np.sqrt(2.0), 7),
                    angles=np.linspace(0.0, 2 * np.pi, 17)[:-1] + 0.1)
     # psi differences from a point evaluated by the direct sum itself
     z0 = flow.body.centroid + 1.2 * flow.body.circumradius
     direct_psi = np.imag(flow.far.w_inf * (z - z0)) + (
-        direct_sheet(flow, z, PSI_ROWS) - direct_sheet(flow, np.array([z0]), PSI_ROWS))
-    direct_w = flow.far.w_inf + direct_sheet(flow, z, W_ROWS)
+        direct_sheet(sheet, z, PSI_ROWS) - direct_sheet(sheet, np.array([z0]), PSI_ROWS))
+    direct_w = flow.far.w_inf + direct_sheet(sheet, z, W_ROWS)
     scale = abs(flow.far.w_inf) * body.circumradius
     assert np.max(np.abs(flow.stream(z) - flow.stream(z0) - direct_psi)) <= 1e-10 * scale
     assert np.max(np.abs(flow.velocity(z) - direct_w)) <= 1e-10 * scale
@@ -694,11 +731,11 @@ def test_panel_kernel_matches_40_digit_integral():
 # near field: the cluster treecode against the 40-digit reference
 
 
-def loop_tangency_matrix(flow):
-    """Midpoint tangency rows of the flow's panels, built panel by panel."""
-    za, zb, ia, ib = panels(flow)
+def loop_tangency_matrix(sheet):
+    """Midpoint tangency rows of the sheet's panels, built panel by panel."""
+    za, zb, ia, ib = panels(sheet)
     mids, normal = 0.5 * (za + zb), 1j * (zb - za) / np.abs(zb - za)
-    A = np.zeros((len(za), len(flow.nodes)))
+    A = np.zeros((len(za), len(sheet.nodes)))
     for j in range(len(za)):
         ca, cb = one_panel(W_ROWS, mids, za[j], zb[j])
         A[:, ia[j]] += np.real(ca * normal)
@@ -712,30 +749,31 @@ def test_near_field_matches_panel_loop(body):
     # stream and velocity against the 40-digit reference, body level
     # included
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-    R = body.circumradius
+    sheet = body_sheet(flow)
     z = near_points(flow, radii=np.linspace(0.3, 1.55, 6), angles=6,
                     corner_radii=[1e-3])
-    w_inf, scale = flow.far.w_inf, abs(flow.far.w_inf) * R
+    w_inf, scale = flow.far.w_inf, abs(flow.far.w_inf) * body.circumradius
 
     # stream subtracts the body level, psi at the first panel's midpoint
-    mid0 = 0.5 * (flow.nodes[0] + flow.nodes[1])
-    ref_psi, ref_w = reference_sheet(flow, np.append(z, mid0))
+    mid0 = 0.5 * (sheet.nodes[0] + sheet.nodes[1])
+    ref_psi, ref_w = reference_sheet(sheet, np.append(z, mid0))
     ref_psi += np.imag(w_inf * np.append(z, mid0))
     assert np.max(np.abs(flow.stream(z) - (ref_psi[:-1] - ref_psi[-1]))) <= 1e-13 * scale
     assert np.max(np.abs(flow.velocity(z) - (w_inf + ref_w[:-1]))) <= 1e-13 * abs(w_inf)
 
     # on a panel (principal value) and exactly at a node, where w is
-    # log-singular and only psi is defined: psi against the 40-digit rows,
-    # and both fields against the per-panel loop
+    # log-singular and only psi is defined: the treecode's psi in units of
+    # the body (psi / R, whose scale is |w_inf|) against the 40-digit rows,
+    # and both fields against the per-panel loop, all on the unit nodes
     on = np.array([0.5 * (flow.nodes[3] + flow.nodes[4]), flow.nodes[7]])
     psi_on = flow._accumulate(on, incompressible._PSI)
     ref_on = np.array([reference_psi_row(flow.nodes, flow.closed, zk) for zk in on])
-    assert np.max(np.abs(psi_on - ref_on @ flow.gamma)) <= 1e-13 * scale
-    assert np.max(np.abs(psi_on - direct_sheet(flow, on, PSI_ROWS))) <= 1e-12 * scale
+    assert np.max(np.abs(psi_on - ref_on @ flow.gamma)) <= 1e-13 * abs(w_inf)
+    assert np.max(np.abs(psi_on - direct_sheet(flow, on, PSI_ROWS))) <= 1e-12 * abs(w_inf)
     assert np.abs(flow._accumulate(on[:1], incompressible._W)
                   - direct_sheet(flow, on[:1], W_ROWS))[0] <= 1e-12 * abs(w_inf)
 
-    rows, _ = incompressible._system_rows(flow.nodes, flow.closed, R)
+    rows, _ = incompressible._system_rows(flow.nodes, flow.closed)
     A = np.delete(rows, len(flow.nodes) - 1, axis=0)  # drop the circulation row
     A_loop = loop_tangency_matrix(flow)
     assert np.max(np.abs(A - A_loop)) <= 1e-12 * np.max(np.abs(A_loop))
@@ -775,13 +813,17 @@ def test_assembled_rows_match_40_digit_reference(body):
     # the two adjacent ones (across a corner where the panel ends at one)
     # and far pairs; a closed body's last tangency row is the one left
     # out of the square system, after the circulation row.  The rows err
-    # by up to 3 ulps of their largest entry; 8 leaves room for libm
-    nodes, closed = body.panel_nodes(96)
-    R = body.circumradius
-    rows, rhs = incompressible._system_rows(nodes, closed, R)
+    # by up to 3 ulps of their largest entry; 8 leaves room for libm.  The
+    # system's nodes are in units of the body, Z = (z - c) / R
+    incompressible._assemble.cache_clear()
+    system = incompressible._assemble(body, 96, 1.0)
+    nodes, closed = system.nodes, system.closed
+    rows, rhs = incompressible._system_rows(nodes, closed)
     n_nodes, n_pan = len(nodes), len(nodes) - (not closed)
     # a plate's second corner is its last node
-    corner = int(np.argmin(np.abs(nodes - body.corners[1].vertex))) if body.corners else 24
+    c, R = body.centroid, body.circumradius
+    corner = (int(np.argmin(np.abs(c + R * nodes - body.corners[1].vertex)))
+              if body.corners else 24)
     for i in sorted({0, corner - 1, corner, n_pan // 2, n_pan - 1} & set(range(n_pan))):
         ref = reference_tangency_row(nodes, closed, i)
         got = rows[n_pan if closed and i == n_pan - 1 else i]
@@ -789,20 +831,22 @@ def test_assembled_rows_match_40_digit_reference(body):
     # the circulation row and its right-hand side, in units of R
     lens = np.abs(np.diff(np.append(nodes, nodes[0]) if closed else nodes))
     want = np.zeros(n_nodes)
-    np.add.at(want, np.arange(n_pan), 0.5 * lens / R)
-    np.add.at(want, (np.arange(n_pan) + 1) % n_nodes, 0.5 * lens / R)
+    np.add.at(want, np.arange(n_pan), 0.5 * lens)
+    np.add.at(want, (np.arange(n_pan) + 1) % n_nodes, 0.5 * lens)
     assert np.allclose(rows[n_nodes - 1], want, rtol=1e-15, atol=0.0)
-    assert rhs[n_nodes - 1].tolist() == [0.0, 0.0, 1.0 / R]
+    assert rhs[n_nodes - 1].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_short_panel_rows_take_the_principal_value():
     # the 512-panel plate's end panels are 9.4e-6 chords long, and the
     # rounding of the first one's midpoint alone sets it 2.7e-12 L off the
     # panel: each self pair still takes the principal value, so the end
-    # rows keep a few ulps of their largest entry
-    body = FlatPlate(4.0, 0.5)
-    nodes, closed = body.panel_nodes(512)
-    rows, _ = incompressible._system_rows(nodes, closed, body.circumradius)
+    # rows keep a few ulps of their largest entry (on the system's nodes,
+    # in units of the body)
+    incompressible._assemble.cache_clear()
+    system = incompressible._assemble(FlatPlate(4.0, 0.5), 512, 1.0)
+    nodes, closed = system.nodes, system.closed
+    rows, _ = incompressible._system_rows(nodes, closed)
     for i in (0, len(nodes) - 2):
         ref = reference_tangency_row(nodes, closed, i)
         assert (np.max(np.abs(rows[i] - ref))
@@ -893,17 +937,18 @@ def scalar_order(S, ratio, tol, t=1.0 / KAPPA):
 
 
 def sheet_bounds(flow):
-    """(S, R / rho, tol) of the body expansion and of the cluster
-    expansions of a flow: S bounds the integral of |gamma| ds of each."""
-    tree, R = flow._clusters, flow.body.circumradius
+    """(S, 1 / rho, tol) of the body expansion and of the cluster
+    expansions of a flow, in units of the body: S bounds the integral of
+    |gamma| ds of each, and tol is FAR_TOL V, FAR_TOL V R in physical psi."""
+    tree = flow._clusters
     za, zb, ga, gb = flow._panels()
     s = 0.5 * np.abs(zb - za) * (np.abs(ga) + np.abs(gb))
     # runs of CLUSTER panels, the last padded with zeros
     S = np.pad(s, (0, -len(s) % incompressible.CLUSTER)).reshape(
         -1, incompressible.CLUSTER).sum(axis=1)
-    tol = incompressible.FAR_TOL * flow.far.speed_scale(R) * R
+    tol = incompressible.FAR_TOL * flow.far.speed_scale(flow.body.circumradius)
     return ((np.array([S.sum()]), np.ones(1), tol),
-            (S, R / tree.rho, tol / len(S)))
+            (S, 1 / tree.rho, tol / len(S)))
 
 
 BODIES_512 = pytest.mark.parametrize(
@@ -914,12 +959,12 @@ BODIES_512 = pytest.mark.parametrize(
 @BODIES_512
 def test_orders_match_scalar_rule(body):
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-    _, (S, R_rho, cluster_tol) = sheet_bounds(flow)
+    _, (S, inv_rho, cluster_tol) = sheet_bounds(flow)
     # an overflowed S and a zero one
-    S, R_rho = np.append(S, [np.inf, 0.0]), np.append(R_rho, R_rho[:2])
+    S, inv_rho = np.append(S, [np.inf, 0.0]), np.append(inv_rho, inv_rho[:2])
     for t in (1.0 / KAPPA, 0.5, 0.25, 1.0 / 16):
-        # the w tail at separation t carries t R / rho
-        ratio = t * R_rho
+        # the w tail at separation t carries t / rho, in units of the body
+        ratio = t * inv_rho
         for tol in (cluster_tol, 1e-6, 1e-17):
             want = [scalar_order(a, b, tol, t) for a, b in zip(S, ratio)]
             assert np.array_equal(incompressible._orders(S, ratio, tol, t), want)
@@ -964,16 +1009,16 @@ def test_order_lookup_never_undercuts_the_rule(body):
     # separations, at 1 / KAPPA and one ulp either side of KAPPA R and of
     # KAPPA rho_C
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-    for exp, (S, R_rho, tol) in zip((flow._expansion, flow._clusters),
+    for exp, (S, inv_rho, tol) in zip((flow._expansion, flow._clusters),
                                     sheet_bounds(flow)):
         t = separations(exp)
         read = exp.order(t)
         assert read.dtype == np.int16
         assert np.all(read <= exp.top)
         for g in range(len(S)):
-            want = [scalar_order(S[g], tk * R_rho[g], tol, tk) for tk in t[:, g]]
+            want = [scalar_order(S[g], tk * inv_rho[g], tol, tk) for tk in t[:, g]]
             assert np.array_equal(read[:, g], want)
-            assert exp.top[g] == scalar_order(S[g], R_rho[g] / KAPPA, tol)
+            assert exp.top[g] == scalar_order(S[g], inv_rho[g] / KAPPA, tol)
 
 
 @BODIES_512
@@ -1001,10 +1046,10 @@ def test_truncation_matches_full_order(body, monkeypatch):
     z = c + R * (rng.uniform(-4, 4, 20000) + 1j * rng.uniform(-4, 4, 20000))
     tree = panel_solve(body, FarField(1.0, 1.3), 512).flow._clusters
     # one ulp either side of KAPPA R from the centroid and of KAPPA rho_C
-    # from each cluster centre
+    # from each cluster centre, in units of the body, then out to z
     ring = np.exp(1j * np.pi * (np.arange(8) + 0.3) / 4)
-    switch = [centre[:, None] + np.nextafter(KAPPA * rho, side)[:, None] * ring
-              for centre, rho in ((np.array([c]), np.array([R])), (tree.centre, tree.rho))
+    switch = [c + R * (centre[:, None] + np.nextafter(KAPPA * rho, side)[:, None] * ring)
+              for centre, rho in ((np.zeros(1), np.ones(1)), (tree.centre, tree.rho))
               for side in (0.0, np.inf)]
     z = np.concatenate([z, *(a.ravel() for a in switch),
                         c + R * np.array([10.0, 100.0j])])
@@ -1065,7 +1110,7 @@ def test_velocity_memory_near_the_body(body):
 
 def cold_gamma(body, far, n_panels):
     incompressible._assemble.cache_clear()
-    return panel_solve(body, far, n_panels).gamma
+    return panel_solve(body, far, n_panels).flow.gamma
 
 
 class TestSystemMemo:
@@ -1075,7 +1120,7 @@ class TestSystemMemo:
                 (SQUARE, FarField(2.0, 4.0))]
         warm = []
         for body, far in runs:
-            warm.append(panel_solve(body, far, 96).gamma)
+            warm.append(panel_solve(body, far, 96).flow.gamma)
             assert incompressible._assemble.cache_info().currsize == 1
         for (body, far), g in zip(runs, warm):
             assert np.array_equal(g, cold_gamma(body, far, 96))
@@ -1083,16 +1128,16 @@ class TestSystemMemo:
     @pytest.mark.parametrize("body", [SQUARE, FlatPlate(4.0, np.pi / 6), Circle(1.0)],
                              ids=["square", "plate", "circle"])
     def test_superposition_to_round_off(self, body):
-        g0, g1 = (panel_solve(body, FarField(1.0, gam), 256).gamma
+        g0, g1 = (panel_solve(body, FarField(1.0, gam), 256).flow.gamma
                   for gam in (0.0, 1.0))
         for gam in (0.35, -2.5, 7.0):
-            g = panel_solve(body, FarField(1.0, gam), 256).gamma
+            g = panel_solve(body, FarField(1.0, gam), 256).flow.gamma
             assert np.max(np.abs(g - (g0 + gam * (g1 - g0)))) <= 1e-13 * np.max(np.abs(g))
 
     def test_cached_arrays_refuse_writes(self):
         sol = panel_solve(TRIANGLE, FarField(1.0, 0.5), 96)
         system = incompressible._assemble(TRIANGLE, 96, 1.0)
-        assert sol.nodes is system.nodes
+        assert sol.flow.nodes is system.nodes
         for arr in (system.nodes, system.basis, system.residual, system.circulation):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -1103,28 +1148,30 @@ class TestSystemMemo:
         # the tangency check fails after a good assembly
         with pytest.raises(SolverError, match="tol_slip"):
             panel_solve(SCALENE, FarField(1.0, 0.0), 96)
-        assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
+        assert np.array_equal(panel_solve(SQUARE, far, 96).flow.gamma, expected)
         # the assembly itself fails
         with pytest.raises(InvalidGeometryError):
             panel_solve(TRIANGLE, far, 12)
         assert incompressible._assemble.cache_info().currsize == 0
-        assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
+        assert np.array_equal(panel_solve(SQUARE, far, 96).flow.gamma, expected)
         monkeypatch.setattr(Circle, "panel_nodes",
                             lambda self, n, cluster: (np.array([0j, 0j, 1.0, 1j]), True))
         with pytest.raises(SolverError, match="degenerate"):
             panel_solve(Circle(2.0), far, 4)
         monkeypatch.undo()
         assert incompressible._assemble.cache_info().currsize == 0
-        assert np.array_equal(panel_solve(SQUARE, far, 96).gamma, expected)
+        assert np.array_equal(panel_solve(SQUARE, far, 96).flow.gamma, expected)
         assert incompressible._assemble.cache_info().currsize == 1
 
 
 def direct_solve(body, far, n_panels):
     """Strengths and residual from an LU solve of the square system at this
-    free stream and Gamma, and its exact 1-norm condition number."""
+    free stream and Gamma, on the nodes in units of the body, where the
+    circulation row reads Gamma / R, and its exact 1-norm condition number."""
     nodes, closed = body.panel_nodes(n_panels)
-    rows, rhs = incompressible._system_rows(nodes, closed, body.circumradius)
-    b = rhs @ np.array([far.w_inf.real, far.w_inf.imag, far.circulation])
+    R = body.circumradius
+    rows, rhs = incompressible._system_rows((nodes - body.centroid) / R, closed)
+    b = rhs @ np.array([far.w_inf.real, far.w_inf.imag, far.circulation / R])
     M = rows[:len(nodes)]
     g = np.linalg.solve(M, b[:len(nodes)])
     return g, np.max(np.abs(rows @ g - b)), np.linalg.cond(M, 1)
@@ -1144,7 +1191,7 @@ class TestSuperposedSolve:
         body = FAST_BODIES[name]
         sol = panel_solve(body, far, 256)
         g, residual, cond = direct_solve(body, far, 256)
-        assert np.max(np.abs(sol.gamma - g)) <= 1e-12 * np.max(np.abs(g))
+        assert np.max(np.abs(sol.flow.gamma - g)) <= 1e-12 * np.max(np.abs(g))
         assert abs(sol.residual_norm - residual) <= 1e-12 * abs(far.w_inf)
         # the estimate is a lower bound of kappa_1, exact where the Gamma
         # column is M^-1's largest (0.961 and 0.959 of it on the polygons)
@@ -1161,7 +1208,8 @@ class TestSuperposedSolve:
         incompressible._assemble.cache_clear()
         estimate = incompressible._assemble(body, n_panels, 1.0).cond
         nodes, closed = body.panel_nodes(n_panels)
-        rows, _ = incompressible._system_rows(nodes, closed, body.circumradius)
+        rows, _ = incompressible._system_rows(
+            (nodes - body.centroid) / body.circumradius, closed)
         cond = np.linalg.cond(rows[:len(nodes)], 1)
         assert 0.99 * cond <= estimate <= cond * (1 + 1e-12)
 
