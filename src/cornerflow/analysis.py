@@ -31,7 +31,8 @@ from .geometry import (Body, CircleContour, Corner, _gauss_legendre, _ring_point
 
 TWO_PI = 2.0 * np.pi
 # |a1| above TOL_A1 * V * R**(1 - pi/beta) counts as singular, V the speed
-# scale (``FarField.speed_scale``)
+# scale (``FarField.speed_scale``); fit_corner tests a1 in units of psi
+# (``_ring_a1``), a1 * R**(pi/beta) above TOL_A1 * V * R
 TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
@@ -91,17 +92,19 @@ def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
     return np.array([0.1 * r_hi, r_hi])
 
 
-def _ring_a1(stream, corners, radii) -> np.ndarray:
+def _ring_a1(stream, corners, radii, R) -> np.ndarray:
     """a1 of each corner projected on the innermost and the outermost ring
     of its ``radii`` (one sequence per corner), all in one call of the
-    stream function ``stream``.
+    stream function ``stream``, in units of psi: a1 R**(pi/beta), R the
+    body's circumradius.
 
     The corner modes are orthogonal on one ring, so
-        a1(r) = (2/beta) r**(-pi/beta)
-                * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
+        a1(r) R**(pi/beta) = (2/beta) (r/R)**(-pi/beta)
+                             * int_0^beta psi(r, theta) sin(pi theta/beta) dtheta,
     here by RING_NODES-point Gauss-Legendre in theta.  Exact wherever the
     walls are straight out to r; on a panel flow the change of a1(r)
-    between the rings measures the discretization error.  Returns
+    between the rings measures the discretization error.  A body scaled
+    by 2**k scales these values as it scales psi.  Returns
     [a1(r_lo), a1(r_hi)] per corner, shape (..., len(corners), 2), the
     leading axes those of ``stream`` (3 for three unit columns).
     """
@@ -114,7 +117,7 @@ def _ring_a1(stream, corners, radii) -> np.ndarray:
             raise FitQualityError("need radii spanning a decade")
         beta = corner.exterior_angle_beta
         points.append(_ring_points(corner, rings, beta * s))
-        scales.append(rings ** (np.pi / beta))
+        scales.append((rings / R) ** (np.pi / beta))
     psi = np.asarray(stream(np.array(points)), dtype=float)
     # (2/beta) times the rule's Jacobian beta/2 is 1
     return psi @ (w * np.sin(np.pi * s)) / np.array(scales)
@@ -127,40 +130,46 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     of ``radii`` (``_ring_a1``), with the change from the innermost ring
     as its uncertainty, plus an independent exponent estimate from the
     log-log slope of the per-ring maximum speed on a deeper ring ladder
-    (local slopes extrapolated to r = 0 against the known next-mode gap
-    r**(pi/beta)).  ``singular`` means |a1| exceeds TOL_A1 times the
-    scale-invariant magnitude V R**(1-pi/beta), V the speed scale.
+    (``_exponent_slope``).  ``singular`` means |a1| exceeds TOL_A1 times
+    the scale-invariant magnitude V R**(1-pi/beta), V the speed scale,
+    tested in units of psi as |a1 R**(pi/beta)| > TOL_A1 V R; a1 and its
+    uncertainty are converted to physical units once, for the report.
     """
-    body_scale = flow.body.circumradius
+    R = flow.body.circumradius
     if radii is None:
-        radii = default_fit_radii(corner, body_scale)
+        radii = default_fit_radii(corner, R)
     radii = np.asarray(radii, dtype=float)
-    ((a1_lo, a1),) = _ring_a1(flow.stream, [corner], [radii])
+    ((a1_lo, a1),) = _ring_a1(flow.stream, [corner], [radii], R)
     beta = corner.exterior_angle_beta
-    slope = _exponent_slope(flow, corner, body_scale)
-    singular = bool(abs(a1) > TOL_A1 * flow.far.speed_scale(body_scale)
-                    * body_scale ** (1.0 - np.pi / beta))
+    slope = _exponent_slope(flow, corner, R)
+    singular = bool(abs(a1) > TOL_A1 * flow.far.speed_scale(R) * R)
     verdict = sign_attainment(flow, corner, radii.min())
+    to_physical = R ** (-np.pi / beta)
     return CornerReport(
-        corner_id=corner.corner_id, beta=float(beta),
-        a1=float(a1), a1_uncertainty=float(abs(a1 - a1_lo)),
+        corner_id=corner.corner_id, beta=float(beta), a1=float(a1 * to_physical),
+        a1_uncertainty=float(abs(a1 - a1_lo) * to_physical),
         fitted_exponent=float(slope),
         singular_exponent=np.pi / float(beta) - 1.0, singular=singular,
         sign_attainment=verdict)
 
 
-def _exponent_slope(flow, corner: Corner, body_scale: float) -> float:
+def _exponent_slope(flow, corner: Corner, R: float) -> float:
     """Velocity exponent from per-ring max speeds, with the local log-log
     slope extrapolated to the corner against the next-mode gap
-    r**(pi/beta) (the mode ladder is spaced by pi/beta in the exponent)."""
+    (r/R)**(pi/beta) (the mode ladder is spaced by pi/beta in the exponent).
+
+    The ladder is r_hi times six radii from 0.1 to 1, and the slopes are
+    those of log(|w| / V) against log(r / R), V the speed scale: a body
+    scaled by 2**k, or a free stream, reads the same fit to the bit."""
     beta = corner.exterior_angle_beta
-    r_hi = min(0.02 * body_scale, 0.4 * corner.clearance)
-    radii = np.geomspace(0.1 * r_hi, r_hi, 6)
+    r_hi = min(0.02 * R, 0.4 * corner.clearance)
+    radii = r_hi * np.geomspace(0.1, 1.0, 6)
     pts = probe_ring(corner, radii, SAMPLES_PER_RADIUS)
-    speeds = np.maximum(np.max(np.abs(np.asarray(flow.velocity(pts))), axis=1),
-                        1e-300)
-    local = np.diff(np.log(speeds)) / np.diff(np.log(radii))
-    x = np.sqrt(radii[:-1] * radii[1:]) ** (np.pi / beta)
+    speeds = np.maximum(np.max(np.abs(np.asarray(flow.velocity(pts))), axis=1)
+                        / flow.far.speed_scale(R), 1e-300)
+    u = radii / R
+    local = np.diff(np.log(speeds)) / np.diff(np.log(u))
+    x = np.sqrt(u[:-1] * u[1:]) ** (np.pi / beta)
     A = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(A, local, rcond=None)
     return float(coef[0])
@@ -271,23 +280,26 @@ class CensusResult:
     coincident_pairs: tuple
 
 
-def _affine_entries(corners, a0, slope, body_scale) -> list:
+def _affine_entries(corners, a0, slope, R) -> list:
     """Each corner's ``CornerCensusEntry`` from its line a0 + slope * Gamma
-    on the inner and the outer ring, shape (len(corners), 2) each: the
-    root -a0 / slope, slope and a0 of the outer ring, and the change of
-    the root between the rings as its uncertainty.  DegenerateKuttaError
-    names the first corner whose a1 does not respond to circulation,
-    |slope| < 1e-12 * R**(-pi/beta) on either ring."""
+    on the inner and the outer ring, shape (len(corners), 2) each, in the
+    units of psi of ``_ring_a1``: the root -a0 / slope, which a body
+    scaled by 2**k scales by 2**k exactly, slope and a0 of the outer ring
+    in physical units (times R**(-pi/beta)), and the change of the root
+    between the rings as its uncertainty.  DegenerateKuttaError names the
+    first corner whose a1 does not respond to circulation, |slope| < 1e-12
+    on either ring (slope is dimensionless in units of psi)."""
     entries = []
     for corner, a, s in zip(corners, a0, slope):
-        beta = corner.exterior_angle_beta
-        if np.min(np.abs(s)) < 1e-12 * body_scale ** (-np.pi / beta):
+        if np.min(np.abs(s)) < 1e-12:
             raise DegenerateKuttaError(
                 f"a1 at corner {corner.corner_id} does not respond to circulation")
         roots = -a / s
+        to_physical = R ** (-np.pi / corner.exterior_angle_beta)
         entries.append(CornerCensusEntry(
-            corner_id=corner.corner_id, root=float(roots[1]), slope=float(s[1]),
-            a1_at_zero=float(a[1]), root_uncertainty=float(abs(roots[1] - roots[0]))))
+            corner_id=corner.corner_id, root=float(roots[1]),
+            slope=float(s[1] * to_physical), a1_at_zero=float(a[1] * to_physical),
+            root_uncertainty=float(abs(roots[1] - roots[0]))))
     return entries
 
 

@@ -531,8 +531,8 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         summary["errors"].append(entry)
         code = 1
     except (np.linalg.LinAlgError, MemoryError, OverflowError) as exc:
-        # numpy raises MemoryError's subclass _ArrayMemoryError; a float
-        # overflows in Python arithmetic on lengths near 1e154 and beyond
+        # numpy raises MemoryError's subclass _ArrayMemoryError; Python float
+        # arithmetic raises OverflowError where numpy would return inf
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         summary["errors"].append({"type": name, "message": str(exc)})
         code = 1

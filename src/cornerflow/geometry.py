@@ -112,10 +112,13 @@ def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
 
 
 def _segment_distance(z, a, b):
-    """Distance from the points z to the segment [a, b]."""
-    d = b - a
-    t = np.clip(((z - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
-    return np.abs(z - a - t * d)
+    """Distance from the points z to the segment [a, b], projected in the
+    power-of-two frame of b - a, where |b - a| lies in [1/2, 1): no
+    physical length is squared."""
+    s = _frame(b - a)
+    d, za = (b - a) / s, (z - a) / s
+    t = np.clip((za * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+    return np.abs(za - t * d) * s
 
 
 def _segments_intersect(a0, a1, b0, b1) -> bool:
@@ -338,10 +341,14 @@ class Polygon:
 
     def contains(self, z) -> np.ndarray:
         """Even-odd point-in-polygon test (boundary counts as inside), made
-        only within R (1 + 1e-9) of the centroid, where all inside lies."""
+        only within R (1 + 1e-9) of the centroid, where all inside lies,
+        and in the power-of-two frame of the vertices: the crossings are
+        quadratic in lengths."""
         z = np.asarray(z, dtype=complex)
         inside = np.asarray(np.abs(z - self.centroid) <= self.circumradius * (1 + 1e-9))
-        v, w, zc = self.vertex_array, np.roll(self.vertex_array, -1), z[inside, None]
+        s = _frame(self.vertex_array)
+        v, zc = self.vertex_array / s, z[inside, None] / s
+        w = np.roll(v, -1)
         cond = (v.imag > zc.imag) != (w.imag > zc.imag)
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = v.real + (zc.imag - v.imag) * (w.real - v.real) / (w.imag - v.imag)

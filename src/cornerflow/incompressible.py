@@ -772,12 +772,13 @@ class _System:
 def _corner_a1(body: Body, stream) -> np.ndarray:
     """a1 of every protruding corner on its two ``default_fit_radii``
     rings for each of three unit columns, whose psi ``stream`` gives with
-    shape (3,) + z.shape: shape (3, corners, 2), so that
-    a1 = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
+    shape (3,) + z.shape: shape (3, corners, 2), in the units of psi of
+    ``analysis._ring_a1``, so that
+    a1 R**(pi/beta) = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
     R = body.circumradius
     corners = [c for c in body.corners if c.protruding]
     return analysis._ring_a1(stream, corners,
-                             [analysis.default_fit_radii(c, R) for c in corners])
+                             [analysis.default_fit_radii(c, R) for c in corners], R)
 
 
 def _system_rows(nodes, closed):

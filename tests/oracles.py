@@ -49,8 +49,8 @@ def affine_corner(flow0, flow1, corners) -> list:
         raise DegenerateKuttaError("two flows at one circulation fix no line in Gamma")
     body_scale = flow0.body.circumradius
     radii = [default_fit_radii(c, body_scale) for c in corners]
-    a0 = _ring_a1(flow0.stream, corners, radii)
-    slope = (_ring_a1(flow1.stream, corners, radii) - a0) / gamma1
+    a0 = _ring_a1(flow0.stream, corners, radii, body_scale)
+    slope = (_ring_a1(flow1.stream, corners, radii, body_scale) - a0) / gamma1
     return _affine_entries(corners, a0, slope, body_scale)
 
 

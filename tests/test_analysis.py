@@ -146,6 +146,51 @@ class TestFitCorner:
             fit_corner(flow, wedge_corner(1.5 * np.pi),
                        radii=[0.05, 0.07, 0.1])
 
+    @pytest.mark.parametrize("make", [
+        lambda s: exact_flow(FlatPlate(4.0 * s, np.pi / 6), FarField(1.0, 0.0)),
+        # the Kutta root scales with the plate to the bit (TestCornerCensus)
+        lambda s: panel_solve(FlatPlate(4.0 * s, np.pi / 6), FarField(
+            1.0, s * kutta_solve(FlatPlate(4.0, np.pi / 6), 1.0, 0, 512).root),
+            512).flow,
+        lambda s: panel_solve(Polygon([s * v for v in TRIANGLE.vertices]),
+                              FarField(1.0, 0.0), 256).flow],
+        ids=["plate-exact", "plate-kutta-512", "triangle-256"])
+    def test_fit_scales_with_the_body_to_the_bit(self, make):
+        # a1 and its singular test are in units of psi, the exponent fit
+        # in r / R and |w| / V: a body scaled by 2**k reads the unit fit,
+        # a1 and its uncertainty scaled by 2**(k (1 - pi / beta)) once.
+        # At 2**600 the fit raised LinAlgError; at 2**-600 the plate's
+        # leading edge read -0.4557 against -0.4945
+        unit = make(1.0)
+        for k in (600, -600):
+            scale = 2.0**k
+            flow = make(scale)
+            for corner, scaled in zip(unit.body.corners, flow.body.corners):
+                e, f = fit_corner(unit, corner), fit_corner(flow, scaled)
+                for field in ("fitted_exponent", "singular", "sign_attainment",
+                              "beta"):
+                    assert getattr(f, field) == getattr(e, field)
+                length = scale ** (1.0 - np.pi / e.beta)
+                for field in ("a1", "a1_uncertainty"):
+                    assert getattr(f, field) == pytest.approx(
+                        getattr(e, field) * length, rel=1e-15, abs=0.0)
+
+    def test_exact_plate_exponent_does_not_depend_on_the_units(self):
+        # the 30-degree plate at Gamma = 0 reads one exponent at any chord
+        # and any free stream, where the fit read 0.0 at chord 4e100
+        # (x = r**(pi/beta) in physical lengths), -0.4207 at 4e-100 and
+        # 0.0 at w_inf = 1e-305 (|w| floored at 1e-300)
+        def leading(chord, w_inf):
+            plate = FlatPlate(chord, np.pi / 6)
+            flow = exact_flow(plate, FarField(w_inf, 0.0))
+            return fit_corner(flow, plate.corners[1]).fitted_exponent
+
+        unit = leading(4.0, 1.0)
+        assert unit == pytest.approx(-0.4832, abs=1e-4)
+        for chord, w_inf in [(4e100, 1.0), (4e-100, 1.0), (4e300, 1.0),
+                             (4e-300, 1.0), (4.0, 1e-305), (4.0, 1e300)]:
+            assert leading(chord, w_inf) == pytest.approx(unit, abs=1e-12)
+
     def test_plate_alpha_zero_both_corners_regular(self):
         flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
         for corner in flow.body.corners:
@@ -451,8 +496,8 @@ class TestCornerCensus:
         # corner 0's Gamma column reads 0; a Kutta root at corner 1 is found
         ring_a1 = analysis._ring_a1
 
-        def deaf_corner_0(stream, corners, radii):
-            a1 = ring_a1(stream, corners, radii)
+        def deaf_corner_0(stream, corners, radii, R):
+            a1 = ring_a1(stream, corners, radii, R)
             a1[2, [c.corner_id for c in corners].index(0)] = 0.0
             return a1
 
@@ -489,16 +534,17 @@ class TestCornerCensus:
                                    representation) == f
 
     @pytest.mark.parametrize("scale, shift, tol", [
-        (1e150, 0, 5e-13), (1e-150, 0, 5e-13), (2.0**400, 0, 2e-15),
-        (2.0**-400, 0, 2e-15), (1.0, 3 - 2j, 5e-13), (1e150, 3 - 2j, 5e-13)],
+        (1e150, 0, 5e-13), (1e-150, 0, 5e-13), (2.0**400, 0, 0.0),
+        (2.0**-400, 0, 0.0), (1.0, 3 - 2j, 5e-13), (1e150, 3 - 2j, 5e-13)],
         ids=["1e150", "1e-150", "2**400", "2**-400", "shift", "shift-1e150"])
     def test_census_verdict_does_not_depend_on_the_body_size(self, scale, shift, tol):
         # the polygon's centroid and orientation are formed in a power-of-two
         # frame: at 1e150 the centroid was NaN and the panel system refused
-        # its condition number.  The panel layer works on (z - c) / R, so
-        # roots scale with the body, moved by shift and then scaled, to
-        # tol |w_inf| R: 8.9e-16 and 0 measured at 2**+-400, where the unit
-        # frame holds the same nodes; 1.4e-13 and 2.0e-14 at 1e+-150 and
+        # its condition number.  The panel layer works on (z - c) / R and the
+        # ring projections on r / R, so roots scale with the body, moved by
+        # shift and then scaled, to tol |w_inf| R: exactly at 2**+-400, where
+        # the unit frame holds the same nodes (8.9e-16 off while a1 was
+        # divided by r**(pi/beta)); 1.4e-13 and 2.0e-14 at 1e+-150 and
         # 8.8e-14 and 9.5e-14 shifted (6.4e-13 to 2.7e-12 in physical lengths)
         unit = corner_census(TRIANGLE, 1.0, 256)
         census = corner_census(

@@ -3,12 +3,14 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,46 @@ def minimal_cfg(**kw):
 
 PLATE = {"kind": "flat_plate", "chord": 4.0, "alpha_deg": 30.0}
 TRIANGLE = {"kind": "polygon", "vertices": [[1, 0], [-0.5, 0.87], [-0.5, -0.87]]}
+# summary floats that are lengths, circulations or forces: one power of length
+LENGTH_KEYS = {"chord", "vertices", "radius", "circulation", "mass_flux", "c1",
+               "re_c1", "gamma_estimate", "gamma", "gamma_star", "uncertainty",
+               "drag", "lift", "kutta_joukowsky_lift", "quadrature_error",
+               "circulation_of_strengths", "root", "root_uncertainty",
+               "sweep_gammas"}
+
+
+def length_dimension(key, beta):
+    """The power of length of the summary float under ``key``, at a corner
+    of fluid-side angle beta: a1 carries R**(1 - pi/beta) and its slope in
+    Gamma R**(-pi/beta), as exact fractions of the float pi/beta."""
+    if key in ("a1", "a1_uncertainty", "a1_at_zero"):
+        return 1 - Fraction(np.pi / beta)
+    if key in ("slope", "a1_slope"):
+        return -Fraction(np.pi / beta)
+    return Fraction(key in LENGTH_KEYS)
+
+
+def assert_scaled(got, want, k, betas, key=None, beta=None):
+    """Summary ``got`` is ``want`` of the body scaled by 2**k: every float
+    times 2**(k m), m its length dimension, to the bit where k m is an
+    integer and to 1e-12 relative elsewhere; all else equal."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        beta = betas.get(want.get("corner_id"), beta)
+        for name in want:
+            assert_scaled(got[name], want[name], k, betas, name, beta)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            assert_scaled(g, w, k, betas, key, beta)
+    elif isinstance(want, float):
+        km = k * length_dimension(key, beta)
+        if km.denominator == 1:
+            assert got == math.ldexp(want, int(km)), (key, got, want)
+        else:
+            assert got == pytest.approx(want * 2.0 ** float(km), rel=1e-12, abs=0.0)
+    else:
+        assert got == want, key
 
 
 class TestValidation:
@@ -720,6 +762,28 @@ class TestRun:
         assert exact["kutta"]["method"] == "conformal_map"
         assert panel["kutta"]["method"] == "panel_affine_root"
         assert exact["kutta"].keys() == panel["kutta"].keys() - {"n_panels"}
+
+    @pytest.mark.parametrize("name", ["plate30", "triangle_census"])
+    def test_bundled_run_scales_with_the_body_to_the_bit(self, tmp_path, name):
+        # one length scale R in every layer: the body times 2**+-600 exits 0
+        # and writes the unit summary scaled by its powers of two.  The
+        # plate exited 1 at 2**600 (LinAlgError in the exponent fit, then an
+        # OverflowError of a squared edge length), and the triangle counted
+        # a bounded negative sign component
+        cfg = json.loads(resolve_scenario_path(f"{name}.json").read_text())
+        betas = {c.corner_id: c.exterior_angle_beta
+                 for c in body_from_config(cfg["body"]).corners}
+        overrides = ["output.sign_resolution=100"]
+        assert run(f"{name}.json", tmp_path / "unit", overrides) == 0
+        unit = json.loads((tmp_path / "unit" / "summary.json").read_text())
+        for k in (600, -600):
+            s = 2.0**k
+            body = ([f"body.chord={s * cfg['body']['chord']!r}"] if name == "plate30"
+                    else ["body.vertices="
+                          + json.dumps([[s * x, s * y] for x, y in cfg["body"]["vertices"]])])
+            assert run(f"{name}.json", tmp_path / str(k), overrides + body) == 0
+            got = json.loads((tmp_path / str(k) / "summary.json").read_text())
+            assert_scaled(got, unit, k, betas)
 
     def test_census_verdict_reads_the_least_singular_count(self, tmp_path):
         # the square's corners 0 and 2 share a root, 1 and 3 do not: two

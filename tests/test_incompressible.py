@@ -250,6 +250,20 @@ def test_fluid_domain_guard_matches_the_unfiltered_check(body):
         else:
             assert np.array_equal(flow._unit(z), (z - c) / R)
     assert np.any(body.occupies(sets[1], tol))
+    # the same points about the body scaled by 2**+-600 get the unit body's
+    # verdicts: contains and the segment distances of near work in
+    # power-of-two frames (a squared length overflowed at 2**600 and
+    # underflowed at 2**-600)
+    for k in (600, -600):
+        s = 2.0**k
+        big = (Circle(s * body.radius) if body.kind == "circle"
+               else FlatPlate(s * body.chord, body.alpha) if body.kind == "flat_plate"
+               else Polygon([s * v for v in body.vertices]))
+        for z in sets:
+            assert np.array_equal(big.contains(s * z), body.contains(z))
+            assert np.array_equal(big.occupies(s * z, s * tol), body.occupies(z, tol))
+            for pad in (tol, 0.1 * R):
+                assert np.array_equal(big.near(s * z, s * pad), body.near(z, pad))
 
 
 def even_odd(polygon, z):
