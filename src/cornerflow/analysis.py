@@ -303,7 +303,7 @@ def _affine_entries(corners, a0, slope, R) -> list:
     return entries
 
 
-def corner_census(body: Body, w_inf: complex, n_panels: int, gamma_grid=None,
+def corner_census(body: Body, w_inf: complex, n_panels: int,
                   representation: str = "panel") -> CensusResult:
     """Affine a1(Gamma) census over all protruding corners of a body.
 
@@ -313,10 +313,10 @@ def corner_census(body: Body, w_inf: complex, n_panels: int, gamma_grid=None,
     flows at Gamma = 0 and Gamma = V R (V the speed scale at Gamma = 0)
     pass the slip gate.  The census reads off the roots and the least
     singular count from the lines' regular intervals, root +-
-    TOL_A1 V R**(1 - pi/beta) / |slope|, by one sort of their ends; unless
-    ``gamma_grid`` is given it sweeps a 33-point grid spanning all roots
-    with margin as a redundancy check.  Root coincidence and the margin
-    scale with V R, and the singular threshold with V.
+    TOL_A1 V R**(1 - pi/beta) / |slope|, by one sort of their ends, and
+    sweeps a 33-point grid spanning all roots with margin as a redundancy
+    check.  Root coincidence and the margin scale with V R, and the
+    singular threshold with V.
     """
     from .incompressible import FarField, _affine_corners  # deferred: avoids cycle
 
@@ -333,11 +333,9 @@ def corner_census(body: Body, w_inf: complex, n_panels: int, gamma_grid=None,
     coincident = [(a.corner_id, b.corner_id) for a, b in combinations(entries, 2)
                   if abs(a.root - b.root) < coincidence_tol]
 
-    if gamma_grid is None:
-        lo, hi = roots.min(), roots.max()
-        margin = max(0.25 * (hi - lo), 0.1 * scale)
-        gamma_grid = np.linspace(lo - margin, hi + margin, 33)
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
+    lo, hi = roots.min(), roots.max()
+    margin = max(0.25 * (hi - lo), 0.1 * scale)
+    gamma_grid = np.linspace(lo - margin, hi + margin, 33)
 
     singular_above = [TOL_A1 * V * R ** (1.0 - np.pi / c.exterior_angle_beta)
                       for c in corners]

@@ -1,8 +1,8 @@
 """Scenario runner: JSON config in, JSON summary and CSV fields out.
 
 A scenario names a body, a gas, a flow (exactly one of a prescribed
-circulation, a Kutta corner, or a sweep), and the analyses to run; ``KEYS``
-states each key's rule and default once.  Outputs are deterministic for a
+circulation or a Kutta corner), and the analyses to run; ``KEYS`` states
+each key's rule and default once.  Outputs are deterministic for a
 fixed config: no randomness, no timestamps, sorted keys.
 
 Exit codes: 0 success, 1 solver error or non-finite result (structured
@@ -115,9 +115,6 @@ KEYS = {
     "flow.w_inf": _Key(lambda v: _is_number(v) and v >= 0, "a number >= 0", REQUIRED),
     "flow.gamma": _Key(_is_number, "a finite number", None),
     "flow.kutta_corner": _Key(_is_int, "the id of a protruding corner", None),
-    "flow.gamma_sweep": _Key(lambda v: v is None or isinstance(v, list) and v
-                             and all(_is_number(g) for g in v),
-                             "null or a nonempty list of finite numbers", None),
     "analyses": _Key(lambda v: isinstance(v, list), "a list of names from "
                      + ", ".join(ANALYSES), (), each=lambda v: v in ANALYSES),
     "solver.n_panels": _Key(
@@ -198,10 +195,10 @@ def validate_scenario(cfg: dict) -> dict:
         for i, item in enumerate(value if key.each else ()):  # a list: test passed
             _require(key.each(item), message, f"{path}[{i}]")
     body = built()  # the rules across keys
-    _require(len({"gamma", "kutta_corner", "gamma_sweep"} & set(cfg["flow"])) == 1,
-             "exactly one of gamma, kutta_corner, gamma_sweep", "$.flow")
+    _require(len({"gamma", "kutta_corner"} & set(cfg["flow"])) == 1,
+             "exactly one of gamma, kutta_corner", "$.flow")
     # a subnormal speed scale underflows every tolerance it sizes; a Kutta
-    # or sweep run also solves its flows at Gamma = 0
+    # run also solves its flows at Gamma = 0
     far = FarField(_get(cfg, "flow.w_inf"), _get(cfg, "flow.gamma") or 0.0)
     try:
         far.speed_scale(body.circumradius)
@@ -260,7 +257,7 @@ def _resolve_flow(cfg: dict, body, summary: dict):
     gamma, corner_id = _get(cfg, "flow.gamma"), _get(cfg, "flow.kutta_corner")
     if gamma is not None:
         gamma = float(gamma)
-    elif corner_id is not None:  # in the representation the flow is solved in
+    else:  # a Kutta corner, in the representation the flow is solved in
         e = kutta_solve(body, w_inf, int(corner_id), n_panels, representation)
         gamma = e.root
         summary["kutta"] = {
@@ -268,8 +265,6 @@ def _resolve_flow(cfg: dict, body, summary: dict):
             "a1_at_zero": e.a1_at_zero, "a1_slope": e.slope,
             "uncertainty": e.root_uncertainty,
             "method": "conformal_map" if representation == "exact" else "panel_affine_root"}
-    else:
-        gamma = 0.0  # sweep scenarios analyse the census, not one flow
 
     far = FarField(w_inf=w_inf, circulation=gamma)
     exact = exact_flow(body, far)
@@ -339,7 +334,6 @@ def _run_corner_fits(cfg, flow, body, far, summary, out):
 def _run_census(cfg, flow, body, far, summary, out):
     census = analysis.corner_census(body, float(_get(cfg, "flow.w_inf")),
                                     int(_get(cfg, "solver.n_panels", body)),
-                                    _get(cfg, "flow.gamma_sweep"),
                                     _get(cfg, "solver.representation", body))
     summary["census"] = {
         **asdict(census),
@@ -488,7 +482,7 @@ def _null_non_finite(node, path, found):
     return node
 
 
-def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
+def run(scenario_path, out_dir=None, overrides=()) -> int:
     """Run one scenario; returns the process exit code."""
     try:
         path = resolve_scenario_path(str(scenario_path))
@@ -547,10 +541,6 @@ def run(scenario_path, out_dir=None, overrides=(), verbosity: int = 0) -> int:
         code = 1
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    if verbosity > 0:
-        print(f"wrote {out / 'summary.json'}", file=sys.stderr)
-    if verbosity > 1:
-        print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
     return code
 
 
@@ -562,14 +552,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("scenario", help="path to scenario JSON or bundled name")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--verbosity", type=int, default=0)
     p_run.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a config entry, e.g. flow.gamma=1.5")
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.scenario, args.out, args.override, args.verbosity)
-    return 2
+    args = parser.parse_args(argv)  # the one subcommand, run, is required
+    return run(args.scenario, args.out, args.override)
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ normalized so pi(0) = 0, giving pi(rho) = gamma/(gamma-1) * rho**(gamma-1)
 and sound speed c = sqrt(gamma * rho**(gamma-1)).
 
 A ``BernoulliState`` fixes the global constant B = q**2/2 + pi(rho) of an
-irrotational flow and provides the two inversions used by the solvers:
+irrotational flow and provides two inversions:
 
-* ``density_from_speed``: rho(q) on [0, limit_speed), the direct inverse
-  of the enthalpy;
 * ``density_from_flux``: rho(m) for the half-squared mass flux
   m = |grad psi|**2 / 2 = (rho*q)**2 / 2, on the subsonic branch
-  [0, flux_max_m).  The branch boundary is the sonic point q = c.
+  [0, flux_max_m), the one the solvers use.  The branch boundary is the
+  sonic point q = c.
+* ``density_from_speed``: rho(q) on [0, limit_speed), the direct inverse
+  of the enthalpy; no solver calls it, and the tests check the flux
+  inversion against it.
 
 The free-stream density is 1: at a given free-stream Mach number, the
 flow with free-stream density r is the unit-density flow with rho scaled

@@ -360,6 +360,14 @@ class TestFarFieldFit:
         with pytest.raises(FluidDomainError):
             farfield_fit(flow, r_list=[2.0, 3.0])
 
+    def test_a_term_beyond_the_fit_is_refused(self):
+        # 10/z**3 lies outside {1, 1/z, 1/z**2}: the residual is its size
+        # on the inner circle, 1e-2 at r = 10R, against 1e-3 V
+        flow = SimpleNamespace(body=Circle(1.0), far=FarField(1.0),
+                               velocity=lambda z: 1.0 + 10.0 / z**3)
+        with pytest.raises(FitQualityError, match="far-field fit residual 0.01 "):
+            farfield_fit(flow)
+
 
 class TestAffinity:
     def test_a1_affine_in_gamma(self):
@@ -373,6 +381,10 @@ class TestAffinity:
 
 
 class TestCornerCensus:
+    def test_needs_two_protruding_corners(self):
+        with pytest.raises(FluidDomainError, match="at least two protruding corners"):
+            corner_census(Circle(1.0), 1.0, 64)
+
     def test_triangle_census(self):
         census = corner_census(TRIANGLE, 1.0, n_panels=192)
         roots = [e.root for e in census.corners]

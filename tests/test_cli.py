@@ -155,7 +155,6 @@ KEY_CASES = [
     ("flow.w_inf", -1.0, None, []),
     ("flow.gamma", None, None, []),
     ("flow.kutta_corner", 1.5, PLATE, ['flow={"w_inf": 1.0, "kutta_corner": 0}']),
-    ("flow.gamma_sweep", [], None, ['flow={"w_inf": 1.0, "gamma_sweep": null}']),
     ("analyses", ["plot"], None, []),
     ("solver.n_panels", 23, TRIANGLE, []),
     ("solver.representation", "panels", None, []),
@@ -172,6 +171,8 @@ KEY_CASES = [
 # keys the schema no longer has: any value exits 2, named as an unknown key
 RETIRED_KEY_CASES = [
     ("body.alpha", "0.5", PLATE, []),
+    # a Gamma sweep: the census sweeps its own grid, and its verdict is exact
+    ("flow.gamma_sweep", [0.0, 1.0], None, []),
 ]
 
 
@@ -190,7 +191,9 @@ class TestKeys:
         p = tmp_path / "s.json"
         p.write_text(json.dumps(cfg))
         assert run(p, tmp_path / "out", [f"{key}={json.dumps(bad)}"]) == 2
-        assert f"config error: $.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: $.{key}" in err
+        assert (key in cli.KEYS) != (f"unknown key {key.split('.')[-1]!r}" in err)
         assert not (tmp_path / "out").exists()
         if key in cli.KEYS and cli.KEYS[key].default is cli.REQUIRED:
             *parents, name = key.split(".")
@@ -453,7 +456,8 @@ class TestRun:
          "$.solver.grid.n_r"),
         (None, ['analyses=["field_export"]', 'output.field_resolution="x"'],
          "$.output.field_resolution"),
-        (None, ['flow={"w_inf": 1.0, "gamma_sweep": [1.0, "a"]}'],
+        # a retired key, whatever its value
+        (None, ['flow={"w_inf": 1.0, "gamma": 0.0, "gamma_sweep": [1.0, "a"]}'],
          "$.flow.gamma_sweep"),
         (None, ["solver.grid.r_far=-1.0"], "$.solver.grid.r_far"),
         (None, ["solver.study.grids=[[64]]"], "$.solver.study.grids"),
@@ -763,8 +767,10 @@ class TestRun:
         assert panel["kutta"]["method"] == "panel_affine_root"
         assert exact["kutta"].keys() == panel["kutta"].keys() - {"n_panels"}
 
-    @pytest.mark.parametrize("name", ["plate30", "triangle_census"])
-    def test_bundled_run_scales_with_the_body_to_the_bit(self, tmp_path, name):
+    @pytest.mark.parametrize("name, extra", [
+        ("plate30", []), ("plate30", ["solver.representation=exact"]),
+        ("triangle_census", [])], ids=["plate30", "plate30-exact", "triangle_census"])
+    def test_bundled_run_scales_with_the_body_to_the_bit(self, tmp_path, name, extra):
         # one length scale R in every layer: the body times 2**+-600 exits 0
         # and writes the unit summary scaled by its powers of two.  The
         # plate exited 1 at 2**600 (LinAlgError in the exponent fit, then an
@@ -773,7 +779,7 @@ class TestRun:
         cfg = json.loads(resolve_scenario_path(f"{name}.json").read_text())
         betas = {c.corner_id: c.exterior_angle_beta
                  for c in body_from_config(cfg["body"]).corners}
-        overrides = ["output.sign_resolution=100"]
+        overrides = ["output.sign_resolution=100", *extra]
         assert run(f"{name}.json", tmp_path / "unit", overrides) == 0
         unit = json.loads((tmp_path / "unit" / "summary.json").read_text())
         for k in (600, -600):
@@ -906,6 +912,20 @@ class TestRun:
         p = tmp_path / "s.json"
         p.write_text(json.dumps(cfg))
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "circle.json", "--verbosity", "1"],
+         "unrecognized arguments: --verbosity 1"),
+        ([], "the following arguments are required: command"),
+    ], ids=["verbosity", "no-command"])
+    def test_main_refuses_other_arguments(self, tmp_path, capsys, monkeypatch,
+                                          argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestExportField:

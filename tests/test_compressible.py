@@ -88,6 +88,8 @@ class TestBuildGrid:
             build_grid(Circle(1.0), FAR, 50.0, 8, 128)
         with pytest.raises(InvalidGeometryError):
             build_grid(Circle(1.0), FAR, 50.0, 64, 8)
+        with pytest.raises(InvalidGeometryError, match="n_theta must be even"):
+            build_grid(Circle(1.0), FAR, 50.0, 64, 33)
         with pytest.raises(InvalidGeometryError):
             build_grid(Circle(1.0), FAR, 5.0, 64, 128)  # outer ring too close
 
@@ -144,6 +146,21 @@ class TestCircleSolve:
         with pytest.raises(SonicExcursionError) as err:
             solve_subsonic(grid, state)
         assert err.value.m_value >= err.value.m_max
+
+    def test_post_processing_refuses_a_sonic_node(self):
+        # the converged M 0.3 flow read against B = 1.75, whose sonic flux
+        # bound the top of the circle, node (0, n_theta / 4), exceeds: the
+        # post-processing forms no density past it
+        state, far = free_stream(0.3)
+        grid = build_grid(Circle(1.0), far, 50.0, 32, 64)
+        sol = solve_subsonic(grid, state)
+        with pytest.raises(SonicExcursionError,
+                           match=r"at node \(0, 16\), z=") as err:
+            compressible._postprocess(grid, BernoulliState(GAS, 1.75), sol.psi_pert,
+                                      sol.residuals, sol.linear_residuals,
+                                      sol.linear_iterations)
+        assert err.value.m_value >= err.value.m_max
+        assert err.value.location == pytest.approx(1j, abs=1e-15)
 
     def test_accepted_solution_strictly_subsonic(self):
         state, far = free_stream(0.3)
@@ -668,6 +685,27 @@ class TestFewerPicardSteps:
         bal, scale = grid.cell_residual(compressible._differences(psi_0),
                                         h_xf, h_tf)
         assert sol.residuals[0] == float(np.max(np.abs(bal)) / scale)
+
+    def test_dependent_steps_mix_to_nothing(self, monkeypatch):
+        # a repeated f makes the equilibrated Gram matrix all ones: its solve
+        # raises inside mix, which then returns no mixed iterate
+        solve, raised = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(a.copy())
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        mixer = compressible._Anderson(compressible.ANDERSON_DEPTH)
+        f = np.arange(1.0, 7.0).reshape(2, 3)
+        assert mixer.mix(f, f) is None  # no earlier step
+        assert raised == []
+        assert mixer.mix(2.0 * f, f) is None
+        assert len(raised) == 1 and np.all(raised[0] == 1.0)
+        assert len(mixer.ys) == 2
 
     def test_mixing_halves_the_steps_of_a_circle(self, monkeypatch):
         # 64 x 128 circle at M 0.34: plain Picard takes 29 steps

@@ -5,6 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from cornerflow.errors import FluidDomainError
 from cornerflow.forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from cornerflow.geometry import Circle, CircleContour, FlatPlate
 from cornerflow.incompressible import FarField, exact_flow, panel_solve
@@ -107,6 +108,11 @@ class TestBlasius:
         assert f.lift == pytest.approx(kj, rel=0.01)
         assert f.lift > 0  # negative circulation lifts upward
         assert abs(f.drag) < 1e-3 * abs(kj)
+
+    def test_contour_must_clear_the_body(self):
+        flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
+        with pytest.raises(FluidDomainError, match="contour touches the body"):
+            blasius_force(flow, CircleContour(0j, 1.0, 64))
 
     def test_dalembert_converged_panel(self):
         sol = panel_solve(Circle(1.0), FarField(1.0, 2.0), 256)

@@ -75,6 +75,11 @@ class TestGasModel:
         with pytest.raises(GasDomainError):
             GasModel(1.4).mach(1.0, 0.0)
 
+    def test_enthalpy_inverse_needs_nonnegative_enthalpy(self):
+        assert GasModel(2.0).enthalpy_pi_inverse(2.0) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(GasDomainError, match="enthalpy must be nonnegative"):
+            GasModel(2.0).enthalpy_pi_inverse(np.array([1.0, -1e-300]))
+
 
 class TestBernoulliState:
     def test_limit_speed_and_stagnation(self):
@@ -91,6 +96,20 @@ class TestBernoulliState:
     def test_density_vanishes_at_limit_speed(self):
         st = BernoulliState(GasModel(1.4), 3.0)
         assert st.density_from_speed(st.limit_speed * (1 - 1e-9)) < 1e-5
+
+    @pytest.mark.parametrize("B", [0.0, -1.0])
+    def test_bernoulli_constant_must_be_positive(self, B):
+        with pytest.raises(GasDomainError, match="Bernoulli constant must be positive"):
+            BernoulliState(GasModel(1.4), B)
+
+    @pytest.mark.parametrize("mach_inf", [-0.1, 1.0])
+    def test_free_stream_mach_must_be_subsonic(self, mach_inf):
+        with pytest.raises(GasDomainError, match=r"free-stream Mach must lie in \[0, 1\)"):
+            BernoulliState.from_free_stream(GasModel(1.4), mach_inf)
+
+    def test_density_from_speed_needs_nonnegative_speed(self):
+        with pytest.raises(GasDomainError, match="speed must be nonnegative"):
+            BernoulliState(GasModel(1.4), 3.0).density_from_speed(np.array([0.5, -0.5]))
 
     def test_limit_speed_error(self):
         st = BernoulliState(GasModel(1.4), 3.0)

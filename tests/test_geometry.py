@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from cornerflow.errors import GeometryClipError, InvalidGeometryError
-from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
-                                 _segment_distance, classify_corners, probe_ring)
+from cornerflow.errors import (GeometryClipError, InvalidGeometryError,
+                               UnsupportedBodyError)
+from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate, Polygon,
+                                 _segment_distance, body_from_config,
+                                 classify_corners, probe_ring)
 from oracles import local_polar
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -69,9 +71,15 @@ class TestClassifyCorners:
             classify_corners(list(reversed(SQUARE)))
 
     def test_rejects_self_intersection(self):
-        bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
-        with pytest.raises(InvalidGeometryError):
-            classify_corners(bowtie)
+        # counterclockwise (signed area +4), so only the crossing refuses it;
+        # a bowtie has area 0 and is refused as clockwise
+        pentagon = [(0, 0), (4, 0), (4, 3), (1, -1), (0, 3)]
+        with pytest.raises(InvalidGeometryError, match="self-intersects"):
+            classify_corners(pentagon)
+
+    def test_rejects_vertices_that_are_no_pairs(self):
+        with pytest.raises(InvalidGeometryError, match=r"an \(n, 2\) array"):
+            classify_corners(np.zeros((4, 3)))
 
     def test_rejects_repeated_vertices(self):
         with pytest.raises(InvalidGeometryError):
@@ -86,7 +94,38 @@ class TestClassifyCorners:
             classify_corners([(0, 0), (1, 0)])
 
 
+class TestCorner:
+    def test_accepts_a_wedge(self):
+        corner = Corner(0j, 1.5 * np.pi, (1.0 + 0j, -1j))
+        assert corner.protruding
+
+    @pytest.mark.parametrize("beta, sides, message", [
+        (0.0, (1.0, 1.0), "outside"),
+        (2.5 * np.pi, (1.0, 1j), "outside"),
+        (np.pi, (1.0, -1.0), "is not a corner"),
+        (1.5 * np.pi, (2.0, -2j), "unit length"),
+        (1.5 * np.pi, (1.0, 1j), "!= beta"),
+    ], ids=["zero", "above-2pi", "straight", "not-unit", "other-angle"])
+    def test_refuses_an_inconsistent_wedge(self, beta, sides, message):
+        with pytest.raises(InvalidGeometryError, match=message):
+            Corner(0j, beta, tuple(complex(d) for d in sides))
+
+
 class TestBodies:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Circle(0.0), "radius must be positive"),
+        (lambda: Circle(-1.0), "radius must be positive"),
+        (lambda: FlatPlate(0.0, 0.0), "chord must be positive"),
+        (lambda: FlatPlate(-4.0, 0.5), "chord must be positive"),
+    ], ids=["circle-0", "circle-negative", "plate-0", "plate-negative"])
+    def test_refuses_a_non_positive_size(self, make, message):
+        with pytest.raises(InvalidGeometryError, match=message):
+            make()
+
+    def test_body_from_config_refuses_an_unknown_kind(self):
+        with pytest.raises(UnsupportedBodyError, match="unknown body kind 'square'"):
+            body_from_config({"kind": "square", "side": 1.0})
+
     def test_flat_plate_two_corners(self):
         plate = FlatPlate(chord=4.0, alpha=np.pi / 6)
         assert len(plate.corners) == 2
@@ -195,6 +234,11 @@ class TestProbeRing:
         corner = classify_corners(SQUARE)[0]
         with pytest.raises(GeometryClipError):
             probe_ring(corner, [0.0], 4)
+
+    def test_rejects_zero_samples(self):
+        corner = classify_corners(SQUARE)[0]
+        with pytest.raises(GeometryClipError, match="at least one sample"):
+            probe_ring(corner, [0.1], 0)
 
 
 class TestContours:

@@ -290,6 +290,11 @@ def test_flow_at_rest_solves(body):
         assert np.max(np.abs(sol.flow.velocity(z) - exact)) <= 1e-12
 
 
+def test_flow_direction_at_rest_is_plus_x():
+    assert FarField(0.0, 1.0).flow_direction == 1.0 + 0j
+    assert FarField(2j).flow_direction == -1j  # w = u - i v: upward
+
+
 def test_kutta_solve_at_rest_finds_zero():
     assert kutta_solve(FlatPlate(2.0, 0.3), 0.0, 0, 64).root == 0.0
 
@@ -512,6 +517,12 @@ class TestKutta:
     def test_invalid_corner_id(self):
         with pytest.raises(InvalidGeometryError):
             kutta_solve(FlatPlate(4.0, 0.3), 1.0, 5, 256)
+
+    def test_reflex_corner_is_refused(self):
+        l_shape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        assert not l_shape.corners[3].protruding  # the inner corner (1, 1)
+        with pytest.raises(InvalidGeometryError, match="protruding corners"):
+            kutta_solve(l_shape, 1.0, 3, 96)
 
     @pytest.mark.parametrize("read", [
         lambda: kutta_solve(TRIANGLE, 1.0, 0, 96, "exact"),
