@@ -92,11 +92,10 @@ def default_fit_radii(corner: Corner, body_scale: float) -> np.ndarray:
     return np.array([0.1 * r_hi, r_hi])
 
 
-def _ring_a1(stream, corners, radii, R) -> np.ndarray:
-    """a1 of each corner projected on the innermost and the outermost ring
-    of its ``radii`` (one sequence per corner), all in one call of the
-    stream function ``stream``, in units of psi: a1 R**(pi/beta), R the
-    body's circumradius.
+def _ring_a1(stream, corners, R) -> np.ndarray:
+    """a1 of each corner projected on its two ``default_fit_radii`` rings,
+    all in one call of the stream function ``stream``, in units of psi:
+    a1 R**(pi/beta), R the body's circumradius.
 
     The corner modes are orthogonal on one ring, so
         a1(r) R**(pi/beta) = (2/beta) (r/R)**(-pi/beta)
@@ -110,11 +109,8 @@ def _ring_a1(stream, corners, radii, R) -> np.ndarray:
     """
     s, w = _gauss_legendre(RING_NODES)
     points, scales = [], []
-    for corner, r in zip(corners, radii):
-        r = np.asarray(r, dtype=float)
-        rings = np.array([r.min(), r.max()])
-        if rings[1] / rings[0] < 9.99:
-            raise FitQualityError("need radii spanning a decade")
+    for corner in corners:
+        rings = default_fit_radii(corner, R)
         beta = corner.exterior_angle_beta
         points.append(_ring_points(corner, rings, beta * s))
         scales.append((rings / R) ** (np.pi / beta))
@@ -123,12 +119,12 @@ def _ring_a1(stream, corners, radii, R) -> np.ndarray:
     return psi @ (w * np.sin(np.pi * s)) / np.array(scales)
 
 
-def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
+def fit_corner(flow, corner: Corner) -> CornerReport:
     """Singular behaviour of psi at one corner.
 
-    Reports the leading coefficient a1 projected on the outermost ring
-    of ``radii`` (``_ring_a1``), with the change from the innermost ring
-    as its uncertainty, plus an independent exponent estimate from the
+    Reports the leading coefficient a1 projected on the outer ring of
+    ``default_fit_radii`` (``_ring_a1``), with the change from the inner
+    ring as its uncertainty, plus an independent exponent estimate from the
     log-log slope of the per-ring maximum speed on a deeper ring ladder
     (``_exponent_slope``).  ``singular`` means |a1| exceeds TOL_A1 times
     the scale-invariant magnitude V R**(1-pi/beta), V the speed scale,
@@ -136,14 +132,11 @@ def fit_corner(flow, corner: Corner, radii=None) -> CornerReport:
     uncertainty are converted to physical units once, for the report.
     """
     R = flow.body.circumradius
-    if radii is None:
-        radii = default_fit_radii(corner, R)
-    radii = np.asarray(radii, dtype=float)
-    ((a1_lo, a1),) = _ring_a1(flow.stream, [corner], [radii], R)
+    ((a1_lo, a1),) = _ring_a1(flow.stream, [corner], R)
     beta = corner.exterior_angle_beta
     slope = _exponent_slope(flow, corner, R)
     singular = bool(abs(a1) > TOL_A1 * flow.far.speed_scale(R) * R)
-    verdict = sign_attainment(flow, corner, radii.min())
+    verdict = sign_attainment(flow, corner, default_fit_radii(corner, R)[0])
     to_physical = R ** (-np.pi / beta)
     return CornerReport(
         corner_id=corner.corner_id, beta=float(beta), a1=float(a1 * to_physical),
@@ -215,19 +208,16 @@ class LaurentFit:
     residual: float
 
 
-def farfield_fit(flow, r_list=None) -> LaurentFit:
+def farfield_fit(flow) -> LaurentFit:
     """Least squares of w against {1, 1/z, 1/z^2} on 64 points of each
-    far circle, fitted as {1, u, u^2} with u = R / z, whose columns keep
-    their size at any circumradius R, and rescaled (c1 = R times the
-    coefficient of u); its residual is held to 1e-3 ``far.speed_scale``."""
+    circle |z| = 10, 20 and 40 R, fitted as {1, u, u^2} with u = R / z,
+    whose columns keep their size at any circumradius R, and rescaled
+    (c1 = R times the coefficient of u); its residual is held to 1e-3
+    ``far.speed_scale``."""
     body_scale = flow.body.circumradius
-    if r_list is None:
-        r_list = body_scale * np.array([10.0, 20.0, 40.0])
-    r_list = np.asarray(r_list, dtype=float)
-    if np.any(r_list < 4.0 * body_scale):
-        raise FluidDomainError("far-field radii must exceed 4 circumradii")
+    radii = body_scale * np.array([10.0, 20.0, 40.0])
     th = TWO_PI * np.arange(64) / 64
-    z = (r_list[:, None] * np.exp(1j * th)[None, :]).ravel()
+    z = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
     w = np.asarray(flow.velocity(z)).ravel()
     u = body_scale / z
     X = np.stack([np.ones_like(u), u, u**2], axis=1)
@@ -235,7 +225,7 @@ def farfield_fit(flow, r_list=None) -> LaurentFit:
     resid = float(np.max(np.abs(X @ coef - w)))
     if resid > 1e-3 * flow.far.speed_scale(body_scale):
         raise FitQualityError(
-            f"far-field fit residual {resid:.3g} too large; radii too small?")
+            f"far-field fit residual {resid:.3g} too large")
     c1 = complex(coef[1] * body_scale)
     return LaurentFit(c0=complex(coef[0]), c1=c1, gamma_estimate=-TWO_PI * c1.imag,
                       re_c1=c1.real, residual=resid)

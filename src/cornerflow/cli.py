@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, compressible, forces, incompressible
-from .compressible import MIN_GRID_NODES, MIN_R_FAR, R_FAR
-from .errors import ConfigError, CornerFlowError, InvalidGeometryError
+from .compressible import MIN_GRID_NODES
+from .errors import ConfigError, CornerFlowError, GasDomainError, InvalidGeometryError
 from .gas import BernoulliState, GasModel
 from .geometry import CircleContour, body_from_config
 from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
@@ -126,9 +126,6 @@ KEYS = {
     "solver.grid.n_r": _Key(_is_grid_size, f"an integer >= {MIN_GRID_NODES}", 64),
     "solver.grid.n_theta": _Key(lambda v: _is_grid_size(v, even=True),
                                 f"an even integer >= {MIN_GRID_NODES}", 128),
-    "solver.grid.r_far": _Key(_is_number, f"a number >= {MIN_R_FAR:g} body circumradii",
-                              lambda b: R_FAR * b.circumradius,
-                              least=lambda b: MIN_R_FAR * b.circumradius),
     "solver.study.grids": _Key(
         lambda v: isinstance(v, list) and v,
         "a nonempty list of [n_r, n_theta] pairs, each as solver.grid's",
@@ -204,6 +201,12 @@ def validate_scenario(cfg: dict) -> dict:
         far.speed_scale(body.circumradius)
     except InvalidGeometryError as exc:
         raise ConfigError(str(exc), "$.flow.w_inf") from exc
+    if not _get(cfg, "gas.incompressible"):  # a huge gamma overflows its bounds
+        try:
+            BernoulliState.from_free_stream(GasModel(float(_get(cfg, "gas.gamma"))),
+                                            float(_get(cfg, "gas.mach_inf")))
+        except GasDomainError as exc:
+            raise ConfigError(str(exc), "$.gas.gamma") from exc
     mapped = incompressible.conformal_map(body) is not None
     unmapped = f"needs a closed-form map; a {body.kind} has none"
     protruding = [c.corner_id for c in body.corners if c.protruding]
@@ -424,8 +427,7 @@ def _run_compressible(cfg, flow, body, far, summary, out):
     n_r = int(_get(cfg, "solver.grid.n_r"))
     n_theta = int(_get(cfg, "solver.grid.n_theta"))
     cfar = FarField(state.free_stream_speed(mach_inf), far.circulation)
-    r_far = float(_get(cfg, "solver.grid.r_far", body))
-    grid = compressible.build_grid(body, cfar, r_far, n_r, n_theta)
+    grid = compressible.build_grid(body, cfar, n_r, n_theta)
     sol = compressible.solve_subsonic(grid, state)
     summary["compressible"] = {
         # a solve that does not converge raises IterationLimitError
@@ -444,8 +446,7 @@ def _run_refinement_study(cfg, flow, body, far, summary, out):
     grids = [tuple(g) for g in _get(cfg, "solver.study.grids")]
     gas = GasModel(float(_get(cfg, "gas.gamma")))
     study = compressible.refinement_study(
-        body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation,
-        float(_get(cfg, "solver.grid.r_far", body)), grids)
+        body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, grids)
     summary["refinement_study"] = {
         **asdict(study), "note": "blow-up signature at finite resolution, not a proof"}
 

@@ -77,8 +77,7 @@ FORCING = 0.01        # a Picard step's CG tolerance: FORCING * its residual
 CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
 ANDERSON_DEPTH = 3    # earlier Picard steps mixed into each step
 MIN_GRID_NODES = 16   # least n_r and n_theta of a grid
-MIN_R_FAR = 20.0      # least outer radius of a grid, in body circumradii
-R_FAR = 25.0          # solver.grid.r_far's default, in body circumradii
+R_FAR = 25.0          # outer radius of every grid, in body circumradii
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +137,9 @@ class ConformalGrid:
     """Body-fitted polar grid in the conformal sigma plane, discretized
     for one free stream ``far`` (built by build_grid).
 
-    Radial levels are log-spaced (uniform in xi = log |sigma|), which
-    clusters physical resolution toward the body and its edges.  Nodes
+    Radial levels are log-spaced (uniform in xi = log |sigma|) out to the
+    ring that maps to R_FAR circumradii, which clusters physical
+    resolution toward the body and its edges.  Nodes
     where the conformal factor vanishes (plate-edge preimages) are
     flagged; fields are undefined there.  Besides the flags the grid keeps
     only what the Picard steps read (see the module docstring); the nodal
@@ -147,12 +147,11 @@ class ConformalGrid:
     dz/dzeta, H and psi~ are in units of R = body.circumradius.
     """
 
-    def __init__(self, body: Body, far: FarField, cmap, xi_far: float,
-                 n_r: int, n_theta: int):
+    def __init__(self, body: Body, far: FarField, cmap, n_r: int, n_theta: int):
         self.body, self.far, self.map = body, far, cmap
         self.R = R = body.circumradius  # the unit of psi~ and of H
         self.n_r, self.n_theta = n_r, n_theta
-        self.xi = xi = np.linspace(0.0, xi_far, n_r)
+        self.xi = xi = np.linspace(0.0, np.log(cmap.sigma_radius(R_FAR * R)), n_r)
         self.theta = th = TWO_PI * np.arange(n_theta) / n_theta
         self.d_xi = d_xi = float(xi[1] - xi[0])
         self.d_theta = d_theta = float(th[1] - th[0])
@@ -385,13 +384,11 @@ class ConformalGrid:
             true_r, it = False, it + 1
 
 
-def build_grid(body: Body, far: FarField, r_far: float, n_r: int,
-               n_theta: int) -> ConformalGrid:
-    """Construct the annular grid for the free stream far; r_far is the
-    physical outer distance.
+def build_grid(body: Body, far: FarField, n_r: int, n_theta: int) -> ConformalGrid:
+    """Construct the annular grid for the free stream far.
 
-    Requires r_far >= MIN_R_FAR circumradii, n_r, n_theta >= MIN_GRID_NODES
-    and an even n_theta, so that plate edges land on single flagged nodes.
+    Requires n_r, n_theta >= MIN_GRID_NODES and an even n_theta, so that
+    plate edges land on single flagged nodes.
     """
     cmap = conformal_map(body)
     if cmap is None:
@@ -402,10 +399,7 @@ def build_grid(body: Body, far: FarField, r_far: float, n_r: int,
         raise InvalidGeometryError(f"grid needs n_r, n_theta >= {MIN_GRID_NODES}")
     if n_theta % 2:
         raise InvalidGeometryError("n_theta must be even")
-    if r_far < MIN_R_FAR * body.circumradius:
-        raise InvalidGeometryError(f"r_far must be >= {MIN_R_FAR:g} circumradii")
-    return ConformalGrid(body, far, cmap, np.log(cmap.sigma_radius(r_far)),
-                         n_r, n_theta)
+    return ConformalGrid(body, far, cmap, n_r, n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +648,7 @@ def _near_corners(grid: ConformalGrid, xi, theta, radius: float):
 
 
 def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
-                     r_far: float, grids) -> RefinementStudy:
+                     grids) -> RefinementStudy:
     """Grid-refinement signature of (non-)existence.
 
     Per level the study records (a) the sonic-margin ratio
@@ -665,7 +659,6 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
     A SonicExcursionError or IterationLimitError of the Picard solve is
     recorded as its level's outcome and the study goes on; any other error
     (a CG SolverError, or any error of the reference solve) ends the study.
-    Every level is built at the physical outer distance r_far.
     """
     corner_radius = 0.15 * body.circumradius
     state = BernoulliState.from_free_stream(gas, mach_inf)
@@ -674,12 +667,11 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
 
     levels = []
     for (n_r, n_theta) in grids:
-        grid = build_grid(body, far, r_far, n_r, n_theta)
+        grid = build_grid(body, far, n_r, n_theta)
         m_faces = grid.face_m(incompressible_reference_solution(grid))
-        # a coarse level with a far outer ring may have no xi-face near a corner
         margin = max(
-            float(np.max(m[_near_corners(grid, *grid.faces[where], corner_radius)],
-                         initial=0.0) / state.flux_max_m)
+            float(np.max(m[_near_corners(grid, *grid.faces[where], corner_radius)])
+                  / state.flux_max_m)
             for m, where in zip(m_faces, ("xi", "theta")))
         del m_faces  # the Picard solve does not read them
 

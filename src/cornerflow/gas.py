@@ -41,10 +41,6 @@ class GasModel:
         if not self.gamma > 1.0:
             raise GasDomainError(f"gamma must exceed 1, got {self.gamma}")
 
-    def pressure(self, rho):
-        rho = _check_density(rho)
-        return rho ** self.gamma
-
     def enthalpy_pi(self, rho):
         """pi(rho) = gamma/(gamma-1) * rho**(gamma-1), with pi(0) = 0."""
         rho = _check_density(rho)
@@ -104,12 +100,15 @@ class BernoulliState:
         object.__setattr__(self, "stagnation_density",
                            float(self.gas.enthalpy_pi_inverse(B)))
         # sonic point: B = c^2/2 + pi(rho)  with  c^2 = g*rho^(g-1)
-        # => rho_sonic^(g-1) = 2B(g-1) / (g(g+1))
-        rho_sonic = (2.0 * B * (g - 1.0) / (g * (g + 1.0))) ** (1.0 / (g - 1.0))
+        # => rho_sonic^(g-1) = 2B(g-1) / (g(g+1)) and m_sonic = (rho*c)^2/2
+        # = g*rho^(g+1)/2, both 0 or NaN once g(g+1) overflows (g >~ 1.34e154)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho_sonic = (2.0 * B * (g - 1.0) / (g * (g + 1.0))) ** (1.0 / (g - 1.0))
+            m_sonic = 0.5 * g * rho_sonic ** (g + 1.0)
+        if not (0.0 < rho_sonic < np.inf and 0.0 < m_sonic < np.inf):
+            raise GasDomainError(f"gamma {g} gives no finite positive sonic bounds")
         object.__setattr__(self, "sonic_density", float(rho_sonic))
-        # m_sonic = (rho*c)^2/2 = g*rho^(g+1)/2
-        object.__setattr__(self, "flux_max_m",
-                           float(0.5 * g * rho_sonic ** (g + 1.0)))
+        object.__setattr__(self, "flux_max_m", float(m_sonic))
 
     @classmethod
     def from_free_stream(cls, gas: GasModel, mach_inf: float) -> "BernoulliState":

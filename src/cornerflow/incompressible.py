@@ -775,10 +775,8 @@ def _corner_a1(body: Body, stream) -> np.ndarray:
     shape (3,) + z.shape: shape (3, corners, 2), in the units of psi of
     ``analysis._ring_a1``, so that
     a1 R**(pi/beta) = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
-    R = body.circumradius
-    corners = [c for c in body.corners if c.protruding]
-    return analysis._ring_a1(stream, corners,
-                             [analysis.default_fit_radii(c, R) for c in corners], R)
+    return analysis._ring_a1(stream, [c for c in body.corners if c.protruding],
+                             body.circumradius)
 
 
 def _system_rows(nodes, closed):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cornerflow.analysis import TOL_A1, _affine_entries, _ring_a1, default_fit_radii
+from cornerflow.analysis import TOL_A1, _affine_entries, _ring_a1
 from cornerflow.errors import DegenerateKuttaError, InvalidGeometryError
 from cornerflow.incompressible import FarField
 
@@ -48,9 +48,8 @@ def affine_corner(flow0, flow1, corners) -> list:
     if gamma1 == 0:
         raise DegenerateKuttaError("two flows at one circulation fix no line in Gamma")
     body_scale = flow0.body.circumradius
-    radii = [default_fit_radii(c, body_scale) for c in corners]
-    a0 = _ring_a1(flow0.stream, corners, radii, body_scale)
-    slope = (_ring_a1(flow1.stream, corners, radii, body_scale) - a0) / gamma1
+    a0 = _ring_a1(flow0.stream, corners, body_scale)
+    slope = (_ring_a1(flow1.stream, corners, body_scale) - a0) / gamma1
     return _affine_entries(corners, a0, slope, body_scale)
 
 

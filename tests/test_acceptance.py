@@ -195,7 +195,7 @@ def test_criterion_08_compressible_trivial():
     gas = GasModel(1.4)
     state = BernoulliState.from_free_stream(gas, 0.3)
     far = FarField(state.free_stream_speed(0.3), 0.0)
-    grid = build_grid(FlatPlate(4.0, 0.0), far, 50.0, 64, 128)
+    grid = build_grid(FlatPlate(4.0, 0.0), far, 64, 128)
     sol = solve_subsonic(grid, state)
     res = sol.residuals[-1]
     dev = float(np.nanmax(np.abs(sol.speed - abs(far.w_inf))))
@@ -210,7 +210,7 @@ def test_criterion_09_low_mach_consistency():
     for mach in (0.2, 0.1, 0.05):
         state = BernoulliState.from_free_stream(gas, mach)
         far = FarField(state.free_stream_speed(mach), 0.0)
-        grid = build_grid(Circle(1.0), far, 50.0, 128, 256)
+        grid = build_grid(Circle(1.0), far, 128, 256)
         t0 = time.perf_counter()
         sol = solve_subsonic(grid, state)
         times.append(time.perf_counter() - t0)
@@ -230,7 +230,7 @@ def test_criterion_10_blowup_signature():
     gas = GasModel(1.4)
     grids = [(64, 128), (128, 256), (256, 512)]
     plate_study = refinement_study(FlatPlate(4.0, np.deg2rad(30.0)), gas,
-                                   0.5, 0.0, 50.0, grids)
+                                   0.5, 0.0, grids)
     margins = [lv.sonic_margin_ratio for lv in plate_study.levels]
     machs = [lv.corner_max_mach for lv in plate_study.levels
              if lv.corner_max_mach is not None]
@@ -238,7 +238,7 @@ def test_criterion_10_blowup_signature():
     plate_ok = (plate_study.margin_strictly_increasing
                 and (plate_study.abort_at_finest or mach_increasing))
 
-    circle_study = refinement_study(Circle(1.0), gas, 0.3, 0.0, 25.0, grids)
+    circle_study = refinement_study(Circle(1.0), gas, 0.3, 0.0, grids)
     d = circle_study.mach_cauchy_differences
     circle_ok = (all(lv.outcome == "converged" for lv in circle_study.levels)
                  and len(d) == 2 and d[1] <= d[0] / 2.0)

@@ -160,7 +160,6 @@ KEY_CASES = [
     ("solver.representation", "panels", None, []),
     ("solver.grid.n_r", 15, None, []),
     ("solver.grid.n_theta", 31, None, []),
-    ("solver.grid.r_far", 19.5, None, []),
     ("solver.study.grids", [[64, 128], [16, 30], [15, 32]], None, []),
     ("output.field_resolution", 0, None, []),
     ("output.sign_resolution", 2.5, None, []),
@@ -173,6 +172,8 @@ RETIRED_KEY_CASES = [
     ("body.alpha", "0.5", PLATE, []),
     # a Gamma sweep: the census sweeps its own grid, and its verdict is exact
     ("flow.gamma_sweep", [0.0, 1.0], None, []),
+    # an outer radius: every grid's outer ring lies at R_FAR circumradii
+    ("solver.grid.r_far", 25.0, None, []),
 ]
 
 
@@ -271,6 +272,7 @@ class TestKeys:
                                "solver.grid.n_theta=14"], "$.solver.grid.n_theta"),
         (None, COMPRESSIBLE + ['analyses=["compressible"]',
                                "solver.grid.n_theta=65"], "$.solver.grid.n_theta"),
+        # the retired outer radius, whatever its value
         (None, COMPRESSIBLE + ['analyses=["compressible"]',
                                "solver.grid.r_far=19.5"], "$.solver.grid.r_far"),
         (None, COMPRESSIBLE + ['analyses=["refinement_study"]',
@@ -295,6 +297,11 @@ class TestKeys:
         (TRIANGLE, ["flow.w_inf=1e-310"], "$.flow.w_inf"),
         (None, ['solver={"representation": "panel"}', "flow.w_inf=1e-310"],
          "$.flow.w_inf"),
+        # gamma (gamma + 1) overflows from gamma ~ 1.34e154, and the sonic
+        # bounds read NaN, or 0 at M 0: 1e300 ran 100 CG iterations on NaN
+        # and exited 1
+        (None, COMPRESSIBLE + ['analyses=["compressible"]', "gas.gamma=1e300"],
+         "$.gas.gamma"),
     ])
     def test_values_a_solver_rejects_exit_2_before_any_solve(
             self, tmp_path, capsys, body, overrides, path):
@@ -346,40 +353,25 @@ class TestKeys:
 
     @pytest.mark.parametrize("body", [{"kind": "circle", "radius": 1.5}, PLATE],
                              ids=["circle", "plate"])
-    def test_grid_limits_are_the_grid_builders(self, tmp_path, capsys,
-                                               monkeypatch, body):
-        # KEYS reads build_grid's least values and r_far's default from
-        # compressible's constants: the least values build, a value just
-        # below exits 2 and raises in build_grid, and a study builds at the
-        # default
+    def test_grid_limits_are_the_grid_builders(self, tmp_path, capsys, body):
+        # KEYS reads build_grid's least values from compressible's
+        # constants: the least values build, out to R_FAR circumradii, and
+        # a value just below exits 2 and raises in build_grid
         built = body_from_config(body)
-        R, r_far = built.circumradius, cli.KEYS["solver.grid.r_far"]
-        assert r_far.least(built) == compressible.MIN_R_FAR * R
-        assert r_far.default(built) == compressible.R_FAR * R
-        least = {"far": FarField(1.0), "r_far": r_far.least(built),
-                 "n_r": compressible.MIN_GRID_NODES,
+        least = {"far": FarField(1.0), "n_r": compressible.MIN_GRID_NODES,
                  "n_theta": compressible.MIN_GRID_NODES}
-        build_grid(built, **least)
+        grid = build_grid(built, **least)
+        assert np.max(np.abs(grid.z[-1] - built.centroid)) == pytest.approx(
+            compressible.R_FAR * built.circumradius, rel=1e-14)
         p = tmp_path / "s.json"
         p.write_text(json.dumps(minimal_cfg(body=body)))
-        for name, value in [("r_far", least["r_far"] * (1 - 1e-12)),
-                            ("n_r", least["n_r"] - 1),
+        for name, value in [("n_r", least["n_r"] - 1),
                             ("n_theta", least["n_theta"] - 2)]:
             with pytest.raises(InvalidGeometryError):
                 build_grid(built, **{**least, name: value})
             assert run(p, tmp_path / "out", COMPRESSIBLE + [
                 'analyses=["compressible"]', f"solver.grid.{name}={value!r}"]) == 2
             assert f"config error: $.solver.grid.{name}: " in capsys.readouterr().err
-        seen, real = [], compressible.build_grid
-
-        def spy(body, far, r_far, n_r, n_theta):
-            seen.append(r_far)
-            return real(body, far, r_far, n_r, n_theta)
-
-        monkeypatch.setattr(compressible, "build_grid", spy)
-        assert run(p, tmp_path / "study", COMPRESSIBLE + [
-            'analyses=["refinement_study"]', "solver.study.grids=[[16, 32]]"]) == 0
-        assert seen == [r_far.default(built)]
 
     def test_default_field_window_is_centred_on_the_body(self, tmp_path):
         # R = |(3, 3) - centroid (4, 3.5)|; the map must cover the body
@@ -623,69 +615,6 @@ class TestRun:
         assert summary["errors"] == [{"type": "MemoryError",
                                       "message": "Unable to allocate 14.6 TiB"}]
 
-    @staticmethod
-    def run_in_subprocess(out, overrides):
-        """Exit code and strict-JSON summary of plate_horizontal_m03.json
-        run in a fresh process: the NaN and overflow warnings on the way are
-        that run's to give, and would fail the test in-process."""
-        src = str(Path(compressible.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        args = [sys.executable, "-m", "cornerflow.cli", "run",
-                "plate_horizontal_m03.json", "--out", str(out)]
-        for o in overrides:
-            args += ["--override", o]
-        code = subprocess.run(args, env=env, capture_output=True).returncode
-
-        def refuse(token):
-            raise ValueError(f"non-strict JSON constant {token}")
-
-        return code, json.loads((out / "summary.json").read_text(),
-                                parse_constant=refuse)
-
-    @pytest.mark.parametrize("overrides", [
-        # the outer ring overflows
-        ['body={"kind": "circle", "radius": 1}', "solver.grid.r_far=1e300"],
-    ], ids=["huge_circle_ring"])
-    def test_nan_flux_exits_1_with_gas_domain_error(self, tmp_path, overrides):
-        code, summary = self.run_in_subprocess(tmp_path / "out", overrides)
-        assert code == 1
-        assert [e["type"] for e in summary["errors"]] == ["GasDomainError"]
-        assert "compressible" not in summary
-
-    @pytest.mark.parametrize("analysis", ["compressible", "refinement_study"])
-    @pytest.mark.parametrize("r_far, code", [(1.4e154, 0), (1e300, 1)])
-    def test_absurd_outer_radius_keeps_the_exit_code_contract(
-            self, tmp_path, analysis, r_far, code):
-        # the grid squares no length: at 1.4e154 (7e153 circumradii) only
-        # sigma^2 of the outer rows overflows, where 1/sigma^2 vanishes
-        # anyway, and the horizontal plate keeps its uniform stream; at
-        # 1e300 the chart's |sigma| overflows and the run fails with one
-        # structured error.  Either way summary.json is strict JSON.
-        got, summary = self.run_in_subprocess(tmp_path / "out", [
-            f"solver.grid.r_far={r_far!r}", f"analyses={json.dumps([analysis])}"])
-        assert got == code
-        assert len(summary["errors"]) == code
-        assert (analysis in summary) == (code == 0)
-
-    def test_refinement_study_reads_r_far(self, tmp_path, monkeypatch):
-        # every level is built at solver.grid.r_far, which moves the study
-        seen, real = [], compressible.build_grid
-
-        def spy(body, far, r_far, n_r, n_theta):
-            seen.append(r_far)
-            return real(body, far, r_far, n_r, n_theta)
-
-        monkeypatch.setattr(compressible, "build_grid", spy)
-        study = ['analyses=["refinement_study"]', "body.alpha_deg=10",
-                 "solver.study.grids=[[16, 32], [32, 64]]"]
-        summaries = []
-        for name, extra in (("default", []), ("r60", ["solver.grid.r_far=60"])):
-            assert run("plate_horizontal_m03.json", tmp_path / name, study + extra) == 0
-            summaries.append((tmp_path / name / "summary.json").read_text())
-        assert seen == [50.0] * 2 + [60.0] * 2  # the default is 25 R, R = 2
-        assert summaries[0] != summaries[1]
-
     def test_non_finite_result_is_null_and_exits_1(self, tmp_path):
         out = tmp_path / "out"
         # the drag integral overflows on purpose, and w**2 * dz and its
@@ -862,9 +791,9 @@ class TestRun:
         seen = []
         real = compressible.refinement_study
 
-        def spy(body, gas, mach_inf, gamma, r_far, grids):
+        def spy(body, gas, mach_inf, gamma, grids):
             seen.append(gamma)
-            return real(body, gas, mach_inf, gamma, r_far, grids)
+            return real(body, gas, mach_inf, gamma, grids)
 
         monkeypatch.setattr(compressible, "refinement_study", spy)
         cfg = minimal_cfg(
@@ -957,7 +886,7 @@ class TestExportField:
         gas = GasModel(1.4)
         state = BernoulliState.from_free_stream(gas, 0.2)
         far = FarField(state.free_stream_speed(0.2), 0.0)
-        grid = build_grid(FlatPlate(4.0, 0.0), far, 50.0, 32, 64)
+        grid = build_grid(FlatPlate(4.0, 0.0), far, 32, 64)
         sol = solve_subsonic(grid, state)
         path = tmp_path / "c.csv"
         export_field(sol, None, None, path)
@@ -1013,7 +942,7 @@ def _plate_solution():
     gas = GasModel(1.4)
     state = BernoulliState.from_free_stream(gas, 0.3)
     far = FarField(state.free_stream_speed(0.3), 0.0)
-    return solve_subsonic(build_grid(FlatPlate(4.0, 0.0), far, 50.0, 64, 128),
+    return solve_subsonic(build_grid(FlatPlate(4.0, 0.0), far, 64, 128),
                           state)
 
 
