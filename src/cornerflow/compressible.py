@@ -24,8 +24,10 @@ warm-started from the current iterate and preconditioned with the exact
 inverse of the constant-h operator (real FFT in theta, a Thomas sweep in
 xi per Fourier mode), under-relax, repeat.  CG starts from the step's own
 cell balance and stops at a tolerance that follows the outer residual,
-max(LINEAR_TOL, min(PICARD_TOL, FORCING * residual)) (Eisenstat & Walker
-1996): no step solves its frozen system further than the next residual needs.
+max(LINEAR_TOL, FORCING * residual) (Eisenstat & Walker 1996), and the face
+densities stop at max(1e-14, FORCING * residual) relative, the residual of
+the step before (1e-14 at the first step): no step solves its frozen system,
+or its densities, further than the next residual needs.
 Each CG iteration applies the operator once (the residual recurrence
 r <- r - alpha A p); the true residual is formed once, at exit.  The face
 m is formed one face kind and one direction of the nodal gradient at a
@@ -73,7 +75,7 @@ OMEGA = 0.7           # Picard under-relaxation
 PICARD_TOL = 1e-10    # a solve converges at cell-balance residual < PICARD_TOL
 MAX_PICARD_ITERS = 200  # a solve that has not converged by then stalls
 LINEAR_TOL = 1e-13    # CG stops at max|A x - b| <= LINEAR_TOL max|b|
-FORCING = 0.01        # a Picard step's CG tolerance: FORCING * its residual
+FORCING = 0.01        # a step's CG and density tolerance: FORCING * residual
 CG_MAX_ITERS = 100    # subsonic h spreads need <= 25 (see solve_linear)
 ANDERSON_DEPTH = 3    # earlier Picard steps mixed into each step
 MIN_GRID_NODES = 16   # least n_r and n_theta of a grid
@@ -480,17 +482,25 @@ class _Anderson:
         return mixed
 
 
-def _face_rho(state: BernoulliState, m, rho, where: str, grid: ConformalGrid):
-    """(rho, 1/rho) at one kind of face from the start rho."""
+def _first_near_max(values):
+    """(max, (i, j)) of 2-D values, (i, j) the first in C order within 1e-12
+    of the max, relative: mirror nodes of a symmetric flow tie to roundoff."""
+    top = float(np.nanmax(values))
+    return top, divmod(int(np.argmax(values >= top - 1e-12 * top)), values.shape[1])
+
+
+def _face_rho(state: BernoulliState, m, rho, where: str, grid: ConformalGrid,
+              tol: float):
+    """(rho, 1/rho) at one kind of face from the start rho, to tol relative."""
     m_max = state.flux_max_m
     if np.any(m >= m_max):
-        k = divmod(int(np.argmax(m)), m.shape[1])
+        m_top, k = _first_near_max(m)
         xi, theta = grid.faces[where]  # z of that face only
         z = grid.map_z(xi[k[0]:k[0] + 1], theta)[0, k[1]]
         raise SonicExcursionError(
             f"sonic flux bound reached at {where}-face {k}, z={z:.6g}",
-            location=complex(z), m_value=float(m[k]), m_max=float(m_max))
-    rho = state.density_from_flux(m, rho)
+            location=complex(z), m_value=m_top, m_max=float(m_max))
+    rho = state.density_from_flux(m, rho, tol)
     return rho, 1.0 / rho
 
 
@@ -511,11 +521,14 @@ def solve_subsonic(grid: ConformalGrid,
 
     residuals, linear_residuals, linear_iterations = [], [], []
     rho_xf = rho_tf = None
+    res = 0.0  # no residual before the first step: densities to 1e-14
     mixer = _Anderson(ANDERSON_DEPTH)
     m_xf, m_tf = grid.face_m(psi_t)
     for _ in range(MAX_PICARD_ITERS):
-        rho_xf, h_xf = _face_rho(state, m_xf, rho_xf, "xi", grid)
-        rho_tf, h_tf = _face_rho(state, m_tf, rho_tf, "theta", grid)
+        # the face densities to FORCING times the last residual
+        rho_tol = max(1e-14, FORCING * res)
+        rho_xf, h_xf = _face_rho(state, m_xf, rho_xf, "xi", grid, rho_tol)
+        rho_tf, h_tf = _face_rho(state, m_tf, rho_tf, "theta", grid, rho_tol)
         del m_xf, m_tf
 
         bal, scale = grid.cell_residual(_differences(psi_t), h_xf, h_tf)
@@ -525,10 +538,9 @@ def solve_subsonic(grid: ConformalGrid,
             break
 
         # the cell balance is A x - b at x = psi_t; the inner tolerance
-        # follows the outer residual, never above PICARD_TOL
+        # is FORCING times the outer residual, never below LINEAR_TOL
         interior, lin_res, lin_its = grid.solve_linear(
-            h_xf, h_tf, psi_t[1:-1, :], -bal,
-            max(LINEAR_TOL, min(PICARD_TOL, FORCING * res)))
+            h_xf, h_tf, psi_t[1:-1, :], -bal, max(LINEAR_TOL, FORCING * res))
         linear_residuals.append(lin_res)
         linear_iterations.append(lin_its)
         relaxed = (1.0 - OMEGA) * psi_t[1:-1, :] + OMEGA * interior
@@ -557,13 +569,6 @@ def solve_subsonic(grid: ConformalGrid,
                         linear_iterations)
 
 
-def _first_near_max(values):
-    """(max, (i, j)) of 2-D values, (i, j) the first in C order within 1e-12
-    of the max, relative: mirror nodes of a symmetric flow tie to roundoff."""
-    top = float(np.nanmax(values))
-    return top, divmod(int(np.argmax(values >= top - 1e-12 * top)), values.shape[1])
-
-
 def _postprocess(grid, state, psi_t, residuals, linear_residuals,
                  linear_iterations):
     gx, gt, dz = grid.nodal_gradient(psi_t)
@@ -571,12 +576,11 @@ def _postprocess(grid, state, psi_t, residuals, linear_residuals,
     m = np.full(psi_t.shape, np.nan)
     m[valid] = 0.5 * (gx[valid]**2 + gt[valid]**2) / np.abs(dz[valid])**2
     if np.any(m[valid] >= state.flux_max_m):
-        k = divmod(int(np.nanargmax(m)), m.shape[1])
+        m_top, k = _first_near_max(m)
         z = grid.z[k]
         raise SonicExcursionError(
             f"sonic flux bound reached at node {k}, z={z:.6g}",
-            location=complex(z), m_value=float(m[k]),
-            m_max=float(state.flux_max_m))
+            location=complex(z), m_value=m_top, m_max=float(state.flux_max_m))
     rho = np.full(psi_t.shape, np.nan)
     rho[valid] = state.density_from_flux(m[valid])
     speed = np.full(psi_t.shape, np.nan)

@@ -101,10 +101,14 @@ class BernoulliState:
                            float(self.gas.enthalpy_pi_inverse(B)))
         # sonic point: B = c^2/2 + pi(rho)  with  c^2 = g*rho^(g-1)
         # => rho_sonic^(g-1) = 2B(g-1) / (g(g+1)) and m_sonic = (rho*c)^2/2
-        # = g*rho^(g+1)/2, both 0 or NaN once g(g+1) overflows (g >~ 1.34e154)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho_sonic = (2.0 * B * (g - 1.0) / (g * (g + 1.0))) ** (1.0 / (g - 1.0))
-            m_sonic = 0.5 * g * rho_sonic ** (g + 1.0)
+        # = g*rho^(g+1)/2, both from log rho_sonic (a power of the rounded
+        # rho_sonic carries g+1 times its rounding: m_sonic read 3 % low at
+        # g = 1e15 and 11 times too high at 1e20); both 0 or NaN once
+        # g(g+1) overflows (g >~ 1.34e154)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_rho = np.log(2.0 * B * (g - 1.0) / (g * (g + 1.0))) / (g - 1.0)
+            rho_sonic = np.exp(log_rho)
+            m_sonic = 0.5 * g * np.exp((g + 1.0) * log_rho)
         if not (0.0 < rho_sonic < np.inf and 0.0 < m_sonic < np.inf):
             raise GasDomainError(f"gamma {g} gives no finite positive sonic bounds")
         object.__setattr__(self, "sonic_density", float(rho_sonic))
@@ -132,16 +136,17 @@ class BernoulliState:
         out = self.gas.enthalpy_pi_inverse(self.bernoulli_B - 0.5 * q**2)
         return out if np.ndim(out) else float(out)
 
-    def density_from_flux(self, m, rho_start=None):
+    def density_from_flux(self, m, rho_start=None, tol=1e-14):
         """The subsonic root rho(m) of B = m/rho^2 + pi(rho); a float for
         scalar m.
 
         Plain Newton steps from rho_start (default: the stagnation
         density), clipped into [sonic_density, stagnation_density]; a face
         whose step leaves that bracket or is not finite is solved by the
-        safeguarded iteration (``_bracketed_root``) instead.  Relative
-        tolerance 1e-14.  Raises GasDomainError for an m that is negative
-        or NaN, SonicFluxError for m >= flux_max_m (ellipticity guard).
+        safeguarded iteration (``_bracketed_root``, to 1e-14) instead.
+        Newton stops once every step is within tol relative.  Raises
+        GasDomainError for an m that is negative or NaN, SonicFluxError
+        for m >= flux_max_m (ellipticity guard).
         """
         m_arr = np.asarray(m, dtype=float)
         scalar = m_arr.ndim == 0
@@ -166,7 +171,7 @@ class BernoulliState:
                 cand[out] = self._bracketed_root(m_arr[out], rho[out])
             np.subtract(cand, rho, out=work)
             np.less_equal(np.abs(work, out=work),
-                          np.multiply(cand, 1e-14, out=rho), out=done)
+                          np.multiply(cand, tol, out=rho), out=done)
             rho, cand = cand, rho
             if done.all():
                 break

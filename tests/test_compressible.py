@@ -30,6 +30,14 @@ def free_stream(mach):
     return state, FarField(state.free_stream_speed(mach), 0.0)
 
 
+def assert_forcing_rule(sol):
+    """Each step's CG met FORCING times that step's outer residual, or
+    LINEAR_TOL where that is larger."""
+    for lin_res, res in zip(sol.linear_residuals, sol.residuals):
+        assert lin_res <= max(compressible.LINEAR_TOL,
+                              compressible.FORCING * res)
+
+
 def cell_balance(grid, psi_t, h_xf, h_tf):
     """The cell balance and flux scale of a nodal field."""
     return grid.cell_residual(compressible._differences(psi_t), h_xf, h_tf)
@@ -171,8 +179,8 @@ class TestCircleSolve:
         state, far = free_stream(0.2)
         grid = build_grid(Circle(1.0), far, 32, 64)
         sol = solve_subsonic(grid, state)
-        assert all(r < 1e-9 for r in sol.linear_residuals)
-        assert sol.residuals[-1] < 1e-10
+        assert_forcing_rule(sol)
+        assert sol.residuals[-1] < compressible.PICARD_TOL
 
 
 class TestIterationLimit:
@@ -396,6 +404,42 @@ def test_max_mach_location_ignores_ulp_order_of_mirror_maxima(swap):
     assert compressible._first_near_max(mach) == (high, (2, 3))
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_face_abort_location_ignores_ulp_order_of_mirror_maxima(swap):
+    # both mirror faces past the sonic bound, an ulp apart: the abort
+    # names the first in C order and reports the larger m
+    state, far = free_stream(0.3)
+    grid = build_grid(Circle(1.0), far, 16, 32)
+    m = np.full((15, 32), 0.1 * state.flux_max_m)
+    low = 2.0 * state.flux_max_m
+    high = np.nextafter(low, np.inf)
+    m[2, 3], m[2, 29] = (high, low) if swap else (low, high)
+    with pytest.raises(SonicExcursionError, match=r"at xi-face \(2, 3\), z=") as err:
+        compressible._face_rho(state, m, None, "xi", grid, 1e-14)
+    assert err.value.m_value == high
+    xi, theta = grid.faces["xi"]
+    assert err.value.location == grid.map_z(xi[2:3], theta[3:4])[0, 0]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_node_abort_location_ignores_ulp_order_of_mirror_maxima(
+        monkeypatch, swap):
+    # nodal gradients 2 and 2 + ulp square to m = 2 and 2 + 2 ulps: both
+    # past the sonic bound, the post-processing names the first node in C
+    # order and reports the larger m
+    state, far = free_stream(0.3)
+    grid = build_grid(Circle(1.0), far, 16, 32)
+    gx, gt = np.full((16, 32), 0.1), np.zeros((16, 32))
+    low, high = 2.0, np.nextafter(2.0, 3.0)
+    gx[0, 8], gx[0, 24] = (high, low) if swap else (low, high)
+    monkeypatch.setattr(grid, "nodal_gradient",
+                        lambda psi_t: (gx, gt, np.ones((16, 32), complex)))
+    with pytest.raises(SonicExcursionError, match=r"at node \(0, 8\), z=") as err:
+        compressible._postprocess(grid, state, np.zeros((16, 32)), [], [], [])
+    assert err.value.m_value == 0.5 * high**2 > 0.5 * low**2
+    assert err.value.location == grid.z[0, 8]
+
+
 class TestLeanDiscretization:
     @pytest.mark.parametrize("mach, where, shape", [
         (0.5, "xi", (16, 32)), (0.3, "theta", (16, 32)),
@@ -526,15 +570,17 @@ class TestCheaperPicardSteps:
 
     def test_inner_tolerance_follows_the_outer_residual(self):
         # at a fixed LINEAR_TOL plain Picard takes 14 steps with 64 CG
-        # iterations, and the forcing rule 35; with Anderson mixing the
-        # solve takes 14 steps and 34 CG iterations
+        # iterations, and the forcing rule capped at PICARD_TOL 35; with
+        # Anderson mixing the capped rule took 14 steps and 34 CG
+        # iterations, the uncapped rule 14 steps and 13 iterations
         state, far = free_stream(0.3)
         grid = build_grid(Circle(1.0), far, 128, 256)
         sol = solve_subsonic(grid, state)
         assert sol.iterations == 14
         assert len(sol.linear_iterations) == len(sol.linear_residuals) == 13
-        assert sum(sol.linear_iterations) <= 45
-        assert all(r <= compressible.PICARD_TOL for r in sol.linear_residuals)
+        assert sum(sol.linear_iterations) <= 20
+        assert_forcing_rule(sol)
+        assert sol.residuals[-1] < compressible.PICARD_TOL
 
     def test_reference_solve_allocates_no_face_h(self, monkeypatch):
         # h = 1 reaches the linear solve as two scalars: nothing the size
@@ -663,8 +709,8 @@ class TestFewerPicardSteps:
         psi_0 = grid.with_boundary((1 - w) * grid.psi_body[None, :]
                                    + w * grid.psi_outer[None, :])
         m_xf, m_tf = grid.face_m(psi_0)
-        h_xf = compressible._face_rho(state, m_xf, None, "xi", grid)[1]
-        h_tf = compressible._face_rho(state, m_tf, None, "theta", grid)[1]
+        h_xf = compressible._face_rho(state, m_xf, None, "xi", grid, 1e-14)[1]
+        h_tf = compressible._face_rho(state, m_tf, None, "theta", grid, 1e-14)[1]
         bal, scale = grid.cell_residual(compressible._differences(psi_0),
                                         h_xf, h_tf)
         assert sol.residuals[0] == float(np.max(np.abs(bal)) / scale)

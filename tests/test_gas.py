@@ -104,6 +104,23 @@ class TestBernoulliState:
         with pytest.raises(GasDomainError, match="no finite positive sonic bounds"):
             BernoulliState.from_free_stream(GasModel(gamma), mach_inf)
 
+    @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0, 1e10, 1e15, 1e20])
+    def test_sonic_bounds_against_mpmath(self, gamma):
+        # from log rho*: rho* within a few ulps, m* within a few ulps of
+        # exp's argument (g+1) log rho* (a power of the rounded rho* read
+        # m* 3 % low at gamma 1e15 and 11 times too high at 1e20)
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        with mpmath.workdps(60):
+            for mach_inf in (0.0, 0.3, 0.6, 0.9):
+                st = BernoulliState.from_free_stream(GasModel(gamma), mach_inf)
+                g, B = mpmath.mpf(gamma), mpmath.mpf(st.bernoulli_B)
+                log_rho = mpmath.log(2 * B * (g - 1) / (g * (g + 1))) / (g - 1)
+                rho, arg = mpmath.exp(log_rho), (g + 1) * log_rho
+                m = g / 2 * mpmath.exp(arg)
+                assert abs(st.sonic_density - rho) <= 4 * eps * rho
+                assert abs(st.flux_max_m - m) <= 8 * eps * (1 + abs(arg)) * m
+
     @pytest.mark.parametrize("mach_inf", [-0.1, 1.0])
     def test_free_stream_mach_must_be_subsonic(self, mach_inf):
         with pytest.raises(GasDomainError, match=r"free-stream Mach must lie in \[0, 1\)"):
@@ -251,6 +268,23 @@ def test_flux_inversion_safeguard_matches_bisection(monkeypatch):
             assert np.all(rel[m <= 0.99 * st.flux_max_m] <= 1e-14)
             assert np.all(rel <= 1e-14 + 4.0 * rounding)
     assert sum(fallback_faces) > 0
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+def test_flux_inversion_to_a_looser_tolerance(tol):
+    # a Picard step asks for its densities to FORCING times its residual:
+    # within tol of the bisection root, plus the near-sonic rounding term
+    # of the test above (the default 1e-14 is pinned bit for bit below)
+    eps = np.finfo(float).eps
+    for gamma in (1.4, 5.0 / 3.0, 2.0):
+        st = BernoulliState(GasModel(gamma), 2.3)
+        m = np.linspace(0.0, 0.999 * st.flux_max_m, 1001)
+        ref = bisect_roots(st, m)
+        slope = (gamma * ref ** (gamma - 1.0) - 2.0 * m / ref**2) / ref
+        rounding = eps * st.bernoulli_B / (slope * ref)
+        for start in (None, st.sonic_density, bisect_roots(st, 0.99 * m)):
+            rho = st.density_from_flux(m, start, tol)
+            assert np.all(np.abs(rho - ref) <= (tol + 4.0 * rounding) * ref)
 
 
 def plain_newton_step(st, m, rho):
