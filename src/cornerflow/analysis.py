@@ -358,15 +358,15 @@ class SignComponentCensus:
     grid_shape: tuple
 
 
-def sign_component_census(flow, window, resolution: int) -> SignComponentCensus:
+def sign_component_census(flow, resolution: int) -> SignComponentCensus:
     """Count bounded connected components of {psi > 0} and {psi < 0}.
 
-    Components are 4-connected sets of cells on a rectilinear window
-    around the body, found by joining the runs of signed cells in each
-    row with the overlapping runs of the next (``_bounded_components``);
-    components not touching the window edge count as bounded.  Cells
-    that ``body.near`` places within 1.5 cells of the body are not fluid,
-    a cell measured by its longer side here and in the resolution check;
+    Components are 4-connected sets of cells on the body's window, the
+    square of +-4R about its centroid, found by joining the runs of
+    signed cells in each row with the overlapping runs of the next
+    (``_bounded_components``); components not touching the window edge
+    count as bounded.  A cell is 8R/resolution on a side; cells that
+    ``body.near`` places within 1.5 cells of the body are not fluid, and
     cells with |psi| below the noise floor stay unsigned so the psi = 0
     streamline cannot leak spurious components (noise floor 1e-6 V R, V
     the speed scale).  Both counts are zero for a valid flow (the sign
@@ -374,26 +374,25 @@ def sign_component_census(flow, window, resolution: int) -> SignComponentCensus:
     grid is evaluated in blocks of whole rows, about GRID_BLOCK cells
     each, so only the two sign masks are grid-sized.
     """
-    (x0, x1), (y0, y1) = window
     body = flow.body
     tol = 1e-6 * flow.far.speed_scale(body.circumradius) * body.circumradius
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
-    side = max(x1 - x0, y1 - y0)  # a cell's longer side, times resolution
+    c, h = body.centroid, 4.0 * body.circumradius
+    xs = np.linspace(c.real - h, c.real + h, resolution)
+    ys = np.linspace(c.imag - h, c.imag + h, resolution)
     signed = np.zeros((2, resolution, resolution), dtype=bool)  # psi > tol, < -tol
     step = max(1, GRID_BLOCK // resolution)
     for start in range(0, resolution, step):
         Z = xs[None, :] + 1j * ys[start:start + step, None]
-        fluid = ~body.near(Z, 1.5 * side / resolution)
+        fluid = ~body.near(Z, 1.5 * (2 * h) / resolution)
         psi = flow.stream(Z[fluid])
         signed[0, start:start + step][fluid] = psi > tol
         signed[1, start:start + step][fluid] = -psi > tol
 
     # resolution check: corner lobes need a few cells between sign changes
-    inconclusive = side / resolution > 0.02 * body.circumradius
+    inconclusive = 8.0 / resolution > 0.02  # a cell, in units of R
     return SignComponentCensus(bounded_positive=_bounded_components(signed[0]),
                                bounded_negative=_bounded_components(signed[1]),
-                               inconclusive=bool(inconclusive),
+                               inconclusive=inconclusive,
                                grid_shape=signed.shape[1:])
 
 

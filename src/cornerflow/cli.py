@@ -75,16 +75,6 @@ class _Key(NamedTuple):
     least: Callable = None  # least(body): the smallest value a solver takes
 
 
-def _window(half):  # default: +-half circumradii about the body's centroid
-    def default(body):
-        c, h = body.centroid, half * body.circumradius
-        return [[c.real - h, c.real + h], [c.imag - h, c.imag + h]]
-    return _Key(lambda v: isinstance(v, list) and len(v) == 2,
-                "[[x0, x1], [y0, y1]] of finite numbers with finite"
-                " x1 - x0 > 0 and y1 - y0 > 0", default, each=lambda r:
-                _is_pair(r, _is_number) and 0 < r[1] - r[0] <= sys.float_info.max)
-
-
 REQUIRED = object()
 POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
@@ -133,8 +123,6 @@ KEYS = {
         and _is_grid_size(g[0]) and _is_grid_size(g[1], even=True)),
     "output.field_resolution": _Key(*POSITIVE_INT, 200),
     "output.sign_resolution": _Key(*POSITIVE_INT, 400),
-    "output.field_window": _window(3.0),
-    "output.sign_window": _window(4.0),
 }
 
 
@@ -348,8 +336,7 @@ def _run_census(cfg, flow, body, far, summary, out):
 
 def _run_sign_census(cfg, flow, body, far, summary, out):
     res = int(_get(cfg, "output.sign_resolution"))
-    census = analysis.sign_component_census(
-        flow, _get(cfg, "output.sign_window", body), res)
+    census = analysis.sign_component_census(flow, res)
     summary["sign_census"] = {
         "bounded_positive": census.bounded_positive,
         "bounded_negative": census.bounded_negative,
@@ -361,15 +348,16 @@ def _run_sign_census(cfg, flow, body, far, summary, out):
 
 def _run_field_export(cfg, flow, body, far, summary, out):
     resolution = int(_get(cfg, "output.field_resolution"))
-    export_field(flow, _get(cfg, "output.field_window", body), resolution,
-                 out / "field.csv")
+    export_field(flow, resolution, out / "field.csv")
     summary["field_export"] = {"rows": resolution * resolution, "file": "field.csv"}
 
 
-def export_field(flow_or_solution, window, resolution, path):
-    """Write a field CSV: rectilinear (x, y, psi, speed, mask) for
-    incompressible flows; the annular node table
-    (r, theta, x, y, psi, rho, mach) for compressible solutions."""
+def export_field(flow_or_solution, resolution, path):
+    """Write a field CSV: rectilinear (x, y, psi, speed, mask) on a
+    resolution x resolution grid over the body's window, +-3R about its
+    centroid, for incompressible flows; the annular node table
+    (r, theta, x, y, psi, rho, mach) for compressible solutions, which
+    take no resolution."""
     if isinstance(flow_or_solution, compressible.CompressibleSolution):
         sol = flow_or_solution
         g, z = sol.grid, sol.grid.z
@@ -378,11 +366,11 @@ def export_field(flow_or_solution, window, resolution, path):
         return
 
     flow = flow_or_solution
-    (x0, x1), (y0, y1) = window
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
+    c, h = flow.body.centroid, 3.0 * flow.body.circumradius
+    xs = np.linspace(c.real - h, c.real + h, resolution)
+    ys = np.linspace(c.imag - h, c.imag + h, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
-    masked = flow.body.occupies(Z, 2.0 * (x1 - x0) / resolution)
+    masked = flow.body.occupies(Z, 2.0 * (2 * h) / resolution)  # two cells
     psi = np.full(Z.shape, np.nan)
     speed = np.full(Z.shape, np.nan)
     free = ~masked
@@ -439,7 +427,7 @@ def _run_compressible(cfg, flow, body, far, summary, out):
         "residual_history": list(sol.residuals),
         "grid": [n_r, n_theta], "mach_inf": mach_inf, "gamma": gamma,
     }
-    export_field(sol, None, None, out / "compressible_field.csv")
+    export_field(sol, None, out / "compressible_field.csv")
 
 
 def _run_refinement_study(cfg, flow, body, far, summary, out):

@@ -326,12 +326,13 @@ class ConformalGrid:
         definite) operator, preconditioned by the exact separable inverse
         of the constant-h operator at the mean face h.  h_xf and h_tf are
         face arrays, or scalars for a constant h.  CG starts from
-        x0 + P^-1 r0 / mean h with r0 = b - A x0 (computed here unless
-        given; b itself for a zero guess), which is already the solution
-        when h is constant; x0 is a guess for the interior rows (0.0 for
-        none).  Because h = 1/rho lies between 1/rho_0 and 1/rho*, the
-        preconditioned condition number is bounded by rho_0/rho*
-        independently of the grid.
+        x0 + P^-1 r0 / mean h, which is already the solution when h is
+        constant; x0 is a guess for the interior rows and r0 = b - A x0
+        its residual, which a Picard step has as its negated cell
+        balance; without r0, x0 must be zero and r0 is b.  Because
+        h = 1/rho lies between 1/rho_0 and 1/rho*, the preconditioned
+        condition number is bounded by rho_0/rho* independently of the
+        grid.
         Each iteration applies the operator once and updates the residual
         by the recurrence r <- r - alpha A p; the true residual b - A x is
         formed when the recurrence meets tol, and CG restarts from it if
@@ -355,9 +356,7 @@ class ConformalGrid:
         b = -self._balance(_differences(self.with_boundary(0.0)), h_xf, h_tf,
                            self.base_flux_xi, self.base_flux_th)[0]
         b_max = max(float(np.max(np.abs(b))), 1e-300)
-        if r0 is None:  # A 0 is exactly 0: a zero guess leaves b
-            r0 = b - apply(x0) if np.any(x0) else b
-        x = x0 + self._fast_solve(r0) / h_mean
+        x = x0 + self._fast_solve(b if r0 is None else r0) / h_mean
         r, true_r, it = b - apply(x), True, 0
         while True:
             lin_res = float(np.max(np.abs(r))) / b_max

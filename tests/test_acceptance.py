@@ -156,11 +156,7 @@ def test_criterion_06_sign_properties():
 
     census_ok, census_detail = True, []
     for name, flow in bundled_panel_flows():
-        R = flow.body.circumradius
-        c = flow.body.centroid
-        window = ((c.real - 4 * R, c.real + 4 * R),
-                  (c.imag - 4 * R, c.imag + 4 * R))
-        sc = sign_component_census(flow, window, resolution=400)
+        sc = sign_component_census(flow, resolution=400)
         census_ok = census_ok and sc.bounded_positive == 0 and sc.bounded_negative == 0
         census_detail.append(f"{name}: ({sc.bounded_positive}, {sc.bounded_negative})")
     report(6, both_ok and census_ok,

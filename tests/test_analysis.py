@@ -27,8 +27,9 @@ SQUARE = Polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
 L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 HEXAGON = Polygon([(1.3 * np.cos(t), 1.3 * np.sin(t))
                    for t in np.linspace(0.0, 2 * np.pi, 7)[:-1] + 0.3])
-# sign-census windows about the centroid, in circumradii: square, 20:1,
-# 1:20, off-centre, and one whose edge cuts the body
+# windows about the centroid, in circumradii, on which body.near is
+# tested: the sign census's square, 20:1, 1:20, off-centre, and one whose
+# edge cuts the body
 MASK_WINDOWS = [((-4, 4), (-4, 4)), ((-8, 8), (-0.4, 0.4)),
                 ((-0.4, 0.4), (-8, 8)), ((-0.5, 6), (-1.5, 5)),
                 ((0.1, 4), (-2, 2))]
@@ -46,17 +47,18 @@ def dense_boundary(body, s):
                            * (b - a) for a, b in zip(ends, ends[1:])])
 
 
-def whole_grid_census(flow, window, resolution):
+def whole_grid_census(flow, resolution):
     """(bounded positive, bounded negative) by the census's whole-grid
-    form: every cell's psi evaluated at once, NaN off the fluid."""
-    (x0, x1), (y0, y1) = window
+    form on the body's window, +-4R about the centroid: every cell's psi
+    evaluated at once, NaN off the fluid."""
     body = flow.body
-    tol = 1e-6 * flow.far.speed_scale(body.circumradius) * body.circumradius
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
+    c, R = body.centroid, body.circumradius
+    tol = 1e-6 * flow.far.speed_scale(R) * R
+    xs = np.linspace(c.real - 4 * R, c.real + 4 * R, resolution)
+    ys = np.linspace(c.imag - 4 * R, c.imag + 4 * R, resolution)
     Z = xs[None, :] + 1j * ys[:, None]
     psi = np.full(Z.shape, np.nan)
-    fluid = ~body.near(Z, 1.5 * max(x1 - x0, y1 - y0) / resolution)
+    fluid = ~body.near(Z, 1.5 * (8 * R) / resolution)
     psi[fluid] = flow.stream(Z[fluid])
     return tuple(analysis._bounded_components(fluid & (sign * psi > tol))
                  for sign in (+1, -1))
@@ -72,6 +74,12 @@ CENSUS_FLOWS = {
     "L-shape": (lambda: SimpleNamespace(body=L_SHAPE, far=FarField(1.0, 0.0),
                                         stream=lambda z: z.imag), 400),
 }
+# an equilateral triangle of circumradius 1.85 about (-0.65, 4.74): at
+# resolution 400 its rounded window edges made the census cell a rounding
+# error wider than 0.02R, so rounding decided its resolution check
+TRANSLATED_TRIANGLE = [(1.195991934414244, 4.741861932592554),
+                       (-1.5737826838299909, 6.3409920540304565),
+                       (-1.5737826838299909, 3.1427318111546523)]
 
 
 def wedge_corner(beta, wall_angle=0.0):
@@ -639,40 +647,46 @@ class TestCornerCensus:
 class TestSignComponentCensus:
     def test_uniform_flow(self):
         flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
-        census = sign_component_census(flow, ((-8, 8), (-8, 8)), resolution=200)
+        census = sign_component_census(flow, resolution=200)
         assert census.bounded_positive == 0
         assert census.bounded_negative == 0
 
     def test_circle_no_bounded_components(self):
         flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
-        census = sign_component_census(flow, ((-4, 4), (-4, 4)), resolution=200)
+        census = sign_component_census(flow, resolution=200)
         assert census.bounded_positive == 0
         assert census.bounded_negative == 0
 
     def test_panel_triangle_at_kutta_root(self):
         root = kutta_solve(TRIANGLE, 1.0, 0, n_panels=192).root
         flow = panel_solve(TRIANGLE, FarField(1.0, root), 192).flow
-        census = sign_component_census(flow, ((-4, 4), (-4, 4)), resolution=200)
+        census = sign_component_census(flow, resolution=200)
         assert census.bounded_positive == 0
         assert census.bounded_negative == 0
         # regularized corner sees both signs close by
         assert sign_attainment(flow, TRIANGLE.corners[0], 0.05) == "both"
 
-    @pytest.mark.parametrize("window, side, inconclusive", [
-        (((-3, 3), (-3, 3)), 6, False),
-        # cells 0.015 wide and 0.3 tall, 0.15 R on the 4-chord plate
-        (((-3, 3), (-60, 60)), 120, True),
-        (((-60, 60), (-3, 3)), 120, True)])
-    def test_census_cell_is_its_longer_side(self, monkeypatch, window, side,
-                                            inconclusive):
-        # the pad and the resolution check both take the longer side
-        flow = exact_flow(FlatPlate(4.0, np.pi / 6), FarField(1.0, -1.0))
-        near, pads = FlatPlate.near, set()
-        monkeypatch.setattr(FlatPlate, "near", lambda body, z, pad:
+    @pytest.mark.parametrize("scale", [None, 2.0**-40, 2.0**40],
+                             ids=["translated", "centred-2^-40", "centred-2^40"])
+    def test_census_cell_is_a_side_of_the_body_square(self, monkeypatch, scale):
+        # a cell is 8R/resolution wherever the body lies and whatever its
+        # size: the pad is 1.5 cells, and inconclusive holds exactly below
+        # resolution 400; the flag reads no psi, so a uniform stream does
+        body = Polygon(TRANSLATED_TRIANGLE)
+        if scale is not None:  # the same triangle, centred and scaled
+            c = body.centroid
+            body = Polygon([(scale * (x - c.real), scale * (y - c.imag))
+                            for x, y in TRANSLATED_TRIANGLE])
+        flow = SimpleNamespace(body=body, far=FarField(1.0, 0.5),
+                               stream=lambda z: z.imag - body.centroid.imag)
+        near, pads = Polygon.near, set()
+        monkeypatch.setattr(Polygon, "near", lambda body, z, pad:
                             pads.add(pad) or near(body, z, pad))
-        census = sign_component_census(flow, window, resolution=400)
-        assert pads == {1.5 * side / 400}
-        assert census.inconclusive is inconclusive
+        for resolution in (399, 400, 1000):
+            pads.clear()
+            census = sign_component_census(flow, resolution)
+            assert pads == {1.5 * (8 * body.circumradius) / resolution}
+            assert census.inconclusive is (resolution < 400)
 
     def test_bounded_components_match_ndimage_label(self):
         ndimage = pytest.importorskip("scipy.ndimage")
@@ -768,34 +782,30 @@ class TestSignComponentCensus:
     @pytest.mark.parametrize("name", ["plate", "circle", "triangle", "L-shape"])
     def test_blocked_census_equals_whole_grid(self, monkeypatch, name):
         # blocks of one row, of seven rows and the whole grid count what
-        # one whole-grid evaluation counts: on a checkerboard stream with
-        # many bounded components in the square and the 20:1 window, and
-        # on a flow about the body in the square one, up to its finest
-        # resolution.  The checkerboard takes the values -2, -1, 0, 1 and
-        # 2 times the noise floor, which stays unsigned
+        # one whole-grid evaluation counts on the body's window: on a
+        # checkerboard stream with many bounded components, and on a flow
+        # about the body up to its finest resolution.  The checkerboard
+        # takes the values -2, -1, 0, 1 and 2 times the noise floor, which
+        # stays unsigned
         make, finest = CENSUS_FLOWS[name]
         flow = make()
-        c, R = flow.body.centroid, flow.body.circumradius
+        R = flow.body.circumradius
         tol = 1e-6 * abs(flow.far.w_inf) * R
         checkers = SimpleNamespace(body=flow.body, far=flow.far, stream=lambda z: tol
                                    * np.round(2 * np.sin(5 * z.real / R)
                                               * np.sin(5 * z.imag / R)))
         counted = 0
-        for ((x0, x1), (y0, y1)), flows in zip(MASK_WINDOWS[:2],
-                                               [(flow, checkers), (checkers,)]):
-            window = ((c.real + R * x0, c.real + R * x1),
-                      (c.imag + R * y0, c.imag + R * y1))
-            for resolution, f in product((3, 41, 400), flows):
-                if f is flow and resolution > finest:
-                    continue
-                expected = whole_grid_census(f, window, resolution)
-                counted += sum(expected)
-                for rows in (1, 7, resolution):
-                    monkeypatch.setattr(analysis, "GRID_BLOCK", rows * resolution)
-                    census = sign_component_census(f, window, resolution)
-                    assert census.grid_shape == (resolution, resolution)
-                    assert (census.bounded_positive,
-                            census.bounded_negative) == expected
+        for resolution, f in product((3, 41, 400), (flow, checkers)):
+            if f is flow and resolution > finest:
+                continue
+            expected = whole_grid_census(f, resolution)
+            counted += sum(expected)
+            for rows in (1, 7, resolution):
+                monkeypatch.setattr(analysis, "GRID_BLOCK", rows * resolution)
+                census = sign_component_census(f, resolution)
+                assert census.grid_shape == (resolution, resolution)
+                assert (census.bounded_positive,
+                        census.bounded_negative) == expected
         assert counted > 20
 
     def test_census_memory_is_two_sign_masks(self):
@@ -807,7 +817,7 @@ class TestSignComponentCensus:
         flow.stream(np.array([3.0 + 3.0j]))  # the flow's expansions, built once
         tracemalloc.start()
         try:
-            census = sign_component_census(flow, ((-8, 8), (-8, 8)), 1000)
+            census = sign_component_census(flow, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -298,6 +298,11 @@ class TestLinearSolve:
     def cold(grid):
         return np.zeros((grid.n_r - 2, grid.n_theta))
 
+    @staticmethod
+    def start_residual(grid, x, h_xf, h_tf):
+        """b - A x at interior rows x: the cell balance, negated."""
+        return -cell_balance(grid, grid.with_boundary(x), h_xf, h_tf)[0]
+
     # (128, 256): 126 Dirichlet rows, so a type-I DST there would need an
     # FFT of prime length 2 * 127; (129, 256): an odd row count
     @pytest.mark.parametrize("shape", [(32, 64), (128, 256), (129, 256)])
@@ -328,29 +333,37 @@ class TestLinearSolve:
         grid = self.grid(64, 128)
         h_xf, h_tf = self.random_h(grid, self.SUBSONIC_SPREAD)
         exact = five_point_superlu(grid, h_xf, h_tf)
-        _, lin_res, iterations = grid.solve_linear(h_xf, h_tf, exact)
+        _, lin_res, iterations = grid.solve_linear(
+            h_xf, h_tf, exact, self.start_residual(grid, exact, h_xf, h_tf))
         assert iterations == 0 and lin_res <= compressible.LINEAR_TOL
 
         x_cold, _, it_cold = grid.solve_linear(h_xf, h_tf, self.cold(grid))
         noise = np.random.default_rng(5).standard_normal(exact.shape)
         guess = exact + 1e-3 * np.max(np.abs(exact)) * noise
-        x, lin_res, iterations = grid.solve_linear(h_xf, h_tf, guess)
+        x, lin_res, iterations = grid.solve_linear(
+            h_xf, h_tf, guess, self.start_residual(grid, guess, h_xf, h_tf))
         assert lin_res <= compressible.LINEAR_TOL
         assert iterations <= it_cold
         assert self.rel_diff(x, x_cold) <= 1e-11
 
     def test_cell_balance_is_the_start_residual(self):
-        # a Picard step hands CG its cell balance, negated, as b - A x0
+        # a Picard step hands CG its cell balance, negated, as b - A x0:
+        # it is b less the homogeneous operator applied to the guess
         grid = self.grid(64, 128)
         h_xf, h_tf = self.random_h(grid, self.SUBSONIC_SPREAD)
         exact = five_point_superlu(grid, h_xf, h_tf)
         noise = np.random.default_rng(7).standard_normal(exact.shape)
         guess = exact + 1e-3 * np.max(np.abs(exact)) * noise
-        bal, _ = cell_balance(grid, grid.with_boundary(guess), h_xf, h_tf)
-        x, lin_res, iterations = grid.solve_linear(h_xf, h_tf, guess, -bal)
-        x_own, _, it_own = grid.solve_linear(h_xf, h_tf, guess)
-        assert lin_res <= compressible.LINEAR_TOL and iterations == it_own
-        assert self.rel_diff(x, x_own) <= 1e-12
+        r0 = self.start_residual(grid, guess, h_xf, h_tf)
+        b = self.start_residual(grid, self.cold(grid), h_xf, h_tf)
+        padded = np.zeros((grid.n_r, grid.n_theta))
+        padded[1:-1, :] = guess
+        a_guess = (cell_balance(grid, padded, h_xf, h_tf)[0]
+                   - cell_balance(grid, 0.0 * padded, h_xf, h_tf)[0])
+        assert self.rel_diff(r0, b - a_guess) <= 1e-12
+        x, lin_res, iterations = grid.solve_linear(h_xf, h_tf, guess, r0)
+        x_cold, _, it_cold = grid.solve_linear(h_xf, h_tf, self.cold(grid))
+        assert lin_res <= compressible.LINEAR_TOL and iterations <= it_cold
         assert self.rel_diff(x, exact) <= 1e-11
 
     def test_reference_solve_takes_no_iterations_on_a_fine_grid(self):
