@@ -667,8 +667,8 @@ class TestSignComponentCensus:
         assert sign_attainment(flow, TRIANGLE.corners[0], 0.05) == "both"
 
     @pytest.mark.parametrize("scale", [None, 2.0**-40, 2.0**40],
-                             ids=["translated", "centred-2^-40", "centred-2^40"])
-    def test_census_cell_is_a_side_of_the_body_square(self, monkeypatch, scale):
+                             ids=["translated", "centred-tiny", "centred-huge"])
+    def test_census_cell_is_a_body_square_side(self, monkeypatch, scale):
         # a cell is 8R/resolution wherever the body lies and whatever its
         # size: the pad is 1.5 cells, and inconclusive holds exactly below
         # resolution 400; the flag reads no psi, so a uniform stream does
