@@ -373,20 +373,34 @@ def sign_component_census(flow, resolution: int) -> SignComponentCensus:
     sets are unbounded and connected, by the maximum principle).  The
     grid is evaluated in blocks of whole rows, about GRID_BLOCK cells
     each, so only the two sign masks are grid-sized.
+
+    Each block's psi is first evaluated to one cell's accuracy,
+    ``flow.stream(z, tol)`` with tol = 8 / resolution (psi moves by about
+    V times a cell across one cell).  That psi is within
+    (tol + FAR_TOL) V R of the full-accuracy psi, plus rounding of about
+    1e-14 V R at |psi| <= 10 V R, so 2 tol V R bounds the three at any
+    real resolution: the cells within 2 tol V R of +-floor are evaluated
+    again at full accuracy, ``flow.stream(z)``, and every other sign is
+    already the full-accuracy sign.
     """
-    body = flow.body
-    tol = 1e-6 * flow.far.speed_scale(body.circumradius) * body.circumradius
-    c, h = body.centroid, 4.0 * body.circumradius
+    body, R = flow.body, flow.body.circumradius
+    V = flow.far.speed_scale(R)
+    floor = 1e-6 * V * R
+    tol = 8.0 / resolution
+    c, h = body.centroid, 4.0 * R
     xs = np.linspace(c.real - h, c.real + h, resolution)
     ys = np.linspace(c.imag - h, c.imag + h, resolution)
-    signed = np.zeros((2, resolution, resolution), dtype=bool)  # psi > tol, < -tol
+    signed = np.zeros((2, resolution, resolution), dtype=bool)  # psi > floor, < -floor
     step = max(1, GRID_BLOCK // resolution)
     for start in range(0, resolution, step):
         Z = xs[None, :] + 1j * ys[start:start + step, None]
         fluid = ~body.near(Z, 1.5 * (2 * h) / resolution)
-        psi = flow.stream(Z[fluid])
-        signed[0, start:start + step][fluid] = psi > tol
-        signed[1, start:start + step][fluid] = -psi > tol
+        z = Z[fluid]
+        psi = flow.stream(z, tol=tol)
+        doubt = np.abs(np.abs(psi) - floor) <= 2.0 * tol * V * R
+        psi[doubt] = flow.stream(z[doubt])
+        signed[0, start:start + step][fluid] = psi > floor
+        signed[1, start:start + step][fluid] = -psi > floor
 
     # resolution check: corner lobes need a few cells between sign changes
     inconclusive = 8.0 / resolution > 0.02  # a cell, in units of R

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, compressible, forces, incompressible
-from .compressible import MIN_GRID_NODES
+from .compressible import LINEAR_TOL, MIN_GRID_NODES
 from .errors import ConfigError, CornerFlowError, GasDomainError, InvalidGeometryError
 from .gas import BernoulliState, GasModel
 from .geometry import CircleContour, body_from_config
@@ -190,11 +190,18 @@ def validate_scenario(cfg: dict) -> dict:
     except InvalidGeometryError as exc:
         raise ConfigError(str(exc), "$.flow.w_inf") from exc
     if not _get(cfg, "gas.incompressible"):  # a huge gamma overflows its bounds
+        gamma, mach = float(_get(cfg, "gas.gamma")), float(_get(cfg, "gas.mach_inf"))
         try:
-            BernoulliState.from_free_stream(GasModel(float(_get(cfg, "gas.gamma"))),
-                                            float(_get(cfg, "gas.mach_inf")))
+            state = BernoulliState.from_free_stream(GasModel(gamma), mach)
         except GasDomainError as exc:
             raise ConfigError(str(exc), "$.gas.gamma") from exc
+        # the sonic bound m* exceeds the free stream's flux gamma M**2 / 2 by
+        # about C(M) / gamma: within LINEAR_TOL of it, rounding would decide
+        # whether a run aborts
+        m_inf = 0.5 * gamma * mach**2
+        _require(state.flux_max_m - m_inf > LINEAR_TOL * m_inf,
+                 f"at mach_inf {mach:g} the sonic flux bound is within LINEAR_TOL "
+                 "of the free stream's own flux: lower gamma", "$.gas.gamma")
     mapped = incompressible.conformal_map(body) is not None
     unmapped = f"needs a closed-form map; a {body.kind} has none"
     protruding = [c.corner_id for c in body.corners if c.protruding]

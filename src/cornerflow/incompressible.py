@@ -36,7 +36,9 @@ closed-form panel integrals of C's panels elsewhere; each cluster tail is
 held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL, at
 the separation of a chunk's nearest point that uses it.  At 512 panels
 that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18 at 4 KAPPA
-and 10-12 at 8 KAPPA.
+and 10-12 at 8 KAPPA.  ``PanelFlow.stream(z, tol)`` holds the same tails
+to a looser tol on the same moments, and then the body expansion also
+takes each point with 1 < |Z| < KAPPA whose order at tol they reach.
 
 A panel's velocity and stream function each have one closed form, in
 real arithmetic in its frame on one log-ratio and angle
@@ -241,7 +243,9 @@ class MappedFlow:
         return ((u - np.conj(u) / sig**2 + self.far.circulation / (TWO_PI * 1j * sig))
                 / self.map.dz_dsigma(sig))
 
-    def stream(self, z):
+    def stream(self, z, tol=FAR_TOL):
+        """psi at the points z, exact: tol, the accuracy a panel flow's
+        stream takes, is not read."""
         sig = self._sigma(z)
         u = self.far.w_inf * self.map.dz_dsigma_inf
         return (np.imag(u * sig + np.conj(u) / sig)
@@ -483,12 +487,13 @@ def _orders(S, ratio, tol, t=1.0 / KAPPA):
     and the w tail ratio = t / rho, so one bound holds both.  tol / S
     comes first, so the orders keep their bits under w_inf -> 2**k w_inf.
     An overflowed S (a huge w_inf) bounds nothing, and a zero S or t needs
-    no term: order 0.  int16, whose stable argsort is a radix sort."""
+    no term: order 0.  int16, whose stable argsort is a radix sort; an
+    order past its range (t -> 1) saturates there, never wraps."""
     S = np.where(np.isfinite(S), S, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.ceil(np.log(tol / S * (TWO_PI * (1.0 - t)) / np.maximum(1.0, ratio))
                     / np.log(t)) - 1.0
-    return np.fmax(p, 0.0).astype(np.int16)
+    return np.fmin(np.fmax(p, 0.0), np.iinfo(np.int16).max).astype(np.int16)
 
 
 class _Expansion(NamedTuple):
@@ -602,15 +607,22 @@ class PanelFlow:
         ia, ib, za, zb, _, _ = _layout_panels(self.nodes, self.closed)
         return za, zb, self.gamma[ia], self.gamma[ib]
 
-    def _accumulate(self, z, field):
+    def _held(self, exp: _Expansion, tol: float) -> _Expansion:
+        """The expansion ``exp`` on its own moments with its G tails held to
+        tol V / G each, tol V in all, V the speed scale: at FAR_TOL the
+        cached expansion's own tol, to the bit."""
+        return exp._replace(tol=tol * self.far.speed_scale(self.body.circumradius)
+                            / len(exp.rho))
+
+    def _accumulate(self, z, field, tol=FAR_TOL):
         """Vortex-sheet part of a field at the points z: each cluster's
-        expansion where |z - c_C| >= KAPPA rho_C, and elsewhere the closed
-        forms of its panels, ``field.rows`` on its open run of nodes at all
-        its near points of the evaluation at once.  A chunk of points takes
-        each cluster's expansion to the order of its nearest point that
-        uses it."""
+        expansion where |z - c_C| >= KAPPA rho_C, its tail held to tol V / K
+        of the K clusters, and elsewhere the closed forms of its panels,
+        ``field.rows`` on its open run of nodes at all its near points of
+        the evaluation at once.  A chunk of points takes each cluster's
+        expansion to the order of its nearest point that uses it."""
         z = np.asarray(z, dtype=complex)
-        tree = self._clusters
+        tree = self._held(self._clusters, tol)
         K = len(tree.rho)
         coeffs = tree.rows(field)
         flat = z.ravel()
@@ -646,14 +658,21 @@ class PanelFlow:
                                       self.gamma[nodes, None])[:, 0]
         return acc.reshape(z.shape)
 
-    def _sheet(self, z, field):
-        """Vortex-sheet part of a field at the unit-frame points z: the
-        body's own expansion at |z| >= KAPPA, each point to the order of its
-        own separation, and _accumulate elsewhere."""
-        far = np.abs(z) >= KAPPA
+    def _sheet(self, z, field, tol=FAR_TOL):
+        """Vortex-sheet part of a field at the unit-frame points z, to within
+        tol V (``_held``): the body's own expansion at |z| >= KAPPA, each
+        point to the order of its own separation, and _accumulate
+        elsewhere.  Above FAR_TOL the body expansion also takes each point
+        with 1 < |z| < KAPPA whose order at tol is within the moments
+        already built (top)."""
+        r = np.abs(z)
+        far = np.asarray(r >= KAPPA)  # writable at a 0-d z too
+        inner = ~far & (r > 1.0) & (tol > FAR_TOL)
         out = np.empty(z.shape, dtype=field.dtype)
-        if far.any():
-            exp = self._expansion
+        if far.any() or inner.any():
+            exp = self._held(self._expansion, tol)
+            t = exp.rho / r[inner]
+            far[inner] = _orders(exp.S, t / exp.rho, exp.tol, t) <= exp.top
             d = z[far]
             sheet = np.empty(d.shape, dtype=field.dtype)
             for start in range(0, len(d), TREE_PAIRS):
@@ -665,7 +684,7 @@ class PanelFlow:
                                               d[chunk][by], order[by])
             out[far] = sheet
         if not far.all():
-            out[~far] = self._accumulate(z[~far], field)
+            out[~far] = self._accumulate(z[~far], field, tol)
         return out
 
     @cached_property
@@ -708,10 +727,13 @@ class PanelFlow:
     def velocity(self, z):
         return self.far.w_inf + self._sheet(self._unit(z), _W)
 
-    def stream(self, z):
+    def stream(self, z, tol=FAR_TOL):
+        """psi at the points z, the expansions' tails held to tol V R in
+        place of FAR_TOL V R, V the speed scale (``_sheet``); a tol below
+        FAR_TOL, to which the moments are built, is not met."""
         z = self._unit(z)
         return self.body.circumradius * (
-            self._sheet(z, _PSI) + np.imag(self.far.w_inf * z) - self._psi_body)
+            self._sheet(z, _PSI, tol) + np.imag(self.far.w_inf * z) - self._psi_body)
 
     @cached_property
     def _psi_body(self) -> float:

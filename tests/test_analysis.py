@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 
@@ -72,8 +73,22 @@ CENSUS_FLOWS = {
     "triangle": (lambda: panel_solve(TRIANGLE, FarField(1.0, 0.5), 48).flow, 41),
     # no L-shape panel flow meets TOL_SLIP: a uniform stream through it
     "L-shape": (lambda: SimpleNamespace(body=L_SHAPE, far=FarField(1.0, 0.0),
-                                        stream=lambda z: z.imag), 400),
+                                        stream=lambda z, **_: z.imag), 400),
 }
+
+
+@lru_cache(maxsize=None)
+def bundled_flow(name):
+    """The panel flow of a bundled scenario that runs the sign census, as
+    the CLI solves it: its Kutta root first where it names a corner."""
+    if name == "circle":
+        return panel_solve(Circle(1.0), FarField(1.0, TWO_PI), 256).flow
+    body, n_panels = {"plate30": (FlatPlate(4.0, np.deg2rad(30.0)), 512),
+                      "triangle_census": (TRIANGLE, 256)}[name]
+    root = kutta_solve(body, 1.0, 0, n_panels).root
+    return panel_solve(body, FarField(1.0, root), n_panels).flow
+
+
 # an equilateral triangle of circumradius 1.85 about (-0.65, 4.74): at
 # resolution 400 its rounded window edges made the census cell a rounding
 # error wider than 0.02R, so rounding decided its resolution check
@@ -678,7 +693,7 @@ class TestSignComponentCensus:
             body = Polygon([(scale * (x - c.real), scale * (y - c.imag))
                             for x, y in TRANSLATED_TRIANGLE])
         flow = SimpleNamespace(body=body, far=FarField(1.0, 0.5),
-                               stream=lambda z: z.imag - body.centroid.imag)
+                               stream=lambda z, **_: z.imag - body.centroid.imag)
         near, pads = Polygon.near, set()
         monkeypatch.setattr(Polygon, "near", lambda body, z, pad:
                             pads.add(pad) or near(body, z, pad))
@@ -791,7 +806,7 @@ class TestSignComponentCensus:
         flow = make()
         R = flow.body.circumradius
         tol = 1e-6 * abs(flow.far.w_inf) * R
-        checkers = SimpleNamespace(body=flow.body, far=flow.far, stream=lambda z: tol
+        checkers = SimpleNamespace(body=flow.body, far=flow.far, stream=lambda z, **_: tol
                                    * np.round(2 * np.sin(5 * z.real / R)
                                               * np.sin(5 * z.imag / R)))
         counted = 0
@@ -811,9 +826,7 @@ class TestSignComponentCensus:
     def test_census_memory_is_two_sign_masks(self):
         # the bundled plate30 flow at resolution 1000: the two bool masks
         # are grid-sized, each block's coordinates and psi are not
-        body = FlatPlate(4.0, np.deg2rad(30.0))
-        root = kutta_solve(body, 1.0, 0, n_panels=512).root
-        flow = panel_solve(body, FarField(1.0, root), 512).flow
+        flow = bundled_flow("plate30")
         flow.stream(np.array([3.0 + 3.0j]))  # the flow's expansions, built once
         tracemalloc.start()
         try:
@@ -823,6 +836,46 @@ class TestSignComponentCensus:
             tracemalloc.stop()
         assert (census.bounded_positive, census.bounded_negative) == (0, 0)
         assert peak <= 2 * 1000**2 + 16e6
+
+    def test_second_pass_is_the_doubt_band_at_far_tol(self, monkeypatch):
+        # the bundled plate30 flow at 400**2: each block is evaluated at one
+        # cell's accuracy, then exactly its cells within 2 tol V R of +-floor
+        # at FAR_TOL; every other cell's first-pass sign is its FAR_TOL sign
+        flow = bundled_flow("plate30")
+        R = flow.body.circumradius
+        V = flow.far.speed_scale(R)
+        floor = 1e-6 * V * R
+        stream, calls = incompressible.PanelFlow.stream, []
+
+        def record(self, z, tol=incompressible.FAR_TOL):
+            psi = stream(self, z, tol)
+            calls.append((z, tol, psi.copy()))  # the census rewrites psi
+            return psi
+
+        monkeypatch.setattr(incompressible.PanelFlow, "stream", record)
+        sign_component_census(flow, 400)
+        first, second = calls[::2], calls[1::2]
+        assert len(first) == len(second) == -(-400 // (analysis.GRID_BLOCK // 400))
+        doubted = 0
+        for (z, tol, psi), (again, full_tol, _) in zip(first, second):
+            assert tol == 8 / 400 and full_tol == incompressible.FAR_TOL
+            band = np.abs(np.abs(psi) - floor) <= 2 * tol * V * R
+            assert np.array_equal(again, z[band])
+            full = stream(flow, z)
+            for sign in (+1, -1):
+                assert np.array_equal((sign * psi > floor)[~band],
+                                      (sign * full > floor)[~band])
+            doubted += len(again)
+        # about 1.3 % of the fluid cells at this resolution
+        assert 0 < doubted < 0.02 * sum(len(z) for z, _, _ in first)
+
+    @pytest.mark.parametrize("name", ["circle", "plate30", "triangle_census"])
+    def test_two_pass_census_counts_the_whole_grid(self, name):
+        # at 1000**2, the finest census Tier-1 runs on each bundled flow
+        flow = bundled_flow(name)
+        census = sign_component_census(flow, 1000)
+        assert (census.bounded_positive, census.bounded_negative) == \
+            whole_grid_census(flow, 1000)
 
     def test_body_mask_memory_on_a_wide_window(self):
         # 20:1 at 2000**2 cells: the grid-sized test of which cells lie

@@ -41,6 +41,7 @@ def minimal_cfg(**kw):
 
 
 PLATE = {"kind": "flat_plate", "chord": 4.0, "alpha_deg": 30.0}
+HORIZONTAL_PLATE = {"kind": "flat_plate", "chord": 4.0, "alpha_deg": 0.0}
 TRIANGLE = {"kind": "polygon", "vertices": [[1, 0], [-0.5, 0.87], [-0.5, -0.87]]}
 # summary floats that are lengths, circulations or forces: one power of length
 LENGTH_KEYS = {"chord", "vertices", "radius", "circulation", "mass_flux", "c1",
@@ -313,6 +314,12 @@ class TestKeys:
         # and exited 1
         (None, COMPRESSIBLE + ['analyses=["compressible"]', "gas.gamma=1e300"],
          "$.gas.gamma"),
+        # from about gamma 1e15 at M 0.3 the sonic bound m* exceeds the free
+        # stream's flux by less than LINEAR_TOL relative: a uniform stream
+        # exited 1 or 0 as rounding fell
+        *((HORIZONTAL_PLATE, COMPRESSIBLE + ['analyses=["compressible"]',
+                                             f"gas.gamma={g}"], "$.gas.gamma")
+          for g in ("1e15", "1e20")),
     ])
     def test_values_a_solver_rejects_exit_2_before_any_solve(
             self, tmp_path, capsys, body, overrides, path):
@@ -321,6 +328,14 @@ class TestKeys:
         assert run(p, tmp_path / "out", overrides) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma", [1.4, 1e3, 1e14])
+    def test_gamma_with_a_sonic_margin_above_rounding_is_valid(self, gamma):
+        # the bundled uniform stream at M 0.3: m* exceeds the free stream's
+        # flux by 1.5e-13 relative at gamma 1e14, above LINEAR_TOL
+        cfg = json.loads(resolve_scenario_path("plate_horizontal_m03.json").read_text())
+        cfg["gas"]["gamma"] = gamma
+        validate_scenario(cfg)
 
     def test_panel_count_defaults_to_what_the_body_takes(self, tmp_path, capsys):
         # a 40-gon needs 8 panels a side, more than 256: without

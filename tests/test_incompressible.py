@@ -1062,6 +1062,37 @@ def test_orders_keep_their_bits_under_a_scaled_stream(body):
             assert np.array_equal(read, want_read)
 
 
+def test_orders_saturate_as_t_nears_one():
+    # the rule's order near t = 1 is past int16's range: it saturates
+    # there, never wraps negative, so order() caps it at each group's top
+    flow = panel_solve(Circle(1.0), FarField(1.0, 1.3), 64).flow
+    for exp in (flow._expansion, flow._clusters):
+        for t in (1.0 - 1e-6, 1.0 - 2.0**-40):
+            assert np.all(incompressible._orders(exp.S, t / exp.rho, exp.tol, t)
+                          >= exp.top)
+            assert np.array_equal(exp.order(t), exp.top)
+
+
+@BODIES_512
+def test_stream_at_a_looser_tol_is_within_it(body):
+    # psi at tol is within tol V R of psi at FAR_TOL: on 20000 random
+    # points in +-4R, the near ones inside KAPPA R that the body expansion
+    # takes at tol among them, and on points just outside |Z| = 1 off the
+    # body's corners (the plate's ends) or its sides
+    R, c = body.circumradius, body.centroid
+    rng = np.random.default_rng(11)
+    z = c + R * (rng.uniform(-4, 4, 20000) + 1j * rng.uniform(-4, 4, 20000))
+    tips = np.array([k.vertex for k in body.corners] or [c + R, c - 1j * R])
+    z = np.concatenate([z, (c + (tips - c)[:, None] * (1 + np.geomspace(1e-9, 0.5, 40)))
+                        .ravel()])
+    z = z[~body.occupies(z, 1e-9 * R)]
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    V = flow.far.speed_scale(R)
+    psi = flow.stream(z)
+    for tol in (8 / 100, 8 / 400, 8 / 2000):
+        assert np.max(np.abs(flow.stream(z, tol) - psi)) <= tol * V * R
+
+
 @BODIES_512
 def test_truncation_matches_full_order(body, monkeypatch):
     # every point and cluster at its own separation's order against the
