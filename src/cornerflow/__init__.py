@@ -7,7 +7,7 @@ subsonic compressible stream-function solver with refinement studies.
 
 from .analysis import (CensusResult, CornerCensusEntry, CornerReport,
                        LaurentFit, circulation, corner_census, farfield_fit,
-                       fit_corner, mass_flux, sign_attainment,
+                       fit_corner, sign_attainment,
                        sign_component_census)
 from .compressible import (CompressibleSolution, ConformalGrid,
                            RefinementStudy, build_grid, refinement_study,
@@ -15,10 +15,9 @@ from .compressible import (CompressibleSolution, ConformalGrid,
 from .forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from .gas import BernoulliState, GasModel
 from .geometry import (Body, Circle, CircleContour, Corner, FlatPlate,
-                       Polygon, classify_corners, probe_ring)
-from .incompressible import (FarField, JoukowskyPlateMap, MappedFlow,
-                             PanelFlow, PanelSolution, exact_flow, kutta_solve,
-                             panel_solve)
+                       JoukowskyPlateMap, Polygon, classify_corners, probe_ring)
+from .incompressible import (FarField, MappedFlow, PanelFlow, PanelSolution,
+                             exact_flow, kutta_solve, panel_solve)
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "PanelFlow", "PanelSolution", "Polygon", "RefinementStudy",
     "blasius_force", "build_grid", "circulation",
     "classify_corners", "corner_census", "exact_flow", "farfield_fit",
-    "fit_corner", "kutta_joukowsky_lift", "kutta_solve", "mass_flux",
+    "fit_corner", "kutta_joukowsky_lift", "kutta_solve",
     "panel_solve", "probe_ring", "refinement_study", "sign_attainment",
     "sign_component_census", "solve_subsonic",
 ]

@@ -59,12 +59,6 @@ def circulation(flow, contour: CircleContour) -> float:
     return float(np.real(contour_integral(flow, contour)))
 
 
-def mass_flux(flow, contour: CircleContour) -> float:
-    """Net outward volume flux oint v . n ds = Im oint w dz; zero for any
-    closed fluid contour around the body (conservation of mass)."""
-    return float(np.imag(contour_integral(flow, contour)))
-
-
 # ---------------------------------------------------------------------------
 # corner fits
 

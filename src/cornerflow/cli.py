@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, compressible, forces, incompressible
+from . import analysis, compressible, forces
 from .compressible import LINEAR_TOL, MIN_GRID_NODES
 from .errors import ConfigError, CornerFlowError, GasDomainError, InvalidGeometryError
 from .gas import BernoulliState, GasModel
@@ -112,7 +112,7 @@ KEYS = {
         lambda b: max(256, b.min_panels), least=lambda b: b.min_panels),
     "solver.representation": _Key(
         lambda v: v in ("panel", "exact"), "panel or exact",
-        lambda b: "panel" if incompressible.conformal_map(b) is None else "exact"),
+        lambda b: "panel" if b.conformal_map is None else "exact"),
     "solver.grid.n_r": _Key(_is_grid_size, f"an integer >= {MIN_GRID_NODES}", 64),
     "solver.grid.n_theta": _Key(lambda v: _is_grid_size(v, even=True),
                                 f"an even integer >= {MIN_GRID_NODES}", 128),
@@ -202,7 +202,7 @@ def validate_scenario(cfg: dict) -> dict:
         _require(state.flux_max_m - m_inf > LINEAR_TOL * m_inf,
                  f"at mach_inf {mach:g} the sonic flux bound is within LINEAR_TOL "
                  "of the free stream's own flux: lower gamma", "$.gas.gamma")
-    mapped = incompressible.conformal_map(body) is not None
+    mapped = body.conformal_map is not None
     unmapped = f"needs a closed-form map; a {body.kind} has none"
     protruding = [c.corner_id for c in body.corners if c.protruding]
     for i, name in enumerate(_get(cfg, "analyses")):

@@ -68,7 +68,7 @@ from .errors import (InvalidGeometryError, IterationLimitError,
                      SolverError, SonicExcursionError, UnsupportedBodyError)
 from .gas import BernoulliState, GasModel
 from .geometry import Body
-from .incompressible import FarField, MappedFlow, conformal_map
+from .incompressible import FarField, MappedFlow
 
 TWO_PI = 2.0 * np.pi
 OMEGA = 0.7           # Picard under-relaxation
@@ -149,11 +149,11 @@ class ConformalGrid:
     dz/dzeta, H and psi~ are in units of R = body.circumradius.
     """
 
-    def __init__(self, body: Body, far: FarField, cmap, n_r: int, n_theta: int):
-        self.body, self.far, self.map = body, far, cmap
+    def __init__(self, body: Body, far: FarField, n_r: int, n_theta: int):
+        self.body, self.far, self.map = body, far, body.conformal_map
         self.R = R = body.circumradius  # the unit of psi~ and of H
         self.n_r, self.n_theta = n_r, n_theta
-        self.xi = xi = np.linspace(0.0, np.log(cmap.sigma_radius(R_FAR * R)), n_r)
+        self.xi = xi = np.linspace(0.0, np.log(self.map.sigma_radius(R_FAR * R)), n_r)
         self.theta = th = TWO_PI * np.arange(n_theta) / n_theta
         self.d_xi = d_xi = float(xi[1] - xi[0])
         self.d_theta = d_theta = float(th[1] - th[0])
@@ -161,7 +161,7 @@ class ConformalGrid:
         # Im W of the exact incompressible flow on the outer ring
         z_body, z_outer = self.map_z(xi[[0, -1]], th)
         self.psi_body = -np.imag(far.w_inf * z_body) / R
-        self.psi_outer = (MappedFlow(cmap, far).stream(z_outer)
+        self.psi_outer = (MappedFlow(body, far).stream(z_outer)
                           - np.imag(far.w_inf * z_outer)) / R
         self.flagged = self.H <= 1e-12  # singular map nodes
 
@@ -391,8 +391,7 @@ def build_grid(body: Body, far: FarField, n_r: int, n_theta: int) -> ConformalGr
     Requires n_r, n_theta >= MIN_GRID_NODES and an even n_theta, so that
     plate edges land on single flagged nodes.
     """
-    cmap = conformal_map(body)
-    if cmap is None:
+    if body.conformal_map is None:
         raise UnsupportedBodyError(
             f"a {body.kind} has no closed-form conformal map for the grid; "
             "the incompressible census handles it")
@@ -400,7 +399,7 @@ def build_grid(body: Body, far: FarField, n_r: int, n_theta: int) -> ConformalGr
         raise InvalidGeometryError(f"grid needs n_r, n_theta >= {MIN_GRID_NODES}")
     if n_theta % 2:
         raise InvalidGeometryError("n_theta must be even")
-    return ConformalGrid(body, far, cmap, n_r, n_theta)
+    return ConformalGrid(body, far, n_r, n_theta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Bodies (polygon, circle, flat plate), their panel layouts and nearness,
-corner classification, circle contours.
+"""Bodies (polygon, circle, flat plate), their panel layouts, nearness and
+conformal maps, corner classification, circle contours.
 
 Conventions
 -----------
@@ -20,7 +20,11 @@ Each body lays out its own vortex panels: ``panel_nodes(n, cluster)``
 returns the nodes and whether they close on themselves, and
 ``min_panels`` is the least n that layout accepts.  Each body says exactly
 how near points are: ``near(z, pad)`` holds inside it or within pad of its
-boundary, and ``farthest(p)`` is the largest distance from p to it.
+boundary, and ``farthest(p)`` is the largest distance from p to it.  Each
+body states its own ``conformal_map`` of the exterior of the unit circle
+onto its exterior, or None where there is none in closed form: a scaling
+for a circle (``CircleScalingMap``) and the Joukowsky map for a plate
+(``JoukowskyPlateMap``).
 """
 
 from __future__ import annotations
@@ -179,6 +183,81 @@ def classify_corners(vertices) -> list[Corner]:
 
 
 @dataclass(frozen=True)
+class CircleScalingMap:
+    """z(sigma) = radius * sigma: the exterior of the unit circle scaled
+    onto the exterior of a circle of that radius."""
+
+    radius: float
+
+    @property
+    def dz_dsigma_inf(self) -> complex:
+        return complex(self.radius)
+
+    def to_z(self, sigma):
+        return self.radius * np.asarray(sigma, dtype=complex)
+
+    def dz_dsigma(self, sigma):
+        return np.full_like(np.asarray(sigma, dtype=complex), self.radius)
+
+    def to_sigma(self, z):
+        return np.asarray(z, dtype=complex) / self.radius
+
+    def sigma_radius(self, r):
+        """|sigma| of the circle whose image reaches distance r."""
+        return r / self.radius
+
+
+@dataclass(frozen=True)
+class JoukowskyPlateMap:
+    """z(sigma) = exp(-i alpha) * (chord/4) * (sigma + 1/sigma).
+
+    Maps the exterior of the unit circle onto the exterior of the plate
+    slit; sigma = +1 is the trailing edge (corner 0), sigma = -1 the
+    leading edge (corner 1).
+    """
+
+    chord: float
+    alpha: float
+
+    @property
+    def dz_dsigma_inf(self) -> complex:
+        return complex(np.exp(-1j * self.alpha)) * (self.chord / 4.0)
+
+    def to_z(self, sigma):
+        sigma = np.asarray(sigma, dtype=complex)
+        # array first: numpy multiplies a temporary of 16384 points or more in
+        # place as array * scalar, which rounds otherwise than scalar * array
+        return (sigma + 1.0 / sigma) * self.dz_dsigma_inf
+
+    def dz_dsigma(self, sigma):
+        sigma = np.asarray(sigma, dtype=complex)
+        return self.dz_dsigma_inf * (1.0 - 1.0 / sigma**2)
+
+    def sigma_radius(self, r):
+        """|sigma| of the circle whose image (an ellipse) reaches distance r."""
+        t = r / (self.chord / 2.0)  # in units of R: no length is squared
+        return t + np.sqrt(t * t - 1.0)
+
+    def to_sigma(self, z):
+        """Exterior preimage, |sigma| >= 1.
+
+        Uses sqrt(zeta-2)*sqrt(zeta+2), whose branch cut lies exactly on
+        the slit, then picks the root outside the unit circle (the two
+        roots are reciprocal).  zeta -+ 2 is formed as (z -+ 2d)/d with
+        d = f'(inf): 2d is the edge point itself, so the offset from an
+        edge keeps every digit.
+        """
+        z = np.asarray(z, dtype=complex)
+        d = self.dz_dsigma_inf
+        zeta = z / d
+        s = np.sqrt((z - 2.0 * d) / d) * np.sqrt((z + 2.0 * d) / d)
+        sig = 0.5 * (zeta + s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            other = np.where(sig != 0, 1.0 / sig, np.inf)
+        return np.where(np.abs(sig) >= 1.0, sig, other)
+
+
+@dataclass(frozen=True)
 class Circle:
     """Circular body centred at the origin."""
 
@@ -214,6 +293,10 @@ class Circle:
 
     def farthest(self, p: complex) -> float:
         return abs(p) + self.radius
+
+    @cached_property
+    def conformal_map(self) -> CircleScalingMap:
+        return CircleScalingMap(self.radius)
 
     def panel_nodes(self, n: int, cluster: float = 1.0):
         """The regular inscribed n-gon, closed; cluster has no effect."""
@@ -295,6 +378,10 @@ class FlatPlate:
     def farthest(self, p: complex) -> float:
         return max(abs(p - self.leading_edge), abs(p - self.trailing_edge))
 
+    @cached_property
+    def conformal_map(self) -> JoukowskyPlateMap:
+        return JoukowskyPlateMap(self.chord, self.alpha)
+
     def panel_nodes(self, n: int, cluster: float = 1.0):
         """One open run of n chordwise panels from the leading edge,
         cosine-clustered toward both edges."""
@@ -311,6 +398,7 @@ class Polygon:
 
     kind = "polygon"
     PANELS_PER_SIDE = 8  # the least panels on any side
+    conformal_map = None  # no closed form
 
     def __post_init__(self):
         v = _as_complex_vertices(self.vertices)

@@ -7,8 +7,8 @@ counterclockwise line integral of velocity, Gamma = Re of the closed
 contour integral of w dz.
 
 Exact solutions (MappedFlow): the flow around the unit circle pushed
-through a closed-form conformal map z = f(sigma) of its exterior onto the
-body's, a scaling for a circle and the Joukowsky map for a flat plate.
+through the body's own closed-form conformal map z = f(sigma) of its
+exterior onto the body's (``body.conformal_map``).
 
 Panel representation: linear-strength vortex sheets on the boundary with
 one strength unknown per node (corner nodes shared between adjacent
@@ -69,7 +69,7 @@ import numpy as np
 
 from . import analysis
 from .errors import FluidDomainError, InvalidGeometryError, SolverError
-from .geometry import Body, Circle, FlatPlate, _gauss_legendre
+from .geometry import Body, _gauss_legendre
 
 TWO_PI = 2.0 * np.pi
 # largest tangency residual, and circulation residual in units of R (of
@@ -126,89 +126,6 @@ class FarField:
 
 
 @dataclass(frozen=True)
-class CircleScalingMap:
-    """z(sigma) = radius * sigma: the exterior of the unit circle scaled
-    onto the exterior of a circle of that radius."""
-
-    radius: float
-
-    @property
-    def body(self) -> Circle:
-        return Circle(self.radius)
-
-    @property
-    def dz_dsigma_inf(self) -> complex:
-        return complex(self.radius)
-
-    def to_z(self, sigma):
-        return self.radius * np.asarray(sigma, dtype=complex)
-
-    def dz_dsigma(self, sigma):
-        return np.full_like(np.asarray(sigma, dtype=complex), self.radius)
-
-    def to_sigma(self, z):
-        return np.asarray(z, dtype=complex) / self.radius
-
-    def sigma_radius(self, r):
-        """|sigma| of the circle whose image reaches distance r."""
-        return r / self.radius
-
-
-@dataclass(frozen=True)
-class JoukowskyPlateMap:
-    """z(sigma) = exp(-i alpha) * (chord/4) * (sigma + 1/sigma).
-
-    Maps the exterior of the unit circle onto the exterior of the plate
-    slit; sigma = +1 is the trailing edge (corner 0), sigma = -1 the
-    leading edge (corner 1).
-    """
-
-    chord: float
-    alpha: float
-
-    @property
-    def body(self) -> FlatPlate:
-        return FlatPlate(self.chord, self.alpha)
-
-    @property
-    def dz_dsigma_inf(self) -> complex:
-        return complex(np.exp(-1j * self.alpha)) * (self.chord / 4.0)
-
-    def to_z(self, sigma):
-        sigma = np.asarray(sigma, dtype=complex)
-        # array first: numpy multiplies a temporary of 16384 points or more in
-        # place as array * scalar, which rounds otherwise than scalar * array
-        return (sigma + 1.0 / sigma) * self.dz_dsigma_inf
-
-    def dz_dsigma(self, sigma):
-        sigma = np.asarray(sigma, dtype=complex)
-        return self.dz_dsigma_inf * (1.0 - 1.0 / sigma**2)
-
-    def sigma_radius(self, r):
-        """|sigma| of the circle whose image (an ellipse) reaches distance r."""
-        t = r / (self.chord / 2.0)  # in units of R: no length is squared
-        return t + np.sqrt(t * t - 1.0)
-
-    def to_sigma(self, z):
-        """Exterior preimage, |sigma| >= 1.
-
-        Uses sqrt(zeta-2)*sqrt(zeta+2), whose branch cut lies exactly on
-        the slit, then picks the root outside the unit circle (the two
-        roots are reciprocal).  zeta -+ 2 is formed as (z -+ 2d)/d with
-        d = f'(inf): 2d is the edge point itself, so the offset from an
-        edge keeps every digit.
-        """
-        z = np.asarray(z, dtype=complex)
-        d = self.dz_dsigma_inf
-        zeta = z / d
-        s = np.sqrt((z - 2.0 * d) / d) * np.sqrt((z + 2.0 * d) / d)
-        sig = 0.5 * (zeta + s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            other = np.where(sig != 0, 1.0 / sig, np.inf)
-        return np.where(np.abs(sig) >= 1.0, sig, other)
-
-
-@dataclass(frozen=True)
 class MappedFlow:
     """Exact flow around a body through its conformal map z = f(sigma).
 
@@ -219,12 +136,13 @@ class MappedFlow:
     Kutta root (``kutta_solve``), where U' = 0 at its prevertex.
     """
 
-    map: object  # body, to_z, to_sigma, dz_dsigma, f'(inf)
+    body: Body
     far: FarField
 
     @property
-    def body(self) -> Body:
-        return self.map.body
+    def map(self):
+        """The body's map: to_z, to_sigma, dz_dsigma, f'(inf)."""
+        return self.body.conformal_map
 
     def _sigma(self, z):
         sig = self.map.to_sigma(z)
@@ -252,20 +170,9 @@ class MappedFlow:
                 - self.far.circulation / TWO_PI * np.log(np.abs(sig)))
 
 
-def conformal_map(body: Body):
-    """Map of the exterior of the unit circle onto the body's exterior, or
-    None where there is none in closed form: the one list of closed forms."""
-    if isinstance(body, Circle):
-        return CircleScalingMap(body.radius)
-    if isinstance(body, FlatPlate):
-        return JoukowskyPlateMap(body.chord, body.alpha)
-    return None
-
-
 def exact_flow(body: Body, far: FarField) -> MappedFlow | None:
     """Closed-form flow around the body, or None where it has no map."""
-    cmap = conformal_map(body)
-    return None if cmap is None else MappedFlow(cmap, far)
+    return None if body.conformal_map is None else MappedFlow(body, far)
 
 
 # ---------------------------------------------------------------------------

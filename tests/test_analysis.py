@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from cornerflow import analysis, incompressible
-from cornerflow.analysis import (circulation, corner_census, farfield_fit,
-                                 fit_corner, mass_flux, sign_attainment,
+from cornerflow.analysis import (circulation, contour_integral, corner_census,
+                                 farfield_fit, fit_corner, sign_attainment,
                                  sign_component_census)
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
@@ -323,16 +323,16 @@ class TestContourIntegrals:
 
     def test_mass_flux_zero(self):
         flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))
-        assert abs(mass_flux(flow, CircleContour(0j, 3.0, 1024))) < 1e-10
+        assert abs(contour_integral(flow, CircleContour(0j, 3.0, 1024)).imag) < 1e-10
 
     def test_uniform_flow_zero_flux(self):
         flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))  # exactly uniform
-        assert abs(mass_flux(flow, CircleContour(0j, 8.0, 1024))) < 1e-10
+        assert abs(contour_integral(flow, CircleContour(0j, 8.0, 1024)).imag) < 1e-10
 
     def test_panel_triangle_flux_small(self):
         sol = panel_solve(TRIANGLE, FarField(1.0, 1.0), 128)
         contour = CircleContour(0j, 5.0, 2048)
-        flux = mass_flux(sol.flow, contour)
+        flux = contour_integral(sol.flow, contour).imag
         assert abs(flux) < 1e-6 * 1.0 * (TWO_PI * 5.0)
 
     def test_contour_through_body_rejected(self):

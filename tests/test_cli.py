@@ -21,7 +21,7 @@ from cornerflow import analysis, cli, compressible, forces, incompressible
 from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
-from cornerflow.errors import ConfigError, InvalidGeometryError
+from cornerflow.errors import ConfigError, InvalidGeometryError, UnsupportedBodyError
 from cornerflow.gas import BernoulliState, GasModel
 from cornerflow.geometry import Circle, FlatPlate, Polygon, body_from_config
 from cornerflow.incompressible import FarField, exact_flow, panel_solve
@@ -178,6 +178,26 @@ RETIRED_KEY_CASES = [
     ("output.field_window", [[-3, 3], [-3, 3]], None, []),
     ("output.sign_window", [[-4, 4], [-4, 4]], None, []),
 ]
+
+
+def test_a_polygon_has_no_exact_flow_grid_or_exact_run():
+    body = body_from_config(TRIANGLE)
+    assert exact_flow(body, FarField(1.0)) is None
+    with pytest.raises(UnsupportedBodyError, match=re.escape(
+            "a polygon has no closed-form conformal map for the grid; "
+            "the incompressible census handles it")):
+        build_grid(body, FarField(1.0), 64, 128)
+    cfg = minimal_cfg(body=TRIANGLE, solver={"representation": "exact"})
+    with pytest.raises(ConfigError, match=re.escape(
+            "$.solver.representation: exact representation needs a "
+            "closed-form map; a polygon has none")):
+        validate_scenario(cfg)
+    cfg = minimal_cfg(body=TRIANGLE, gas={"incompressible": False, "mach_inf": 0.3},
+                      analyses=["compressible"])
+    with pytest.raises(ConfigError, match=re.escape(
+            "$.analyses[0]: analysis 'compressible' needs a closed-form map; "
+            "a polygon has none")):
+        validate_scenario(cfg)
 
 
 class TestKeys:

@@ -1,11 +1,14 @@
 """Body and corner classification tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cornerflow.errors import (GeometryClipError, InvalidGeometryError,
                                UnsupportedBodyError)
-from cornerflow.geometry import (Circle, CircleContour, Corner, FlatPlate, Polygon,
+from cornerflow.geometry import (Circle, CircleContour, CircleScalingMap, Corner,
+                                 FlatPlate, JoukowskyPlateMap, Polygon,
                                  _segment_distance, body_from_config,
                                  classify_corners, probe_ring)
 from oracles import local_polar
@@ -171,6 +174,32 @@ class TestBodies:
         assert plate.on_slit(0.3 + 0j)
         assert not plate.on_slit(0.3 + 0.01j)
         assert not plate.on_slit(1.5 + 0j)
+
+
+class TestConformalMaps:
+    def test_circle_states_its_scaling(self):
+        circle = Circle(2.5)
+        cmap = circle.conformal_map
+        assert isinstance(cmap, CircleScalingMap) and cmap.radius == 2.5
+        assert circle.conformal_map is cmap  # built once per body
+
+    def test_plate_states_its_joukowsky_map(self):
+        plate = FlatPlate(4.0, np.pi / 6)
+        cmap = plate.conformal_map
+        assert isinstance(cmap, JoukowskyPlateMap)
+        assert (cmap.chord, cmap.alpha) == (4.0, np.pi / 6)
+        assert plate.conformal_map is cmap
+
+    def test_polygon_has_no_map(self):
+        assert Polygon(TRIANGLE).conformal_map is None
+
+    @pytest.mark.parametrize("body", [Circle(2.5), FlatPlate(4.0, np.pi / 6),
+                                      Polygon(TRIANGLE)],
+                             ids=["circle", "plate", "triangle"])
+    def test_map_is_no_field_and_holds_no_body(self, body):
+        # the panel system's cache is keyed on the body's fields
+        assert "conformal_map" not in {f.name for f in dataclasses.fields(body)}
+        assert not hasattr(body.conformal_map, "body")
 
 
 # (chord, alpha in degrees) of the first plate of field_maps seeds 1-3
