@@ -5,10 +5,8 @@ corner-singularity analysis, Blasius/Kutta-Joukowsky forces, and a
 subsonic compressible stream-function solver with refinement studies.
 """
 
-from .analysis import (CensusResult, CornerCensusEntry, CornerReport,
-                       LaurentFit, circulation, corner_census, farfield_fit,
-                       fit_corner, sign_attainment,
-                       sign_component_census)
+from .analysis import (CornerReport, LaurentFit, circulation, farfield_fit,
+                       fit_corner, sign_attainment, sign_component_census)
 from .compressible import (CompressibleSolution, ConformalGrid,
                            RefinementStudy, build_grid, refinement_study,
                            solve_subsonic)
@@ -16,7 +14,8 @@ from .forces import ForceResult, blasius_force, kutta_joukowsky_lift
 from .gas import BernoulliState, GasModel
 from .geometry import (Body, Circle, CircleContour, Corner, FlatPlate,
                        JoukowskyPlateMap, Polygon, classify_corners, probe_ring)
-from .incompressible import (FarField, MappedFlow, PanelFlow, PanelSolution,
+from .incompressible import (CensusResult, CornerCensusEntry, FarField,
+                             MappedFlow, PanelFlow, PanelSolution, corner_census,
                              exact_flow, kutta_solve, panel_solve)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Corner-singularity fits, contour integrals, far-field fits, censuses.
+"""Corner-singularity fits, contour integrals, far-field fits, sign census.
 
 Near a corner of fluid-side angle beta the stream function expands as
 
@@ -21,13 +21,11 @@ so circulation and flux share one quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateKuttaError, FitQualityError, FluidDomainError
-from .geometry import (Body, CircleContour, Corner, _gauss_legendre, _ring_points,
-                       probe_ring)
+from .errors import FitQualityError, FluidDomainError
+from .geometry import CircleContour, Corner, _gauss_legendre, _ring_points, probe_ring
 
 TWO_PI = 2.0 * np.pi
 # |a1| above TOL_A1 * V * R**(1 - pi/beta) counts as singular, V the speed
@@ -223,121 +221,6 @@ def farfield_fit(flow) -> LaurentFit:
     c1 = complex(coef[1] * body_scale)
     return LaurentFit(c0=complex(coef[0]), c1=c1, gamma_estimate=-TWO_PI * c1.imag,
                       re_c1=c1.real, residual=resid)
-
-
-# ---------------------------------------------------------------------------
-# corner census over circulation
-
-
-@dataclass(frozen=True)
-class CornerCensusEntry:
-    """a1 of one corner as the line a1_at_zero + slope * Gamma; ``root``
-    is the one circulation that makes the corner regular (its Kutta root).
-    The fields are the keys of the summary's census.corners[]."""
-
-    corner_id: int
-    root: float
-    slope: float
-    a1_at_zero: float
-    root_uncertainty: float
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    """Exact affine-root census of corner regularity over circulation.
-
-    ``a1`` of every corner is affine in Gamma, so corner i is regular, at
-    the singular threshold, on one closed interval about root_i; the
-    least number of singular corners at any Gamma, ``min_singular_count``,
-    is n less the deepest overlap of those intervals, and
-    ``regularizes_all_somewhere`` is its being 0.  Pairs of roots within
-    1e-3 V R are reported beside it.  A swept grid provides a redundancy
-    check: the number of singular corners at each of its Gamma, never
-    below the least.  The fields are keys of the summary's census.
-    """
-
-    corners: tuple
-    sweep_gammas: tuple
-    sweep_singular_counts: tuple
-    min_singular_count: int
-    regularizes_all_somewhere: bool
-    coincident_pairs: tuple
-
-
-def _affine_entries(corners, a0, slope, R) -> list:
-    """Each corner's ``CornerCensusEntry`` from its line a0 + slope * Gamma
-    on the inner and the outer ring, shape (len(corners), 2) each, in the
-    units of psi of ``_ring_a1``: the root -a0 / slope, which a body
-    scaled by 2**k scales by 2**k exactly, slope and a0 of the outer ring
-    in physical units (times R**(-pi/beta)), and the change of the root
-    between the rings as its uncertainty.  DegenerateKuttaError names the
-    first corner whose a1 does not respond to circulation, |slope| < 1e-12
-    on either ring (slope is dimensionless in units of psi)."""
-    entries = []
-    for corner, a, s in zip(corners, a0, slope):
-        if np.min(np.abs(s)) < 1e-12:
-            raise DegenerateKuttaError(
-                f"a1 at corner {corner.corner_id} does not respond to circulation")
-        roots = -a / s
-        to_physical = R ** (-np.pi / corner.exterior_angle_beta)
-        entries.append(CornerCensusEntry(
-            corner_id=corner.corner_id, root=float(roots[1]),
-            slope=float(s[1] * to_physical), a1_at_zero=float(a[1] * to_physical),
-            root_uncertainty=float(abs(roots[1] - roots[0]))))
-    return entries
-
-
-def corner_census(body: Body, w_inf: complex, n_panels: int,
-                  representation: str = "panel") -> CensusResult:
-    """Affine a1(Gamma) census over all protruding corners of a body.
-
-    The representation's three unit columns fix every corner's affine form
-    exactly (``incompressible``'s ``_affine_corners``): the exact flows of
-    a mapped body, or the panel system on ``n_panels`` panels once its
-    flows at Gamma = 0 and Gamma = V R (V the speed scale at Gamma = 0)
-    pass the slip gate.  The census reads off the roots and the least
-    singular count from the lines' regular intervals, root +-
-    TOL_A1 V R**(1 - pi/beta) / |slope|, by one sort of their ends, and
-    sweeps a 33-point grid spanning all roots with margin as a redundancy
-    check.  Root coincidence and the margin scale with V R, and the
-    singular threshold with V.
-    """
-    from .incompressible import FarField, _affine_corners  # deferred: avoids cycle
-
-    corners = [c for c in body.corners if c.protruding]
-    if len(corners) < 2:
-        raise FluidDomainError("census needs at least two protruding corners")
-    R = body.circumradius
-    V = FarField(w_inf).speed_scale(R)
-    scale = V * R
-    entries = _affine_corners(body, w_inf, corners, n_panels, representation)
-
-    roots = np.array([e.root for e in entries])
-    coincidence_tol = 1e-3 * scale
-    coincident = [(a.corner_id, b.corner_id) for a, b in combinations(entries, 2)
-                  if abs(a.root - b.root) < coincidence_tol]
-
-    lo, hi = roots.min(), roots.max()
-    margin = max(0.25 * (hi - lo), 0.1 * scale)
-    gamma_grid = np.linspace(lo - margin, hi + margin, 33)
-
-    singular_above = [TOL_A1 * V * R ** (1.0 - np.pi / c.exterior_angle_beta)
-                      for c in corners]
-    counts = tuple(sum(1 for e, tol in zip(entries, singular_above)
-                       if abs(e.a1_at_zero + e.slope * gam) > tol)
-                   for gam in gamma_grid)
-    # the deepest overlap of the regular intervals, a start counted before
-    # an end at the same Gamma: the intervals are closed
-    half = np.array(singular_above) / np.abs([e.slope for e in entries])
-    ends = np.concatenate([roots - half, roots + half])
-    steps = np.repeat([1, -1], len(roots))
-    least = len(roots) - int(np.max(np.cumsum(steps[np.lexsort((-steps, ends))])))
-    assert least <= min(counts), "the sweep reads fewer singular corners than the lines"
-    return CensusResult(
-        corners=tuple(entries), sweep_gammas=tuple(float(g) for g in gamma_grid),
-        sweep_singular_counts=counts, min_singular_count=least,
-        regularizes_all_somewhere=least == 0,
-        coincident_pairs=tuple(coincident))
 
 
 # ---------------------------------------------------------------------------

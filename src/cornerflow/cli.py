@@ -30,7 +30,8 @@ from .compressible import LINEAR_TOL, MIN_GRID_NODES
 from .errors import ConfigError, CornerFlowError, GasDomainError, InvalidGeometryError
 from .gas import BernoulliState, GasModel
 from .geometry import CircleContour, body_from_config
-from .incompressible import FarField, exact_flow, kutta_solve, panel_solve
+from .incompressible import (FarField, corner_census, exact_flow, kutta_solve,
+                             panel_solve)
 
 SCHEMA_VERSION = 1
 
@@ -330,9 +331,9 @@ def _run_corner_fits(cfg, flow, body, far, summary, out):
 
 
 def _run_census(cfg, flow, body, far, summary, out):
-    census = analysis.corner_census(body, float(_get(cfg, "flow.w_inf")),
-                                    int(_get(cfg, "solver.n_panels", body)),
-                                    _get(cfg, "solver.representation", body))
+    census = corner_census(body, float(_get(cfg, "flow.w_inf")),
+                           int(_get(cfg, "solver.n_panels", body)),
+                           _get(cfg, "solver.representation", body))
     summary["census"] = {
         **asdict(census),
         "verdict": ("degenerate coincidence" if census.regularizes_all_somewhere else

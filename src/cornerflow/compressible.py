@@ -1,14 +1,14 @@
 """Subsonic compressible stream-function solver on conformal annular grids.
 
-Solves div( h(|grad psi|^2 / 2) grad psi ) = 0, h = 1/rho, around a
-circle or flat plate.  The exterior of the body is mapped to the
-exterior of the unit circle (identity scaling for the circle, Joukowsky
-for the plate); in the conformal chart zeta = xi + i*theta with
-sigma = exp(zeta) the operator keeps its divergence form and only the
-metric factor H = |dz/dzeta| enters the coefficient, through
-|grad_z psi|^2 = (psi_xi^2 + psi_theta^2) / H^2.  The grid works in units
-of the body's circumradius R: dz/dzeta, H and psi~ are divided by R where
-they are formed, so no length is squared and lengths scale out.
+Solves div( h(|grad psi|^2 / 2) grad psi ) = 0, h = 1/rho, around any
+body that states a ``conformal_map``.  The exterior of the body is
+mapped to the exterior of the unit circle by that map; in the conformal
+chart zeta = xi + i*theta with sigma = exp(zeta) the operator keeps its
+divergence form and only the metric factor H = |dz/dzeta| enters the
+coefficient, through |grad_z psi|^2 = (psi_xi^2 + psi_theta^2) / H^2.
+The grid works in units of the body's circumradius R: dz/dzeta, H and
+psi~ are divided by R where they are formed, so no length is squared
+and lengths scale out.
 
 The discrete unknown is the perturbation psi~ = psi - psi_base from the
 uniform-flow base psi_base = Im(w_inf z), whose face-integrated
@@ -440,31 +440,31 @@ class _Anderson:
     mixed iterate is sum a_i y_i over step k and up to ``depth`` steps
     before it, with the weights (summing to 1) that minimize
     |sum a_i f_i|: a = g^-1 1 / (1' g^-1 1) for the Gram matrix g of the
-    f_i, kept from step to step so that each step forms only its own row.
-    Depth 0 keeps no history and is plain relaxed Picard.
+    kept f_i, formed anew at each step from its upper triangle (at most
+    ten dot products at depth 3).  Depth 0 keeps no history and is plain
+    relaxed Picard.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
-        self.ys, self.fs, self.gram = [], [], np.empty((0, 0))
+        self.ys, self.fs = [], []
 
     def restart(self):
         """Drop every step of the history but the newest."""
         self.ys, self.fs = self.ys[-1:], self.fs[-1:]
-        self.gram = self.gram[-1:, -1:]
 
     def mix(self, y, f):
         """The mixed iterate of the relaxed step y and its f; None without
         an earlier step or when the f_i are linearly dependent.  (y, f)
         joins the history, which keeps ``depth`` steps between calls."""
-        row = [float(np.einsum("ij,ij->", f, g)) for g in self.fs + [f]]
-        gram = np.empty((len(row), len(row)))
-        gram[:-1, :-1], gram[-1], gram[:, -1] = self.gram, row, row
         self.ys.append(y)
         self.fs.append(f)
-        self.gram, mixed = gram, None
+        n, mixed = len(self.fs), None
+        gram = np.empty((n, n))
+        for i, j in zip(*np.triu_indices(n)):
+            gram[i, j] = gram[j, i] = np.einsum("ij,ij->", self.fs[i], self.fs[j])
         d = np.sqrt(np.diag(gram))
-        if len(row) > 1 and np.all(d > 0.0):
+        if n > 1 and np.all(d > 0.0):
             try:  # equilibrated: the f_i shrink by orders over a solve
                 w = np.linalg.solve(gram / np.outer(d, d), 1.0 / d) / d
             except np.linalg.LinAlgError:
@@ -476,7 +476,6 @@ class _Anderson:
                     mixed += ai * yi
         if len(self.ys) > self.depth:
             del self.ys[0], self.fs[0]
-            self.gram = gram[1:, 1:]
         return mixed
 
 
@@ -697,7 +696,9 @@ def refinement_study(body: Body, gas: GasModel, mach_inf: float, gamma: float,
         del grid  # every array of this level is freed before the next grid
 
     margins = [lv.sonic_margin_ratio for lv in levels]
-    increasing = all(b > a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))
+    # a trend needs two levels: one margin alone shows none
+    increasing = len(margins) > 1 and all(b > a * (1 + 1e-9)
+                                          for a, b in zip(margins, margins[1:]))
     machs = [lv.max_mach for lv in levels if lv.max_mach is not None]
     cauchy = tuple(abs(b - a) for a, b in zip(machs, machs[1:]))
     return RefinementStudy(

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cornerflow.analysis import TOL_A1, _affine_entries, _ring_a1
+from cornerflow.analysis import TOL_A1, _ring_a1
 from cornerflow.errors import DegenerateKuttaError, InvalidGeometryError
-from cornerflow.incompressible import FarField
+from cornerflow.incompressible import FarField, _affine_entries
 
 TWO_PI = 2 * np.pi
 # prevertex sigma_k of each corner under a body kind's map: the Joukowsky

@@ -9,17 +9,16 @@ import time
 
 import numpy as np
 
-from cornerflow.analysis import (circulation, contour_integral, corner_census,
-                                 farfield_fit, fit_corner, sign_attainment,
-                                 sign_component_census)
+from cornerflow.analysis import (circulation, contour_integral, farfield_fit,
+                                 fit_corner, sign_attainment, sign_component_census)
 from cornerflow.compressible import (build_grid, incompressible_reference_solution,
                                      refinement_study, solve_subsonic)
 from cornerflow.errors import LimitSpeedError, SonicFluxError
 from cornerflow.forces import blasius_force, kutta_joukowsky_lift
 from cornerflow.gas import BernoulliState, GasModel
 from cornerflow.geometry import Circle, CircleContour, FlatPlate, Polygon
-from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
-                                       panel_solve)
+from cornerflow.incompressible import (FarField, corner_census, exact_flow,
+                                       kutta_solve, panel_solve)
 from oracles import kutta_circulation, swept_least_singular_count
 
 TWO_PI = 2 * np.pi

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from cornerflow import analysis, incompressible
-from cornerflow.analysis import (circulation, contour_integral, corner_census,
-                                 farfield_fit, fit_corner, sign_attainment,
-                                 sign_component_census)
+from cornerflow.analysis import (circulation, contour_integral, farfield_fit,
+                                 fit_corner, sign_attainment, sign_component_census)
 from cornerflow.errors import (DegenerateKuttaError, FitQualityError,
                                FluidDomainError)
 from cornerflow.geometry import Circle, CircleContour, Corner, FlatPlate, Polygon
-from cornerflow.incompressible import (FarField, exact_flow, kutta_solve,
-                                       panel_solve)
+from cornerflow.incompressible import (FarField, corner_census, exact_flow,
+                                       kutta_solve, panel_solve)
 from oracles import affine_corner, kutta_circulation, swept_least_singular_count
 
 TWO_PI = 2 * np.pi

@@ -1,5 +1,6 @@
 """Scenario runner: schema, determinism, exports, exit codes."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -806,10 +807,10 @@ class TestRun:
             forces.ForceResult, "kutta_joukowsky_lift", "sign_convention")
         assert [r.keys() for r in tri["corner_reports"]] == [
             keys(analysis.CornerReport)] * 3
-        assert tri["census"].keys() == keys(analysis.CensusResult,
+        assert tri["census"].keys() == keys(incompressible.CensusResult,
                                             "verdict", "note")
         assert [e.keys() for e in tri["census"]["corners"]] == [
-            keys(analysis.CornerCensusEntry)] * 3
+            keys(incompressible.CornerCensusEntry)] * 3
         study = plate["refinement_study"]
         assert study.keys() == keys(compressible.RefinementStudy, "note")
         assert [lv.keys() for lv in study["levels"]] == [
@@ -1091,3 +1092,26 @@ def test_cli_import_loads_no_scipy():
             "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=60).returncode == 0
+
+
+def test_package_import_graph_is_acyclic():
+    """The relative imports of every module of the package, at any depth
+    (inside functions too), form no cycle, and ``analysis`` reads flows
+    through their methods: it imports ``errors`` and ``geometry`` only."""
+    package = Path(cornerflow.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in package.glob("*.py")}
+    graph = {name: {target for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for target in ([node.module.split(".")[0]] if node.module
+                                   else [alias.name for alias in node.names])
+                    if target in modules}
+             for name, tree in modules.items()}
+    assert graph["analysis"] == {"errors", "geometry"}
+    # peel off the modules whose imports are all peeled: a cycle stays
+    left = dict(graph)
+    while left:
+        peeled = {name for name, targets in left.items() if not targets & left.keys()}
+        assert peeled, f"import cycle among {sorted(left)}"
+        for name in peeled:
+            del left[name]

@@ -213,6 +213,14 @@ class TestRefinementStudy:
         margins = [lv.sonic_margin_ratio for lv in study.levels]
         assert margins[-1] > margins[0]
 
+    def test_one_level_claims_no_rising_margin(self):
+        # one tilted-plate grid aborts, but a single sonic margin shows
+        # no trend: it is no blow-up signature on its own
+        study = refinement_study(FlatPlate(4.0, np.pi / 6), GAS, 0.5, 0.0,
+                                 [(32, 64)])
+        assert study.abort_at_finest
+        assert not study.margin_strictly_increasing
+
     def test_horizontal_plate_control_constant(self):
         study = refinement_study(FlatPlate(4.0, 0.0), GAS, 0.5, 0.0,
                                  [(16, 32), (32, 64)])

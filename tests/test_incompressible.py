@@ -11,14 +11,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cornerflow.analysis import circulation, contour_integral, corner_census
+from cornerflow.analysis import circulation, contour_integral
 from cornerflow.cli import KEYS, run
 from cornerflow import incompressible
 from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverError
 from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
                                  probe_ring)
 from cornerflow.incompressible import (KAPPA, TOL_SLIP, FarField, MappedFlow,
-                                       exact_flow, kutta_solve, panel_solve)
+                                       corner_census, exact_flow, kutta_solve,
+                                       panel_solve)
 from oracles import kutta_circulation
 
 TWO_PI = 2 * np.pi
