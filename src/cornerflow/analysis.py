@@ -1,4 +1,4 @@
-"""Corner-singularity fits, contour integrals, far-field fits, sign census.
+"""Corner fits, contour integrals, far-field fits, sign census, field maps.
 
 Near a corner of fluid-side angle beta the stream function expands as
 
@@ -36,7 +36,7 @@ TOL_A1 = 1e-3
 RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
 # cells per block of whole grid rows: sign_component_census evaluates, and
-# cli._write_csv formats and writes, one block at a time
+# cli.export_field formats and writes, one block at a time
 GRID_BLOCK = 16384
 
 
@@ -223,8 +223,38 @@ def farfield_fit(flow) -> LaurentFit:
                       re_c1=c1.real, residual=resid)
 
 
+def exact_regression(flow, exact) -> float:
+    """Largest velocity deviation of ``flow`` from the closed-form ``exact``
+    on the probe rings 1.5, 3 and 10 R, in units of the speed scale."""
+    R = exact.body.circumradius
+    th = 2 * np.pi * (np.arange(100) + 0.31) / 100
+    z = np.array([1.5, 3.0, 10.0])[:, None] * R * np.exp(1j * th)
+    dev = np.abs(np.asarray(flow.velocity(z)) - np.asarray(exact.velocity(z)))
+    return float(np.max(dev) / exact.far.speed_scale(R))
+
+
 # ---------------------------------------------------------------------------
-# sign-component census
+# field map and sign-component census: the body's windows, +-3R and +-4R
+
+
+def field_map(flow, resolution: int):
+    """psi and speed on a resolution x resolution grid over the body's
+    window, +-3R about its centroid, as the columns (x, y, psi, speed,
+    mask): the axes as a row and a column of the grid, then grid arrays.
+    Cells that ``body.occupies`` (a plate's slit widened by two cells) are
+    masked, with NaN psi and speed."""
+    c, h = flow.body.centroid, 3.0 * flow.body.circumradius
+    xs = np.linspace(c.real - h, c.real + h, resolution)
+    ys = np.linspace(c.imag - h, c.imag + h, resolution)
+    Z = xs[None, :] + 1j * ys[:, None]
+    masked = flow.body.occupies(Z, 2.0 * (2 * h) / resolution)  # two cells
+    psi = np.full(Z.shape, np.nan)
+    speed = np.full(Z.shape, np.nan)
+    free = ~masked
+    z = Z[free]
+    psi[free] = flow.stream(z)
+    speed[free] = np.abs(np.asarray(flow.velocity(z)))
+    return xs[None, :], ys[:, None], psi, speed, masked
 
 
 @dataclass(frozen=True)

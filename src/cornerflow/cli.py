@@ -281,42 +281,34 @@ def _resolve_flow(cfg: dict, body, summary: dict):
         }
         flow = sol.flow
         if exact is not None:
-            summary["exact_regression_max_rel_dev"] = _exact_regression(flow, exact)
+            summary["exact_regression_max_rel_dev"] = analysis.exact_regression(flow, exact)
     summary["flow"] = {"w_inf": w_inf, "gamma": gamma,
                        "representation": representation}
-    return flow, far
-
-
-def _exact_regression(flow, exact):
-    """Panel-vs-exact velocity deviation at standard probe rings."""
-    R = exact.body.circumradius
-    th = 2 * np.pi * (np.arange(100) + 0.31) / 100
-    z = np.array([1.5, 3.0, 10.0])[:, None] * R * np.exp(1j * th)
-    dev = np.abs(np.asarray(flow.velocity(z)) - np.asarray(exact.velocity(z)))
-    return float(np.max(dev) / exact.far.speed_scale(R))
+    return flow
 
 
 # ---------------------------------------------------------------------------
 # analyses
 
 
-def _run_circulation(cfg, flow, body, far, summary, out):
-    R = body.circumradius
+def _run_circulation(cfg, flow, summary, out):
+    R = flow.body.circumradius
     entries = []
     for mult in (2.0, 5.0, 20.0):
         val = analysis.contour_integral(
-            flow, CircleContour(body.centroid, mult * R, 2048))
+            flow, CircleContour(flow.body.centroid, mult * R, 2048))
         entries.append({"radius": mult * R, "circulation": float(val.real),
                         "mass_flux": float(val.imag)})
     summary["circulation"] = entries
 
 
-def _run_farfield(cfg, flow, body, far, summary, out):
+def _run_farfield(cfg, flow, summary, out):
     # c0, c1 are written [re, im] by _null_non_finite
     summary["farfield"] = asdict(analysis.farfield_fit(flow))
 
 
-def _run_forces(cfg, flow, body, far, summary, out):
+def _run_forces(cfg, flow, summary, out):
+    body, far = flow.body, flow.far
     contour = CircleContour(body.centroid, 3.0 * body.circumradius, 1024)
     summary["forces"] = {
         **asdict(forces.blasius_force(flow, contour)),
@@ -325,12 +317,13 @@ def _run_forces(cfg, flow, body, far, summary, out):
     }
 
 
-def _run_corner_fits(cfg, flow, body, far, summary, out):
+def _run_corner_fits(cfg, flow, summary, out):
     summary["corner_reports"] = [asdict(analysis.fit_corner(flow, corner))
-                                 for corner in body.corners]
+                                 for corner in flow.body.corners]
 
 
-def _run_census(cfg, flow, body, far, summary, out):
+def _run_census(cfg, flow, summary, out):
+    body = flow.body
     census = corner_census(body, float(_get(cfg, "flow.w_inf")),
                            int(_get(cfg, "solver.n_panels", body)),
                            _get(cfg, "solver.representation", body))
@@ -342,7 +335,7 @@ def _run_census(cfg, flow, body, far, summary, out):
     }
 
 
-def _run_sign_census(cfg, flow, body, far, summary, out):
+def _run_sign_census(cfg, flow, summary, out):
     res = int(_get(cfg, "output.sign_resolution"))
     census = analysis.sign_component_census(flow, res)
     summary["sign_census"] = {
@@ -354,46 +347,19 @@ def _run_sign_census(cfg, flow, body, far, summary, out):
     }
 
 
-def _run_field_export(cfg, flow, body, far, summary, out):
+def _run_field_export(cfg, flow, summary, out):
     resolution = int(_get(cfg, "output.field_resolution"))
-    export_field(flow, resolution, out / "field.csv")
+    export_field(out / "field.csv", "x,y,psi,speed,mask",
+                 *analysis.field_map(flow, resolution))
     summary["field_export"] = {"rows": resolution * resolution, "file": "field.csv"}
 
 
-def export_field(flow_or_solution, resolution, path):
-    """Write a field CSV: rectilinear (x, y, psi, speed, mask) on a
-    resolution x resolution grid over the body's window, +-3R about its
-    centroid, for incompressible flows; the annular node table
-    (r, theta, x, y, psi, rho, mach) for compressible solutions, which
-    take no resolution."""
-    if isinstance(flow_or_solution, compressible.CompressibleSolution):
-        sol = flow_or_solution
-        g, z = sol.grid, sol.grid.z
-        _write_csv(path, "r,theta,x,y,psi,rho,mach", np.exp(g.xi)[:, None],
-                   g.theta[None, :], z.real, z.imag, sol.psi, sol.rho, sol.mach)
-        return
-
-    flow = flow_or_solution
-    c, h = flow.body.centroid, 3.0 * flow.body.circumradius
-    xs = np.linspace(c.real - h, c.real + h, resolution)
-    ys = np.linspace(c.imag - h, c.imag + h, resolution)
-    Z = xs[None, :] + 1j * ys[:, None]
-    masked = flow.body.occupies(Z, 2.0 * (2 * h) / resolution)  # two cells
-    psi = np.full(Z.shape, np.nan)
-    speed = np.full(Z.shape, np.nan)
-    free = ~masked
-    psi[free] = flow.stream(Z[free])
-    speed[free] = np.abs(np.asarray(flow.velocity(Z[free])))
-    _write_csv(path, "x,y,psi,speed,mask", xs[None, :], ys[:, None], psi, speed,
-               masked)
-
-
-def _write_csv(path, header, *columns):
-    """One row per cell of the 2-d grid the columns broadcast to, in C
-    order, every value as %.17g and a bool column as 0/1.  A grid axis (a
-    row or a column of the grid) has each of its values formatted once.
-    Rows are written in blocks of whole grid rows, about
-    analysis.GRID_BLOCK cells each."""
+def export_field(path, header, *columns):
+    """Write the columns as a CSV at ``path``: one row per cell of the 2-d
+    grid they broadcast to, in C order, every value as %.17g and a bool as
+    0/1.  A grid axis (a row or a column of the grid) has each of its
+    values formatted once.  Rows are written in blocks of whole grid
+    rows, about analysis.GRID_BLOCK cells each."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
     cols = []
     for c in map(np.asarray, columns):
@@ -415,15 +381,15 @@ def _write_csv(path, header, *columns):
             fh.write((row * parts[0].size) % tuple(values))
 
 
-def _run_compressible(cfg, flow, body, far, summary, out):
+def _run_compressible(cfg, flow, summary, out):
     gamma = float(_get(cfg, "gas.gamma"))
     mach_inf = float(_get(cfg, "gas.mach_inf"))
     gas = GasModel(gamma)
     state = BernoulliState.from_free_stream(gas, mach_inf)
     n_r = int(_get(cfg, "solver.grid.n_r"))
     n_theta = int(_get(cfg, "solver.grid.n_theta"))
-    cfar = FarField(state.free_stream_speed(mach_inf), far.circulation)
-    grid = compressible.build_grid(body, cfar, n_r, n_theta)
+    cfar = FarField(state.free_stream_speed(mach_inf), flow.far.circulation)
+    grid = compressible.build_grid(flow.body, cfar, n_r, n_theta)
     sol = compressible.solve_subsonic(grid, state)
     summary["compressible"] = {
         # a solve that does not converge raises IterationLimitError
@@ -435,14 +401,17 @@ def _run_compressible(cfg, flow, body, far, summary, out):
         "residual_history": list(sol.residuals),
         "grid": [n_r, n_theta], "mach_inf": mach_inf, "gamma": gamma,
     }
-    export_field(sol, None, out / "compressible_field.csv")
+    z = grid.z
+    export_field(out / "compressible_field.csv", "r,theta,x,y,psi,rho,mach",
+                 np.exp(grid.xi)[:, None], grid.theta[None, :], z.real, z.imag,
+                 sol.psi, sol.rho, sol.mach)
 
 
-def _run_refinement_study(cfg, flow, body, far, summary, out):
+def _run_refinement_study(cfg, flow, summary, out):
     grids = [tuple(g) for g in _get(cfg, "solver.study.grids")]
     gas = GasModel(float(_get(cfg, "gas.gamma")))
     study = compressible.refinement_study(
-        body, gas, float(_get(cfg, "gas.mach_inf")), far.circulation, grids)
+        flow.body, gas, float(_get(cfg, "gas.mach_inf")), flow.far.circulation, grids)
     summary["refinement_study"] = {
         **asdict(study), "note": "blow-up signature at finite resolution, not a proof"}
 
@@ -510,11 +479,11 @@ def run(scenario_path, out_dir=None, overrides=()) -> int:
     code = 0
     try:
         body = body_from_config(cfg["body"])
-        flow, far = _resolve_flow(cfg, body, summary)
+        flow = _resolve_flow(cfg, body, summary)
         analyses = _get(cfg, "analyses")
         for name in ANALYSES:  # in this order, each by its _run_<name>
             if name in analyses:
-                globals()[f"_run_{name}"](cfg, flow, body, far, summary, out)
+                globals()[f"_run_{name}"](cfg, flow, summary, out)
     except CornerFlowError as exc:
         entry = {"type": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "location") and exc.location is not None:

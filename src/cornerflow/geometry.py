@@ -108,7 +108,7 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(v.real * w.imag - v.imag * w.real))
 
 
-def _cosine_nodes(n: int, blend: float = 1.0) -> np.ndarray:
+def _cosine_nodes(n: int, blend: float) -> np.ndarray:
     """n+1 nodes on [0, 1], cosine-clustered toward both ends."""
     u = np.arange(n + 1) / n
     c = 0.5 * (1.0 - np.cos(np.pi * u))

@@ -889,7 +889,7 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int, n_panels: int,
 
 
 def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int,
-                    representation: str = "panel"):
+                    representation: str):
     """Each corner's ``CornerCensusEntry`` in slope form, read off the
     unit columns of the representation (``_corner_a1``).
 

@@ -19,7 +19,7 @@ import pytest
 
 import cornerflow
 from cornerflow import analysis, cli, compressible, forces, incompressible
-from cornerflow.cli import (_write_csv, apply_overrides, export_field, main,
+from cornerflow.cli import (apply_overrides, export_field, main,
                             resolve_scenario_path, run, validate_scenario)
 from cornerflow.compressible import build_grid, solve_subsonic
 from cornerflow.errors import ConfigError, InvalidGeometryError, UnsupportedBodyError
@@ -786,7 +786,7 @@ class TestRun:
                 calls.append((type(self).__name__, np.size(z)))
                 return velocity(self, z)
             monkeypatch.setattr(cls, "velocity", spy)
-        assert cli._exact_regression(flow, exact).hex() == max(rings).hex()
+        assert analysis.exact_regression(flow, exact).hex() == max(rings).hex()
         assert sorted(calls) == [("MappedFlow", 300), ("PanelFlow", 300)]
 
     def test_sections_are_their_result_types_fields(self, tmp_path):
@@ -888,11 +888,16 @@ class TestRun:
         assert not list(tmp_path.iterdir())
 
 
+def field_csv(flow, resolution, out):
+    """The field.csv that the field_export analysis writes into ``out``."""
+    cli._run_field_export({"output": {"field_resolution": resolution}}, flow, {}, out)
+    return out / "field.csv"
+
+
 class TestExportField:
     def test_circle_mask(self, tmp_path):
         flow = exact_flow(Circle(1.0), FarField(1.0, 0.0))
-        path = tmp_path / "f.csv"
-        export_field(flow, 200, path)
+        path = field_csv(flow, 200, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,psi,speed,mask"
         assert len(lines) == 1 + 200 * 200
@@ -906,26 +911,22 @@ class TestExportField:
 
     def test_uniform_flow_psi_column(self, tmp_path):
         flow = exact_flow(FlatPlate(4.0, 0.0), FarField(1.0, 0.0))
-        path = tmp_path / "u.csv"
-        export_field(flow, 50, path)
+        path = field_csv(flow, 50, tmp_path)
         for ln in path.read_text().splitlines()[1:]:
             x, y, psi, speed, mask = ln.split(",")
             if mask == "0":
                 assert abs(float(psi) - float(y)) < 1e-12
 
     def test_compressible_export_matches_summary(self, tmp_path):
-        gas = GasModel(1.4)
-        state = BernoulliState.from_free_stream(gas, 0.2)
-        far = FarField(state.free_stream_speed(0.2), 0.0)
-        grid = build_grid(FlatPlate(4.0, 0.0), far, 32, 64)
-        sol = solve_subsonic(grid, state)
-        path = tmp_path / "c.csv"
-        export_field(sol, None, path)
-        lines = path.read_text().splitlines()
+        assert run("plate_horizontal_m03.json", tmp_path, [
+            "gas.mach_inf=0.2", "solver.grid.n_r=32", "solver.grid.n_theta=64"]) == 0
+        max_mach = json.loads((tmp_path / "summary.json").read_text())[
+            "compressible"]["max_mach"]
+        lines = (tmp_path / "compressible_field.csv").read_text().splitlines()
         assert lines[0] == "r,theta,x,y,psi,rho,mach"
         machs = [float(ln.split(",")[6]) for ln in lines[1:]
                  if ln.split(",")[6] != "nan"]
-        assert max(machs) == pytest.approx(sol.max_mach, rel=1e-12)
+        assert max(machs) == pytest.approx(max_mach, rel=1e-12)
 
 
 def reference_export_field(flow_or_solution, window, resolution, path):
@@ -995,9 +996,13 @@ def _triangle_panel_flow():
 def test_export_field_matches_row_writer_bytes(tmp_path, make, window,
                                                resolution):
     field = make()
-    export_field(field, resolution, tmp_path / "new.csv")
+    if window is None:  # the CLI's node table of the same solution
+        assert run("plate_horizontal_m03.json", tmp_path, [
+            "solver.grid.n_r=64", "solver.grid.n_theta=128"]) == 0
+        new = (tmp_path / "compressible_field.csv").read_bytes()
+    else:
+        new = field_csv(field, resolution, tmp_path).read_bytes()
     reference_export_field(field, window, resolution, tmp_path / "old.csv")
-    new = (tmp_path / "new.csv").read_bytes()
     assert b"nan" in new
     assert new == (tmp_path / "old.csv").read_bytes()
 
@@ -1030,7 +1035,7 @@ def plain_csv(header, columns):
 def test_write_csv_matches_plain_writer(tmp_path):
     # the whole grid is one block
     columns = grid_columns()
-    _write_csv(tmp_path / "new.csv", "x,y,f,g,mask", *columns)
+    export_field(tmp_path / "new.csv", "x,y,f,g,mask", *columns)
     plain = plain_csv("x,y,f,g,mask", columns)
     assert (tmp_path / "new.csv").read_text() == plain
     for text in ("-0,", ",0,", "nan", "-inf", "4.9406564584124654e-324"):
@@ -1043,40 +1048,25 @@ def test_write_csv_blocks_match_plain_writer(tmp_path, monkeypatch, rows):
     # short) and of the whole grid
     monkeypatch.setattr(analysis, "GRID_BLOCK", rows * 11)
     columns = grid_columns()
-    _write_csv(tmp_path / "new.csv", "x,y,f,g,mask", *columns)
+    export_field(tmp_path / "new.csv", "x,y,f,g,mask", *columns)
     plain = plain_csv("x,y,f,g,mask", columns)
     assert (tmp_path / "new.csv").read_text() == plain
     assert plain.count("\n") == 23 * 11 + 1
 
 
-def test_write_csv_memory_is_one_block_of_rows(tmp_path, monkeypatch):
-    # an exact circle at 600**2: the writer holds its axes' strings and one
-    # block of formatted rows, within 6 MB of its entry (4.4 MB measured),
-    # so the export peaks within 6 MB of where its evaluation does
-    flow = exact_flow(Circle(1.0), FarField(1.0, 2.0))
-    writer, traced = cli._write_csv, []
-
-    def traced_writer(*args):  # (entry, peak before, peak within the writer)
-        entry, before = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        writer(*args)
-        traced.append((entry, before, tracemalloc.get_traced_memory()[1]))
-
-    def export_peak():
-        tracemalloc.start()
-        try:
-            export_field(flow, 600, tmp_path / "f.csv")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    monkeypatch.setattr(cli, "_write_csv", lambda *args: None)
-    evaluation = export_peak()
-    monkeypatch.setattr(cli, "_write_csv", traced_writer)
-    export_peak()
-    (entry, before, within), = traced
+def test_write_csv_memory_is_one_block_of_rows(tmp_path):
+    # an exact circle's field map at 300**2: the writer holds its axes'
+    # strings and one block of formatted rows, within 6 MB of its entry
+    # (4.3 MB measured; 23.4 MB with the whole grid as one block)
+    columns = analysis.field_map(exact_flow(Circle(1.0), FarField(1.0, 2.0)), 300)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        export_field(tmp_path / "f.csv", "x,y,psi,speed,mask", *columns)
+        within = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert within - entry <= 6e6
-    assert max(before, within) <= evaluation + 6e6
 
 
 def test_cli_import_loads_no_scipy():
