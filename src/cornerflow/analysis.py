@@ -35,8 +35,8 @@ TOL_A1 = 1e-3
 # Gauss-Legendre nodes in theta of one a1 projection ring
 RING_NODES = 32
 SAMPLES_PER_RADIUS = 33
-# cells per block of whole grid rows: sign_component_census evaluates, and
-# cli.export_field formats and writes, one block at a time
+# cells per block: sign_component_census masks the body and evaluates its
+# unproved cells, and cli.export_field writes its rows, a block at a time
 GRID_BLOCK = 16384
 
 
@@ -277,44 +277,49 @@ def sign_component_census(flow, resolution: int) -> SignComponentCensus:
     cells with |psi| below the noise floor stay unsigned so the psi = 0
     streamline cannot leak spurious components (noise floor 1e-6 V R, V
     the speed scale).  Both counts are zero for a valid flow (the sign
-    sets are unbounded and connected, by the maximum principle).  The
-    grid is evaluated in blocks of whole rows, about GRID_BLOCK cells
-    each, so only the two sign masks are grid-sized.
+    sets are unbounded and connected, by the maximum principle).
 
-    Each block's psi is first evaluated to one cell's accuracy,
-    ``flow.stream(z, tol)`` with tol = 8 / resolution (psi moves by about
-    V times a cell across one cell).  That psi is within
-    (tol + FAR_TOL) V R of the full-accuracy psi, plus rounding of about
-    1e-14 V R at |psi| <= 10 V R, so 2 tol V R bounds the three at any
-    real resolution: the cells within 2 tol V R of +-floor are evaluated
-    again at full accuracy, ``flow.stream(z)``, and every other sign is
-    already the full-accuracy sign.
+    Each sign is that of ``flow.stream`` at the cell, but one value can
+    prove a block: a square of 16, then 4, cells a side, all fluid and
+    still to do, takes its centre's sign where |psi| there exceeds the
+    floor by more than ``flow.stream_spread`` over its half-diagonal.  The
+    rest are evaluated once, about GRID_BLOCK at a time.
     """
     body, R = flow.body, flow.body.circumradius
-    V = flow.far.speed_scale(R)
-    floor = 1e-6 * V * R
-    tol = 8.0 / resolution
+    floor = 1e-6 * flow.far.speed_scale(R) * R
     c, h = body.centroid, 4.0 * R
     xs = np.linspace(c.real - h, c.real + h, resolution)
     ys = np.linspace(c.imag - h, c.imag + h, resolution)
-    signed = np.zeros((2, resolution, resolution), dtype=bool)  # psi > floor, < -floor
+    # per cell: psi's sign beyond the floor (1, -1 or 0), or 2 while still to do
+    cell = np.empty((resolution, resolution), dtype=np.int8)
     step = max(1, GRID_BLOCK // resolution)
     for start in range(0, resolution, step):
-        Z = xs[None, :] + 1j * ys[start:start + step, None]
-        fluid = ~body.near(Z, 1.5 * (2 * h) / resolution)
-        z = Z[fluid]
-        psi = flow.stream(z, tol=tol)
-        doubt = np.abs(np.abs(psi) - floor) <= 2.0 * tol * V * R
-        psi[doubt] = flow.stream(z[doubt])
-        signed[0, start:start + step][fluid] = psi > floor
-        signed[1, start:start + step][fluid] = -psi > floor
+        cell[start:start + step] = 2 * ~body.near(
+            xs[None, :] + 1j * ys[start:start + step, None], 1.5 * (2 * h) / resolution)
+    for size in (16, 4):
+        n = resolution // size
+        blocks = cell[:n * size, :n * size].reshape(n, size, n, size)
+        i, j = np.nonzero((blocks == 2).all(axis=(1, 3)))
+        first, last = (xs[size * j + k] + 1j * ys[size * i + k] for k in (0, size - 1))
+        z = 0.5 * (first + last)
+        spread = flow.stream_spread(z, 0.5 * np.abs(last - first))
+        at = np.flatnonzero(np.isfinite(spread))
+        psi = flow.stream(z[at])
+        sure = np.abs(psi) - floor > spread[at]
+        blocks[i[at[sure]], :, j[at[sure]]] = np.sign(psi[sure])[:, None, None]
+    # the rest, in bands of whole rows holding about GRID_BLOCK of them
+    count = np.cumsum(np.count_nonzero(cell == 2, axis=1))
+    edges = np.searchsorted(count, np.arange(0, count[-1], GRID_BLOCK), side="right")
+    for start, stop in zip(edges, [*edges[1:], resolution]):
+        i, j = np.nonzero(cell[start:stop] == 2)
+        psi = flow.stream(xs[j] + 1j * ys[start + i])
+        cell[start:stop][i, j] = np.sign(psi) * (np.abs(psi) > floor)
 
     # resolution check: corner lobes need a few cells between sign changes
     inconclusive = 8.0 / resolution > 0.02  # a cell, in units of R
-    return SignComponentCensus(bounded_positive=_bounded_components(signed[0]),
-                               bounded_negative=_bounded_components(signed[1]),
-                               inconclusive=inconclusive,
-                               grid_shape=signed.shape[1:])
+    return SignComponentCensus(bounded_positive=_bounded_components(cell == 1),
+                               bounded_negative=_bounded_components(cell == -1),
+                               inconclusive=inconclusive, grid_shape=cell.shape)
 
 
 def _bounded_components(cells) -> int:

@@ -36,9 +36,7 @@ closed-form panel integrals of C's panels elsewhere; each cluster tail is
 held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL, at
 the separation of a chunk's nearest point that uses it.  At 512 panels
 that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18 at 4 KAPPA
-and 10-12 at 8 KAPPA.  ``PanelFlow.stream(z, tol)`` holds the same tails
-to a looser tol on the same moments, and then the body expansion also
-takes each point with 1 < |Z| < KAPPA whose order at tol they reach.
+and 10-12 at 8 KAPPA.  ``stream_spread`` bounds how far psi moves in a disc.
 
 A panel's velocity and stream function each have one closed form, in
 real arithmetic in its frame on one log-ratio and angle
@@ -80,9 +78,8 @@ TOL_SLIP = 1e-8
 # panel flows use the multipole expansion at |Z| >= KAPPA, Z = (z - c) / R
 # with c the centroid and R the circumradius; its truncation tail stays
 # below FAR_TOL * V in psi / R and in w, V the speed scale
-# (``FarField.speed_scale``).  KAPPA > 1.5
-# keeps the CLI's exact-regression ring at 1.5 R wholly on the direct
-# path, not split by rounding
+# (``FarField.speed_scale``).  KAPPA > 1.5 keeps the 1.5 R ring of
+# ``analysis.exact_regression`` wholly on the direct path, unsplit by rounding
 KAPPA = 1.6
 FAR_TOL = 1e-13
 # panels per cluster of the near-zone treecode: closer to the body each
@@ -163,13 +160,15 @@ class MappedFlow:
         return ((u - np.conj(u) / sig**2 + self.far.circulation / (TWO_PI * 1j * sig))
                 / self.map.dz_dsigma(sig))
 
-    def stream(self, z, tol=FAR_TOL):
-        """psi at the points z, exact: tol, the accuracy a panel flow's
-        stream takes, is not read."""
+    def stream(self, z):
         sig = self._sigma(z)
         u = self.far.w_inf * self.map.dz_dsigma_inf
         return (np.imag(u * sig + np.conj(u) / sig)
                 - self.far.circulation / TWO_PI * np.log(np.abs(sig)))
+
+    def stream_spread(self, z, r):
+        """inf: no bound is stated, so a census evaluates every cell."""
+        return np.full(np.shape(z), np.inf)
 
 
 def exact_flow(body: Body, far: FarField) -> MappedFlow | None:
@@ -516,22 +515,14 @@ class PanelFlow:
         ia, ib, za, zb, _, _ = _layout_panels(self.nodes, self.closed)
         return za, zb, self.gamma[ia], self.gamma[ib]
 
-    def _held(self, exp: _Expansion, tol: float) -> _Expansion:
-        """The expansion ``exp`` on its own moments with its G tails held to
-        tol V / G each, tol V in all, V the speed scale: at FAR_TOL the
-        cached expansion's own tol, to the bit."""
-        return exp._replace(tol=tol * self.far.speed_scale(self.body.circumradius)
-                            / len(exp.rho))
-
-    def _accumulate(self, z, field, tol=FAR_TOL):
+    def _accumulate(self, z, field):
         """Vortex-sheet part of a field at the points z: each cluster's
-        expansion where |z - c_C| >= KAPPA rho_C, its tail held to tol V / K
-        of the K clusters, and elsewhere the closed forms of its panels,
-        ``field.rows`` on its open run of nodes at all its near points of
-        the evaluation at once.  A chunk of points takes each cluster's
-        expansion to the order of its nearest point that uses it."""
-        z = np.asarray(z, dtype=complex)
-        tree = self._held(self._clusters, tol)
+        expansion where |z - c_C| >= KAPPA rho_C, its tail held to FAR_TOL
+        V / K of the K clusters, and elsewhere the closed forms of its panels,
+        ``field.rows`` on its open run of nodes at all its near points of the
+        evaluation at once.  A chunk of points takes each cluster's expansion
+        to the order of its nearest point that uses it."""
+        tree = self._clusters
         K = len(tree.rho)
         coeffs = tree.rows(field)
         flat = z.ravel()
@@ -567,21 +558,14 @@ class PanelFlow:
                                       self.gamma[nodes, None])[:, 0]
         return acc.reshape(z.shape)
 
-    def _sheet(self, z, field, tol=FAR_TOL):
+    def _sheet(self, z, field):
         """Vortex-sheet part of a field at the unit-frame points z, to within
-        tol V (``_held``): the body's own expansion at |z| >= KAPPA, each
-        point to the order of its own separation, and _accumulate
-        elsewhere.  Above FAR_TOL the body expansion also takes each point
-        with 1 < |z| < KAPPA whose order at tol is within the moments
-        already built (top)."""
-        r = np.abs(z)
-        far = np.asarray(r >= KAPPA)  # writable at a 0-d z too
-        inner = ~far & (r > 1.0) & (tol > FAR_TOL)
+        FAR_TOL V: the body's own expansion at |z| >= KAPPA, each point to
+        the order of its own separation, and _accumulate elsewhere."""
+        far = np.abs(z) >= KAPPA
         out = np.empty(z.shape, dtype=field.dtype)
-        if far.any() or inner.any():
-            exp = self._held(self._expansion, tol)
-            t = exp.rho / r[inner]
-            far[inner] = _orders(exp.S, t / exp.rho, exp.tol, t) <= exp.top
+        if far.any():
+            exp = self._expansion
             d = z[far]
             sheet = np.empty(d.shape, dtype=field.dtype)
             for start in range(0, len(d), TREE_PAIRS):
@@ -593,7 +577,7 @@ class PanelFlow:
                                               d[chunk][by], order[by])
             out[far] = sheet
         if not far.all():
-            out[~far] = self._accumulate(z[~far], field, tol)
+            out[~far] = self._accumulate(z[~far], field)
         return out
 
     @cached_property
@@ -636,13 +620,24 @@ class PanelFlow:
     def velocity(self, z):
         return self.far.w_inf + self._sheet(self._unit(z), _W)
 
-    def stream(self, z, tol=FAR_TOL):
-        """psi at the points z, the expansions' tails held to tol V R in
-        place of FAR_TOL V R, V the speed scale (``_sheet``); a tol below
-        FAR_TOL, to which the moments are built, is not met."""
+    def stream(self, z):
         z = self._unit(z)
         return self.body.circumradius * (
-            self._sheet(z, _PSI, tol) + np.imag(self.far.w_inf * z) - self._psi_body)
+            self._sheet(z, _PSI) + np.imag(self.far.w_inf * z) - self._psi_body)
+
+    def stream_spread(self, z, r):
+        """A bound on how far psi, as ``stream`` computes it, moves within r
+        of z: r |w_inf| plus r S_C / (2 pi d_C) per cluster C of nonzero
+        strength, d_C the unit-frame gap from the disc to C's, inf where they
+        meet (a sheet's |w| <= int |gamma| / (2 pi |Z - zeta|) ds), plus
+        1e-12 V R for both ends' FAR_TOL V R and rounding."""
+        R, tree = self.body.circumradius, self._clusters
+        Z = (np.asarray(z, dtype=complex) - self.body.centroid) / R
+        speed = np.full(Z.shape, abs(self.far.w_inf))
+        with np.errstate(divide="ignore"):
+            for c, rho, S in zip(*(a[tree.S > 0] for a in (tree.centre, tree.rho, tree.S))):
+                speed += S / (TWO_PI * np.maximum(np.abs(Z - c) - rho - r / R, 0.0))
+        return r * speed + 1e-12 * self.far.speed_scale(R) * R
 
     @cached_property
     def _psi_body(self) -> float:

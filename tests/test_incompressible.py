@@ -1083,23 +1083,62 @@ def test_orders_saturate_as_t_nears_one():
 
 
 @BODIES_512
-def test_stream_at_a_looser_tol_is_within_it(body):
-    # psi at tol is within tol V R of psi at FAR_TOL: on 20000 random
-    # points in +-4R, the near ones inside KAPPA R that the body expansion
-    # takes at tol among them, and on points just outside |Z| = 1 off the
-    # body's corners (the plate's ends) or its sides
+def test_stream_spread_bounds_psi_over_its_disc(body):
+    # the premise of the sign census's block proofs: psi, as stream
+    # computes it, moves from c by at most stream_spread(c, r) over the
+    # disc of radius r about c, here over 64 points on and inside it, at
+    # random centres within +-4R, within 3r of each corner (the plate's
+    # edges) and at 1.1-4R from the centroid; the spread is inf exactly
+    # where the disc reaches the disc of a cluster of nonzero strength
     R, c = body.circumradius, body.centroid
-    rng = np.random.default_rng(11)
-    z = c + R * (rng.uniform(-4, 4, 20000) + 1j * rng.uniform(-4, 4, 20000))
-    tips = np.array([k.vertex for k in body.corners] or [c + R, c - 1j * R])
-    z = np.concatenate([z, (c + (tips - c)[:, None] * (1 + np.geomspace(1e-9, 0.5, 40)))
-                        .ravel()])
-    z = z[~body.occupies(z, 1e-9 * R)]
     flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-    V = flow.far.speed_scale(R)
-    psi = flow.stream(z)
-    for tol in (8 / 100, 8 / 400, 8 / 2000):
-        assert np.max(np.abs(flow.stream(z, tol) - psi)) <= tol * V * R
+    tree = flow._clusters
+    rng = np.random.default_rng(17)
+
+    def spin(n):
+        return np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+
+    disc = np.append(spin(32), np.sqrt(rng.uniform(0.0, 1.0, 32)) * spin(32))
+    tips = np.array([k.vertex for k in body.corners], dtype=complex)
+    finite = infinite = 0
+    for r in (R / 50, R / 200):
+        centres = np.concatenate([
+            c + R * (rng.uniform(-4, 4, 300) + 1j * rng.uniform(-4, 4, 300)),
+            (tips[:, None] + 3 * r * np.sqrt(rng.uniform(0, 1, (len(tips), 40)))
+             * spin((len(tips), 40))).ravel(),
+            c + R * rng.uniform(1.1, 4.0, 300) * spin(300)])
+        centres = centres[~body.occupies(centres, 1e-9 * R)]
+        spread = flow.stream_spread(centres, r)
+        gap = np.abs((centres[:, None] - c) / R - tree.centre) - tree.rho - r / R
+        assert np.array_equal(np.isinf(spread), np.any((gap <= 0) & (tree.S > 0), axis=1))
+        assert not np.any(np.isnan(spread))
+        ok = np.isfinite(spread)
+        moved = np.abs(flow.stream(centres[ok, None] + r * disc)
+                       - flow.stream(centres[ok])[:, None])
+        assert np.all(moved.max(axis=1) <= spread[ok])
+        finite, infinite = finite + np.count_nonzero(ok), infinite + np.count_nonzero(~ok)
+    assert finite > 1000 and infinite > 0
+
+
+@BODIES_512
+def test_stream_spread_skips_a_cluster_of_zero_strength(body):
+    # a cluster of zero strength, as the padding of the last one is, bounds
+    # no speed: beside it, clear of every other cluster's disc, the spread
+    # is finite, not 0 / 0
+    flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
+    k, R = 5, body.circumradius
+    gamma = flow.gamma.copy()
+    gamma[k * incompressible.CLUSTER:(k + 1) * incompressible.CLUSTER + 1] = 0.0
+    idle = dataclasses.replace(flow, gamma=gamma)
+    tree = idle._clusters
+    assert tree.S[k] == 0.0 and np.all(np.delete(tree.S, k) > 0.0)
+    r = 1e-3 * R
+    Z = tree.centre[k] + 0.5 * tree.rho[k] * np.exp(1j * TWO_PI * np.arange(16) / 16)
+    gap = np.abs(Z[:, None] - np.delete(tree.centre, k)) - np.delete(tree.rho, k)
+    Z = Z[np.all(gap > 2 * r / R, axis=1)]
+    assert len(Z) > 0
+    spread = idle.stream_spread(body.centroid + R * Z, r)
+    assert np.all(np.isfinite(spread))
 
 
 @BODIES_512
