@@ -24,7 +24,8 @@ boundary, and ``farthest(p)`` is the largest distance from p to it.  Each
 body states its own ``conformal_map`` of the exterior of the unit circle
 onto its exterior, or None where there is none in closed form: a scaling
 for a circle (``CircleScalingMap``) and the Joukowsky map for a plate
-(``JoukowskyPlateMap``).
+(``JoukowskyPlateMap``), each stating the prevertex and local size of
+every protruding corner (``corners``).
 """
 
 from __future__ import annotations
@@ -189,6 +190,8 @@ class CircleScalingMap:
 
     radius: float
 
+    corners = ()  # a circle has none
+
     @property
     def dz_dsigma_inf(self) -> complex:
         return complex(self.radius)
@@ -222,6 +225,11 @@ class JoukowskyPlateMap:
     @property
     def dz_dsigma_inf(self) -> complex:
         return complex(np.exp(-1j * self.alpha)) * (self.chord / 4.0)
+
+    @property
+    def corners(self) -> tuple:
+        """(sigma_k, |A_k|) of each edge, A_k = f'(inf) / sigma_k**3."""
+        return ((1.0 + 0j, self.chord / 4.0), (-1.0 + 0j, self.chord / 4.0))
 
     def to_z(self, sigma):
         sigma = np.asarray(sigma, dtype=complex)

@@ -48,13 +48,13 @@ at all of the cluster's near points of one evaluation at once.
 
 A Kutta root and a corner census read each corner's line
 a1(Gamma) = a1(0) + slope Gamma in slope form off three unit columns,
-the flows at unit Re w_inf, unit Im w_inf and unit Gamma: their psi is
-projected on the corner rings as a flow's is (``_corner_a1``), and the
-root -a1(0) / slope scales with w_inf at any magnitude.  A representation
-only decides where the columns come from: the exact flows through the
-body's map, or the panel system (``_System.stream``), projected once per
-system (``_System.corner_a1``) after its flows at Gamma = 0 and Gamma_1
-pass the slip gate (``_affine_corners``).
+the a1 of the flows at unit Re w_inf, unit Im w_inf and unit Gamma, and
+the root -a1(0) / slope scales with w_inf at any magnitude.  A
+representation only decides where the columns come from: in closed form
+at the prevertices the body's map states (``corners``), or from the
+panel system (``_System.stream``), its psi projected on the corner rings
+as a flow's is, once per system (``_System.corner_a1``), after its flows
+at Gamma = 0 and Gamma_1 pass the slip gate (``_affine_corners``).
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class MappedFlow:
 
     @property
     def map(self):
-        """The body's map: to_z, to_sigma, dz_dsigma, f'(inf)."""
+        """The body's map: to_z, to_sigma, dz_dsigma, f'(inf), corners."""
         return self.body.conformal_map
 
     def _sigma(self, z):
@@ -689,20 +689,11 @@ class _System:
 
     @cached_property
     def corner_a1(self) -> np.ndarray:
-        """``_corner_a1`` of the system's unit columns, once per system."""
-        a1 = _corner_a1(self.body, self.stream)
+        """``analysis._ring_a1`` of the unit columns on every protruding corner."""
+        a1 = analysis._ring_a1(self.stream, [c for c in self.body.corners if c.protruding],
+                               self.body.circumradius)
         a1.flags.writeable = False
         return a1
-
-
-def _corner_a1(body: Body, stream) -> np.ndarray:
-    """a1 of every protruding corner on its two ``default_fit_radii``
-    rings for each of three unit columns, whose psi ``stream`` gives with
-    shape (3,) + z.shape: shape (3, corners, 2), in the units of psi of
-    ``analysis._ring_a1``, so that
-    a1 R**(pi/beta) = Re w_inf a[0] + Im w_inf a[1] + Gamma a[2]."""
-    return analysis._ring_a1(stream, [c for c in body.corners if c.protruding],
-                             body.circumradius)
 
 
 def _system_rows(nodes, closed):
@@ -885,11 +876,11 @@ def kutta_solve(body: Body, w_inf: complex, corner_id: int, n_panels: int,
 
 def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int,
                     representation: str):
-    """Each corner's ``CornerCensusEntry`` in slope form, read off the
-    unit columns of the representation (``_corner_a1``).
+    """Each corner's ``CornerCensusEntry``, read off the representation's unit columns.
 
-    "exact": the exact flows at unit Re w_inf, Im w_inf and Gamma through
-    the body's conformal map, with no panel system; a body with no map
+    "exact": the columns in closed form at each corner's prevertex sigma_k
+    and size |A_k| (``conformal_map.corners``), with no flow built and no
+    ring sampled, so ``root_uncertainty`` reads 0; a body with no map
     raises InvalidGeometryError.  "panel": the system on ``n_panels``
     panels (``_System.corner_a1``), whose flows at Gamma = 0 and
     Gamma_1 = V R, V the speed scale at Gamma = 0, are solved on every
@@ -901,18 +892,24 @@ def _affine_corners(body: Body, w_inf: complex, corners, n_panels: int,
             f"unknown representation {representation!r}; "
             "the representations are 'panel' and 'exact'")
     R = body.circumradius
+    protruding = [c for c in body.corners if c.protruding]
     if representation == "exact":
-        flows = [exact_flow(body, far)
-                 for far in (FarField(1.0), FarField(1j), FarField(0.0, 1.0))]
-        if flows[0] is None:
+        cmap = body.conformal_map
+        if cmap is None:
             raise InvalidGeometryError(
                 f"exact representation needs a closed-form map; a {body.kind} has none")
-        a1 = _corner_a1(body, lambda z: np.array([f.stream(z) for f in flows]))
+        # z - v_k ~ A_k (sigma - sigma_k)**(beta/pi): on both rings a1 R**(pi/beta) =
+        # (2 Im(w_inf f'(inf) sigma_k) - Gamma / 2 pi) (|A_k| / R)**(-pi/beta)
+        f = cmap.dz_dsigma_inf
+        a1 = np.array([np.array([2 * (f * s).imag, 2 * (f * s).real, -1 / TWO_PI])
+                       * (A / R) ** (-np.pi / c.exterior_angle_beta)
+                       for c, (s, A) in zip(protruding, cmap.corners)]).T
+        a1 = np.stack([a1, a1], axis=-1)
     else:
         for gamma in (0.0, FarField(w_inf).speed_scale(R) * R):
             panel_solve(body, FarField(w_inf, gamma), n_panels)
         a1 = _assemble(body, n_panels, 1.0).corner_a1
-    ids = [c.corner_id for c in body.corners if c.protruding]
+    ids = [c.corner_id for c in protruding]
     a1 = a1[:, [ids.index(c.corner_id) for c in corners]]
     a0 = np.real(w_inf) * a1[0] + np.imag(w_inf) * a1[1]
     return _affine_entries(corners, a0, a1[2], R)

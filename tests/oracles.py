@@ -1,14 +1,15 @@
 """Reference readers the tests gate the library against.
 
 Each reads what the library computes by another route: the closed-form
-Kutta root of a mapped flow, the corner lines of a pair of flows at two
-circulations, a census's least singular count by a dense sweep, and a
-corner's local polar coordinates.  Beside them, the strict reader and the
-matcher of the golden summaries, which the numpy-only CI step also
-imports: nothing here needs pytest.
+Kutta root of a mapped flow and of a regular polygon, the corner lines
+of a pair of flows at two circulations, a census's least singular count
+by a dense sweep, and a corner's local polar coordinates.  Beside them,
+the strict reader and the matcher of the golden summaries, which the
+numpy-only CI step also imports: nothing here needs pytest.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +19,34 @@ from cornerflow.errors import DegenerateKuttaError, InvalidGeometryError
 from cornerflow.incompressible import FarField, _affine_entries
 
 TWO_PI = 2 * np.pi
-# prevertex sigma_k of each corner under a body kind's map: the Joukowsky
-# map sends sigma = +1 to the trailing edge (corner 0), -1 to the leading
-PREVERTICES = {"flat_plate": (1.0 + 0j, -1.0 + 0j)}
 
 
 def kutta_circulation(flow, corner_id: int) -> float:
     """Circulation making a corner of a ``MappedFlow`` regular, U' = 0 at
-    its prevertex: Gamma = 4 pi Im(w_inf f'(inf) sigma_k).  A plate's
-    trailing-edge root in a real w_inf is -pi * chord * w_inf * sin(alpha)."""
-    prevertices = PREVERTICES.get(flow.body.kind, ())
-    if not 0 <= corner_id < len(prevertices):
+    its prevertex sigma_k, which the map states (``corners``):
+    Gamma = 4 pi Im(w_inf f'(inf) sigma_k).  A plate's trailing-edge root
+    in a real w_inf is -pi * chord * w_inf * sin(alpha)."""
+    corners = flow.map.corners
+    if not 0 <= corner_id < len(corners):
         raise InvalidGeometryError(f"no corner {corner_id}")
     u = flow.far.w_inf * flow.map.dz_dsigma_inf
-    return float(2 * TWO_PI * np.imag(u * prevertices[corner_id]))
+    return float(2 * TWO_PI * np.imag(u * corners[corner_id][0]))
+
+
+def regular_polygon_roots(body, w_inf) -> np.ndarray:
+    """Kutta roots of a regular polygon's corners, in its corner order:
+    Gamma_k = 4 pi C_N R Im(w_inf sigma_k), with sigma_k = (v_k - c) / R the
+    prevertex in the direction of vertex k, by symmetry, and C_N =
+    Gamma(1 + 1/N) / (Gamma(1 - 1/N) Gamma(1 + 2/N)) the capacity of the
+    Schwarz-Christoffel map of the unit N-gon (Gauss's sum at f(1) = 1).
+    The body must be regular to 1e-12 relative."""
+    v = body.vertex_array
+    N, R = len(v), body.circumradius
+    sigma = (v - body.centroid) / R
+    assert np.all(np.abs(np.roll(sigma, -1) - sigma * np.exp(TWO_PI * 1j / N)) <= 1e-12), \
+        "the polygon is not regular"
+    C = math.gamma(1 + 1 / N) / (math.gamma(1 - 1 / N) * math.gamma(1 + 2 / N))
+    return 2 * TWO_PI * C * R * np.imag(w_inf * sigma)
 
 
 def affine_corner(flow0, flow1, corners) -> list:

@@ -146,6 +146,38 @@ class TestCircleSolve:
         assert 3.0 < devs[0] / devs[1] < 5.0
         assert 3.0 < devs[1] / devs[2] < 5.0
 
+    def test_mach_squared_correction_is_second_order(self):
+        # psi = psi_0 + M**2 psi_1 + O(M**4) about the unit circle at U = 1,
+        # psi_1 = (-7r**4 + 6r**2 + 1) / (12 r**5) sin(theta)
+        #         + (r**2 - 1) / (4 r**3) sin(3 theta)  (Rayleigh 1916),
+        # less the harmonics a_k (r**k - r**-k) sin(k theta) that zero it on
+        # the grid's outer ring, where the data are incompressible.  The
+        # discrete psi_1 is Richardson's (4 D(M/2) - D(M)) / 3 of
+        # D(M) = (psi~(M) - psi~_ref) / (U M**2)
+        def closed_form(z):
+            r, th = np.abs(z), np.angle(z)
+            psi = 0.0
+            for k, f in ((1, lambda r: (-7 * r**4 + 6 * r**2 + 1) / (12 * r**5)),
+                         (3, lambda r: (r**2 - 1) / (4 * r**3))):
+                harmonic = (r**k - r**-k) / (compressible.R_FAR**k - compressible.R_FAR**-k)
+                psi = psi + (f(r) - f(compressible.R_FAR) * harmonic) * np.sin(k * th)
+            return psi
+
+        errors = []
+        for n_theta in (32, 64, 128):
+            D = []
+            for mach in (0.025, 0.05):
+                state, far = free_stream(mach)
+                grid = build_grid(Circle(1.0), far, n_theta // 2, n_theta)
+                sol = solve_subsonic(grid, state)
+                D.append((sol.psi_pert - incompressible_reference_solution(grid))
+                         / (far.w_inf.real * mach**2))
+            errors.append(np.max(np.abs((4 * D[0] - D[1]) / 3 - closed_form(grid.z))))
+        # measured: 6.58e-3, 1.58e-3 and 3.86e-4, ratios 4.16 and 4.09
+        assert 3.5 <= errors[0] / errors[1] <= 4.5
+        assert 3.5 <= errors[1] / errors[2] <= 4.5
+        assert errors[2] < 5e-4
+
     def test_sonic_guard_raises_before_accepting_supersonic(self):
         state, far = free_stream(0.55)
         grid = build_grid(Circle(1.0), far, 48, 96)

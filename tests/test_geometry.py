@@ -193,6 +193,26 @@ class TestConformalMaps:
     def test_polygon_has_no_map(self):
         assert Polygon(TRIANGLE).conformal_map is None
 
+    def test_circle_map_states_no_corners(self):
+        assert Circle(2.5).conformal_map.corners == ()
+
+    @pytest.mark.parametrize("chord", [0.3, 4.0, 37.0])
+    @pytest.mark.parametrize("alpha", [0.0, np.pi / 6, -1.2])
+    def test_plate_map_states_its_corners(self, chord, alpha):
+        # (sigma_k, |A_k|) per protruding corner, in the body's order: the
+        # prevertex lands on the vertex, and z - v_k ~ A_k (sigma - sigma_k)**(beta/pi)
+        # along the bisector sigma_k (1 + eps)
+        plate = FlatPlate(chord, alpha)
+        cmap, R = plate.conformal_map, plate.circumradius
+        protruding = [c for c in plate.corners if c.protruding]
+        assert len(cmap.corners) == len(protruding)
+        for corner, (sigma, A) in zip(protruding, cmap.corners):
+            assert abs(cmap.to_z(sigma) - corner.vertex) <= 1e-15 * R
+            power = corner.exterior_angle_beta / np.pi
+            for eps in (1e-3, 1e-4):
+                gap = abs(cmap.to_z(sigma * (1 + eps)) - corner.vertex) / eps ** power
+                assert gap == pytest.approx(A, rel=2 * eps)
+
     @pytest.mark.parametrize("body", [Circle(2.5), FlatPlate(4.0, np.pi / 6),
                                       Polygon(TRIANGLE)],
                              ids=["circle", "plate", "triangle"])
@@ -200,6 +220,9 @@ class TestConformalMaps:
         # the panel system's cache is keyed on the body's fields
         assert "conformal_map" not in {f.name for f in dataclasses.fields(body)}
         assert not hasattr(body.conformal_map, "body")
+        if body.conformal_map is not None:
+            # nor are the map's corners a field of the map
+            assert "corners" not in {f.name for f in dataclasses.fields(body.conformal_map)}
 
 
 # (chord, alpha in degrees) of the first plate of field_maps seeds 1-3

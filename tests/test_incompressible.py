@@ -20,7 +20,7 @@ from cornerflow.geometry import (Circle, CircleContour, FlatPlate, Polygon,
 from cornerflow.incompressible import (KAPPA, TOL_SLIP, FarField, MappedFlow,
                                        corner_census, exact_flow, kutta_solve,
                                        panel_solve)
-from oracles import kutta_circulation
+from oracles import affine_corner, kutta_circulation, regular_polygon_roots
 
 TWO_PI = 2 * np.pi
 TRIANGLE = Polygon([(1.0, 0.0), (-0.5, np.sqrt(3) / 2), (-0.5, -np.sqrt(3) / 2)])
@@ -554,19 +554,74 @@ class TestKutta:
             read()
 
     def test_exact_roots_are_the_closed_form(self):
-        # the map's three unit columns projected on the corner rings: every
-        # plate root within 1e-14 |w_inf| R of 4 pi Im(w_inf f'(inf) sigma_k),
-        # and the census's entries are the Kutta entries
+        # the map's three unit columns in closed form at its corners: every
+        # plate root within 1e-14 |w_inf| R of 4 pi Im(w_inf f'(inf) sigma_k)
+        # and within 2e-15 |w_inf| R of the trailing edge's -pi c Im(w_inf
+        # exp(-i alpha)) (the leading edge's opposite), with no ring change
+        # to report; the census's entries are the Kutta entries
+        for w_inf, lift in ((1.0, np.sin), (1j, lambda a: -np.cos(a))):
+            for chord, alpha_deg in itertools.product((0.3, 1.0, 4.0, 37.0),
+                                                      range(-89, 90)):
+                alpha = np.deg2rad(alpha_deg)
+                plate = FlatPlate(chord, alpha)
+                R = plate.circumradius
+                flow = exact_flow(plate, FarField(w_inf))
+                census = corner_census(plate, w_inf, 256, representation="exact")
+                for e, sign in zip(census.corners, (-1, 1)):
+                    assert abs(e.root - kutta_circulation(flow, e.corner_id)) <= 1e-14 * R
+                    assert abs(e.root - sign * np.pi * chord * lift(alpha)) <= 2e-15 * R
+                    assert e.root_uncertainty == 0.0
+                    if lift(alpha) == 0:
+                        assert e.root == 0.0
+                    if alpha_deg == 30:
+                        assert kutta_solve(plate, w_inf, e.corner_id, 256, "exact") == e
+
+    def test_exact_lines_are_the_ring_projection(self):
+        # the corner rings of two exact flows, at Gamma = 0 and V R, share
+        # nothing with the closed form: slope and a1(0) agree within 1e-14 of
+        # the line's change over V R, and the roots within 1e-14 |w_inf| R
         for chord, alpha_deg in itertools.product((0.3, 1.0, 4.0, 37.0),
-                                                  range(-89, 90)):
+                                                  (-89, -30, -1, 0, 7, 30, 60, 89)):
             plate = FlatPlate(chord, np.deg2rad(alpha_deg))
-            flow = exact_flow(plate, FarField(1.0))
-            census = corner_census(plate, 1.0, 256, representation="exact")
-            for e in census.corners:
-                assert abs(e.root - kutta_circulation(flow, e.corner_id)) \
-                    <= 1e-14 * plate.circumradius
-                if alpha_deg == 30:
-                    assert kutta_solve(plate, 1.0, e.corner_id, 256, "exact") == e
+            R = plate.circumradius
+            want = affine_corner(exact_flow(plate, FarField(1.0)),
+                                 exact_flow(plate, FarField(1.0, R)), plate.corners)
+            got = corner_census(plate, 1.0, 256, representation="exact").corners
+            for e, r in zip(got, want):
+                assert e.slope == pytest.approx(r.slope, rel=1e-14, abs=0.0)
+                assert abs(e.a1_at_zero - r.a1_at_zero) <= 1e-14 * abs(r.slope) * R
+                assert abs(e.root - r.root) <= 1e-14 * R
+
+    def test_regular_polygon_oracle_reads_the_capacity(self):
+        # a vertex at i and w_inf = 1 read 4 pi C_N: C_3 to its 30-digit
+        # value, and the square's root Gamma(1/4)**2 sqrt(2/pi)
+        def upright(N):
+            return Polygon([np.exp(1j * (np.pi / 2 + TWO_PI * k / N)) for k in range(N)])
+        c3 = regular_polygon_roots(upright(3), 1.0)[0] / (2 * TWO_PI)
+        assert c3 == pytest.approx(0.73049924310315918, rel=1e-15, abs=0.0)
+        square = regular_polygon_roots(upright(4), 1.0)[0]
+        assert square == pytest.approx(math.gamma(0.25) ** 2 * math.sqrt(2 / np.pi),
+                                       rel=1e-15, abs=0.0)
+        assert square == pytest.approx(10.488230217168479, rel=1e-15, abs=0.0)
+
+    def test_panel_census_roots_bracket_the_regular_polygon_oracle(self):
+        # every panel root within its root_uncertainty of the closed form,
+        # which it overstates by at most 10x (2.96-6.78x measured) wherever
+        # the error stands above round-off
+        tilted = np.exp(0.3j)
+        cases = [(Polygon([0.4 - 0.2j + 1.3 * np.exp(1j * (rot + TWO_PI * k / N))
+                           for k in range(N)]), n, tilted)
+                 for N, n in ((3, 256), (3, 512), (4, 256), (4, 512), (5, 256), (6, 512))
+                 for rot in (0.0, 0.37)]
+        unit_square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        cases += [(unit_square, 256, 1.0), (unit_square, 256, tilted)]
+        for body, n, w_inf in cases:
+            census = corner_census(body, w_inf, n)
+            for e, want in zip(census.corners, regular_polygon_roots(body, w_inf)):
+                err = abs(e.root - want)
+                assert err <= e.root_uncertainty, (len(body.vertices), n, e)
+                if err >= 1e-12 * abs(w_inf) * body.circumradius:
+                    assert e.root_uncertainty <= 10 * err, (len(body.vertices), n, e)
 
 
 # ---------------------------------------------------------------------------
