@@ -5,8 +5,8 @@ corner-singularity analysis, Blasius/Kutta-Joukowsky forces, and a
 subsonic compressible stream-function solver with refinement studies.
 """
 
-from .analysis import (CornerReport, LaurentFit, circulation, farfield_fit,
-                       fit_corner, sign_attainment, sign_component_census)
+from .analysis import (CornerReport, LaurentFit, farfield_fit, fit_corner,
+                       sign_attainment, sign_component_census)
 from .compressible import (CompressibleSolution, ConformalGrid,
                            RefinementStudy, build_grid, refinement_study,
                            solve_subsonic)
@@ -26,7 +26,7 @@ __all__ = [
     "CornerReport", "FarField", "FlatPlate", "ForceResult", "GasModel",
     "JoukowskyPlateMap", "LaurentFit", "MappedFlow",
     "PanelFlow", "PanelSolution", "Polygon", "RefinementStudy",
-    "blasius_force", "build_grid", "circulation",
+    "blasius_force", "build_grid",
     "classify_corners", "corner_census", "exact_flow", "farfield_fit",
     "fit_corner", "kutta_joukowsky_lift", "kutta_solve",
     "panel_solve", "probe_ring", "refinement_study", "sign_attainment",

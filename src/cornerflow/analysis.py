@@ -52,11 +52,6 @@ def contour_integral(flow, contour: CircleContour) -> complex:
     return np.sum(flow.velocity(z) * dz)
 
 
-def circulation(flow, contour: CircleContour) -> float:
-    """Counterclockwise circulation oint v . dx = Re oint w dz."""
-    return float(np.real(contour_integral(flow, contour)))
-
-
 # ---------------------------------------------------------------------------
 # corner fits
 

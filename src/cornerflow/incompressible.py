@@ -26,17 +26,20 @@ M_k = integral of gamma(s) Z(s)**k ds,
     w = w_inf + (1 / 2 pi i) sum_k M_k / Z**(k + 1),
     psi / R = Im(w_inf Z) - (1 / 2 pi) Re[M_0 log Z - sum_{k>=1} M_k / (k Z**k)],
 
-truncated where its a-priori tail bound at the point's own separation
+truncated where its a-priori tail bound at the separation
 t = 1 / |Z| <= 1 / KAPPA drops below FAR_TOL.  Closer in, a
 two-level treecode: the panels are split into contiguous clusters of
 CLUSTER panels, each with its own exact expansion of the same form about
 its centre c_C (radius rho_C, its largest node distance from c_C).  A
 point takes cluster C's expansion where |Z - c_C| >= KAPPA rho_C and the
 closed-form panel integrals of C's panels elsewhere; each cluster tail is
-held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL, at
-the separation of a chunk's nearest point that uses it.  At 512 panels
-that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18 at 4 KAPPA
-and 10-12 at 8 KAPPA.  ``stream_spread`` bounds how far psi moves in a disc.
+held below FAR_TOL / K of the K clusters, so the sum keeps FAR_TOL.  At
+512 panels that is 62-76 terms at KAPPA radii, 24-29 at 2 KAPPA, 14-18
+at 4 KAPPA and 10-12 at 8 KAPPA.  One walk (``PanelFlow._accumulate``)
+sums both levels, the body's expansion as a tree of one group: a chunk
+of points takes each expansion to the order at the separation of its
+nearest point that uses it.  ``stream_spread`` bounds how far psi moves
+in a disc.
 
 A panel's velocity and stream function each have one closed form, in
 real arithmetic in its frame on one log-ratio and angle
@@ -308,9 +311,9 @@ def _psi_integrals(dx, dy, ex, ey, ux, uy, out):
     return d, y
 
 
-# point-cluster pairs per treecode chunk, points per chunk of the body
-# expansion, and point-panel pairs per chunk of the assembly and of the
-# psi and w rows
+# point-group pairs per chunk of the multipole walk, whether the groups
+# are the clusters or the body's one expansion, and point-panel pairs per
+# chunk of the assembly and of the psi and w rows
 TREE_PAIRS = 16384
 
 
@@ -395,8 +398,8 @@ def _orders(S, ratio, tol, t=1.0 / KAPPA):
     and the w tail ratio = t / rho, so one bound holds both.  tol / S
     comes first, so the orders keep their bits under w_inf -> 2**k w_inf.
     An overflowed S (a huge w_inf) bounds nothing, and a zero S or t needs
-    no term: order 0.  int16, whose stable argsort is a radix sort; an
-    order past its range (t -> 1) saturates there, never wraps."""
+    no term: order 0.  int16: an order past its range (t -> 1) saturates
+    there, never wraps."""
     S = np.where(np.isfinite(S), S, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.ceil(np.log(tol / S * (TWO_PI * (1.0 - t)) / np.maximum(1.0, ratio))
@@ -515,18 +518,21 @@ class PanelFlow:
         ia, ib, za, zb, _, _ = _layout_panels(self.nodes, self.closed)
         return za, zb, self.gamma[ia], self.gamma[ib]
 
-    def _accumulate(self, z, field):
-        """Vortex-sheet part of a field at the points z: each cluster's
-        expansion where |z - c_C| >= KAPPA rho_C, its tail held to FAR_TOL
-        V / K of the K clusters, and elsewhere the closed forms of its panels,
-        ``field.rows`` on its open run of nodes at all its near points of the
-        evaluation at once.  A chunk of points takes each cluster's expansion
-        to the order of its nearest point that uses it."""
-        tree = self._clusters
+    def _accumulate(self, z, field, tree):
+        """Vortex-sheet part of a field at the points z by the K groups of
+        ``tree``: each group's expansion where |z - c| >= KAPPA rho, its tail
+        held to the tree's tol, and elsewhere, for cluster k, the closed
+        forms of its panels, ``field.rows`` on its open run of nodes at all
+        its near points of the evaluation at once; the body's expansion
+        (K = 1) takes only points it holds far.  A chunk of TREE_PAIRS // K
+        points takes each expansion to the order of its nearest point that
+        uses it."""
         K = len(tree.rho)
         coeffs = tree.rows(field)
         flat = z.ravel()
         acc = np.empty(flat.shape, dtype=field.dtype)
+        if not len(flat):
+            return acc.reshape(z.shape)
         near = []  # (cluster, point) pairs
         step = max(1, TREE_PAIRS // K)
         for start in range(0, len(flat), step):
@@ -536,9 +542,8 @@ class PanelFlow:
             far = dist >= KAPPA * tree.rho[:, None]
             nearest = np.min(dist, axis=1, where=far, initial=np.inf)
             order = tree.order(tree.rho / nearest)
-            # clusters by descending order; the expansion of a cluster too
-            # close to a point is evaluated on its convergence circle and
-            # dropped
+            # groups by descending order; the expansion of a group too close
+            # to a point is evaluated on its convergence circle and dropped
             by = np.argsort(-order, kind="stable")
             d = np.where(far, d, KAPPA * tree.rho[:, None])[by]
             terms = _multipole(field, coeffs[:, by, None], tree.m0[by, None],
@@ -546,38 +551,25 @@ class PanelFlow:
             acc[start:start + step] = np.where(far[by], terms, 0.0).sum(axis=0)
             near.append(np.argwhere(~far) + [0, start])
         cluster, point = np.concatenate(near).T
-        point = point[np.argsort(cluster, kind="stable")]
-        counts = np.bincount(cluster, minlength=K)
+        by_cluster = np.argsort(cluster, kind="stable")
+        runs, first = np.unique(cluster[by_cluster], return_index=True)
         ia, ib, *_ = _layout_panels(self.nodes, self.closed)
-        for k, at in enumerate(np.split(point, np.cumsum(counts)[:-1])):
-            if len(at):
-                # the run's first start node and every panel's end node
-                run = slice(k * CLUSTER, (k + 1) * CLUSTER)
-                nodes = np.append(ia[run][0], ib[run])
-                acc[at] += field.rows(flat[at], self.nodes[nodes], False,
-                                      self.gamma[nodes, None])[:, 0]
+        for k, at in zip(runs, np.split(point[by_cluster], first[1:])):
+            # the run's first start node and every panel's end node
+            run = slice(k * CLUSTER, (k + 1) * CLUSTER)
+            nodes = np.append(ia[run][0], ib[run])
+            acc[at] += field.rows(flat[at], self.nodes[nodes], False,
+                                  self.gamma[nodes, None])[:, 0]
         return acc.reshape(z.shape)
 
     def _sheet(self, z, field):
         """Vortex-sheet part of a field at the unit-frame points z, to within
-        FAR_TOL V: the body's own expansion at |z| >= KAPPA, each point to
-        the order of its own separation, and _accumulate elsewhere."""
+        FAR_TOL V, by _accumulate: the body's own expansion (one group about
+        Z = 0, rho = 1) at |z| >= KAPPA, and the clusters elsewhere."""
         far = np.abs(z) >= KAPPA
         out = np.empty(z.shape, dtype=field.dtype)
-        if far.any():
-            exp = self._expansion
-            d = z[far]
-            sheet = np.empty(d.shape, dtype=field.dtype)
-            for start in range(0, len(d), TREE_PAIRS):
-                chunk = slice(start, start + TREE_PAIRS)
-                order = exp.order(exp.rho / np.abs(d[chunk]))
-                # points by descending order
-                by = np.argsort(-order, kind="stable")
-                sheet[chunk][by] = _multipole(field, exp.rows(field), exp.m0, exp.rho,
-                                              d[chunk][by], order[by])
-            out[far] = sheet
-        if not far.all():
-            out[~far] = self._accumulate(z[~far], field)
+        out[far] = self._accumulate(z[far], field, self._expansion)
+        out[~far] = self._accumulate(z[~far], field, self._clusters)
         return out
 
     @cached_property
@@ -643,7 +635,8 @@ class PanelFlow:
     def _psi_body(self) -> float:
         # stream-function level on the body (slip normalization psi = 0), / R
         mid = 0.5 * (self.nodes[0] + self.nodes[1])
-        return np.imag(self.far.w_inf * mid) + float(self._accumulate(mid, _PSI))
+        return (np.imag(self.far.w_inf * mid)
+                + float(self._accumulate(mid, _PSI, self._clusters)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cornerflow.analysis import circulation, contour_integral
+from cornerflow.analysis import contour_integral
 from cornerflow.cli import KEYS, run
 from cornerflow import incompressible
 from cornerflow.errors import FluidDomainError, InvalidGeometryError, SolverError
@@ -58,7 +58,7 @@ class TestCircleFlow:
         # the increment of W over one loop is circulation + i * mass flux
         flow = exact_flow(Circle(1.0), FarField(1.0, TWO_PI))
         contour = CircleContour(0j, 2.0, 2048)
-        assert circulation(flow, contour) == pytest.approx(TWO_PI, abs=1e-10)
+        assert float(contour_integral(flow, contour).real) == pytest.approx(TWO_PI, abs=1e-10)
         assert contour_integral(flow, contour).imag == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_circulation_single_valued(self):
@@ -332,7 +332,7 @@ class TestPanelSolve:
 
     def test_square_zero_circulation(self):
         sol = panel_solve(SQUARE, FarField(1.0, 0.0), 128)
-        got = circulation(sol.flow, CircleContour(0j, 2.0, 2048))
+        got = float(contour_integral(sol.flow, CircleContour(0j, 2.0, 2048)).real)
         assert abs(got) < 1e-8
 
     def test_strengths_affine_in_circulation(self):
@@ -855,11 +855,11 @@ def test_near_field_matches_panel_loop(body):
     # the body (psi / R, whose scale is |w_inf|) against the 40-digit rows,
     # and both fields against the per-panel loop, all on the unit nodes
     on = np.array([0.5 * (flow.nodes[3] + flow.nodes[4]), flow.nodes[7]])
-    psi_on = flow._accumulate(on, incompressible._PSI)
+    psi_on = flow._accumulate(on, incompressible._PSI, flow._clusters)
     ref_on = np.array([reference_psi_row(flow.nodes, flow.closed, zk) for zk in on])
     assert np.max(np.abs(psi_on - ref_on @ flow.gamma)) <= 1e-13 * abs(w_inf)
     assert np.max(np.abs(psi_on - direct_sheet(flow, on, PSI_ROWS))) <= 1e-12 * abs(w_inf)
-    assert np.abs(flow._accumulate(on[:1], incompressible._W)
+    assert np.abs(flow._accumulate(on[:1], incompressible._W, flow._clusters)
                   - direct_sheet(flow, on[:1], W_ROWS))[0] <= 1e-12 * abs(w_inf)
 
     rows, _ = incompressible._system_rows(flow.nodes, flow.closed)
@@ -1198,8 +1198,8 @@ def test_stream_spread_skips_a_cluster_of_zero_strength(body):
 
 @BODIES_512
 def test_truncation_matches_full_order(body, monkeypatch):
-    # every point and cluster at its own separation's order against the
-    # order at the closest allowed separation, KAPPA radii
+    # every expansion at the order of its chunk's nearest point that uses
+    # it against the order at the closest allowed separation, KAPPA radii
     R, c = body.circumradius, body.centroid
     rng = np.random.default_rng(7)
     z = c + R * (rng.uniform(-4, 4, 20000) + 1j * rng.uniform(-4, 4, 20000))
@@ -1216,12 +1216,19 @@ def test_truncation_matches_full_order(body, monkeypatch):
 
     def fields():
         flow = panel_solve(body, FarField(1.0, 1.3), 512).flow
-        return flow.stream(z), flow.velocity(z)
+        return flow, flow.stream(z), flow.velocity(z)
 
-    psi, w = fields()
+    flow, psi, w = fields()
+    # a chunk reads its nearest point's order, so a far value depends on its
+    # batch: farfield_fit's probe set, 64 points on each of 10, 20 and 40 R,
+    # in one call and ring by ring
+    rings = R * np.array([10.0, 20.0, 40.0])[:, None] * np.exp(1j * TWO_PI * np.arange(64) / 64)
+    for field, tol in ((flow.stream, 2e-13 * R), (flow.velocity, 2e-13)):
+        by_ring = np.concatenate([field(ring) for ring in rings])
+        assert np.max(np.abs(field(rings.ravel()) - by_ring)) <= tol
     monkeypatch.setattr(incompressible._Expansion, "order", lambda self, t: (
         np.broadcast_to(self.top, np.broadcast_shapes(np.shape(t), self.top.shape))))
-    full_psi, full_w = fields()
+    _, full_psi, full_w = fields()
     assert np.max(np.abs(psi - full_psi)) <= 2e-13 * R
     assert np.max(np.abs(w - full_w)) <= 2e-13
 
